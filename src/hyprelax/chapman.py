@@ -53,6 +53,7 @@ __all__ = [
     "compute_parabolic_limit",
     "low_frequency_expansion",
     "exact_group_projection",
+    "separation_threshold",
     "calibrate_separation_radius",
     "high_frequency_expansion",
     "eigenvalue_sweep",
@@ -285,6 +286,15 @@ def low_frequency_expansion(system: HyperbolicSystem) -> LowFrequencyExpansion:
     return LowFrequencyExpansion(limit=limit, groups=tuple(groups))
 
 
+def separation_threshold(symbol: np.ndarray) -> float:
+    """Gap to the rest of the spectrum below which the 0-group is not separated.
+
+    The floor 1e-8 alone misses exact collisions, where rounding splits a
+    defective pair by about sqrt(eps); the guard scales with the spectrum.
+    """
+    return max(1e-8, 10.0 * cluster_tolerance(symbol))
+
+
 def exact_group_projection(system: HyperbolicSystem, k: np.ndarray) -> np.ndarray:
     """Eigenprojection of ``E(ik)`` onto its eigenvalue nearest zero.
 
@@ -303,9 +313,7 @@ def exact_group_projection(system: HyperbolicSystem, k: np.ndarray) -> np.ndarra
     if others.size == 0:
         return np.eye(system.size, dtype=complex)
     gap = float(np.min(np.abs(others - eigenvalues[small])))
-    # The floor 1e-8 alone misses exact collisions, where rounding splits a
-    # defective pair by about sqrt(eps); scale the guard with the spectrum.
-    threshold = max(1e-8, 10.0 * cluster_tolerance(symbol))
+    threshold = separation_threshold(symbol)
     if gap <= threshold:
         raise GroupNotSeparatedError(
             f"0-group gap {gap:.3e} at |k| = {np.linalg.norm(k):.6g} "

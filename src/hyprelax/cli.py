@@ -46,7 +46,6 @@ CONFIG_EXIT = 3
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", type=Path, help="experiment config file")
-    shared.add_argument("--threads", type=int, default=None, help="worker threads")
     shared.add_argument("--seed", type=int, default=None, help="initial-data seed override")
     shared.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
@@ -181,8 +180,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.config is None:
         raise ConfigurationError("run requires --config")
     cfg = ExperimentConfig.from_file(args.config)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
     if args.seed is not None:
         cfg = replace(cfg, initial=replace(cfg.initial, seed=args.seed))
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else Path(args.out)

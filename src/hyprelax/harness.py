@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import linregress
 
 from .chapman import (
     ConditionBViolatedError,
@@ -79,6 +78,8 @@ _GAUSSIAN_SUPPORT = math.sqrt(2.0 * math.log(1e12))
 
 _VERIFIED_PAIRS = ((2.0, 1), (2.0, 2), (math.inf, 1))
 
+_INITIAL_KINDS = ("gaussian", "bump", "random-band")
+
 
 class HarnessError(Exception):
     """Base class for errors raised by this module."""
@@ -129,32 +130,38 @@ def _validated_samples(times, values) -> tuple[np.ndarray, np.ndarray]:
     return times, values
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> RateFit:
+    """Ordinary least squares ``y = slope x + intercept`` with diagnostics.
+
+    ``stderr`` is the slope's standard error with ``n - 2`` degrees of
+    freedom; ``r_squared`` is 0 when ``y`` is constant.
+    """
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sxx, sxy, syy = dx @ dx, dx @ dy, dy @ dy
+    r = 0.0 if syy == 0.0 else float(np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0))
+    slope = sxy / sxx
+    return RateFit(
+        slope=float(slope),
+        stderr=float(np.sqrt((1.0 - r**2) * syy / sxx / (x.size - 2))),
+        intercept=float(y.mean() - slope * x.mean()),
+        r_squared=r**2,
+        npoints=x.size,
+    )
+
+
 def fit_rate(times, values) -> RateFit:
     """Power-law exponent: ordinary least squares on (log t, log v)."""
     times, values = _validated_samples(times, values)
     if not np.all(times > 0):
         raise ValueError("power-law fits need positive times")
-    result = linregress(np.log(times), np.log(values))
-    return RateFit(
-        slope=float(result.slope),
-        stderr=float(result.stderr),
-        intercept=float(result.intercept),
-        r_squared=float(result.rvalue) ** 2,
-        npoints=times.size,
-    )
+    return _line_fit(np.log(times), np.log(values))
 
 
 def fit_exponential(times, values) -> RateFit:
     """Exponential rate: ordinary least squares on (t, log v)."""
     times, values = _validated_samples(times, values)
-    result = linregress(times, np.log(values))
-    return RateFit(
-        slope=float(result.slope),
-        stderr=float(result.stderr),
-        intercept=float(result.intercept),
-        r_squared=float(result.rvalue) ** 2,
-        npoints=times.size,
-    )
+    return _line_fit(times, np.log(values))
 
 
 def predicted_exponent(profile: str, dimension: int, p: float, q: float) -> float:
@@ -209,6 +216,22 @@ class InitialSpec:
     band: tuple[float, float] = (0.5, 1.5)
     amplitudes: tuple[float, ...] | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in _INITIAL_KINDS:
+            raise ConfigurationError(
+                f"initial kind must be one of {', '.join(_INITIAL_KINDS)}, "
+                f"got {self.kind!r}"
+            )
+        if not self.sigma > 0:
+            raise ConfigurationError(f"initial sigma must be positive, got {self.sigma}")
+        if not self.radius > 0:
+            raise ConfigurationError(f"initial radius must be positive, got {self.radius}")
+        if len(self.band) != 2 or not 0 <= self.band[0] < self.band[1]:
+            raise ConfigurationError(
+                f"initial band must be [low, high] with 0 <= low < high, got "
+                f"{list(self.band)}"
+            )
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -226,7 +249,6 @@ class ExperimentConfig:
     fit: FitWindow = field(default_factory=FitWindow)
     out_dir: str | None = None
     save_fields: bool = False
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.profile not in ("phi", "psi", "both"):
@@ -243,8 +265,6 @@ class ExperimentConfig:
         object.__setattr__(self, "pairs", pairs)
         if not self.tolerance > 0:
             raise ConfigurationError("exponent tolerance must be positive")
-        if self.threads < 1:
-            raise ConfigurationError("threads must be at least 1")
 
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":
@@ -288,7 +308,6 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
             "fit",
             "out_dir",
             "save_fields",
-            "threads",
         },
         "config",
     )
@@ -366,7 +385,6 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
             fit=window,
             out_dir=raw.get("out_dir"),
             save_fields=bool(raw.get("save_fields", False)),
-            threads=int(raw.get("threads", 1)),
         )
     except ConfigurationError:
         raise
@@ -438,7 +456,6 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
         "fit": asdict(cfg.fit),
         "out_dir": cfg.out_dir,
         "save_fields": cfg.save_fields,
-        "threads": cfg.threads,
     }
     return echo
 
@@ -583,7 +600,7 @@ def run_experiment(
         band=cfg.initial.band,
     )
     cut = cfg.cutoff if cfg.cutoff is not None else default_cutoff(system)
-    splitter = FrequencySplitter(system, grid, cut, threads=cfg.threads)
+    splitter = FrequencySplitter(system, grid, cut)
     limit = compute_parabolic_limit(system)
 
     fields_dir = None

@@ -3,11 +3,18 @@
 Fields live on a uniform grid over the box ``[-L, L)^d`` with ``N`` points
 per axis, and frequencies are the discrete set ``k = (pi / L) m`` with
 integer ``m`` per axis.  The hyperbolic semigroup acts diagonally in
-frequency as ``exp(-E(ik) t)``; the low-frequency part ``u1`` applies the
-exact 0-group eigenprojection under a smooth cutoff, and the remainder
-``u2`` is defined by subtraction so the split is additively exact.  The
-parabolic comparison profiles apply the drift/diffusion multiplier with the
-zeroth-order (phi) or first-order (psi) projection moment.
+frequency as ``exp(-E(ik) t)``.  :class:`FrequencySplitter` factors every
+symbol once as ``E(ik) = V diag(lambda) V^-1`` and applies
+``V diag(exp(-t lambda)) V^-1`` at each time (the eigenvector method); symbols
+whose eigenvector basis is ill-conditioned go through the Pade-13
+:func:`~hyprelax.linalg.matrix_exponential` instead, and every propagation
+re-checks the weakest factored symbols against it.  The low-frequency part
+``u1`` applies the 0-group eigenprojection under a smooth cutoff, and the
+remainder ``u2`` is defined by subtraction so the split is additively exact.
+:func:`evolve_hyperbolic` keeps the Pade path for every symbol and serves as
+the independent reference.  The parabolic comparison profiles apply the
+drift/diffusion multiplier with the zeroth-order (phi) or first-order (psi)
+projection moment.
 
 The box is a whole-space surrogate: experiments must keep data supports and
 propagation cones away from the boundary (the decay harness enforces the
@@ -17,13 +24,17 @@ corresponding guard).
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .chapman import GroupNotSeparatedError, ParabolicLimit, exact_group_projection
+from .chapman import (
+    GroupNotSeparatedError,
+    ParabolicLimit,
+    exact_group_projection,
+    separation_threshold,
+)
 from .linalg import matrix_exponential
 from .model import HyperbolicSystem
 
@@ -37,6 +48,7 @@ __all__ = [
     "CutoffSpec",
     "InitialData",
     "FrequencySplitter",
+    "CONDITION_LIMIT",
     "smooth_step",
     "default_cutoff",
     "to_frequency",
@@ -56,6 +68,15 @@ PHYSICAL = "physical"
 FREQUENCY = "frequency"
 
 _HEADER = struct.Struct("<iidiid")
+
+# Eigenvector-basis condition estimate ``|V|_F |V^-1|_F`` above which a symbol
+# is exponentiated and projected by the exact methods.  The demo grids stay
+# below 20; a grid point on an exceptional point of ``E(ik)`` exceeds 1e7.
+CONDITION_LIMIT = 1e6
+# Factored symbols re-checked against the exact methods, worst first, and the
+# relative Frobenius mismatch the check accepts.
+_AUDIT_MEMBERS = 4
+_AUDIT_TOLERANCE = 1e-10
 
 
 class SpectralError(Exception):
@@ -258,14 +279,65 @@ def default_cutoff(system: HyperbolicSystem) -> CutoffSpec:
     return CutoffSpec(inner=inner, outer=outer)
 
 
+def _conjugate_partners(grid: PeriodicGrid) -> np.ndarray:
+    """Flat index of ``-k`` for every grid frequency ``k``; -1 if off the grid.
+
+    Frequencies on a Nyquist plane (index ``N/2`` on some axis) are the ones
+    whose negation is not a grid frequency.
+    """
+    n = grid.points
+    negated = (-np.arange(n)) % n
+    flat = np.arange(grid.total_points).reshape(grid.shape)
+    partners = flat[np.ix_(*([negated] * grid.dimension))]
+    for axis in range(grid.dimension):
+        np.moveaxis(partners, axis, 0)[n // 2] = -1
+    return partners.reshape(-1)
+
+
+def _basis_condition(vectors: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Frobenius estimate ``|V|_F |V^-1|_F`` of each eigenvector basis."""
+    return np.linalg.norm(vectors, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
+
+
+@dataclass(frozen=True)
+class _Eigenbasis:
+    """``E(ik) = V diag(values) V^-1`` for every grid frequency.
+
+    ``fallback`` lists the members whose basis fails the condition guard;
+    ``audit`` the factored members with the worst condition.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+    inverse: np.ndarray
+    fallback: np.ndarray
+    audit: np.ndarray
+    worst_condition: float
+
+
 class FrequencySplitter:
     """Cached per-grid spectral machinery for one system.
 
-    Construction precomputes the symbol stack over all grid frequencies and
-    the table of exact 0-group projections on the cutoff band ``chi1 > 0``
-    (the only place they are needed).  ``threads`` parallelizes the band
-    table; results are written into fixed slots, so the output is
-    deterministic for any thread count.
+    Construction builds the symbol stack over all grid frequencies and the
+    0-group projections on the cutoff band ``chi1 > 0`` (the only place they
+    are needed).  Each band projection is Kato's rank-one ``P0 = v w^T`` from
+    the right and left eigenvectors of the eigenvalue nearest zero.
+
+    The first propagation factors every symbol as ``V diag(lambda) V^-1``
+    (one member of each conjugate pair ``E(-ik) = conj(E(ik))``, the other
+    copied) and caches the factors; each time ``t`` then costs
+    ``V (exp(-t lambda) * V^-1 u)``.  A member whose estimate
+    ``|V|_F |V^-1|_F`` exceeds :data:`CONDITION_LIMIT` is exponentiated by
+    :func:`~hyprelax.linalg.matrix_exponential` (and, in the band, projected
+    by :func:`~hyprelax.chapman.exact_group_projection`) instead; their number
+    is :attr:`fallback_count`.  Every propagation recomputes the four
+    worst-conditioned factored members with the Pade exponential, and construction recomputes the worst-conditioned band
+    projection by contour quadrature; a relative mismatch above 1e-10 raises
+    :class:`SpectralError`.
+
+    Raises:
+        GroupNotSeparatedError: if the 0-group is not separated from the rest
+            of the spectrum at some band frequency (shrink the cutoff).
     """
 
     def __init__(
@@ -273,8 +345,6 @@ class FrequencySplitter:
         system: HyperbolicSystem,
         grid: PeriodicGrid,
         cut: CutoffSpec | None = None,
-        *,
-        threads: int = 1,
     ):
         if grid.dimension != system.dimension:
             raise ValueError(
@@ -291,31 +361,113 @@ class FrequencySplitter:
         band = np.flatnonzero(weights > 0.0)
         self._band = band
         self._band_weights = weights[band]
-        self._band_projections = self._projection_table(band, threads)
+        self._band_values, self._band_projections = self._projection_table(band)
+        self._basis: _Eigenbasis | None = None
 
-    def _projection_table(self, band: np.ndarray, threads: int) -> np.ndarray:
-        n = self.system.size
-        table = np.empty((band.size, n, n), dtype=complex)
-
-        def fill(sl: slice) -> None:
-            for offset, flat_index in enumerate(band[sl], start=sl.start):
-                table[offset] = exact_group_projection(
-                    self.system, self._vectors[flat_index]
+    def _projection_table(self, band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalue nearest zero and its eigenprojection at each band member."""
+        symbols = self._symbols[band]
+        values, vectors = np.linalg.eig(symbols)
+        inverse = np.linalg.inv(vectors)
+        members = np.arange(band.size)
+        nearest = np.argmin(np.abs(values), axis=-1)
+        zero_values = values[members, nearest]
+        distance = np.abs(values - zero_values[:, None])
+        distance[members, nearest] = np.inf
+        gaps = np.min(distance, axis=-1, initial=np.inf)
+        thresholds = np.array([separation_threshold(symbol) for symbol in symbols])
+        crowded = np.flatnonzero(gaps <= thresholds)
+        if crowded.size:
+            member = crowded[0]
+            raise GroupNotSeparatedError(
+                f"0-group gap {gaps[member]:.3e} at |k| = "
+                f"{self._moduli[band[member]]:.6g} is below {thresholds[member]:.1e}"
+            )
+        right = vectors[members, :, nearest]
+        left = inverse[members, nearest, :]
+        projections = right[:, :, None] * left[:, None, :]
+        condition = _basis_condition(vectors, inverse)
+        trusted = condition <= CONDITION_LIMIT
+        for member in np.flatnonzero(~trusted):
+            projections[member] = exact_group_projection(
+                self.system, self._vectors[band[member]]
+            )
+        if np.any(trusted):
+            worst = int(np.argmax(np.where(trusted, condition, -np.inf)))
+            exact = exact_group_projection(self.system, self._vectors[band[worst]])
+            mismatch = np.linalg.norm(projections[worst] - exact) / np.linalg.norm(exact)
+            if not mismatch <= _AUDIT_TOLERANCE:
+                raise SpectralError(
+                    f"rank-one 0-group projection at |k| = "
+                    f"{self._moduli[band[worst]]:.6g} differs from the contour "
+                    f"projection by {mismatch:.3e} relative"
                 )
+        return zero_values, projections
 
-        if threads <= 1 or band.size < 2 * threads:
-            fill(slice(0, band.size))
-            return table
-        step = -(-band.size // threads)
-        chunks = [slice(i, min(i + step, band.size)) for i in range(0, band.size, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, chunks))
-        return table
+    def _eigenbasis(self) -> _Eigenbasis:
+        """Factor every symbol once; later calls return the cached factors."""
+        if self._basis is not None:
+            return self._basis
+        symbols = self._symbols
+        partners = _conjugate_partners(self.grid)
+        mirrored = (partners >= 0) & (partners < np.arange(partners.size))
+        own = ~mirrored
+        values = np.empty(symbols.shape[:-1], dtype=complex)
+        vectors = np.empty_like(symbols)
+        inverse = np.empty_like(symbols)
+        values[own], vectors[own] = np.linalg.eig(symbols[own])
+        inverse[own] = np.linalg.inv(vectors[own])
+        source = partners[mirrored]
+        values[mirrored] = values[source].conj()
+        vectors[mirrored] = vectors[source].conj()
+        inverse[mirrored] = inverse[source].conj()
+        condition = _basis_condition(vectors, inverse)
+        trusted = condition <= CONDITION_LIMIT
+        ranked = np.argsort(np.where(trusted, condition, -np.inf), kind="stable")[::-1]
+        self._basis = _Eigenbasis(
+            values=values,
+            vectors=vectors,
+            inverse=inverse,
+            fallback=np.flatnonzero(~trusted),
+            audit=ranked[trusted[ranked]][:_AUDIT_MEMBERS],
+            worst_condition=float(np.max(condition)),
+        )
+        return self._basis
 
-    def _propagator(self, t: float) -> np.ndarray:
+    @property
+    def fallback_count(self) -> int:
+        """Number of grid symbols propagated by the Pade fallback."""
+        return int(self._eigenbasis().fallback.size)
+
+    @property
+    def worst_condition(self) -> float:
+        """Largest eigenvector-basis condition estimate over the grid."""
+        return self._eigenbasis().worst_condition
+
+    def _propagate(self, t: float, flat: np.ndarray) -> np.ndarray:
+        """``exp(-E(ik) t)`` applied to a flat spectrum ``(components, N^d)``."""
         if t < 0:
             raise ValueError(f"evolution time must be nonnegative, got {t}")
-        return matrix_exponential(-t * self._symbols)
+        basis = self._eigenbasis()
+        decay = np.exp(-t * basis.values)
+        out = np.einsum("fij,jf->if", basis.inverse, flat) * decay.T
+        out = np.einsum("fij,jf->if", basis.vectors, out)
+        audit, fallback = basis.audit, basis.fallback
+        exact = matrix_exponential(-t * self._symbols[np.concatenate([audit, fallback])])
+        reference = exact[: audit.size]
+        eigen = (basis.vectors[audit] * decay[audit][:, None, :]) @ basis.inverse[audit]
+        mismatch = np.linalg.norm(eigen - reference, axis=(-2, -1)) / np.linalg.norm(
+            reference, axis=(-2, -1)
+        )
+        if not np.all(mismatch <= _AUDIT_TOLERANCE):
+            worst = int(np.argmax(~(mismatch <= _AUDIT_TOLERANCE)))
+            raise SpectralError(
+                f"eigenvector propagator at |k| = {self._moduli[audit[worst]]:.6g}, "
+                f"t = {t:g} differs from the Pade exponential by "
+                f"{mismatch[worst]:.3e} relative"
+            )
+        out[:, fallback] = np.einsum("fij,jf->if", exact[audit.size :], flat[:, fallback])
+        return out
 
     def _wrap(self, flat: np.ndarray, like: GridField) -> GridField:
         values = flat.reshape((flat.shape[0],) + self.grid.shape)
@@ -328,29 +480,22 @@ class FrequencySplitter:
 
     def evolve(self, field: GridField, t: float) -> GridField:
         """Apply ``exp(-E(ik) t)`` frequency by frequency."""
-        flat = self._flat_spectrum(field)
-        out = np.einsum("fij,jf->if", self._propagator(t), flat)
-        return self._wrap(out, field)
+        return self._wrap(self._propagate(t, self._flat_spectrum(field)), field)
 
     def decompose(self, field: GridField, t: float) -> tuple[GridField, GridField, GridField]:
         """Evolve and split in one pass; returns ``(u, u1, u2)``.
 
-        ``u1`` propagates the cutoff-projected band ``chi1 P0(ik)``; ``u2``
-        is the subtraction remainder, so ``u1 + u2`` equals ``u`` exactly.
+        ``u1 = chi1 exp(-t lambda0) P0(ik) u`` propagates the cutoff-projected
+        band (``E P0 = lambda0 P0``); ``u2`` is the subtraction remainder, so
+        ``u1 + u2`` equals ``u`` exactly.
         """
         flat = self._flat_spectrum(field)
-        propagator = self._propagator(t)
-        full = np.einsum("fij,jf->if", propagator, flat)
+        full = self._propagate(t, flat)
         low = np.zeros_like(full)
         if self._band.size:
-            projected = np.einsum(
-                "f,fij,jf->if",
-                self._band_weights,
-                self._band_projections,
-                flat[:, self._band],
-            )
+            decay = self._band_weights * np.exp(-t * self._band_values)
             low[:, self._band] = np.einsum(
-                "fij,jf->if", propagator[self._band], projected
+                "f,fij,jf->if", decay, self._band_projections, flat[:, self._band]
             )
         return (
             self._wrap(full, field),
@@ -387,11 +532,9 @@ def split_frequencies(
     field: GridField,
     t: float,
     cut: CutoffSpec | None = None,
-    *,
-    threads: int = 1,
 ) -> tuple[GridField, GridField]:
     """Split the evolved field into the projected band part and the rest."""
-    splitter = FrequencySplitter(system, field.grid, cut, threads=threads)
+    splitter = FrequencySplitter(system, field.grid, cut)
     return splitter.split(field, t)
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyprelax
 from hyprelax.cli import main
 from hyprelax.model import HyperbolicSystem, dump_system
 from hyprelax.systems import damped_euler_2d, goldstein_kac_1d
@@ -176,14 +181,11 @@ class TestRun:
                 str(out),
                 "--seed",
                 "9",
-                "--threads",
-                "2",
             ]
         )
         assert code == 0
         payload = json.loads((out / "report.json").read_text())
         assert payload["config"]["initial"]["seed"] == 9
-        assert payload["config"]["threads"] == 2
 
     def test_unsaturated_fit_exits_1(self, tmp_path, gk_path):
         config = write_run_config(tmp_path, gk_path, tolerance=1e-6)
@@ -202,6 +204,41 @@ class TestRun:
 
     def test_requires_config(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == 3
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("kind", ["gaussian", "bump", "random-band"])
+    def test_documented_kinds_parse(self, tmp_path, gk_path, kind):
+        config = write_run_config(
+            tmp_path, gk_path, initial={"kind": kind, "band": [0.1, 0.4]}
+        )
+        assert main(["check", "--config", config, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "initial",
+        [
+            {"kind": "random_band"},
+            {"sigma": 0.0},
+            {"radius": -1.0},
+            {"kind": "random-band", "band": [1.5, 0.5]},
+            {"kind": "random-band", "band": [0.5, 1.0, 1.5]},
+        ],
+    )
+    def test_invalid_initial_exits_3(self, tmp_path, gk_path, initial, capsys):
+        config = write_run_config(tmp_path, gk_path, initial=initial)
+        for command in (["check", "--config", config], ["run", "--config", config]):
+            assert main(command + ["--out", str(tmp_path / "o")]) == 3
+        assert "initial" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    source = str(Path(hyprelax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=source)
+    probe = "import sys, hyprelax.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestReport:

@@ -5,12 +5,14 @@ from numpy.testing import assert_allclose
 from hyprelax.chapman import compute_parabolic_limit, exact_group_projection
 from hyprelax.model import HyperbolicSystem
 from hyprelax.spectral import (
+    CONDITION_LIMIT,
     FREQUENCY,
     PHYSICAL,
     CutoffSpec,
     FrequencySplitter,
     GridField,
     PeriodicGrid,
+    SpectralError,
     SupportTooWideError,
     WrongRepresentationError,
     default_cutoff,
@@ -333,14 +335,107 @@ class TestFrequencySplitter:
         u1, _ = split_frequencies(system, prepared, 1.0)
         assert np.max(np.abs(u1.values)) == 0.0
 
-    def test_thread_count_does_not_change_results(self):
-        system = goldstein_kac_1d()
-        grid = PeriodicGrid(dimension=1, points=256, half_width=40.0)
-        field = gaussian_field(grid, (1.0, -0.5))
-        serial = FrequencySplitter(system, grid, threads=1).decompose(field, 2.0)
-        threaded = FrequencySplitter(system, grid, threads=4).decompose(field, 2.0)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.values, b.values)
+
+
+def white_spectrum(grid: PeriodicGrid, components: int, seed: int) -> GridField:
+    rng = np.random.default_rng(seed)
+    shape = (components,) + grid.shape
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return GridField(grid, values, FREQUENCY)
+
+
+def relative_gap(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestEigenPropagator:
+    """The factored propagator against the Pade and contour oracles."""
+
+    CASES = {
+        "line": (goldstein_kac_1d, PeriodicGrid(dimension=1, points=256, half_width=40.0)),
+        "plane": (damped_euler_2d, PeriodicGrid(dimension=2, points=64, half_width=16.0)),
+    }
+    # Box half-width 16 pi puts the grid frequency |k| = 1/2, where both
+    # demo symbols are defective, on the grid: 2 points on the line, 4 in
+    # the plane.
+    EXCEPTIONAL = {
+        "line": (goldstein_kac_1d, PeriodicGrid(1, 128, 16 * np.pi), 2),
+        "plane": (damped_euler_2d, PeriodicGrid(2, 64, 16 * np.pi), 4),
+    }
+
+    @pytest.mark.parametrize("case", ["line", "plane"])
+    def test_decompose_matches_pade(self, case):
+        build, grid = self.CASES[case]
+        system = build()
+        splitter = FrequencySplitter(system, grid)
+        field = white_spectrum(grid, system.size, seed=1)
+        for t in (0.0, 0.7, 5.0):
+            u, u1, u2 = splitter.decompose(field, t)
+            pade = evolve_hyperbolic(system, field, t)
+            assert relative_gap(u.values, pade.values) <= 1e-12
+            assert_allclose(u1.values + u2.values, u.values, atol=1e-14)
+        assert splitter.fallback_count == 0
+        assert 1.0 <= splitter.worst_condition <= 100.0
+
+    @pytest.mark.parametrize("case", ["line", "plane"])
+    def test_band_table_matches_contour_projections(self, case):
+        build, grid = self.CASES[case]
+        system = build()
+        splitter = FrequencySplitter(system, grid)
+        vectors = grid.frequency_vectors()
+        assert splitter._band.size > 1
+        for member, index in enumerate(splitter._band):
+            exact = exact_group_projection(system, vectors[index])
+            assert_allclose(splitter._band_projections[member], exact, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("case", ["line", "plane"])
+    def test_defective_symbols_fall_back_to_pade(self, case):
+        build, grid, expected = self.EXCEPTIONAL[case]
+        system = build()
+        splitter = FrequencySplitter(system, grid)
+        assert splitter.fallback_count == expected
+        assert splitter.worst_condition > CONDITION_LIMIT
+        field = white_spectrum(grid, system.size, seed=2)
+        for t in (0.5, 3.0):
+            u, _, _ = splitter.decompose(field, t)
+            pade = evolve_hyperbolic(system, field, t)
+            assert relative_gap(u.values, pade.values) <= 1e-12
+
+    def test_nyquist_plane_matches_pade(self):
+        system = damped_euler_2d()
+        grid = PeriodicGrid(dimension=2, points=32, half_width=8.0)
+        splitter = FrequencySplitter(system, grid)
+        field = white_spectrum(grid, system.size, seed=3)
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[grid.points // 2, :] = True
+        mask[:, grid.points // 2] = True
+        nyquist = GridField(grid, field.values * mask[None], FREQUENCY)
+        for t in (0.3, 2.0):
+            evolved = splitter.evolve(nyquist, t)
+            pade = evolve_hyperbolic(system, nyquist, t)
+            assert relative_gap(evolved.values, pade.values) <= 1e-12
+            assert np.all(evolved.values[:, ~mask] == 0.0)
+
+    def test_corrupted_factorization_fails_the_audit(self):
+        system, grid = goldstein_kac_1d(), self.CASES["line"][1]
+        splitter = FrequencySplitter(system, grid)
+        field = white_spectrum(grid, system.size, seed=4)
+        splitter.decompose(field, 1.0)
+        basis = splitter._eigenbasis()
+        basis.vectors[basis.audit[0], :, 0] *= 1.0 + 1e-6
+        with pytest.raises(SpectralError, match="Pade"):
+            splitter.decompose(field, 1.0)
+
+    def test_wrong_band_projection_fails_the_audit(self, monkeypatch):
+        import hyprelax.spectral as spectral
+
+        def skewed(system, k):
+            return exact_group_projection(system, k) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(spectral, "exact_group_projection", skewed)
+        system, grid = goldstein_kac_1d(), self.CASES["line"][1]
+        with pytest.raises(SpectralError, match="contour"):
+            FrequencySplitter(system, grid)
 
 
 class TestParabolicProfiles:
