@@ -19,6 +19,7 @@ import numpy as np
 
 from .chapman import (
     ConditionViolatedError,
+    GroupNotSeparatedError,
     compute_parabolic_limit,
     eigenvalue_sweep,
 )
@@ -206,20 +207,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raw = json.loads(Path(args.report).read_text())
     except (OSError, json.JSONDecodeError) as error:
         raise ConfigurationError(f"cannot read report {args.report}: {error}") from error
-    try:
-        report = DecayReport(
-            config=raw["config"],
-            resolved_cutoff=raw["resolved_cutoff"],
-            times=tuple(raw["times"]),
-            series={name: tuple(vals) for name, vals in raw["series"].items()},
-            fits=raw["fits"],
-            remainder=raw["remainder"],
-            conditions=raw["conditions"],
-            psi_skipped=raw.get("psi_skipped"),
-            passed=bool(raw["passed"]),
-        )
-    except (KeyError, TypeError) as error:
-        raise ConfigurationError(f"report {args.report} is malformed: {error}") from error
+    report = DecayReport.from_dict(raw)
     paths = emit_report(report, args.out)
     print(f"re-serialized report to {', '.join(str(p) for p in paths)}")
     return PASS_EXIT if report.passed else RATE_EXIT
@@ -245,6 +233,9 @@ def main(argv: list[str] | None = None) -> int:
         IoFailureError,
     ) as error:
         print(f"error: {error}", file=sys.stderr)
+        return CONFIG_EXIT
+    except GroupNotSeparatedError as error:
+        print(f"error: {error}; shrink the cutoff (cutoff.inner)", file=sys.stderr)
         return CONFIG_EXIT
     except ConditionViolatedError as error:
         print(f"condition violated: {error}", file=sys.stderr)

@@ -50,6 +50,8 @@ from .spectral import (
     lp_norm,
     make_initial_data,
     save_field,
+    to_frequency,
+    to_physical,
 )
 
 __all__ = [
@@ -65,7 +67,6 @@ __all__ = [
     "InitialSpec",
     "ExperimentConfig",
     "DecayReport",
-    "lp_norm",
     "fit_rate",
     "fit_exponential",
     "predicted_exponent",
@@ -392,6 +393,20 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         raise ConfigurationError(f"malformed config value: {error}") from error
 
 
+# Keys of a serialized report: the JSON type of each and of each table entry.
+_REPORT_KEYS = {
+    "config": (dict, None),
+    "resolved_cutoff": (dict, None),
+    "times": (list, None),
+    "series": (dict, list),
+    "fits": (dict, dict),
+    "remainder": (dict, dict),
+    "conditions": (dict, dict),
+    "psi_skipped": ((str, type(None)), None),
+    "passed": (bool, None),
+}
+
+
 @dataclass(frozen=True)
 class DecayReport:
     """All measured series, fits, and verdicts of one experiment."""
@@ -422,6 +437,25 @@ class DecayReport:
             "psi_skipped": self.psi_skipped,
             "passed": self.passed,
         }
+
+    @staticmethod
+    def from_dict(raw) -> "DecayReport":
+        """Inverse of :meth:`to_dict`, for a parsed ``report.json``.
+
+        Raises:
+            ConfigurationError: if a key is missing or holds the wrong type.
+        """
+        if not isinstance(raw, dict):
+            raise ConfigurationError("report must be a JSON object")
+        for key, (kind, entry_kind) in _REPORT_KEYS.items():
+            if key not in raw or not isinstance(raw[key], kind):
+                raise ConfigurationError(f"report key {key!r} is missing or mistyped")
+            if entry_kind and not all(isinstance(e, entry_kind) for e in raw[key].values()):
+                raise ConfigurationError(f"report key {key!r} holds a mistyped entry")
+        fields = {key: raw[key] for key in _REPORT_KEYS}
+        fields["times"] = tuple(raw["times"])
+        fields["series"] = {name: tuple(values) for name, values in raw["series"].items()}
+        return DecayReport(**fields)
 
     def csv_rows(self):
         """Rows (t, norm_name, value), time-major, names sorted."""
@@ -468,10 +502,6 @@ def _support_radius(initial: InitialSpec, sigma: float) -> float:
     # Band-limited noise fills the box; the wrap guard cannot localize it and
     # the surrogate interpretation is up to the caller.
     return 0.0
-
-
-def _difference_norm(a: GridField, b: GridField, p: float) -> float:
-    return lp_norm(GridField(a.grid, a.values - b.values, a.representation), p)
 
 
 def _unit_l2_gaussian(
@@ -547,10 +577,11 @@ def run_experiment(
             f"uniform dissipation fails: {report_d.summary}", report_d
         )
 
-    psi_active = cfg.profile in ("psi", "both")
-    phi_active = cfg.profile in ("phi", "both")
+    profiles = {"phi": evolve_parabolic_phi, "psi": evolve_parabolic_psi}
+    if cfg.profile != "both":
+        profiles = {cfg.profile: profiles[cfg.profile]}
     psi_skipped = None
-    if psi_active:
+    if "psi" in profiles:
         report_s = check_condition_S(system)
         conditions["S"] = {"passed": report_s.passed, "summary": report_s.summary}
         if not report_s.passed:
@@ -559,7 +590,7 @@ def run_experiment(
                     f"first-order profile needs a symmetry: {report_s.summary}",
                     report_s,
                 )
-            psi_active = False
+            del profiles["psi"]
             psi_skipped = report_s.summary
 
     grid = PeriodicGrid(
@@ -616,44 +647,44 @@ def run_experiment(
     def record(name: str, value: float) -> None:
         series.setdefault(name, []).append(value)
 
-    def measure(datum: GridField, t: float, pairs, q_label: int, save_index=None):
-        full, low, high = splitter.decompose(datum, t)
-        phi = evolve_parabolic_phi(limit, datum, t) if phi_active else None
-        psi = evolve_parabolic_psi(limit, datum, t) if psi_active else None
-        record(f"u2_l2_q{q_label}", lp_norm(high, 2))
+    def measure(spectrum: GridField, t: float, pairs, q_label: int, save_index=None):
+        # Gaps are formed in frequency; each field a norm needs is transformed once.
+        full, low, high = splitter.decompose(spectrum, t)
+        u, u2 = to_physical(full), to_physical(high)
+        del full, high
+        gaps = []
+        for name, evolve in profiles.items():
+            gap = low.values - evolve(limit, spectrum, t).values
+            gaps.append((name, to_physical(GridField(grid, gap, low.representation))))
+        record(f"u2_l2_q{q_label}", lp_norm(u2, 2))
         for p, q in pairs:
             tag = _pair_tag(p, q)
-            record(f"u_{tag}", lp_norm(full, p))
-            if phi is not None:
-                record(f"u1_minus_phi_{tag}", _difference_norm(low, phi, p))
-            if psi is not None:
-                record(f"u1_minus_psi_{tag}", _difference_norm(low, psi, p))
+            record(f"u_{tag}", lp_norm(u, p))
+            for name, gap in gaps:
+                record(f"u1_minus_{name}_{tag}", lp_norm(gap, p))
         if save_index is not None and fields_dir is not None:
-            for label, snapshot in (("u", full), ("u1", low), ("u2", high)):
+            for label, snapshot in (("u", u), ("u1", to_physical(low)), ("u2", u2)):
                 save_field(
                     snapshot,
                     fields_dir / f"snapshot_{save_index:03d}_{label}.bin",
                     time=t,
                 )
 
+    fixed = to_frequency(initial.field) if fixed_pairs else None
     for index, t in enumerate(times):
         if fixed_pairs:
-            measure(initial.field, float(t), fixed_pairs, 1, save_index=index)
+            measure(fixed, float(t), fixed_pairs, 1, save_index=index)
         for p, q in scaling_pairs:
             sigma_t = cfg.initial.sigma * math.sqrt(float(t) / float(times[0]))
             datum = _unit_l2_gaussian(grid, system.size, cfg.initial, sigma_t)
-            measure(datum, float(t), [(p, q)], q)
+            measure(to_frequency(datum), float(t), [(p, q)], q)
 
     fits: dict[str, dict] = {}
     passed = True
     for p, q in cfg.pairs:
         tag = _pair_tag(p, q)
-        targets = []
-        if phi_active:
-            targets.append(("phi", f"u1_minus_phi_{tag}"))
-        if psi_active:
-            targets.append(("psi", f"u1_minus_psi_{tag}"))
-        for profile, name in targets:
+        for profile in profiles:
+            name = f"u1_minus_{profile}_{tag}"
             predicted = predicted_exponent(profile, system.dimension, p, q)
             fits[name] = _fit_series(
                 times, np.asarray(series[name]), cfg.fit.t_min, predicted, cfg.tolerance

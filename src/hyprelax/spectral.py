@@ -9,8 +9,11 @@ symbol once as ``E(ik) = V diag(lambda) V^-1`` and applies
 whose eigenvector basis is ill-conditioned go through the Pade-13
 :func:`~hyprelax.linalg.matrix_exponential` instead, and every propagation
 re-checks the weakest factored symbols against it.  The low-frequency part
-``u1`` applies the 0-group eigenprojection under a smooth cutoff, and the
-remainder ``u2`` is defined by subtraction so the split is additively exact.
+``u1`` applies the 0-group eigenprojection of the same factorization under a
+smooth cutoff (audited against the contour projection at the first
+propagation), and the remainder ``u2`` is defined by subtraction so the split
+is additively exact.  The evolutions return fields in the representation they
+are given, so a caller holding a spectrum transforms each datum once.
 :func:`evolve_hyperbolic` keeps the Pade path for every symbol and serves as
 the independent reference.  The parabolic comparison profiles apply the
 drift/diffusion multiplier with the zeroth-order (phi) or first-order (psi)
@@ -56,7 +59,6 @@ __all__ = [
     "lp_norm",
     "imaginary_residual",
     "evolve_hyperbolic",
-    "split_frequencies",
     "evolve_parabolic_phi",
     "evolve_parabolic_psi",
     "make_initial_data",
@@ -299,29 +301,44 @@ def _basis_condition(vectors: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     return np.linalg.norm(vectors, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
 
 
+def _spectrum(field: GridField) -> np.ndarray:
+    """Flat spectrum ``(components, N^d)`` of a field in either representation."""
+    return (field if field.representation == FREQUENCY else to_frequency(field)).flat()
+
+
+def _like(flat: np.ndarray, like: GridField) -> GridField:
+    """Flat spectrum as a field in the representation of ``like``."""
+    values = flat.reshape((flat.shape[0],) + like.grid.shape)
+    field = GridField(like.grid, values, FREQUENCY)
+    return to_physical(field) if like.representation == PHYSICAL else field
+
+
 @dataclass(frozen=True)
 class _Eigenbasis:
     """``E(ik) = V diag(values) V^-1`` for every grid frequency.
 
     ``fallback`` lists the members whose basis fails the condition guard;
-    ``audit`` the factored members with the worst condition.
+    ``audit`` the factored members with the worst condition.  ``band_values``
+    and ``band_projections`` are the band table of ``_projection_table``.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     inverse: np.ndarray
+    condition: np.ndarray
     fallback: np.ndarray
     audit: np.ndarray
-    worst_condition: float
+    band_values: np.ndarray
+    band_projections: np.ndarray
 
 
 class FrequencySplitter:
     """Cached per-grid spectral machinery for one system.
 
-    Construction builds the symbol stack over all grid frequencies and the
-    0-group projections on the cutoff band ``chi1 > 0`` (the only place they
-    are needed).  Each band projection is Kato's rank-one ``P0 = v w^T`` from
-    the right and left eigenvectors of the eigenvalue nearest zero.
+    Construction builds the symbol stack over all grid frequencies and finds
+    the cutoff band ``chi1 > 0``.  The 0-group projection at each band member
+    is Kato's rank-one ``P0 = v w^T`` from the right and left eigenvectors of
+    the eigenvalue nearest zero, taken from the one factorization below.
 
     The first propagation factors every symbol as ``V diag(lambda) V^-1``
     (one member of each conjugate pair ``E(-ik) = conj(E(ik))``, the other
@@ -331,13 +348,15 @@ class FrequencySplitter:
     :func:`~hyprelax.linalg.matrix_exponential` (and, in the band, projected
     by :func:`~hyprelax.chapman.exact_group_projection`) instead; their number
     is :attr:`fallback_count`.  Every propagation recomputes the four
-    worst-conditioned factored members with the Pade exponential, and construction recomputes the worst-conditioned band
-    projection by contour quadrature; a relative mismatch above 1e-10 raises
+    worst-conditioned factored members with the Pade exponential, and the
+    first propagation recomputes the worst-conditioned band projection by
+    contour quadrature; a relative mismatch above 1e-10 raises
     :class:`SpectralError`.
 
     Raises:
-        GroupNotSeparatedError: if the 0-group is not separated from the rest
-            of the spectrum at some band frequency (shrink the cutoff).
+        GroupNotSeparatedError: at the first propagation, if the 0-group is
+            not separated from the rest of the spectrum at some band
+            frequency (shrink the cutoff).
     """
 
     def __init__(
@@ -361,21 +380,19 @@ class FrequencySplitter:
         band = np.flatnonzero(weights > 0.0)
         self._band = band
         self._band_weights = weights[band]
-        self._band_values, self._band_projections = self._projection_table(band)
         self._basis: _Eigenbasis | None = None
 
-    def _projection_table(self, band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalue nearest zero and its eigenprojection at each band member."""
-        symbols = self._symbols[band]
-        values, vectors = np.linalg.eig(symbols)
-        inverse = np.linalg.inv(vectors)
+    def _projection_table(self, values, vectors, inverse, condition):
+        """Eigenvalue nearest zero and its eigenprojection at each band member,
+        from the band's rows of the grid factorization."""
+        band = self._band
         members = np.arange(band.size)
         nearest = np.argmin(np.abs(values), axis=-1)
         zero_values = values[members, nearest]
         distance = np.abs(values - zero_values[:, None])
         distance[members, nearest] = np.inf
         gaps = np.min(distance, axis=-1, initial=np.inf)
-        thresholds = np.array([separation_threshold(symbol) for symbol in symbols])
+        thresholds = np.array([separation_threshold(s) for s in self._symbols[band]])
         crowded = np.flatnonzero(gaps <= thresholds)
         if crowded.size:
             member = crowded[0]
@@ -386,7 +403,6 @@ class FrequencySplitter:
         right = vectors[members, :, nearest]
         left = inverse[members, nearest, :]
         projections = right[:, :, None] * left[:, None, :]
-        condition = _basis_condition(vectors, inverse)
         trusted = condition <= CONDITION_LIMIT
         for member in np.flatnonzero(~trusted):
             projections[member] = exact_group_projection(
@@ -424,13 +440,19 @@ class FrequencySplitter:
         condition = _basis_condition(vectors, inverse)
         trusted = condition <= CONDITION_LIMIT
         ranked = np.argsort(np.where(trusted, condition, -np.inf), kind="stable")[::-1]
+        band = self._band
+        band_values, band_projections = self._projection_table(
+            values[band], vectors[band], inverse[band], condition[band]
+        )
         self._basis = _Eigenbasis(
             values=values,
             vectors=vectors,
             inverse=inverse,
+            condition=condition,
             fallback=np.flatnonzero(~trusted),
             audit=ranked[trusted[ranked]][:_AUDIT_MEMBERS],
-            worst_condition=float(np.max(condition)),
+            band_values=band_values,
+            band_projections=band_projections,
         )
         return self._basis
 
@@ -442,7 +464,7 @@ class FrequencySplitter:
     @property
     def worst_condition(self) -> float:
         """Largest eigenvector-basis condition estimate over the grid."""
-        return self._eigenbasis().worst_condition
+        return float(np.max(self._eigenbasis().condition))
 
     def _propagate(self, t: float, flat: np.ndarray) -> np.ndarray:
         """``exp(-E(ik) t)`` applied to a flat spectrum ``(components, N^d)``."""
@@ -469,76 +491,40 @@ class FrequencySplitter:
         out[:, fallback] = np.einsum("fij,jf->if", exact[audit.size :], flat[:, fallback])
         return out
 
-    def _wrap(self, flat: np.ndarray, like: GridField) -> GridField:
-        values = flat.reshape((flat.shape[0],) + self.grid.shape)
-        field = GridField(self.grid, values, FREQUENCY)
-        return to_physical(field) if like.representation == PHYSICAL else field
-
-    def _flat_spectrum(self, field: GridField) -> np.ndarray:
-        spectral = field if field.representation == FREQUENCY else to_frequency(field)
-        return spectral.flat()
-
-    def evolve(self, field: GridField, t: float) -> GridField:
-        """Apply ``exp(-E(ik) t)`` frequency by frequency."""
-        return self._wrap(self._propagate(t, self._flat_spectrum(field)), field)
-
     def decompose(self, field: GridField, t: float) -> tuple[GridField, GridField, GridField]:
         """Evolve and split in one pass; returns ``(u, u1, u2)``.
 
         ``u1 = chi1 exp(-t lambda0) P0(ik) u`` propagates the cutoff-projected
         band (``E P0 = lambda0 P0``); ``u2`` is the subtraction remainder, so
-        ``u1 + u2`` equals ``u`` exactly.
+        ``u1 + u2`` equals ``u`` exactly, each in the representation of ``field``.
         """
-        flat = self._flat_spectrum(field)
+        flat = _spectrum(field)
         full = self._propagate(t, flat)
+        basis = self._eigenbasis()
         low = np.zeros_like(full)
         if self._band.size:
-            decay = self._band_weights * np.exp(-t * self._band_values)
+            decay = self._band_weights * np.exp(-t * basis.band_values)
             low[:, self._band] = np.einsum(
-                "f,fij,jf->if", decay, self._band_projections, flat[:, self._band]
+                "f,fij,jf->if", decay, basis.band_projections, flat[:, self._band]
             )
-        return (
-            self._wrap(full, field),
-            self._wrap(low, field),
-            self._wrap(full - low, field),
-        )
-
-    def split(self, field: GridField, t: float) -> tuple[GridField, GridField]:
-        """The pair ``(u1, u2)`` of :meth:`decompose`."""
-        _, low, high = self.decompose(field, t)
-        return low, high
+        return _like(full, field), _like(low, field), _like(full - low, field)
 
 
 def evolve_hyperbolic(system: HyperbolicSystem, field: GridField, t: float) -> GridField:
     """One-shot hyperbolic evolution ``exp(-E(ik) t)`` of a field.
 
-    For repeated times on one grid build a :class:`FrequencySplitter` and
-    reuse its cached symbol stack instead.
+    Pade-13 at every frequency; the reference for :class:`FrequencySplitter`,
+    which serves repeated times on one grid.
     """
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
-    grid = field.grid
-    spectral = field if field.representation == FREQUENCY else to_frequency(field)
-    flat = spectral.flat()
-    symbols = system.symbol_stack(grid.frequency_vectors())
-    out = np.einsum("fij,jf->if", matrix_exponential(-t * symbols), flat)
-    values = out.reshape((flat.shape[0],) + grid.shape)
-    result = GridField(grid, values, FREQUENCY)
-    return to_physical(result) if field.representation == PHYSICAL else result
+    symbols = system.symbol_stack(field.grid.frequency_vectors())
+    flat = np.einsum("fij,jf->if", matrix_exponential(-t * symbols), _spectrum(field))
+    return _like(flat, field)
 
 
-def split_frequencies(
-    system: HyperbolicSystem,
-    field: GridField,
-    t: float,
-    cut: CutoffSpec | None = None,
-) -> tuple[GridField, GridField]:
-    """Split the evolved field into the projected band part and the rest."""
-    splitter = FrequencySplitter(system, field.grid, cut)
-    return splitter.split(field, t)
-
-
-def _parabolic_flat(limit: ParabolicLimit, field: GridField, t: float):
+def _parabolic_vectors(limit: ParabolicLimit, field: GridField, t: float) -> np.ndarray:
+    """Validate a parabolic evolution request; returns the frequency vectors."""
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
     if limit.dimension != field.grid.dimension:
@@ -546,32 +532,25 @@ def _parabolic_flat(limit: ParabolicLimit, field: GridField, t: float):
             f"parabolic limit dimension {limit.dimension} does not match the "
             f"grid dimension {field.grid.dimension}"
         )
-    spectral = field if field.representation == FREQUENCY else to_frequency(field)
-    return spectral.flat(), field.grid.frequency_vectors()
-
-
-def _wrap_like(flat: np.ndarray, field: GridField) -> GridField:
-    values = flat.reshape((flat.shape[0],) + field.grid.shape)
-    result = GridField(field.grid, values, FREQUENCY)
-    return to_physical(result) if field.representation == PHYSICAL else result
+    return field.grid.frequency_vectors()
 
 
 def evolve_parabolic_phi(limit: ParabolicLimit, field: GridField, t: float) -> GridField:
     """Drift-diffusion profile ``exp(-c.ik t - k.Dk t) P0``."""
-    flat, vectors = _parabolic_flat(limit, field, t)
+    vectors = _parabolic_vectors(limit, field, t)
     multiplier = np.exp(-t * (limit.drift_phase(vectors) + limit.diffusion_form(vectors)))
-    out = (limit.projection @ flat) * multiplier[None, :]
-    return _wrap_like(out, field)
+    return _like((limit.projection @ _spectrum(field)) * multiplier[None, :], field)
 
 
 def evolve_parabolic_psi(limit: ParabolicLimit, field: GridField, t: float) -> GridField:
     """Refined profile ``exp(-k.Dk t) (P0 + sum_h i k_h P1_h)``, no drift."""
-    flat, vectors = _parabolic_flat(limit, field, t)
+    vectors = _parabolic_vectors(limit, field, t)
+    flat = _spectrum(field)
     multiplier = np.exp(-t * limit.diffusion_form(vectors))
     moment = limit.projection @ flat
     for h, correction in enumerate(limit.corrections):
         moment = moment + 1j * vectors[:, h][None, :] * (correction @ flat)
-    return _wrap_like(moment * multiplier[None, :], field)
+    return _like(moment * multiplier[None, :], field)
 
 
 @dataclass(frozen=True)

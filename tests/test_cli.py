@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import hyprelax
 from hyprelax.cli import main
+from hyprelax.harness import ExperimentConfig, FitWindow, InitialSpec, TimeSchedule
 from hyprelax.model import HyperbolicSystem, dump_system
 from hyprelax.systems import damped_euler_2d, goldstein_kac_1d
 
@@ -205,6 +207,30 @@ class TestRun:
     def test_requires_config(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == 3
 
+    def test_band_through_an_exceptional_point_exits_3(self, tmp_path):
+        # |k| = 1/2, where the two-speed symbol is defective, is a frequency
+        # of this grid and lies inside the cutoff band.
+        system = Path(__file__).resolve().parents[1] / "configs" / "goldstein_kac.json"
+        config = write_run_config(
+            tmp_path,
+            system,
+            grid={"points": 1024, "half_width": 16 * np.pi},
+            cutoff={"inner": 1.0, "outer": 20.0},
+            times={"t_min": 2.0, "t_max": 12.0, "count": 6},
+        )
+        source = str(Path(hyprelax.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "hyprelax", "run", "--config", config],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=source),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: ")
+        assert "shrink the cutoff" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kind", ["gaussian", "bump", "random-band"])
@@ -213,6 +239,47 @@ class TestConfigValidation:
             tmp_path, gk_path, initial={"kind": kind, "band": [0.1, 0.4]}
         )
         assert main(["check", "--config", config, "--out", str(tmp_path / "o")]) == 0
+
+    def test_every_documented_key_parses(self, tmp_path, gk_path):
+        # The README example plus every optional key the README lists.
+        payload = {
+            "system": gk_path.name,
+            "grid": {"points": 8192, "half_width": 400.0},
+            "times": {"t_min": 5.0, "t_max": 80.0, "count": 16, "log": False},
+            "initial": {
+                "kind": "gaussian",
+                "seed": 3,
+                "sigma": 0.5,
+                "radius": 2.0,
+                "band": [0.1, 0.4],
+                "amplitudes": [1.0, -0.5],
+            },
+            "cutoff": "auto",
+            "fit": {"t_min": 6.0, "exp_t_min": 15.0},
+            "tolerance": 0.15,
+            "pairs": [[2, 1], [2, 2], ["inf", 1]],
+            "profile": "phi",
+            "out_dir": "out",
+            "save_fields": True,
+        }
+        path = tmp_path / "documented.json"
+        path.write_text(json.dumps(payload))
+        cfg = ExperimentConfig.from_file(path)
+        assert cfg.system == str(gk_path)
+        assert cfg.times == TimeSchedule(5.0, 80.0, 16, log=False)
+        assert cfg.initial == InitialSpec(
+            kind="gaussian",
+            seed=3,
+            sigma=0.5,
+            radius=2.0,
+            band=(0.1, 0.4),
+            amplitudes=(1.0, -0.5),
+        )
+        assert cfg.cutoff is None
+        assert cfg.fit == FitWindow(t_min=6.0, exp_t_min=15.0)
+        assert cfg.pairs == ((2.0, 1), (2.0, 2), (math.inf, 1))
+        assert (cfg.profile, cfg.out_dir, cfg.save_fields) == ("phi", "out", True)
+        assert cfg.tolerance == 0.15
 
     @pytest.mark.parametrize(
         "initial",

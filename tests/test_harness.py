@@ -393,6 +393,29 @@ class TestRunExperiment:
         assert time == pytest.approx(2.0)
         assert field.components == 2
 
+    @pytest.mark.parametrize(
+        "pairs, per_time",
+        [(((2.0, 1), (math.inf, 1)), 0), (((2.0, 1), (2.0, 2)), 1)],
+    )
+    def test_each_datum_is_transformed_once(self, monkeypatch, pairs, per_time):
+        """One forward transform for the fixed datum, one per q = 2 Gaussian."""
+        import hyprelax.harness as harness
+        import hyprelax.spectral as spectral
+
+        calls = []
+        forward = spectral.to_frequency
+
+        def counted(field):
+            calls.append(field.grid)
+            return forward(field)
+
+        monkeypatch.setattr(harness, "to_frequency", counted)
+        monkeypatch.setattr(spectral, "to_frequency", counted)
+        schedule = TimeSchedule(t_min=2.0, t_max=12.0, count=6)
+        cfg = small_run_config(grid_half_width=64.0, pairs=pairs, times=schedule)
+        run_experiment(cfg, system=goldstein_kac_1d())
+        assert len(calls) == 1 + per_time * schedule.count
+
 
 class TestEmitReport:
     def test_outputs_are_byte_reproducible(self, short_report, tmp_path):
@@ -418,16 +441,27 @@ class TestEmitReport:
     def test_report_reconstruction_matches(self, short_report, tmp_path):
         emit_report(short_report, tmp_path)
         payload = json.loads((tmp_path / "report.json").read_text())
-        rebuilt = DecayReport(
-            config=payload["config"],
-            resolved_cutoff=payload["resolved_cutoff"],
-            times=tuple(payload["times"]),
-            series={k: tuple(v) for k, v in payload["series"].items()},
-            fits=payload["fits"],
-            remainder=payload["remainder"],
-            conditions=payload["conditions"],
-            psi_skipped=payload["psi_skipped"],
-            passed=payload["passed"],
-        )
-        again = emit_report(rebuilt, tmp_path / "again")
+        again = emit_report(DecayReport.from_dict(payload), tmp_path / "again")
         assert (tmp_path / "report.json").read_bytes() == again[0].read_bytes()
+        assert (tmp_path / "report.csv").read_bytes() == again[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda raw: raw.pop("fits"),
+            lambda raw: raw.pop("psi_skipped"),
+            lambda raw: raw.update(times=3.0),
+            lambda raw: raw.update(passed="yes"),
+            lambda raw: raw.update(series={"u_p2_q1": 1.0}),
+            lambda raw: raw.update(remainder={"u2_l2_q1": [1.0]}),
+        ],
+    )
+    def test_from_dict_rejects_malformed_reports(self, short_report, change):
+        raw = json.loads(json.dumps(short_report.to_dict()))
+        change(raw)
+        with pytest.raises(ConfigurationError):
+            DecayReport.from_dict(raw)
+
+    def test_from_dict_needs_an_object(self, short_report):
+        with pytest.raises(ConfigurationError):
+            DecayReport.from_dict([short_report.to_dict()])

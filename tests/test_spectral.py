@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hyprelax.chapman import compute_parabolic_limit, exact_group_projection
+from hyprelax.chapman import (
+    GroupNotSeparatedError,
+    compute_parabolic_limit,
+    exact_group_projection,
+)
 from hyprelax.model import HyperbolicSystem
 from hyprelax.spectral import (
     CONDITION_LIMIT,
@@ -25,7 +29,6 @@ from hyprelax.spectral import (
     make_initial_data,
     save_field,
     smooth_step,
-    split_frequencies,
     to_frequency,
     to_physical,
 )
@@ -318,7 +321,7 @@ class TestFrequencySplitter:
             projection = exact_group_projection(system, vectors[index])
             flat[:, index] = projection @ spectrum.flat()[:, index]
         prepared = GridField(grid, flat.reshape(spectrum.values.shape), FREQUENCY)
-        u1, u2 = split_frequencies(system, prepared, 0.0)
+        _, u1, u2 = FrequencySplitter(system, grid).decompose(prepared, 0.0)
         scale = np.max(np.abs(prepared.values))
         assert np.max(np.abs(u2.values)) <= 1e-10 * scale
         assert_allclose(u1.values, prepared.values, atol=1e-10 * scale)
@@ -332,7 +335,7 @@ class TestFrequencySplitter:
         flat = spectrum.flat().copy()
         flat[:, cut.chi1(moduli) > 0.0] = 0.0
         prepared = GridField(grid, flat.reshape(spectrum.values.shape), FREQUENCY)
-        u1, _ = split_frequencies(system, prepared, 1.0)
+        _, u1, _ = FrequencySplitter(system, grid).decompose(prepared, 1.0)
         assert np.max(np.abs(u1.values)) == 0.0
 
 
@@ -382,11 +385,13 @@ class TestEigenPropagator:
         build, grid = self.CASES[case]
         system = build()
         splitter = FrequencySplitter(system, grid)
+        splitter.decompose(white_spectrum(grid, system.size, seed=5), 1.0)
+        projections = splitter._eigenbasis().band_projections
         vectors = grid.frequency_vectors()
         assert splitter._band.size > 1
         for member, index in enumerate(splitter._band):
             exact = exact_group_projection(system, vectors[index])
-            assert_allclose(splitter._band_projections[member], exact, rtol=0, atol=1e-13)
+            assert_allclose(projections[member], exact, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("case", ["line", "plane"])
     def test_defective_symbols_fall_back_to_pade(self, case):
@@ -411,7 +416,7 @@ class TestEigenPropagator:
         mask[:, grid.points // 2] = True
         nyquist = GridField(grid, field.values * mask[None], FREQUENCY)
         for t in (0.3, 2.0):
-            evolved = splitter.evolve(nyquist, t)
+            evolved, _, _ = splitter.decompose(nyquist, t)
             pade = evolve_hyperbolic(system, nyquist, t)
             assert relative_gap(evolved.values, pade.values) <= 1e-12
             assert np.all(evolved.values[:, ~mask] == 0.0)
@@ -434,8 +439,36 @@ class TestEigenPropagator:
 
         monkeypatch.setattr(spectral, "exact_group_projection", skewed)
         system, grid = goldstein_kac_1d(), self.CASES["line"][1]
+        splitter = FrequencySplitter(system, grid)
         with pytest.raises(SpectralError, match="contour"):
-            FrequencySplitter(system, grid)
+            splitter.decompose(white_spectrum(grid, system.size, seed=6), 1.0)
+
+    def test_one_factorization_serves_propagator_and_band(self, monkeypatch):
+        # Batched eigendecompositions only; the contour audit and the cutoff
+        # calibration factor single matrices.
+        batches = []
+        eig = np.linalg.eig
+
+        def counted(matrices):
+            if np.ndim(matrices) == 3:
+                batches.append(len(matrices))
+            return eig(matrices)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        system, grid = goldstein_kac_1d(), self.CASES["line"][1]
+        splitter = FrequencySplitter(system, grid)
+        assert batches == []
+        field = white_spectrum(grid, system.size, seed=7)
+        for t in (0.5, 2.0):
+            splitter.decompose(field, t)
+        assert batches == [grid.points // 2 + 1]
+
+    def test_band_through_an_exceptional_point_is_refused_at_first_use(self):
+        build, grid, _ = self.EXCEPTIONAL["line"]
+        system = build()
+        splitter = FrequencySplitter(system, grid, CutoffSpec(inner=1.0, outer=20.0))
+        with pytest.raises(GroupNotSeparatedError):
+            splitter.decompose(white_spectrum(grid, system.size, seed=8), 1.0)
 
 
 class TestParabolicProfiles:
