@@ -4,7 +4,8 @@ Subcommands: ``check`` (structural conditions), ``limit`` (drift and
 diffusion of the parabolic limit), ``sweep`` (tracked eigenvalues of the
 symbol along a ray), ``run`` (decay experiment), ``report`` (re-serialize
 an existing report).  Exit codes: 0 success, 1 rate-check failure, 2
-condition failure, 3 configuration or input error.
+condition failure, 3 configuration or input error (including a failed
+spectral audit).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .harness import (
     run_experiment,
 )
 from .model import SystemFileError, check_all_conditions, load_system
-from .spectral import SupportTooWideError
+from .spectral import SpectralError
 
 __all__ = ["main"]
 
@@ -197,7 +198,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     for name, fit in sorted(report.remainder.items()):
         verdict = "ok" if fit["negative"] else "OFF"
-        print(f"{name}: exponential rate {fit['rate']:+.4f} [{verdict}]")
+        print(
+            f"{name}: exponential rate {fit['rate']:+.4f} vs bound {fit['bound']:+.4f} "
+            f"[{verdict}]"
+        )
     print(f"report written to {out_dir}")
     return PASS_EXIT if report.passed else RATE_EXIT
 
@@ -229,8 +233,8 @@ def main(argv: list[str] | None = None) -> int:
         ConfigurationError,
         SystemFileError,
         WrapAroundGuardError,
-        SupportTooWideError,
         IoFailureError,
+        SpectralError,
     ) as error:
         print(f"error: {error}", file=sys.stderr)
         return CONFIG_EXIT

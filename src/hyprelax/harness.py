@@ -693,6 +693,10 @@ def run_experiment(
 
     remainder: dict[str, dict] = {}
     exp_t_min = cfg.fit.exp_t_min if cfg.fit.exp_t_min is not None else cfg.fit.t_min
+    # u2 lives on |k| >= inner/2, where condition D bounds the decay rate by
+    # theta s^2 / (1 + s^2) at s = inner/2; recorded, not part of the verdict.
+    s = 0.5 * cut.inner
+    bound = -report_d.data["theta"] * s**2 / (1.0 + s**2)
     for name in sorted(series):
         if not name.startswith("u2_l2"):
             continue
@@ -706,6 +710,8 @@ def run_experiment(
             "npoints": fit.npoints,
             "window_t_min": exp_t_min,
             "negative": fit.slope < 0,
+            "bound": bound,
+            "bound_ok": fit.slope <= bound,
         }
         passed = passed and fit.slope < 0
 

@@ -19,6 +19,12 @@ the independent reference.  The parabolic comparison profiles apply the
 drift/diffusion multiplier with the zeroth-order (phi) or first-order (psi)
 projection moment.
 
+What does not depend on the time is computed once: per grid the frequency
+vectors and the drift and diffusion forms, per datum its spectrum, its modal
+coefficients ``V^-1 u``, its band moment and its profile moments.  Caching a
+datum's invariants makes its values read-only, so an in-place edit raises
+instead of leaving stale entries behind.
+
 The box is a whole-space surrogate: experiments must keep data supports and
 propagation cones away from the boundary (the decay harness enforces the
 corresponding guard).
@@ -26,11 +32,13 @@ corresponding guard).
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from .chapman import (
     GroupNotSeparatedError,
@@ -93,6 +101,23 @@ class SupportTooWideError(SpectralError):
     """Requested initial data does not fit in the box with negligible tails."""
 
 
+def _memo_field():
+    return dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _cached(holder, name: str, owner, build):
+    """``build()`` computed once per ``holder`` (a grid or a datum) and ``owner``.
+
+    ``owner`` is the splitter or limit the value depends on (or None); the
+    entry keeps it alive, so its ``id`` cannot be reused by another object.
+    """
+    key = (name, id(owner))
+    entry = holder._memo.get(key)
+    if entry is None:
+        entry = holder._memo[key] = (owner, build())
+    return entry[1]
+
+
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Uniform grid on the periodic box ``[-L, L)^d``.
@@ -104,6 +129,7 @@ class PeriodicGrid:
     dimension: int
     points: int
     half_width: float
+    _memo: dict = _memo_field()
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
@@ -138,9 +164,18 @@ class PeriodicGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
 
     def frequency_vectors(self) -> np.ndarray:
-        """All frequency vectors as a flat ``(N^d, d)`` array, C-ordered."""
-        axes = np.meshgrid(*([self.frequency_axis()] * self.dimension), indexing="ij")
-        return np.stack([axis.reshape(-1) for axis in axes], axis=-1)
+        """All frequency vectors as a flat ``(N^d, d)`` array, C-ordered.
+
+        Built once per grid and shared, so the array is read-only.
+        """
+
+        def build():
+            axes = np.meshgrid(*([self.frequency_axis()] * self.dimension), indexing="ij")
+            vectors = np.stack([axis.reshape(-1) for axis in axes], axis=-1)
+            vectors.flags.writeable = False
+            return vectors
+
+        return _cached(self, "frequency_vectors", None, build)
 
     def radius_squared(self) -> np.ndarray:
         """Squared distance to the box center at each grid point."""
@@ -165,6 +200,7 @@ class GridField:
     grid: PeriodicGrid
     values: np.ndarray
     representation: str
+    _memo: dict = _memo_field()
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=complex)
@@ -197,7 +233,7 @@ def to_frequency(field: GridField) -> GridField:
     """Unitary discrete Fourier transform over the spatial axes."""
     _require(field, PHYSICAL)
     axes = tuple(range(1, 1 + field.grid.dimension))
-    values = np.fft.fftn(field.values, axes=axes, norm="ortho")
+    values = scipy.fft.fftn(field.values, axes=axes, norm="ortho")
     return GridField(field.grid, values, FREQUENCY)
 
 
@@ -205,7 +241,7 @@ def to_physical(field: GridField) -> GridField:
     """Inverse of :func:`to_frequency`."""
     _require(field, FREQUENCY)
     axes = tuple(range(1, 1 + field.grid.dimension))
-    values = np.fft.ifftn(field.values, axes=axes, norm="ortho")
+    values = scipy.fft.ifftn(field.values, axes=axes, norm="ortho")
     return GridField(field.grid, values, PHYSICAL)
 
 
@@ -301,9 +337,24 @@ def _basis_condition(vectors: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     return np.linalg.norm(vectors, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
 
 
+def _invariant(field: GridField, name: str, owner, build):
+    """``build()`` computed once per datum and ``owner``.
+
+    The datum's values become read-only, so editing them in place raises
+    instead of leaving the cached entries stale.
+    """
+    field.values.flags.writeable = False
+    return _cached(field, name, owner, build)
+
+
 def _spectrum(field: GridField) -> np.ndarray:
-    """Flat spectrum ``(components, N^d)`` of a field in either representation."""
-    return (field if field.representation == FREQUENCY else to_frequency(field)).flat()
+    """Flat spectrum ``(components, N^d)`` of a field in either representation.
+
+    A physical datum is transformed once.
+    """
+    if field.representation == FREQUENCY:
+        return field.flat()
+    return _invariant(field, "spectrum", None, lambda: to_frequency(field).flat())
 
 
 def _like(flat: np.ndarray, like: GridField) -> GridField:
@@ -315,43 +366,63 @@ def _like(flat: np.ndarray, like: GridField) -> GridField:
 
 @dataclass(frozen=True)
 class _Eigenbasis:
-    """``E(ik) = V diag(values) V^-1`` for every grid frequency.
+    """``E(ik) = V diag(lambda) V^-1`` for every grid frequency.
 
-    ``fallback`` lists the members whose basis fails the condition guard;
-    ``audit`` the factored members with the worst condition.  ``band_values``
-    and ``band_projections`` are the band table of ``_projection_table``.
+    ``values`` holds the eigenvalues ``(components, pairs)`` of one member of
+    each conjugate pair; ``pick`` gives every frequency's column in it, and
+    ``mirrored`` marks the frequencies whose eigenvalues are the conjugates of
+    that column.  ``vectors`` and ``inverse`` are indexed ``(frequency, row,
+    column)`` but stored frequency-last, so the per-time apply reads them
+    contiguously.  ``fallback`` lists the members whose basis fails the
+    condition guard, ``audit`` the factored members with the worst condition,
+    and ``exact_symbols`` the symbols of both, audit first: the only rows of
+    the symbol stack that are kept.  ``band_values`` and ``band_projections``
+    are the band table of ``_projection_table``.
     """
 
     values: np.ndarray
+    pick: np.ndarray
+    mirrored: np.ndarray
     vectors: np.ndarray
     inverse: np.ndarray
     condition: np.ndarray
     fallback: np.ndarray
     audit: np.ndarray
+    exact_symbols: np.ndarray
     band_values: np.ndarray
     band_projections: np.ndarray
+
+    def exponentials(self, t: float) -> np.ndarray:
+        """``exp(-t lambda)`` as ``(components, N^d)``, one exponential per
+        conjugate pair, the partner taking its conjugate."""
+        decay = np.take(np.exp(-t * self.values), self.pick, axis=1)
+        np.conjugate(decay, out=decay, where=self.mirrored)
+        return decay
 
 
 class FrequencySplitter:
     """Cached per-grid spectral machinery for one system.
 
-    Construction builds the symbol stack over all grid frequencies and finds
-    the cutoff band ``chi1 > 0``.  The 0-group projection at each band member
-    is Kato's rank-one ``P0 = v w^T`` from the right and left eigenvectors of
-    the eigenvalue nearest zero, taken from the one factorization below.
+    Construction finds the cutoff band ``chi1 > 0``.  The 0-group projection
+    at each band member is Kato's rank-one ``P0 = v w^T`` from the right and
+    left eigenvectors of the eigenvalue nearest zero, taken from the one
+    factorization below.
 
-    The first propagation factors every symbol as ``V diag(lambda) V^-1``
-    (one member of each conjugate pair ``E(-ik) = conj(E(ik))``, the other
-    copied) and caches the factors; each time ``t`` then costs
-    ``V (exp(-t lambda) * V^-1 u)``.  A member whose estimate
-    ``|V|_F |V^-1|_F`` exceeds :data:`CONDITION_LIMIT` is exponentiated by
-    :func:`~hyprelax.linalg.matrix_exponential` (and, in the band, projected
-    by :func:`~hyprelax.chapman.exact_group_projection`) instead; their number
-    is :attr:`fallback_count`.  Every propagation recomputes the four
-    worst-conditioned factored members with the Pade exponential, and the
-    first propagation recomputes the worst-conditioned band projection by
-    contour quadrature; a relative mismatch above 1e-10 raises
-    :class:`SpectralError`.
+    The first propagation builds the symbols of one member of each conjugate
+    pair ``E(-ik) = conj(E(ik))``, factors them as ``V diag(lambda) V^-1``
+    (the partner takes the conjugate factors) and caches the factors; of the
+    symbols it keeps only the rows the checks below reuse.  Each datum's
+    modal coefficients ``c = V^-1 u`` and band moment ``chi1 P0 u`` are
+    computed once and cached on the datum, so each time ``t`` then costs
+    ``V (exp(-t lambda) * c)`` and ``exp(-t lambda0)`` on the band.  A member
+    whose estimate ``|V|_F |V^-1|_F`` exceeds :data:`CONDITION_LIMIT` is
+    exponentiated by :func:`~hyprelax.linalg.matrix_exponential` (and, in the
+    band, projected by :func:`~hyprelax.chapman.exact_group_projection`)
+    instead; their number is :attr:`fallback_count`.  Every propagation
+    recomputes the four worst-conditioned factored members with the Pade
+    exponential, and the first propagation recomputes the worst-conditioned
+    band projection by contour quadrature; a relative mismatch above 1e-10
+    raises :class:`SpectralError`.
 
     Raises:
         GroupNotSeparatedError: at the first propagation, if the 0-group is
@@ -375,7 +446,6 @@ class FrequencySplitter:
         self.cut = cut if cut is not None else default_cutoff(system)
         self._vectors = grid.frequency_vectors()
         self._moduli = np.linalg.norm(self._vectors, axis=-1)
-        self._symbols = system.symbol_stack(self._vectors)
         weights = self.cut.chi1(self._moduli)
         band = np.flatnonzero(weights > 0.0)
         self._band = band
@@ -392,7 +462,8 @@ class FrequencySplitter:
         distance = np.abs(values - zero_values[:, None])
         distance[members, nearest] = np.inf
         gaps = np.min(distance, axis=-1, initial=np.inf)
-        thresholds = np.array([separation_threshold(s) for s in self._symbols[band]])
+        symbols = self.system.symbol_stack(self._vectors[band])
+        thresholds = np.array([separation_threshold(s) for s in symbols])
         crowded = np.flatnonzero(gaps <= thresholds)
         if crowded.size:
             member = crowded[0]
@@ -424,33 +495,43 @@ class FrequencySplitter:
         """Factor every symbol once; later calls return the cached factors."""
         if self._basis is not None:
             return self._basis
-        symbols = self._symbols
         partners = _conjugate_partners(self.grid)
         mirrored = (partners >= 0) & (partners < np.arange(partners.size))
-        own = ~mirrored
-        values = np.empty(symbols.shape[:-1], dtype=complex)
-        vectors = np.empty_like(symbols)
-        inverse = np.empty_like(symbols)
-        values[own], vectors[own] = np.linalg.eig(symbols[own])
-        inverse[own] = np.linalg.inv(vectors[own])
-        source = partners[mirrored]
-        values[mirrored] = values[source].conj()
-        vectors[mirrored] = vectors[source].conj()
-        inverse[mirrored] = inverse[source].conj()
-        condition = _basis_condition(vectors, inverse)
+        own = np.flatnonzero(~mirrored)
+        pick = np.empty(partners.size, dtype=np.intp)
+        pick[own] = np.arange(own.size)
+        pick[mirrored] = pick[partners[mirrored]]
+        values, own_vectors = np.linalg.eig(self.system.symbol_stack(self._vectors[own]))
+        own_inverse = np.linalg.inv(own_vectors)
+        layout = (self.system.size, self.system.size, partners.size)
+        vectors = np.empty(layout, dtype=complex).transpose(2, 0, 1)
+        inverse = np.empty(layout, dtype=complex).transpose(2, 0, 1)
+        vectors[own], inverse[own] = own_vectors, own_inverse
+        vectors[mirrored] = own_vectors[pick[mirrored]].conj()
+        inverse[mirrored] = own_inverse[pick[mirrored]].conj()
+        condition = _basis_condition(own_vectors, own_inverse)[pick]
+        del own_vectors, own_inverse
         trusted = condition <= CONDITION_LIMIT
         ranked = np.argsort(np.where(trusted, condition, -np.inf), kind="stable")[::-1]
+        audit = ranked[trusted[ranked]][:_AUDIT_MEMBERS]
+        fallback = np.flatnonzero(~trusted)
         band = self._band
+        band_values = values[pick[band]]
+        band_values[mirrored[band]] = band_values[mirrored[band]].conj()
         band_values, band_projections = self._projection_table(
-            values[band], vectors[band], inverse[band], condition[band]
+            band_values, vectors[band], inverse[band], condition[band]
         )
+        exact_rows = np.concatenate([audit, fallback])
         self._basis = _Eigenbasis(
-            values=values,
+            values=np.ascontiguousarray(values.T),
+            pick=pick,
+            mirrored=mirrored,
             vectors=vectors,
             inverse=inverse,
             condition=condition,
-            fallback=np.flatnonzero(~trusted),
-            audit=ranked[trusted[ranked]][:_AUDIT_MEMBERS],
+            fallback=fallback,
+            audit=audit,
+            exact_symbols=self.system.symbol_stack(self._vectors[exact_rows]),
             band_values=band_values,
             band_projections=band_projections,
         )
@@ -466,18 +547,25 @@ class FrequencySplitter:
         """Largest eigenvector-basis condition estimate over the grid."""
         return float(np.max(self._eigenbasis().condition))
 
-    def _propagate(self, t: float, flat: np.ndarray) -> np.ndarray:
-        """``exp(-E(ik) t)`` applied to a flat spectrum ``(components, N^d)``."""
-        if t < 0:
-            raise ValueError(f"evolution time must be nonnegative, got {t}")
+    def _modal(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Modal coefficients ``V^-1 u`` (fallback members keep ``u``) and band
+        moment ``chi1 P0 u`` of a flat spectrum."""
         basis = self._eigenbasis()
-        decay = np.exp(-t * basis.values)
-        out = np.einsum("fij,jf->if", basis.inverse, flat) * decay.T
-        out = np.einsum("fij,jf->if", basis.vectors, out)
+        coefficients = np.einsum("ijf,jf->if", basis.inverse.transpose(1, 2, 0), flat)
+        coefficients[:, basis.fallback] = flat[:, basis.fallback]
+        moment = self._band_weights * np.einsum(
+            "fij,jf->if", basis.band_projections, flat[:, self._band]
+        )
+        return coefficients, moment
+
+    def _propagate(self, t: float, coefficients: np.ndarray) -> np.ndarray:
+        """``exp(-E(ik) t)`` applied to a datum given by its modal coefficients."""
+        basis = self._eigenbasis()
+        decay = basis.exponentials(t)
         audit, fallback = basis.audit, basis.fallback
-        exact = matrix_exponential(-t * self._symbols[np.concatenate([audit, fallback])])
+        exact = matrix_exponential(-t * basis.exact_symbols)
         reference = exact[: audit.size]
-        eigen = (basis.vectors[audit] * decay[audit][:, None, :]) @ basis.inverse[audit]
+        eigen = (basis.vectors[audit] * decay[:, audit].T[:, None, :]) @ basis.inverse[audit]
         mismatch = np.linalg.norm(eigen - reference, axis=(-2, -1)) / np.linalg.norm(
             reference, axis=(-2, -1)
         )
@@ -488,7 +576,11 @@ class FrequencySplitter:
                 f"t = {t:g} differs from the Pade exponential by "
                 f"{mismatch[worst]:.3e} relative"
             )
-        out[:, fallback] = np.einsum("fij,jf->if", exact[audit.size :], flat[:, fallback])
+        decay *= coefficients
+        out = np.einsum("ijf,jf->if", basis.vectors.transpose(1, 2, 0), decay)
+        out[:, fallback] = np.einsum(
+            "fij,jf->if", exact[audit.size :], coefficients[:, fallback]
+        )
         return out
 
     def decompose(self, field: GridField, t: float) -> tuple[GridField, GridField, GridField]:
@@ -498,15 +590,14 @@ class FrequencySplitter:
         band (``E P0 = lambda0 P0``); ``u2`` is the subtraction remainder, so
         ``u1 + u2`` equals ``u`` exactly, each in the representation of ``field``.
         """
-        flat = _spectrum(field)
-        full = self._propagate(t, flat)
-        basis = self._eigenbasis()
+        if t < 0:
+            raise ValueError(f"evolution time must be nonnegative, got {t}")
+        coefficients, moment = _invariant(
+            field, "modal", self, lambda: self._modal(_spectrum(field))
+        )
+        full = self._propagate(t, coefficients)
         low = np.zeros_like(full)
-        if self._band.size:
-            decay = self._band_weights * np.exp(-t * basis.band_values)
-            low[:, self._band] = np.einsum(
-                "f,fij,jf->if", decay, basis.band_projections, flat[:, self._band]
-            )
+        low[:, self._band] = moment * np.exp(-t * self._eigenbasis().band_values)
         return _like(full, field), _like(low, field), _like(full - low, field)
 
 
@@ -523,8 +614,8 @@ def evolve_hyperbolic(system: HyperbolicSystem, field: GridField, t: float) -> G
     return _like(flat, field)
 
 
-def _parabolic_vectors(limit: ParabolicLimit, field: GridField, t: float) -> np.ndarray:
-    """Validate a parabolic evolution request; returns the frequency vectors."""
+def _check_parabolic(limit: ParabolicLimit, field: GridField, t: float) -> None:
+    """Validate a parabolic evolution request."""
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
     if limit.dimension != field.grid.dimension:
@@ -532,24 +623,42 @@ def _parabolic_vectors(limit: ParabolicLimit, field: GridField, t: float) -> np.
             f"parabolic limit dimension {limit.dimension} does not match the "
             f"grid dimension {field.grid.dimension}"
         )
-    return field.grid.frequency_vectors()
+
+
+def _diffusion_form(limit: ParabolicLimit, grid: PeriodicGrid) -> np.ndarray:
+    """``k.Dk`` at every grid frequency, once per grid and limit."""
+    return _cached(
+        grid, "diffusion_form", limit, lambda: limit.diffusion_form(grid.frequency_vectors())
+    )
+
+
+def _psi_moment(limit: ParabolicLimit, field: GridField) -> np.ndarray:
+    """First-order moment ``(P0 + sum_h i k_h P1_h) u`` of a datum."""
+    flat = _spectrum(field)
+    vectors = field.grid.frequency_vectors()
+    moment = limit.projection @ flat
+    for h, correction in enumerate(limit.corrections):
+        moment = moment + 1j * vectors[:, h][None, :] * (correction @ flat)
+    return moment
 
 
 def evolve_parabolic_phi(limit: ParabolicLimit, field: GridField, t: float) -> GridField:
     """Drift-diffusion profile ``exp(-c.ik t - k.Dk t) P0``."""
-    vectors = _parabolic_vectors(limit, field, t)
-    multiplier = np.exp(-t * (limit.drift_phase(vectors) + limit.diffusion_form(vectors)))
-    return _like((limit.projection @ _spectrum(field)) * multiplier[None, :], field)
+    _check_parabolic(limit, field, t)
+    grid = field.grid
+    phase = _cached(
+        grid, "drift_phase", limit, lambda: limit.drift_phase(grid.frequency_vectors())
+    )
+    moment = _invariant(field, "phi_moment", limit, lambda: limit.projection @ _spectrum(field))
+    multiplier = np.exp(-t * (phase + _diffusion_form(limit, grid)))
+    return _like(moment * multiplier[None, :], field)
 
 
 def evolve_parabolic_psi(limit: ParabolicLimit, field: GridField, t: float) -> GridField:
     """Refined profile ``exp(-k.Dk t) (P0 + sum_h i k_h P1_h)``, no drift."""
-    vectors = _parabolic_vectors(limit, field, t)
-    flat = _spectrum(field)
-    multiplier = np.exp(-t * limit.diffusion_form(vectors))
-    moment = limit.projection @ flat
-    for h, correction in enumerate(limit.corrections):
-        moment = moment + 1j * vectors[:, h][None, :] * (correction @ flat)
+    _check_parabolic(limit, field, t)
+    moment = _invariant(field, "psi_moment", limit, lambda: _psi_moment(limit, field))
+    multiplier = np.exp(-t * _diffusion_form(limit, field.grid))
     return _like(moment * multiplier[None, :], field)
 
 
@@ -626,12 +735,12 @@ def make_initial_data(
         if not 0 <= low < high:
             raise ValueError(f"band must satisfy 0 <= low < high, got {band}")
         noise = rng.standard_normal((components,) + grid.shape)
-        axes = tuple(range(1, 1 + grid.dimension))
-        spectrum = np.fft.fftn(noise, axes=axes, norm="ortho")
+        spectrum = to_frequency(GridField(grid, noise, PHYSICAL)).values
         moduli = np.linalg.norm(grid.frequency_vectors(), axis=-1).reshape(grid.shape)
         mask = (moduli >= low) & (moduli <= high)
         spectrum *= mask[None]
-        shaped = np.fft.ifftn(spectrum, axes=axes, norm="ortho").real
+        shaped = to_physical(GridField(grid, spectrum, FREQUENCY)).values.real
+        axes = tuple(range(1, 1 + grid.dimension))
         scale = np.max(np.abs(shaped), axis=axes, keepdims=True)
         scale[scale == 0.0] = 1.0
         values = amplitude_array.reshape((-1,) + (1,) * grid.dimension) * shaped / scale

@@ -232,6 +232,22 @@ class TestRun:
         assert "Traceback" not in result.stderr
 
 
+    def test_failed_audit_exits_3(self, tmp_path, gk_path, monkeypatch, capsys):
+        import hyprelax.spectral as spectral
+        from hyprelax.chapman import exact_group_projection
+
+        def skewed(system, k):
+            return exact_group_projection(system, k) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(spectral, "exact_group_projection", skewed)
+        config = write_run_config(tmp_path, gk_path)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 3
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: ")
+        assert "contour projection" in stderr
+        assert "Traceback" not in stderr
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("kind", ["gaussian", "bump", "random-band"])
     def test_documented_kinds_parse(self, tmp_path, gk_path, kind):

@@ -26,7 +26,7 @@ from hyprelax.harness import (
     predicted_exponent,
     run_experiment,
 )
-from hyprelax.model import HyperbolicSystem, dump_system
+from hyprelax.model import HyperbolicSystem, check_condition_D, dump_system
 from hyprelax.spectral import (
     FrequencySplitter,
     GridField,
@@ -264,6 +264,16 @@ class TestRunExperiment:
         assert report.remainder["u2_l2_q1"]["negative"]
         assert report.remainder["u2_l2_q1"]["rate"] < 0
         assert report.passed
+
+    def test_remainder_records_the_condition_D_bound(self, report):
+        theta = check_condition_D(goldstein_kac_1d()).data["theta"]
+        s = report.resolved_cutoff["inner"] / 2.0
+        entry = report.remainder["u2_l2_q1"]
+        assert entry["bound"] == pytest.approx(-theta * s**2 / (1.0 + s**2), rel=1e-14)
+        assert entry["bound_ok"] is (entry["rate"] <= entry["bound"])
+        again = DecayReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        assert again.remainder == report.remainder
+        assert again.to_dict() == report.to_dict()
 
     def test_conditions_and_cutoff_echo(self, report):
         assert report.conditions["B"]["passed"]

@@ -393,6 +393,26 @@ class TestEigenPropagator:
             exact = exact_group_projection(system, vectors[index])
             assert_allclose(projections[member], exact, rtol=0, atol=1e-13)
 
+    def test_low_part_is_cutoff_times_contour_projection(self):
+        system, grid = goldstein_kac_1d(), self.CASES["line"][1]
+        splitter = FrequencySplitter(system, grid)
+        field = white_spectrum(grid, system.size, seed=9)
+        vectors = grid.frequency_vectors()
+        weights = splitter.cut.chi1(np.linalg.norm(vectors, axis=-1))
+        assert np.any((weights > 0.0) & (weights < 1.0))
+        t = 1.5
+        _, u1, _ = splitter.decompose(field, t)
+        expected = np.zeros_like(field.flat())
+        for index in np.flatnonzero(weights > 0.0):
+            symbol = system.symbol_stack(vectors[index])
+            values = np.linalg.eigvals(symbol)
+            zero = values[np.argmin(np.abs(values))]
+            projection = exact_group_projection(system, vectors[index])
+            expected[:, index] = weights[index] * np.exp(-t * zero) * (
+                projection @ field.flat()[:, index]
+            )
+        assert relative_gap(u1.flat(), expected) <= 1e-12
+
     @pytest.mark.parametrize("case", ["line", "plane"])
     def test_defective_symbols_fall_back_to_pade(self, case):
         build, grid, expected = self.EXCEPTIONAL[case]
@@ -463,12 +483,89 @@ class TestEigenPropagator:
             splitter.decompose(field, t)
         assert batches == [grid.points // 2 + 1]
 
+    @pytest.mark.parametrize("case", ["line", "plane"])
+    def test_interleaved_data_match_pade(self, case):
+        # Each datum's cached coefficients must serve only that datum and
+        # splitter: a narrower cutoff on the same grid needs its own band moment.
+        build, grid = self.CASES[case]
+        system = build()
+        splitter = FrequencySplitter(system, grid)
+        narrow = CutoffSpec(inner=0.5 * splitter.cut.inner, outer=splitter.cut.outer)
+        other = FrequencySplitter(system, grid, narrow)
+        reference = FrequencySplitter(system, grid, narrow)
+        a = white_spectrum(grid, system.size, seed=11)
+        b = white_spectrum(grid, system.size, seed=12)
+        for t in (0.0, 0.7, 5.0):
+            for field in (a, b, a):
+                u, u1, u2 = splitter.decompose(field, t)
+                pade = evolve_hyperbolic(system, field, t)
+                assert relative_gap(u.values, pade.values) <= 1e-12
+                assert_allclose(u1.values + u2.values, u.values, atol=1e-14)
+                fresh = GridField(grid, field.values.copy(), FREQUENCY)
+                narrow_u1 = reference.decompose(fresh, t)[1]
+                assert np.array_equal(other.decompose(field, t)[1].values, narrow_u1.values)
+
+    def test_editing_a_cached_datum_raises(self):
+        system, grid = goldstein_kac_1d(), self.CASES["line"][1]
+        splitter = FrequencySplitter(system, grid)
+        field = white_spectrum(grid, system.size, seed=13)
+        before, _, _ = splitter.decompose(field, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            field.values[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            field.values *= 2.0
+        again, _, _ = splitter.decompose(field, 1.0)
+        assert np.array_equal(again.values, before.values)
+
+    def test_physical_datum_is_transformed_once(self, monkeypatch):
+        import hyprelax.spectral as spectral
+
+        calls = []
+        forward = spectral.to_frequency
+
+        def counted(field):
+            calls.append(field)
+            return forward(field)
+
+        monkeypatch.setattr(spectral, "to_frequency", counted)
+        system = goldstein_kac_1d()
+        grid = self.CASES["line"][1]
+        splitter = FrequencySplitter(system, grid)
+        limit = compute_parabolic_limit(system)
+        field = gaussian_field(grid, (1.0, -0.5))
+        for t in (0.5, 2.0):
+            splitter.decompose(field, t)
+            evolve_parabolic_phi(limit, field, t)
+            evolve_parabolic_psi(limit, field, t)
+        assert calls == [field]
+
     def test_band_through_an_exceptional_point_is_refused_at_first_use(self):
         build, grid, _ = self.EXCEPTIONAL["line"]
         system = build()
         splitter = FrequencySplitter(system, grid, CutoffSpec(inner=1.0, outer=20.0))
         with pytest.raises(GroupNotSeparatedError):
             splitter.decompose(white_spectrum(grid, system.size, seed=8), 1.0)
+
+
+def drifting_two_speed() -> HyperbolicSystem:
+    return HyperbolicSystem(
+        advections=(np.diag([2.0, 0.0]),),
+        relaxation=0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
+    )
+
+
+def direct_profiles(limit, spectrum: GridField, t: float):
+    """Both profile spectra from scratch: the oracle for the cached moments."""
+    grid = spectrum.grid
+    axes = np.meshgrid(*([grid.frequency_axis()] * grid.dimension), indexing="ij")
+    vectors = np.stack([axis.reshape(-1) for axis in axes], axis=-1)
+    flat = spectrum.flat()
+    form = limit.diffusion_form(vectors)
+    phi = (limit.projection @ flat) * np.exp(-t * (limit.drift_phase(vectors) + form))
+    moment = limit.projection @ flat
+    for h, correction in enumerate(limit.corrections):
+        moment = moment + 1j * vectors[:, h][None, :] * (correction @ flat)
+    return phi, moment * np.exp(-t * form)
 
 
 class TestParabolicProfiles:
@@ -543,6 +640,50 @@ class TestParabolicProfiles:
                 limit.projection @ spectrum.values[:, 0],
                 atol=1e-12,
             )
+
+    @pytest.mark.parametrize("case", ["line", "plane"])
+    def test_cached_profiles_match_direct_formula(self, case):
+        system, grid = {
+            "line": (drifting_two_speed(), PeriodicGrid(1, 256, 40.0)),
+            "plane": (damped_euler_2d(), PeriodicGrid(2, 64, 16.0)),
+        }[case]
+        limit = compute_parabolic_limit(system)
+        physical = gaussian_field(grid, tuple(np.linspace(1.0, -0.5, system.size)))
+        spectrum = to_frequency(physical)
+        for t in (0.0, 0.5, 2.0, 7.0):
+            phi, psi = direct_profiles(limit, spectrum, t)
+            for field in (spectrum, physical):
+                for profile, expected in (
+                    (evolve_parabolic_phi, phi),
+                    (evolve_parabolic_psi, psi),
+                ):
+                    out = profile(limit, field, t)
+                    if field.representation == PHYSICAL:
+                        values = expected.reshape(spectrum.values.shape)
+                        expected = to_physical(GridField(grid, values, FREQUENCY)).flat()
+                    assert relative_gap(out.flat(), expected) <= 1e-14
+
+    def test_frequency_vectors_are_built_once_per_grid(self, monkeypatch):
+        system = damped_euler_2d()
+        limit = compute_parabolic_limit(system)
+        built = []
+        meshgrid = np.meshgrid
+
+        def counted(*axes, **options):
+            built.append(len(axes))
+            return meshgrid(*axes, **options)
+
+        monkeypatch.setattr(np, "meshgrid", counted)
+        grid = PeriodicGrid(dimension=2, points=32, half_width=8.0)
+        splitter = FrequencySplitter(system, grid, CutoffSpec(inner=0.35, outer=20.0))
+        field = white_spectrum(grid, system.size, seed=14)
+        for t in (0.5, 2.0):
+            splitter.decompose(field, t)
+            evolve_parabolic_phi(limit, field, t)
+            evolve_parabolic_psi(limit, field, t)
+        assert built == [2]
+        assert grid.frequency_vectors() is grid.frequency_vectors()
+        assert not grid.frequency_vectors().flags.writeable
 
     def test_dimension_mismatch_and_negative_time(self):
         limit = compute_parabolic_limit(goldstein_kac_1d())
