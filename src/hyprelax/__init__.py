@@ -6,158 +6,9 @@ relaxes to a drift-diffusion equation, computes the limit coefficients and
 the attached spectral expansions by contour-integral perturbation theory,
 evolves solutions spectrally on periodic grids, and fits the observed decay
 rates of the low/high-frequency solution parts against the predicted ones.
+Names are imported from the submodules (``hyprelax.model``,
+``hyprelax.chapman``, ``hyprelax.spectral``, ``hyprelax.harness``, ...);
+the command line is ``hyprelax.cli``.
 """
 
-from .chapman import (
-    ChapmanError,
-    ConditionBViolatedError,
-    ConditionViolatedError,
-    CrossingSetHitError,
-    GroupNotSeparatedError,
-    HighFrequencyExpansion,
-    LowFrequencyExpansion,
-    ParabolicLimit,
-    SweepPoint,
-    calibrate_separation_radius,
-    compute_parabolic_limit,
-    eigenvalue_sweep,
-    exact_group_projection,
-    high_frequency_expansion,
-    low_frequency_expansion,
-)
-from .harness import (
-    DecayReport,
-    ExperimentConfig,
-    FitWindow,
-    InitialSpec,
-    RateFit,
-    TimeSchedule,
-    emit_report,
-    fit_exponential,
-    fit_rate,
-    predicted_exponent,
-    run_experiment,
-)
-from .linalg import (
-    Contour,
-    cauchy_integral,
-    contour_projection,
-    eigendecompose,
-    matrix_exponential,
-    reduced_resolvent,
-    separating_contour,
-)
-from .model import (
-    ConditionReport,
-    HyperbolicSystem,
-    SampledDiagonalizer,
-    check_all_conditions,
-    check_condition_A,
-    check_condition_B,
-    check_condition_D,
-    check_condition_R,
-    check_condition_S,
-    dump_system,
-    load_system,
-    max_wave_speed,
-)
-from .perturbation import (
-    PerturbationFamily,
-    partition_derivative,
-    projection_coefficients,
-    reduce_semisimple_group,
-    simple_eigenvalue_series,
-    symmetry_vanishing_check,
-    total_projection_series,
-    weighted_mean_series,
-)
-from .spectral import (
-    CutoffSpec,
-    FrequencySplitter,
-    GridField,
-    PeriodicGrid,
-    evolve_hyperbolic,
-    evolve_parabolic_phi,
-    evolve_parabolic_psi,
-    load_field,
-    lp_norm,
-    make_initial_data,
-    save_field,
-    to_frequency,
-    to_physical,
-)
-from .systems import damped_euler_2d, goldstein_kac_1d, goldstein_kac_3d
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChapmanError",
-    "ConditionBViolatedError",
-    "ConditionViolatedError",
-    "CrossingSetHitError",
-    "GroupNotSeparatedError",
-    "HighFrequencyExpansion",
-    "LowFrequencyExpansion",
-    "ParabolicLimit",
-    "SweepPoint",
-    "calibrate_separation_radius",
-    "compute_parabolic_limit",
-    "eigenvalue_sweep",
-    "exact_group_projection",
-    "high_frequency_expansion",
-    "low_frequency_expansion",
-    "DecayReport",
-    "ExperimentConfig",
-    "FitWindow",
-    "InitialSpec",
-    "RateFit",
-    "TimeSchedule",
-    "emit_report",
-    "fit_exponential",
-    "fit_rate",
-    "predicted_exponent",
-    "run_experiment",
-    "Contour",
-    "cauchy_integral",
-    "contour_projection",
-    "eigendecompose",
-    "matrix_exponential",
-    "reduced_resolvent",
-    "separating_contour",
-    "ConditionReport",
-    "HyperbolicSystem",
-    "SampledDiagonalizer",
-    "check_all_conditions",
-    "check_condition_A",
-    "check_condition_B",
-    "check_condition_D",
-    "check_condition_R",
-    "check_condition_S",
-    "dump_system",
-    "load_system",
-    "max_wave_speed",
-    "PerturbationFamily",
-    "partition_derivative",
-    "projection_coefficients",
-    "reduce_semisimple_group",
-    "simple_eigenvalue_series",
-    "symmetry_vanishing_check",
-    "total_projection_series",
-    "weighted_mean_series",
-    "CutoffSpec",
-    "FrequencySplitter",
-    "GridField",
-    "PeriodicGrid",
-    "evolve_hyperbolic",
-    "evolve_parabolic_phi",
-    "evolve_parabolic_psi",
-    "load_field",
-    "lp_norm",
-    "make_initial_data",
-    "save_field",
-    "to_frequency",
-    "to_physical",
-    "damped_euler_2d",
-    "goldstein_kac_1d",
-    "goldstein_kac_3d",
-]

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .linalg import (
     Contour,
@@ -323,13 +322,13 @@ def exact_group_projection(system: HyperbolicSystem, k: np.ndarray) -> np.ndarra
     return contour_projection(symbol, contour, eigenvalues=eigenvalues)
 
 
-def calibrate_separation_radius(
-    system: HyperbolicSystem,
-    *,
-    direction_count: int = 32,
-    ratio: float = 2.0 ** (1.0 / 8.0),
-    max_levels: int = 96,
-) -> float:
+# Calibration scan: directions sampled, growth factor per level, level cap.
+_CALIBRATION_DIRECTIONS = 32
+_CALIBRATION_RATIO = 2.0 ** (1.0 / 8.0)
+_CALIBRATION_LEVELS = 96
+
+
+def calibrate_separation_radius(system: HyperbolicSystem) -> float:
     """Largest frequency modulus with the 0-group still safely separated.
 
     Scans a geometric grid of moduli upward from ``gap/64`` along sampled
@@ -344,13 +343,13 @@ def calibrate_separation_radius(
 
     _, _, gap0 = _zero_group_contour(system)
     threshold = 0.5 * gap0
-    directions = sphere_samples(system.dimension, direction_count)
+    directions = sphere_samples(system.dimension, _CALIBRATION_DIRECTIONS)
     radius = np.inf
     for w in directions:
         epsilon = gap0 / 64.0
         last_good = 0.0
         branch = 0.0 + 0.0j
-        for _ in range(max_levels):
+        for _ in range(_CALIBRATION_LEVELS):
             eigenvalues = np.linalg.eigvals(system.symbol(epsilon * w))
             follow = int(np.argmin(np.abs(eigenvalues - branch)))
             others = np.delete(eigenvalues, follow)
@@ -359,7 +358,7 @@ def calibrate_separation_radius(
                 break
             branch = eigenvalues[follow]
             last_good = epsilon
-            epsilon *= ratio
+            epsilon *= _CALIBRATION_RATIO
         radius = min(radius, last_good)
     if not radius > 0.0:
         raise GroupNotSeparatedError(
@@ -472,6 +471,43 @@ def high_frequency_expansion(
     )
 
 
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Exact minimum-cost assignment of a square cost matrix.
+
+    Returns ``rows`` with ``rows[j]`` the row assigned to column ``j``.  This
+    is the Hungarian method with row and column potentials (Kuhn, 1955): each
+    row in turn is added along a shortest augmenting path, O(n^3) overall.
+    """
+    n = cost.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    # match[j] is the 1-based row on column j (0: free); column 0 is the root.
+    match = np.zeros(n + 1, dtype=int)
+    for row in range(1, n + 1):
+        match[0] = row
+        column = 0
+        slack = np.full(n + 1, np.inf)
+        way = np.zeros(n + 1, dtype=int)
+        used = np.zeros(n + 1, dtype=bool)
+        while match[column] != 0:
+            used[column] = True
+            reduced = cost[match[column] - 1] - u[match[column]] - v[1:]
+            better = ~used[1:] & (reduced < slack[1:])
+            slack[1:][better] = reduced[better]
+            way[1:][better] = column
+            candidates = np.where(used, np.inf, slack)
+            nearest = int(np.argmin(candidates))
+            delta = candidates[nearest]
+            u[match[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+            column = nearest
+        while column:
+            match[column] = match[way[column]]
+            column = way[column]
+    return match[1:] - 1
+
+
 def eigenvalue_sweep(
     system: HyperbolicSystem, frequencies: np.ndarray
 ) -> list[SweepPoint]:
@@ -491,10 +527,7 @@ def eigenvalue_sweep(
         values = eigsys.values
         if previous is not None:
             cost = np.abs(values[:, None] - previous[None, :])
-            rows, cols = linear_sum_assignment(cost)
-            permutation = np.empty(values.shape[0], dtype=int)
-            permutation[cols] = rows
-            values = values[permutation]
+            values = values[_min_cost_assignment(cost)]
         points.append(
             SweepPoint(k=k.copy(), eigenvalues=values, cluster_count=len(eigsys.clusters))
         )

@@ -166,11 +166,11 @@ def _cluster_indices(values: np.ndarray, tol: float) -> tuple[EigenCluster, ...]
     return tuple(clusters)
 
 
-def eigendecompose(m: np.ndarray, *, cluster_tol: float | None = None) -> EigenSystem:
+def eigendecompose(m: np.ndarray) -> EigenSystem:
     """Eigendecompose a square matrix and cluster nearby eigenvalues.
 
-    Eigenvalues closer than ``cluster_tol`` (default
-    ``1e-8 * (1 + |m|_F)``) are merged transitively into one cluster.
+    Eigenvalues closer than :func:`cluster_tolerance` (``1e-8 * (1 + |m|_F)``)
+    are merged transitively into one cluster.
 
     Raises:
         ConvergenceFailureError: if the QR iteration does not converge.
@@ -187,13 +187,11 @@ def eigendecompose(m: np.ndarray, *, cluster_tol: float | None = None) -> EigenS
     vectors = vectors[:, order]
     with np.errstate(divide="ignore", invalid="ignore"):
         condition = float(np.linalg.cond(vectors))
-    if cluster_tol is None:
-        cluster_tol = cluster_tolerance(m)
     return EigenSystem(
         values=values,
         vectors=vectors,
         condition=condition,
-        clusters=_cluster_indices(values, cluster_tol),
+        clusters=_cluster_indices(values, cluster_tolerance(m)),
     )
 
 
@@ -254,22 +252,22 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     return r
 
 
-def cauchy_integral(
-    integrand,
-    contour: Contour,
-    *,
-    tol: float = 1e-11,
-    max_nodes: int = 4096,
-) -> np.ndarray:
+# Contour quadrature stops when two node levels agree to this Frobenius
+# distance, and gives up beyond this many nodes.
+_QUADRATURE_TOL = 1e-11
+_QUADRATURE_MAX_NODES = 4096
+
+
+def cauchy_integral(integrand, contour: Contour) -> np.ndarray:
     """Evaluate ``(1 / 2 pi i) * contour integral of integrand(z) dz``.
 
     ``integrand`` must map an array of contour points ``(m,)`` to values of
     shape ``(m, ...)``.  Trapezoid nodes start at ``contour.nodes`` and double
-    until two successive levels agree to ``tol`` in Frobenius norm.
+    until two successive levels agree to ``_QUADRATURE_TOL`` in Frobenius norm.
 
     Raises:
         QuadratureNotConvergedError: if agreement is not reached by
-            ``max_nodes``.
+            ``_QUADRATURE_MAX_NODES``.
     """
 
     def level(count: int) -> np.ndarray:
@@ -282,14 +280,15 @@ def cauchy_integral(
 
     nodes = contour.nodes
     previous = level(nodes)
-    while nodes < max_nodes:
+    while nodes < _QUADRATURE_MAX_NODES:
         nodes *= 2
         current = level(nodes)
-        if _frobenius(current - previous) < tol:
+        if _frobenius(current - previous) < _QUADRATURE_TOL:
             return current
         previous = current
     raise QuadratureNotConvergedError(
-        f"contour quadrature still changing at {max_nodes} nodes (tol {tol:g})"
+        f"contour quadrature still changing at {_QUADRATURE_MAX_NODES} nodes "
+        f"(tol {_QUADRATURE_TOL:g})"
     )
 
 
@@ -368,12 +367,7 @@ def reduced_resolvent(
     return -cauchy_integral(integrand, contour)
 
 
-def separating_contour(
-    eigenvalues: np.ndarray,
-    inside: np.ndarray,
-    *,
-    nodes: int = 64,
-) -> Contour:
+def separating_contour(eigenvalues: np.ndarray, inside: np.ndarray) -> Contour:
     """Circle around the eigenvalue subset ``inside`` splitting the gap.
 
     ``inside`` is an index array (or boolean mask) into ``eigenvalues``.  The
@@ -394,10 +388,10 @@ def separating_contour(
     center = complex(np.mean(eigenvalues[mask]))
     spread = float(np.max(np.abs(eigenvalues[mask] - center)))
     if mask.all():
-        return Contour(center=center, radius=spread + 1.0, nodes=nodes)
+        return Contour(center=center, radius=spread + 1.0)
     nearest = float(np.min(np.abs(eigenvalues[~mask] - center)))
     if not nearest > spread:
         raise ValueError(
             f"eigenvalue groups are not separated (spread {spread:g} vs gap {nearest:g})"
         )
-    return Contour(center=center, radius=0.5 * (spread + nearest), nodes=nodes)
+    return Contour(center=center, radius=0.5 * (spread + nearest))

@@ -17,15 +17,12 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
 
 from .linalg import cluster_tolerance, eigendecompose
 
 __all__ = [
     "ModelError",
     "MissingDiagonalizerError",
-    "BranchTrackingFailedError",
     "SystemFileError",
     "HyperbolicSystem",
     "ConditionReport",
@@ -49,10 +46,6 @@ class ModelError(Exception):
 
 class MissingDiagonalizerError(ModelError):
     """A check that needs the closed-form diagonalizer was called without one."""
-
-
-class BranchTrackingFailedError(ModelError):
-    """Eigenvalue continuation over the sphere could not stabilize."""
 
 
 class SystemFileError(ModelError):
@@ -196,8 +189,7 @@ def sphere_samples(dimension: int, count: int = 512, *, seed: int = 0) -> np.nda
 
 def max_wave_speed(system: HyperbolicSystem, count: int = 128) -> float:
     """Largest modulus of an eigenvalue of ``A(w)`` over the sampled sphere."""
-    directions = sphere_samples(system.dimension, count)
-    stacks = np.einsum("mj,jab->mab", directions, np.stack(system.advections))
+    stacks = _direction_stack(system, sphere_samples(system.dimension, count))
     return float(np.max(np.abs(np.linalg.eigvals(stacks))))
 
 
@@ -205,73 +197,55 @@ def _direction_stack(system: HyperbolicSystem, directions: np.ndarray) -> np.nda
     return np.einsum("mj,jab->mab", directions, np.stack(system.advections))
 
 
-def _track_branches(directions: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Label per-sample eigenvalues into globally consistent affine branches.
+# Steps per great circle when following eigenvalue branches without a diagonalizer.
+_CIRCLE_STEPS = 1024
 
-    Chains eigenvalues along a nearest-neighbor tree of the sample set, then
-    refines the labels against an affine-in-direction least-squares model
-    until the assignment is stationary.  Returns ``values`` with columns
-    permuted per sample into branch order.
+
+def _great_circle_branches(
+    system: HyperbolicSystem, base: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue branches of ``A(w)`` followed around great circles through ``base``.
+
+    There is one circle per orthonormal tangent of ``base``.  Every circle
+    starts from the sorted eigenvalues at ``base``; at each later step the
+    sorted eigenvalues are handed out in the rank order of the prediction
+    ``2 lambda_{i-1} - lambda_{i-2}``, so branches that cross keep their
+    labels.  Returns the circle points ``(points, d)`` and the branch values
+    ``(points, n)``.
     """
-    m, n = values.shape
-    ordered = np.sort(values, axis=1)
-    if m > 2 and n > 1:
-        tree = cKDTree(directions)
-        _, neighbors = tree.query(directions, k=min(m, 5))
-        visited = np.zeros(m, dtype=bool)
-        visited[0] = True
-        frontier = [0]
-        while frontier:
-            current = frontier.pop()
-            for nb in neighbors[current][1:]:
-                if visited[nb]:
-                    continue
-                cost = np.abs(values[nb][:, None] - ordered[current][None, :])
-                rows, cols = linear_sum_assignment(cost)
-                permutation = np.empty(n, dtype=int)
-                permutation[cols] = rows
-                ordered[nb] = values[nb][permutation]
-                visited[nb] = True
-                frontier.append(nb)
-
-    design = np.column_stack([np.ones(m), directions])
-    for _ in range(25):
-        coefficients, *_ = np.linalg.lstsq(design, ordered, rcond=None)
-        predictions = design @ coefficients
-        changed = False
-        for i in range(m):
-            cost = np.abs(values[i][:, None] - predictions[i][None, :])
-            rows, cols = linear_sum_assignment(cost)
-            permutation = np.empty(n, dtype=int)
-            permutation[cols] = rows
-            relabeled = values[i][permutation]
-            if not np.array_equal(relabeled, ordered[i]):
-                ordered[i] = relabeled
-                changed = True
-        if not changed:
-            return ordered
-    raise BranchTrackingFailedError(
-        "branch labels did not stabilize after 25 refinement passes"
-    )
+    d, n = system.dimension, system.size
+    theta = 2.0 * np.pi * np.arange(_CIRCLE_STEPS) / _CIRCLE_STEPS
+    tangents = np.linalg.svd(base[None, :])[2][1:]
+    cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    points = (cos * base + sin * tangents[:, None, :]).reshape(-1, d)
+    values = np.sort(np.linalg.eigvals(_direction_stack(system, points)).real, axis=1)
+    values = values.reshape(d - 1, _CIRCLE_STEPS, n)
+    branches = values.copy()
+    for i in range(2, _CIRCLE_STEPS):
+        order = np.argsort(2.0 * branches[:, i - 1] - branches[:, i - 2], axis=1)
+        np.put_along_axis(branches[:, i], order, values[:, i], axis=1)
+    return points, branches.reshape(-1, n)
 
 
-def check_condition_A(
-    system: HyperbolicSystem, *, count: int = 512, seed: int = 0
-) -> ConditionReport:
+def check_condition_A(system: HyperbolicSystem, *, count: int = 512) -> ConditionReport:
     """Check uniform diagonalizability with eigenvalues affine in direction.
 
     With a closed-form diagonalizer the check verifies that
     ``R(w)^{-1} A(w) R(w)`` is diagonal at every sample and fits each
-    diagonal entry as ``nu_0 + nu . w``; without one, eigenvalue branches are
-    tracked over the sphere and fitted the same way.  The certificate stores
-    the ``(d + 1)``-vector of fit coefficients per branch.
+    diagonal entry as ``nu_0 + nu . w``.  Without one, the branches are
+    followed around the great circles through the sample with the widest
+    eigenvalue gap (see :func:`_great_circle_branches`; in one dimension the
+    sorted eigenvalues are fitted), fitted the same way, and the sorted
+    fitted values must match the sorted eigenvalues at every sample, which
+    needs no branch labels.  The certificate stores the ``(d + 1)``-vector
+    of fit coefficients per branch.
     """
     directions = _sampling_directions(system, count)
     m = directions.shape[0]
     n = system.size
     stacks = _direction_stack(system, directions)
     scale = 1.0 + float(np.max(np.abs(stacks)))
-    skipped: list[int] = []
+    design = np.column_stack([np.ones(m), directions])
 
     if system.diagonalizer is not None:
         # With a diagonalizer the branch label is the diagonal position, so
@@ -295,29 +269,10 @@ def check_condition_A(
                     },
                 )
             branch_values[i] = np.diag(conjugated)
+        coefficients, *_ = np.linalg.lstsq(design, branch_values, rcond=None)
+        misfit = np.abs(design @ coefficients - branch_values)
     else:
-        directions = directions.copy()
         raw_values, raw_vectors = np.linalg.eig(stacks)
-        # Samples sitting on a branch crossing are nudged off the crossing
-        # set; if the nudge does not separate the branches the sample is
-        # skipped for the fit and recorded.
-        gaps = np.sort(raw_values.real, axis=1)
-        degenerate = np.min(np.diff(gaps, axis=1), axis=1) < 1e-9 * scale if n > 1 else np.zeros(m, dtype=bool)
-        for i in np.flatnonzero(degenerate):
-            tangent = np.roll(directions[i], 1)
-            tangent -= directions[i] * np.dot(tangent, directions[i])
-            if np.linalg.norm(tangent) < 1e-12:
-                skipped.append(i)
-                continue
-            nudged = directions[i] + 1e-7 * tangent / np.linalg.norm(tangent)
-            nudged /= np.linalg.norm(nudged)
-            redone = np.linalg.eigvals(system.advection(nudged))
-            spread = np.min(np.diff(np.sort(redone.real))) if n > 1 else np.inf
-            if spread < 1e-9 * scale:
-                skipped.append(i)
-            else:
-                directions[i] = nudged
-                raw_values[i] = redone
         imag_peak = float(np.max(np.abs(raw_values.imag)))
         if imag_peak > 1e-7 * scale:
             worst = int(np.argmax(np.abs(raw_values.imag).max(axis=1)))
@@ -332,39 +287,38 @@ def check_condition_A(
             )
         with np.errstate(divide="ignore", invalid="ignore"):
             max_condition = float(np.max(np.linalg.cond(raw_vectors)))
-        keep = np.setdiff1d(np.arange(m), np.array(skipped, dtype=int))
-        directions = directions[keep]
-        m = directions.shape[0]
-        # Branches that stay crossed on essentially every direction cannot be
-        # separated by nudging; the affine fit needs at least dimension + 1
-        # surviving samples (in one dimension the sphere has only two points).
-        if m < system.dimension + 1:
+        values = np.sort(raw_values.real, axis=1)
+        gaps = np.diff(values, axis=1).min(axis=1) if n > 1 else np.full(m, np.inf)
+        base = int(np.argmax(gaps))
+        if not gaps[base] > 1e-9 * scale:
             return ConditionReport(
                 condition="A",
                 passed=False,
                 summary=(
-                    "eigenvalue branches could not be separated on "
-                    f"{len(skipped)} of {len(skipped) + m} sampled directions"
+                    "eigenvalue branches could not be separated on any of "
+                    f"{m} sampled directions"
                 ),
                 data={
                     "nu": [],
                     "fit_residual": float("nan"),
                     "diagonalizer_condition": max_condition,
-                    "samples": m,
-                    "skipped_samples": len(skipped),
+                    "samples": 0,
                 },
                 witness=None,
             )
-        branch_values = _track_branches(directions, raw_values.real[keep])
+        if system.dimension == 1:
+            points, branches = directions, values
+        else:
+            points, branches = _great_circle_branches(system, directions[base])
+        coefficients, *_ = np.linalg.lstsq(
+            np.column_stack([np.ones(points.shape[0]), points]), branches, rcond=None
+        )
+        misfit = np.abs(np.sort(design @ coefficients, axis=1) - values)
+        coefficients = coefficients[:, np.lexsort(coefficients[::-1])]
 
-    design = np.column_stack([np.ones(m), directions])
-    coefficients, *_ = np.linalg.lstsq(design, branch_values, rcond=None)
-    misfit = np.abs(design @ coefficients - branch_values)
     residual = float(np.max(misfit))
     affine_ok = residual <= 1e-6 * scale
     condition_ok = max_condition < 1e6
-    if system.diagonalizer is None:
-        coefficients = coefficients[:, np.lexsort(coefficients[::-1])]
     nu = coefficients.T
     witness = None
     if not affine_ok:
@@ -384,7 +338,6 @@ def check_condition_A(
             "fit_residual": residual,
             "diagonalizer_condition": max_condition,
             "samples": m,
-            "skipped_samples": len(skipped),
         },
         witness=witness,
     )

@@ -30,6 +30,7 @@ from .linalg import (
     Contour,
     EigenCluster,
     EigenSystem,
+    _resolvent_factory,
     cauchy_integral,
     cluster_tolerance,
     contour_projection,
@@ -272,11 +273,7 @@ def projection_coefficients(
         raise OrderTooLargeError(f"order {order} exceeds the supported {MAX_SERIES_ORDER}")
     eigsys, cluster, contour = _group_context(family, lam0)
     t0 = family.terms[0]
-    eye = np.eye(family.dim, dtype=complex)
-
-    def resolvents(z: np.ndarray) -> np.ndarray:
-        shifted = z[:, None, None] * eye - t0
-        return np.linalg.solve(shifted, np.broadcast_to(eye, shifted.shape))
+    resolvents = _resolvent_factory(t0)
 
     coefficients = [contour_projection(t0, contour, eigenvalues=eigsys.values)]
     for j in range(1, order + 1):

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 from .chapman import (
     GroupNotSeparatedError,
@@ -233,7 +232,10 @@ def to_frequency(field: GridField) -> GridField:
     """Unitary discrete Fourier transform over the spatial axes."""
     _require(field, PHYSICAL)
     axes = tuple(range(1, 1 + field.grid.dimension))
-    values = scipy.fft.fftn(field.values, axes=axes, norm="ortho")
+    # Every axis pass writes into ``out``; without it numpy allocates a new
+    # array per axis.
+    out = np.empty_like(field.values)
+    values = np.fft.fftn(field.values, axes=axes, norm="ortho", out=out)
     return GridField(field.grid, values, FREQUENCY)
 
 
@@ -241,7 +243,8 @@ def to_physical(field: GridField) -> GridField:
     """Inverse of :func:`to_frequency`."""
     _require(field, FREQUENCY)
     axes = tuple(range(1, 1 + field.grid.dimension))
-    values = scipy.fft.ifftn(field.values, axes=axes, norm="ortho")
+    out = np.empty_like(field.values)
+    values = np.fft.ifftn(field.values, axes=axes, norm="ortho", out=out)
     return GridField(field.grid, values, PHYSICAL)
 
 

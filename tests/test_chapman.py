@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
 from hyprelax.chapman import (
+    _min_cost_assignment,
     ChapmanError,
     ConditionBViolatedError,
     ConditionViolatedError,
@@ -329,3 +333,42 @@ class TestEigenvalueSweep:
         values = points[0].eigenvalues
         order = np.lexsort((values.imag, values.real))
         assert_allclose(order, np.arange(3))
+
+
+class TestMinCostAssignment:
+    @staticmethod
+    def costs(seed: int):
+        # Small integer costs give many tied optima.
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            yield rng.random((n, n))
+            yield rng.integers(0, 4, size=(n, n)).astype(float)
+
+    @staticmethod
+    def total(cost: np.ndarray, rows: np.ndarray) -> float:
+        assert sorted(rows.tolist()) == list(range(cost.shape[0]))
+        return float(cost[rows, np.arange(cost.shape[0])].sum())
+
+    def test_matches_scipy_optimal_cost(self):
+        for cost in self.costs(0):
+            rows, cols = linear_sum_assignment(cost)
+            expected = float(cost[rows, cols].sum())
+            assert self.total(cost, _min_cost_assignment(cost)) == pytest.approx(
+                expected, abs=1e-12
+            )
+
+    def test_matches_brute_force(self):
+        for cost in itertools.islice(self.costs(1), 200):
+            n = cost.shape[0]
+            if n > 6:
+                continue
+            best = min(
+                cost[list(rows), range(n)].sum() for rows in itertools.permutations(range(n))
+            )
+            assert self.total(cost, _min_cost_assignment(cost)) == pytest.approx(
+                best, abs=1e-12
+            )
+
+    def test_all_tied(self):
+        assert self.total(np.ones((5, 5)), _min_cost_assignment(np.ones((5, 5)))) == 5.0

@@ -317,11 +317,15 @@ class TestConfigValidation:
 def test_cli_import_leaves_out_scipy_stats():
     source = str(Path(hyprelax.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=source)
-    probe = "import sys, hyprelax.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "False"
+    for package in ("scipy.stats", "scipy"):
+        probe = (
+            "import sys, hyprelax.cli; "
+            f"print(any(m == {package!r} or m.startswith({package!r} + '.') for m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False", package
 
 
 class TestReport:

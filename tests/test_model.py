@@ -32,6 +32,15 @@ def marginally_dissipative() -> HyperbolicSystem:
     )
 
 
+def assert_branches(nu, slopes) -> None:
+    """``nu`` holds the branches ``(0, b_j)`` in some order, within 1e-8."""
+    nu = np.asarray(nu)
+    expected = np.column_stack([np.zeros(len(slopes)), slopes])
+    assert nu.shape == expected.shape
+    order = np.argsort(nu[:, 1])
+    assert_allclose(nu[order], expected[np.argsort(expected[:, 1])], atol=1e-8)
+
+
 class TestHyperbolicSystem:
     def test_shape_and_type_validation(self):
         with pytest.raises(ValueError):
@@ -115,6 +124,42 @@ class TestConditionA:
         # On the unit sphere the branches -|w|, 0, |w| fit as constants.
         assert_allclose(np.sort(nu[:, 0]), [-1.0, 0.0, 1.0], atol=1e-6)
         assert_allclose(np.linalg.norm(nu[:, 1:], axis=1), 0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_three_velocity_files_without_diagonalizer(self, seed, tmp_path):
+        # The system files the benchmark writes: rates U(0.2, 2), zero-mean
+        # N(0, 1) velocities; a written file carries no diagonalizer.
+        rng = np.random.default_rng(seed)
+        rates = rng.uniform(0.2, 2.0, size=3)
+        velocities = rng.normal(size=(3, 3))
+        velocities -= velocities.mean(axis=0)
+        path = tmp_path / "three_velocity.json"
+        dump_system(goldstein_kac_3d(*rates, velocities), path)
+        system = load_system(path)
+        assert system.diagonalizer is None
+        report = check_condition_A(system)
+        assert report.passed, report.summary
+        assert_branches(report.data["nu"], velocities)
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_crossing_commuting_families(self, dimension, seed):
+        # A(w) = P diag(b_j . w) P^-1: in two or more dimensions any two
+        # branches b_i . w and b_j . w cross on the sphere.
+        rng = np.random.default_rng(seed)
+        n = 4
+        slopes = rng.normal(size=(n, dimension))
+        basis = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+        inverse = np.linalg.inv(basis)
+        system = HyperbolicSystem(
+            advections=tuple(
+                basis @ np.diag(slopes[:, j]) @ inverse for j in range(dimension)
+            ),
+            relaxation=np.eye(n),
+        )
+        report = check_condition_A(system, count=256)
+        assert report.passed, report.summary
+        assert_branches(report.data["nu"], slopes)
 
     def test_everywhere_degenerate_branches_fail_cleanly(self):
         report = check_condition_A(marginally_dissipative())
