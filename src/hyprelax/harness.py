@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,12 @@ _VERIFIED_PAIRS = ((2.0, 1), (2.0, 2), (math.inf, 1))
 
 _INITIAL_KINDS = ("gaussian", "bump", "random-band")
 
+# Fewest samples a rate fit accepts.
+_MIN_FIT_POINTS = 6
+
+# The config's "grid" object holds the ExperimentConfig fields named grid_<key>.
+_GRID = "grid_"
+
 
 class HarnessError(Exception):
     """Base class for errors raised by this module."""
@@ -122,8 +129,10 @@ def _validated_samples(times, values) -> tuple[np.ndarray, np.ndarray]:
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1:
         raise ValueError("times and values must be matching one-dimensional arrays")
-    if times.size < 6:
-        raise TooFewPointsError(f"need at least 6 samples to fit, got {times.size}")
+    if times.size < _MIN_FIT_POINTS:
+        raise TooFewPointsError(
+            f"need at least {_MIN_FIT_POINTS} samples to fit, got {times.size}"
+        )
     if not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
     if not np.all(np.isfinite(values)) or np.any(values <= 0):
@@ -236,7 +245,12 @@ class InitialSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full declarative description of one decay experiment."""
+    """Full declarative description of one decay experiment.
+
+    This class and its section dataclasses are the run-config schema: field
+    names are the JSON keys, field types the coercions, defaults the optional
+    keys' values.  The ``grid`` object holds the ``grid_*`` fields.
+    """
 
     system: str
     grid_points: int
@@ -266,10 +280,27 @@ class ExperimentConfig:
         object.__setattr__(self, "pairs", pairs)
         if not self.tolerance > 0:
             raise ConfigurationError("exponent tolerance must be positive")
+        if any(q != 1 for _, q in pairs) and self.initial.kind != "gaussian":
+            raise ConfigurationError(
+                "norm pairs with q != 1 use a widening Gaussian family; set the "
+                "initial kind to gaussian"
+            )
+        times = self.times.times()
+        for key in ("t_min", "exp_t_min"):
+            t_min = getattr(self.fit, key)
+            if t_min is None:
+                continue
+            kept = int(np.count_nonzero(times >= t_min))
+            if kept < _MIN_FIT_POINTS:
+                raise ConfigurationError(
+                    f"fit.{key} = {t_min:g} keeps {kept} of the {self.times.count} "
+                    f"scheduled times; a fit needs at least {_MIN_FIT_POINTS} (raise "
+                    f"times.count or lower fit.{key})"
+                )
 
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":
-        """Parse a config file, rejecting unknown keys by name."""
+        """Parse a config file, naming any unknown, missing or invalid key."""
         path = Path(path)
         try:
             raw = json.loads(path.read_text())
@@ -282,115 +313,69 @@ class ExperimentConfig:
         return _parse_config(raw, path.parent)
 
 
-def _reject_unknown(mapping: dict, allowed: set[str], context: str) -> None:
-    for key in mapping:
-        if key not in allowed:
+def _section_keys(cls) -> dict:
+    """JSON key -> (field type, required) for each field of a config section."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    }
+
+
+def _read_section(keys: dict, raw, path: str) -> dict:
+    """The values of JSON object ``raw``, checked against ``keys`` and coerced."""
+    context = path or "config"
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{context} must be a JSON object")
+    for key in raw:
+        if key not in keys:
             raise ConfigurationError(f"unknown key {key!r} in {context}")
-
-
-def _require_keys(mapping: dict, required: tuple[str, ...], context: str) -> None:
-    for key in required:
-        if key not in mapping:
+    for key, (_, required) in keys.items():
+        if required and key not in raw:
             raise ConfigurationError(f"missing required key {key!r} in {context}")
+    return {
+        key: _coerce(keys[key][0], value, f"{path}.{key}" if path else key)
+        for key, value in raw.items()
+    }
+
+
+def _coerce(hint, value, path: str):
+    """``value`` as field type ``hint``: JSON 4 becomes 4.0 for a float field,
+    a list a tuple, and an object the section dataclass it describes."""
+    try:
+        options = typing.get_args(hint)
+        if type(None) in options:
+            if value is None:
+                return None
+            (hint,) = (option for option in options if option is not type(None))
+        if isinstance(hint, dict):  # the grid object: keys of the fields it fills
+            return _read_section(hint, value, path)
+        if is_dataclass(hint):
+            return hint(**_read_section(_section_keys(hint), value, path))
+        if typing.get_origin(hint) is tuple:
+            items = typing.get_args(hint)
+            if items[-1] is Ellipsis:
+                items = items[:1] * len(value)
+            if len(items) != len(value):
+                raise ValueError(f"needs {len(items)} entries, got {len(value)}")
+            return tuple(_coerce(item, entry, path) for item, entry in zip(items, value))
+        return hint(value)
+    except (TypeError, ValueError) as error:
+        raise ConfigurationError(f"invalid {path}: {error}") from error
 
 
 def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
-    _reject_unknown(
-        raw,
-        {
-            "system",
-            "grid",
-            "initial",
-            "cutoff",
-            "times",
-            "pairs",
-            "profile",
-            "tolerance",
-            "fit",
-            "out_dir",
-            "save_fields",
-        },
-        "config",
-    )
-    _require_keys(raw, ("system", "grid", "times"), "config")
-    try:
-        system_path = Path(raw["system"])
-        if not system_path.is_absolute():
-            system_path = base_dir / system_path
-
-        grid = raw["grid"]
-        _reject_unknown(grid, {"points", "half_width"}, "grid")
-        _require_keys(grid, ("points", "half_width"), "grid")
-
-        schedule = raw["times"]
-        _reject_unknown(schedule, {"t_min", "t_max", "count", "log"}, "times")
-        _require_keys(schedule, ("t_min", "t_max", "count"), "times")
-        times = TimeSchedule(
-            t_min=float(schedule["t_min"]),
-            t_max=float(schedule["t_max"]),
-            count=int(schedule["count"]),
-            log=bool(schedule.get("log", True)),
-        )
-
-        initial_raw = raw.get("initial", {})
-        _reject_unknown(
-            initial_raw,
-            {"kind", "seed", "sigma", "radius", "band", "amplitudes"},
-            "initial",
-        )
-        amplitudes = initial_raw.get("amplitudes")
-        initial = InitialSpec(
-            kind=initial_raw.get("kind", "gaussian"),
-            seed=int(initial_raw.get("seed", 0)),
-            sigma=float(initial_raw.get("sigma", 1.0)),
-            radius=float(initial_raw.get("radius", 1.0)),
-            band=tuple(float(b) for b in initial_raw.get("band", (0.5, 1.5))),
-            amplitudes=None if amplitudes is None else tuple(float(a) for a in amplitudes),
-        )
-
-        cutoff_raw = raw.get("cutoff", "auto")
-        if cutoff_raw == "auto" or cutoff_raw is None:
-            cutoff = None
-        else:
-            _reject_unknown(cutoff_raw, {"inner", "outer"}, "cutoff")
-            _require_keys(cutoff_raw, ("inner", "outer"), "cutoff")
-            cutoff = CutoffSpec(
-                inner=float(cutoff_raw["inner"]), outer=float(cutoff_raw["outer"])
-            )
-
-        pairs_raw = raw.get("pairs", [[2, 1]])
-        pairs = []
-        for entry in pairs_raw:
-            p_raw, q_raw = entry
-            p = math.inf if p_raw in ("inf", "Infinity") else float(p_raw)
-            pairs.append((p, int(q_raw)))
-
-        fit_raw = raw.get("fit", {})
-        _reject_unknown(fit_raw, {"t_min", "exp_t_min"}, "fit")
-        exp_t_min = fit_raw.get("exp_t_min")
-        window = FitWindow(
-            t_min=float(fit_raw.get("t_min", 1.0)),
-            exp_t_min=None if exp_t_min is None else float(exp_t_min),
-        )
-
-        return ExperimentConfig(
-            system=str(system_path),
-            grid_points=int(grid["points"]),
-            grid_half_width=float(grid["half_width"]),
-            times=times,
-            initial=initial,
-            cutoff=cutoff,
-            pairs=tuple(pairs),
-            profile=raw.get("profile", "both"),
-            tolerance=float(raw.get("tolerance", 0.15)),
-            fit=window,
-            out_dir=raw.get("out_dir"),
-            save_fields=bool(raw.get("save_fields", False)),
-        )
-    except ConfigurationError:
-        raise
-    except (KeyError, TypeError, ValueError) as error:
-        raise ConfigurationError(f"malformed config value: {error}") from error
+    # Written by hand: the grid_* fields form the "grid" object, a relative
+    # system path resolves against the config, and cutoff "auto" means None.
+    keys = _section_keys(ExperimentConfig)
+    grid = {name: keys.pop(name) for name in list(keys) if name.startswith(_GRID)}
+    keys["grid"] = ({name.removeprefix(_GRID): key for name, key in grid.items()}, True)
+    if raw.get("cutoff") == "auto":
+        raw = {**raw, "cutoff": None}
+    values = _read_section(keys, raw, "")
+    values.update({_GRID + key: value for key, value in values.pop("grid").items()})
+    values["system"] = str(base_dir / values["system"])
+    return ExperimentConfig(**values)
 
 
 # Keys of a serialized report: the JSON type of each and of each table entry.
@@ -452,10 +437,10 @@ class DecayReport:
                 raise ConfigurationError(f"report key {key!r} is missing or mistyped")
             if entry_kind and not all(isinstance(e, entry_kind) for e in raw[key].values()):
                 raise ConfigurationError(f"report key {key!r} holds a mistyped entry")
-        fields = {key: raw[key] for key in _REPORT_KEYS}
-        fields["times"] = tuple(raw["times"])
-        fields["series"] = {name: tuple(values) for name, values in raw["series"].items()}
-        return DecayReport(**fields)
+        values = {key: raw[key] for key in _REPORT_KEYS}
+        values["times"] = tuple(raw["times"])
+        values["series"] = {name: tuple(entry) for name, entry in raw["series"].items()}
+        return DecayReport(**values)
 
     def csv_rows(self):
         """Rows (t, norm_name, value), time-major, names sorted."""
@@ -465,32 +450,22 @@ class DecayReport:
                 yield t, name, self.series[name][index]
 
 
+def _norm_label(p: float) -> str | int:
+    """``p`` as a config writes it: ``"inf"`` or an integer."""
+    return "inf" if math.isinf(p) else int(p)
+
+
 def _pair_tag(p: float, q: int) -> str:
-    p_label = "inf" if math.isinf(p) else f"{int(p)}"
-    return f"p{p_label}_q{q}"
-
-
-def _pair_echo(pairs) -> list[list]:
-    return [["inf" if math.isinf(p) else int(p), q] for p, q in pairs]
+    return f"p{_norm_label(p)}_q{q}"
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = {
-        "system": str(cfg.system),
-        "grid": {"points": cfg.grid_points, "half_width": cfg.grid_half_width},
-        "times": asdict(cfg.times),
-        "initial": {
-            key: (list(value) if isinstance(value, tuple) else value)
-            for key, value in asdict(cfg.initial).items()
-        },
-        "cutoff": None if cfg.cutoff is None else asdict(cfg.cutoff),
-        "pairs": _pair_echo(cfg.pairs),
-        "profile": cfg.profile,
-        "tolerance": cfg.tolerance,
-        "fit": asdict(cfg.fit),
-        "out_dir": cfg.out_dir,
-        "save_fields": cfg.save_fields,
-    }
+    """The config as its JSON file would write it, defaults filled in."""
+    # The round trip gives the lists a parsed report.json holds, not tuples.
+    echo = json.loads(json.dumps(asdict(cfg), default=str))
+    grid = [name for name in echo if name.startswith(_GRID)]
+    echo["grid"] = {name.removeprefix(_GRID): echo.pop(name) for name in grid}
+    echo["pairs"] = [[_norm_label(p), q] for p, q in cfg.pairs]
     return echo
 
 
@@ -562,6 +537,20 @@ def run_experiment(
     """
     if system is None:
         system = load_system(cfg.system)
+    try:
+        grid = PeriodicGrid(
+            dimension=system.dimension,
+            points=cfg.grid_points,
+            half_width=cfg.grid_half_width,
+        )
+    except ValueError as error:
+        raise ConfigurationError(f"invalid grid: {error}") from error
+    amplitudes = cfg.initial.amplitudes
+    if amplitudes is not None and len(amplitudes) != system.size:
+        raise ConfigurationError(
+            f"initial.amplitudes needs {system.size} entries for this system, "
+            f"got {len(amplitudes)}"
+        )
 
     conditions: dict[str, dict] = {}
     report_b = check_condition_B(system)
@@ -593,20 +582,10 @@ def run_experiment(
             del profiles["psi"]
             psi_skipped = report_s.summary
 
-    grid = PeriodicGrid(
-        dimension=system.dimension,
-        points=cfg.grid_points,
-        half_width=cfg.grid_half_width,
-    )
     times = cfg.times.times()
 
     scaling_pairs = [pair for pair in cfg.pairs if pair[1] != 1]
     fixed_pairs = [pair for pair in cfg.pairs if pair[1] == 1]
-    if scaling_pairs and cfg.initial.kind != "gaussian":
-        raise ConfigurationError(
-            "norm pairs with q != 1 use a widening Gaussian family; set the "
-            "initial kind to gaussian"
-        )
 
     speed = max_wave_speed(system)
     guard_sigma = cfg.initial.sigma

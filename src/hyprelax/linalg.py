@@ -23,7 +23,6 @@ __all__ = [
     "EigenSystem",
     "Contour",
     "cluster_tolerance",
-    "solve_linear",
     "eigendecompose",
     "matrix_exponential",
     "cauchy_integral",
@@ -117,28 +116,6 @@ class Contour:
             raise ValueError(f"contour radius must be positive, got {self.radius}")
         if self.nodes < 16 or (self.nodes & (self.nodes - 1)) != 0:
             raise ValueError(f"node count must be a power of two >= 16, got {self.nodes}")
-
-
-def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x = b`` and verify the residual.
-
-    Raises:
-        SingularMatrixError: if the factorization fails or the relative
-            residual exceeds ``1e-10 * (1 + |a| |x|)``.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"linear solve failed: {exc}") from exc
-    residual = _frobenius(a @ x - b)
-    bound = 1e-10 * (1.0 + _frobenius(a) * _frobenius(x))
-    if not residual <= bound:
-        raise SingularMatrixError(
-            f"solution residual {residual:.3e} exceeds {bound:.3e}; matrix is numerically singular"
-        )
-    return x
 
 
 def _cluster_indices(values: np.ndarray, tol: float) -> tuple[EigenCluster, ...]:

@@ -245,6 +245,7 @@ def check_condition_A(system: HyperbolicSystem, *, count: int = 512) -> Conditio
     n = system.size
     stacks = _direction_stack(system, directions)
     scale = 1.0 + float(np.max(np.abs(stacks)))
+    fit_tolerance = 1e-6 * scale
     design = np.column_stack([np.ones(m), directions])
 
     if system.diagonalizer is not None:
@@ -314,10 +315,14 @@ def check_condition_A(system: HyperbolicSystem, *, count: int = 512) -> Conditio
             np.column_stack([np.ones(points.shape[0]), points]), branches, rcond=None
         )
         misfit = np.abs(np.sort(design @ coefficients, axis=1) - values)
-        coefficients = coefficients[:, np.lexsort(coefficients[::-1])]
+        # Rows are ordered by coefficients rounded to the fit tolerance, so
+        # rounding noise in an entry all branches share (nu_0 = 0 for the
+        # three-velocity model) cannot decide the order.
+        keys = np.round(coefficients / fit_tolerance)
+        coefficients = coefficients[:, np.lexsort(keys[::-1])]
 
     residual = float(np.max(misfit))
-    affine_ok = residual <= 1e-6 * scale
+    affine_ok = residual <= fit_tolerance
     condition_ok = max_condition < 1e6
     nu = coefficients.T
     witness = None

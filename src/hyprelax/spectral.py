@@ -13,11 +13,10 @@ re-checks the weakest factored symbols against it.  The low-frequency part
 smooth cutoff (audited against the contour projection at the first
 propagation), and the remainder ``u2`` is defined by subtraction so the split
 is additively exact.  The evolutions return fields in the representation they
-are given, so a caller holding a spectrum transforms each datum once.
-:func:`evolve_hyperbolic` keeps the Pade path for every symbol and serves as
-the independent reference.  The parabolic comparison profiles apply the
-drift/diffusion multiplier with the zeroth-order (phi) or first-order (psi)
-projection moment.
+are given, so a caller holding a spectrum transforms each datum once.  The
+tests keep the Pade path for every symbol as the independent reference.  The
+parabolic comparison profiles apply the drift/diffusion multiplier with the
+zeroth-order (phi) or first-order (psi) projection moment.
 
 What does not depend on the time is computed once: per grid the frequency
 vectors and the drift and diffusion forms, per datum its spectrum, its modal
@@ -65,7 +64,6 @@ __all__ = [
     "to_physical",
     "lp_norm",
     "imaginary_residual",
-    "evolve_hyperbolic",
     "evolve_parabolic_phi",
     "evolve_parabolic_psi",
     "make_initial_data",
@@ -602,19 +600,6 @@ class FrequencySplitter:
         low = np.zeros_like(full)
         low[:, self._band] = moment * np.exp(-t * self._eigenbasis().band_values)
         return _like(full, field), _like(low, field), _like(full - low, field)
-
-
-def evolve_hyperbolic(system: HyperbolicSystem, field: GridField, t: float) -> GridField:
-    """One-shot hyperbolic evolution ``exp(-E(ik) t)`` of a field.
-
-    Pade-13 at every frequency; the reference for :class:`FrequencySplitter`,
-    which serves repeated times on one grid.
-    """
-    if t < 0:
-        raise ValueError(f"evolution time must be nonnegative, got {t}")
-    symbols = system.symbol_stack(field.grid.frequency_vectors())
-    flat = np.einsum("fij,jf->if", matrix_exponential(-t * symbols), _spectrum(field))
-    return _like(flat, field)
 
 
 def _check_parabolic(limit: ParabolicLimit, field: GridField, t: float) -> None:

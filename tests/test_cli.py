@@ -12,7 +12,10 @@ import hyprelax
 from hyprelax.cli import main
 from hyprelax.harness import ExperimentConfig, FitWindow, InitialSpec, TimeSchedule
 from hyprelax.model import HyperbolicSystem, dump_system
+from hyprelax.spectral import FrequencySplitter
 from hyprelax.systems import damped_euler_2d, goldstein_kac_1d
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture()
@@ -312,6 +315,38 @@ class TestConfigValidation:
         for command in (["check", "--config", config], ["run", "--config", config]):
             assert main(command + ["--out", str(tmp_path / "o")]) == 3
         assert "initial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "demo, section, key, value, named",
+        [
+            ("gk_decay", "grid", "points", 500, "grid"),
+            ("gk_decay", "grid", "half_width", 0, "grid"),
+            ("gk_decay", "times", "count", 4, "times.count"),
+            ("gk_decay", "fit", "t_min", 50.0, "fit.t_min"),
+            ("gk_decay", "fit", "exp_t_min", 50.0, "fit.exp_t_min"),
+            ("euler_decay", "initial", "amplitudes", [1.0, 0.3], "initial.amplitudes"),
+        ],
+    )
+    def test_invalid_demo_copy_exits_3_before_propagating(
+        self, tmp_path, monkeypatch, capsys, demo, section, key, value, named
+    ):
+        # Of the 16 times from 5 to 80, three are at or after t = 50; the
+        # damped-Euler system has three components.
+        raw = json.loads((CONFIGS / f"{demo}.json").read_text())
+        raw["system"] = str(CONFIGS / raw["system"])
+        raw[section][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+
+        def propagate(*args, **kwargs):
+            raise AssertionError("an invalid config reached the propagator")
+
+        monkeypatch.setattr(FrequencySplitter, "decompose", propagate)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: ")
+        assert named in stderr
+        assert "Traceback" not in stderr
 
 
 def test_cli_import_leaves_out_scipy_stats():

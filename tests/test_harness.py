@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hyprelax.harness import (
     TimeSchedule,
     TooFewPointsError,
     WrapAroundGuardError,
+    _config_echo,
     emit_report,
     fit_exponential,
     fit_rate,
@@ -185,7 +188,7 @@ class TestExperimentConfig:
                     "initial": {"sigma": 0.5, "amplitudes": [1.0, -0.5]},
                     "pairs": [[2, 1], ["inf", 1]],
                     "profile": "phi",
-                    "fit": {"t_min": 3.0, "exp_t_min": 4.0},
+                    "fit": {"t_min": 3.0, "exp_t_min": 3.5},
                 }
             )
         )
@@ -196,7 +199,7 @@ class TestExperimentConfig:
         assert cfg.initial.amplitudes == (1.0, -0.5)
         assert cfg.pairs == ((2.0, 1), (math.inf, 1))
         assert cfg.profile == "phi"
-        assert cfg.fit == FitWindow(t_min=3.0, exp_t_min=4.0)
+        assert cfg.fit == FitWindow(t_min=3.0, exp_t_min=3.5)
 
     def test_from_file_names_unknown_keys(self, tmp_path):
         path = tmp_path / "run.json"
@@ -210,14 +213,82 @@ class TestExperimentConfig:
                 }
             )
         )
-        with pytest.raises(ConfigurationError, match="grids"):
+        with pytest.raises(ConfigurationError, match="unknown key 'grids' in config"):
             ExperimentConfig.from_file(path)
 
     def test_from_file_names_missing_keys(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"system": "s.json", "grid": {"points": 8, "half_width": 1.0}}))
-        with pytest.raises(ConfigurationError, match="times"):
+        with pytest.raises(ConfigurationError, match="missing required key 'times' in config"):
             ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"grid": {"points": 8}}, "missing required key 'half_width' in grid"),
+            ({"initial": {"width": 2.0}}, "unknown key 'width' in initial"),
+            ({"cutoff": "manual"}, "cutoff must be a JSON object"),
+            ({"tolerance": "tight"}, "invalid tolerance: could not convert"),
+            ({"pairs": [[2]]}, "invalid pairs: needs 2 entries, got 1"),
+            (
+                {"times": {"t_min": 2.0, "t_max": 1.0, "count": 6}},
+                "invalid times: schedule needs t_max > t_min",
+            ),
+        ],
+    )
+    def test_from_file_errors_name_the_key(self, tmp_path, change, message):
+        raw = {
+            "system": "s.json",
+            "grid": {"points": 8, "half_width": 1.0},
+            "times": {"t_min": 1.0, "t_max": 2.0, "count": 6},
+        }
+        raw.update(change)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            ExperimentConfig.from_file(path)
+
+    def test_from_file_reads_integers_as_declared_types(self, tmp_path):
+        # JSON 4 for a float field must echo as 4.0.
+        def written(number):
+            return {
+                "system": "s.json",
+                "grid": {"points": 512, "half_width": number(48)},
+                "times": {"t_min": number(2), "t_max": number(16), "count": 8},
+                "initial": {"sigma": number(1), "band": [number(0), number(2)]},
+                "cutoff": {"inner": number(1), "outer": number(20)},
+                "fit": {"t_min": number(2), "exp_t_min": number(3)},
+                "pairs": [[number(2), 1], ["inf", 1]],
+                "tolerance": number(1),
+            }
+
+        echoes = []
+        for number in (int, float):
+            path = tmp_path / f"{number.__name__}.json"
+            path.write_text(json.dumps(written(number)))
+            echoes.append(json.dumps(_config_echo(ExperimentConfig.from_file(path))))
+        assert echoes[0] == echoes[1]
+        assert '"half_width": 48.0' in echoes[0]
+        assert '"pairs": [[2, 1], ["inf", 1]]' in echoes[0]
+
+    def test_echo_reads_back_as_the_same_config(self, tmp_path):
+        cfg = small_run_config(
+            pairs=((2.0, 1), (2.0, 2), (math.inf, 1)),
+            fit=FitWindow(t_min=3.0, exp_t_min=3.5),
+            out_dir="out",
+            save_fields=True,
+        )
+        cfg = replace(cfg, system=str(tmp_path / "system.json"))
+        path = tmp_path / "echo.json"
+        path.write_text(json.dumps(_config_echo(cfg)))
+        assert ExperimentConfig.from_file(path) == cfg
+
+    def test_fit_windows_need_six_scheduled_times(self):
+        small_run_config(times=TimeSchedule(t_min=2.0, t_max=16.0, count=6))
+        with pytest.raises(ConfigurationError, match="fit.t_min"):
+            small_run_config(times=TimeSchedule(t_min=2.0, t_max=16.0, count=5))
+        with pytest.raises(ConfigurationError, match="fit.exp_t_min"):
+            small_run_config(fit=FitWindow(exp_t_min=12.0))
 
     def test_from_file_rejects_non_object(self, tmp_path):
         path = tmp_path / "run.json"
@@ -327,13 +398,13 @@ class TestRunExperiment:
         assert set(report.remainder) == {"u2_l2_q1", "u2_l2_q2"}
 
     def test_scaling_pair_requires_gaussian_data(self):
-        cfg = small_run_config(
-            grid_half_width=64.0,
-            pairs=((2.0, 2),),
-            initial=InitialSpec(kind="bump", radius=2.0),
-        )
-        with pytest.raises(ConfigurationError):
-            run_experiment(cfg, system=goldstein_kac_1d())
+        # Rejected when the config is built, before any system is loaded.
+        with pytest.raises(ConfigurationError, match="gaussian"):
+            small_run_config(
+                grid_half_width=64.0,
+                pairs=((2.0, 2),),
+                initial=InitialSpec(kind="bump", radius=2.0),
+            )
 
     def test_wrap_guard(self):
         cfg = small_run_config(grid_points=128, grid_half_width=20.0)

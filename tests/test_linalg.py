@@ -7,7 +7,6 @@ from hyprelax.linalg import (
     Contour,
     ContourTouchesSpectrumError,
     QuadratureNotConvergedError,
-    SingularMatrixError,
     cauchy_integral,
     cluster_tolerance,
     contour_projection,
@@ -15,7 +14,6 @@ from hyprelax.linalg import (
     matrix_exponential,
     reduced_resolvent,
     separating_contour,
-    solve_linear,
 )
 
 # Pairwise exchange matrix with rates a = b = c = 1/2: eigenvalues are
@@ -27,21 +25,6 @@ EXCHANGE = np.array(
         [-0.5, -0.5, 1.0],
     ]
 )
-
-
-class TestSolveLinear:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_systems(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(6, 6)) + np.eye(6) * 3.0
-        b = rng.normal(size=(6, 2))
-        x = solve_linear(a, b)
-        assert_allclose(a @ x, b, atol=1e-12)
-
-    def test_singular_matrix_rejected(self):
-        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularMatrixError):
-            solve_linear(singular, np.array([1.0, 0.0]))
 
 
 class TestEigendecompose:

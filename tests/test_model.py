@@ -125,10 +125,11 @@ class TestConditionA:
         assert_allclose(np.sort(nu[:, 0]), [-1.0, 0.0, 1.0], atol=1e-6)
         assert_allclose(np.linalg.norm(nu[:, 1:], axis=1), 0.0, atol=1e-6)
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(30))
     def test_three_velocity_files_without_diagonalizer(self, seed, tmp_path):
         # The system files the benchmark writes: rates U(0.2, 2), zero-mean
-        # N(0, 1) velocities; a written file carries no diagonalizer.
+        # N(0, 1) velocities; a written file carries no diagonalizer.  Every
+        # branch has nu_0 = 0, so the certificate rows follow the slopes.
         rng = np.random.default_rng(seed)
         rates = rng.uniform(0.2, 2.0, size=3)
         velocities = rng.normal(size=(3, 3))
@@ -139,7 +140,9 @@ class TestConditionA:
         assert system.diagonalizer is None
         report = check_condition_A(system)
         assert report.passed, report.summary
-        assert_branches(report.data["nu"], velocities)
+        expected = np.column_stack([np.zeros(3), velocities])
+        expected = expected[np.lexsort(expected.T[::-1])]
+        assert_allclose(report.data["nu"], expected, atol=1e-8)
 
     @pytest.mark.parametrize("dimension", [2, 3])
     @pytest.mark.parametrize("seed", range(4))
