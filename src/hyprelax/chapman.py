@@ -10,7 +10,8 @@ perturbation of ``i |k| diag(nu(w))``, and every eigenvalue approaches
 relaxation matrix compressed to the ``j``-th advection eigenspace.  This
 module computes both expansions, calibrates the frequency radius on which
 the ``0``-group stays spectrally separated, and provides a tracked
-eigenvalue sweep for diagnostics.
+eigenvalue sweep for diagnostics.  The eigenvalue groups of the relaxation
+and of its compressions are :class:`~hyprelax.linalg.SpectralGroup` values.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    Contour,
+    SpectralGroup,
     cluster_tolerance,
-    contour_projection,
     eigendecompose,
     reduced_resolvent,
-    separating_contour,
+    spectral_group,
 )
 from .model import (
     ConditionReport,
@@ -44,7 +44,6 @@ __all__ = [
     "GroupNotSeparatedError",
     "CrossingSetHitError",
     "ParabolicLimit",
-    "SpectralGroup",
     "LowFrequencyExpansion",
     "HighFrequencyGroup",
     "HighFrequencyExpansion",
@@ -121,18 +120,8 @@ class ParabolicLimit:
 
 
 @dataclass(frozen=True)
-class SpectralGroup:
-    """One isolated eigenvalue group of the relaxation matrix."""
-
-    value: complex
-    multiplicity: int
-    projection: np.ndarray
-    nilpotent: np.ndarray
-
-
-@dataclass(frozen=True)
 class LowFrequencyExpansion:
-    """Parabolic-limit data plus the dissipative groups of the relaxation."""
+    """Parabolic-limit data plus the nonzero groups of the relaxation."""
 
     limit: ParabolicLimit
     groups: tuple[SpectralGroup, ...]
@@ -147,18 +136,15 @@ class HighFrequencyGroup:
     """Asymptotic data of one advection eigenvalue group.
 
     All matrices live in the diagonalizer frame (conjugated by ``R(w)``),
-    where ``projection`` is an exact diagonal 0/1 pattern.  ``betas[m]`` is
-    the ``m``-th eigenvalue of the compressed relaxation on this group, with
-    sub-projection ``sub_projections[m]`` and nilpotent ``nilpotents[m]``.
+    where ``projection`` is an exact diagonal 0/1 pattern.  ``parts[m]`` is
+    the ``m``-th eigenvalue group of the compressed relaxation on this
+    group; its ``value`` is the shift ``beta_jm``.
     """
 
     value: float
     indices: tuple[int, ...]
     projection: np.ndarray
-    betas: tuple[complex, ...]
-    multiplicities: tuple[int, ...]
-    sub_projections: tuple[np.ndarray, ...]
-    nilpotents: tuple[np.ndarray, ...]
+    parts: tuple[SpectralGroup, ...]
 
 
 @dataclass(frozen=True)
@@ -174,8 +160,8 @@ class HighFrequencyExpansion:
         """All ``i |k| nu_[j] + beta_jm`` with multiplicity, as a flat array."""
         out: list[complex] = []
         for group in self.groups:
-            for beta, mult in zip(group.betas, group.multiplicities):
-                out.extend([1j * modulus * group.value + beta] * mult)
+            for part in group.parts:
+                out.extend([1j * modulus * group.value + part.value] * part.multiplicity)
         return np.array(out)
 
 
@@ -188,18 +174,15 @@ class SweepPoint:
     cluster_count: int
 
 
-def _zero_group_contour(system: HyperbolicSystem) -> tuple[Contour, np.ndarray, float]:
+def _relaxation_gap(system: HyperbolicSystem) -> float:
+    """Spectral gap of the relaxation matrix, once condition B holds."""
     report = check_condition_B(system)
     if not report.passed:
         raise ConditionBViolatedError(
             f"relaxation spectrum violates the kernel condition: {report.summary}",
             report,
         )
-    b = system.relaxation
-    eigsys = eigendecompose(b)
-    zero = eigsys.cluster_near(0.0, 10.0 * cluster_tolerance(b))
-    contour = separating_contour(eigsys.values, np.array(zero.indices))
-    return contour, eigsys.values, float(report.data["gap"])
+    return float(report.data["gap"])
 
 
 def compute_parabolic_limit(system: HyperbolicSystem) -> ParabolicLimit:
@@ -218,10 +201,12 @@ def compute_parabolic_limit(system: HyperbolicSystem) -> ParabolicLimit:
     Raises:
         ConditionBViolatedError: if the relaxation spectrum fails the check.
     """
-    contour, eigenvalues, gap = _zero_group_contour(system)
+    gap = _relaxation_gap(system)
     b = system.relaxation
-    p0 = contour_projection(b, contour, eigenvalues=eigenvalues)
-    q0 = reduced_resolvent(b, 0.0, contour, eigenvalues=eigenvalues)
+    eigsys = eigendecompose(b)
+    zero = spectral_group(b, eigsys, eigsys.cluster_near(0.0, 10.0 * cluster_tolerance(b)))
+    p0 = zero.projection
+    q0 = reduced_resolvent(b, 0.0, zero.contour, eigenvalues=eigsys.values)
     d = system.dimension
     drift = np.empty(d, dtype=complex)
     diffusion = np.empty((d, d), dtype=complex)
@@ -267,22 +252,12 @@ def low_frequency_expansion(system: HyperbolicSystem) -> LowFrequencyExpansion:
     b = system.relaxation
     eigsys = eigendecompose(b)
     tol = 10.0 * cluster_tolerance(b)
-    eye = np.eye(system.size)
-    groups = []
-    for cluster in eigsys.clusters:
-        if abs(cluster.value) <= tol:
-            continue
-        contour = separating_contour(eigsys.values, np.array(cluster.indices))
-        projection = contour_projection(b, contour, eigenvalues=eigsys.values)
-        groups.append(
-            SpectralGroup(
-                value=cluster.value,
-                multiplicity=cluster.multiplicity,
-                projection=projection,
-                nilpotent=(b - cluster.value * eye) @ projection,
-            )
-        )
-    return LowFrequencyExpansion(limit=limit, groups=tuple(groups))
+    groups = tuple(
+        spectral_group(b, eigsys, cluster)
+        for cluster in eigsys.clusters
+        if abs(cluster.value) > tol
+    )
+    return LowFrequencyExpansion(limit=limit, groups=groups)
 
 
 def separation_threshold(symbol: np.ndarray) -> float:
@@ -306,7 +281,8 @@ def exact_group_projection(system: HyperbolicSystem, k: np.ndarray) -> np.ndarra
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     symbol = system.symbol(k)
-    eigenvalues = np.linalg.eigvals(symbol)
+    eigsys = eigendecompose(symbol)
+    eigenvalues = eigsys.values
     small = int(np.argmin(np.abs(eigenvalues)))
     others = np.delete(eigenvalues, small)
     if others.size == 0:
@@ -318,8 +294,9 @@ def exact_group_projection(system: HyperbolicSystem, k: np.ndarray) -> np.ndarra
             f"0-group gap {gap:.3e} at |k| = {np.linalg.norm(k):.6g} "
             f"is below {threshold:.1e}"
         )
-    contour = Contour(center=complex(eigenvalues[small]), radius=0.5 * gap)
-    return contour_projection(symbol, contour, eigenvalues=eigenvalues)
+    # Above the threshold the small eigenvalue is a cluster of its own.
+    zero = eigsys.cluster_near(eigenvalues[small], 0.0)
+    return spectral_group(symbol, eigsys, zero).projection
 
 
 # Calibration scan: directions sampled, growth factor per level, level cap.
@@ -341,7 +318,7 @@ def calibrate_separation_radius(system: HyperbolicSystem) -> float:
     """
     from .model import sphere_samples
 
-    _, _, gap0 = _zero_group_contour(system)
+    gap0 = _relaxation_gap(system)
     threshold = 0.5 * gap0
     directions = sphere_samples(system.dimension, _CALIBRATION_DIRECTIONS)
     radius = np.inf
@@ -456,11 +433,8 @@ def high_frequency_expansion(
             HighFrequencyGroup(
                 value=float(representative),
                 indices=tuple(group),
-                projection=reduced.projection,
-                betas=reduced.eigenvalues,
-                multiplicities=reduced.multiplicities,
-                sub_projections=reduced.projections,
-                nilpotents=reduced.nilpotents,
+                projection=reduced.group.projection,
+                parts=reduced.parts,
             )
         )
     return HighFrequencyExpansion(

@@ -102,6 +102,17 @@ def _resolve_system_path(args: argparse.Namespace) -> Path:
     raise ConfigurationError("provide a system file or --config pointing to one")
 
 
+def _write_output(out: Path, name: str, text: str) -> Path:
+    """Write ``text`` to ``out / name``, creating ``out`` if needed."""
+    path = Path(out) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as error:
+        raise IoFailureError(f"cannot write {path}: {error}") from error
+    return path
+
+
 def _complex_matrix(m: np.ndarray) -> dict:
     m = np.asarray(m)
     return {"real": m.real.tolist(), "imag": m.imag.tolist()}
@@ -117,11 +128,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"condition {name}: {verdict} ({report.summary})")
         payload[name] = {"passed": report.passed, "summary": report.summary}
         all_passed = all_passed and report.passed
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "conditions.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write_output(args.out, "conditions.json", text)
     return PASS_EXIT if all_passed else CONDITION_EXIT
 
 
@@ -139,9 +147,8 @@ def _cmd_limit(args: argparse.Namespace) -> int:
         "reduced": _complex_matrix(limit.reduced),
         "corrections": [_complex_matrix(p) for p in limit.corrections],
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "limit.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write_output(args.out, "limit.json", text)
     return PASS_EXIT
 
 
@@ -151,14 +158,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         direction = np.zeros(system.dimension)
         direction[0] = 1.0
     else:
-        direction = np.array([float(part) for part in args.direction.split(",")])
+        try:
+            direction = np.array([float(part) for part in args.direction.split(",")])
+        except ValueError as error:
+            raise ConfigurationError(
+                f"direction must be comma-separated numbers, got {args.direction!r}"
+            ) from error
         if direction.shape != (system.dimension,):
             raise ConfigurationError(
                 f"direction needs {system.dimension} components, got {direction.size}"
             )
-        direction = direction / np.linalg.norm(direction)
-    if not 0 < args.kmin < args.kmax:
-        raise ConfigurationError("moduli must satisfy 0 < kmin < kmax")
+        norm = np.linalg.norm(direction)
+        if not 0 < norm < np.inf:
+            raise ConfigurationError(
+                f"direction must be a finite nonzero vector, got {args.direction!r}"
+            )
+        direction = direction / norm
+    if not 0 < args.kmin < args.kmax < np.inf:
+        raise ConfigurationError("moduli must satisfy 0 < kmin < kmax < inf")
+    if args.count < 1:
+        raise ConfigurationError(f"count must be at least 1, got {args.count}")
     if args.linear:
         moduli = np.linspace(args.kmin, args.kmax, args.count)
     else:
@@ -171,10 +190,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"{float(modulus)!r},{branch},"
                 f"{float(value.real)!r},{float(value.imag)!r},{point.cluster_count}"
             )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(points)} sweep points to {out / 'sweep.csv'}")
+    path = _write_output(args.out, "sweep.csv", "\n".join(lines) + "\n")
+    print(f"wrote {len(points)} sweep points to {path}")
     return PASS_EXIT
 
 

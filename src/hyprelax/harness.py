@@ -341,7 +341,8 @@ def _read_section(keys: dict, raw, path: str) -> dict:
 
 def _coerce(hint, value, path: str):
     """``value`` as field type ``hint``: JSON 4 becomes 4.0 for a float field,
-    a list a tuple, and an object the section dataclass it describes."""
+    a list a tuple, and an object the section dataclass it describes.  A bool
+    field takes only ``true``/``false`` and an int field only a JSON integer."""
     try:
         options = typing.get_args(hint)
         if type(None) in options:
@@ -359,6 +360,9 @@ def _coerce(hint, value, path: str):
             if len(items) != len(value):
                 raise ValueError(f"needs {len(items)} entries, got {len(value)}")
             return tuple(_coerce(item, entry, path) for item, entry in zip(items, value))
+        if hint in (bool, int) and type(value) is not hint:
+            kind = "boolean" if hint is bool else "integer"
+            raise ValueError(f"expected a JSON {kind}, got {json.dumps(value)}")
         return hint(value)
     except (TypeError, ValueError) as error:
         raise ConfigurationError(f"invalid {path}: {error}") from error

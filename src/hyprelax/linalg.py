@@ -1,15 +1,16 @@
 """Dense linear-algebra kernels shared by the higher layers.
 
-Everything here works on plain numpy arrays: linear solves with residual
-verification, eigendecomposition with multiplicity clustering, a batched
-matrix exponential, and adaptive contour quadrature for spectral projections
-and reduced resolvents.  All tolerances are explicit and conservative; the
-routines raise typed errors instead of returning silently degraded results.
+Everything here works on plain numpy arrays: eigenvalues with multiplicity
+clustering, a batched matrix exponential, adaptive contour quadrature for
+spectral projections and reduced resolvents, and :func:`spectral_group`, the
+one builder of an isolated eigenvalue group that every higher layer uses.
+All tolerances are explicit and conservative; the routines raise typed
+errors instead of returning silently degraded results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "EigenCluster",
     "EigenSystem",
     "Contour",
+    "SpectralGroup",
     "cluster_tolerance",
     "eigendecompose",
     "matrix_exponential",
@@ -29,6 +31,7 @@ __all__ = [
     "contour_projection",
     "reduced_resolvent",
     "separating_contour",
+    "spectral_group",
 ]
 
 
@@ -79,17 +82,13 @@ class EigenCluster:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigendecomposition with clustered multiplicity structure.
+    """Eigenvalues with clustered multiplicity structure.
 
-    ``values[i]`` pairs with column ``vectors[:, i]``; entries are sorted by
-    (real, imaginary) part.  ``condition`` is the 2-norm condition number of
-    the eigenvector matrix (infinite for defective input).
+    ``values`` is sorted by (real, imaginary) part and ``clusters`` index it.
     """
 
     values: np.ndarray
-    vectors: np.ndarray
-    condition: float
-    clusters: tuple[EigenCluster, ...] = field(default=())
+    clusters: tuple[EigenCluster, ...]
 
     def cluster_near(self, z: complex, tol: float) -> EigenCluster | None:
         """Return the cluster whose members include a point within ``tol``."""
@@ -144,7 +143,7 @@ def _cluster_indices(values: np.ndarray, tol: float) -> tuple[EigenCluster, ...]
 
 
 def eigendecompose(m: np.ndarray) -> EigenSystem:
-    """Eigendecompose a square matrix and cluster nearby eigenvalues.
+    """Eigenvalues of a square matrix, with nearby eigenvalues clustered.
 
     Eigenvalues closer than :func:`cluster_tolerance` (``1e-8 * (1 + |m|_F)``)
     are merged transitively into one cluster.
@@ -156,20 +155,11 @@ def eigendecompose(m: np.ndarray) -> EigenSystem:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     try:
-        values, vectors = np.linalg.eig(m)
+        values = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(f"eigendecomposition failed: {exc}") from exc
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        condition = float(np.linalg.cond(vectors))
-    return EigenSystem(
-        values=values,
-        vectors=vectors,
-        condition=condition,
-        clusters=_cluster_indices(values, cluster_tolerance(m)),
-    )
+    values = values[np.lexsort((values.imag, values.real))]
+    return EigenSystem(values=values, clusters=_cluster_indices(values, cluster_tolerance(m)))
 
 
 # Degree-13 diagonal Pade coefficients and the matching 1-norm threshold for
@@ -372,3 +362,41 @@ def separating_contour(eigenvalues: np.ndarray, inside: np.ndarray) -> Contour:
             f"eigenvalue groups are not separated (spread {spread:g} vs gap {nearest:g})"
         )
     return Contour(center=center, radius=0.5 * (spread + nearest))
+
+
+@dataclass(frozen=True)
+class SpectralGroup:
+    """One isolated eigenvalue group of a matrix ``m`` (Kato, ch. II).
+
+    ``projection`` is the Riesz projection onto the group's generalized
+    eigenspace, integrated on ``contour``, which encloses the group and no
+    other eigenvalue; ``nilpotent`` is ``(m - value) @ projection``, zero
+    exactly when the group is semisimple.
+    """
+
+    value: complex
+    multiplicity: int
+    contour: Contour
+    projection: np.ndarray
+    nilpotent: np.ndarray
+
+
+def spectral_group(
+    m: np.ndarray, eigsys: EigenSystem, cluster: EigenCluster
+) -> SpectralGroup:
+    """The eigenvalue group of ``m`` formed by ``cluster`` of ``eigsys``.
+
+    Raises:
+        ValueError: if no circle around the cluster mean separates it from
+            the rest of the spectrum.
+    """
+    m = np.asarray(m)
+    contour = separating_contour(eigsys.values, np.array(cluster.indices))
+    projection = contour_projection(m, contour, eigenvalues=eigsys.values)
+    return SpectralGroup(
+        value=cluster.value,
+        multiplicity=cluster.multiplicity,
+        contour=contour,
+        projection=projection,
+        nilpotent=(m - cluster.value * np.eye(m.shape[0])) @ projection,
+    )

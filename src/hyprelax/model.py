@@ -651,7 +651,7 @@ def load_system(path: str | Path) -> HyperbolicSystem:
         if required not in raw:
             raise SystemFileError(f"missing required key '{required}'")
     for key in ("d", "n"):
-        if not isinstance(raw[key], int) or raw[key] < 1:
+        if type(raw[key]) is not int or raw[key] < 1:
             raise SystemFileError(f"key '{key}': expected a positive integer")
     d, n = raw["d"], raw["n"]
     advections = _rectangular("A", raw["A"], depth=3)

@@ -14,10 +14,11 @@ computes their Taylor coefficients two independent ways:
   :func:`weighted_mean_series`).
 
 The quadrature route needs no structure beyond isolation of the group, so it
-doubles as the oracle for the closed forms.  :func:`reduce_semisimple_group`
-splits a semisimple degenerate group by its first-order restriction, and
-:func:`partition_derivative` differentiates ``exp(polynomial)`` by summing
-over set partitions.
+doubles as the oracle for the closed forms.  The unperturbed group, and each
+part of it split off by :func:`reduce_semisimple_group` from its first-order
+restriction, is a :class:`~hyprelax.linalg.SpectralGroup` built by
+:func:`~hyprelax.linalg.spectral_group`.  :func:`partition_derivative`
+differentiates ``exp(polynomial)`` by summing over set partitions.
 """
 
 from __future__ import annotations
@@ -27,16 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    Contour,
-    EigenCluster,
-    EigenSystem,
+    SpectralGroup,
     _resolvent_factory,
     cauchy_integral,
     cluster_tolerance,
-    contour_projection,
     eigendecompose,
     reduced_resolvent,
-    separating_contour,
+    spectral_group,
 )
 
 __all__ = [
@@ -128,15 +126,12 @@ class PerturbationFamily:
 class GroupExpansion:
     """Second-order data of a perturbed eigenvalue group.
 
-    ``projection``, ``nilpotent`` and ``reduced`` describe the unperturbed
-    group; ``corrections[j-1]`` is the ``z^j`` coefficient of the total
-    projection for ``j = 1, 2``.
+    ``group`` is the unperturbed group and ``reduced`` its reduced resolvent;
+    ``corrections[j-1]`` is the ``z^j`` coefficient of the total projection
+    for ``j = 1, 2``.
     """
 
-    eigenvalue: complex
-    multiplicity: int
-    projection: np.ndarray
-    nilpotent: np.ndarray
+    group: SpectralGroup
     reduced: np.ndarray
     corrections: tuple[np.ndarray, ...]
 
@@ -145,19 +140,14 @@ class GroupExpansion:
 class ReducedGroup:
     """Splitting of a semisimple group by its first-order restriction.
 
-    ``operator`` is ``P0 T1 P0``; ``eigenvalues[j]`` are its distinct
-    eigenvalues on the range of ``P0``, with sub-projections
-    ``projections[j]`` and nilpotents ``nilpotents[j]``.
+    ``group`` is the unperturbed group and ``operator`` is ``P0 T1 P0``;
+    ``parts[j]`` is the ``j``-th eigenvalue group of ``operator`` on the
+    range of ``P0``.
     """
 
-    eigenvalue: complex
-    multiplicity: int
-    projection: np.ndarray
+    group: SpectralGroup
     operator: np.ndarray
-    eigenvalues: tuple[complex, ...]
-    multiplicities: tuple[int, ...]
-    projections: tuple[np.ndarray, ...]
-    nilpotents: tuple[np.ndarray, ...]
+    parts: tuple[SpectralGroup, ...]
 
 
 @dataclass(frozen=True)
@@ -171,9 +161,8 @@ class SymmetryCheckResult:
     anticommutator_residual: float
 
 
-def _group_context(
-    family: PerturbationFamily, lam0: complex
-) -> tuple[EigenSystem, EigenCluster, Contour]:
+def _base_group(family: PerturbationFamily, lam0: complex) -> SpectralGroup:
+    """The eigenvalue group of ``T0`` at ``lam0``."""
     t0 = family.terms[0]
     eigsys = eigendecompose(t0)
     cluster = eigsys.cluster_near(lam0, 10.0 * cluster_tolerance(t0))
@@ -182,10 +171,9 @@ def _group_context(
             f"{lam0} is not an eigenvalue of the base term (spectrum {np.round(eigsys.values, 6)})"
         )
     try:
-        contour = separating_contour(eigsys.values, np.array(cluster.indices))
+        return spectral_group(t0, eigsys, cluster)
     except ValueError as exc:
         raise PreconditionViolatedError(str(exc)) from exc
-    return eigsys, cluster, contour
 
 
 def _x_chain(
@@ -216,15 +204,13 @@ def total_projection_series(family: PerturbationFamily, lam0: complex) -> GroupE
     Raises:
         NotAnEigenvalueError: if ``lam0`` is not in the spectrum of ``T0``.
     """
-    eigsys, cluster, contour = _group_context(family, lam0)
+    group = _base_group(family, lam0)
     t0, t1 = family.terms[0], family.terms[1]
     t2 = family.term(2)
-    p0 = contour_projection(t0, contour, eigenvalues=eigsys.values)
-    n0 = (t0 - cluster.value * np.eye(family.dim)) @ p0
-    q0 = reduced_resolvent(t0, cluster.value, contour, eigenvalues=eigsys.values)
+    q0 = reduced_resolvent(t0, group.value, group.contour)
 
     depth = family.dim + 1
-    x = _x_chain(p0, n0, q0, depth)
+    x = _x_chain(group.projection, group.nilpotent, q0, depth)
     span = range(-depth, depth + 1)
 
     p1 = sum(x[i] @ t1 @ x[j] for i in span for j in span if i + j == 1)
@@ -236,14 +222,7 @@ def total_projection_series(family: PerturbationFamily, lam0: complex) -> GroupE
         for h in span
         if i + j + h == 2
     )
-    return GroupExpansion(
-        eigenvalue=cluster.value,
-        multiplicity=cluster.multiplicity,
-        projection=p0,
-        nilpotent=n0,
-        reduced=q0,
-        corrections=(p1, p2),
-    )
+    return GroupExpansion(group=group, reduced=q0, corrections=(p1, p2))
 
 
 def _compositions(total: int) -> list[tuple[int, ...]]:
@@ -271,11 +250,14 @@ def projection_coefficients(
     """
     if order > MAX_SERIES_ORDER:
         raise OrderTooLargeError(f"order {order} exceeds the supported {MAX_SERIES_ORDER}")
-    eigsys, cluster, contour = _group_context(family, lam0)
-    t0 = family.terms[0]
-    resolvents = _resolvent_factory(t0)
+    return _projection_series(family, _base_group(family, lam0), order)
 
-    coefficients = [contour_projection(t0, contour, eigenvalues=eigsys.values)]
+
+def _projection_series(
+    family: PerturbationFamily, group: SpectralGroup, order: int
+) -> list[np.ndarray]:
+    resolvents = _resolvent_factory(family.terms[0])
+    coefficients = [group.projection]
     for j in range(1, order + 1):
         terms = [
             nu
@@ -293,7 +275,7 @@ def projection_coefficients(
                 total += product
             return total
 
-        coefficients.append(cauchy_integral(integrand, contour))
+        coefficients.append(cauchy_integral(integrand, group.contour))
     return coefficients
 
 
@@ -318,15 +300,15 @@ def simple_eigenvalue_series(
         raise PreconditionViolatedError(
             "the trace recursion for a simple branch requires a linear pencil"
         )
-    _, cluster, _ = _group_context(family, lam0)
-    if cluster.multiplicity != 1:
+    group = _base_group(family, lam0)
+    if group.multiplicity != 1:
         raise NotSimpleError(
-            f"eigenvalue {lam0} has multiplicity {cluster.multiplicity}"
+            f"eigenvalue {lam0} has multiplicity {group.multiplicity}"
         )
-    projections = projection_coefficients(family, lam0, order - 1)
+    projections = _projection_series(family, group, order - 1)
     t1 = family.terms[1]
     coeffs = np.empty(order + 1, dtype=complex)
-    coeffs[0] = cluster.value
+    coeffs[0] = group.value
     for j in range(1, order + 1):
         coeffs[j] = np.trace(t1 @ projections[j - 1]) / j
     return coeffs
@@ -348,17 +330,16 @@ def weighted_mean_series(
         raise ValueError(f"order must be >= 1, got {order}")
     if order > MAX_SERIES_ORDER:
         raise OrderTooLargeError(f"order {order} exceeds the supported {MAX_SERIES_ORDER}")
-    _, cluster, _ = _group_context(family, lam0)
-    m = cluster.multiplicity
-    projections = projection_coefficients(family, lam0, order)
-    shifted0 = family.terms[0] - cluster.value * np.eye(family.dim)
+    group = _base_group(family, lam0)
+    projections = _projection_series(family, group, order)
+    shifted0 = family.terms[0] - group.value * np.eye(family.dim)
     coeffs = np.empty(order + 1, dtype=complex)
-    coeffs[0] = cluster.value
+    coeffs[0] = group.value
     for j in range(1, order + 1):
         total = np.trace(shifted0 @ projections[j])
         for i in range(1, min(j, family.degree) + 1):
             total += np.trace(family.term(i) @ projections[j - i])
-        coeffs[j] = total / m
+        coeffs[j] = total / group.multiplicity
     return coeffs
 
 
@@ -374,46 +355,28 @@ def reduce_semisimple_group(family: PerturbationFamily, lam0: complex) -> Reduce
     Raises:
         NotSemisimpleError: if the group at ``lam0`` carries a nilpotent.
     """
-    eigsys, cluster, contour = _group_context(family, lam0)
+    group = _base_group(family, lam0)
     t0, t1 = family.terms[0], family.terms[1]
-    eye = np.eye(family.dim)
-    p0 = contour_projection(t0, contour, eigenvalues=eigsys.values)
-    n0 = (t0 - cluster.value * eye) @ p0
-    nilpotent_norm = float(np.linalg.norm(n0))
+    nilpotent_norm = float(np.linalg.norm(group.nilpotent))
     if nilpotent_norm > 1e-8 * (1.0 + float(np.linalg.norm(t0))):
         raise NotSemisimpleError(
             f"group at {lam0} has nilpotent part of norm {nilpotent_norm:.3e}"
         )
 
+    p0 = group.projection
     operator = p0 @ t1 @ p0
     gamma = 2.0 * (1.0 + float(np.linalg.norm(operator)))
-    shifted = operator + gamma * (eye - p0)
+    shifted = operator + gamma * (np.eye(family.dim) - p0)
     inner = eigendecompose(shifted)
     tol = cluster_tolerance(shifted)
-
-    values: list[complex] = []
-    multiplicities: list[int] = []
-    projections: list[np.ndarray] = []
-    nilpotents: list[np.ndarray] = []
-    for sub in inner.clusters:
-        if abs(sub.value - gamma) <= 100.0 * tol and cluster.multiplicity < family.dim:
-            continue
-        sub_contour = separating_contour(inner.values, np.array(sub.indices))
-        proj = contour_projection(shifted, sub_contour, eigenvalues=inner.values)
-        values.append(sub.value)
-        multiplicities.append(sub.multiplicity)
-        projections.append(proj)
-        nilpotents.append((shifted - sub.value * eye) @ proj)
-    return ReducedGroup(
-        eigenvalue=cluster.value,
-        multiplicity=cluster.multiplicity,
-        projection=p0,
-        operator=operator,
-        eigenvalues=tuple(values),
-        multiplicities=tuple(multiplicities),
-        projections=tuple(projections),
-        nilpotents=tuple(nilpotents),
+    # The shifted complement sits at gamma unless the group fills the space.
+    fills = group.multiplicity == family.dim
+    parts = tuple(
+        spectral_group(shifted, inner, sub)
+        for sub in inner.clusters
+        if fills or abs(sub.value - gamma) > 100.0 * tol
     )
+    return ReducedGroup(group=group, operator=operator, parts=parts)
 
 
 def symmetry_vanishing_check(

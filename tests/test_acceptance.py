@@ -134,7 +134,7 @@ def test_criterion_03_series_truncation_orders():
 
         lam_coeff = simple_eigenvalue_series(family, 0.0, 2)
         expansion = total_projection_series(family, 0.0)
-        projections = [expansion.projection, *expansion.corrections]
+        projections = [expansion.group.projection, *expansion.corrections]
         eye = np.eye(n, dtype=complex)
         eig_err = {1: [], 2: []}
         proj_err = {1: [], 2: []}

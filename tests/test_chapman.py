@@ -201,16 +201,16 @@ class TestHighFrequencyExpansion:
         values = sorted(group.value for group in expansion.groups)
         assert_allclose(values, [-1.0, 1.0], atol=1e-9)
         for group in expansion.groups:
-            assert_allclose(np.asarray(group.betas), [0.5], atol=1e-9)
-            assert group.multiplicities == (1,)
+            assert_allclose([part.value for part in group.parts], [0.5], atol=1e-9)
+            assert [part.multiplicity for part in group.parts] == [1]
 
     def test_damped_euler_groups(self):
         expansion = high_frequency_expansion(damped_euler_2d(), np.array([1.0, 0.0]))
         by_value = {round(group.value, 6): group for group in expansion.groups}
         assert set(by_value) == {-1.0, 0.0, 1.0}
-        assert_allclose(np.asarray(by_value[0.0].betas), [1.0], atol=1e-9)
-        assert_allclose(np.asarray(by_value[1.0].betas), [0.5], atol=1e-9)
-        assert_allclose(np.asarray(by_value[-1.0].betas), [0.5], atol=1e-9)
+        for value, beta in ((0.0, 1.0), (1.0, 0.5), (-1.0, 0.5)):
+            parts = by_value[value].parts
+            assert_allclose([part.value for part in parts], [beta], atol=1e-9)
 
     @pytest.mark.parametrize(
         "system, w",
@@ -222,9 +222,9 @@ class TestHighFrequencyExpansion:
     def test_trace_conservation(self, system, w):
         expansion = high_frequency_expansion(system, w)
         weighted = sum(
-            beta * mult
+            part.value * part.multiplicity
             for group in expansion.groups
-            for beta, mult in zip(group.betas, group.multiplicities)
+            for part in group.parts
         )
         assert weighted.real == pytest.approx(np.trace(system.relaxation), abs=1e-9)
         assert abs(weighted.imag) < 1e-9

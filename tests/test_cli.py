@@ -80,6 +80,16 @@ class TestCheck:
         absent = tmp_path / "absent.json"
         assert main(["check", str(absent), "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("key, value", [("d", True), ("n", 2.0)])
+    def test_non_integer_sizes_exit_3(self, tmp_path, gk_path, capsys, key, value):
+        raw = json.loads(gk_path.read_text())
+        raw[key] = value
+        gk_path.write_text(json.dumps(raw))
+        assert main(["check", str(gk_path), "--out", str(tmp_path / "o")]) == 3
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: ")
+        assert f"key '{key}'" in stderr
+
 
 class TestLimit:
     def test_writes_coefficients(self, tmp_path, gk_path, capsys):
@@ -145,6 +155,25 @@ class TestSweep:
             ["sweep", str(gk_path), "--direction", "1,0", "--out", str(tmp_path)]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "arguments, named",
+        [
+            (["--direction", "0,0"], "direction"),
+            (["--direction", "a,b"], "direction"),
+            (["--direction", "inf,1"], "direction"),
+            (["--count", "-1"], "count"),
+            (["--count", "0"], "count"),
+            (["--kmax", "inf"], "kmax"),
+        ],
+    )
+    def test_bad_arguments_exit_3(self, tmp_path, euler_path, capsys, arguments, named):
+        out = tmp_path / "out"
+        assert main(["sweep", str(euler_path), *arguments, "--out", str(out)]) == 3
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: ")
+        assert named in stderr
+        assert not (out / "sweep.csv").exists()
 
     def test_bad_moduli(self, tmp_path, gk_path):
         code = main(
@@ -317,6 +346,39 @@ class TestConfigValidation:
         assert "initial" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "keys, value, named",
+        [
+            (("times", "log"), "false", "times.log"),
+            (("times", "count"), 16.9, "times.count"),
+            (("times", "count"), True, "times.count"),
+            (("initial", "seed"), 2.0, "initial.seed"),
+            (("grid", "points"), 8192.0, "grid.points"),
+            (("save_fields",), "no", "save_fields"),
+        ],
+    )
+    def test_values_of_the_wrong_json_type_exit_3(
+        self, tmp_path, monkeypatch, capsys, keys, value, named
+    ):
+        # A bool field takes only true/false, an int field only a JSON integer.
+        raw = json.loads((CONFIGS / "gk_decay.json").read_text())
+        raw["system"] = str(CONFIGS / raw["system"])
+        section = raw
+        for key in keys[:-1]:
+            section = section.setdefault(key, {})
+        section[keys[-1]] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+
+        def propagate(*args, **kwargs):
+            raise AssertionError("an invalid config reached the propagator")
+
+        monkeypatch.setattr(FrequencySplitter, "decompose", propagate)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: ")
+        assert f"invalid {named}: expected a JSON " in stderr
+
+    @pytest.mark.parametrize(
         "demo, section, key, value, named",
         [
             ("gk_decay", "grid", "points", 500, "grid"),
@@ -347,6 +409,17 @@ class TestConfigValidation:
         assert stderr.startswith("error: ")
         assert named in stderr
         assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("command", ["check", "limit", "sweep", "run"])
+def test_out_naming_a_file_exits_3(tmp_path, gk_path, capsys, command):
+    config = write_run_config(tmp_path, gk_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([command, "--config", config, "--out", str(taken)]) == 3
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: cannot write ")
+    assert str(taken) in stderr
 
 
 def test_cli_import_leaves_out_scipy_stats():

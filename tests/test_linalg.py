@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from hyprelax.chapman import exact_group_projection
 from hyprelax.linalg import (
     Contour,
     ContourTouchesSpectrumError,
@@ -14,7 +15,9 @@ from hyprelax.linalg import (
     matrix_exponential,
     reduced_resolvent,
     separating_contour,
+    spectral_group,
 )
+from hyprelax.systems import damped_euler_2d
 
 # Pairwise exchange matrix with rates a = b = c = 1/2: eigenvalues are
 # {0, 3/2, 3/2} and the kernel projection is the rank-one averaging matrix.
@@ -33,14 +36,10 @@ class TestEigendecompose:
         m = rng.normal(size=(5, 5))
         system = eigendecompose(m)
         assert np.all(np.diff(system.values.real) >= -1e-14)
-        residual = m @ system.vectors - system.vectors * system.values[None, :]
-        assert np.max(np.abs(residual)) < 1e-10
-
-    def test_symmetric_condition_is_one(self):
-        rng = np.random.default_rng(3)
-        m = rng.normal(size=(4, 4))
-        system = eigendecompose(m + m.T)
-        assert system.condition == pytest.approx(1.0, abs=1e-10)
+        # Each value is an eigenvalue: m - value is singular to rounding.
+        for value in system.values:
+            smallest = np.linalg.svd(m - value * np.eye(5), compute_uv=False)[-1]
+            assert smallest < 1e-10
 
     def test_exchange_matrix_clusters(self):
         system = eigendecompose(EXCHANGE)
@@ -201,6 +200,56 @@ class TestReducedResolvent:
             reduced @ (m - lam * np.eye(4)), np.eye(4) - projection, atol=1e-9
         )
         assert_allclose(reduced @ projection, np.zeros((4, 4)), atol=1e-9)
+
+
+class TestSpectralGroup:
+    def test_random_matrix_groups_resolve_identity(self):
+        rng = np.random.default_rng(2)
+        m = rng.normal(size=(5, 5))
+        system = eigendecompose(m)
+        groups = [spectral_group(m, system, cluster) for cluster in system.clusters]
+        assert sum(group.multiplicity for group in groups) == 5
+        assert_allclose(sum(group.projection for group in groups), np.eye(5), atol=1e-9)
+        for group in groups:
+            assert_allclose(group.projection @ group.projection, group.projection, atol=1e-9)
+
+    def test_semisimple_group_has_zero_nilpotent(self):
+        system = eigendecompose(EXCHANGE)
+        group = spectral_group(EXCHANGE, system, system.clusters[1])
+        assert group.value == pytest.approx(1.5, abs=1e-12)
+        assert group.multiplicity == 2
+        assert_allclose(group.projection, np.eye(3) - np.full((3, 3), 1.0 / 3.0), atol=1e-10)
+        assert_allclose(group.nilpotent, np.zeros((3, 3)), atol=1e-10)
+
+    def test_jordan_block_has_its_nilpotent(self):
+        m = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
+        system = eigendecompose(m)
+        group = spectral_group(m, system, system.clusters[0])
+        assert group.multiplicity == 2
+        assert_allclose(group.projection, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
+        expected = np.zeros((3, 3))
+        expected[0, 1] = 1.0
+        assert_allclose(group.nilpotent, expected, atol=1e-10)
+
+    def test_contour_encloses_only_the_group(self):
+        m = np.diag([0.0, 0.2, 3.0, 3.0])
+        system = eigendecompose(m)
+        for cluster in system.clusters:
+            contour = spectral_group(m, system, cluster).contour
+            inside = np.abs(system.values - contour.center) < contour.radius
+            assert np.flatnonzero(inside).tolist() == list(cluster.indices)
+
+    def test_exact_group_projection_is_the_nearest_zero_group(self):
+        system = damped_euler_2d()
+        k = np.array([0.3, -0.2])
+        symbol = system.symbol(k)
+        eigsys = eigendecompose(symbol)
+        zero = min(eigsys.clusters, key=lambda cluster: abs(cluster.value))
+        assert_allclose(
+            exact_group_projection(system, k),
+            spectral_group(symbol, eigsys, zero).projection,
+            atol=1e-12,
+        )
 
 
 class TestSeparatingContour:

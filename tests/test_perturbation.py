@@ -123,7 +123,7 @@ class TestProjectionSeries:
         family, lam0 = random_simple_pencil(seed)
         expansion = total_projection_series(family, lam0)
         coefficients = projection_coefficients(family, lam0, 2)
-        assert_allclose(expansion.projection, coefficients[0], atol=1e-9)
+        assert_allclose(expansion.group.projection, coefficients[0], atol=1e-9)
         assert_allclose(expansion.corrections[0], coefficients[1], atol=1e-8)
         assert_allclose(expansion.corrections[1], coefficients[2], atol=1e-7)
 
@@ -147,8 +147,8 @@ class TestProjectionSeries:
         family = PerturbationFamily(t0, rng.normal(size=(2, 2)))
         expansion = total_projection_series(family, 0.0)
         coefficients = projection_coefficients(family, 0.0, 2)
-        assert_allclose(expansion.projection, np.eye(2), atol=1e-10)
-        assert_allclose(expansion.nilpotent, t0, atol=1e-10)
+        assert_allclose(expansion.group.projection, np.eye(2), atol=1e-10)
+        assert_allclose(expansion.group.nilpotent, t0, atol=1e-10)
         assert_allclose(expansion.corrections[0], coefficients[1], atol=1e-8)
         assert_allclose(expansion.corrections[1], coefficients[2], atol=1e-7)
 
@@ -232,12 +232,12 @@ class TestReduceSemisimpleGroup:
         t1 = rng.normal(size=(3, 3))
         family = PerturbationFamily(t0, t1)
         reduced = reduce_semisimple_group(family, 0.0)
-        assert reduced.multiplicity == 2
-        assert sum(reduced.multiplicities) == 2
+        assert reduced.group.multiplicity == 2
+        assert sum(part.multiplicity for part in reduced.parts) == 2
         # Branch eigenvalues behave as z * beta to first order.
         z = 1e-6
         branches = nearest_eigenvalues(family.evaluate(z), 0.0, 2)
-        predicted = np.sort_complex(np.array(reduced.eigenvalues) * z)
+        predicted = np.sort_complex(np.array([part.value for part in reduced.parts]) * z)
         assert_allclose(np.sort_complex(branches), predicted, atol=1e-10)
 
     def test_subprojections_resolve_the_group(self):
@@ -246,10 +246,10 @@ class TestReduceSemisimpleGroup:
         t1 = rng.normal(size=(4, 4))
         family = PerturbationFamily(t0, t1)
         reduced = reduce_semisimple_group(family, 1.0)
-        total = sum(reduced.projections)
-        assert_allclose(total, reduced.projection, atol=1e-9)
-        for projection in reduced.projections:
-            assert_allclose(projection @ projection, projection, atol=1e-9)
+        total = sum(part.projection for part in reduced.parts)
+        assert_allclose(total, reduced.group.projection, atol=1e-9)
+        for part in reduced.parts:
+            assert_allclose(part.projection @ part.projection, part.projection, atol=1e-9)
 
     def test_defective_group_rejected(self):
         t0 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
@@ -263,9 +263,9 @@ class TestReduceSemisimpleGroup:
         t1 = rng.normal(size=(3, 3))
         family = PerturbationFamily(np.zeros((3, 3)), t1)
         reduced = reduce_semisimple_group(family, 0.0)
-        assert_allclose(sum(reduced.projections), np.eye(3), atol=1e-9)
+        assert_allclose(sum(part.projection for part in reduced.parts), np.eye(3), atol=1e-9)
         assert_allclose(
-            np.sort_complex(np.asarray(reduced.eigenvalues)),
+            np.sort_complex(np.array([part.value for part in reduced.parts])),
             np.sort_complex(np.linalg.eigvals(t1)),
             atol=1e-9,
         )
