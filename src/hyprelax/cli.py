@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -205,6 +206,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out != Path("."):
         out_dir = Path(args.out)
     cfg = replace(cfg, out_dir=str(out_dir))
+    # Fail before the experiment, not after it, when the report cannot be written.
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as error:
+        raise IoFailureError(f"cannot write report to {out_dir}: {error}") from error
+    if not os.access(out_dir, os.W_OK):
+        raise IoFailureError(f"cannot write report to {out_dir}: directory is not writable")
     report = run_experiment(cfg)
     emit_report(report, out_dir)
     for name, fit in sorted(report.fits.items()):

@@ -603,6 +603,17 @@ def run_experiment(
             f"{cfg.grid_half_width / 2.0:.3g}; enlarge the box or shorten the schedule"
         )
 
+    cut = cfg.cutoff if cfg.cutoff is not None else default_cutoff(system)
+    low = cfg.initial.band[0]
+    if cfg.initial.kind == "random-band" and low >= cut.inner:
+        # chi1 vanishes on |k| >= inner, so u1 and both profiles would be
+        # rounding noise and the fits would measure nothing.
+        raise ConfigurationError(
+            f"initial.band starts at {low:g}, outside the projected band "
+            f"|k| < cutoff.inner = {cut.inner:.6g}, so the data has no low-band "
+            f"mass; use a band with low < {cut.inner:.6g}, for example "
+            f"[0, {cut.inner:.6g}]"
+        )
     initial = make_initial_data(
         grid,
         system.size,
@@ -613,7 +624,6 @@ def run_experiment(
         radius=cfg.initial.radius,
         band=cfg.initial.band,
     )
-    cut = cfg.cutoff if cfg.cutoff is not None else default_cutoff(system)
     splitter = FrequencySplitter(system, grid, cut)
     limit = compute_parabolic_limit(system)
 

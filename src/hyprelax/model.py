@@ -35,6 +35,7 @@ __all__ = [
     "check_condition_D",
     "check_condition_S",
     "check_all_conditions",
+    "lift_axis_map",
     "load_system",
     "dump_system",
 ]
@@ -502,15 +503,21 @@ def _symmetry_residuals(system: HyperbolicSystem, s: np.ndarray) -> tuple[float,
     return commutator, anticommutator
 
 
-def _search_symmetry(system: HyperbolicSystem, seed: int) -> tuple[np.ndarray | None, dict]:
-    n = system.size
-    b = system.relaxation
+def _intertwiner(
+    pairs: list[tuple[np.ndarray, np.ndarray]], seed: int
+) -> tuple[np.ndarray | None, dict]:
+    """An invertible ``X`` with ``X M = N X`` for every ``(M, N)`` in ``pairs``.
+
+    The constraints are linear in ``X``: the SVD of their Kronecker form gives
+    the solution space, and seeded random combinations of its basis are tried
+    until one has ``sigma_min / sigma_max >= 1e-6``; it is returned scaled to
+    Frobenius norm ``sqrt(n)``.  ``info`` records the dimension of the
+    solution space and, when no invertible element turns up, the best ratio.
+    """
+    n = pairs[0][0].shape[0]
     eye = np.eye(n)
-    # Row-major vec: vec(S B) = (I (x) B^T) vec(S), vec(B S) = (B (x) I) vec(S).
-    blocks = [np.kron(eye, b.T) - np.kron(b, eye)]
-    for a in system.advections:
-        blocks.append(np.kron(eye, a.T) + np.kron(a, eye))
-    stacked = np.vstack(blocks)
+    # Row-major vec: vec(X M) = (I (x) M^T) vec(X), vec(N X) = (N (x) I) vec(X).
+    stacked = np.vstack([np.kron(eye, m.T) - np.kron(target, eye) for m, target in pairs])
     _, singular_values, vt = np.linalg.svd(stacked)
     top = singular_values[0] if singular_values.size else 0.0
     null_mask = np.zeros(vt.shape[0], dtype=bool)
@@ -532,6 +539,30 @@ def _search_symmetry(system: HyperbolicSystem, seed: int) -> tuple[np.ndarray | 
             return candidate, info
     info["best_invertibility_ratio"] = best_ratio
     return None, info
+
+
+def lift_axis_map(system: HyperbolicSystem, rotation: np.ndarray) -> np.ndarray | None:
+    """Lift of an orthogonal frequency map ``k -> R k`` to the state space.
+
+    Returns an invertible ``T`` with ``T B = B T`` and
+    ``T A^j = (sum_i R_ij A^i) T`` for every ``j``, so that
+    ``E(iRk) = T E(ik) T^-1`` at every frequency, or None when the
+    constraints admit no invertible solution or the one found misses them by
+    more than 1e-12 relative to the largest coefficient.  The solution space
+    comes from the Kronecker null-space solver that condition S uses.
+    """
+    b = system.relaxation
+    advections = np.stack(system.advections)
+    images = np.einsum("ij,ikl->jkl", np.asarray(rotation, dtype=float), advections)
+    found, _ = _intertwiner([(b, b)] + list(zip(advections, images)), seed=0)
+    if found is None:
+        return None
+    scale = max(float(np.max(np.abs(b))), float(np.max(np.abs(advections))), 1.0)
+    residual = max(
+        float(np.max(np.abs(found @ b - b @ found))),
+        float(np.max(np.abs(found @ advections - images @ found))),
+    )
+    return found if residual <= 1e-12 * scale else None
 
 
 def check_condition_S(system: HyperbolicSystem, *, seed: int = 0) -> ConditionReport:
@@ -566,7 +597,8 @@ def check_condition_S(system: HyperbolicSystem, *, seed: int = 0) -> ConditionRe
             if passed
             else {"commutator": commutator, "anticommutator": anticommutator},
         )
-    found, info = _search_symmetry(system, seed)
+    b = system.relaxation
+    found, info = _intertwiner([(b, b)] + [(a, -a) for a in system.advections], seed)
     if found is None:
         return ConditionReport(
             condition="S",

@@ -3,10 +3,14 @@
 Fields live on a uniform grid over the box ``[-L, L)^d`` with ``N`` points
 per axis, and frequencies are the discrete set ``k = (pi / L) m`` with
 integer ``m`` per axis.  The hyperbolic semigroup acts diagonally in
-frequency as ``exp(-E(ik) t)``.  :class:`FrequencySplitter` factors every
-symbol once as ``E(ik) = V diag(lambda) V^-1`` and applies
-``V diag(exp(-t lambda)) V^-1`` at each time (the eigenvector method); symbols
-whose eigenvector basis is ill-conditioned go through the Pade-13
+frequency as ``exp(-E(ik) t)``.  :class:`FrequencySplitter` factors the
+symbols once as ``E(ik) = V diag(lambda) V^-1`` and applies
+``V diag(exp(-t lambda)) V^-1`` at each time (the eigenvector method).  It
+factors one symbol per orbit of the grid frequencies under the axis
+reflections and swaps that lift to the system (``E(iRk) = T E(ik) T^-1``)
+and conjugation (``E(-ik) = conj E(ik)``, as ``A`` and ``B`` are real); the
+other members of an orbit take ``T V`` and ``V^-1 T^-1``.  Symbols whose
+eigenvector basis is ill-conditioned go through the Pade-13
 :func:`~hyprelax.linalg.matrix_exponential` instead, and every propagation
 re-checks the weakest factored symbols against it.  The low-frequency part
 ``u1`` applies the 0-group eigenprojection of the same factorization under a
@@ -19,8 +23,9 @@ parabolic comparison profiles apply the drift/diffusion multiplier with the
 zeroth-order (phi) or first-order (psi) projection moment.
 
 What does not depend on the time is computed once: per grid the frequency
-vectors and the drift and diffusion forms, per datum its spectrum, its modal
-coefficients ``V^-1 u``, its band moment and its profile moments.  Caching a
+vectors and the drift and diffusion forms, per (system, grid) the orbit map,
+per datum its spectrum, its modal coefficients ``V^-1 T^-1 u`` in orbit
+order, its band moment and its profile moments.  Caching a
 datum's invariants makes its values read-only, so an in-place edit raises
 instead of leaving stale entries behind.
 
@@ -45,7 +50,7 @@ from .chapman import (
     separation_threshold,
 )
 from .linalg import matrix_exponential
-from .model import HyperbolicSystem
+from .model import HyperbolicSystem, lift_axis_map
 
 __all__ = [
     "SpectralError",
@@ -318,19 +323,173 @@ def default_cutoff(system: HyperbolicSystem) -> CutoffSpec:
     return CutoffSpec(inner=inner, outer=outer)
 
 
-def _conjugate_partners(grid: PeriodicGrid) -> np.ndarray:
-    """Flat index of ``-k`` for every grid frequency ``k``; -1 if off the grid.
+def _grid_symmetries(system: HyperbolicSystem, dimension: int) -> list[tuple]:
+    """Elements ``(R, T, c)`` with ``E(iRk) = T E(ik)^(c) T^-1``, identity first.
 
-    Frequencies on a Nyquist plane (index ``N/2`` on some axis) are the ones
-    whose negation is not a grid frequency.
+    ``E^(1)`` is the complex conjugate: ``A`` and ``B`` are real, so
+    ``E(-ik) = conj E(ik)`` and ``(-I, I, 1)`` is always an element.  The
+    other generators are the axis reflections and swaps that lift to the
+    system (:func:`~hyprelax.model.lift_axis_map`); the group is their
+    closure, each element kept with the first product that reaches it.  Every
+    ``T`` is real, so a product's transform is the product of the transforms.
     """
-    n = grid.points
-    negated = (-np.arange(n)) % n
-    flat = np.arange(grid.total_points).reshape(grid.shape)
-    partners = flat[np.ix_(*([negated] * grid.dimension))]
-    for axis in range(grid.dimension):
-        np.moveaxis(partners, axis, 0)[n // 2] = -1
-    return partners.reshape(-1)
+    identity = np.eye(dimension, dtype=np.intp)
+    generators = [(-identity, np.eye(system.size), True)]
+    axis_maps = []
+    for axis in range(dimension):
+        reflection = identity.copy()
+        reflection[axis, axis] = -1
+        axis_maps.append(reflection)
+    for first in range(dimension):
+        for second in range(first + 1, dimension):
+            swap = identity.copy()
+            swap[[first, second]] = swap[[second, first]]
+            axis_maps.append(swap)
+    for rotation in axis_maps:
+        transform = lift_axis_map(system, rotation)
+        if transform is not None:
+            generators.append((rotation, transform, False))
+    elements = [(identity, np.eye(system.size), False)]
+    seen = {identity.tobytes()}
+    for rotation, transform, conjugate in elements:  # grows until closed
+        for g_rotation, g_transform, g_conjugate in generators:
+            product = g_rotation @ rotation
+            if product.tobytes() not in seen:
+                seen.add(product.tobytes())
+                elements.append((product, g_transform @ transform, g_conjugate != conjugate))
+    return elements
+
+
+@dataclass(frozen=True)
+class _Orbits:
+    """Orbits of the grid frequencies under a group of symbol symmetries.
+
+    Element ``g`` maps the frequency ``k`` to ``R_g k`` (a signed permutation
+    of the axes) with ``E(i R_g k) = T_g E(ik)^(c_g) T_g^-1``, where ``E^(1)``
+    is the complex conjugate.  Member ``m`` of the grid is ``R_g`` applied to
+    the representative of its orbit: ``g = element[m]``, the representative
+    is ``representatives[orbit[m]]`` and maps to itself by the identity
+    (element 0).  A member on a Nyquist plane is its own representative,
+    since negating its Nyquist coordinate leaves the grid.  The orbit-order
+    layout of a multi-component array is ``(element, component, orbit)``;
+    ``slot`` gives the flat position of every ``(component, member)`` in it,
+    and the slots of no member stay zero.
+    """
+
+    rotations: np.ndarray
+    transforms: np.ndarray
+    inverses: np.ndarray
+    conjugate: np.ndarray
+    representatives: np.ndarray
+    orbit: np.ndarray
+    element: np.ndarray
+    slot: np.ndarray
+
+    def _apply(self, matrices: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """``out[g] = (M_g slots[g])^(c_g)`` for real matrices ``M_g``.
+
+        One scaled row per nonzero entry: the transforms are mostly signed
+        permutations, and a batched ``matmul`` would start BLAS threads that
+        keep spinning through the rest of the step.
+        """
+        out = np.empty_like(slots)
+        for g, matrix in enumerate(matrices):
+            for i, row in enumerate(matrix):
+                first, *others = np.flatnonzero(row)
+                np.multiply(slots[g, first], row[first], out=out[g, i])
+                for j in others:
+                    out[g, i] += row[j] * slots[g, j]
+            if self.conjugate[g]:
+                np.conjugate(out[g], out=out[g])
+        return out
+
+    def to_orbit_order(self, flat: np.ndarray) -> np.ndarray:
+        """``w[g, :, r] = (T_g^-1 u(R_g k_r))^(c_g)`` of a flat ``(components, N^d)``
+        array."""
+        layout = (self.transforms.shape[0], flat.shape[0], self.representatives.size)
+        slots = np.zeros(np.prod(layout), dtype=complex)
+        slots[self.slot] = flat
+        return self._apply(self.inverses, slots.reshape(layout))
+
+    def to_grid(self, slots: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`to_orbit_order`: ``u(R_g k_r) = T_g w[g, :, r]^(c_g)``."""
+        return np.take(self._apply(self.transforms, slots).reshape(-1), self.slot)
+
+    def compose(self, members, values, vectors, inverse):
+        """``lambda``, ``V`` and ``V^-1`` of grid members from the factors of
+        their representatives: ``lambda^(c)``, ``T V^(c)`` and ``V^-1^(c) T^-1``.
+
+        ``values`` is ``(components, orbits)``; ``vectors`` and ``inverse``
+        are indexed ``(orbit, row, column)``.  Returns the members' values as
+        ``(members, components)`` and their factors as ``(members, n, n)``.
+        """
+        g, r = self.element[members], self.orbit[members]
+        conjugate = self.conjugate[g][:, None]
+        values = values[:, r].T
+        vectors, inverse = vectors[r], inverse[r]
+        values = np.where(conjugate, values.conj(), values)
+        vectors = np.where(conjugate[..., None], vectors.conj(), vectors)
+        inverse = np.where(conjugate[..., None], inverse.conj(), inverse)
+        return values, self.transforms[g] @ vectors, inverse @ self.inverses[g]
+
+
+def _grid_orbits(system: HyperbolicSystem, grid: PeriodicGrid) -> _Orbits:
+    """The orbit map of ``grid`` under the symmetries of ``system``.
+
+    Each orbit's representative is its smallest flat index.
+    """
+    elements = _grid_symmetries(system, grid.dimension)
+    rotations = np.stack([rotation for rotation, _, _ in elements])
+    transforms = np.stack([transform for _, transform, _ in elements])
+    n, d = grid.points, grid.dimension
+    signed = np.fft.ifftshift(np.arange(-(n // 2), n // 2))
+    strides = n ** np.arange(d - 1, -1, -1)
+
+    def along(axis: int, values: np.ndarray) -> np.ndarray:
+        return values.reshape([n if a == axis else 1 for a in range(d)])
+
+    nyquist = np.zeros(grid.shape, dtype=bool)
+    for axis in range(d):
+        nyquist = nyquist | along(axis, signed == -(n // 2))
+    nyquist = nyquist.reshape(-1)
+    members = np.arange(grid.total_points)
+    nearest = members.copy()
+    through = np.zeros(members.size, dtype=np.intp)
+    for g, rotation in enumerate(rotations):
+        # Axis i of the image is axis j of the member times R_ij = +-1; n is a
+        # power of two, so ``& (n - 1)`` wraps negative indices.
+        image = np.zeros(grid.shape, dtype=np.intp)
+        for i, row in enumerate(rotation):
+            j = int(np.flatnonzero(row)[0])
+            image = image + along(j, ((row[j] * signed) & (n - 1)) * strides[i])
+        image = image.reshape(-1)
+        closer = (image < nearest) & ~nyquist
+        nearest[closer] = image[closer]
+        through[closer] = g
+    # ``through`` carries each member to its representative; its inverse
+    # (the transpose of a signed permutation) carries the representative back.
+    inverse_of = np.array(
+        [
+            next(h for h, other in enumerate(rotations) if np.array_equal(other, rotation.T))
+            for rotation in rotations
+        ]
+    )
+    is_representative = nearest == members
+    representatives = np.flatnonzero(is_representative)
+    orbit = (np.cumsum(is_representative) - 1)[nearest]
+    element = inverse_of[through]
+    count, components = representatives.size, system.size
+    base = element * (components * count) + orbit
+    return _Orbits(
+        rotations=rotations,
+        transforms=transforms,
+        inverses=np.linalg.inv(transforms),
+        conjugate=np.array([conjugate for _, _, conjugate in elements]),
+        representatives=representatives,
+        orbit=orbit,
+        element=element,
+        slot=base[None, :] + count * np.arange(components)[:, None],
+    )
 
 
 def _basis_condition(vectors: np.ndarray, inverse: np.ndarray) -> np.ndarray:
@@ -367,23 +526,23 @@ def _like(flat: np.ndarray, like: GridField) -> GridField:
 
 @dataclass(frozen=True)
 class _Eigenbasis:
-    """``E(ik) = V diag(lambda) V^-1`` for every grid frequency.
+    """``E(ik) = V diag(lambda) V^-1`` at every grid frequency, stored per orbit.
 
-    ``values`` holds the eigenvalues ``(components, pairs)`` of one member of
-    each conjugate pair; ``pick`` gives every frequency's column in it, and
-    ``mirrored`` marks the frequencies whose eigenvalues are the conjugates of
-    that column.  ``vectors`` and ``inverse`` are indexed ``(frequency, row,
-    column)`` but stored frequency-last, so the per-time apply reads them
-    contiguously.  ``fallback`` lists the members whose basis fails the
-    condition guard, ``audit`` the factored members with the worst condition,
-    and ``exact_symbols`` the symbols of both, audit first: the only rows of
-    the symbol stack that are kept.  ``band_values`` and ``band_projections``
-    are the band table of ``_projection_table``.
+    ``values`` ``(components, orbits)``, ``vectors`` and ``inverse`` are the
+    factors of each orbit's representative; ``vectors`` and ``inverse`` are
+    indexed ``(orbit, row, column)`` but stored orbit-last, so the per-time
+    apply reads them contiguously.  A member takes its factors through
+    ``orbits.compose``.  ``condition`` bounds each member's
+    estimate ``|T V|_F |V^-1 T^-1|_F`` by ``cond_2(T) |V|_F |V^-1|_F``.
+    ``fallback`` lists the members whose bound fails the condition guard,
+    ``audit`` the factored members checked at every propagation, and
+    ``exact_symbols`` the symbols of both, audit first: the only rows of the
+    symbol stack that are kept.  ``band_values`` and ``band_projections`` are
+    the band table of ``_projection_table``.
     """
 
+    orbits: _Orbits
     values: np.ndarray
-    pick: np.ndarray
-    mirrored: np.ndarray
     vectors: np.ndarray
     inverse: np.ndarray
     condition: np.ndarray
@@ -392,13 +551,6 @@ class _Eigenbasis:
     exact_symbols: np.ndarray
     band_values: np.ndarray
     band_projections: np.ndarray
-
-    def exponentials(self, t: float) -> np.ndarray:
-        """``exp(-t lambda)`` as ``(components, N^d)``, one exponential per
-        conjugate pair, the partner taking its conjugate."""
-        decay = np.take(np.exp(-t * self.values), self.pick, axis=1)
-        np.conjugate(decay, out=decay, where=self.mirrored)
-        return decay
 
 
 class FrequencySplitter:
@@ -409,21 +561,29 @@ class FrequencySplitter:
     left eigenvectors of the eigenvalue nearest zero, taken from the one
     factorization below.
 
-    The first propagation builds the symbols of one member of each conjugate
-    pair ``E(-ik) = conj(E(ik))``, factors them as ``V diag(lambda) V^-1``
-    (the partner takes the conjugate factors) and caches the factors; of the
-    symbols it keeps only the rows the checks below reuse.  Each datum's
-    modal coefficients ``c = V^-1 u`` and band moment ``chi1 P0 u`` are
-    computed once and cached on the datum, so each time ``t`` then costs
-    ``V (exp(-t lambda) * c)`` and ``exp(-t lambda0)`` on the band.  A member
-    whose estimate ``|V|_F |V^-1|_F`` exceeds :data:`CONDITION_LIMIT` is
+    The first propagation finds the axis reflections and swaps ``R`` of the
+    grid that lift to the system (``E(iRk) = T E(ik) T^-1``) and splits the
+    grid into orbits of the group they generate together with conjugation
+    ``E(-ik) = conj(E(ik))``.  It factors the symbol of one representative
+    per orbit as ``V diag(lambda) V^-1`` and caches those factors only: the
+    member ``Rk`` has ``lambda``, ``T V`` and ``V^-1 T^-1`` (conjugated first
+    when the element includes conjugation).  Of the symbols it keeps only the
+    rows the checks below reuse.  Each datum's modal coefficients
+    ``c = V^-1 T^-1 u``, laid out in orbit order, and band moment
+    ``chi1 P0 u`` are computed once and cached on the datum, so each time
+    ``t`` then costs ``exp(-t lambda)`` per orbit, ``V (exp(-t lambda) * c)``
+    in orbit order, one ``T`` product per element, one gather back to the
+    grid, and ``exp(-t lambda0)`` on the band.  A member whose condition bound
+    ``cond_2(T) |V|_F |V^-1|_F`` exceeds :data:`CONDITION_LIMIT` is
     exponentiated by :func:`~hyprelax.linalg.matrix_exponential` (and, in the
     band, projected by :func:`~hyprelax.chapman.exact_group_projection`)
     instead; their number is :attr:`fallback_count`.  Every propagation
-    recomputes the four worst-conditioned factored members with the Pade
-    exponential, and the first propagation recomputes the worst-conditioned
-    band projection by contour quadrature; a relative mismatch above 1e-10
-    raises :class:`SpectralError`.
+    recomputes with the Pade exponential the four worst-conditioned factored
+    members of the grid and the worst-conditioned member each non-identity
+    element maps, from the stored representative factors; the first
+    propagation recomputes the worst-conditioned band projection by contour
+    quadrature.  A relative mismatch above 1e-10 raises
+    :class:`SpectralError`.
 
     Raises:
         GroupNotSeparatedError: at the first propagation, if the 0-group is
@@ -493,40 +653,44 @@ class FrequencySplitter:
         return zero_values, projections
 
     def _eigenbasis(self) -> _Eigenbasis:
-        """Factor every symbol once; later calls return the cached factors."""
+        """Factor one symbol per orbit once; later calls return the cached factors."""
         if self._basis is not None:
             return self._basis
-        partners = _conjugate_partners(self.grid)
-        mirrored = (partners >= 0) & (partners < np.arange(partners.size))
-        own = np.flatnonzero(~mirrored)
-        pick = np.empty(partners.size, dtype=np.intp)
-        pick[own] = np.arange(own.size)
-        pick[mirrored] = pick[partners[mirrored]]
-        values, own_vectors = np.linalg.eig(self.system.symbol_stack(self._vectors[own]))
-        own_inverse = np.linalg.inv(own_vectors)
-        layout = (self.system.size, self.system.size, partners.size)
-        vectors = np.empty(layout, dtype=complex).transpose(2, 0, 1)
-        inverse = np.empty(layout, dtype=complex).transpose(2, 0, 1)
-        vectors[own], inverse[own] = own_vectors, own_inverse
-        vectors[mirrored] = own_vectors[pick[mirrored]].conj()
-        inverse[mirrored] = own_inverse[pick[mirrored]].conj()
-        condition = _basis_condition(own_vectors, own_inverse)[pick]
-        del own_vectors, own_inverse
+        orbits = _cached(
+            self.grid, "orbits", self.system, lambda: _grid_orbits(self.system, self.grid)
+        )
+        values, vectors = np.linalg.eig(
+            self.system.symbol_stack(self._vectors[orbits.representatives])
+        )
+        inverse = np.linalg.inv(vectors)
+        vectors = np.ascontiguousarray(vectors.transpose(1, 2, 0)).transpose(2, 0, 1)
+        inverse = np.ascontiguousarray(inverse.transpose(1, 2, 0)).transpose(2, 0, 1)
+        values = np.ascontiguousarray(values.T)
+        condition = (
+            np.linalg.cond(orbits.transforms)[orbits.element]
+            * _basis_condition(vectors, inverse)[orbits.orbit]
+        )
         trusted = condition <= CONDITION_LIMIT
         ranked = np.argsort(np.where(trusted, condition, -np.inf), kind="stable")[::-1]
-        audit = ranked[trusted[ranked]][:_AUDIT_MEMBERS]
+        ranked = ranked[trusted[ranked]]
+        # The worst members of the grid, then the worst that each non-identity
+        # element maps, so a wrong transform cannot escape the audit.
+        elements = range(1, orbits.transforms.shape[0])
+        mapped = [ranked[orbits.element[ranked] == g][:1] for g in elements]
+        audit = np.concatenate([ranked[:_AUDIT_MEMBERS], *mapped])
+        audit = np.array(list(dict.fromkeys(audit.tolist())), dtype=np.intp)
         fallback = np.flatnonzero(~trusted)
         band = self._band
-        band_values = values[pick[band]]
-        band_values[mirrored[band]] = band_values[mirrored[band]].conj()
+        band_values, band_vectors, band_inverse = orbits.compose(
+            band, values, vectors, inverse
+        )
         band_values, band_projections = self._projection_table(
-            band_values, vectors[band], inverse[band], condition[band]
+            band_values, band_vectors, band_inverse, condition[band]
         )
         exact_rows = np.concatenate([audit, fallback])
         self._basis = _Eigenbasis(
-            values=np.ascontiguousarray(values.T),
-            pick=pick,
-            mirrored=mirrored,
+            orbits=orbits,
+            values=values,
             vectors=vectors,
             inverse=inverse,
             condition=condition,
@@ -548,25 +712,30 @@ class FrequencySplitter:
         """Largest eigenvector-basis condition estimate over the grid."""
         return float(np.max(self._eigenbasis().condition))
 
-    def _modal(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Modal coefficients ``V^-1 u`` (fallback members keep ``u``) and band
-        moment ``chi1 P0 u`` of a flat spectrum."""
+    def _modal(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Modal coefficients ``V^-1 T^-1 u`` in orbit order, the fallback
+        members' spectrum and the band moment ``chi1 P0 u`` of a flat spectrum."""
         basis = self._eigenbasis()
-        coefficients = np.einsum("ijf,jf->if", basis.inverse.transpose(1, 2, 0), flat)
-        coefficients[:, basis.fallback] = flat[:, basis.fallback]
+        slots = basis.orbits.to_orbit_order(flat)
+        coefficients = np.einsum("ijr,gjr->gir", basis.inverse.transpose(1, 2, 0), slots)
         moment = self._band_weights * np.einsum(
             "fij,jf->if", basis.band_projections, flat[:, self._band]
         )
-        return coefficients, moment
+        return coefficients, flat[:, basis.fallback], moment
 
-    def _propagate(self, t: float, coefficients: np.ndarray) -> np.ndarray:
-        """``exp(-E(ik) t)`` applied to a datum given by its modal coefficients."""
+    def _propagate(
+        self, t: float, coefficients: np.ndarray, fallback: np.ndarray
+    ) -> np.ndarray:
+        """``exp(-E(ik) t)`` applied to a datum given by its modal coefficients
+        and its fallback members' spectrum."""
         basis = self._eigenbasis()
-        decay = basis.exponentials(t)
-        audit, fallback = basis.audit, basis.fallback
+        audit = basis.audit
         exact = matrix_exponential(-t * basis.exact_symbols)
         reference = exact[: audit.size]
-        eigen = (basis.vectors[audit] * decay[:, audit].T[:, None, :]) @ basis.inverse[audit]
+        values, vectors, inverse = basis.orbits.compose(
+            audit, basis.values, basis.vectors, basis.inverse
+        )
+        eigen = (vectors * np.exp(-t * values)[:, None, :]) @ inverse
         mismatch = np.linalg.norm(eigen - reference, axis=(-2, -1)) / np.linalg.norm(
             reference, axis=(-2, -1)
         )
@@ -577,11 +746,9 @@ class FrequencySplitter:
                 f"t = {t:g} differs from the Pade exponential by "
                 f"{mismatch[worst]:.3e} relative"
             )
-        decay *= coefficients
-        out = np.einsum("ijf,jf->if", basis.vectors.transpose(1, 2, 0), decay)
-        out[:, fallback] = np.einsum(
-            "fij,jf->if", exact[audit.size :], coefficients[:, fallback]
-        )
+        decayed = basis.vectors.transpose(1, 2, 0) * np.exp(-t * basis.values)
+        out = basis.orbits.to_grid(np.einsum("ijr,gjr->gir", decayed, coefficients))
+        out[:, basis.fallback] = np.einsum("fij,jf->if", exact[audit.size :], fallback)
         return out
 
     def decompose(self, field: GridField, t: float) -> tuple[GridField, GridField, GridField]:
@@ -593,10 +760,10 @@ class FrequencySplitter:
         """
         if t < 0:
             raise ValueError(f"evolution time must be nonnegative, got {t}")
-        coefficients, moment = _invariant(
+        coefficients, fallback, moment = _invariant(
             field, "modal", self, lambda: self._modal(_spectrum(field))
         )
-        full = self._propagate(t, coefficients)
+        full = self._propagate(t, coefficients, fallback)
         low = np.zeros_like(full)
         low[:, self._band] = moment * np.exp(-t * self._eigenbasis().band_values)
         return _like(full, field), _like(low, field), _like(full - low, field)

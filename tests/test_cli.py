@@ -387,6 +387,8 @@ class TestConfigValidation:
             ("gk_decay", "fit", "t_min", 50.0, "fit.t_min"),
             ("gk_decay", "fit", "exp_t_min", 50.0, "fit.exp_t_min"),
             ("euler_decay", "initial", "amplitudes", [1.0, 0.3], "initial.amplitudes"),
+            # The default band (0.5, 1.5) misses |k| < cutoff.inner = 0.23.
+            ("gk_decay", "initial", "kind", "random-band", "use a band with low < 0.23"),
         ],
     )
     def test_invalid_demo_copy_exits_3_before_propagating(
@@ -412,7 +414,10 @@ class TestConfigValidation:
 
 
 @pytest.mark.parametrize("command", ["check", "limit", "sweep", "run"])
-def test_out_naming_a_file_exits_3(tmp_path, gk_path, capsys, command):
+def test_out_naming_a_file_exits_3(tmp_path, gk_path, capsys, monkeypatch, command):
+    # ``run`` must find out before the experiment, not after it.
+    calls = []
+    monkeypatch.setattr(FrequencySplitter, "decompose", lambda *args: calls.append(args))
     config = write_run_config(tmp_path, gk_path)
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -420,6 +425,7 @@ def test_out_naming_a_file_exits_3(tmp_path, gk_path, capsys, command):
     stderr = capsys.readouterr().err
     assert stderr.startswith("error: cannot write ")
     assert str(taken) in stderr
+    assert calls == []
 
 
 def test_cli_import_leaves_out_scipy_stats():

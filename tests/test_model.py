@@ -16,6 +16,7 @@ from hyprelax.model import (
     check_condition_R,
     check_condition_S,
     dump_system,
+    lift_axis_map,
     load_system,
     max_wave_speed,
     sphere_samples,
@@ -294,6 +295,34 @@ class TestConditionS:
     def test_no_symmetry_exists(self):
         report = check_condition_S(marginally_dissipative())
         assert not report.passed
+
+
+class TestLiftAxisMap:
+    def test_plane_reflections_and_swap_lift(self):
+        system = damped_euler_2d()
+        b, advections = system.relaxation, np.stack(system.advections)
+        for rotation in ([[-1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]]):
+            rotation = np.array(rotation)
+            lift = lift_axis_map(system, rotation)
+            images = np.einsum("ij,ikl->jkl", rotation, advections)
+            assert np.max(np.abs(lift @ b - b @ lift)) <= 1e-12
+            assert np.max(np.abs(lift @ advections - images @ lift)) <= 1e-12
+            # The solution space is one-dimensional: a scaled signed permutation.
+            assert_allclose(np.sort(np.abs(lift), axis=None)[-3:], 1.0, atol=1e-12)
+
+    def test_negation_lifts_exactly_when_condition_s_holds(self):
+        # Lifting k -> -k is condition S: T B = B T and T A^j = -A^j T.
+        assert lift_axis_map(goldstein_kac_1d(), -np.eye(1)) is not None
+        assert lift_axis_map(marginally_dissipative(), -np.eye(1)) is None
+
+    def test_generic_system_has_no_lift(self):
+        rng = np.random.default_rng(4)
+        system = HyperbolicSystem(
+            advections=tuple(rng.standard_normal((2, 3, 3))),
+            relaxation=np.diag([0.0, 1.0, 2.0]),
+        )
+        for rotation in ([[-1, 0], [0, 1]], [[0, 1], [1, 0]], [[-1, 0], [0, -1]]):
+            assert lift_axis_map(system, np.array(rotation)) is None
 
 
 class TestCheckAll:

@@ -20,6 +20,7 @@ from hyprelax.spectral import (
     SpectralError,
     SupportTooWideError,
     WrongRepresentationError,
+    _grid_orbits,
     default_cutoff,
     evolve_parabolic_phi,
     evolve_parabolic_psi,
@@ -456,15 +457,50 @@ class TestEigenPropagator:
             assert relative_gap(evolved.values, pade.values) <= 1e-12
             assert np.all(evolved.values[:, ~mask] == 0.0)
 
+    def test_system_without_lifts_matches_pade(self):
+        system = random_plane_system(3)
+        grid = PeriodicGrid(dimension=2, points=32, half_width=8.0)
+        splitter = FrequencySplitter(system, grid, CutoffSpec(inner=0.5, outer=20.0))
+        field = white_spectrum(grid, system.size, seed=10)
+        for t in (0.0, 0.7, 5.0):
+            u, u1, u2 = splitter.decompose(field, t)
+            pade = evolve_hyperbolic(system, field, t)
+            assert relative_gap(u.values, pade.values) <= 1e-12
+            assert_allclose(u1.values + u2.values, u.values, atol=1e-14)
+        orbits = splitter._eigenbasis().orbits
+        assert orbits.conjugate.tolist() == [False, True]
+        assert splitter.fallback_count == 0
+
     def test_corrupted_factorization_fails_the_audit(self):
-        system, grid = goldstein_kac_1d(), self.CASES["line"][1]
+        # The audit composes each member's factors from the stored factors of
+        # its representative, so corrupting those is caught at the next step;
+        # in the plane the last audited member is mapped by a non-identity
+        # element.
+        for build, grid in self.CASES.values():
+            system = build()
+            splitter = FrequencySplitter(system, grid)
+            field = white_spectrum(grid, system.size, seed=4)
+            splitter.decompose(field, 1.0)
+            basis = splitter._eigenbasis()
+            representative = basis.orbits.orbit[basis.audit[-1]]
+            basis.vectors[representative, :, 0] *= 1.0 + 1e-6
+            with pytest.raises(SpectralError, match="Pade"):
+                splitter.decompose(field, 1.0)
+
+    def test_wrong_lift_fails_the_audit(self):
+        # A consistent but wrong transform pair for one element: T D and
+        # D T^-1 with D = diag(1, 1, -1) no longer carries E(ik) to E(iRk).
+        system, grid = damped_euler_2d(), self.CASES["plane"][1]
         splitter = FrequencySplitter(system, grid)
         field = white_spectrum(grid, system.size, seed=4)
         splitter.decompose(field, 1.0)
-        basis = splitter._eigenbasis()
-        basis.vectors[basis.audit[0], :, 0] *= 1.0 + 1e-6
+        orbits = splitter._eigenbasis().orbits
+        flip = np.diag([1.0, 1.0, -1.0])
+        g = orbits.transforms.shape[0] - 1
+        orbits.transforms[g] = orbits.transforms[g] @ flip
+        orbits.inverses[g] = flip @ orbits.inverses[g]
         with pytest.raises(SpectralError, match="Pade"):
-            splitter.decompose(field, 1.0)
+            splitter.decompose(field, 2.0)
 
     def test_wrong_band_projection_fails_the_audit(self, monkeypatch):
         import hyprelax.spectral as spectral
@@ -560,6 +596,104 @@ class TestEigenPropagator:
         splitter = FrequencySplitter(system, grid, CutoffSpec(inner=1.0, outer=20.0))
         with pytest.raises(GroupNotSeparatedError):
             splitter.decompose(white_spectrum(grid, system.size, seed=8), 1.0)
+
+
+def random_plane_system(seed: int) -> HyperbolicSystem:
+    """Seeded symmetric 2-D system with n = 3 and a one-dimensional kernel of
+    ``B``; no axis reflection or swap lifts to it."""
+    rng = np.random.default_rng(seed)
+    advections = []
+    for _ in range(2):
+        m = rng.standard_normal((3, 3))
+        advections.append(0.5 * (m + m.T))
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return HyperbolicSystem(
+        advections=tuple(advections), relaxation=q @ np.diag([0.0, 1.0, 2.0]) @ q.T
+    )
+
+
+class TestOrbitMap:
+    """The orbit map against the grid and the system it is built from."""
+
+    CASES = {
+        "line": (goldstein_kac_1d, PeriodicGrid(1, 256, 40.0)),
+        "line-unlifted": (lambda: drifting_two_speed(), PeriodicGrid(1, 64, 10.0)),
+        "plane": (damped_euler_2d, PeriodicGrid(2, 64, 16.0)),
+        "plane-unlifted": (lambda: random_plane_system(3), PeriodicGrid(2, 16, 4.0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_member_is_covered_once(self, case):
+        build, grid = self.CASES[case]
+        system = build()
+        orbits = _grid_orbits(system, grid)
+        count = orbits.representatives.size
+        assert np.array_equal(orbits.rotations[0], np.eye(grid.dimension))
+        assert np.array_equal(orbits.orbit[orbits.representatives], np.arange(count))
+        assert np.all(orbits.element[orbits.representatives] == 0)
+        pairs = orbits.element * count + orbits.orbit
+        assert np.unique(pairs).size == grid.total_points
+        assert orbits.slot.shape == (system.size, grid.total_points)
+        assert np.unique(orbits.slot).size == orbits.slot.size
+        flat = white_spectrum(grid, system.size, seed=15).flat()
+        back = orbits.to_grid(orbits.to_orbit_order(flat))
+        assert np.max(np.abs(back - flat)) <= 1e-15 * np.max(np.abs(flat))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_members_are_images_of_their_representatives(self, case):
+        # Equality with the member's own frequency also shows that the image
+        # of the representative is a grid frequency.
+        build, grid = self.CASES[case]
+        orbits = _grid_orbits(build(), grid)
+        vectors = grid.frequency_vectors()
+        representatives = orbits.representatives[orbits.orbit]
+        images = np.einsum(
+            "fij,fj->fi", orbits.rotations[orbits.element], vectors[representatives]
+        )
+        assert np.array_equal(images, vectors)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_lifted_transforms_commute(self, case):
+        # E(iRk) = T E(ik)^(c) T^-1 needs T B = B T and, since conjugation
+        # maps k to -k, T A^j = (-1)^c sum_i R_ij A^i T.
+        build, grid = self.CASES[case]
+        system = build()
+        orbits = _grid_orbits(system, grid)
+        advections = np.stack(system.advections)
+        b = system.relaxation
+        for rotation, transform, inverse, conjugate in zip(
+            orbits.rotations, orbits.transforms, orbits.inverses, orbits.conjugate
+        ):
+            sign = -1.0 if conjugate else 1.0
+            images = sign * np.einsum("ij,ikl->jkl", rotation, advections)
+            assert np.max(np.abs(transform @ b - b @ transform)) <= 1e-12
+            assert np.max(np.abs(transform @ advections - images @ transform)) <= 1e-12
+            assert np.max(np.abs(transform @ inverse - np.eye(system.size))) <= 1e-12
+
+    def test_representative_counts(self):
+        for case in ("line", "line-unlifted"):
+            build, grid = self.CASES[case]
+            orbits = _grid_orbits(build(), grid)
+            assert orbits.rotations.shape[0] == 2
+            assert orbits.representatives.size == grid.points // 2 + 1
+        for points in (64, 512):
+            grid = PeriodicGrid(2, points, 100.0)
+            orbits = _grid_orbits(damped_euler_2d(), grid)
+            assert orbits.rotations.shape[0] == 8
+            assert orbits.representatives.size <= points**2 // 8 + 4 * points
+        build, grid = self.CASES["plane-unlifted"]
+        orbits = _grid_orbits(build(), grid)
+        assert orbits.conjugate.tolist() == [False, True]
+        assert np.array_equal(orbits.rotations[1], -np.eye(2))
+        assert orbits.representatives.size == grid.points**2 // 2 + grid.points
+
+    def test_orbit_map_is_built_once_per_system_and_grid(self):
+        system, grid = damped_euler_2d(), PeriodicGrid(2, 32, 8.0)
+        first = FrequencySplitter(system, grid, CutoffSpec(inner=0.35, outer=20.0))
+        second = FrequencySplitter(system, grid, CutoffSpec(inner=0.2, outer=20.0))
+        other = FrequencySplitter(goldstein_kac_1d(), PeriodicGrid(1, 32, 8.0))
+        assert first._eigenbasis().orbits is second._eigenbasis().orbits
+        assert other._eigenbasis().orbits is not first._eigenbasis().orbits
 
 
 def drifting_two_speed() -> HyperbolicSystem:
