@@ -4,7 +4,7 @@ Subcommands: ``check`` (structural conditions), ``limit`` (drift and
 diffusion of the parabolic limit), ``sweep`` (tracked eigenvalues of the
 symbol along a ray), ``run`` (decay experiment), ``report`` (re-serialize
 an existing report).  Exit codes: 0 success, 1 rate-check failure, 2
-condition failure, 3 configuration or input error (including a failed
+condition failure, 3 usage, configuration or input error (including a failed
 spectral audit).
 """
 
@@ -46,13 +46,20 @@ CONDITION_EXIT = 2
 CONFIG_EXIT = 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", type=Path, help="experiment config file")
-    shared.add_argument("--seed", type=int, default=None, help="initial-data seed override")
-    shared.add_argument("--out", type=Path, default=Path("."), help="output directory")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a configuration error (exit 3), not exit 2."""
 
-    parser = argparse.ArgumentParser(
+    def error(self, message: str):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", type=Path, help="experiment config file")
+
+    parser = _Parser(
         prog="hyprelax",
         description="Structural checks, parabolic limits, and decay experiments "
         "for partially dissipative hyperbolic systems.",
@@ -60,17 +67,17 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     check = commands.add_parser(
-        "check", parents=[shared], help="verify structural conditions of a system"
+        "check", parents=[config, output], help="verify structural conditions of a system"
     )
     check.add_argument("system", nargs="?", type=Path, help="system file")
 
     limit = commands.add_parser(
-        "limit", parents=[shared], help="compute the parabolic limit coefficients"
+        "limit", parents=[config, output], help="compute the parabolic limit coefficients"
     )
     limit.add_argument("system", nargs="?", type=Path, help="system file")
 
     sweep = commands.add_parser(
-        "sweep", parents=[shared], help="sweep symbol eigenvalues along a ray"
+        "sweep", parents=[config, output], help="sweep symbol eigenvalues along a ray"
     )
     sweep.add_argument("system", nargs="?", type=Path, help="system file")
     sweep.add_argument(
@@ -83,12 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--linear", action="store_true", help="space moduli linearly instead of by log"
     )
 
-    commands.add_parser(
-        "run", parents=[shared], help="run a decay experiment from a config file"
+    run = commands.add_parser(
+        "run", parents=[config, output], help="run a decay experiment from a config file"
     )
+    run.add_argument("--seed", type=int, default=None, help="initial-data seed override")
 
     report = commands.add_parser(
-        "report", parents=[shared], help="re-serialize an existing report"
+        "report", parents=[output], help="re-serialize an existing report"
     )
     report.add_argument("report", type=Path, help="existing report.json")
     return parser
@@ -202,19 +210,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
         cfg = replace(cfg, initial=replace(cfg.initial, seed=args.seed))
-    out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else Path(args.out)
-    if args.out != Path("."):
-        out_dir = Path(args.out)
-    cfg = replace(cfg, out_dir=str(out_dir))
     # Fail before the experiment, not after it, when the report cannot be written.
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
     except OSError as error:
-        raise IoFailureError(f"cannot write report to {out_dir}: {error}") from error
-    if not os.access(out_dir, os.W_OK):
-        raise IoFailureError(f"cannot write report to {out_dir}: directory is not writable")
-    report = run_experiment(cfg)
-    emit_report(report, out_dir)
+        raise IoFailureError(f"cannot write report to {args.out}: {error}") from error
+    if not os.access(args.out, os.W_OK):
+        raise IoFailureError(f"cannot write report to {args.out}: directory is not writable")
+    report = run_experiment(cfg, args.out)
+    emit_report(report, args.out)
     for name, fit in sorted(report.fits.items()):
         verdict = "ok" if fit["saturated"] else "OFF"
         print(
@@ -227,7 +231,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{name}: exponential rate {fit['rate']:+.4f} vs bound {fit['bound']:+.4f} "
             f"[{verdict}]"
         )
-    print(f"report written to {out_dir}")
+    print(f"report written to {args.out}")
     return PASS_EXIT if report.passed else RATE_EXIT
 
 
@@ -243,8 +247,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "check": _cmd_check,
         "limit": _cmd_limit,
@@ -253,6 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         "report": _cmd_report,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (
         ConfigurationError,

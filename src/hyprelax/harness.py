@@ -227,6 +227,8 @@ class InitialSpec:
     amplitudes: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigurationError(f"initial seed must be non-negative, got {self.seed}")
         if self.kind not in _INITIAL_KINDS:
             raise ConfigurationError(
                 f"initial kind must be one of {', '.join(_INITIAL_KINDS)}, "
@@ -262,7 +264,6 @@ class ExperimentConfig:
     profile: str = "both"
     tolerance: float = 0.15
     fit: FitWindow = field(default_factory=FitWindow)
-    out_dir: str | None = None
     save_fields: bool = False
 
     def __post_init__(self) -> None:
@@ -494,8 +495,7 @@ def _unit_l2_gaussian(
         amplitudes=spec.amplitudes,
         sigma=sigma,
     )
-    scale = data.norms["l2"]
-    return GridField(grid, data.field.values / scale, data.field.representation)
+    return GridField(grid, data.values / lp_norm(data, 2), data.representation)
 
 
 def _fit_series(
@@ -523,22 +523,29 @@ def _fit_series(
 
 
 def run_experiment(
-    cfg: ExperimentConfig, *, system: HyperbolicSystem | None = None
+    cfg: ExperimentConfig,
+    out_dir: str | Path | None = None,
+    *,
+    system: HyperbolicSystem | None = None,
 ) -> DecayReport:
     """Evolve, split, compare against parabolic profiles, and fit rates.
 
-    ``system`` overrides loading ``cfg.system`` from disk, for callers that
-    already hold the object.  The report passes when every requested
-    exponent fit lands within tolerance of its prediction and every
-    remainder series fits an exponential with negative rate.
+    ``out_dir`` receives the ``fields/`` snapshots of ``cfg.save_fields`` and
+    is needed only then.  ``system`` overrides loading ``cfg.system`` from
+    disk, for callers that already hold the object.  The report passes when
+    every requested exponent fit lands within tolerance of its prediction and
+    every remainder series fits an exponential with negative rate.
 
     Raises:
         ConditionViolatedError: if the kernel or dissipation check fails, or
             the first-order profile is requested alone without a symmetry.
         WrapAroundGuardError: if waves could cross the periodic boundary
             within the schedule.
-        ConfigurationError: if the config is inconsistent with the system.
+        ConfigurationError: if the config is inconsistent with the system, or
+            asks for snapshots without an ``out_dir``.
     """
+    if cfg.save_fields and out_dir is None:
+        raise ConfigurationError("save_fields needs an output directory for its snapshots")
     if system is None:
         system = load_system(cfg.system)
     try:
@@ -628,8 +635,8 @@ def run_experiment(
     limit = compute_parabolic_limit(system)
 
     fields_dir = None
-    if cfg.save_fields and cfg.out_dir is not None:
-        fields_dir = Path(cfg.out_dir) / "fields"
+    if cfg.save_fields:
+        fields_dir = Path(out_dir) / "fields"
         try:
             fields_dir.mkdir(parents=True, exist_ok=True)
         except OSError as error:
@@ -663,7 +670,7 @@ def run_experiment(
                     time=t,
                 )
 
-    fixed = to_frequency(initial.field) if fixed_pairs else None
+    fixed = to_frequency(initial) if fixed_pairs else None
     for index, t in enumerate(times):
         if fixed_pairs:
             measure(fixed, float(t), fixed_pairs, 1, save_index=index)
@@ -710,7 +717,7 @@ def run_experiment(
 
     return DecayReport(
         config=_config_echo(cfg),
-        resolved_cutoff={"inner": cut.inner, "outer": cut.outer},
+        resolved_cutoff={"inner": cut.inner},
         times=tuple(float(t) for t in times),
         series={name: tuple(vals) for name, vals in series.items()},
         fits=fits,
@@ -721,33 +728,20 @@ def run_experiment(
     )
 
 
-def emit_report(
-    report: DecayReport, out_dir: str | Path, formats: tuple[str, ...] = ("json", "csv")
-) -> list[Path]:
-    """Write ``report.json`` and/or ``report.csv``; returns the paths.
+def emit_report(report: DecayReport, out_dir: str | Path) -> list[Path]:
+    """Write ``report.json`` and ``report.csv``; returns the paths.
 
     Output is byte-reproducible: JSON keys are sorted and CSV rows are
     emitted time-major with sorted series names and full-precision floats.
     """
     out_dir = Path(out_dir)
-    written: list[Path] = []
+    json_path, csv_path = out_dir / "report.json", out_dir / "report.csv"
+    lines = ["t,norm_name,value"]
+    lines.extend(f"{t!r},{name},{value!r}" for t, name, value in report.csv_rows())
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for fmt in formats:
-            if fmt == "json":
-                path = out_dir / "report.json"
-                payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-                path.write_text(payload + "\n")
-            elif fmt == "csv":
-                path = out_dir / "report.csv"
-                lines = ["t,norm_name,value"]
-                lines.extend(
-                    f"{t!r},{name},{value!r}" for t, name, value in report.csv_rows()
-                )
-                path.write_text("\n".join(lines) + "\n")
-            else:
-                raise ValueError(f"unknown report format {fmt!r}")
-            written.append(path)
+        json_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        csv_path.write_text("\n".join(lines) + "\n")
     except OSError as error:
         raise IoFailureError(f"cannot write report to {out_dir}: {error}") from error
-    return written
+    return [json_path, csv_path]

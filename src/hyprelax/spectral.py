@@ -60,7 +60,6 @@ __all__ = [
     "PeriodicGrid",
     "GridField",
     "CutoffSpec",
-    "InitialData",
     "FrequencySplitter",
     "CONDITION_LIMIT",
     "smooth_step",
@@ -287,40 +286,26 @@ def smooth_step(s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Radial partition of unity splitting low, middle, and high frequencies.
+    """Smooth low-frequency cutoff of the frequency modulus.
 
-    ``chi1`` equals 1 on ``|k| <= inner/2`` and 0 on ``|k| >= inner``;
-    ``chi3`` equals 0 on ``|k| <= outer`` and 1 on ``|k| >= 2 outer``;
-    ``chi2`` is the remaining middle bump.  All take the frequency modulus.
+    ``chi1`` equals 1 on ``|k| <= inner/2`` and 0 on ``|k| >= inner``.
     """
 
     inner: float
-    outer: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.inner < self.outer:
-            raise ValueError(
-                f"cutoff radii must satisfy 0 < inner < outer, got "
-                f"({self.inner}, {self.outer})"
-            )
+        if not 0 < self.inner < np.inf:
+            raise ValueError(f"cutoff radius must satisfy 0 < inner < inf, got {self.inner}")
 
     def chi1(self, s: np.ndarray) -> np.ndarray:
         return smooth_step(2.0 * np.asarray(s, dtype=float) / self.inner - 1.0)
 
-    def chi3(self, s: np.ndarray) -> np.ndarray:
-        return 1.0 - smooth_step((np.asarray(s, dtype=float) - self.outer) / self.outer)
-
-    def chi2(self, s: np.ndarray) -> np.ndarray:
-        return 1.0 - self.chi1(s) - self.chi3(s)
-
 
 def default_cutoff(system: HyperbolicSystem) -> CutoffSpec:
-    """Inner radius at half the calibrated separation, outer well above it."""
+    """Inner radius at half the calibrated separation."""
     from .chapman import calibrate_separation_radius
 
-    inner = 0.5 * calibrate_separation_radius(system)
-    outer = 10.0 * (float(np.linalg.norm(system.relaxation, 2)) + 1.0)
-    return CutoffSpec(inner=inner, outer=outer)
+    return CutoffSpec(inner=0.5 * calibrate_separation_radius(system))
 
 
 def _grid_symmetries(system: HyperbolicSystem, dimension: int) -> list[tuple]:
@@ -817,14 +802,6 @@ def evolve_parabolic_psi(limit: ParabolicLimit, field: GridField, t: float) -> G
     return _like(moment * multiplier[None, :], field)
 
 
-@dataclass(frozen=True)
-class InitialData:
-    """Generated initial field together with its reference norms."""
-
-    field: GridField
-    norms: dict[str, float]
-
-
 def make_initial_data(
     grid: PeriodicGrid,
     components: int,
@@ -835,8 +812,8 @@ def make_initial_data(
     sigma: float = 1.0,
     radius: float = 1.0,
     band: tuple[float, float] = (0.5, 1.5),
-) -> InitialData:
-    """Deterministic localized initial data of a named kind.
+) -> GridField:
+    """Deterministic localized initial data of a named kind, in physical space.
 
     ``gaussian`` scales ``exp(-|x|^2 / 2 sigma^2)`` per component;
     ``bump`` uses a compactly supported profile of the given support radius;
@@ -905,13 +882,7 @@ def make_initial_data(
             f"or random-band"
         )
 
-    field = GridField(grid, values.astype(complex), PHYSICAL)
-    norms = {
-        "l1": lp_norm(field, 1),
-        "l2": lp_norm(field, 2),
-        "linf": lp_norm(field, np.inf),
-    }
-    return InitialData(field=field, norms=norms)
+    return GridField(grid, values.astype(complex), PHYSICAL)
 
 
 def save_field(field: GridField, path: str | Path, *, time: float = 0.0) -> None:
@@ -940,6 +911,8 @@ def load_field(path: str | Path) -> tuple[GridField, float]:
     if len(raw) < _HEADER.size:
         raise ValueError(f"snapshot {path} is shorter than its header")
     dimension, points, half_width, components, tag, time = _HEADER.unpack_from(raw)
+    if tag not in (0, 1):
+        raise ValueError(f"snapshot {path} has representation tag {tag}, expected 0 or 1")
     grid = PeriodicGrid(dimension=dimension, points=points, half_width=half_width)
     expected = components * grid.total_points * 16
     body = raw[_HEADER.size :]

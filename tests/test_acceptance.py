@@ -52,7 +52,7 @@ def gaussian_line_run():
         grid_half_width=400.0,
         times=TimeSchedule(t_min=5.0, t_max=80.0, count=16),
         initial=InitialSpec(sigma=0.5, amplitudes=(1.0, -0.5)),
-        cutoff=CutoffSpec(inner=0.23, outer=20.0),
+        cutoff=CutoffSpec(inner=0.23),
         fit=FitWindow(exp_t_min=15.0),
         tolerance=0.15,
     )
@@ -69,7 +69,7 @@ def gaussian_plane_run():
         grid_half_width=100.0,
         times=TimeSchedule(t_min=4.0, t_max=40.0, count=12),
         initial=InitialSpec(sigma=1.0, amplitudes=(1.0, 0.3, -0.2)),
-        cutoff=CutoffSpec(inner=0.35, outer=20.0),
+        cutoff=CutoffSpec(inner=0.35),
         fit=FitWindow(exp_t_min=10.0),
         profile="psi",
         tolerance=0.2,

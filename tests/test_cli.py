@@ -221,6 +221,26 @@ class TestRun:
         payload = json.loads((out / "report.json").read_text())
         assert payload["config"]["initial"]["seed"] == 9
 
+    def test_report_does_not_depend_on_the_output_directory(self, tmp_path, gk_path):
+        config = write_run_config(tmp_path, gk_path)
+        first, second = tmp_path / "first", tmp_path / "second" / "nested"
+        assert main(["run", "--config", config, "--out", str(first)]) == 0
+        assert main(["run", "--config", config, "--out", str(second)]) == 0
+        for name in ("report.json", "report.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_negative_seed_exits_3(self, tmp_path, gk_path, monkeypatch, capsys):
+        def propagate(*args, **kwargs):
+            raise AssertionError("a negative seed reached the propagator")
+
+        monkeypatch.setattr(FrequencySplitter, "decompose", propagate)
+        config = write_run_config(tmp_path, gk_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", config, "--seed", "-1", "--out", str(out)]) == 3
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: ")
+        assert "initial seed must be non-negative, got -1" in stderr
+
     def test_unsaturated_fit_exits_1(self, tmp_path, gk_path):
         config = write_run_config(tmp_path, gk_path, tolerance=1e-6)
         out = tmp_path / "out"
@@ -247,7 +267,7 @@ class TestRun:
             tmp_path,
             system,
             grid={"points": 1024, "half_width": 16 * np.pi},
-            cutoff={"inner": 1.0, "outer": 20.0},
+            cutoff={"inner": 1.0},
             times={"t_min": 2.0, "t_max": 12.0, "count": 6},
         )
         source = str(Path(hyprelax.__file__).resolve().parents[1])
@@ -307,7 +327,6 @@ class TestConfigValidation:
             "tolerance": 0.15,
             "pairs": [[2, 1], [2, 2], ["inf", 1]],
             "profile": "phi",
-            "out_dir": "out",
             "save_fields": True,
         }
         path = tmp_path / "documented.json"
@@ -326,7 +345,7 @@ class TestConfigValidation:
         assert cfg.cutoff is None
         assert cfg.fit == FitWindow(t_min=6.0, exp_t_min=15.0)
         assert cfg.pairs == ((2.0, 1), (2.0, 2), (math.inf, 1))
-        assert (cfg.profile, cfg.out_dir, cfg.save_fields) == ("phi", "out", True)
+        assert (cfg.profile, cfg.save_fields) == ("phi", True)
         assert cfg.tolerance == 0.15
 
     @pytest.mark.parametrize(
@@ -337,6 +356,7 @@ class TestConfigValidation:
             {"radius": -1.0},
             {"kind": "random-band", "band": [1.5, 0.5]},
             {"kind": "random-band", "band": [0.5, 1.0, 1.5]},
+            {"seed": -1},
         ],
     )
     def test_invalid_initial_exits_3(self, tmp_path, gk_path, initial, capsys):
@@ -377,6 +397,21 @@ class TestConfigValidation:
         stderr = capsys.readouterr().err
         assert stderr.startswith("error: ")
         assert f"invalid {named}: expected a JSON " in stderr
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("cutoff", {"inner": 0.23, "outer": 20.0}, "unknown key 'outer' in cutoff"),
+            ("out_dir", "out", "unknown key 'out_dir' in config"),
+        ],
+    )
+    def test_removed_keys_exit_3(self, tmp_path, gk_path, capsys, key, value, named):
+        config = write_run_config(tmp_path, gk_path, **{key: value})
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 3
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: ")
+        assert named in stderr
+        assert not (tmp_path / "o" / "report.json").exists()
 
     @pytest.mark.parametrize(
         "demo, section, key, value, named",
@@ -426,6 +461,44 @@ def test_out_naming_a_file_exits_3(tmp_path, gk_path, capsys, monkeypatch, comma
     assert stderr.startswith("error: cannot write ")
     assert str(taken) in stderr
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "arguments, named",
+    [
+        (["sweep", "{system}", "--count", "x"], "invalid int value: 'x'"),
+        (["run", "--bogus"], "unrecognized arguments: --bogus"),
+        (["run", "--config", "{config}", "--seed", "1.5"], "invalid int value: '1.5'"),
+        (["check", "{system}", "--seed", "1"], "unrecognized arguments: --seed"),
+        (["limit", "{system}", "--seed", "1"], "unrecognized arguments: --seed"),
+        (["report", "{report}", "--config", "{config}"], "unrecognized arguments: --config"),
+        (["report", "{report}", "--seed", "1"], "unrecognized arguments: --seed"),
+        (["plot"], "invalid choice: 'plot'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_exit_3(tmp_path, gk_path, capsys, arguments, named):
+    # Exit 2 means a failed structural condition, so argparse's exit 2 is not used.
+    names = {
+        "system": str(gk_path),
+        "config": write_run_config(tmp_path, gk_path),
+        "report": str(tmp_path / "report.json"),
+    }
+    argv = [argument.format(**names) for argument in arguments]
+    assert main(argv + ["--out", str(tmp_path / "o")] if argv else argv) == 3
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: hyprelax")
+    assert named in stderr
+    assert "usage:" not in stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [[], ["run"], ["report"]])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + ["-h"])
+    assert exit_info.value.code == 0
+    assert "usage: hyprelax" in capsys.readouterr().out
 
 
 def test_cli_import_leaves_out_scipy_stats():

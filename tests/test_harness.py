@@ -256,7 +256,7 @@ class TestExperimentConfig:
                 "grid": {"points": 512, "half_width": number(48)},
                 "times": {"t_min": number(2), "t_max": number(16), "count": 8},
                 "initial": {"sigma": number(1), "band": [number(0), number(2)]},
-                "cutoff": {"inner": number(1), "outer": number(20)},
+                "cutoff": {"inner": number(1)},
                 "fit": {"t_min": number(2), "exp_t_min": number(3)},
                 "pairs": [[number(2), 1], ["inf", 1]],
                 "tolerance": number(1),
@@ -275,7 +275,6 @@ class TestExperimentConfig:
         cfg = small_run_config(
             pairs=((2.0, 1), (2.0, 2), (math.inf, 1)),
             fit=FitWindow(t_min=3.0, exp_t_min=3.5),
-            out_dir="out",
             save_fields=True,
         )
         cfg = replace(cfg, system=str(tmp_path / "system.json"))
@@ -364,8 +363,8 @@ class TestRunExperiment:
         splitter = FrequencySplitter(system, grid)
         limit = compute_parabolic_limit(system)
         t = report.times[3]
-        full, low, high = splitter.decompose(data.field, t)
-        phi = evolve_parabolic_phi(limit, data.field, t)
+        full, low, high = splitter.decompose(data, t)
+        phi = evolve_parabolic_phi(limit, data, t)
         assert report.series["u_p2_q1"][3] == pytest.approx(
             lp_norm(full, 2), rel=1e-12
         )
@@ -461,11 +460,9 @@ class TestRunExperiment:
 
     def test_save_fields_snapshots(self, tmp_path):
         cfg = small_run_config(
-            times=TimeSchedule(t_min=2.0, t_max=8.0, count=6),
-            out_dir=str(tmp_path),
-            save_fields=True,
+            times=TimeSchedule(t_min=2.0, t_max=8.0, count=6), save_fields=True
         )
-        run_experiment(cfg, system=goldstein_kac_1d())
+        run_experiment(cfg, tmp_path, system=goldstein_kac_1d())
         from hyprelax.spectral import load_field
 
         files = sorted((tmp_path / "fields").iterdir())
@@ -473,6 +470,15 @@ class TestRunExperiment:
         field, time = load_field(tmp_path / "fields" / "snapshot_000_u.bin")
         assert time == pytest.approx(2.0)
         assert field.components == 2
+
+    def test_save_fields_needs_an_output_directory(self, monkeypatch):
+        def propagate(*args, **kwargs):
+            raise AssertionError("the experiment started without a snapshot directory")
+
+        monkeypatch.setattr(FrequencySplitter, "decompose", propagate)
+        cfg = small_run_config(save_fields=True)
+        with pytest.raises(ConfigurationError, match="save_fields"):
+            run_experiment(cfg, system=goldstein_kac_1d())
 
     @pytest.mark.parametrize(
         "pairs, per_time",
@@ -506,12 +512,13 @@ class TestEmitReport:
             assert one.read_bytes() == two.read_bytes()
 
     def test_json_round_trip(self, short_report, tmp_path):
-        (path,) = emit_report(short_report, tmp_path, formats=("json",))
+        path, _ = emit_report(short_report, tmp_path)
         assert path.name == "report.json"
         assert json.loads(path.read_text()) == short_report.to_dict()
 
     def test_csv_layout(self, short_report, tmp_path):
-        (path,) = emit_report(short_report, tmp_path, formats=("csv",))
+        _, path = emit_report(short_report, tmp_path)
+        assert path.name == "report.csv"
         lines = path.read_text().splitlines()
         assert lines[0] == "t,norm_name,value"
         assert len(lines) == 1 + len(short_report.times) * len(short_report.series)
