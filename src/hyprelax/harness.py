@@ -27,11 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chapman import (
-    ConditionBViolatedError,
-    ConditionViolatedError,
-    compute_parabolic_limit,
-)
+from .chapman import ConditionBViolatedError, ConditionViolatedError
 from .model import (
     HyperbolicSystem,
     check_condition_B,
@@ -42,6 +38,7 @@ from .model import (
 )
 from .spectral import (
     CutoffSpec,
+    Datum,
     FrequencySplitter,
     GridField,
     PeriodicGrid,
@@ -51,7 +48,6 @@ from .spectral import (
     lp_norm,
     make_initial_data,
     save_field,
-    to_frequency,
     to_physical,
 )
 
@@ -632,7 +628,6 @@ def run_experiment(
         band=cfg.initial.band,
     )
     splitter = FrequencySplitter(system, grid, cut)
-    limit = compute_parabolic_limit(system)
 
     fields_dir = None
     if cfg.save_fields:
@@ -647,14 +642,14 @@ def run_experiment(
     def record(name: str, value: float) -> None:
         series.setdefault(name, []).append(value)
 
-    def measure(spectrum: GridField, t: float, pairs, q_label: int, save_index=None):
+    def measure(datum: Datum, t: float, pairs, q_label: int, save_index=None):
         # Gaps are formed in frequency; each field a norm needs is transformed once.
-        full, low, high = splitter.decompose(spectrum, t)
+        full, low, high = splitter.decompose(datum, t)
         u, u2 = to_physical(full), to_physical(high)
         del full, high
         gaps = []
         for name, evolve in profiles.items():
-            gap = low.values - evolve(limit, spectrum, t).values
+            gap = low.values - evolve(datum, t).values
             gaps.append((name, to_physical(GridField(grid, gap, low.representation))))
         record(f"u2_l2_q{q_label}", lp_norm(u2, 2))
         for p, q in pairs:
@@ -670,14 +665,14 @@ def run_experiment(
                     time=t,
                 )
 
-    fixed = to_frequency(initial) if fixed_pairs else None
+    fixed = splitter.prepare(initial) if fixed_pairs else None
     for index, t in enumerate(times):
         if fixed_pairs:
             measure(fixed, float(t), fixed_pairs, 1, save_index=index)
         for p, q in scaling_pairs:
             sigma_t = cfg.initial.sigma * math.sqrt(float(t) / float(times[0]))
             datum = _unit_l2_gaussian(grid, system.size, cfg.initial, sigma_t)
-            measure(to_frequency(datum), float(t), [(p, q)], q)
+            measure(splitter.prepare(datum), float(t), [(p, q)], q)
 
     fits: dict[str, dict] = {}
     passed = True

@@ -16,18 +16,16 @@ re-checks the weakest factored symbols against it.  The low-frequency part
 ``u1`` applies the 0-group eigenprojection of the same factorization under a
 smooth cutoff (audited against the contour projection at the first
 propagation), and the remainder ``u2`` is defined by subtraction so the split
-is additively exact.  The evolutions return fields in the representation they
-are given, so a caller holding a spectrum transforms each datum once.  The
-tests keep the Pade path for every symbol as the independent reference.  The
-parabolic comparison profiles apply the drift/diffusion multiplier with the
-zeroth-order (phi) or first-order (psi) projection moment.
+is additively exact.  The tests keep the Pade path for every symbol as the
+independent reference.  The parabolic comparison profiles apply the
+drift/diffusion multiplier with the zeroth-order (phi) or first-order (psi)
+projection moment.
 
-What does not depend on the time is computed once: per grid the frequency
-vectors and the drift and diffusion forms, per (system, grid) the orbit map,
-per datum its spectrum, its modal coefficients ``V^-1 T^-1 u`` in orbit
-order, its band moment and its profile moments.  Caching a
-datum's invariants makes its values read-only, so an in-place edit raises
-instead of leaving stale entries behind.
+The splitter is the engine: it holds what depends on the system and grid
+only.  :meth:`FrequencySplitter.prepare` turns a field into a :class:`Datum`
+that owns a read-only spectrum and keeps what depends on the datum but not on
+the time (modal coefficients, band and profile moments).  Each piece is
+computed at its first use, and the evolutions return frequency fields.
 
 The box is a whole-space surrogate: experiments must keep data supports and
 propagation cones away from the boundary (the decay harness enforces the
@@ -36,9 +34,9 @@ corresponding guard).
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +44,7 @@ import numpy as np
 from .chapman import (
     GroupNotSeparatedError,
     ParabolicLimit,
+    compute_parabolic_limit,
     exact_group_projection,
     separation_threshold,
 )
@@ -61,6 +60,7 @@ __all__ = [
     "GridField",
     "CutoffSpec",
     "FrequencySplitter",
+    "Datum",
     "CONDITION_LIMIT",
     "smooth_step",
     "default_cutoff",
@@ -102,23 +102,6 @@ class SupportTooWideError(SpectralError):
     """Requested initial data does not fit in the box with negligible tails."""
 
 
-def _memo_field():
-    return dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
-
-
-def _cached(holder, name: str, owner, build):
-    """``build()`` computed once per ``holder`` (a grid or a datum) and ``owner``.
-
-    ``owner`` is the splitter or limit the value depends on (or None); the
-    entry keeps it alive, so its ``id`` cannot be reused by another object.
-    """
-    key = (name, id(owner))
-    entry = holder._memo.get(key)
-    if entry is None:
-        entry = holder._memo[key] = (owner, build())
-    return entry[1]
-
-
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Uniform grid on the periodic box ``[-L, L)^d``.
@@ -130,7 +113,6 @@ class PeriodicGrid:
     dimension: int
     points: int
     half_width: float
-    _memo: dict = _memo_field()
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
@@ -164,19 +146,16 @@ class PeriodicGrid:
         """Per-axis frequencies in transform layout (positive half first)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
 
+    @cached_property
     def frequency_vectors(self) -> np.ndarray:
         """All frequency vectors as a flat ``(N^d, d)`` array, C-ordered.
 
         Built once per grid and shared, so the array is read-only.
         """
-
-        def build():
-            axes = np.meshgrid(*([self.frequency_axis()] * self.dimension), indexing="ij")
-            vectors = np.stack([axis.reshape(-1) for axis in axes], axis=-1)
-            vectors.flags.writeable = False
-            return vectors
-
-        return _cached(self, "frequency_vectors", None, build)
+        axes = np.meshgrid(*([self.frequency_axis()] * self.dimension), indexing="ij")
+        vectors = np.stack([axis.reshape(-1) for axis in axes], axis=-1)
+        vectors.flags.writeable = False
+        return vectors
 
     def radius_squared(self) -> np.ndarray:
         """Squared distance to the box center at each grid point."""
@@ -201,7 +180,6 @@ class GridField:
     grid: PeriodicGrid
     values: np.ndarray
     representation: str
-    _memo: dict = _memo_field()
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=complex)
@@ -482,31 +460,14 @@ def _basis_condition(vectors: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     return np.linalg.norm(vectors, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
 
 
-def _invariant(field: GridField, name: str, owner, build):
-    """``build()`` computed once per datum and ``owner``.
-
-    The datum's values become read-only, so editing them in place raises
-    instead of leaving the cached entries stale.
-    """
-    field.values.flags.writeable = False
-    return _cached(field, name, owner, build)
+def _frequency_field(grid: PeriodicGrid, flat: np.ndarray) -> GridField:
+    """A flat ``(components, N^d)`` spectrum as a frequency field."""
+    return GridField(grid, flat.reshape((flat.shape[0],) + grid.shape), FREQUENCY)
 
 
-def _spectrum(field: GridField) -> np.ndarray:
-    """Flat spectrum ``(components, N^d)`` of a field in either representation.
-
-    A physical datum is transformed once.
-    """
-    if field.representation == FREQUENCY:
-        return field.flat()
-    return _invariant(field, "spectrum", None, lambda: to_frequency(field).flat())
-
-
-def _like(flat: np.ndarray, like: GridField) -> GridField:
-    """Flat spectrum as a field in the representation of ``like``."""
-    values = flat.reshape((flat.shape[0],) + like.grid.shape)
-    field = GridField(like.grid, values, FREQUENCY)
-    return to_physical(field) if like.representation == PHYSICAL else field
+def _check_time(t: float) -> None:
+    if t < 0:
+        raise ValueError(f"evolution time must be nonnegative, got {t}")
 
 
 @dataclass(frozen=True)
@@ -539,38 +500,41 @@ class _Eigenbasis:
 
 
 class FrequencySplitter:
-    """Cached per-grid spectral machinery for one system.
+    """The spectral engine of one system on one grid.
 
-    Construction finds the cutoff band ``chi1 > 0``.  The 0-group projection
-    at each band member is Kato's rank-one ``P0 = v w^T`` from the right and
-    left eigenvectors of the eigenvalue nearest zero, taken from the one
-    factorization below.
+    It holds what no datum changes, each piece computed at its first use: the
+    cutoff band ``chi1 > 0`` (at construction), the factorization (at the
+    first :meth:`decompose`), and the parabolic :attr:`limit` with its
+    :attr:`drift_phase` and :attr:`diffusion_form` (at the first profile).
+    :meth:`prepare` turns a field into the :class:`Datum` that
+    :meth:`decompose`, :func:`evolve_parabolic_phi` and
+    :func:`evolve_parabolic_psi` take.
 
-    The first propagation finds the axis reflections and swaps ``R`` of the
-    grid that lift to the system (``E(iRk) = T E(ik) T^-1``) and splits the
-    grid into orbits of the group they generate together with conjugation
-    ``E(-ik) = conj(E(ik))``.  It factors the symbol of one representative
-    per orbit as ``V diag(lambda) V^-1`` and caches those factors only: the
-    member ``Rk`` has ``lambda``, ``T V`` and ``V^-1 T^-1`` (conjugated first
-    when the element includes conjugation).  Of the symbols it keeps only the
-    rows the checks below reuse.  Each datum's modal coefficients
-    ``c = V^-1 T^-1 u``, laid out in orbit order, and band moment
-    ``chi1 P0 u`` are computed once and cached on the datum, so each time
-    ``t`` then costs ``exp(-t lambda)`` per orbit, ``V (exp(-t lambda) * c)``
-    in orbit order, one ``T`` product per element, one gather back to the
-    grid, and ``exp(-t lambda0)`` on the band.  A member whose condition bound
-    ``cond_2(T) |V|_F |V^-1|_F`` exceeds :data:`CONDITION_LIMIT` is
-    exponentiated by :func:`~hyprelax.linalg.matrix_exponential` (and, in the
-    band, projected by :func:`~hyprelax.chapman.exact_group_projection`)
-    instead; their number is :attr:`fallback_count`.  Every propagation
-    recomputes with the Pade exponential the four worst-conditioned factored
-    members of the grid and the worst-conditioned member each non-identity
-    element maps, from the stored representative factors; the first
-    propagation recomputes the worst-conditioned band projection by contour
-    quadrature.  A relative mismatch above 1e-10 raises
-    :class:`SpectralError`.
+    The factorization splits the grid into orbits of the group generated by
+    conjugation ``E(-ik) = conj(E(ik))`` and the axis reflections and swaps
+    ``R`` that lift to the system (``E(iRk) = T E(ik) T^-1``), and factors one
+    representative per orbit as ``V diag(lambda) V^-1``: the member ``Rk`` has
+    ``lambda``, ``T V`` and ``V^-1 T^-1`` (conjugated first when the element
+    includes conjugation).  Of the symbols it keeps only the rows the checks
+    below reuse.  The 0-group projection at each band member is Kato's
+    rank-one ``P0 = v w^T`` from the right and left eigenvectors of the
+    eigenvalue nearest zero.  A time ``t`` then costs ``exp(-t lambda)`` per
+    orbit, ``V (exp(-t lambda) * c)`` on the datum's modal coefficients
+    ``c = V^-1 T^-1 u`` in orbit order, one ``T`` product per element, one
+    gather back to the grid, and ``exp(-t lambda0)`` on the band.
+
+    A member whose condition bound ``cond_2(T) |V|_F |V^-1|_F`` exceeds
+    :data:`CONDITION_LIMIT` is exponentiated by
+    :func:`~hyprelax.linalg.matrix_exponential` (and, in the band, projected
+    by :func:`~hyprelax.chapman.exact_group_projection`) instead; their
+    number is :attr:`fallback_count`.  Every propagation recomputes with the
+    Pade exponential the four worst-conditioned factored members and the
+    worst-conditioned member each non-identity element maps; the first one
+    also recomputes the worst-conditioned band projection by contour
+    quadrature.  A relative mismatch above 1e-10 raises :class:`SpectralError`.
 
     Raises:
+        ValueError: if the grid and the system differ in dimension.
         GroupNotSeparatedError: at the first propagation, if the 0-group is
             not separated from the rest of the spectrum at some band
             frequency (shrink the cutoff).
@@ -590,13 +554,12 @@ class FrequencySplitter:
         self.system = system
         self.grid = grid
         self.cut = cut if cut is not None else default_cutoff(system)
-        self._vectors = grid.frequency_vectors()
+        self._vectors = grid.frequency_vectors
         self._moduli = np.linalg.norm(self._vectors, axis=-1)
         weights = self.cut.chi1(self._moduli)
         band = np.flatnonzero(weights > 0.0)
         self._band = band
         self._band_weights = weights[band]
-        self._basis: _Eigenbasis | None = None
 
     def _projection_table(self, values, vectors, inverse, condition):
         """Eigenvalue nearest zero and its eigenprojection at each band member,
@@ -637,13 +600,10 @@ class FrequencySplitter:
                 )
         return zero_values, projections
 
+    @cached_property
     def _eigenbasis(self) -> _Eigenbasis:
-        """Factor one symbol per orbit once; later calls return the cached factors."""
-        if self._basis is not None:
-            return self._basis
-        orbits = _cached(
-            self.grid, "orbits", self.system, lambda: _grid_orbits(self.system, self.grid)
-        )
+        """One factorization per orbit, with the band table and the audit rows."""
+        orbits = _grid_orbits(self.system, self.grid)
         values, vectors = np.linalg.eig(
             self.system.symbol_stack(self._vectors[orbits.representatives])
         )
@@ -673,7 +633,7 @@ class FrequencySplitter:
             band_values, band_vectors, band_inverse, condition[band]
         )
         exact_rows = np.concatenate([audit, fallback])
-        self._basis = _Eigenbasis(
+        return _Eigenbasis(
             orbits=orbits,
             values=values,
             vectors=vectors,
@@ -685,47 +645,73 @@ class FrequencySplitter:
             band_values=band_values,
             band_projections=band_projections,
         )
-        return self._basis
 
     @property
     def fallback_count(self) -> int:
         """Number of grid symbols propagated by the Pade fallback."""
-        return int(self._eigenbasis().fallback.size)
+        return int(self._eigenbasis.fallback.size)
 
     @property
     def worst_condition(self) -> float:
         """Largest eigenvector-basis condition estimate over the grid."""
-        return float(np.max(self._eigenbasis().condition))
+        return float(np.max(self._eigenbasis.condition))
 
-    def _modal(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Modal coefficients ``V^-1 T^-1 u`` in orbit order, the fallback
-        members' spectrum and the band moment ``chi1 P0 u`` of a flat spectrum."""
-        basis = self._eigenbasis()
-        slots = basis.orbits.to_orbit_order(flat)
-        coefficients = np.einsum("ijr,gjr->gir", basis.inverse.transpose(1, 2, 0), slots)
-        moment = self._band_weights * np.einsum(
-            "fij,jf->if", basis.band_projections, flat[:, self._band]
-        )
-        return coefficients, flat[:, basis.fallback], moment
+    @cached_property
+    def limit(self) -> ParabolicLimit:
+        """The parabolic limit of the system."""
+        return compute_parabolic_limit(self.system)
+
+    @cached_property
+    def drift_phase(self) -> np.ndarray:
+        """``c.ik`` at every grid frequency."""
+        return self.limit.drift_phase(self._vectors)
+
+    @cached_property
+    def diffusion_form(self) -> np.ndarray:
+        """``k.Dk`` at every grid frequency."""
+        return self.limit.diffusion_form(self._vectors)
+
+    def prepare(self, field: GridField) -> Datum:
+        """``field`` as a datum of this splitter.
+
+        A physical field is transformed once; a frequency field is copied.
+        Either way the datum owns its spectrum, so the caller's array stays
+        writeable and later edits of it change no result.
+        """
+        if field.grid != self.grid:
+            raise ValueError(f"datum on {field.grid} does not lie on the splitter's {self.grid}")
+        if field.representation == PHYSICAL:
+            spectrum = to_frequency(field).flat()
+        else:
+            spectrum = field.flat().copy()
+        spectrum.flags.writeable = False
+        return Datum(self, spectrum)
 
     def _propagate(
         self, t: float, coefficients: np.ndarray, fallback: np.ndarray
     ) -> np.ndarray:
         """``exp(-E(ik) t)`` applied to a datum given by its modal coefficients
-        and its fallback members' spectrum."""
-        basis = self._eigenbasis()
+        and its fallback members' spectrum.  The audit compares
+        ``exp(-t (E - mu I))``, ``mu`` the smallest ``Re lambda`` of each member
+        (Higham, SIMAX 2005), so its Pade side does not underflow at late times."""
+        basis = self._eigenbasis
         audit = basis.audit
-        exact = matrix_exponential(-t * basis.exact_symbols)
-        reference = exact[: audit.size]
         values, vectors, inverse = basis.orbits.compose(
             audit, basis.values, basis.vectors, basis.inverse
         )
-        eigen = (vectors * np.exp(-t * values)[:, None, :]) @ inverse
+        # Fallback rows propagate the datum, so they are not shifted.
+        shift = np.concatenate([np.min(values.real, axis=-1), np.zeros(basis.fallback.size)])
+        eye = np.eye(self.system.size)
+        exact = matrix_exponential(-t * (basis.exact_symbols - shift[:, None, None] * eye))
+        reference = exact[: audit.size]
+        eigen = (vectors * np.exp(-t * (values - shift[: audit.size, None]))[:, None, :]) @ inverse
         mismatch = np.linalg.norm(eigen - reference, axis=(-2, -1)) / np.linalg.norm(
             reference, axis=(-2, -1)
         )
-        if not np.all(mismatch <= _AUDIT_TOLERANCE):
-            worst = int(np.argmax(~(mismatch <= _AUDIT_TOLERANCE)))
+        failed = ~(mismatch <= _AUDIT_TOLERANCE)
+        if np.any(failed):
+            # A NaN mismatch counts as the largest.
+            worst = int(np.argmax(np.where(failed, mismatch, -np.inf)))
             raise SpectralError(
                 f"eigenvector propagator at |k| = {self._moduli[audit[worst]]:.6g}, "
                 f"t = {t:g} differs from the Pade exponential by "
@@ -736,70 +722,83 @@ class FrequencySplitter:
         out[:, basis.fallback] = np.einsum("fij,jf->if", exact[audit.size :], fallback)
         return out
 
-    def decompose(self, field: GridField, t: float) -> tuple[GridField, GridField, GridField]:
-        """Evolve and split in one pass; returns ``(u, u1, u2)``.
+    def decompose(self, datum: Datum, t: float) -> tuple[GridField, GridField, GridField]:
+        """Evolve and split in one pass; returns the frequency fields ``(u, u1, u2)``.
 
         ``u1 = chi1 exp(-t lambda0) P0(ik) u`` propagates the cutoff-projected
         band (``E P0 = lambda0 P0``); ``u2`` is the subtraction remainder, so
-        ``u1 + u2`` equals ``u`` exactly, each in the representation of ``field``.
+        ``u1 + u2`` equals ``u`` exactly.
+
+        Raises:
+            ValueError: if ``t < 0`` or another splitter prepared ``datum``.
         """
-        if t < 0:
-            raise ValueError(f"evolution time must be nonnegative, got {t}")
-        coefficients, fallback, moment = _invariant(
-            field, "modal", self, lambda: self._modal(_spectrum(field))
-        )
+        _check_time(t)
+        if datum.splitter is not self:
+            raise ValueError("the datum was prepared by another splitter")
+        coefficients, fallback, moment = datum.modal
         full = self._propagate(t, coefficients, fallback)
         low = np.zeros_like(full)
-        low[:, self._band] = moment * np.exp(-t * self._eigenbasis().band_values)
-        return _like(full, field), _like(low, field), _like(full - low, field)
+        low[:, self._band] = moment * np.exp(-t * self._eigenbasis.band_values)
+        return tuple(_frequency_field(self.grid, flat) for flat in (full, low, full - low))
 
 
-def _check_parabolic(limit: ParabolicLimit, field: GridField, t: float) -> None:
-    """Validate a parabolic evolution request."""
-    if t < 0:
-        raise ValueError(f"evolution time must be nonnegative, got {t}")
-    if limit.dimension != field.grid.dimension:
-        raise ValueError(
-            f"parabolic limit dimension {limit.dimension} does not match the "
-            f"grid dimension {field.grid.dimension}"
+@dataclass(frozen=True, eq=False)
+class Datum:
+    """A datum prepared by :meth:`FrequencySplitter.prepare`: its splitter and
+    its own read-only flat spectrum ``(components, N^d)``.
+
+    What the evolutions need of it at every time is computed at first use, so
+    the factorization runs in the first :meth:`FrequencySplitter.decompose`.
+    """
+
+    splitter: FrequencySplitter
+    spectrum: np.ndarray
+
+    @cached_property
+    def modal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Modal coefficients ``V^-1 T^-1 u`` in orbit order, the fallback
+        members' spectrum and the band moment ``chi1 P0 u``."""
+        splitter = self.splitter
+        basis = splitter._eigenbasis
+        slots = basis.orbits.to_orbit_order(self.spectrum)
+        coefficients = np.einsum("ijr,gjr->gir", basis.inverse.transpose(1, 2, 0), slots)
+        moment = splitter._band_weights * np.einsum(
+            "fij,jf->if", basis.band_projections, self.spectrum[:, splitter._band]
         )
+        return coefficients, self.spectrum[:, basis.fallback], moment
+
+    @cached_property
+    def phi_moment(self) -> np.ndarray:
+        """Zeroth-order moment ``P0 u``."""
+        return self.splitter.limit.projection @ self.spectrum
+
+    @cached_property
+    def psi_moment(self) -> np.ndarray:
+        """First-order moment ``(P0 + sum_h i k_h P1_h) u``."""
+        limit = self.splitter.limit
+        vectors = self.splitter.grid.frequency_vectors
+        moment = limit.projection @ self.spectrum
+        for h, correction in enumerate(limit.corrections):
+            moment = moment + 1j * vectors[:, h][None, :] * (correction @ self.spectrum)
+        return moment
 
 
-def _diffusion_form(limit: ParabolicLimit, grid: PeriodicGrid) -> np.ndarray:
-    """``k.Dk`` at every grid frequency, once per grid and limit."""
-    return _cached(
-        grid, "diffusion_form", limit, lambda: limit.diffusion_form(grid.frequency_vectors())
-    )
+def evolve_parabolic_phi(datum: Datum, t: float) -> GridField:
+    """Drift-diffusion profile ``exp(-c.ik t - k.Dk t) P0`` of ``datum``, as a
+    frequency field."""
+    _check_time(t)
+    splitter = datum.splitter
+    multiplier = np.exp(-t * (splitter.drift_phase + splitter.diffusion_form))
+    return _frequency_field(splitter.grid, datum.phi_moment * multiplier[None, :])
 
 
-def _psi_moment(limit: ParabolicLimit, field: GridField) -> np.ndarray:
-    """First-order moment ``(P0 + sum_h i k_h P1_h) u`` of a datum."""
-    flat = _spectrum(field)
-    vectors = field.grid.frequency_vectors()
-    moment = limit.projection @ flat
-    for h, correction in enumerate(limit.corrections):
-        moment = moment + 1j * vectors[:, h][None, :] * (correction @ flat)
-    return moment
-
-
-def evolve_parabolic_phi(limit: ParabolicLimit, field: GridField, t: float) -> GridField:
-    """Drift-diffusion profile ``exp(-c.ik t - k.Dk t) P0``."""
-    _check_parabolic(limit, field, t)
-    grid = field.grid
-    phase = _cached(
-        grid, "drift_phase", limit, lambda: limit.drift_phase(grid.frequency_vectors())
-    )
-    moment = _invariant(field, "phi_moment", limit, lambda: limit.projection @ _spectrum(field))
-    multiplier = np.exp(-t * (phase + _diffusion_form(limit, grid)))
-    return _like(moment * multiplier[None, :], field)
-
-
-def evolve_parabolic_psi(limit: ParabolicLimit, field: GridField, t: float) -> GridField:
-    """Refined profile ``exp(-k.Dk t) (P0 + sum_h i k_h P1_h)``, no drift."""
-    _check_parabolic(limit, field, t)
-    moment = _invariant(field, "psi_moment", limit, lambda: _psi_moment(limit, field))
-    multiplier = np.exp(-t * _diffusion_form(limit, field.grid))
-    return _like(moment * multiplier[None, :], field)
+def evolve_parabolic_psi(datum: Datum, t: float) -> GridField:
+    """Refined profile ``exp(-k.Dk t) (P0 + sum_h i k_h P1_h)`` of ``datum``, no
+    drift, as a frequency field."""
+    _check_time(t)
+    splitter = datum.splitter
+    multiplier = np.exp(-t * splitter.diffusion_form)
+    return _frequency_field(splitter.grid, datum.psi_moment * multiplier[None, :])
 
 
 def make_initial_data(
@@ -868,7 +867,7 @@ def make_initial_data(
             raise ValueError(f"band must satisfy 0 <= low < high, got {band}")
         noise = rng.standard_normal((components,) + grid.shape)
         spectrum = to_frequency(GridField(grid, noise, PHYSICAL)).values
-        moduli = np.linalg.norm(grid.frequency_vectors(), axis=-1).reshape(grid.shape)
+        moduli = np.linalg.norm(grid.frequency_vectors, axis=-1).reshape(grid.shape)
         mask = (moduli >= low) & (moduli <= high)
         spectrum *= mask[None]
         shaped = to_physical(GridField(grid, spectrum, FREQUENCY)).values.real

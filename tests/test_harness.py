@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hyprelax.chapman import (
-    ConditionBViolatedError,
-    ConditionViolatedError,
-    compute_parabolic_limit,
-)
+from hyprelax.chapman import ConditionBViolatedError, ConditionViolatedError
 from hyprelax.harness import (
     ConfigurationError,
     DecayReport,
@@ -37,6 +33,7 @@ from hyprelax.spectral import (
     evolve_parabolic_phi,
     lp_norm,
     make_initial_data,
+    to_physical,
 )
 from hyprelax.systems import goldstein_kac_1d
 
@@ -361,17 +358,17 @@ class TestRunExperiment:
             grid, 2, "gaussian", seed=0, amplitudes=(1.0, -0.5), sigma=0.5
         )
         splitter = FrequencySplitter(system, grid)
-        limit = compute_parabolic_limit(system)
+        datum = splitter.prepare(data)
         t = report.times[3]
-        full, low, high = splitter.decompose(data, t)
-        phi = evolve_parabolic_phi(limit, data, t)
+        full, low, high = splitter.decompose(datum, t)
+        phi = evolve_parabolic_phi(datum, t)
         assert report.series["u_p2_q1"][3] == pytest.approx(
-            lp_norm(full, 2), rel=1e-12
+            lp_norm(to_physical(full), 2), rel=1e-12
         )
         assert report.series["u2_l2_q1"][3] == pytest.approx(
-            lp_norm(high, 2), rel=1e-12
+            lp_norm(to_physical(high), 2), rel=1e-12
         )
-        difference = GridField(grid, low.values - phi.values, "physical")
+        difference = to_physical(GridField(grid, low.values - phi.values, "frequency"))
         assert report.series["u1_minus_phi_p2_q1"][3] == pytest.approx(
             lp_norm(difference, 2), rel=1e-12
         )
@@ -486,7 +483,6 @@ class TestRunExperiment:
     )
     def test_each_datum_is_transformed_once(self, monkeypatch, pairs, per_time):
         """One forward transform for the fixed datum, one per q = 2 Gaussian."""
-        import hyprelax.harness as harness
         import hyprelax.spectral as spectral
 
         calls = []
@@ -496,7 +492,6 @@ class TestRunExperiment:
             calls.append(field.grid)
             return forward(field)
 
-        monkeypatch.setattr(harness, "to_frequency", counted)
         monkeypatch.setattr(spectral, "to_frequency", counted)
         schedule = TimeSchedule(t_min=2.0, t_max=12.0, count=6)
         cfg = small_run_config(grid_half_width=64.0, pairs=pairs, times=schedule)

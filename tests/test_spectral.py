@@ -47,7 +47,7 @@ def evolve_hyperbolic(system: HyperbolicSystem, field: GridField, t: float) -> G
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
     spectrum = field if field.representation == FREQUENCY else to_frequency(field)
-    symbols = system.symbol_stack(field.grid.frequency_vectors())
+    symbols = system.symbol_stack(field.grid.frequency_vectors)
     flat = np.einsum("fij,jf->if", matrix_exponential(-t * symbols), spectrum.flat())
     evolved = GridField(field.grid, flat.reshape(spectrum.values.shape), FREQUENCY)
     return evolved if field.representation == FREQUENCY else to_physical(evolved)
@@ -85,7 +85,7 @@ class TestPeriodicGrid:
 
     def test_frequency_vectors_are_c_ordered_meshgrid(self):
         grid = PeriodicGrid(dimension=2, points=8, half_width=2.0)
-        vectors = grid.frequency_vectors()
+        vectors = grid.frequency_vectors
         assert vectors.shape == (64, 2)
         axis = grid.frequency_axis()
         assert_allclose(vectors[:8, 0], axis[0])
@@ -264,7 +264,7 @@ class TestEvolveHyperbolic:
         initial = to_frequency(field)
         rng = np.random.default_rng(7)
         modes = rng.choice(grid.points, size=16, replace=False)
-        vectors = grid.frequency_vectors()[modes]
+        vectors = grid.frequency_vectors[modes]
         state = initial.values[:, modes].T.copy()
         symbols = system.symbol_stack(vectors)
         steps = 8000
@@ -315,7 +315,7 @@ class TestFrequencySplitter:
         grid = PeriodicGrid(dimension=1, points=256, half_width=40.0)
         splitter = FrequencySplitter(system, grid)
         field = gaussian_field(grid, (1.0, -0.5))
-        u, u1, u2 = splitter.decompose(field, 3.0)
+        u, u1, u2 = (to_physical(f) for f in splitter.decompose(splitter.prepare(field), 3.0))
         assert_allclose(u1.values + u2.values, u.values, atol=1e-14)
         direct = evolve_hyperbolic(system, field, 3.0)
         assert_allclose(u.values, direct.values, atol=1e-12)
@@ -325,28 +325,30 @@ class TestFrequencySplitter:
         grid = PeriodicGrid(dimension=1, points=512, half_width=100.0)
         cut = default_cutoff(system)
         spectrum = to_frequency(gaussian_field(grid, (1.0, -0.5)))
-        vectors = grid.frequency_vectors()
+        vectors = grid.frequency_vectors
         moduli = np.linalg.norm(vectors, axis=-1)
         flat = np.zeros_like(spectrum.flat())
         for index in np.flatnonzero(cut.chi1(moduli) >= 1.0):
             projection = exact_group_projection(system, vectors[index])
             flat[:, index] = projection @ spectrum.flat()[:, index]
-        prepared = GridField(grid, flat.reshape(spectrum.values.shape), FREQUENCY)
-        _, u1, u2 = FrequencySplitter(system, grid).decompose(prepared, 0.0)
-        scale = np.max(np.abs(prepared.values))
+        projected = GridField(grid, flat.reshape(spectrum.values.shape), FREQUENCY)
+        splitter = FrequencySplitter(system, grid)
+        _, u1, u2 = splitter.decompose(splitter.prepare(projected), 0.0)
+        scale = np.max(np.abs(projected.values))
         assert np.max(np.abs(u2.values)) <= 1e-10 * scale
-        assert_allclose(u1.values, prepared.values, atol=1e-10 * scale)
+        assert_allclose(u1.values, projected.values, atol=1e-10 * scale)
 
     def test_high_band_data_has_no_projected_part(self):
         system = goldstein_kac_1d()
         grid = PeriodicGrid(dimension=1, points=256, half_width=40.0)
         cut = default_cutoff(system)
         spectrum = to_frequency(gaussian_field(grid, (1.0, -0.5)))
-        moduli = np.linalg.norm(grid.frequency_vectors(), axis=-1)
+        moduli = np.linalg.norm(grid.frequency_vectors, axis=-1)
         flat = spectrum.flat().copy()
         flat[:, cut.chi1(moduli) > 0.0] = 0.0
-        prepared = GridField(grid, flat.reshape(spectrum.values.shape), FREQUENCY)
-        _, u1, _ = FrequencySplitter(system, grid).decompose(prepared, 1.0)
+        high = GridField(grid, flat.reshape(spectrum.values.shape), FREQUENCY)
+        splitter = FrequencySplitter(system, grid)
+        _, u1, _ = splitter.decompose(splitter.prepare(high), 1.0)
         assert np.max(np.abs(u1.values)) == 0.0
 
 
@@ -383,8 +385,9 @@ class TestEigenPropagator:
         system = build()
         splitter = FrequencySplitter(system, grid)
         field = white_spectrum(grid, system.size, seed=1)
+        datum = splitter.prepare(field)
         for t in (0.0, 0.7, 5.0):
-            u, u1, u2 = splitter.decompose(field, t)
+            u, u1, u2 = splitter.decompose(datum, t)
             pade = evolve_hyperbolic(system, field, t)
             assert relative_gap(u.values, pade.values) <= 1e-12
             assert_allclose(u1.values + u2.values, u.values, atol=1e-14)
@@ -396,9 +399,9 @@ class TestEigenPropagator:
         build, grid = self.CASES[case]
         system = build()
         splitter = FrequencySplitter(system, grid)
-        splitter.decompose(white_spectrum(grid, system.size, seed=5), 1.0)
-        projections = splitter._eigenbasis().band_projections
-        vectors = grid.frequency_vectors()
+        splitter.decompose(splitter.prepare(white_spectrum(grid, system.size, seed=5)), 1.0)
+        projections = splitter._eigenbasis.band_projections
+        vectors = grid.frequency_vectors
         assert splitter._band.size > 1
         for member, index in enumerate(splitter._band):
             exact = exact_group_projection(system, vectors[index])
@@ -408,11 +411,11 @@ class TestEigenPropagator:
         system, grid = goldstein_kac_1d(), self.CASES["line"][1]
         splitter = FrequencySplitter(system, grid)
         field = white_spectrum(grid, system.size, seed=9)
-        vectors = grid.frequency_vectors()
+        vectors = grid.frequency_vectors
         weights = splitter.cut.chi1(np.linalg.norm(vectors, axis=-1))
         assert np.any((weights > 0.0) & (weights < 1.0))
         t = 1.5
-        _, u1, _ = splitter.decompose(field, t)
+        _, u1, _ = splitter.decompose(splitter.prepare(field), t)
         expected = np.zeros_like(field.flat())
         for index in np.flatnonzero(weights > 0.0):
             symbol = system.symbol_stack(vectors[index])
@@ -432,8 +435,9 @@ class TestEigenPropagator:
         assert splitter.fallback_count == expected
         assert splitter.worst_condition > CONDITION_LIMIT
         field = white_spectrum(grid, system.size, seed=2)
+        datum = splitter.prepare(field)
         for t in (0.5, 3.0):
-            u, _, _ = splitter.decompose(field, t)
+            u, _, _ = splitter.decompose(datum, t)
             pade = evolve_hyperbolic(system, field, t)
             assert relative_gap(u.values, pade.values) <= 1e-12
 
@@ -446,8 +450,9 @@ class TestEigenPropagator:
         mask[grid.points // 2, :] = True
         mask[:, grid.points // 2] = True
         nyquist = GridField(grid, field.values * mask[None], FREQUENCY)
+        datum = splitter.prepare(nyquist)
         for t in (0.3, 2.0):
-            evolved, _, _ = splitter.decompose(nyquist, t)
+            evolved, _, _ = splitter.decompose(datum, t)
             pade = evolve_hyperbolic(system, nyquist, t)
             assert relative_gap(evolved.values, pade.values) <= 1e-12
             assert np.all(evolved.values[:, ~mask] == 0.0)
@@ -457,12 +462,13 @@ class TestEigenPropagator:
         grid = PeriodicGrid(dimension=2, points=32, half_width=8.0)
         splitter = FrequencySplitter(system, grid, CutoffSpec(inner=0.5))
         field = white_spectrum(grid, system.size, seed=10)
+        datum = splitter.prepare(field)
         for t in (0.0, 0.7, 5.0):
-            u, u1, u2 = splitter.decompose(field, t)
+            u, u1, u2 = splitter.decompose(datum, t)
             pade = evolve_hyperbolic(system, field, t)
             assert relative_gap(u.values, pade.values) <= 1e-12
             assert_allclose(u1.values + u2.values, u.values, atol=1e-14)
-        orbits = splitter._eigenbasis().orbits
+        orbits = splitter._eigenbasis.orbits
         assert orbits.conjugate.tolist() == [False, True]
         assert splitter.fallback_count == 0
 
@@ -474,28 +480,28 @@ class TestEigenPropagator:
         for build, grid in self.CASES.values():
             system = build()
             splitter = FrequencySplitter(system, grid)
-            field = white_spectrum(grid, system.size, seed=4)
-            splitter.decompose(field, 1.0)
-            basis = splitter._eigenbasis()
+            datum = splitter.prepare(white_spectrum(grid, system.size, seed=4))
+            splitter.decompose(datum, 1.0)
+            basis = splitter._eigenbasis
             representative = basis.orbits.orbit[basis.audit[-1]]
             basis.vectors[representative, :, 0] *= 1.0 + 1e-6
             with pytest.raises(SpectralError, match="Pade"):
-                splitter.decompose(field, 1.0)
+                splitter.decompose(datum, 1.0)
 
     def test_wrong_lift_fails_the_audit(self):
         # A consistent but wrong transform pair for one element: T D and
         # D T^-1 with D = diag(1, 1, -1) no longer carries E(ik) to E(iRk).
         system, grid = damped_euler_2d(), self.CASES["plane"][1]
         splitter = FrequencySplitter(system, grid)
-        field = white_spectrum(grid, system.size, seed=4)
-        splitter.decompose(field, 1.0)
-        orbits = splitter._eigenbasis().orbits
+        datum = splitter.prepare(white_spectrum(grid, system.size, seed=4))
+        splitter.decompose(datum, 1.0)
+        orbits = splitter._eigenbasis.orbits
         flip = np.diag([1.0, 1.0, -1.0])
         g = orbits.transforms.shape[0] - 1
         orbits.transforms[g] = orbits.transforms[g] @ flip
         orbits.inverses[g] = flip @ orbits.inverses[g]
         with pytest.raises(SpectralError, match="Pade"):
-            splitter.decompose(field, 2.0)
+            splitter.decompose(datum, 2.0)
 
     def test_wrong_band_projection_fails_the_audit(self, monkeypatch):
         import hyprelax.spectral as spectral
@@ -507,7 +513,7 @@ class TestEigenPropagator:
         system, grid = goldstein_kac_1d(), self.CASES["line"][1]
         splitter = FrequencySplitter(system, grid)
         with pytest.raises(SpectralError, match="contour"):
-            splitter.decompose(white_spectrum(grid, system.size, seed=6), 1.0)
+            splitter.decompose(splitter.prepare(white_spectrum(grid, system.size, seed=6)), 1.0)
 
     def test_one_factorization_serves_propagator_and_band(self, monkeypatch):
         # Batched eigendecompositions only; the contour audit and the cutoff
@@ -524,44 +530,33 @@ class TestEigenPropagator:
         system, grid = goldstein_kac_1d(), self.CASES["line"][1]
         splitter = FrequencySplitter(system, grid)
         assert batches == []
-        field = white_spectrum(grid, system.size, seed=7)
+        datum = splitter.prepare(white_spectrum(grid, system.size, seed=7))
         for t in (0.5, 2.0):
-            splitter.decompose(field, t)
+            splitter.decompose(datum, t)
         assert batches == [grid.points // 2 + 1]
 
     @pytest.mark.parametrize("case", ["line", "plane"])
     def test_interleaved_data_match_pade(self, case):
-        # Each datum's cached coefficients must serve only that datum and
-        # splitter: a narrower cutoff on the same grid needs its own band moment.
+        # Each datum's coefficients serve only that datum and splitter: a
+        # narrower cutoff on the same grid needs its own band moment.
         build, grid = self.CASES[case]
         system = build()
         splitter = FrequencySplitter(system, grid)
         narrow = CutoffSpec(inner=0.5 * splitter.cut.inner)
         other = FrequencySplitter(system, grid, narrow)
         reference = FrequencySplitter(system, grid, narrow)
-        a = white_spectrum(grid, system.size, seed=11)
-        b = white_spectrum(grid, system.size, seed=12)
+        a, b = (
+            (field, splitter.prepare(field), other.prepare(field))
+            for field in (white_spectrum(grid, system.size, seed=seed) for seed in (11, 12))
+        )
         for t in (0.0, 0.7, 5.0):
-            for field in (a, b, a):
-                u, u1, u2 = splitter.decompose(field, t)
+            for field, datum, narrow_datum in (a, b, a):
+                u, u1, u2 = splitter.decompose(datum, t)
                 pade = evolve_hyperbolic(system, field, t)
                 assert relative_gap(u.values, pade.values) <= 1e-12
                 assert_allclose(u1.values + u2.values, u.values, atol=1e-14)
-                fresh = GridField(grid, field.values.copy(), FREQUENCY)
-                narrow_u1 = reference.decompose(fresh, t)[1]
-                assert np.array_equal(other.decompose(field, t)[1].values, narrow_u1.values)
-
-    def test_editing_a_cached_datum_raises(self):
-        system, grid = goldstein_kac_1d(), self.CASES["line"][1]
-        splitter = FrequencySplitter(system, grid)
-        field = white_spectrum(grid, system.size, seed=13)
-        before, _, _ = splitter.decompose(field, 1.0)
-        with pytest.raises(ValueError, match="read-only"):
-            field.values[0, 0] = 2.0
-        with pytest.raises(ValueError, match="read-only"):
-            field.values *= 2.0
-        again, _, _ = splitter.decompose(field, 1.0)
-        assert np.array_equal(again.values, before.values)
+                narrow_u1 = reference.decompose(reference.prepare(field), t)[1]
+                assert np.array_equal(other.decompose(narrow_datum, t)[1].values, narrow_u1.values)
 
     def test_physical_datum_is_transformed_once(self, monkeypatch):
         import hyprelax.spectral as spectral
@@ -574,23 +569,112 @@ class TestEigenPropagator:
             return forward(field)
 
         monkeypatch.setattr(spectral, "to_frequency", counted)
-        system = goldstein_kac_1d()
         grid = self.CASES["line"][1]
-        splitter = FrequencySplitter(system, grid)
-        limit = compute_parabolic_limit(system)
+        splitter = FrequencySplitter(goldstein_kac_1d(), grid)
         field = gaussian_field(grid, (1.0, -0.5))
+        datum = splitter.prepare(field)
         for t in (0.5, 2.0):
-            splitter.decompose(field, t)
-            evolve_parabolic_phi(limit, field, t)
-            evolve_parabolic_psi(limit, field, t)
+            splitter.decompose(datum, t)
+            evolve_parabolic_phi(datum, t)
+            evolve_parabolic_psi(datum, t)
         assert calls == [field]
+
+    def test_late_audit_survives_pade_underflow(self):
+        # At t = 780 the unshifted Pade exponential flushes some audited
+        # members to 0 although their norm is about 1e-170; the audit shifts
+        # by the smallest Re(lambda), and the propagated values stay nonzero.
+        system, grid = goldstein_kac_1d(), self.CASES["line"][1]
+        splitter = FrequencySplitter(system, grid)
+        datum = splitter.prepare(white_spectrum(grid, system.size, seed=16))
+        t = 780.0
+        basis = splitter._eigenbasis
+        symbols = basis.exact_symbols[: basis.audit.size]
+        unshifted = np.linalg.norm(matrix_exponential(-t * symbols), axis=(-2, -1))
+        flushed = np.flatnonzero(unshifted == 0.0)
+        assert flushed.size
+        u, _, _ = splitter.decompose(datum, t)
+        identity = np.eye(system.size)
+        for row in flushed:
+            member = basis.audit[row]
+            shift = np.min(np.linalg.eigvals(symbols[row]).real)
+            shifted = matrix_exponential(-t * (symbols[row] - shift * identity))
+            expected = np.exp(-t * shift) * shifted @ datum.spectrum[:, member]
+            assert np.all(expected != 0.0)
+            assert relative_gap(u.flat()[:, member], expected) <= 1e-10
+        representative = basis.orbits.orbit[basis.audit[flushed[0]]]
+        basis.vectors[representative, :, 0] *= 1.0 + 1e-6
+        with pytest.raises(SpectralError, match="Pade"):
+            splitter.decompose(datum, t)
+
+    def test_audit_failure_names_the_largest_mismatch(self):
+        # The worst-conditioned member (audited first) is skewed slightly and
+        # a later one much more; the error names the later one.
+        system, grid = goldstein_kac_1d(), self.CASES["line"][1]
+        splitter = FrequencySplitter(system, grid)
+        basis = splitter._eigenbasis
+        first, later = basis.audit[0], basis.audit[-1]
+        assert splitter._moduli[first] != splitter._moduli[later]
+        basis.vectors[basis.orbits.orbit[first], :, 0] *= 1.0 + 1e-8
+        basis.vectors[basis.orbits.orbit[later], :, 0] *= 1.0 + 1e-4
+        datum = splitter.prepare(white_spectrum(grid, system.size, seed=17))
+        with pytest.raises(SpectralError, match=f"{splitter._moduli[later]:.6g},"):
+            splitter.decompose(datum, 1.0)
 
     def test_band_through_an_exceptional_point_is_refused_at_first_use(self):
         build, grid, _ = self.EXCEPTIONAL["line"]
         system = build()
         splitter = FrequencySplitter(system, grid, CutoffSpec(inner=1.0))
         with pytest.raises(GroupNotSeparatedError):
-            splitter.decompose(white_spectrum(grid, system.size, seed=8), 1.0)
+            splitter.decompose(splitter.prepare(white_spectrum(grid, system.size, seed=8)), 1.0)
+
+
+class TestPreparedDatum:
+    """A datum owns its spectrum and serves only the splitter that prepared it."""
+
+    GRID = PeriodicGrid(dimension=1, points=64, half_width=10.0)
+
+    @staticmethod
+    def caller_values(seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+
+    @staticmethod
+    def results(splitter: FrequencySplitter, datum) -> list[np.ndarray]:
+        t = 1.5
+        fields = [*splitter.decompose(datum, t)]
+        fields += [evolve_parabolic_phi(datum, t), evolve_parabolic_psi(datum, t)]
+        return [field.values for field in fields]
+
+    @pytest.mark.parametrize("representation", [PHYSICAL, FREQUENCY])
+    def test_caller_array_stays_writeable(self, representation):
+        values = self.caller_values(19)
+        field = GridField(self.GRID, values, representation)
+        assert field.values is values
+        splitter = FrequencySplitter(goldstein_kac_1d(), self.GRID)
+        datum = splitter.prepare(field)
+        self.results(splitter, datum)
+        assert values.flags.writeable
+        assert not datum.spectrum.flags.writeable
+
+    @pytest.mark.parametrize("representation", [PHYSICAL, FREQUENCY])
+    def test_editing_the_caller_array_changes_no_result(self, representation):
+        values = self.caller_values(20)
+        splitter = FrequencySplitter(goldstein_kac_1d(), self.GRID)
+        datum = splitter.prepare(GridField(self.GRID, values, representation))
+        untouched = splitter.prepare(GridField(self.GRID, values.copy(), representation))
+        values *= 2.0
+        values[0, 0] = 5.0
+        for got, expected in zip(self.results(splitter, datum), self.results(splitter, untouched)):
+            assert np.array_equal(got, expected)
+
+    def test_datum_of_another_splitter_is_refused(self):
+        system = goldstein_kac_1d()
+        first = FrequencySplitter(system, self.GRID)
+        second = FrequencySplitter(system, self.GRID)
+        datum = first.prepare(white_spectrum(self.GRID, system.size, seed=21))
+        with pytest.raises(ValueError, match="another splitter"):
+            second.decompose(datum, 1.0)
+        first.decompose(datum, 1.0)
 
 
 def random_plane_system(seed: int) -> HyperbolicSystem:
@@ -640,7 +724,7 @@ class TestOrbitMap:
         # of the representative is a grid frequency.
         build, grid = self.CASES[case]
         orbits = _grid_orbits(build(), grid)
-        vectors = grid.frequency_vectors()
+        vectors = grid.frequency_vectors
         representatives = orbits.representatives[orbits.orbit]
         images = np.einsum(
             "fij,fj->fi", orbits.rotations[orbits.element], vectors[representatives]
@@ -682,14 +766,6 @@ class TestOrbitMap:
         assert np.array_equal(orbits.rotations[1], -np.eye(2))
         assert orbits.representatives.size == grid.points**2 // 2 + grid.points
 
-    def test_orbit_map_is_built_once_per_system_and_grid(self):
-        system, grid = damped_euler_2d(), PeriodicGrid(2, 32, 8.0)
-        first = FrequencySplitter(system, grid, CutoffSpec(inner=0.35))
-        second = FrequencySplitter(system, grid, CutoffSpec(inner=0.2))
-        other = FrequencySplitter(goldstein_kac_1d(), PeriodicGrid(1, 32, 8.0))
-        assert first._eigenbasis().orbits is second._eigenbasis().orbits
-        assert other._eigenbasis().orbits is not first._eigenbasis().orbits
-
 
 def drifting_two_speed() -> HyperbolicSystem:
     return HyperbolicSystem(
@@ -712,14 +788,24 @@ def direct_profiles(limit, spectrum: GridField, t: float):
     return phi, moment * np.exp(-t * form)
 
 
+def profile_splitter(system: HyperbolicSystem, grid: PeriodicGrid) -> FrequencySplitter:
+    # The profiles do not depend on the cutoff; a fixed one skips calibrating it.
+    return FrequencySplitter(system, grid, CutoffSpec(inner=0.2))
+
+
+def physical_profile(profile, system: HyperbolicSystem, field: GridField, t: float):
+    """``profile`` of a physical field, transformed back to physical space."""
+    splitter = profile_splitter(system, field.grid)
+    return to_physical(profile(splitter.prepare(field), t))
+
+
 class TestParabolicProfiles:
     def test_heat_kernel_closed_form(self):
-        limit = compute_parabolic_limit(damped_euler_2d())
         grid = PeriodicGrid(dimension=2, points=128, half_width=20.0)
         amplitudes = (0.8, 0.3, -0.2)
         field = gaussian_field(grid, amplitudes)
         t = 2.0
-        evolved = evolve_parabolic_phi(limit, field, t)
+        evolved = physical_profile(evolve_parabolic_phi, damped_euler_2d(), field, t)
         spread = 1.0 + 2.0 * t
         expected = (
             amplitudes[0] / spread * np.exp(-grid.radius_squared() / (2.0 * spread))
@@ -743,19 +829,18 @@ class TestParabolicProfiles:
         field = gaussian_field(grid, (1.0, -0.5))
         shift = 10
         t = shift * grid.spacing
-        with_drift = evolve_parabolic_phi(moving, field, t)
-        without = evolve_parabolic_phi(still, field, t)
+        with_drift = physical_profile(evolve_parabolic_phi, drifting, field, t)
+        without = physical_profile(evolve_parabolic_phi, centered, field, t)
         assert_allclose(
             with_drift.values, np.roll(without.values, shift, axis=1), atol=1e-10
         )
 
     def test_refined_profile_matches_moment_closed_form(self):
-        limit = compute_parabolic_limit(damped_euler_2d())
         grid = PeriodicGrid(dimension=2, points=128, half_width=20.0)
         a0, a1, a2 = 0.8, 0.3, -0.2
         field = gaussian_field(grid, (a0, a1, a2))
         t = 2.0
-        evolved = evolve_parabolic_psi(limit, field, t)
+        evolved = physical_profile(evolve_parabolic_psi, damped_euler_2d(), field, t)
         s2 = 1.0 + 2.0 * t
         x = grid.x_axis()
         x1 = x[:, None]
@@ -773,15 +858,17 @@ class TestParabolicProfiles:
         )
 
     def test_mean_mode_is_projected_not_damped(self):
-        limit = compute_parabolic_limit(goldstein_kac_1d())
+        system = goldstein_kac_1d()
         grid = PeriodicGrid(dimension=1, points=64, half_width=10.0)
         field = gaussian_field(grid, (1.0, -0.4))
         spectrum = to_frequency(field)
+        splitter = profile_splitter(system, grid)
+        datum = splitter.prepare(field)
         for profile in (evolve_parabolic_phi, evolve_parabolic_psi):
-            out = to_frequency(profile(limit, field, 5.0))
+            out = profile(datum, 5.0)
             assert_allclose(
                 out.values[:, 0],
-                limit.projection @ spectrum.values[:, 0],
+                splitter.limit.projection @ spectrum.values[:, 0],
                 atol=1e-12,
             )
 
@@ -792,24 +879,23 @@ class TestParabolicProfiles:
             "plane": (damped_euler_2d(), PeriodicGrid(2, 64, 16.0)),
         }[case]
         limit = compute_parabolic_limit(system)
+        splitter = profile_splitter(system, grid)
         physical = gaussian_field(grid, tuple(np.linspace(1.0, -0.5, system.size)))
         spectrum = to_frequency(physical)
+        data = (splitter.prepare(spectrum), splitter.prepare(physical))
         for t in (0.0, 0.5, 2.0, 7.0):
             phi, psi = direct_profiles(limit, spectrum, t)
-            for field in (spectrum, physical):
+            for datum in data:
                 for profile, expected in (
                     (evolve_parabolic_phi, phi),
                     (evolve_parabolic_psi, psi),
                 ):
-                    out = profile(limit, field, t)
-                    if field.representation == PHYSICAL:
-                        values = expected.reshape(spectrum.values.shape)
-                        expected = to_physical(GridField(grid, values, FREQUENCY)).flat()
+                    out = profile(datum, t)
+                    assert out.representation == FREQUENCY
                     assert relative_gap(out.flat(), expected) <= 1e-14
 
     def test_frequency_vectors_are_built_once_per_grid(self, monkeypatch):
         system = damped_euler_2d()
-        limit = compute_parabolic_limit(system)
         built = []
         meshgrid = np.meshgrid
 
@@ -820,25 +906,25 @@ class TestParabolicProfiles:
         monkeypatch.setattr(np, "meshgrid", counted)
         grid = PeriodicGrid(dimension=2, points=32, half_width=8.0)
         splitter = FrequencySplitter(system, grid, CutoffSpec(inner=0.35))
-        field = white_spectrum(grid, system.size, seed=14)
+        datum = splitter.prepare(white_spectrum(grid, system.size, seed=14))
         for t in (0.5, 2.0):
-            splitter.decompose(field, t)
-            evolve_parabolic_phi(limit, field, t)
-            evolve_parabolic_psi(limit, field, t)
+            splitter.decompose(datum, t)
+            evolve_parabolic_phi(datum, t)
+            evolve_parabolic_psi(datum, t)
         assert built == [2]
-        assert grid.frequency_vectors() is grid.frequency_vectors()
-        assert not grid.frequency_vectors().flags.writeable
+        assert grid.frequency_vectors is grid.frequency_vectors
+        assert not grid.frequency_vectors.flags.writeable
 
     def test_dimension_mismatch_and_negative_time(self):
-        limit = compute_parabolic_limit(goldstein_kac_1d())
-        grid = PeriodicGrid(dimension=2, points=8, half_width=1.0)
-        field = GridField(grid, np.zeros((2, 8, 8)), PHYSICAL)
-        with pytest.raises(ValueError):
-            evolve_parabolic_phi(limit, field, 1.0)
-        grid1 = PeriodicGrid(dimension=1, points=8, half_width=1.0)
-        field1 = GridField(grid1, np.zeros((2, 8)), PHYSICAL)
-        with pytest.raises(ValueError):
-            evolve_parabolic_psi(limit, field1, -0.5)
+        splitter = profile_splitter(goldstein_kac_1d(), PeriodicGrid(1, 8, 1.0))
+        for grid in (PeriodicGrid(2, 8, 1.0), PeriodicGrid(1, 16, 1.0)):
+            field = GridField(grid, np.zeros((2,) + grid.shape), PHYSICAL)
+            with pytest.raises(ValueError, match="splitter"):
+                splitter.prepare(field)
+        datum = splitter.prepare(GridField(splitter.grid, np.zeros((2, 8)), PHYSICAL))
+        for evolve in (evolve_parabolic_phi, evolve_parabolic_psi, splitter.decompose):
+            with pytest.raises(ValueError, match="nonnegative"):
+                evolve(datum, -0.5)
 
 
 class TestInitialData:
@@ -856,7 +942,7 @@ class TestInitialData:
         grid = PeriodicGrid(dimension=2, points=32, half_width=8.0)
         data = make_initial_data(grid, 2, "random-band", seed=3, band=(0.5, 1.5))
         spectrum = to_frequency(data)
-        moduli = np.linalg.norm(grid.frequency_vectors(), axis=-1)
+        moduli = np.linalg.norm(grid.frequency_vectors, axis=-1)
         outside = (moduli < 0.5) | (moduli > 1.5)
         flat = spectrum.flat()
         scale = np.max(np.abs(flat))
