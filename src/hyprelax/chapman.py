@@ -4,10 +4,11 @@ Low frequencies: the kernel of ``B`` spawns an eigenvalue branch
 ``lambda_0(ik) = c . ik + k . D k + O(|k|^3)`` whose drift ``c`` and
 diffusion ``D`` are the parabolic-limit coefficients; the attached
 eigenprojection expands as ``P_0(ik) = P0 + i k . P1 + O(|k|^2)``.  High
-frequencies: after conjugating by the diagonalizer ``R(w)`` the symbol is a
-perturbation of ``i |k| diag(nu(w))``, and every eigenvalue approaches
-``i |k| nu_[j](w) + beta_jm`` with ``beta_jm`` the sub-eigenvalues of the
-relaxation matrix compressed to the ``j``-th advection eigenspace.  This
+frequencies: ``E(ik) / |k|`` is the pencil ``i A(w) + B / |k|``, and every
+eigenvalue approaches ``i |k| nu_j(w) + beta_jm`` with ``nu_j(w)`` an
+eigenvalue of ``A(w)`` and ``beta_jm`` the eigenvalues of the relaxation
+matrix compressed to its eigenspace (Kato's reduction, in the original
+frame; no diagonalizer is needed).  This
 module computes both expansions, calibrates the frequency radius on which
 the ``0``-group stays spectrally separated, and provides a tracked
 eigenvalue sweep for diagnostics.  The eigenvalue groups of the relaxation
@@ -30,19 +31,16 @@ from .linalg import (
 from .model import (
     ConditionReport,
     HyperbolicSystem,
-    check_condition_A,
     check_condition_B,
     check_condition_D,
-    check_condition_R,
 )
-from .perturbation import PerturbationFamily, reduce_semisimple_group
+from .perturbation import NotSemisimpleError, PerturbationFamily, reduce_semisimple_group
 
 __all__ = [
     "ChapmanError",
     "ConditionViolatedError",
     "ConditionBViolatedError",
     "GroupNotSeparatedError",
-    "CrossingSetHitError",
     "ParabolicLimit",
     "LowFrequencyExpansion",
     "HighFrequencyGroup",
@@ -76,10 +74,6 @@ class ConditionBViolatedError(ConditionViolatedError):
 
 class GroupNotSeparatedError(ChapmanError):
     """The 0-group of the symbol is not isolated at the requested frequency."""
-
-
-class CrossingSetHitError(ChapmanError):
-    """The direction sits on an advection eigenvalue crossing set."""
 
 
 @dataclass(frozen=True)
@@ -133,31 +127,31 @@ class LowFrequencyExpansion:
 
 @dataclass(frozen=True)
 class HighFrequencyGroup:
-    """Asymptotic data of one advection eigenvalue group.
+    """Asymptotic data of one eigenvalue cluster ``nu_j`` of ``A(w)``.
 
-    All matrices live in the diagonalizer frame (conjugated by ``R(w)``),
-    where ``projection`` is an exact diagonal 0/1 pattern.  ``parts[m]`` is
-    the ``m``-th eigenvalue group of the compressed relaxation on this
-    group; its ``value`` is the shift ``beta_jm``.
+    ``projection`` is the eigenprojection of ``A(w)`` onto the cluster, in
+    the original frame.  ``parts[m]`` is the ``m``-th eigenvalue group of the
+    relaxation compressed onto its range; its ``value`` is the shift
+    ``beta_jm``.
     """
 
     value: float
-    indices: tuple[int, ...]
     projection: np.ndarray
     parts: tuple[SpectralGroup, ...]
 
 
 @dataclass(frozen=True)
 class HighFrequencyExpansion:
-    """First-order spectral model ``i |k| nu_[j](w) + beta_jm`` at large |k|."""
+    """First-order spectral model ``i |k| nu_j(w) + beta_jm`` at large |k|.
+
+    ``groups`` are ordered by increasing ``nu_j``.
+    """
 
     direction: np.ndarray
-    nu: np.ndarray
-    partition: tuple[tuple[int, ...], ...]
     groups: tuple[HighFrequencyGroup, ...]
 
     def predicted_eigenvalues(self, modulus: float) -> np.ndarray:
-        """All ``i |k| nu_[j] + beta_jm`` with multiplicity, as a flat array."""
+        """All ``i |k| nu_j + beta_jm`` with multiplicity, as a flat array."""
         out: list[complex] = []
         for group in self.groups:
             for part in group.parts:
@@ -344,105 +338,50 @@ def calibrate_separation_radius(system: HyperbolicSystem) -> float:
     return float(radius)
 
 
-def _partition_by_rows(nu: np.ndarray, tol: float) -> list[list[int]]:
-    groups: list[list[int]] = []
-    for row in range(nu.shape[0]):
-        for group in groups:
-            if np.max(np.abs(nu[row] - nu[group[0]])) <= tol:
-                group.append(row)
-                break
-        else:
-            groups.append([row])
-    return groups
-
-
 def high_frequency_expansion(
-    system: HyperbolicSystem,
-    w: np.ndarray,
-    *,
-    reports: dict[str, ConditionReport] | None = None,
+    system: HyperbolicSystem, w: np.ndarray
 ) -> HighFrequencyExpansion:
     """First-order large-frequency model of the symbol spectrum along ``w``.
 
-    In the diagonalizer frame the symbol is ``|k| (i diag(nu(w)) + z M)``
-    with ``z = 1/|k|`` and ``M = R(w)^{-1} B R(w)``; reducing each advection
-    eigenvalue group of the diagonal base term against ``M`` yields the
-    eigenvalue model ``i |k| nu_[j](w) + beta_jm + O(1/|k|)``.
-
-    Passing precomputed condition ``reports`` (keys "A", "R", "D") skips the
-    corresponding checks.
+    With ``z = 1/|k|`` the symbol is ``|k| (i A(w) + z B)``.  Each eigenvalue
+    cluster ``i nu_j`` of ``i A(w)`` is reduced against ``B``
+    (:func:`~hyprelax.perturbation.reduce_semisimple_group`), which yields
+    the eigenvalue model ``i |k| nu_j(w) + beta_jm + O(1/|k|)``.  Branches of
+    ``A`` that cross at ``w`` form one cluster.  Only what the model needs at
+    ``w`` is checked: real eigenvalues of ``A(w)`` and semisimple clusters.
 
     Raises:
-        ConditionViolatedError: if conditions A, R, or D fail or the system
-            has no diagonalizer.
-        CrossingSetHitError: if ``w`` sits on a crossing of two advection
-            eigenvalue groups and a 1e-7 nudge does not resolve it.
+        ConditionViolatedError: if ``A(w)`` has a non-real eigenvalue or a
+            defective eigenvalue cluster.
     """
     w = np.asarray(w, dtype=float)
     w = w / np.linalg.norm(w)
-    if system.diagonalizer is None:
+    base = 1j * system.advection(w)
+    eigsys = eigendecompose(base)
+    # The eigenvalues of i A(w) are i nu_j: a real part is an imaginary nu_j.
+    imaginary = float(np.max(np.abs(eigsys.values.real)))
+    if imaginary > 1e-7 * (1.0 + float(np.max(np.abs(base)))):
         raise ConditionViolatedError(
-            "high-frequency expansion requires the closed-form diagonalizer R(w)"
+            f"A(w) has a non-real eigenvalue (imaginary part {imaginary:.3e}) "
+            f"at w = {w.tolist()}"
         )
-    reports = dict(reports or {})
-    if "A" not in reports:
-        reports["A"] = check_condition_A(system)
-    if "R" not in reports:
-        reports["R"] = check_condition_R(system)
-    if "D" not in reports:
-        reports["D"] = check_condition_D(system)
-    for name in ("A", "R", "D"):
-        if not reports[name].passed:
-            raise ConditionViolatedError(
-                f"condition {name} fails: {reports[name].summary}", reports[name]
-            )
-
-    nu = np.asarray(reports["A"].data["nu"], dtype=float)
-    partition = _partition_by_rows(nu, 1e-9)
-    scale = 1.0 + float(np.max(np.abs(nu)))
-
-    def group_values(direction: np.ndarray) -> np.ndarray:
-        return nu[:, 0] + nu[:, 1:] @ direction
-
-    values = group_values(w)
-    representatives = [values[group[0]] for group in partition]
-    if len(representatives) > 1:
-        spread = np.min(np.abs(np.diff(np.sort(np.asarray(representatives)))))
-        if spread < 1e-7 * scale:
-            tangent = np.roll(w, 1) if system.dimension > 1 else np.zeros(1)
-            tangent -= w * np.dot(tangent, w)
-            norm = np.linalg.norm(tangent)
-            nudged = w if norm < 1e-12 else (w + 1e-7 * tangent / norm)
-            nudged = nudged / np.linalg.norm(nudged)
-            values = group_values(nudged)
-            representatives = [values[group[0]] for group in partition]
-            spread = np.min(np.abs(np.diff(np.sort(np.asarray(representatives)))))
-            if spread < 1e-7 * scale:
-                raise CrossingSetHitError(
-                    f"direction {w.tolist()} lies on an advection eigenvalue crossing set"
-                )
-            w = nudged
-
-    r = np.asarray(system.diagonalizer(w), dtype=float)
-    compressed = np.linalg.solve(r, system.relaxation @ r)
-    family = PerturbationFamily(1j * np.diag(values), compressed)
+    family = PerturbationFamily(base, system.relaxation)
     groups = []
-    for group, representative in zip(partition, representatives):
-        reduced = reduce_semisimple_group(family, 1j * representative)
+    for cluster in sorted(eigsys.clusters, key=lambda c: c.value.imag):
+        try:
+            reduced = reduce_semisimple_group(family, cluster.value)
+        except NotSemisimpleError as error:
+            raise ConditionViolatedError(
+                f"A(w) is not diagonalizable at w = {w.tolist()}: {error}"
+            ) from error
         groups.append(
             HighFrequencyGroup(
-                value=float(representative),
-                indices=tuple(group),
+                value=float(cluster.value.imag),
                 projection=reduced.group.projection,
                 parts=reduced.parts,
             )
         )
-    return HighFrequencyExpansion(
-        direction=w,
-        nu=nu,
-        partition=tuple(tuple(g) for g in partition),
-        groups=tuple(groups),
-    )
+    return HighFrequencyExpansion(direction=w, groups=tuple(groups))
 
 
 def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:

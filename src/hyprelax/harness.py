@@ -339,7 +339,10 @@ def _read_section(keys: dict, raw, path: str) -> dict:
 def _coerce(hint, value, path: str):
     """``value`` as field type ``hint``: JSON 4 becomes 4.0 for a float field,
     a list a tuple, and an object the section dataclass it describes.  A bool
-    field takes only ``true``/``false`` and an int field only a JSON integer."""
+    field takes only ``true``/``false``, an int field only a JSON integer, and
+    a float field only a finite value (no ``true``, ``NaN`` or ``Infinity``);
+    the one exception is a pair's ``p``, which may be ``"inf"`` (the sup
+    norm)."""
     try:
         options = typing.get_args(hint)
         if type(None) in options:
@@ -360,8 +363,11 @@ def _coerce(hint, value, path: str):
         if hint in (bool, int) and type(value) is not hint:
             kind = "boolean" if hint is bool else "integer"
             raise ValueError(f"expected a JSON {kind}, got {json.dumps(value)}")
+        if hint is float and not (path == "pairs" and value == "inf"):
+            if type(value) is bool or not math.isfinite(float(value)):
+                raise ValueError(f"expected a JSON number, got {json.dumps(value)}")
         return hint(value)
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError) as error:
         raise ConfigurationError(f"invalid {path}: {error}") from error
 
 

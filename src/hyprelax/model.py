@@ -2,11 +2,11 @@
 
 A first-order system ``d_t u + sum_j A_j d_j u + B u = 0`` is described by
 its advection matrices, its relaxation matrix, and optionally a closed-form
-diagonalizer ``R(w)`` of ``A(w) = sum_j w_j A_j`` and a reversal symmetry
-``S``.  The checkers sample the unit sphere (and a log-radial frequency
-grid) and return structured pass/fail reports with certificates or witness
-points; they never raise on a mere failure of the condition, only on inputs
-that make the check itself impossible.
+diagonalizer ``R(w)`` of ``A(w) = sum_j w_j A_j``, which only condition R
+reads, and a reversal symmetry ``S``.  The checkers sample the unit sphere
+(and a log-radial frequency grid) and return structured pass/fail reports
+with certificates or witness points; they never raise on a mere failure of
+the condition, only on inputs that make the check itself impossible.
 """
 
 from __future__ import annotations
@@ -164,11 +164,11 @@ class SampledDiagonalizer:
         return self.matrices[nearest]
 
 
-def sphere_samples(dimension: int, count: int = 512, *, seed: int = 0) -> np.ndarray:
+def sphere_samples(dimension: int, count: int = 512) -> np.ndarray:
     """Deterministic unit-sphere sample of shape ``(m, dimension)``.
 
     Uses the two signs for d=1, a uniform angle grid for d=2, a Fibonacci
-    lattice for d=3, and seeded normalized Gaussians beyond.
+    lattice for d=3, and normalized Gaussians (seed 0) beyond.
     """
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
@@ -183,14 +183,13 @@ def sphere_samples(dimension: int, count: int = 512, *, seed: int = 0) -> np.nda
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         phi = i * np.pi * (3.0 - np.sqrt(5.0))
         return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((count, dimension))
+    raw = np.random.default_rng(0).standard_normal((count, dimension))
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def max_wave_speed(system: HyperbolicSystem, count: int = 128) -> float:
-    """Largest modulus of an eigenvalue of ``A(w)`` over the sampled sphere."""
-    stacks = _direction_stack(system, sphere_samples(system.dimension, count))
+def max_wave_speed(system: HyperbolicSystem) -> float:
+    """Largest modulus of an eigenvalue of ``A(w)`` over 128 sphere samples."""
+    stacks = _direction_stack(system, sphere_samples(system.dimension, 128))
     return float(np.max(np.abs(np.linalg.eigvals(stacks))))
 
 
@@ -228,99 +227,72 @@ def _great_circle_branches(
     return points, branches.reshape(-1, n)
 
 
-def check_condition_A(system: HyperbolicSystem, *, count: int = 512) -> ConditionReport:
+def check_condition_A(system: HyperbolicSystem) -> ConditionReport:
     """Check uniform diagonalizability with eigenvalues affine in direction.
 
-    With a closed-form diagonalizer the check verifies that
-    ``R(w)^{-1} A(w) R(w)`` is diagonal at every sample and fits each
-    diagonal entry as ``nu_0 + nu . w``.  Without one, the branches are
-    followed around the great circles through the sample with the widest
-    eigenvalue gap (see :func:`_great_circle_branches`; in one dimension the
-    sorted eigenvalues are fitted), fitted the same way, and the sorted
-    fitted values must match the sorted eigenvalues at every sample, which
-    needs no branch labels.  The certificate stores the ``(d + 1)``-vector
-    of fit coefficients per branch.
+    The branches are followed around the great circles through the sample
+    with the widest eigenvalue gap (see :func:`_great_circle_branches`; in one
+    dimension the sorted eigenvalues are fitted) and fitted as
+    ``nu_0 + nu . w``; the sorted fitted values must match the sorted
+    eigenvalues at every sample, which needs no branch labels.  The
+    certificate stores the ``(d + 1)``-vector of fit coefficients per branch,
+    and ``diagonalizer_condition`` the worst condition number of the
+    eigenvector matrices of ``A(w)``.
     """
-    directions = _sampling_directions(system, count)
+    directions = sphere_samples(system.dimension)
     m = directions.shape[0]
     n = system.size
     stacks = _direction_stack(system, directions)
     scale = 1.0 + float(np.max(np.abs(stacks)))
     fit_tolerance = 1e-6 * scale
-    design = np.column_stack([np.ones(m), directions])
-
-    if system.diagonalizer is not None:
-        # With a diagonalizer the branch label is the diagonal position, so
-        # the labels are globally consistent without any tracking; the
-        # certificate order matches the columns of R(w).
-        branch_values = np.empty((m, n))
-        max_condition = 0.0
-        for i, w in enumerate(directions):
-            r = np.asarray(system.diagonalizer(w), dtype=float)
-            max_condition = max(max_condition, float(np.linalg.cond(r)))
-            conjugated = np.linalg.solve(r, stacks[i] @ r)
-            off_diagonal = conjugated - np.diag(np.diag(conjugated))
-            if float(np.max(np.abs(off_diagonal))) > 1e-7 * scale:
-                return ConditionReport(
-                    condition="A",
-                    passed=False,
-                    summary="provided diagonalizer does not diagonalize A(w)",
-                    witness={
-                        "direction": w.tolist(),
-                        "off_diagonal_residual": float(np.max(np.abs(off_diagonal))),
-                    },
-                )
-            branch_values[i] = np.diag(conjugated)
-        coefficients, *_ = np.linalg.lstsq(design, branch_values, rcond=None)
-        misfit = np.abs(design @ coefficients - branch_values)
-    else:
-        raw_values, raw_vectors = np.linalg.eig(stacks)
-        imag_peak = float(np.max(np.abs(raw_values.imag)))
-        if imag_peak > 1e-7 * scale:
-            worst = int(np.argmax(np.abs(raw_values.imag).max(axis=1)))
-            return ConditionReport(
-                condition="A",
-                passed=False,
-                summary="A(w) has non-real eigenvalues",
-                witness={
-                    "direction": directions[worst].tolist(),
-                    "imaginary_part": imag_peak,
-                },
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            max_condition = float(np.max(np.linalg.cond(raw_vectors)))
-        values = np.sort(raw_values.real, axis=1)
-        gaps = np.diff(values, axis=1).min(axis=1) if n > 1 else np.full(m, np.inf)
-        base = int(np.argmax(gaps))
-        if not gaps[base] > 1e-9 * scale:
-            return ConditionReport(
-                condition="A",
-                passed=False,
-                summary=(
-                    "eigenvalue branches could not be separated on any of "
-                    f"{m} sampled directions"
-                ),
-                data={
-                    "nu": [],
-                    "fit_residual": float("nan"),
-                    "diagonalizer_condition": max_condition,
-                    "samples": 0,
-                },
-                witness=None,
-            )
-        if system.dimension == 1:
-            points, branches = directions, values
-        else:
-            points, branches = _great_circle_branches(system, directions[base])
-        coefficients, *_ = np.linalg.lstsq(
-            np.column_stack([np.ones(points.shape[0]), points]), branches, rcond=None
+    raw_values, raw_vectors = np.linalg.eig(stacks)
+    imag_peak = float(np.max(np.abs(raw_values.imag)))
+    if imag_peak > 1e-7 * scale:
+        worst = int(np.argmax(np.abs(raw_values.imag).max(axis=1)))
+        return ConditionReport(
+            condition="A",
+            passed=False,
+            summary="A(w) has non-real eigenvalues",
+            witness={
+                "direction": directions[worst].tolist(),
+                "imaginary_part": imag_peak,
+            },
         )
-        misfit = np.abs(np.sort(design @ coefficients, axis=1) - values)
-        # Rows are ordered by coefficients rounded to the fit tolerance, so
-        # rounding noise in an entry all branches share (nu_0 = 0 for the
-        # three-velocity model) cannot decide the order.
-        keys = np.round(coefficients / fit_tolerance)
-        coefficients = coefficients[:, np.lexsort(keys[::-1])]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        max_condition = float(np.max(np.linalg.cond(raw_vectors)))
+    values = np.sort(raw_values.real, axis=1)
+    gaps = np.diff(values, axis=1).min(axis=1) if n > 1 else np.full(m, np.inf)
+    base = int(np.argmax(gaps))
+    if not gaps[base] > 1e-9 * scale:
+        return ConditionReport(
+            condition="A",
+            passed=False,
+            summary=(
+                "eigenvalue branches could not be separated on any of "
+                f"{m} sampled directions"
+            ),
+            data={
+                "nu": [],
+                "fit_residual": float("nan"),
+                "diagonalizer_condition": max_condition,
+                "samples": 0,
+            },
+            witness=None,
+        )
+    if system.dimension == 1:
+        points, branches = directions, values
+    else:
+        points, branches = _great_circle_branches(system, directions[base])
+    coefficients, *_ = np.linalg.lstsq(
+        np.column_stack([np.ones(points.shape[0]), points]), branches, rcond=None
+    )
+    design = np.column_stack([np.ones(m), directions])
+    misfit = np.abs(np.sort(design @ coefficients, axis=1) - values)
+    # Rows are ordered by coefficients rounded to the fit tolerance, so
+    # rounding noise in an entry all branches share (nu_0 = 0 for the
+    # three-velocity model) cannot decide the order.
+    keys = np.round(coefficients / fit_tolerance)
+    coefficients = coefficients[:, np.lexsort(keys[::-1])]
 
     residual = float(np.max(misfit))
     affine_ok = residual <= fit_tolerance
@@ -349,14 +321,15 @@ def check_condition_A(system: HyperbolicSystem, *, count: int = 512) -> Conditio
     )
 
 
-def _sampling_directions(system: HyperbolicSystem, count: int) -> np.ndarray:
-    if isinstance(system.diagonalizer, SampledDiagonalizer):
-        return system.diagonalizer.directions
-    return sphere_samples(system.dimension, count)
+def check_condition_R(system: HyperbolicSystem) -> ConditionReport:
+    """Check that ``R(w)`` diagonalizes ``A(w)`` and ``R(w)^{-1} B R(w)`` is constant.
 
-
-def check_condition_R(system: HyperbolicSystem, *, count: int = 512) -> ConditionReport:
-    """Check that ``R(w)^{-1} B R(w)`` does not depend on the direction.
+    At every sampled direction (the stored ones of a
+    :class:`SampledDiagonalizer`) ``cond(R(w))`` must be below ``1e6`` (a
+    singular ``R(w)`` fails here, before anything is solved with it), the
+    off-diagonal part of ``R(w)^{-1} A(w) R(w)`` at most ``1e-7`` relative
+    to the advection scale, and ``R(w)^{-1} B R(w)`` within ``1e-7``
+    (relative) of its value at the first direction.
 
     Raises:
         MissingDiagonalizerError: if the system has no diagonalizer.
@@ -365,35 +338,61 @@ def check_condition_R(system: HyperbolicSystem, *, count: int = 512) -> Conditio
         raise MissingDiagonalizerError(
             "condition R needs the diagonalizer R(w); none is attached to the system"
         )
-    directions = _sampling_directions(system, count)
-    b = system.relaxation
-    reference: np.ndarray | None = None
-    reference_direction: np.ndarray | None = None
-    worst = 0.0
-    worst_direction = directions[0]
-    for w in directions:
-        r = np.asarray(system.diagonalizer(w), dtype=float)
-        conjugated = np.linalg.solve(r, b @ r)
-        if reference is None:
-            reference = conjugated
-            reference_direction = w
-            continue
-        deviation = float(np.max(np.abs(conjugated - reference)))
-        if deviation > worst:
-            worst = deviation
-            worst_direction = w
-    scale = 1.0 + float(np.max(np.abs(reference)))
-    passed = worst <= 1e-7 * scale
+    if isinstance(system.diagonalizer, SampledDiagonalizer):
+        directions = system.diagonalizer.directions
+    else:
+        directions = sphere_samples(system.dimension)
+    frames = np.stack([np.asarray(system.diagonalizer(w), dtype=float) for w in directions])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conditions = np.linalg.cond(frames)
+    max_condition = float(np.max(conditions))
+    if not max_condition < 1e6:
+        worst = int(np.argmax(conditions))  # a NaN (zero R) counts as the worst
+        return ConditionReport(
+            condition="R",
+            passed=False,
+            summary=f"diagonalizer condition {max_condition:.2e} is not below 1e6",
+            data={"diagonalizer_condition": max_condition},
+            witness={
+                "direction": directions[worst].tolist(),
+                "diagonalizer_condition": max_condition,
+            },
+        )
+    stacks = _direction_stack(system, directions)
+    diagonalized = np.linalg.solve(frames, stacks @ frames)
+    off_diagonal = np.max(np.abs(diagonalized * (1.0 - np.eye(system.size))), axis=(1, 2))
+    conjugated = np.linalg.solve(frames, system.relaxation @ frames)
+    reference = conjugated[0]
+    deviations = np.max(np.abs(conjugated - reference), axis=(1, 2))
+    worst_off = float(np.max(off_diagonal))
+    worst = float(np.max(deviations))
+    witness = None
+    if worst_off > 1e-7 * (1.0 + float(np.max(np.abs(stacks)))):
+        witness = {
+            "direction": directions[int(np.argmax(off_diagonal))].tolist(),
+            "off_diagonal_residual": worst_off,
+        }
+    elif worst > 1e-7 * (1.0 + float(np.max(np.abs(reference)))):
+        witness = {
+            "direction": directions[int(np.argmax(deviations))].tolist(),
+            "deviation": worst,
+        }
     return ConditionReport(
         condition="R",
-        passed=bool(passed),
-        summary=f"max deviation of R(w)^-1 B R(w) across {directions.shape[0]} directions: {worst:.2e}",
+        passed=witness is None,
+        summary=(
+            f"max deviation of R(w)^-1 B R(w) across {directions.shape[0]} directions: "
+            f"{worst:.2e}, off-diagonal residual of R(w)^-1 A(w) R(w) {worst_off:.2e}, "
+            f"diagonalizer condition {max_condition:.2e}"
+        ),
         data={
             "conjugated_relaxation": reference.tolist(),
-            "reference_direction": reference_direction.tolist(),
+            "reference_direction": directions[0].tolist(),
             "max_deviation": worst,
+            "off_diagonal_residual": worst_off,
+            "diagonalizer_condition": max_condition,
         },
-        witness=None if passed else {"direction": worst_direction.tolist(), "deviation": worst},
+        witness=witness,
     )
 
 
@@ -617,28 +616,41 @@ def check_condition_S(system: HyperbolicSystem) -> ConditionReport:
     )
 
 
-def check_all_conditions(
-    system: HyperbolicSystem, *, count: int = 512
-) -> dict[str, ConditionReport]:
+def check_all_conditions(system: HyperbolicSystem) -> dict[str, ConditionReport]:
     """Run every applicable condition check; skips R without a diagonalizer."""
     reports = {
-        "A": check_condition_A(system, count=count),
+        "A": check_condition_A(system),
         "B": check_condition_B(system),
-        "D": check_condition_D(system, sphere_count=count),
+        "D": check_condition_D(system),
         "S": check_condition_S(system),
     }
     if system.diagonalizer is not None:
-        reports["R"] = check_condition_R(system, count=count)
+        reports["R"] = check_condition_R(system)
     return reports
 
 
 _ALLOWED_KEYS = {"d", "n", "A", "B", "R_samples", "S"}
 
 
+def _leaves(value):
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
 def _rectangular(key: str, value, *, depth: int) -> np.ndarray:
+    """``value`` as a float array of nesting ``depth`` whose entries are all
+    finite JSON numbers: no strings, booleans, ``NaN`` or ``Infinity``."""
+    for leaf in _leaves(value):
+        if type(leaf) is not int and not (type(leaf) is float and np.isfinite(leaf)):
+            raise SystemFileError(
+                f"key '{key}': expected finite JSON numbers, got {json.dumps(leaf)}"
+            )
     try:
         array = np.array(value, dtype=float)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise SystemFileError(
             f"key '{key}': expected a rectangular numeric array ({exc})"
         ) from exc

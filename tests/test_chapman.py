@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hyprelax.chapman import (
     ChapmanError,
     ConditionBViolatedError,
     ConditionViolatedError,
-    CrossingSetHitError,
     GroupNotSeparatedError,
     calibrate_separation_radius,
     compute_parabolic_limit,
@@ -19,8 +19,10 @@ from hyprelax.chapman import (
     high_frequency_expansion,
     low_frequency_expansion,
 )
-from hyprelax.model import ConditionReport, HyperbolicSystem
+from hyprelax.model import HyperbolicSystem, check_condition_D, load_system
 from hyprelax.systems import damped_euler_2d, goldstein_kac_1d, goldstein_kac_3d
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # Calibrated on both example systems; frozen against algorithm drift.
 EXAMPLE_SEPARATION_RADIUS = 0.42044820762685775
@@ -41,12 +43,6 @@ def three_speed_diffusion(a: float, b: float, c: float, velocities: np.ndarray) 
         weight * np.outer(v, v) for weight, v in zip(weights, velocities)
     )
     return total / (3.0 * (a * b + b * c + c * a))
-
-
-def passed_report(condition: str, data: dict) -> ConditionReport:
-    return ConditionReport(
-        condition=condition, passed=True, summary="precomputed", data=data, witness=None
-    )
 
 
 class TestParabolicLimit:
@@ -234,6 +230,9 @@ class TestHighFrequencyExpansion:
         [
             (goldstein_kac_1d(), np.array([1.0])),
             (damped_euler_2d(), np.array([1.0, 0.0])),
+            # System files carry no diagonalizer; the model needs none.
+            (load_system(CONFIGS / "goldstein_kac.json"), np.array([-1.0])),
+            (load_system(CONFIGS / "damped_euler.json"), np.array([1.0, 1.0])),
         ],
     )
     def test_predicts_spectrum_at_large_modulus(self, system, w):
@@ -250,55 +249,57 @@ class TestHighFrequencyExpansion:
         total = sum(group.projection for group in expansion.groups)
         assert_allclose(total, np.eye(3), atol=1e-10)
 
-    def test_requires_diagonalizer(self):
-        bare = HyperbolicSystem(
-            advections=goldstein_kac_1d().advections,
-            relaxation=goldstein_kac_1d().relaxation,
-        )
-        with pytest.raises(ConditionViolatedError):
-            high_frequency_expansion(bare, np.array([1.0]))
-
-    def test_rejects_failed_report(self):
-        failed = ConditionReport(
-            condition="D", passed=False, summary="synthetic", data={}, witness=None
-        )
-        with pytest.raises(ConditionViolatedError):
-            high_frequency_expansion(
-                goldstein_kac_1d(), np.array([1.0]), reports={"D": failed}
-            )
-
-    def test_crossing_direction_raises(self):
+    def test_crossing_direction_is_one_group(self):
+        # Velocities e_1 and e_2 give branches w_1 and w_2, which cross here.
         system = goldstein_kac_3d(0.5, 0.5, 0.5)
-        # Branch values w_1 and w_2 cross along this direction, and the
-        # built-in nudge cannot separate them faster than the tolerance.
-        reports = {
-            "A": passed_report(
-                "A",
-                {"nu": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
-            ),
-            "R": passed_report("R", {}),
-            "D": passed_report("D", {}),
-        }
         w = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        with pytest.raises(CrossingSetHitError):
-            high_frequency_expansion(system, w, reports=reports)
-
-    def test_nudge_resolves_steep_crossing(self):
-        # Branch slopes of +-10 separate fast enough for the 1e-7 nudge to
-        # clear the crossing at w = (0, 1).
-        system = HyperbolicSystem(
-            advections=(np.zeros((2, 2)), np.zeros((2, 2))),
-            relaxation=0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
-            diagonalizer=lambda w: np.eye(2),
-        )
-        reports = {
-            "A": passed_report("A", {"nu": [[0, 10, 0], [0, -10, 0]]}),
-            "R": passed_report("R", {}),
-            "D": passed_report("D", {}),
+        expansion = high_frequency_expansion(system, w)
+        multiplicities = {
+            round(group.value, 9): sum(part.multiplicity for part in group.parts)
+            for group in expansion.groups
         }
-        expansion = high_frequency_expansion(system, np.array([0.0, 1.0]), reports=reports)
-        assert expansion.direction[0] != 0.0
-        assert len(expansion.groups) == 2
+        assert multiplicities == {0.0: 1, round(1.0 / np.sqrt(2.0), 9): 2}
+        for modulus in (1e2, 1e3, 1e4):
+            actual = np.linalg.eigvals(system.symbol(modulus * w))
+            predicted = expansion.predicted_eigenvalues(modulus)
+            actual = actual[np.lexsort((actual.real, actual.imag))]
+            predicted = predicted[np.lexsort((predicted.real, predicted.imag))]
+            assert np.max(np.abs(actual - predicted)) <= 1.0 / modulus
+
+    def test_undamped_part_is_the_branch_condition_d_reports(self):
+        # A = I: the only group is nu = 1 and B compressed onto it is B, whose
+        # kernel gives beta = 0, the purely imaginary branch D fails on.
+        marginal = HyperbolicSystem(
+            advections=(np.eye(2),),
+            relaxation=0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
+        )
+        expansion = high_frequency_expansion(marginal, np.array([1.0]))
+        (group,) = expansion.groups
+        assert group.value == pytest.approx(1.0)
+        betas = sorted(part.value.real for part in group.parts)
+        assert_allclose(betas, [0.0, 1.0], atol=1e-12)
+        report = check_condition_D(marginal)
+        assert not report.passed
+        frequency = report.witness["frequency"][0]
+        real, imag = report.witness["eigenvalue"]
+        assert real == pytest.approx(betas[0], abs=1e-10)
+        assert imag == pytest.approx(group.value * frequency, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "advection, named",
+        [
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), "not diagonalizable"),
+            (np.array([[0.0, 1.0], [-1.0, 0.0]]), "non-real"),
+        ],
+    )
+    def test_structural_failure_at_w_raises(self, advection, named):
+        system = HyperbolicSystem(
+            advections=(advection,),
+            relaxation=0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
+        )
+        with pytest.raises(ConditionViolatedError, match=named) as caught:
+            high_frequency_expansion(system, np.array([1.0]))
+        assert "w = [1.0]" in str(caught.value)
 
 
 class TestEigenvalueSweep:

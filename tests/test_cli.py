@@ -80,7 +80,18 @@ class TestCheck:
         absent = tmp_path / "absent.json"
         assert main(["check", str(absent), "--out", str(tmp_path)]) == 3
 
-    @pytest.mark.parametrize("key, value", [("d", True), ("n", 2.0)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("d", True),
+            ("n", 2.0),
+            # Matrix entries are finite JSON numbers, never strings or booleans.
+            ("B", [[math.inf, -0.5], [-0.5, 0.5]]),
+            ("B", [["NaN", -0.5], [-0.5, 0.5]]),
+            ("B", [[0.5, "-0.5"], [-0.5, 0.5]]),
+            ("A", [[[-1.0, 0.0], [0.0, True]]]),
+        ],
+    )
     def test_non_integer_sizes_exit_3(self, tmp_path, gk_path, capsys, key, value):
         raw = json.loads(gk_path.read_text())
         raw[key] = value
@@ -374,12 +385,17 @@ class TestConfigValidation:
             (("initial", "seed"), 2.0, "initial.seed"),
             (("grid", "points"), 8192.0, "grid.points"),
             (("save_fields",), "no", "save_fields"),
+            # JSON has no NaN or Infinity; Python's reader accepts both.
+            (("initial", "amplitudes"), [math.nan, 1.0], "initial.amplitudes"),
+            (("grid", "half_width"), math.inf, "grid.half_width"),
+            (("tolerance",), math.inf, "tolerance"),
         ],
     )
     def test_values_of_the_wrong_json_type_exit_3(
         self, tmp_path, monkeypatch, capsys, keys, value, named
     ):
-        # A bool field takes only true/false, an int field only a JSON integer.
+        # A bool field takes only true/false, an int field only a JSON
+        # integer, and a float field only a finite number.
         raw = json.loads((CONFIGS / "gk_decay.json").read_text())
         raw["system"] = str(CONFIGS / raw["system"])
         section = raw
