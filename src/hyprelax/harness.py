@@ -340,9 +340,9 @@ def _coerce(hint, value, path: str):
     """``value`` as field type ``hint``: JSON 4 becomes 4.0 for a float field,
     a list a tuple, and an object the section dataclass it describes.  A bool
     field takes only ``true``/``false``, an int field only a JSON integer, and
-    a float field only a finite value (no ``true``, ``NaN`` or ``Infinity``);
-    the one exception is a pair's ``p``, which may be ``"inf"`` (the sup
-    norm)."""
+    a float field only a finite JSON number (no string, ``true``, ``NaN`` or
+    ``Infinity``); the one exception is a pair's ``p``, which may be
+    ``"inf"`` (the sup norm)."""
     try:
         options = typing.get_args(hint)
         if type(None) in options:
@@ -364,7 +364,7 @@ def _coerce(hint, value, path: str):
             kind = "boolean" if hint is bool else "integer"
             raise ValueError(f"expected a JSON {kind}, got {json.dumps(value)}")
         if hint is float and not (path == "pairs" and value == "inf"):
-            if type(value) is bool or not math.isfinite(float(value)):
+            if type(value) not in (int, float) or not math.isfinite(value):
                 raise ValueError(f"expected a JSON number, got {json.dumps(value)}")
         return hint(value)
     except (TypeError, ValueError, OverflowError) as error:
@@ -649,36 +649,47 @@ def run_experiment(
         series.setdefault(name, []).append(value)
 
     def measure(datum: Datum, t: float, pairs, q_label: int, save_index=None):
-        # Gaps are formed in frequency; each field a norm needs is transformed once.
+        # Gaps are formed in frequency.  Each field a norm needs is transformed
+        # once, measured and released before the next one is transformed.
         full, low, high = splitter.decompose(datum, t)
-        u, u2 = to_physical(full), to_physical(high)
-        del full, high
-        gaps = []
-        for name, evolve in profiles.items():
-            gap = low.values - evolve(datum, t).values
-            gaps.append((name, to_physical(GridField(grid, gap, low.representation))))
-        record(f"u2_l2_q{q_label}", lp_norm(u2, 2))
+        save = save_index is not None and fields_dir is not None
+
+        def physical(spectrum: GridField, label: str) -> GridField:
+            field = to_physical(spectrum)
+            if save:
+                path = fields_dir / f"snapshot_{save_index:03d}_{label}.bin"
+                save_field(field, path, time=t)
+            return field
+
+        u = physical(full, "u")
+        del full
         for p, q in pairs:
-            tag = _pair_tag(p, q)
-            record(f"u_{tag}", lp_norm(u, p))
-            for name, gap in gaps:
-                record(f"u1_minus_{name}_{tag}", lp_norm(gap, p))
-        if save_index is not None and fields_dir is not None:
-            for label, snapshot in (("u", u), ("u1", to_physical(low)), ("u2", u2)):
-                save_field(
-                    snapshot,
-                    fields_dir / f"snapshot_{save_index:03d}_{label}.bin",
-                    time=t,
-                )
+            record(f"u_{_pair_tag(p, q)}", lp_norm(u, p))
+        del u
+        record(f"u2_l2_q{q_label}", lp_norm(physical(high, "u2"), 2))
+        del high
+        if save:
+            physical(low, "u1")
+        for name, evolve in profiles.items():
+            gap = evolve(datum, t)
+            np.subtract(low.values, gap.values, out=gap.values)
+            gap = to_physical(gap)
+            for p, q in pairs:
+                record(f"u1_minus_{name}_{_pair_tag(p, q)}", lp_norm(gap, p))
+            del gap
 
     fixed = splitter.prepare(initial) if fixed_pairs else None
+    del initial
     for index, t in enumerate(times):
         if fixed_pairs:
             measure(fixed, float(t), fixed_pairs, 1, save_index=index)
         for p, q in scaling_pairs:
             sigma_t = cfg.initial.sigma * math.sqrt(float(t) / float(times[0]))
-            datum = _unit_l2_gaussian(grid, system.size, cfg.initial, sigma_t)
-            measure(splitter.prepare(datum), float(t), [(p, q)], q)
+            gaussian = _unit_l2_gaussian(grid, system.size, cfg.initial, sigma_t)
+            datum = splitter.prepare(gaussian)
+            del gaussian
+            measure(datum, float(t), [(p, q)], q)
+            del datum
 
     fits: dict[str, dict] = {}
     passed = True

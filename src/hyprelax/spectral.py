@@ -237,6 +237,11 @@ def lp_norm(field: GridField, p: float) -> float:
     _require(field, PHYSICAL)
     if not p >= 1:
         raise ValueError(f"norm order must satisfy p >= 1, got {p}")
+    if p == 2:
+        # One real dot over the interleaved real and imaginary parts: no
+        # temporaries, and no BLAS call (which would start its threads).
+        flat = np.ascontiguousarray(field.values).reshape(-1).view(float)
+        return float(np.sqrt(np.einsum("i,i->", flat, flat) * field.grid.cell_volume))
     pointwise = np.sqrt(np.sum(np.abs(field.values) ** 2, axis=0))
     if np.isinf(p):
         return float(np.max(pointwise))
@@ -349,22 +354,26 @@ class _Orbits:
     slot: np.ndarray
 
     def _apply(self, matrices: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """``out[g] = (M_g slots[g])^(c_g)`` for real matrices ``M_g``.
+        """``slots[g] = (M_g slots[g])^(c_g)`` in place, for real matrices ``M_g``.
 
-        One scaled row per nonzero entry: the transforms are mostly signed
-        permutations, and a batched ``matmul`` would start BLAS threads that
-        keep spinning through the rest of the step.
+        An element whose ``M_g`` is the identity is only conjugated (when
+        ``c_g``).  Otherwise one scaled row per nonzero entry, from a copy of
+        the element's block: the transforms are mostly signed permutations,
+        and a batched ``matmul`` would start BLAS threads that keep spinning
+        through the rest of the step.
         """
-        out = np.empty_like(slots)
+        identity = np.eye(matrices.shape[-1])
         for g, matrix in enumerate(matrices):
-            for i, row in enumerate(matrix):
-                first, *others = np.flatnonzero(row)
-                np.multiply(slots[g, first], row[first], out=out[g, i])
-                for j in others:
-                    out[g, i] += row[j] * slots[g, j]
+            if not np.array_equal(matrix, identity):
+                block = slots[g].copy()
+                for i, row in enumerate(matrix):
+                    first, *others = np.flatnonzero(row)
+                    np.multiply(block[first], row[first], out=slots[g, i])
+                    for j in others:
+                        slots[g, i] += row[j] * block[j]
             if self.conjugate[g]:
-                np.conjugate(out[g], out=out[g])
-        return out
+                np.conjugate(slots[g], out=slots[g])
+        return slots
 
     def to_orbit_order(self, flat: np.ndarray) -> np.ndarray:
         """``w[g, :, r] = (T_g^-1 u(R_g k_r))^(c_g)`` of a flat ``(components, N^d)``
@@ -375,7 +384,10 @@ class _Orbits:
         return self._apply(self.inverses, slots.reshape(layout))
 
     def to_grid(self, slots: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_orbit_order`: ``u(R_g k_r) = T_g w[g, :, r]^(c_g)``."""
+        """Inverse of :meth:`to_orbit_order`: ``u(R_g k_r) = T_g w[g, :, r]^(c_g)``.
+
+        ``slots`` is overwritten: the caller hands over an array it owns.
+        """
         return np.take(self._apply(self.transforms, slots).reshape(-1), self.slot)
 
     def compose(self, members, values, vectors, inverse):
@@ -483,8 +495,9 @@ class _Eigenbasis:
     ``fallback`` lists the members whose bound fails the condition guard,
     ``audit`` the factored members checked at every propagation, and
     ``exact_symbols`` the symbols of both, audit first: the only rows of the
-    symbol stack that are kept.  ``band_values`` and ``band_projections`` are
-    the band table of ``_projection_table``.
+    symbol stack that are kept.  ``audit_factors`` holds the audit members'
+    ``lambda``, ``T V`` and ``V^-1 T^-1``, composed once.  ``band_values``
+    and ``band_projections`` are the band table of ``_projection_table``.
     """
 
     orbits: _Orbits
@@ -495,6 +508,7 @@ class _Eigenbasis:
     fallback: np.ndarray
     audit: np.ndarray
     exact_symbols: np.ndarray
+    audit_factors: tuple[np.ndarray, np.ndarray, np.ndarray]
     band_values: np.ndarray
     band_projections: np.ndarray
 
@@ -520,8 +534,9 @@ class FrequencySplitter:
     rank-one ``P0 = v w^T`` from the right and left eigenvectors of the
     eigenvalue nearest zero.  A time ``t`` then costs ``exp(-t lambda)`` per
     orbit, ``V (exp(-t lambda) * c)`` on the datum's modal coefficients
-    ``c = V^-1 T^-1 u`` in orbit order, one ``T`` product per element, one
-    gather back to the grid, and ``exp(-t lambda0)`` on the band.
+    ``c = V^-1 T^-1 u`` in orbit order, one ``T`` product per element whose
+    ``T`` is not the identity, one gather back to the grid, and
+    ``exp(-t lambda0)`` on the band.
 
     A member whose condition bound ``cond_2(T) |V|_F |V^-1|_F`` exceeds
     :data:`CONDITION_LIMIT` is exponentiated by
@@ -642,6 +657,7 @@ class FrequencySplitter:
             fallback=fallback,
             audit=audit,
             exact_symbols=self.system.symbol_stack(self._vectors[exact_rows]),
+            audit_factors=orbits.compose(audit, values, vectors, inverse),
             band_values=band_values,
             band_projections=band_projections,
         )
@@ -696,9 +712,7 @@ class FrequencySplitter:
         (Higham, SIMAX 2005), so its Pade side does not underflow at late times."""
         basis = self._eigenbasis
         audit = basis.audit
-        values, vectors, inverse = basis.orbits.compose(
-            audit, basis.values, basis.vectors, basis.inverse
-        )
+        values, vectors, inverse = basis.audit_factors
         # Fallback rows propagate the datum, so they are not shifted.
         shift = np.concatenate([np.min(values.real, axis=-1), np.zeros(basis.fallback.size)])
         eye = np.eye(self.system.size)
@@ -737,9 +751,14 @@ class FrequencySplitter:
             raise ValueError("the datum was prepared by another splitter")
         coefficients, fallback, moment = datum.modal
         full = self._propagate(t, coefficients, fallback)
-        low = np.zeros_like(full)
-        low[:, self._band] = moment * np.exp(-t * self._eigenbasis.band_values)
-        return tuple(_frequency_field(self.grid, flat) for flat in (full, low, full - low))
+        band = moment * np.exp(-t * self._eigenbasis.band_values)
+        # np.zeros leaves the pages off the band untouched, and u2 differs
+        # from u only on the band.
+        low = np.zeros(full.shape, dtype=complex)
+        low[:, self._band] = band
+        high = full.copy()
+        high[:, self._band] -= band
+        return tuple(_frequency_field(self.grid, flat) for flat in (full, low, high))
 
 
 @dataclass(frozen=True, eq=False)

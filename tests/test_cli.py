@@ -389,6 +389,9 @@ class TestConfigValidation:
             (("initial", "amplitudes"), [math.nan, 1.0], "initial.amplitudes"),
             (("grid", "half_width"), math.inf, "grid.half_width"),
             (("tolerance",), math.inf, "tolerance"),
+            # Numeric strings are not numbers.
+            (("tolerance",), "0.15", "tolerance"),
+            (("grid", "half_width"), "400", "grid.half_width"),
         ],
     )
     def test_values_of_the_wrong_json_type_exit_3(

@@ -1,7 +1,9 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,8 @@ from hyprelax.spectral import (
     to_physical,
 )
 from hyprelax.systems import goldstein_kac_1d
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 GK_RELAXATION = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -225,7 +229,7 @@ class TestExperimentConfig:
             ({"grid": {"points": 8}}, "missing required key 'half_width' in grid"),
             ({"initial": {"width": 2.0}}, "unknown key 'width' in initial"),
             ({"cutoff": "manual"}, "cutoff must be a JSON object"),
-            ({"tolerance": "tight"}, "invalid tolerance: could not convert"),
+            ({"tolerance": "tight"}, "invalid tolerance: expected a JSON number"),
             ({"pairs": [[2]]}, "invalid pairs: needs 2 entries, got 1"),
             (
                 {"times": {"t_min": 2.0, "t_max": 1.0, "count": 6}},
@@ -476,6 +480,26 @@ class TestRunExperiment:
         cfg = small_run_config(save_fields=True)
         with pytest.raises(ConfigurationError, match="save_fields"):
             run_experiment(cfg, system=goldstein_kac_1d())
+
+    def test_measurement_step_holds_each_field_once(self, tmp_path):
+        # The persistent state (datum spectrum, modal coefficients, profile
+        # moment, orbit map) is about four fields; a step that keeps u, u2
+        # and the gaps alive together, or copies the orbit layout, peaks
+        # above eleven.
+        raw = json.loads((CONFIGS / "euler_decay.json").read_text())
+        raw["grid"]["points"] = 256
+        raw["system"] = str(CONFIGS / raw["system"])
+        path = tmp_path / "euler_256.json"
+        path.write_text(json.dumps(raw))
+        cfg = ExperimentConfig.from_file(path)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        field_bytes = 3 * 256**2 * np.dtype(complex).itemsize
+        assert peak < 11 * field_bytes
 
     @pytest.mark.parametrize(
         "pairs, per_time",

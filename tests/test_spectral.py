@@ -175,6 +175,17 @@ class TestLpNorm:
         )
         assert lp_norm(data, np.inf) == pytest.approx(magnitude, rel=1e-12)
 
+    @pytest.mark.parametrize("imaginary", [0.0, 1.0])
+    def test_l2_equals_the_riemann_sum(self, imaginary):
+        grid = PeriodicGrid(dimension=2, points=32, half_width=5.0)
+        rng = np.random.default_rng(3)
+        shape = (3,) + grid.shape
+        values = rng.standard_normal(shape) + imaginary * 1j * rng.standard_normal(shape)
+        pointwise = np.sqrt(np.sum(np.abs(values) ** 2, axis=0))
+        riemann = np.sum(pointwise**2) * grid.cell_volume
+        field = GridField(grid, values, PHYSICAL)
+        assert lp_norm(field, 2) == pytest.approx(riemann**0.5, rel=1e-14)
+
     def test_validation(self):
         grid = PeriodicGrid(dimension=1, points=8, half_width=1.0)
         field = GridField(grid, np.ones((1, 8)), PHYSICAL)
@@ -351,6 +362,19 @@ class TestFrequencySplitter:
         _, u1, _ = splitter.decompose(splitter.prepare(high), 1.0)
         assert np.max(np.abs(u1.values)) == 0.0
 
+    def test_low_part_is_zero_off_the_band(self):
+        # Where chi1 = 0, u1 is exactly 0 and u2 is exactly u.
+        system = damped_euler_2d()
+        grid = PeriodicGrid(dimension=2, points=64, half_width=16.0)
+        splitter = FrequencySplitter(system, grid)
+        datum = splitter.prepare(white_spectrum(grid, system.size, seed=2))
+        u, u1, u2 = (f.flat() for f in splitter.decompose(datum, 1.5))
+        moduli = np.linalg.norm(grid.frequency_vectors, axis=-1)
+        off = splitter.cut.chi1(moduli) == 0.0
+        assert 0 < np.count_nonzero(~off) < off.size
+        assert np.all(u1[:, off] == 0.0)
+        assert np.array_equal(u2[:, off], u[:, off])
+
 
 
 def white_spectrum(grid: PeriodicGrid, components: int, seed: int) -> GridField:
@@ -362,6 +386,22 @@ def white_spectrum(grid: PeriodicGrid, components: int, seed: int) -> GridField:
 
 def relative_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def skew_factorization(monkeypatch, skews: dict) -> None:
+    """Make the next factorization scale column 0 of ``V`` at each
+    representative in ``skews`` by ``1 + skew`` after ``V^-1`` is taken, so
+    the stored ``V`` and ``V^-1`` disagree there."""
+    inv = np.linalg.inv
+
+    def skewed(matrices):
+        inverse = inv(matrices)
+        if np.iscomplexobj(matrices):  # the eigenvector stack; lifts are real
+            for representative, skew in skews.items():
+                matrices[representative, :, 0] *= 1.0 + skew
+        return inverse
+
+    monkeypatch.setattr(np.linalg, "inv", skewed)
 
 
 class TestEigenPropagator:
@@ -472,34 +512,40 @@ class TestEigenPropagator:
         assert orbits.conjugate.tolist() == [False, True]
         assert splitter.fallback_count == 0
 
-    def test_corrupted_factorization_fails_the_audit(self):
+    def test_corrupted_factorization_fails_the_audit(self, monkeypatch):
         # The audit composes each member's factors from the stored factors of
-        # its representative, so corrupting those is caught at the next step;
-        # in the plane the last audited member is mapped by a non-identity
-        # element.
+        # its representative, so a corrupted representative is caught at the
+        # first step; in the plane the last audited member is mapped by a
+        # non-identity element.
         for build, grid in self.CASES.values():
             system = build()
-            splitter = FrequencySplitter(system, grid)
-            datum = splitter.prepare(white_spectrum(grid, system.size, seed=4))
-            splitter.decompose(datum, 1.0)
-            basis = splitter._eigenbasis
+            basis = FrequencySplitter(system, grid)._eigenbasis
             representative = basis.orbits.orbit[basis.audit[-1]]
-            basis.vectors[representative, :, 0] *= 1.0 + 1e-6
-            with pytest.raises(SpectralError, match="Pade"):
-                splitter.decompose(datum, 1.0)
+            with monkeypatch.context() as patch:
+                skew_factorization(patch, {representative: 1e-6})
+                splitter = FrequencySplitter(system, grid)
+                datum = splitter.prepare(white_spectrum(grid, system.size, seed=4))
+                with pytest.raises(SpectralError, match="Pade"):
+                    splitter.decompose(datum, 1.0)
 
-    def test_wrong_lift_fails_the_audit(self):
+    def test_wrong_lift_fails_the_audit(self, monkeypatch):
         # A consistent but wrong transform pair for one element: T D and
         # D T^-1 with D = diag(1, 1, -1) no longer carries E(ik) to E(iRk).
+        import hyprelax.spectral as spectral
+
+        symmetries = spectral._grid_symmetries
+        flip = np.diag([1.0, 1.0, -1.0])
+
+        def wrong_last_lift(system, dimension):
+            elements = symmetries(system, dimension)
+            rotation, transform, conjugate = elements[-1]
+            elements[-1] = (rotation, transform @ flip, conjugate)
+            return elements
+
+        monkeypatch.setattr(spectral, "_grid_symmetries", wrong_last_lift)
         system, grid = damped_euler_2d(), self.CASES["plane"][1]
         splitter = FrequencySplitter(system, grid)
         datum = splitter.prepare(white_spectrum(grid, system.size, seed=4))
-        splitter.decompose(datum, 1.0)
-        orbits = splitter._eigenbasis.orbits
-        flip = np.diag([1.0, 1.0, -1.0])
-        g = orbits.transforms.shape[0] - 1
-        orbits.transforms[g] = orbits.transforms[g] @ flip
-        orbits.inverses[g] = flip @ orbits.inverses[g]
         with pytest.raises(SpectralError, match="Pade"):
             splitter.decompose(datum, 2.0)
 
@@ -579,7 +625,7 @@ class TestEigenPropagator:
             evolve_parabolic_psi(datum, t)
         assert calls == [field]
 
-    def test_late_audit_survives_pade_underflow(self):
+    def test_late_audit_survives_pade_underflow(self, monkeypatch):
         # At t = 780 the unshifted Pade exponential flushes some audited
         # members to 0 although their norm is about 1e-170; the audit shifts
         # by the smallest Re(lambda), and the propagated values stay nonzero.
@@ -602,11 +648,12 @@ class TestEigenPropagator:
             assert np.all(expected != 0.0)
             assert relative_gap(u.flat()[:, member], expected) <= 1e-10
         representative = basis.orbits.orbit[basis.audit[flushed[0]]]
-        basis.vectors[representative, :, 0] *= 1.0 + 1e-6
+        skew_factorization(monkeypatch, {representative: 1e-6})
+        skewed = FrequencySplitter(system, grid)
         with pytest.raises(SpectralError, match="Pade"):
-            splitter.decompose(datum, t)
+            skewed.decompose(skewed.prepare(white_spectrum(grid, system.size, seed=16)), t)
 
-    def test_audit_failure_names_the_largest_mismatch(self):
+    def test_audit_failure_names_the_largest_mismatch(self, monkeypatch):
         # The worst-conditioned member (audited first) is skewed slightly and
         # a later one much more; the error names the later one.
         system, grid = goldstein_kac_1d(), self.CASES["line"][1]
@@ -614,8 +661,9 @@ class TestEigenPropagator:
         basis = splitter._eigenbasis
         first, later = basis.audit[0], basis.audit[-1]
         assert splitter._moduli[first] != splitter._moduli[later]
-        basis.vectors[basis.orbits.orbit[first], :, 0] *= 1.0 + 1e-8
-        basis.vectors[basis.orbits.orbit[later], :, 0] *= 1.0 + 1e-4
+        orbit = basis.orbits.orbit
+        skew_factorization(monkeypatch, {orbit[first]: 1e-8, orbit[later]: 1e-4})
+        splitter = FrequencySplitter(system, grid)
         datum = splitter.prepare(white_spectrum(grid, system.size, seed=17))
         with pytest.raises(SpectralError, match=f"{splitter._moduli[later]:.6g},"):
             splitter.decompose(datum, 1.0)
