@@ -33,6 +33,7 @@ from .model import (
     HyperbolicSystem,
     check_condition_B,
     check_condition_D,
+    sphere_samples,
 )
 from .perturbation import NotSemisimpleError, PerturbationFamily, reduce_semisimple_group
 
@@ -310,8 +311,6 @@ def calibrate_separation_radius(system: HyperbolicSystem) -> float:
     smallest eigenvalue per level) keeps the scan from jumping past an
     exceptional point.
     """
-    from .model import sphere_samples
-
     gap0 = _relaxation_gap(system)
     threshold = 0.5 * gap0
     directions = sphere_samples(system.dimension, _CALIBRATION_DIRECTIONS)

@@ -209,7 +209,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ConfigurationError("run requires --config")
     cfg = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, initial=replace(cfg.initial, seed=args.seed))
+        try:
+            cfg = replace(cfg, initial=replace(cfg.initial, seed=args.seed))
+        except ValueError as error:
+            raise ConfigurationError(f"invalid --seed: {error}") from error
     # Fail before the experiment, not after it, when the report cannot be written.
     try:
         args.out.mkdir(parents=True, exist_ok=True)

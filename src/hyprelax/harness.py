@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,8 @@ from .spectral import (
     Datum,
     FrequencySplitter,
     GridField,
+    GridSpec,
+    InitialSpec,
     PeriodicGrid,
     default_cutoff,
     evolve_parabolic_phi,
@@ -61,7 +63,6 @@ __all__ = [
     "RateFit",
     "FitWindow",
     "TimeSchedule",
-    "InitialSpec",
     "ExperimentConfig",
     "DecayReport",
     "fit_rate",
@@ -71,18 +72,10 @@ __all__ = [
     "emit_report",
 ]
 
-# Gaussian radius beyond which the tail is below 1e-12 of the peak.
-_GAUSSIAN_SUPPORT = math.sqrt(2.0 * math.log(1e12))
-
 _VERIFIED_PAIRS = ((2.0, 1), (2.0, 2), (math.inf, 1))
-
-_INITIAL_KINDS = ("gaussian", "bump", "random-band")
 
 # Fewest samples a rate fit accepts.
 _MIN_FIT_POINTS = 6
-
-# The config's "grid" object holds the ExperimentConfig fields named grid_<key>.
-_GRID = "grid_"
 
 
 class HarnessError(Exception):
@@ -190,12 +183,11 @@ class FitWindow:
 
 @dataclass(frozen=True)
 class TimeSchedule:
-    """Measurement times, log-spaced by default; rates hold for ``t >= 1``."""
+    """Log-spaced measurement times; rates hold for ``t >= 1``."""
 
     t_min: float
     t_max: float
     count: int
-    log: bool = True
 
     def __post_init__(self) -> None:
         if not self.t_min >= 1.0:
@@ -206,39 +198,7 @@ class TimeSchedule:
             raise ValueError("schedule needs at least two times")
 
     def times(self) -> np.ndarray:
-        if self.log:
-            return np.geomspace(self.t_min, self.t_max, self.count)
-        return np.linspace(self.t_min, self.t_max, self.count)
-
-
-@dataclass(frozen=True)
-class InitialSpec:
-    """Parameters handed to :func:`hyprelax.spectral.make_initial_data`."""
-
-    kind: str = "gaussian"
-    seed: int = 0
-    sigma: float = 1.0
-    radius: float = 1.0
-    band: tuple[float, float] = (0.5, 1.5)
-    amplitudes: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ConfigurationError(f"initial seed must be non-negative, got {self.seed}")
-        if self.kind not in _INITIAL_KINDS:
-            raise ConfigurationError(
-                f"initial kind must be one of {', '.join(_INITIAL_KINDS)}, "
-                f"got {self.kind!r}"
-            )
-        if not self.sigma > 0:
-            raise ConfigurationError(f"initial sigma must be positive, got {self.sigma}")
-        if not self.radius > 0:
-            raise ConfigurationError(f"initial radius must be positive, got {self.radius}")
-        if len(self.band) != 2 or not 0 <= self.band[0] < self.band[1]:
-            raise ConfigurationError(
-                f"initial band must be [low, high] with 0 <= low < high, got "
-                f"{list(self.band)}"
-            )
+        return np.geomspace(self.t_min, self.t_max, self.count)
 
 
 @dataclass(frozen=True)
@@ -247,12 +207,11 @@ class ExperimentConfig:
 
     This class and its section dataclasses are the run-config schema: field
     names are the JSON keys, field types the coercions, defaults the optional
-    keys' values.  The ``grid`` object holds the ``grid_*`` fields.
+    keys' values.
     """
 
     system: str
-    grid_points: int
-    grid_half_width: float
+    grid: GridSpec
     times: TimeSchedule
     initial: InitialSpec = field(default_factory=InitialSpec)
     cutoff: CutoffSpec | None = None
@@ -349,8 +308,6 @@ def _coerce(hint, value, path: str):
             if value is None:
                 return None
             (hint,) = (option for option in options if option is not type(None))
-        if isinstance(hint, dict):  # the grid object: keys of the fields it fills
-            return _read_section(hint, value, path)
         if is_dataclass(hint):
             return hint(**_read_section(_section_keys(hint), value, path))
         if typing.get_origin(hint) is tuple:
@@ -372,15 +329,11 @@ def _coerce(hint, value, path: str):
 
 
 def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
-    # Written by hand: the grid_* fields form the "grid" object, a relative
-    # system path resolves against the config, and cutoff "auto" means None.
-    keys = _section_keys(ExperimentConfig)
-    grid = {name: keys.pop(name) for name in list(keys) if name.startswith(_GRID)}
-    keys["grid"] = ({name.removeprefix(_GRID): key for name, key in grid.items()}, True)
+    # Written by hand: a relative system path resolves against the config, and
+    # cutoff "auto" means None.
     if raw.get("cutoff") == "auto":
         raw = {**raw, "cutoff": None}
-    values = _read_section(keys, raw, "")
-    values.update({_GRID + key: value for key, value in values.pop("grid").items()})
+    values = _read_section(_section_keys(ExperimentConfig), raw, "")
     values["system"] = str(base_dir / values["system"])
     return ExperimentConfig(**values)
 
@@ -470,33 +423,12 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     """The config as its JSON file would write it, defaults filled in."""
     # The round trip gives the lists a parsed report.json holds, not tuples.
     echo = json.loads(json.dumps(asdict(cfg), default=str))
-    grid = [name for name in echo if name.startswith(_GRID)]
-    echo["grid"] = {name.removeprefix(_GRID): echo.pop(name) for name in grid}
     echo["pairs"] = [[_norm_label(p), q] for p, q in cfg.pairs]
     return echo
 
 
-def _support_radius(initial: InitialSpec, sigma: float) -> float:
-    if initial.kind == "gaussian":
-        return _GAUSSIAN_SUPPORT * sigma
-    if initial.kind == "bump":
-        return initial.radius
-    # Band-limited noise fills the box; the wrap guard cannot localize it and
-    # the surrogate interpretation is up to the caller.
-    return 0.0
-
-
-def _unit_l2_gaussian(
-    grid: PeriodicGrid, components: int, spec: InitialSpec, sigma: float
-) -> GridField:
-    data = make_initial_data(
-        grid,
-        components,
-        "gaussian",
-        seed=spec.seed,
-        amplitudes=spec.amplitudes,
-        sigma=sigma,
-    )
+def _unit_l2_gaussian(grid: PeriodicGrid, components: int, spec: InitialSpec) -> GridField:
+    data = make_initial_data(grid, components, spec)
     return GridField(grid, data.values / lp_norm(data, 2), data.representation)
 
 
@@ -550,14 +482,7 @@ def run_experiment(
         raise ConfigurationError("save_fields needs an output directory for its snapshots")
     if system is None:
         system = load_system(cfg.system)
-    try:
-        grid = PeriodicGrid(
-            dimension=system.dimension,
-            points=cfg.grid_points,
-            half_width=cfg.grid_half_width,
-        )
-    except ValueError as error:
-        raise ConfigurationError(f"invalid grid: {error}") from error
+    grid = cfg.grid.on(system.dimension)
     amplitudes = cfg.initial.amplitudes
     if amplitudes is not None and len(amplitudes) != system.size:
         raise ConfigurationError(
@@ -601,38 +526,28 @@ def run_experiment(
     fixed_pairs = [pair for pair in cfg.pairs if pair[1] == 1]
 
     speed = max_wave_speed(system)
-    guard_sigma = cfg.initial.sigma
+    widest = cfg.initial
     if scaling_pairs:
-        guard_sigma = cfg.initial.sigma * math.sqrt(times[-1] / times[0])
-    support = _support_radius(cfg.initial, guard_sigma)
-    reach = speed * times[-1] + support
-    if reach > cfg.grid_half_width / 2.0:
+        widest = replace(widest, sigma=widest.sigma * math.sqrt(times[-1] / times[0]))
+    reach = speed * times[-1] + widest.support
+    if reach > grid.half_width / 2.0:
         raise WrapAroundGuardError(
             f"wave reach {reach:.3g} exceeds half-width/2 = "
-            f"{cfg.grid_half_width / 2.0:.3g}; enlarge the box or shorten the schedule"
+            f"{grid.half_width / 2.0:.3g}; enlarge the box or shorten the schedule"
         )
 
     cut = cfg.cutoff if cfg.cutoff is not None else default_cutoff(system)
     low = cfg.initial.band[0]
-    if cfg.initial.kind == "random-band" and low >= cut.inner:
-        # chi1 vanishes on |k| >= inner, so u1 and both profiles would be
-        # rounding noise and the fits would measure nothing.
+    if cfg.initial.kind == "random-band" and low > 0:
+        # Noise without the k = 0 mode has zero mass (its integral is 0), so it
+        # decays faster than the rates for L^1 data predict; off |k| < inner
+        # the projected part u1 and both profiles are rounding noise.
         raise ConfigurationError(
-            f"initial.band starts at {low:g}, outside the projected band "
-            f"|k| < cutoff.inner = {cut.inner:.6g}, so the data has no low-band "
-            f"mass; use a band with low < {cut.inner:.6g}, for example "
-            f"[0, {cut.inner:.6g}]"
+            f"initial.band starts at {low:g} > 0, so the data has zero mass and "
+            f"the predicted rates do not apply; start the band at 0, for example "
+            f"[0, cutoff.inner] = [0, {cut.inner:.6g}]"
         )
-    initial = make_initial_data(
-        grid,
-        system.size,
-        cfg.initial.kind,
-        seed=cfg.initial.seed,
-        amplitudes=cfg.initial.amplitudes,
-        sigma=cfg.initial.sigma,
-        radius=cfg.initial.radius,
-        band=cfg.initial.band,
-    )
+    initial = make_initial_data(grid, system.size, cfg.initial)
     splitter = FrequencySplitter(system, grid, cut)
 
     fields_dir = None
@@ -685,7 +600,9 @@ def run_experiment(
             measure(fixed, float(t), fixed_pairs, 1, save_index=index)
         for p, q in scaling_pairs:
             sigma_t = cfg.initial.sigma * math.sqrt(float(t) / float(times[0]))
-            gaussian = _unit_l2_gaussian(grid, system.size, cfg.initial, sigma_t)
+            gaussian = _unit_l2_gaussian(
+                grid, system.size, replace(cfg.initial, sigma=sigma_t)
+            )
             datum = splitter.prepare(gaussian)
             del gaussian
             measure(datum, float(t), [(p, q)], q)

@@ -34,6 +34,7 @@ corresponding guard).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,6 +45,7 @@ import numpy as np
 from .chapman import (
     GroupNotSeparatedError,
     ParabolicLimit,
+    calibrate_separation_radius,
     compute_parabolic_limit,
     exact_group_projection,
     separation_threshold,
@@ -57,8 +59,10 @@ __all__ = [
     "SupportTooWideError",
     "GroupNotSeparatedError",
     "PeriodicGrid",
+    "GridSpec",
     "GridField",
     "CutoffSpec",
+    "InitialSpec",
     "FrequencySplitter",
     "Datum",
     "CONDITION_LIMIT",
@@ -166,6 +170,20 @@ class PeriodicGrid:
             shape[axis] = self.points
             total = total + (x**2).reshape(shape)
         return total
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """A :class:`PeriodicGrid` without its dimension, which the system gives."""
+
+    points: int
+    half_width: float
+
+    def __post_init__(self) -> None:
+        self.on(1)  # PeriodicGrid's own checks of points and half_width
+
+    def on(self, dimension: int) -> PeriodicGrid:
+        return PeriodicGrid(dimension, self.points, self.half_width)
 
 
 @dataclass(frozen=True)
@@ -286,9 +304,59 @@ class CutoffSpec:
 
 def default_cutoff(system: HyperbolicSystem) -> CutoffSpec:
     """Inner radius at half the calibrated separation."""
-    from .chapman import calibrate_separation_radius
-
     return CutoffSpec(inner=0.5 * calibrate_separation_radius(system))
+
+
+@dataclass(frozen=True)
+class InitialSpec:
+    """Deterministic initial data of a named kind, built by :func:`make_initial_data`.
+
+    ``gaussian`` scales ``exp(-|x|^2 / 2 sigma^2)`` per component; ``bump``
+    uses a compactly supported profile of the given support radius;
+    ``random-band`` draws seeded white noise and keeps the frequency annulus
+    ``band``.  Amplitudes default to seeded values in ``[0.5, 1.5]`` with
+    alternating signs.
+    """
+
+    kind: str = "gaussian"
+    seed: int = 0
+    sigma: float = 1.0
+    radius: float = 1.0
+    band: tuple[float, float] = (0.5, 1.5)
+    amplitudes: tuple[float, ...] | None = None
+
+    kinds = ("gaussian", "bump", "random-band")
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"initial seed must be non-negative, got {self.seed}")
+        if self.kind not in self.kinds:
+            raise ValueError(
+                f"initial kind must be one of {', '.join(self.kinds)}, got {self.kind!r}"
+            )
+        if not self.sigma > 0:
+            raise ValueError(f"initial sigma must be positive, got {self.sigma}")
+        if not self.radius > 0:
+            raise ValueError(f"initial radius must be positive, got {self.radius}")
+        if len(self.band) != 2 or not 0 <= self.band[0] < self.band[1]:
+            raise ValueError(
+                f"initial band must be [low, high] with 0 <= low < high, got "
+                f"{list(self.band)}"
+            )
+
+    @property
+    def support(self) -> float:
+        """Radius beyond which the data is below 1e-12 of its peak.
+
+        Band-limited noise fills the box; its support is taken as 0, since no
+        box check can localize it and the periodic wrap is part of its
+        interpretation.
+        """
+        if self.kind == "gaussian":
+            return math.sqrt(2.0 * math.log(1e12)) * self.sigma
+        if self.kind == "bump":
+            return self.radius
+        return 0.0
 
 
 def _grid_symmetries(system: HyperbolicSystem, dimension: int) -> list[tuple]:
@@ -820,70 +888,46 @@ def evolve_parabolic_psi(datum: Datum, t: float) -> GridField:
     return _frequency_field(splitter.grid, datum.psi_moment * multiplier[None, :])
 
 
-def make_initial_data(
-    grid: PeriodicGrid,
-    components: int,
-    kind: str,
-    *,
-    seed: int = 0,
-    amplitudes: tuple[float, ...] | None = None,
-    sigma: float = 1.0,
-    radius: float = 1.0,
-    band: tuple[float, float] = (0.5, 1.5),
-) -> GridField:
-    """Deterministic localized initial data of a named kind, in physical space.
-
-    ``gaussian`` scales ``exp(-|x|^2 / 2 sigma^2)`` per component;
-    ``bump`` uses a compactly supported profile of the given support radius;
-    ``random-band`` draws seeded white noise and keeps the frequency annulus
-    ``band``.  Amplitudes default to seeded values in ``[0.5, 1.5]`` with
-    alternating signs.
+def make_initial_data(grid: PeriodicGrid, components: int, spec: InitialSpec) -> GridField:
+    """The data ``spec`` describes, with ``components`` components on ``grid``,
+    in physical space.
 
     Raises:
-        SupportTooWideError: if Gaussian boundary tails exceed 1e-12 of the
-            peak, or a bump support does not fit in the box.
+        ValueError: if ``components < 1`` or ``spec.amplitudes`` has another
+            number of entries.
+        SupportTooWideError: if ``spec.support`` does not fit in the box.
     """
     if components < 1:
         raise ValueError("need at least one field component")
-    rng = np.random.default_rng(seed)
-    if amplitudes is None:
+    rng = np.random.default_rng(spec.seed)
+    if spec.amplitudes is None:
         signs = np.where(np.arange(components) % 2 == 0, 1.0, -1.0)
         amplitude_array = rng.uniform(0.5, 1.5, size=components) * signs
     else:
-        amplitude_array = np.asarray(amplitudes, dtype=float)
+        amplitude_array = np.asarray(spec.amplitudes, dtype=float)
         if amplitude_array.shape != (components,):
             raise ValueError(
                 f"expected {components} amplitudes, got {amplitude_array.shape}"
             )
+    amplitude_array = amplitude_array.reshape((-1,) + (1,) * grid.dimension)
+    if spec.support >= grid.half_width:
+        raise SupportTooWideError(
+            f"{spec.kind} data of support radius {spec.support:.6g} (tails below "
+            f"1e-12 of the peak) does not fit in a box of half-width "
+            f"{grid.half_width:g}; shrink the data or enlarge the box"
+        )
 
-    if kind == "gaussian":
-        if not sigma > 0:
-            raise ValueError("gaussian width must be positive")
-        tail = np.exp(-grid.half_width**2 / (2.0 * sigma**2))
-        if tail >= 1e-12:
-            raise SupportTooWideError(
-                f"gaussian boundary tail {tail:.3e} exceeds 1e-12 of the peak; "
-                f"shrink sigma or enlarge the box"
-            )
-        profile = np.exp(-grid.radius_squared() / (2.0 * sigma**2))
-        values = amplitude_array.reshape((-1,) + (1,) * grid.dimension) * profile
-    elif kind == "bump":
-        if not radius > 0:
-            raise ValueError("bump radius must be positive")
-        if radius >= grid.half_width:
-            raise SupportTooWideError(
-                f"bump of radius {radius} does not fit in a box of half-width "
-                f"{grid.half_width}"
-            )
-        squared = grid.radius_squared() / radius**2
+    if spec.kind == "gaussian":
+        profile = np.exp(-grid.radius_squared() / (2.0 * spec.sigma**2))
+        values = amplitude_array * profile
+    elif spec.kind == "bump":
+        squared = grid.radius_squared() / spec.radius**2
         profile = np.zeros(grid.shape)
         interior = squared < 1.0
         profile[interior] = np.exp(1.0 - 1.0 / (1.0 - squared[interior]))
-        values = amplitude_array.reshape((-1,) + (1,) * grid.dimension) * profile
-    elif kind == "random-band":
-        low, high = band
-        if not 0 <= low < high:
-            raise ValueError(f"band must satisfy 0 <= low < high, got {band}")
+        values = amplitude_array * profile
+    else:
+        low, high = spec.band
         noise = rng.standard_normal((components,) + grid.shape)
         spectrum = to_frequency(GridField(grid, noise, PHYSICAL)).values
         moduli = np.linalg.norm(grid.frequency_vectors, axis=-1).reshape(grid.shape)
@@ -893,12 +937,7 @@ def make_initial_data(
         axes = tuple(range(1, 1 + grid.dimension))
         scale = np.max(np.abs(shaped), axis=axes, keepdims=True)
         scale[scale == 0.0] = 1.0
-        values = amplitude_array.reshape((-1,) + (1,) * grid.dimension) * shaped / scale
-    else:
-        raise ValueError(
-            f"unknown initial data kind {kind!r}; expected gaussian, bump, "
-            f"or random-band"
-        )
+        values = amplitude_array * shaped / scale
 
     return GridField(grid, values.astype(complex), PHYSICAL)
 

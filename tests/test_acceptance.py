@@ -15,13 +15,7 @@ from hyprelax.chapman import (
     high_frequency_expansion,
     low_frequency_expansion,
 )
-from hyprelax.harness import (
-    ExperimentConfig,
-    FitWindow,
-    InitialSpec,
-    TimeSchedule,
-    run_experiment,
-)
+from hyprelax.harness import ExperimentConfig, FitWindow, TimeSchedule, run_experiment
 from hyprelax.linalg import Contour, cauchy_integral
 from hyprelax.model import HyperbolicSystem, check_condition_D
 from hyprelax.perturbation import (
@@ -31,7 +25,7 @@ from hyprelax.perturbation import (
     symmetry_vanishing_check,
     total_projection_series,
 )
-from hyprelax.spectral import CutoffSpec
+from hyprelax.spectral import CutoffSpec, GridSpec, InitialSpec
 from hyprelax.systems import damped_euler_2d, goldstein_kac_1d, goldstein_kac_3d
 
 
@@ -48,8 +42,7 @@ def fitted_slope(z: np.ndarray, err: np.ndarray) -> float:
 def gaussian_line_run():
     cfg = ExperimentConfig(
         system="in-memory",
-        grid_points=8192,
-        grid_half_width=400.0,
+        grid=GridSpec(points=8192, half_width=400.0),
         times=TimeSchedule(t_min=5.0, t_max=80.0, count=16),
         initial=InitialSpec(sigma=0.5, amplitudes=(1.0, -0.5)),
         cutoff=CutoffSpec(inner=0.23),
@@ -65,8 +58,7 @@ def gaussian_line_run():
 def gaussian_plane_run():
     cfg = ExperimentConfig(
         system="in-memory",
-        grid_points=512,
-        grid_half_width=100.0,
+        grid=GridSpec(points=512, half_width=100.0),
         times=TimeSchedule(t_min=4.0, t_max=40.0, count=12),
         initial=InitialSpec(sigma=1.0, amplitudes=(1.0, 0.3, -0.2)),
         cutoff=CutoffSpec(inner=0.35),

@@ -10,9 +10,9 @@ import pytest
 
 import hyprelax
 from hyprelax.cli import main
-from hyprelax.harness import ExperimentConfig, FitWindow, InitialSpec, TimeSchedule
+from hyprelax.harness import ExperimentConfig, FitWindow, TimeSchedule
 from hyprelax.model import HyperbolicSystem, dump_system
-from hyprelax.spectral import FrequencySplitter
+from hyprelax.spectral import FrequencySplitter, InitialSpec
 from hyprelax.systems import damped_euler_2d, goldstein_kac_1d
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -324,7 +324,7 @@ class TestConfigValidation:
         payload = {
             "system": gk_path.name,
             "grid": {"points": 8192, "half_width": 400.0},
-            "times": {"t_min": 5.0, "t_max": 80.0, "count": 16, "log": False},
+            "times": {"t_min": 5.0, "t_max": 80.0, "count": 16},
             "initial": {
                 "kind": "gaussian",
                 "seed": 3,
@@ -344,7 +344,7 @@ class TestConfigValidation:
         path.write_text(json.dumps(payload))
         cfg = ExperimentConfig.from_file(path)
         assert cfg.system == str(gk_path)
-        assert cfg.times == TimeSchedule(5.0, 80.0, 16, log=False)
+        assert cfg.times == TimeSchedule(5.0, 80.0, 16)
         assert cfg.initial == InitialSpec(
             kind="gaussian",
             seed=3,
@@ -379,7 +379,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "keys, value, named",
         [
-            (("times", "log"), "false", "times.log"),
+            (("save_fields",), "false", "save_fields"),
             (("times", "count"), 16.9, "times.count"),
             (("times", "count"), True, "times.count"),
             (("initial", "seed"), 2.0, "initial.seed"),
@@ -422,6 +422,11 @@ class TestConfigValidation:
         [
             ("cutoff", {"inner": 0.23, "outer": 20.0}, "unknown key 'outer' in cutoff"),
             ("out_dir", "out", "unknown key 'out_dir' in config"),
+            (
+                "times",
+                {"t_min": 2.0, "t_max": 16.0, "count": 8, "log": False},
+                "unknown key 'log' in times",
+            ),
         ],
     )
     def test_removed_keys_exit_3(self, tmp_path, gk_path, capsys, key, value, named):
@@ -441,8 +446,8 @@ class TestConfigValidation:
             ("gk_decay", "fit", "t_min", 50.0, "fit.t_min"),
             ("gk_decay", "fit", "exp_t_min", 50.0, "fit.exp_t_min"),
             ("euler_decay", "initial", "amplitudes", [1.0, 0.3], "initial.amplitudes"),
-            # The default band (0.5, 1.5) misses |k| < cutoff.inner = 0.23.
-            ("gk_decay", "initial", "kind", "random-band", "use a band with low < 0.23"),
+            # The default band (0.5, 1.5) has no k = 0 mode, so the data has no mass.
+            ("gk_decay", "initial", "kind", "random-band", "[0, 0.23]"),
         ],
     )
     def test_invalid_demo_copy_exits_3_before_propagating(
@@ -465,6 +470,32 @@ class TestConfigValidation:
         assert stderr.startswith("error: ")
         assert named in stderr
         assert "Traceback" not in stderr
+
+    def test_zero_mass_noise_exits_3_before_propagating(self, tmp_path, monkeypatch, capsys):
+        # Noise on [0.2, 1.5] has no k = 0 mode, so its mass is 0 and its
+        # low-frequency part decays faster than the L^1 rates predict.
+        raw = json.loads((CONFIGS / "gk_decay.json").read_text())
+        raw["system"] = str(CONFIGS / raw["system"])
+        raw["initial"] = {"kind": "random-band", "band": [0.2, 1.5], "seed": 0}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+
+        def propagate(*args, **kwargs):
+            raise AssertionError("zero-mass data reached the propagator")
+
+        monkeypatch.setattr(FrequencySplitter, "decompose", propagate)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        stderr = capsys.readouterr().err
+        assert "zero mass" in stderr
+        assert "[0, 0.23]" in stderr
+
+    def test_grid_is_checked_before_the_system_is_read(self, tmp_path, capsys):
+        config = write_run_config(
+            tmp_path, tmp_path / "missing.json", grid={"points": 100, "half_width": 48.0}
+        )
+        assert main(["check", "--config", config, "--out", str(tmp_path / "o")]) == 3
+        stderr = capsys.readouterr().err
+        assert "invalid grid: points per axis must be a power of two" in stderr
 
 
 @pytest.mark.parametrize("command", ["check", "limit", "sweep", "run"])

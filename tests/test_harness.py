@@ -15,7 +15,6 @@ from hyprelax.harness import (
     DecayReport,
     ExperimentConfig,
     FitWindow,
-    InitialSpec,
     NonPositiveValueError,
     TimeSchedule,
     TooFewPointsError,
@@ -31,6 +30,8 @@ from hyprelax.model import HyperbolicSystem, check_condition_D, dump_system
 from hyprelax.spectral import (
     FrequencySplitter,
     GridField,
+    GridSpec,
+    InitialSpec,
     PeriodicGrid,
     evolve_parabolic_phi,
     lp_norm,
@@ -55,8 +56,7 @@ def drifting_two_speed() -> HyperbolicSystem:
 def small_run_config(**overrides) -> ExperimentConfig:
     settings = dict(
         system="in-memory",
-        grid_points=512,
-        grid_half_width=48.0,
+        grid=GridSpec(points=512, half_width=48.0),
         times=TimeSchedule(t_min=2.0, t_max=16.0, count=8),
         initial=InitialSpec(sigma=0.5, amplitudes=(1.0, -0.5)),
         tolerance=5.0,
@@ -160,8 +160,6 @@ class TestTimeSchedule:
     def test_spacings(self):
         log = TimeSchedule(t_min=1.0, t_max=100.0, count=5).times()
         assert_allclose(log, [1.0, np.sqrt(10) ** 1, 10.0, np.sqrt(10) ** 3, 100.0])
-        linear = TimeSchedule(t_min=1.0, t_max=3.0, count=5, log=False).times()
-        assert_allclose(linear, [1.0, 1.5, 2.0, 2.5, 3.0])
 
 
 class TestExperimentConfig:
@@ -195,7 +193,7 @@ class TestExperimentConfig:
         )
         cfg = ExperimentConfig.from_file(config_path)
         assert cfg.system == str(tmp_path / "system.json")
-        assert cfg.grid_points == 512
+        assert cfg.grid == GridSpec(points=512, half_width=48.0)
         assert cfg.times.count == 8
         assert cfg.initial.amplitudes == (1.0, -0.5)
         assert cfg.pairs == ((2.0, 1), (math.inf, 1))
@@ -358,9 +356,7 @@ class TestRunExperiment:
     def test_series_match_direct_measurement(self, report):
         system = goldstein_kac_1d()
         grid = PeriodicGrid(dimension=1, points=512, half_width=48.0)
-        data = make_initial_data(
-            grid, 2, "gaussian", seed=0, amplitudes=(1.0, -0.5), sigma=0.5
-        )
+        data = make_initial_data(grid, 2, InitialSpec(amplitudes=(1.0, -0.5), sigma=0.5))
         splitter = FrequencySplitter(system, grid)
         datum = splitter.prepare(data)
         t = report.times[3]
@@ -379,7 +375,7 @@ class TestRunExperiment:
 
     def test_scaling_pair_series(self):
         cfg = small_run_config(
-            grid_half_width=64.0,
+            grid=GridSpec(points=512, half_width=64.0),
             pairs=((2.0, 1), (2.0, 2)),
             times=TimeSchedule(t_min=2.0, t_max=12.0, count=6),
         )
@@ -401,20 +397,19 @@ class TestRunExperiment:
         # Rejected when the config is built, before any system is loaded.
         with pytest.raises(ConfigurationError, match="gaussian"):
             small_run_config(
-                grid_half_width=64.0,
+                grid=GridSpec(points=512, half_width=64.0),
                 pairs=((2.0, 2),),
                 initial=InitialSpec(kind="bump", radius=2.0),
             )
 
     def test_wrap_guard(self):
-        cfg = small_run_config(grid_points=128, grid_half_width=20.0)
+        cfg = small_run_config(grid=GridSpec(points=128, half_width=20.0))
         with pytest.raises(WrapAroundGuardError):
             run_experiment(cfg, system=goldstein_kac_1d())
 
     def test_missing_symmetry_skips_psi_profile(self):
         cfg = small_run_config(
-            grid_points=256,
-            grid_half_width=64.0,
+            grid=GridSpec(points=256, half_width=64.0),
             times=TimeSchedule(t_min=2.0, t_max=8.0, count=6),
             initial=InitialSpec(sigma=1.0, amplitudes=(1.0, -0.5)),
         )
@@ -426,8 +421,7 @@ class TestRunExperiment:
 
     def test_missing_symmetry_fails_psi_only_run(self):
         cfg = small_run_config(
-            grid_points=256,
-            grid_half_width=64.0,
+            grid=GridSpec(points=256, half_width=64.0),
             times=TimeSchedule(t_min=2.0, t_max=8.0, count=6),
             initial=InitialSpec(sigma=1.0, amplitudes=(1.0, -0.5)),
             profile="psi",
@@ -437,8 +431,7 @@ class TestRunExperiment:
 
     def test_phi_only_run_skips_symmetry_check(self):
         cfg = small_run_config(
-            grid_points=256,
-            grid_half_width=64.0,
+            grid=GridSpec(points=256, half_width=64.0),
             times=TimeSchedule(t_min=2.0, t_max=8.0, count=6),
             initial=InitialSpec(sigma=1.0, amplitudes=(1.0, -0.5)),
             profile="phi",
@@ -518,7 +511,9 @@ class TestRunExperiment:
 
         monkeypatch.setattr(spectral, "to_frequency", counted)
         schedule = TimeSchedule(t_min=2.0, t_max=12.0, count=6)
-        cfg = small_run_config(grid_half_width=64.0, pairs=pairs, times=schedule)
+        cfg = small_run_config(
+            grid=GridSpec(points=512, half_width=64.0), pairs=pairs, times=schedule
+        )
         run_experiment(cfg, system=goldstein_kac_1d())
         assert len(calls) == 1 + per_time * schedule.count
 

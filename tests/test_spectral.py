@@ -18,6 +18,7 @@ from hyprelax.spectral import (
     CutoffSpec,
     FrequencySplitter,
     GridField,
+    InitialSpec,
     PeriodicGrid,
     SpectralError,
     SupportTooWideError,
@@ -55,7 +56,7 @@ def evolve_hyperbolic(system: HyperbolicSystem, field: GridField, t: float) -> G
 
 def gaussian_field(grid: PeriodicGrid, amplitudes, sigma: float = 1.0) -> GridField:
     return make_initial_data(
-        grid, len(amplitudes), "gaussian", amplitudes=tuple(amplitudes), sigma=sigma
+        grid, len(amplitudes), InitialSpec(amplitudes=tuple(amplitudes), sigma=sigma)
     )
 
 
@@ -163,9 +164,7 @@ class TestLpNorm:
         grid = PeriodicGrid(dimension=1, points=512, half_width=12.0)
         sigma = 1.0
         amplitudes = (1.0, -0.5)
-        data = make_initial_data(
-            grid, 2, "gaussian", amplitudes=amplitudes, sigma=sigma
-        )
+        data = make_initial_data(grid, 2, InitialSpec(amplitudes=amplitudes, sigma=sigma))
         magnitude = np.hypot(*amplitudes)
         assert lp_norm(data, 1) == pytest.approx(
             magnitude * sigma * np.sqrt(2.0 * np.pi), rel=1e-6
@@ -979,7 +978,7 @@ class TestInitialData:
     def test_bump_support_and_peak(self):
         grid = PeriodicGrid(dimension=1, points=256, half_width=10.0)
         data = make_initial_data(
-            grid, 1, "bump", amplitudes=(2.0,), radius=3.0
+            grid, 1, InitialSpec(kind="bump", amplitudes=(2.0,), radius=3.0)
         )
         values = data.values[0].real
         x = grid.x_axis()
@@ -988,7 +987,9 @@ class TestInitialData:
 
     def test_random_band_is_annulus_confined(self):
         grid = PeriodicGrid(dimension=2, points=32, half_width=8.0)
-        data = make_initial_data(grid, 2, "random-band", seed=3, band=(0.5, 1.5))
+        data = make_initial_data(
+            grid, 2, InitialSpec(kind="random-band", seed=3, band=(0.5, 1.5))
+        )
         spectrum = to_frequency(data)
         moduli = np.linalg.norm(grid.frequency_vectors, axis=-1)
         outside = (moduli < 0.5) | (moduli > 1.5)
@@ -998,29 +999,29 @@ class TestInitialData:
 
     def test_deterministic_in_seed(self):
         grid = PeriodicGrid(dimension=1, points=64, half_width=5.0)
-        a = make_initial_data(grid, 2, "random-band", seed=5)
-        b = make_initial_data(grid, 2, "random-band", seed=5)
-        c = make_initial_data(grid, 2, "random-band", seed=6)
+        a = make_initial_data(grid, 2, InitialSpec(kind="random-band", seed=5))
+        b = make_initial_data(grid, 2, InitialSpec(kind="random-band", seed=5))
+        c = make_initial_data(grid, 2, InitialSpec(kind="random-band", seed=6))
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
     def test_support_guards(self):
         grid = PeriodicGrid(dimension=1, points=64, half_width=5.0)
         with pytest.raises(SupportTooWideError):
-            make_initial_data(grid, 1, "gaussian", sigma=2.0)
+            make_initial_data(grid, 1, InitialSpec(sigma=2.0))
         with pytest.raises(SupportTooWideError):
-            make_initial_data(grid, 1, "bump", radius=5.0)
+            make_initial_data(grid, 1, InitialSpec(kind="bump", radius=5.0))
 
     def test_validation(self):
         grid = PeriodicGrid(dimension=1, points=64, half_width=5.0)
         with pytest.raises(ValueError):
-            make_initial_data(grid, 0, "gaussian")
+            make_initial_data(grid, 0, InitialSpec())
         with pytest.raises(ValueError):
-            make_initial_data(grid, 1, "plane-wave")
+            make_initial_data(grid, 1, InitialSpec(kind="plane-wave"))
         with pytest.raises(ValueError):
-            make_initial_data(grid, 2, "gaussian", amplitudes=(1.0,))
+            make_initial_data(grid, 2, InitialSpec(amplitudes=(1.0,)))
         with pytest.raises(ValueError):
-            make_initial_data(grid, 1, "random-band", band=(1.5, 0.5))
+            make_initial_data(grid, 1, InitialSpec(kind="random-band", band=(1.5, 0.5)))
 
 
 class TestSnapshots:
