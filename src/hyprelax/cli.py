@@ -35,7 +35,7 @@ from .harness import (
     emit_report,
     run_experiment,
 )
-from .model import SystemFileError, check_all_conditions, load_system
+from .model import SystemFileError, check_all_conditions, load_json, load_system
 from .spectral import SpectralError
 
 __all__ = ["main"]
@@ -239,11 +239,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        raw = json.loads(Path(args.report).read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise ConfigurationError(f"cannot read report {args.report}: {error}") from error
-    report = DecayReport.from_dict(raw)
+    report = DecayReport.from_dict(load_json(args.report, "report", ConfigurationError))
     paths = emit_report(report, args.out)
     print(f"re-serialized report to {', '.join(str(p) for p in paths)}")
     return PASS_EXIT if report.passed else RATE_EXIT

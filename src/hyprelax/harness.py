@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +32,11 @@ from .model import (
     check_condition_B,
     check_condition_D,
     check_condition_S,
+    json_number,
+    load_json,
     load_system,
     max_wave_speed,
+    read_section,
 )
 from .spectral import (
     CutoffSpec,
@@ -44,7 +46,6 @@ from .spectral import (
     GridSpec,
     InitialSpec,
     PeriodicGrid,
-    default_cutoff,
     evolve_parabolic_phi,
     evolve_parabolic_psi,
     lp_norm,
@@ -201,6 +202,14 @@ class TimeSchedule:
         return np.geomspace(self.t_min, self.t_max, self.count)
 
 
+class _NormExponent(float):
+    """A pair's ``p`` as a config writes it: a finite JSON number, or
+    ``"inf"`` for the sup norm."""
+
+    def __new__(cls, value):
+        return super().__new__(cls, math.inf if value == "inf" else json_number(value))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full declarative description of one decay experiment.
@@ -215,7 +224,7 @@ class ExperimentConfig:
     times: TimeSchedule
     initial: InitialSpec = field(default_factory=InitialSpec)
     cutoff: CutoffSpec | None = None
-    pairs: tuple[tuple[float, int], ...] = ((2.0, 1),)
+    pairs: tuple[tuple[_NormExponent, int], ...] = ((2.0, 1),)
     profile: str = "both"
     tolerance: float = 0.15
     fit: FitWindow = field(default_factory=FitWindow)
@@ -257,75 +266,7 @@ class ExperimentConfig:
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":
         """Parse a config file, naming any unknown, missing or invalid key."""
-        path = Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except OSError as error:
-            raise ConfigurationError(f"cannot read config {path}: {error}") from error
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(f"config {path} is not valid JSON: {error}") from error
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"config {path} must be a JSON object")
-        return _parse_config(raw, path.parent)
-
-
-def _section_keys(cls) -> dict:
-    """JSON key -> (field type, required) for each field of a config section."""
-    hints = typing.get_type_hints(cls)
-    return {
-        f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
-        for f in fields(cls)
-    }
-
-
-def _read_section(keys: dict, raw, path: str) -> dict:
-    """The values of JSON object ``raw``, checked against ``keys`` and coerced."""
-    context = path or "config"
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{context} must be a JSON object")
-    for key in raw:
-        if key not in keys:
-            raise ConfigurationError(f"unknown key {key!r} in {context}")
-    for key, (_, required) in keys.items():
-        if required and key not in raw:
-            raise ConfigurationError(f"missing required key {key!r} in {context}")
-    return {
-        key: _coerce(keys[key][0], value, f"{path}.{key}" if path else key)
-        for key, value in raw.items()
-    }
-
-
-def _coerce(hint, value, path: str):
-    """``value`` as field type ``hint``: JSON 4 becomes 4.0 for a float field,
-    a list a tuple, and an object the section dataclass it describes.  A bool
-    field takes only ``true``/``false``, an int field only a JSON integer, and
-    a float field only a finite JSON number (no string, ``true``, ``NaN`` or
-    ``Infinity``); the one exception is a pair's ``p``, which may be
-    ``"inf"`` (the sup norm)."""
-    try:
-        options = typing.get_args(hint)
-        if type(None) in options:
-            if value is None:
-                return None
-            (hint,) = (option for option in options if option is not type(None))
-        if is_dataclass(hint):
-            return hint(**_read_section(_section_keys(hint), value, path))
-        if typing.get_origin(hint) is tuple:
-            items = typing.get_args(hint)
-            if items[-1] is Ellipsis:
-                items = items[:1] * len(value)
-            if len(items) != len(value):
-                raise ValueError(f"needs {len(items)} entries, got {len(value)}")
-            return tuple(_coerce(item, entry, path) for item, entry in zip(items, value))
-        if hint in (bool, int) and type(value) is not hint:
-            kind = "boolean" if hint is bool else "integer"
-            raise ValueError(f"expected a JSON {kind}, got {json.dumps(value)}")
-        if hint is float and not (path == "pairs" and value == "inf"):
-            if type(value) not in (int, float) or not math.isfinite(value):
-                raise ValueError(f"expected a JSON number, got {json.dumps(value)}")
-        return hint(value)
-    except (TypeError, ValueError, OverflowError) as error:
-        raise ConfigurationError(f"invalid {path}: {error}") from error
+        return _parse_config(load_json(path, "config", ConfigurationError), Path(path).parent)
 
 
 def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
@@ -333,23 +274,9 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     # cutoff "auto" means None.
     if raw.get("cutoff") == "auto":
         raw = {**raw, "cutoff": None}
-    values = _read_section(_section_keys(ExperimentConfig), raw, "")
+    values = read_section(ExperimentConfig, raw, ConfigurationError, "config")
     values["system"] = str(base_dir / values["system"])
     return ExperimentConfig(**values)
-
-
-# Keys of a serialized report: the JSON type of each and of each table entry.
-_REPORT_KEYS = {
-    "config": (dict, None),
-    "resolved_cutoff": (dict, None),
-    "times": (list, None),
-    "series": (dict, list),
-    "fits": (dict, dict),
-    "remainder": (dict, dict),
-    "conditions": (dict, dict),
-    "psi_skipped": ((str, type(None)), None),
-    "passed": (bool, None),
-}
 
 
 @dataclass(frozen=True)
@@ -367,39 +294,24 @@ class DecayReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "resolved_cutoff": self.resolved_cutoff,
-            "times": list(self.times),
-            "series": {name: list(vals) for name, vals in sorted(self.series.items())},
-            "fits": {name: dict(fit) for name, fit in sorted(self.fits.items())},
-            "remainder": {
-                name: dict(fit) for name, fit in sorted(self.remainder.items())
-            },
-            "conditions": {
-                name: dict(entry) for name, entry in sorted(self.conditions.items())
-            },
-            "psi_skipped": self.psi_skipped,
-            "passed": self.passed,
-        }
+        # The round trip gives the lists a parsed report.json holds, not tuples.
+        return json.loads(json.dumps(asdict(self)))
 
     @staticmethod
     def from_dict(raw) -> "DecayReport":
         """Inverse of :meth:`to_dict`, for a parsed ``report.json``.
 
         Raises:
-            ConfigurationError: if a key is missing or holds the wrong type.
+            ConfigurationError: if a key is unknown, missing or mistyped, or a
+                series does not hold one value per time.
         """
-        if not isinstance(raw, dict):
-            raise ConfigurationError("report must be a JSON object")
-        for key, (kind, entry_kind) in _REPORT_KEYS.items():
-            if key not in raw or not isinstance(raw[key], kind):
-                raise ConfigurationError(f"report key {key!r} is missing or mistyped")
-            if entry_kind and not all(isinstance(e, entry_kind) for e in raw[key].values()):
-                raise ConfigurationError(f"report key {key!r} holds a mistyped entry")
-        values = {key: raw[key] for key in _REPORT_KEYS}
-        values["times"] = tuple(raw["times"])
-        values["series"] = {name: tuple(entry) for name, entry in raw["series"].items()}
+        values = read_section(DecayReport, raw, ConfigurationError, "report")
+        for name, series in values["series"].items():
+            if len(series) != len(values["times"]):
+                raise ConfigurationError(
+                    f"invalid series.{name}: needs {len(values['times'])} entries, "
+                    f"got {len(series)}"
+                )
         return DecayReport(**values)
 
     def csv_rows(self):
@@ -536,7 +448,7 @@ def run_experiment(
             f"{grid.half_width / 2.0:.3g}; enlarge the box or shorten the schedule"
         )
 
-    cut = cfg.cutoff if cfg.cutoff is not None else default_cutoff(system)
+    splitter = FrequencySplitter(system, grid, cfg.cutoff)
     low = cfg.initial.band[0]
     if cfg.initial.kind == "random-band" and low > 0:
         # Noise without the k = 0 mode has zero mass (its integral is 0), so it
@@ -545,10 +457,9 @@ def run_experiment(
         raise ConfigurationError(
             f"initial.band starts at {low:g} > 0, so the data has zero mass and "
             f"the predicted rates do not apply; start the band at 0, for example "
-            f"[0, cutoff.inner] = [0, {cut.inner:.6g}]"
+            f"[0, cutoff.inner] = [0, {splitter.cut.inner:.6g}]"
         )
     initial = make_initial_data(grid, system.size, cfg.initial)
-    splitter = FrequencySplitter(system, grid, cut)
 
     fields_dir = None
     if cfg.save_fields:
@@ -624,7 +535,7 @@ def run_experiment(
     exp_t_min = cfg.fit.exp_t_min if cfg.fit.exp_t_min is not None else cfg.fit.t_min
     # u2 lives on |k| >= inner/2, where condition D bounds the decay rate by
     # theta s^2 / (1 + s^2) at s = inner/2; recorded, not part of the verdict.
-    s = 0.5 * cut.inner
+    s = 0.5 * splitter.cut.inner
     bound = -report_d.data["theta"] * s**2 / (1.0 + s**2)
     for name in sorted(series):
         if not name.startswith("u2_l2"):
@@ -646,7 +557,7 @@ def run_experiment(
 
     return DecayReport(
         config=_config_echo(cfg),
-        resolved_cutoff={"inner": cut.inner},
+        resolved_cutoff={"inner": splitter.cut.inner},
         times=tuple(float(t) for t in times),
         series={name: tuple(vals) for name, vals in series.items()},
         fits=fits,

@@ -12,7 +12,9 @@ the condition, only on inputs that make the check itself impossible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -36,6 +38,9 @@ __all__ = [
     "check_condition_S",
     "check_all_conditions",
     "lift_axis_map",
+    "load_json",
+    "read_section",
+    "json_number",
     "load_system",
     "dump_system",
 ]
@@ -629,116 +634,174 @@ def check_all_conditions(system: HyperbolicSystem) -> dict[str, ConditionReport]
     return reports
 
 
-_ALLOWED_KEYS = {"d", "n", "A", "B", "R_samples", "S"}
+def load_json(path: str | Path, what: str, error: type[Exception]) -> dict:
+    """The JSON object in file ``path``; ``what`` names the file in the
+    messages of ``error``, which any failure raises."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise error(f"{what} {path} must be a JSON object")
+    return raw
 
 
-def _leaves(value):
-    if isinstance(value, list):
-        for item in value:
-            yield from _leaves(item)
-    else:
-        yield value
+def read_section(cls, raw, error: type[Exception], what: str, path: str = "") -> dict:
+    """The fields of dataclass ``cls``, read from the JSON object ``raw``.
+
+    Field names are the JSON keys, field types the coercions (see
+    :func:`_coerce`) and fields with a default the optional keys.  ``path`` is
+    the section's key path, empty at the top of the file that ``what`` names.
+    An unknown, missing or invalid key raises ``error``, naming the key.
+    """
+    context = path or what
+    if not isinstance(raw, dict):
+        raise error(f"{context} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    keys = {
+        f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)
+    }
+    for key in raw:
+        if key not in keys:
+            raise error(f"unknown key {key!r} in {context}")
+    for key, required in keys.items():
+        if required and key not in raw:
+            raise error(f"missing required key {key!r} in {context}")
+    return {
+        key: _coerce(hints[key], value, f"{path}.{key}" if path else key, error)
+        for key, value in raw.items()
+    }
 
 
-def _rectangular(key: str, value, *, depth: int) -> np.ndarray:
-    """``value`` as a float array of nesting ``depth`` whose entries are all
-    finite JSON numbers: no strings, booleans, ``NaN`` or ``Infinity``."""
-    for leaf in _leaves(value):
-        if type(leaf) is not int and not (type(leaf) is float and np.isfinite(leaf)):
-            raise SystemFileError(
-                f"key '{key}': expected finite JSON numbers, got {json.dumps(leaf)}"
-            )
+def json_number(value) -> float:
+    """``value`` if it is a finite JSON number: not a string, ``true``,
+    ``NaN`` or ``Infinity``, which Python's JSON reader also accepts."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"expected a JSON number, got {json.dumps(value)}")
+    return float(value)
+
+
+# The JSON type that a field type takes, and its name in messages.
+_JSON_TYPES = {
+    bool: (bool, "boolean"),
+    int: (int, "integer"),
+    str: (str, "string"),
+    dict: (dict, "object"),
+    tuple: (list, "array"),
+}
+
+
+def _coerce(hint, value, path: str, error: type[Exception]):
+    """``value`` as field type ``hint``: JSON 4 becomes 4.0 for a float field,
+    an array a tuple, and an object a ``dict`` or the section dataclass it
+    describes.  A bool, int, str, dict or tuple field takes only its own JSON
+    type, and a float field only a :func:`json_number`.  Any other type is
+    called on the value and checks it itself."""
+    try:
+        options = typing.get_args(hint)
+        if type(None) in options:
+            if value is None:
+                return None
+            (hint,) = (option for option in options if option is not type(None))
+            options = typing.get_args(hint)
+        if is_dataclass(hint):
+            return hint(**read_section(hint, value, error, path, path))
+        origin = typing.get_origin(hint) or hint
+        if origin in _JSON_TYPES and type(value) is not _JSON_TYPES[origin][0]:
+            name = _JSON_TYPES[origin][1]
+            raise ValueError(f"expected a JSON {name}, got {json.dumps(value)}")
+        if origin is dict:
+            if not options:
+                return value
+            return {
+                key: _coerce(options[1], entry, f"{path}.{key}", error)
+                for key, entry in value.items()
+            }
+        if origin is tuple:
+            items = options[:1] * len(value) if options[-1] is Ellipsis else options
+            if len(items) != len(value):
+                raise ValueError(f"needs {len(items)} entries, got {len(value)}")
+            return tuple(_coerce(item, entry, path, error) for item, entry in zip(items, value))
+        return json_number(value) if hint is float else hint(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"invalid {path}: {exc}") from exc
+
+
+# A matrix as a system file writes it: a list of rows.
+_Matrix = tuple[tuple[float, ...], ...]
+
+
+@dataclass(frozen=True)
+class _DiagonalizerSample:
+    """One ``R_samples`` record: the diagonalizer ``R`` at direction ``w``."""
+
+    w: tuple[float, ...]
+    R: _Matrix
+
+
+@dataclass(frozen=True)
+class _SystemFile:
+    """The system-file schema: field names are the JSON keys.  An absent
+    optional key reads as None; a JSON ``null`` is refused."""
+
+    d: int
+    n: int
+    A: tuple[_Matrix, ...]
+    B: _Matrix
+    S: _Matrix = None
+    R_samples: tuple[_DiagonalizerSample, ...] = None
+
+
+def _array(key: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """The nested entries ``value`` of ``key`` as a float array of ``shape``."""
     try:
         array = np.array(value, dtype=float)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise SystemFileError(
-            f"key '{key}': expected a rectangular numeric array ({exc})"
-        ) from exc
-    if array.ndim != depth:
-        raise SystemFileError(
-            f"key '{key}': expected a nesting depth of {depth}, got {array.ndim}"
-        )
+    except ValueError as exc:
+        raise SystemFileError(f"invalid {key}: expected a rectangular array") from exc
+    if array.shape != shape:
+        raise SystemFileError(f"invalid {key}: expected shape {shape}, got {array.shape}")
     return array
 
 
 def load_system(path: str | Path) -> HyperbolicSystem:
     """Load a system definition from a JSON file.
 
-    The schema has integer keys ``d`` and ``n``, ``A`` (list of ``d``
-    row-major ``n x n`` arrays), ``B`` (row-major ``n x n``), and optional
-    ``S`` (symmetry matrix) and ``R_samples`` (list of ``{"w": direction,
-    "R": matrix}`` records used to build a sampled diagonalizer).  Unknown
-    keys and ragged arrays are rejected with a message naming the key.
+    The schema (:class:`_SystemFile`) has integer keys ``d`` and ``n``, ``A``
+    (list of ``d`` row-major ``n x n`` arrays), ``B`` (row-major ``n x n``),
+    and optional ``S`` (symmetry matrix) and ``R_samples`` (list of ``{"w":
+    direction, "R": matrix}`` records used to build a sampled diagonalizer).
+    Unknown keys, non-numeric entries and ragged arrays are rejected with a
+    message naming the key.
 
     Raises:
         SystemFileError: on malformed content.
     """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise SystemFileError(f"cannot read system file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SystemFileError(f"system file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise SystemFileError("system file must contain a JSON object at top level")
-    unknown = set(raw) - _ALLOWED_KEYS
-    if unknown:
-        raise SystemFileError(
-            f"unknown key '{sorted(unknown)[0]}' (allowed: {sorted(_ALLOWED_KEYS)})"
-        )
-    for required in ("d", "n", "A", "B"):
-        if required not in raw:
-            raise SystemFileError(f"missing required key '{required}'")
-    for key in ("d", "n"):
-        if type(raw[key]) is not int or raw[key] < 1:
-            raise SystemFileError(f"key '{key}': expected a positive integer")
-    d, n = raw["d"], raw["n"]
-    advections = _rectangular("A", raw["A"], depth=3)
-    relaxation = _rectangular("B", raw["B"], depth=2)
-    if advections.shape != (d, n, n):
-        raise SystemFileError(
-            f"key 'A': expected shape ({d}, {n}, {n}), got {advections.shape}"
-        )
-    if relaxation.shape != (n, n):
-        raise SystemFileError(
-            f"key 'B': expected shape ({n}, {n}), got {relaxation.shape}"
-        )
-    symmetry = None
-    if "S" in raw:
-        symmetry = _rectangular("S", raw["S"], depth=2)
-        if symmetry.shape != (n, n):
-            raise SystemFileError(
-                f"key 'S': expected shape {(n, n)}, got {symmetry.shape}"
-            )
+    raw = load_json(path, "system file", SystemFileError)
+    spec = _SystemFile(**read_section(_SystemFile, raw, SystemFileError, "system file"))
+    d, n = spec.d, spec.n
+    for key, size in (("d", d), ("n", n)):
+        if size < 1:
+            raise SystemFileError(f"invalid {key}: expected a positive integer, got {size}")
+    advections = _array("A", spec.A, (d, n, n))
+    relaxation = _array("B", spec.B, (n, n))
+    symmetry = None if spec.S is None else _array("S", spec.S, (n, n))
     diagonalizer = None
-    if "R_samples" in raw:
-        records = raw["R_samples"]
-        if not isinstance(records, list) or not records:
-            raise SystemFileError("key 'R_samples': expected a non-empty list of records")
-        directions = []
-        matrices = []
-        for i, record in enumerate(records):
-            if not isinstance(record, dict) or set(record) != {"w", "R"}:
-                raise SystemFileError(
-                    f"key 'R_samples': record {i} must have exactly the keys 'w' and 'R'"
-                )
-            w = _rectangular(f"R_samples[{i}].w", record["w"], depth=1)
-            r = _rectangular(f"R_samples[{i}].R", record["R"], depth=2)
-            if w.shape != (d,) or r.shape != (n, n):
-                raise SystemFileError(
-                    f"key 'R_samples': record {i} has shapes {w.shape}/{r.shape}, "
-                    f"expected ({d},)/{(n, n)}"
-                )
-            directions.append(w)
-            matrices.append(r)
-        diagonalizer = SampledDiagonalizer(np.array(directions), np.array(matrices))
+    if spec.R_samples is not None:
+        count = len(spec.R_samples)
+        if not count:
+            raise SystemFileError("invalid R_samples: expected a non-empty list of records")
+        diagonalizer = SampledDiagonalizer(
+            _array("R_samples.w", [sample.w for sample in spec.R_samples], (count, d)),
+            _array("R_samples.R", [sample.R for sample in spec.R_samples], (count, n, n)),
+        )
     return HyperbolicSystem(
         advections=tuple(advections),
         relaxation=relaxation,
         diagonalizer=diagonalizer,
         symmetry=symmetry,
-        name=path.stem,
+        name=Path(path).stem,
     )
 
 

@@ -99,7 +99,7 @@ class TestCheck:
         assert main(["check", str(gk_path), "--out", str(tmp_path / "o")]) == 3
         stderr = capsys.readouterr().err
         assert stderr.startswith("error: ")
-        assert f"key '{key}'" in stderr
+        assert f"invalid {key}: " in stderr
 
 
 class TestLimit:
@@ -392,6 +392,9 @@ class TestConfigValidation:
             # Numeric strings are not numbers.
             (("tolerance",), "0.15", "tolerance"),
             (("grid", "half_width"), "400", "grid.half_width"),
+            # A string field takes only a JSON string.
+            (("system",), 5, "system"),
+            (("profile",), ["psi"], "profile"),
         ],
     )
     def test_values_of_the_wrong_json_type_exit_3(

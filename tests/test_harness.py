@@ -556,6 +556,9 @@ class TestEmitReport:
             lambda raw: raw.update(passed="yes"),
             lambda raw: raw.update(series={"u_p2_q1": 1.0}),
             lambda raw: raw.update(remainder={"u2_l2_q1": [1.0]}),
+            lambda raw: raw.update(times=[str(t) for t in raw["times"]]),
+            lambda raw: raw.update(extra=1),
+            lambda raw: raw["series"].update(u_p2_q1=[1.0]),
         ],
     )
     def test_from_dict_rejects_malformed_reports(self, short_report, change):

@@ -415,7 +415,7 @@ class TestSystemFiles:
         path = tmp_path / "bad.json"
         payload = {"d": 1, "n": 2, "A": [[[1, 0], [0]]], "B": [[0, 0], [0, 0]]}
         path.write_text(json.dumps(payload))
-        with pytest.raises(SystemFileError, match="'A'"):
+        with pytest.raises(SystemFileError, match="invalid A: "):
             load_system(path)
 
     def test_shape_mismatch(self, tmp_path):
@@ -427,14 +427,14 @@ class TestSystemFiles:
             "B": [[0, 0], [0, 0]],
         }
         path.write_text(json.dumps(payload))
-        with pytest.raises(SystemFileError, match="'A'"):
+        with pytest.raises(SystemFileError, match="invalid A: "):
             load_system(path)
 
     def test_bad_dimension_type(self, tmp_path):
         path = tmp_path / "bad.json"
         payload = {"d": "one", "n": 2, "A": [], "B": []}
         path.write_text(json.dumps(payload))
-        with pytest.raises(SystemFileError, match="'d'"):
+        with pytest.raises(SystemFileError, match="invalid d: "):
             load_system(path)
 
     def test_bad_r_samples_record(self, tmp_path):
