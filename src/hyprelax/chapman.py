@@ -6,9 +6,9 @@ diffusion ``D`` are the parabolic-limit coefficients; the attached
 eigenprojection expands as ``P_0(ik) = P0 + i k . P1 + O(|k|^2)``.  High
 frequencies: ``E(ik) / |k|`` is the pencil ``i A(w) + B / |k|``, and every
 eigenvalue approaches ``i |k| nu_j(w) + beta_jm`` with ``nu_j(w)`` an
-eigenvalue of ``A(w)`` and ``beta_jm`` the eigenvalues of the relaxation
-matrix compressed to its eigenspace (Kato's reduction, in the original
-frame; no diagonalizer is needed).  This
+eigenvalue cluster of ``A(w)`` and ``beta_jm`` the eigenvalues of the
+relaxation matrix compressed by the cluster's eigenvectors (no diagonalizer
+is needed).  This
 module computes both expansions, calibrates the frequency radius on which
 the ``0``-group stays spectrally separated, and provides a tracked
 eigenvalue sweep for diagnostics.  The eigenvalue groups of the relaxation
@@ -31,11 +31,11 @@ from .linalg import (
 from .model import (
     ConditionReport,
     HyperbolicSystem,
+    advection_spectrum,
     check_condition_B,
     check_condition_D,
     sphere_samples,
 )
-from .perturbation import NotSemisimpleError, PerturbationFamily, reduce_semisimple_group
 
 __all__ = [
     "ChapmanError",
@@ -130,10 +130,11 @@ class LowFrequencyExpansion:
 class HighFrequencyGroup:
     """Asymptotic data of one eigenvalue cluster ``nu_j`` of ``A(w)``.
 
-    ``projection`` is the eigenprojection of ``A(w)`` onto the cluster, in
-    the original frame.  ``parts[m]`` is the ``m``-th eigenvalue group of the
-    relaxation compressed onto its range; its ``value`` is the shift
-    ``beta_jm``.
+    With ``R_j`` the cluster's eigenvector columns and ``L_j`` the matching
+    rows of their inverse, ``projection`` is the eigenprojection ``R_j L_j``
+    of ``A(w)`` onto the cluster, in the original frame.  ``parts[m]`` is the
+    ``m``-th eigenvalue group of the compression ``L_j B R_j``, in the
+    cluster's eigenvector coordinates; its ``value`` is the shift ``beta_jm``.
     """
 
     value: float
@@ -195,6 +196,7 @@ def compute_parabolic_limit(system: HyperbolicSystem) -> ParabolicLimit:
 
     Raises:
         ConditionBViolatedError: if the relaxation spectrum fails the check.
+        ChapmanError: if that residue exceeds ``1e-10 (1 + max(|c|, |D|))``.
     """
     gap = _relaxation_gap(system)
     b = system.relaxation
@@ -216,7 +218,8 @@ def compute_parabolic_limit(system: HyperbolicSystem) -> ParabolicLimit:
     imaginary_residual = max(
         float(np.max(np.abs(drift.imag))), float(np.max(np.abs(diffusion.imag)))
     )
-    if imaginary_residual > 1e-10:
+    scale = max(float(np.max(np.abs(drift))), float(np.max(np.abs(diffusion))))
+    if imaginary_residual > 1e-10 * (1.0 + scale):
         raise ChapmanError(
             f"drift/diffusion traces have imaginary residue {imaginary_residual:.3e}"
         )
@@ -255,13 +258,11 @@ def low_frequency_expansion(system: HyperbolicSystem) -> LowFrequencyExpansion:
     return LowFrequencyExpansion(limit=limit, groups=groups)
 
 
-def separation_threshold(symbol: np.ndarray) -> float:
-    """Gap to the rest of the spectrum below which the 0-group is not separated.
-
-    The floor 1e-8 alone misses exact collisions, where rounding splits a
-    defective pair by about sqrt(eps); the guard scales with the spectrum.
-    """
-    return max(1e-8, 10.0 * cluster_tolerance(symbol))
+def separation_threshold(symbol: np.ndarray) -> float | np.ndarray:
+    """Gap to the rest of the spectrum below which the 0-group is not separated,
+    one per symbol of a stack.  It scales with the spectrum: a fixed floor
+    misses exact collisions, where rounding splits a defective pair by sqrt(eps)."""
+    return 10.0 * cluster_tolerance(symbol)
 
 
 def exact_group_projection(system: HyperbolicSystem, k: np.ndarray) -> np.ndarray:
@@ -342,42 +343,52 @@ def high_frequency_expansion(
 ) -> HighFrequencyExpansion:
     """First-order large-frequency model of the symbol spectrum along ``w``.
 
-    With ``z = 1/|k|`` the symbol is ``|k| (i A(w) + z B)``.  Each eigenvalue
-    cluster ``i nu_j`` of ``i A(w)`` is reduced against ``B``
-    (:func:`~hyprelax.perturbation.reduce_semisimple_group`), which yields
-    the eigenvalue model ``i |k| nu_j(w) + beta_jm + O(1/|k|)``.  Branches of
-    ``A`` that cross at ``w`` form one cluster.  Only what the model needs at
+    With ``z = 1/|k|`` the symbol is ``|k| (i A(w) + z B)``.  Each cluster
+    ``nu_j`` of :func:`~hyprelax.model.advection_spectrum` at ``w`` is a
+    group (branches of ``A`` that cross at ``w`` form one) whose parts, the
+    eigenvalue groups ``beta_jm`` of the compression ``L_j B R_j`` (see
+    :class:`HighFrequencyGroup`), give the model
+    ``i |k| nu_j(w) + beta_jm + O(1/|k|)``.  Only what the model needs at
     ``w`` is checked: real eigenvalues of ``A(w)`` and semisimple clusters.
 
     Raises:
         ConditionViolatedError: if ``A(w)`` has a non-real eigenvalue or a
             defective eigenvalue cluster.
     """
-    w = np.asarray(w, dtype=float)
-    w = w / np.linalg.norm(w)
-    base = 1j * system.advection(w)
-    eigsys = eigendecompose(base)
-    # The eigenvalues of i A(w) are i nu_j: a real part is an imaginary nu_j.
-    imaginary = float(np.max(np.abs(eigsys.values.real)))
-    if imaginary > 1e-7 * (1.0 + float(np.max(np.abs(base)))):
+    w = np.asarray(w, dtype=float) / np.linalg.norm(w)
+    advection = system.advection(w)
+    (values,), (vectors,), (starts,) = advection_spectrum(system, w[None])
+    imaginary = float(np.max(np.abs(values.imag)))
+    if imaginary > 1e-7 * (1.0 + float(np.max(np.abs(advection)))):
         raise ConditionViolatedError(
             f"A(w) has a non-real eigenvalue (imaginary part {imaginary:.3e}) "
             f"at w = {w.tolist()}"
         )
-    family = PerturbationFamily(base, system.relaxation)
+    try:
+        inverse = np.linalg.inv(vectors)
+    except np.linalg.LinAlgError as error:
+        raise ConditionViolatedError(
+            f"A(w) is not diagonalizable at w = {w.tolist()}: {error}"
+        ) from error
+    bounds = [*np.flatnonzero(starts), values.size]
     groups = []
-    for cluster in sorted(eigsys.clusters, key=lambda c: c.value.imag):
-        try:
-            reduced = reduce_semisimple_group(family, cluster.value)
-        except NotSemisimpleError as error:
+    for first, end in zip(bounds, bounds[1:]):
+        right, left = vectors[:, first:end], inverse[first:end]
+        value = float(np.mean(values[first:end].real))
+        projection = right @ left
+        nilpotent = float(np.linalg.norm((advection - value * np.eye(system.size)) @ projection))
+        if nilpotent > cluster_tolerance(advection):
             raise ConditionViolatedError(
-                f"A(w) is not diagonalizable at w = {w.tolist()}: {error}"
-            ) from error
+                f"A(w) is not diagonalizable at w = {w.tolist()}: group at "
+                f"{value} has nilpotent part of norm {nilpotent:.3e}"
+            )
+        compressed = left @ system.relaxation @ right
+        eigsys = eigendecompose(compressed)
         groups.append(
             HighFrequencyGroup(
-                value=float(cluster.value.imag),
-                projection=reduced.group.projection,
-                parts=reduced.parts,
+                value=value,
+                projection=projection,
+                parts=tuple(spectral_group(compressed, eigsys, c) for c in eigsys.clusters),
             )
         )
     return HighFrequencyExpansion(direction=w, groups=tuple(groups))

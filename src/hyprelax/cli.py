@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .chapman import (
+    ChapmanError,
     ConditionViolatedError,
     GroupNotSeparatedError,
     compute_parabolic_limit,
@@ -271,6 +272,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConditionViolatedError as error:
         print(f"condition violated: {error}", file=sys.stderr)
         return CONDITION_EXIT
+    except ChapmanError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return CONFIG_EXIT
     except HarnessError as error:
         print(f"error: {error}", file=sys.stderr)
         return RATE_EXIT

@@ -55,13 +55,10 @@ class QuadratureNotConvergedError(LinalgError):
     """Contour quadrature did not reach tolerance at the node cap."""
 
 
-def _frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m).ravel()))
-
-
-def cluster_tolerance(m: np.ndarray) -> float:
-    """Absolute tolerance under which eigenvalues of ``m`` are grouped."""
-    return 1e-8 * (1.0 + _frobenius(m))
+def cluster_tolerance(m: np.ndarray) -> float | np.ndarray:
+    """Absolute tolerance under which eigenvalues of ``m`` are grouped, one per
+    matrix of a stack ``(..., n, n)``."""
+    return 1e-8 * (1.0 + np.linalg.norm(m, axis=(-2, -1)))
 
 
 @dataclass(frozen=True)
@@ -250,7 +247,7 @@ def cauchy_integral(integrand, contour: Contour) -> np.ndarray:
     while nodes < _QUADRATURE_MAX_NODES:
         nodes *= 2
         current = level(nodes)
-        if _frobenius(current - previous) < _QUADRATURE_TOL:
+        if np.linalg.norm(current - previous) < _QUADRATURE_TOL:
             return current
         previous = current
     raise QuadratureNotConvergedError(

@@ -31,6 +31,7 @@ __all__ = [
     "SampledDiagonalizer",
     "sphere_samples",
     "max_wave_speed",
+    "advection_spectrum",
     "check_condition_A",
     "check_condition_R",
     "check_condition_B",
@@ -111,22 +112,15 @@ class HyperbolicSystem:
         return self.relaxation.shape[0]
 
     def advection(self, w: np.ndarray) -> np.ndarray:
-        """Directional advection matrix ``A(w) = sum_j w_j A_j``."""
-        w = np.asarray(w, dtype=float)
-        return sum(w_j * a_j for w_j, a_j in zip(w, self.advections))
+        """Directional advection ``A(w) = sum_j w_j A_j`` for one direction or a
+        stack of shape ``(..., d)``."""
+        return np.einsum("...j,jab->...ab", np.asarray(w, dtype=float), np.stack(self.advections))
 
     def symbol(self, k: np.ndarray) -> np.ndarray:
-        """Frequency symbol ``E(ik) = B + i A(k)``."""
-        return self.relaxation + 1j * self.advection(k)
-
-    def symbol_stack(self, k: np.ndarray) -> np.ndarray:
-        """Symbols for a stack of frequency vectors ``k`` of shape (..., d)."""
-        k = np.asarray(k, dtype=float)
-        out = np.broadcast_to(
-            self.relaxation.astype(complex), k.shape[:-1] + self.relaxation.shape
-        ).copy()
-        for j, a in enumerate(self.advections):
-            out += 1j * k[..., j, None, None] * a
+        """Frequency symbol ``E(ik) = B + i A(k)`` for one frequency or a stack
+        of shape ``(..., d)``."""
+        out = 1j * self.advection(k)
+        out += self.relaxation
         return out
 
 
@@ -194,12 +188,25 @@ def sphere_samples(dimension: int, count: int = 512) -> np.ndarray:
 
 def max_wave_speed(system: HyperbolicSystem) -> float:
     """Largest modulus of an eigenvalue of ``A(w)`` over 128 sphere samples."""
-    stacks = _direction_stack(system, sphere_samples(system.dimension, 128))
-    return float(np.max(np.abs(np.linalg.eigvals(stacks))))
+    advections = system.advection(sphere_samples(system.dimension, 128))
+    return float(np.max(np.abs(np.linalg.eigvals(advections))))
 
 
-def _direction_stack(system: HyperbolicSystem, directions: np.ndarray) -> np.ndarray:
-    return np.einsum("mj,jab->mab", directions, np.stack(system.advections))
+def advection_spectrum(system: HyperbolicSystem, directions: np.ndarray) -> tuple:
+    """One batched ``eig`` of ``A(w)`` over a stack of directions ``(..., d)``.
+
+    Returns the eigenvalues ``(..., n)`` sorted by real part, the matching
+    eigenvector columns ``(..., n, n)`` and the cluster starts ``(..., n)``: a
+    sorted value joins the cluster before it when it lies within
+    :func:`~hyprelax.linalg.cluster_tolerance` of its ``A(w)`` of its neighbour.
+    """
+    advections = system.advection(directions)
+    values, vectors = np.linalg.eig(advections)
+    order = np.argsort(values.real, axis=-1, kind="stable")
+    values = np.take_along_axis(values, order, axis=-1)
+    vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
+    joins = np.abs(np.diff(values, axis=-1)) <= cluster_tolerance(advections)[..., None]
+    return values, vectors, np.insert(~joins, 0, True, axis=-1)
 
 
 # Steps per great circle when following eigenvalue branches without a diagonalizer.
@@ -223,7 +230,7 @@ def _great_circle_branches(
     tangents = np.linalg.svd(base[None, :])[2][1:]
     cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
     points = (cos * base + sin * tangents[:, None, :]).reshape(-1, d)
-    values = np.sort(np.linalg.eigvals(_direction_stack(system, points)).real, axis=1)
+    values = np.sort(np.linalg.eigvals(system.advection(points)).real, axis=1)
     values = values.reshape(d - 1, _CIRCLE_STEPS, n)
     branches = values.copy()
     for i in range(2, _CIRCLE_STEPS):
@@ -236,21 +243,21 @@ def check_condition_A(system: HyperbolicSystem) -> ConditionReport:
     """Check uniform diagonalizability with eigenvalues affine in direction.
 
     The branches are followed around the great circles through the sample
-    with the widest eigenvalue gap (see :func:`_great_circle_branches`; in one
-    dimension the sorted eigenvalues are fitted) and fitted as
-    ``nu_0 + nu . w``; the sorted fitted values must match the sorted
-    eigenvalues at every sample, which needs no branch labels.  The
-    certificate stores the ``(d + 1)``-vector of fit coefficients per branch,
-    and ``diagonalizer_condition`` the worst condition number of the
-    eigenvector matrices of ``A(w)``.
+    of :func:`advection_spectrum` with the most clusters, then the widest gap
+    between clusters (see :func:`_great_circle_branches`; in one dimension
+    the sorted eigenvalues are fitted), and fitted as ``nu_0 + nu . w``, a
+    cluster of constant multiplicity as that many equal branches.  The sorted
+    fitted values must match the sorted eigenvalues at every sample, which
+    needs no branch labels.  The certificate stores the ``(d + 1)``-vector of
+    fit coefficients per branch, and ``diagonalizer_condition`` the worst
+    condition number of the eigenvector matrices of ``A(w)``.
     """
     directions = sphere_samples(system.dimension)
     m = directions.shape[0]
     n = system.size
-    stacks = _direction_stack(system, directions)
-    scale = 1.0 + float(np.max(np.abs(stacks)))
+    scale = 1.0 + float(np.max(np.abs(system.advection(directions))))
     fit_tolerance = 1e-6 * scale
-    raw_values, raw_vectors = np.linalg.eig(stacks)
+    raw_values, raw_vectors, starts = advection_spectrum(system, directions)
     imag_peak = float(np.max(np.abs(raw_values.imag)))
     if imag_peak > 1e-7 * scale:
         worst = int(np.argmax(np.abs(raw_values.imag).max(axis=1)))
@@ -265,25 +272,9 @@ def check_condition_A(system: HyperbolicSystem) -> ConditionReport:
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         max_condition = float(np.max(np.linalg.cond(raw_vectors)))
-    values = np.sort(raw_values.real, axis=1)
-    gaps = np.diff(values, axis=1).min(axis=1) if n > 1 else np.full(m, np.inf)
-    base = int(np.argmax(gaps))
-    if not gaps[base] > 1e-9 * scale:
-        return ConditionReport(
-            condition="A",
-            passed=False,
-            summary=(
-                "eigenvalue branches could not be separated on any of "
-                f"{m} sampled directions"
-            ),
-            data={
-                "nu": [],
-                "fit_residual": float("nan"),
-                "diagonalizer_condition": max_condition,
-                "samples": 0,
-            },
-            witness=None,
-        )
+    values = raw_values.real
+    gaps = np.where(starts[:, 1:], np.diff(values, axis=1), np.inf).min(axis=1, initial=np.inf)
+    base = int(np.lexsort((-gaps, -starts.sum(axis=1)))[0])
     if system.dimension == 1:
         points, branches = directions, values
     else:
@@ -363,7 +354,7 @@ def check_condition_R(system: HyperbolicSystem) -> ConditionReport:
                 "diagonalizer_condition": max_condition,
             },
         )
-    stacks = _direction_stack(system, directions)
+    stacks = system.advection(directions)
     diagonalized = np.linalg.solve(frames, stacks @ frames)
     off_diagonal = np.max(np.abs(diagonalized * (1.0 - np.eye(system.size))), axis=(1, 2))
     conjugated = np.linalg.solve(frames, system.relaxation @ frames)
@@ -463,7 +454,7 @@ def check_condition_D(
     radii = np.geomspace(1e-3, 1e3, radial_count)
     frequencies = radii[:, None, None] * directions[None, :, :]
     flat = frequencies.reshape(-1, system.dimension)
-    symbols = system.symbol_stack(flat)
+    symbols = system.symbol(flat)
     eigenvalues = np.linalg.eigvals(symbols)
     moduli = np.repeat(radii, directions.shape[0])
     weights = (1.0 + moduli**2) / moduli**2

@@ -71,7 +71,6 @@ __all__ = [
     "to_frequency",
     "to_physical",
     "lp_norm",
-    "imaginary_residual",
     "evolve_parabolic_phi",
     "evolve_parabolic_psi",
     "make_initial_data",
@@ -265,11 +264,6 @@ def lp_norm(field: GridField, p: float) -> float:
         return float(np.max(pointwise))
     total = np.sum(pointwise**p) * field.grid.cell_volume
     return float(total ** (1.0 / p))
-
-
-def imaginary_residual(field: GridField) -> float:
-    """Largest imaginary magnitude, for checking physically real outputs."""
-    return float(np.max(np.abs(field.values.imag)))
 
 
 def smooth_step(s: np.ndarray) -> np.ndarray:
@@ -654,8 +648,7 @@ class FrequencySplitter:
         distance = np.abs(values - zero_values[:, None])
         distance[members, nearest] = np.inf
         gaps = np.min(distance, axis=-1, initial=np.inf)
-        symbols = self.system.symbol_stack(self._vectors[band])
-        thresholds = np.array([separation_threshold(s) for s in symbols])
+        thresholds = separation_threshold(self.system.symbol(self._vectors[band]))
         crowded = np.flatnonzero(gaps <= thresholds)
         if crowded.size:
             member = crowded[0]
@@ -688,7 +681,7 @@ class FrequencySplitter:
         """One factorization per orbit, with the band table and the audit rows."""
         orbits = _grid_orbits(self.system, self.grid)
         values, vectors = np.linalg.eig(
-            self.system.symbol_stack(self._vectors[orbits.representatives])
+            self.system.symbol(self._vectors[orbits.representatives])
         )
         inverse = np.linalg.inv(vectors)
         vectors = np.ascontiguousarray(vectors.transpose(1, 2, 0)).transpose(2, 0, 1)
@@ -724,7 +717,7 @@ class FrequencySplitter:
             condition=condition,
             fallback=fallback,
             audit=audit,
-            exact_symbols=self.system.symbol_stack(self._vectors[exact_rows]),
+            exact_symbols=self.system.symbol(self._vectors[exact_rows]),
             audit_factors=orbits.compose(audit, values, vectors, inverse),
             band_values=band_values,
             band_projections=band_projections,

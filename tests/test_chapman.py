@@ -19,7 +19,9 @@ from hyprelax.chapman import (
     high_frequency_expansion,
     low_frequency_expansion,
 )
-from hyprelax.model import HyperbolicSystem, check_condition_D, load_system
+from hyprelax.linalg import eigendecompose
+from hyprelax.model import HyperbolicSystem, check_condition_D, load_system, sphere_samples
+from hyprelax.perturbation import PerturbationFamily, reduce_semisimple_group
 from hyprelax.systems import damped_euler_2d, goldstein_kac_1d, goldstein_kac_3d
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -54,6 +56,19 @@ class TestParabolicLimit:
     def test_two_speed_parameter_scaling(self):
         limit = compute_parabolic_limit(goldstein_kac_1d(rate=1.0, speed=2.0))
         assert_allclose(limit.diffusion, [[2.0]], atol=1e-12)
+
+    @pytest.mark.parametrize("speed", [1.0, 1e4])
+    def test_fast_two_speed_diffusion_within_rounding(self, speed):
+        # At speed 1e4 the traces carry an imaginary residue of 8e-9 on
+        # D = 1e8: rounding, relative to the coefficients it rides on.
+        rate = 0.5
+        limit = compute_parabolic_limit(goldstein_kac_1d(rate=rate, speed=speed))
+        assert_allclose(limit.diffusion, [[speed**2 / (2.0 * rate)]], rtol=1e-12, atol=0)
+
+    def test_three_dimensional_euler_identity_diffusion(self):
+        limit = compute_parabolic_limit(load_system(CONFIGS / "damped_euler_3d.json"))
+        assert_allclose(limit.drift, np.zeros(3), rtol=0, atol=1e-12)
+        assert_allclose(limit.diffusion, np.eye(3), rtol=0, atol=1e-12)
 
     def test_damped_euler_identity_diffusion(self):
         limit = compute_parabolic_limit(damped_euler_2d())
@@ -286,6 +301,39 @@ class TestHighFrequencyExpansion:
         assert imag == pytest.approx(group.value * frequency, rel=1e-12)
 
     @pytest.mark.parametrize(
+        "system",
+        [
+            goldstein_kac_1d(),
+            damped_euler_2d(),
+            goldstein_kac_3d(0.5, 0.5, 0.5),
+            load_system(CONFIGS / "damped_euler.json"),
+            load_system(CONFIGS / "damped_euler_3d.json"),
+        ],
+        ids=lambda system: system.name,
+    )
+    def test_matches_kato_reduction_in_the_original_frame(self, system):
+        # The oracle reduces each eigenvalue group of i A(w) against B by
+        # contour projections of the full n x n matrices.
+        for w in sphere_samples(system.dimension, 16):
+            expansion = high_frequency_expansion(system, w)
+            family = PerturbationFamily(1j * system.advection(w), system.relaxation)
+            clusters = sorted(eigendecompose(family.terms[0]).clusters, key=lambda c: c.value.imag)
+            assert len(expansion.groups) == len(clusters)
+            for group, cluster in zip(expansion.groups, clusters):
+                reduced = reduce_semisimple_group(family, cluster.value)
+                assert group.value == pytest.approx(cluster.value.imag, abs=1e-12)
+                assert_allclose(group.projection, reduced.group.projection, rtol=0, atol=1e-12)
+                assert [part.multiplicity for part in group.parts] == [
+                    part.multiplicity for part in reduced.parts
+                ]
+                assert_allclose(
+                    [part.value for part in group.parts],
+                    [part.value for part in reduced.parts],
+                    rtol=0,
+                    atol=1e-12,
+                )
+
+    @pytest.mark.parametrize(
         "advection, named",
         [
             (np.array([[0.0, 1.0], [0.0, 0.0]]), "not diagonalizable"),
@@ -298,6 +346,14 @@ class TestHighFrequencyExpansion:
             relaxation=0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
         )
         with pytest.raises(ConditionViolatedError, match=named) as caught:
+            high_frequency_expansion(system, np.array([1.0]))
+        assert "w = [1.0]" in str(caught.value)
+
+    def test_singular_eigenvector_matrix_is_not_diagonalizable(self):
+        # For the 3 x 3 Jordan block, eig returns an exactly singular
+        # eigenvector matrix, which has no inverse to project with.
+        system = HyperbolicSystem(advections=(np.diag([1.0, 1.0], 1),), relaxation=np.eye(3))
+        with pytest.raises(ConditionViolatedError, match="not diagonalizable") as caught:
             high_frequency_expansion(system, np.array([1.0]))
         assert "w = [1.0]" in str(caught.value)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hyprelax
+from hyprelax.chapman import ChapmanError
 from hyprelax.cli import main
 from hyprelax.harness import ExperimentConfig, FitWindow, TimeSchedule
 from hyprelax.model import HyperbolicSystem, dump_system
@@ -67,6 +68,13 @@ class TestCheck:
         assert set(payload) == {"A", "B", "D", "S"}
         assert all(entry["passed"] for entry in payload.values())
 
+    def test_three_dimensional_euler_passes(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["check", str(CONFIGS / "damped_euler_3d.json"), "--out", str(out)]) == 0
+        payload = json.loads((out / "conditions.json").read_text())
+        assert set(payload) == {"A", "B", "D", "S"}
+        assert all(entry["passed"] for entry in payload.values())
+
     def test_failing_system_exits_2(self, tmp_path, failing_path, capsys):
         out = tmp_path / "out"
         assert main(["check", str(failing_path), "--out", str(out)]) == 2
@@ -120,6 +128,27 @@ class TestLimit:
         out = tmp_path / "out"
         assert main(["limit", "--config", config, "--out", str(out)]) == 0
         assert (out / "limit.json").exists()
+
+    def test_fast_system_file(self, tmp_path):
+        # Speeds +-1e4: the diffusion 1e8 carries an imaginary trace residue
+        # of 8e-9, rounding relative to it.
+        path = tmp_path / "fast.json"
+        dump_system(goldstein_kac_1d(speed=1e4), path)
+        out = tmp_path / "out"
+        assert main(["limit", str(path), "--out", str(out)]) == 0
+        payload = json.loads((out / "limit.json").read_text())
+        assert payload["diffusion"][0] == pytest.approx([1e8], rel=1e-12)
+
+    def test_other_chapman_errors_exit_3(self, tmp_path, gk_path, monkeypatch, capsys):
+        import hyprelax.cli as cli
+
+        def failing(system):
+            raise ChapmanError("drift/diffusion traces have imaginary residue 1.000e+00")
+
+        monkeypatch.setattr(cli, "compute_parabolic_limit", failing)
+        assert main(["limit", str(gk_path), "--out", str(tmp_path / "out")]) == 3
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: drift/diffusion")
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from hyprelax.model import (
     sphere_samples,
 )
 from hyprelax.systems import damped_euler_2d, goldstein_kac_1d, goldstein_kac_3d
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def marginally_dissipative() -> HyperbolicSystem:
@@ -74,7 +77,7 @@ class TestHyperbolicSystem:
         system = damped_euler_2d()
         rng = np.random.default_rng(1)
         ks = rng.normal(size=(7, 2))
-        stack = system.symbol_stack(ks)
+        stack = system.symbol(ks)
         for i, k in enumerate(ks):
             assert_allclose(stack[i], system.symbol(k), atol=0.0)
 
@@ -174,11 +177,36 @@ class TestConditionA:
         assert report.passed, report.summary
         assert_branches(report.data["nu"], slopes)
 
-    def test_everywhere_degenerate_branches_fail_cleanly(self):
-        report = check_condition_A(marginally_dissipative())
+    def test_constant_multiplicity_counts_as_equal_branches(self):
+        # A(w) = w I: one double eigenvalue at every direction, two equal
+        # branches nu = (0, 1).  It is uniformly diagonalizable, so A passes;
+        # the system is not dissipative, which D reports.
+        system = marginally_dissipative()
+        report = check_condition_A(system)
+        assert report.passed, report.summary
+        assert_allclose(report.data["nu"], [[0.0, 1.0], [0.0, 1.0]], atol=1e-12)
+        assert not check_condition_D(system).passed
+
+    def test_three_dimensional_euler_passes(self):
+        # A(w) has the eigenvalues -1, 0, 0, 1 at every unit w: the double 0
+        # is the two transverse modes.
+        report = check_condition_A(load_system(CONFIGS / "damped_euler_3d.json"))
+        assert report.passed, report.summary
+        assert_allclose(np.sort(np.asarray(report.data["nu"])[:, 0]), [-1, 0, 0, 1], atol=1e-9)
+        assert_allclose(np.asarray(report.data["nu"])[:, 1:], 0.0, atol=1e-9)
+        assert report.data["diagonalizer_condition"] < 2.0
+
+    def test_jordan_block_fails_on_its_diagonalizer_condition(self):
+        # A(w) = w J with J a nilpotent Jordan block: the eigenvalues 0, 0 fit
+        # exactly, but the eigenvector matrix is singular up to rounding.
+        system = HyperbolicSystem(
+            advections=(np.array([[0.0, 1.0], [0.0, 0.0]]),), relaxation=np.eye(2)
+        )
+        report = check_condition_A(system)
         assert not report.passed
-        assert "separated" in report.summary
-        assert report.data["samples"] == 0
+        assert report.data["fit_residual"] == 0.0
+        assert set(report.witness) == {"diagonalizer_condition"}
+        assert report.witness["diagonalizer_condition"] >= 1e6
 
     def test_complex_spectrum_fails(self):
         rotation = HyperbolicSystem(
@@ -211,6 +239,20 @@ class TestConditionR:
         assert_allclose(
             report.data["conjugated_relaxation"],
             goldstein_kac_1d().relaxation,
+            atol=1e-12,
+        )
+
+    def test_closed_form_euler_diagonalizer_passes(self):
+        # R(w) holds the acoustic modes (-1, w/sqrt 2), (0, w_perp), (1, w/sqrt 2)
+        # up to scaling; it conjugates B = diag(0, 1, 1) to a constant.
+        report = check_condition_R(damped_euler_2d())
+        assert report.passed, report.summary
+        assert report.data["off_diagonal_residual"] <= 1e-12
+        assert report.data["max_deviation"] <= 1e-12
+        assert report.data["diagonalizer_condition"] == pytest.approx(1.0, abs=1e-12)
+        assert_allclose(
+            report.data["conjugated_relaxation"],
+            [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]],
             atol=1e-12,
         )
 
@@ -398,6 +440,11 @@ class TestSystemFiles:
         loaded = load_system(path)
         assert isinstance(loaded.diagonalizer, SampledDiagonalizer)
         assert_allclose(loaded.diagonalizer(directions[3]), np.eye(2))
+        # Condition R runs on the stored directions only.
+        report = check_condition_R(loaded)
+        assert report.passed, report.summary
+        assert report.data["reference_direction"] == directions[0].tolist()
+        assert_allclose(report.data["conjugated_relaxation"], loaded.relaxation, atol=0)
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "bad.json"

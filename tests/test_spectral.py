@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hyprelax.chapman import (
     exact_group_projection,
 )
 from hyprelax.linalg import matrix_exponential
-from hyprelax.model import HyperbolicSystem
+import hyprelax.spectral as spectral
+from hyprelax.model import HyperbolicSystem, load_system
 from hyprelax.spectral import (
     CONDITION_LIMIT,
     FREQUENCY,
@@ -27,7 +29,6 @@ from hyprelax.spectral import (
     default_cutoff,
     evolve_parabolic_phi,
     evolve_parabolic_psi,
-    imaginary_residual,
     load_field,
     lp_norm,
     make_initial_data,
@@ -37,6 +38,8 @@ from hyprelax.spectral import (
     to_physical,
 )
 from hyprelax.systems import damped_euler_2d, goldstein_kac_1d
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def evolve_hyperbolic(system: HyperbolicSystem, field: GridField, t: float) -> GridField:
@@ -48,7 +51,7 @@ def evolve_hyperbolic(system: HyperbolicSystem, field: GridField, t: float) -> G
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
     spectrum = field if field.representation == FREQUENCY else to_frequency(field)
-    symbols = system.symbol_stack(field.grid.frequency_vectors)
+    symbols = system.symbol(field.grid.frequency_vectors)
     flat = np.einsum("fij,jf->if", matrix_exponential(-t * symbols), spectrum.flat())
     evolved = GridField(field.grid, flat.reshape(spectrum.values.shape), FREQUENCY)
     return evolved if field.representation == FREQUENCY else to_physical(evolved)
@@ -150,13 +153,6 @@ class TestGridField:
             / (np.sqrt(grid.points) * grid.spacing)
         )
         assert_allclose(np.abs(spectrum.values[0]), expected, atol=1e-8)
-
-    def test_imaginary_residual(self):
-        grid = PeriodicGrid(dimension=1, points=8, half_width=1.0)
-        real = GridField(grid, np.ones((1, 8)), PHYSICAL)
-        assert imaginary_residual(real) == 0.0
-        shifted = GridField(grid, np.ones((1, 8)) + 0.5j, PHYSICAL)
-        assert imaginary_residual(shifted) == pytest.approx(0.5)
 
 
 class TestLpNorm:
@@ -276,7 +272,7 @@ class TestEvolveHyperbolic:
         modes = rng.choice(grid.points, size=16, replace=False)
         vectors = grid.frequency_vectors[modes]
         state = initial.values[:, modes].T.copy()
-        symbols = system.symbol_stack(vectors)
+        symbols = system.symbol(vectors)
         steps = 8000
         dt = t / steps
         for _ in range(steps):
@@ -387,6 +383,35 @@ def relative_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def rotated_euler() -> HyperbolicSystem:
+    """Damped Euler in the plane in a rotated state basis: ``A^j -> Q A^j Q^T``,
+    ``B -> Q B Q^T``, ``S -> Q S Q^T`` with a fixed orthogonal ``Q``.  Every
+    axis map still lifts, but six of the eight lifts ``T`` have dense rows."""
+    base = damped_euler_2d()
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))
+    return HyperbolicSystem(
+        advections=tuple(q @ a @ q.T for a in base.advections),
+        relaxation=q @ base.relaxation @ q.T,
+        symmetry=q @ base.symmetry @ q.T,
+    )
+
+
+def contour_low_part(system, splitter, field: GridField, t: float) -> np.ndarray:
+    """``chi1(|k|) exp(-t lambda0) P0(ik) u(k)`` with the contour projection
+    ``P0``: the independent oracle for the splitter's low part."""
+    vectors = field.grid.frequency_vectors
+    weights = splitter.cut.chi1(np.linalg.norm(vectors, axis=-1))
+    expected = np.zeros_like(field.flat())
+    for index in np.flatnonzero(weights > 0.0):
+        values = np.linalg.eigvals(system.symbol(vectors[index]))
+        zero = values[np.argmin(np.abs(values))]
+        projection = exact_group_projection(system, vectors[index])
+        expected[:, index] = weights[index] * np.exp(-t * zero) * (
+            projection @ field.flat()[:, index]
+        )
+    return expected
+
+
 def skew_factorization(monkeypatch, skews: dict) -> None:
     """Make the next factorization scale column 0 of ``V`` at each
     representative in ``skews`` by ``1 + skew`` after ``V^-1`` is taken, so
@@ -409,6 +434,7 @@ class TestEigenPropagator:
     CASES = {
         "line": (goldstein_kac_1d, PeriodicGrid(dimension=1, points=256, half_width=40.0)),
         "plane": (damped_euler_2d, PeriodicGrid(dimension=2, points=64, half_width=16.0)),
+        "plane-rotated": (rotated_euler, PeriodicGrid(dimension=2, points=32, half_width=16.0)),
     }
     # Box half-width 16 pi puts the grid frequency |k| = 1/2, where both
     # demo symbols are defective, on the grid: 2 points on the line, 4 in
@@ -418,7 +444,7 @@ class TestEigenPropagator:
         "plane": (damped_euler_2d, PeriodicGrid(2, 64, 16 * np.pi), 4),
     }
 
-    @pytest.mark.parametrize("case", ["line", "plane"])
+    @pytest.mark.parametrize("case", ["line", "plane", "plane-rotated"])
     def test_decompose_matches_pade(self, case):
         build, grid = self.CASES[case]
         system = build()
@@ -450,21 +476,41 @@ class TestEigenPropagator:
         system, grid = goldstein_kac_1d(), self.CASES["line"][1]
         splitter = FrequencySplitter(system, grid)
         field = white_spectrum(grid, system.size, seed=9)
-        vectors = grid.frequency_vectors
-        weights = splitter.cut.chi1(np.linalg.norm(vectors, axis=-1))
+        weights = splitter.cut.chi1(np.linalg.norm(grid.frequency_vectors, axis=-1))
         assert np.any((weights > 0.0) & (weights < 1.0))
         t = 1.5
         _, u1, _ = splitter.decompose(splitter.prepare(field), t)
-        expected = np.zeros_like(field.flat())
-        for index in np.flatnonzero(weights > 0.0):
-            symbol = system.symbol_stack(vectors[index])
-            values = np.linalg.eigvals(symbol)
-            zero = values[np.argmin(np.abs(values))]
-            projection = exact_group_projection(system, vectors[index])
-            expected[:, index] = weights[index] * np.exp(-t * zero) * (
-                projection @ field.flat()[:, index]
-            )
-        assert relative_gap(u1.flat(), expected) <= 1e-12
+        assert relative_gap(u1.flat(), contour_low_part(system, splitter, field, t)) <= 1e-12
+
+    def test_fallback_band_members_use_contour_projections(self, monkeypatch):
+        # With the limit below every member's condition bound, every member
+        # is propagated by the Pade exponential and every band projection is
+        # a contour projection.
+        monkeypatch.setattr(spectral, "CONDITION_LIMIT", 0.5)
+        system, grid = goldstein_kac_1d(), self.CASES["line"][1]
+        splitter = FrequencySplitter(system, grid)
+        field = white_spectrum(grid, system.size, seed=9)
+        t = 1.5
+        u, u1, _ = splitter.decompose(splitter.prepare(field), t)
+        assert splitter.fallback_count == grid.total_points
+        assert relative_gap(u1.flat(), contour_low_part(system, splitter, field, t)) <= 1e-12
+        assert relative_gap(u.values, evolve_hyperbolic(system, field, t).values) <= 1e-12
+
+    def test_three_dimensional_decompose_matches_pade(self):
+        system = load_system(CONFIGS / "damped_euler_3d.json")
+        grid = PeriodicGrid(dimension=3, points=16, half_width=24.0)
+        splitter = FrequencySplitter(system, grid)
+        field = white_spectrum(grid, system.size, seed=3)
+        datum = splitter.prepare(field)
+        for t in (0.5, 3.0):
+            u, u1, u2 = splitter.decompose(datum, t)
+            pade = evolve_hyperbolic(system, field, t)
+            assert relative_gap(u.values, pade.values) <= 1e-12
+            assert_allclose(u1.values + u2.values, u.values, atol=1e-14)
+        assert splitter._band.size > 1
+        assert splitter.fallback_count == 0
+        # Every signed permutation of the three axes lifts.
+        assert splitter._eigenbasis.orbits.rotations.shape[0] == 48
 
     @pytest.mark.parametrize("case", ["line", "plane"])
     def test_defective_symbols_fall_back_to_pade(self, case):
@@ -746,6 +792,7 @@ class TestOrbitMap:
         "line-unlifted": (lambda: drifting_two_speed(), PeriodicGrid(1, 64, 10.0)),
         "plane": (damped_euler_2d, PeriodicGrid(2, 64, 16.0)),
         "plane-unlifted": (lambda: random_plane_system(3), PeriodicGrid(2, 16, 4.0)),
+        "plane-rotated": (rotated_euler, PeriodicGrid(2, 32, 16.0)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
