@@ -34,6 +34,7 @@ from .model import (
     advection_spectrum,
     check_condition_B,
     check_condition_D,
+    relaxation_kernel,
     sphere_samples,
 )
 
@@ -47,10 +48,11 @@ __all__ = [
     "HighFrequencyGroup",
     "HighFrequencyExpansion",
     "SweepPoint",
+    "require",
     "compute_parabolic_limit",
     "low_frequency_expansion",
+    "zero_group",
     "exact_group_projection",
-    "separation_threshold",
     "calibrate_separation_radius",
     "high_frequency_expansion",
     "eigenvalue_sweep",
@@ -170,15 +172,17 @@ class SweepPoint:
     cluster_count: int
 
 
-def _relaxation_gap(system: HyperbolicSystem) -> float:
-    """Spectral gap of the relaxation matrix, once condition B holds."""
-    report = check_condition_B(system)
-    if not report.passed:
-        raise ConditionBViolatedError(
-            f"relaxation spectrum violates the kernel condition: {report.summary}",
-            report,
-        )
-    return float(report.data["gap"])
+def require(report: ConditionReport) -> ConditionReport:
+    """``report`` when its condition passed, else its condition's error.
+
+    Raises:
+        ConditionBViolatedError: if condition B failed.
+        ConditionViolatedError: if any other condition failed.
+    """
+    if report.passed:
+        return report
+    error = ConditionBViolatedError if report.condition == "B" else ConditionViolatedError
+    raise error(f"condition {report.condition} fails: {report.summary}", report)
 
 
 def compute_parabolic_limit(system: HyperbolicSystem) -> ParabolicLimit:
@@ -198,10 +202,10 @@ def compute_parabolic_limit(system: HyperbolicSystem) -> ParabolicLimit:
         ConditionBViolatedError: if the relaxation spectrum fails the check.
         ChapmanError: if that residue exceeds ``1e-10 (1 + max(|c|, |D|))``.
     """
-    gap = _relaxation_gap(system)
+    gap = require(check_condition_B(system)).data["gap"]
     b = system.relaxation
-    eigsys = eigendecompose(b)
-    zero = spectral_group(b, eigsys, eigsys.cluster_near(0.0, 10.0 * cluster_tolerance(b)))
+    eigsys, kernel, _ = relaxation_kernel(system)
+    zero = spectral_group(b, eigsys, kernel)
     p0 = zero.projection
     q0 = reduced_resolvent(b, 0.0, zero.contour, eigenvalues=eigsys.values)
     d = system.dimension
@@ -241,28 +245,41 @@ def low_frequency_expansion(system: HyperbolicSystem) -> LowFrequencyExpansion:
         ConditionBViolatedError: if the relaxation spectrum check fails.
         ConditionViolatedError: if uniform dissipation fails.
     """
-    dissipation = check_condition_D(system)
-    if not dissipation.passed:
-        raise ConditionViolatedError(
-            f"uniform dissipation fails: {dissipation.summary}", dissipation
-        )
+    require(check_condition_D(system))
     limit = compute_parabolic_limit(system)
-    b = system.relaxation
-    eigsys = eigendecompose(b)
-    tol = 10.0 * cluster_tolerance(b)
+    eigsys, kernel, _ = relaxation_kernel(system)
     groups = tuple(
-        spectral_group(b, eigsys, cluster)
+        spectral_group(system.relaxation, eigsys, cluster)
         for cluster in eigsys.clusters
-        if abs(cluster.value) > tol
+        if cluster is not kernel
     )
     return LowFrequencyExpansion(limit=limit, groups=groups)
 
 
-def separation_threshold(symbol: np.ndarray) -> float | np.ndarray:
-    """Gap to the rest of the spectrum below which the 0-group is not separated,
-    one per symbol of a stack.  It scales with the spectrum: a fixed floor
-    misses exact collisions, where rounding splits a defective pair by sqrt(eps)."""
-    return 10.0 * cluster_tolerance(symbol)
+def zero_group(values: np.ndarray, symbols: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Index of the eigenvalue nearest 0 in each row ``values[m]``, the
+    spectrum of ``symbols[m] = E(i k[m])``.  Its gap to the rest of the row
+    must exceed ``10 cluster_tolerance(E(ik))``, which scales with the
+    spectrum: rounding splits an exact collision by ``sqrt(eps)``.
+
+    Raises:
+        GroupNotSeparatedError: at the first row where the 0-group is not
+            separated (shrink ``|k|``).
+    """
+    rows = np.arange(values.shape[0])
+    nearest = np.argmin(np.abs(values), axis=-1)
+    distance = np.abs(values - values[rows, nearest][:, None])
+    distance[rows, nearest] = np.inf
+    gaps = np.min(distance, axis=-1, initial=np.inf)
+    thresholds = 10.0 * cluster_tolerance(symbols)
+    crowded = np.flatnonzero(gaps <= thresholds)
+    if crowded.size:
+        row = crowded[0]
+        raise GroupNotSeparatedError(
+            f"0-group gap {gaps[row]:.3e} at |k| = {np.linalg.norm(k[row]):.6g} "
+            f"is below {thresholds[row]:.1e}"
+        )
+    return nearest
 
 
 def exact_group_projection(system: HyperbolicSystem, k: np.ndarray) -> np.ndarray:
@@ -272,26 +289,15 @@ def exact_group_projection(system: HyperbolicSystem, k: np.ndarray) -> np.ndarra
     spectral gap around that eigenvalue.
 
     Raises:
-        GroupNotSeparatedError: if the nearest-zero eigenvalue is within
-            1e-8 of the rest of the spectrum (shrink ``|k|``).
+        GroupNotSeparatedError: if :func:`zero_group` finds the 0-group not
+            separated at ``k`` (shrink ``|k|``).
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     symbol = system.symbol(k)
     eigsys = eigendecompose(symbol)
-    eigenvalues = eigsys.values
-    small = int(np.argmin(np.abs(eigenvalues)))
-    others = np.delete(eigenvalues, small)
-    if others.size == 0:
-        return np.eye(system.size, dtype=complex)
-    gap = float(np.min(np.abs(others - eigenvalues[small])))
-    threshold = separation_threshold(symbol)
-    if gap <= threshold:
-        raise GroupNotSeparatedError(
-            f"0-group gap {gap:.3e} at |k| = {np.linalg.norm(k):.6g} "
-            f"is below {threshold:.1e}"
-        )
-    # Above the threshold the small eigenvalue is a cluster of its own.
-    zero = eigsys.cluster_near(eigenvalues[small], 0.0)
+    (small,) = zero_group(eigsys.values[None], symbol[None], k[None])
+    # Separated, the small eigenvalue is a cluster of its own.
+    zero = eigsys.cluster_near(eigsys.values[small], 0.0)
     return spectral_group(symbol, eigsys, zero).projection
 
 
@@ -312,7 +318,7 @@ def calibrate_separation_radius(system: HyperbolicSystem) -> float:
     smallest eigenvalue per level) keeps the scan from jumping past an
     exceptional point.
     """
-    gap0 = _relaxation_gap(system)
+    gap0 = require(check_condition_B(system)).data["gap"]
     threshold = 0.5 * gap0
     directions = sphere_samples(system.dimension, _CALIBRATION_DIRECTIONS)
     radius = np.inf

@@ -103,12 +103,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_system_path(args: argparse.Namespace) -> Path:
+def _resolve_system_path(args: argparse.Namespace, cfg: ExperimentConfig | None = None) -> Path:
+    """The system file given, or the one the ``--config`` file names, relative to its directory."""
     if getattr(args, "system", None) is not None:
         return args.system
     if args.config is not None:
-        cfg = ExperimentConfig.from_file(args.config)
-        return Path(cfg.system)
+        cfg = cfg or ExperimentConfig.from_file(args.config)
+        return args.config.parent / cfg.system
     raise ConfigurationError("provide a system file or --config pointing to one")
 
 
@@ -221,7 +222,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise IoFailureError(f"cannot write report to {args.out}: {error}") from error
     if not os.access(args.out, os.W_OK):
         raise IoFailureError(f"cannot write report to {args.out}: directory is not writable")
-    report = run_experiment(cfg, args.out)
+    report = run_experiment(cfg, args.out, system=load_system(_resolve_system_path(args, cfg)))
     emit_report(report, args.out)
     for name, fit in sorted(report.fits.items()):
         verdict = "ok" if fit["saturated"] else "OFF"

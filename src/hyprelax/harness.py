@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chapman import ConditionBViolatedError, ConditionViolatedError
+from .chapman import require
 from .model import (
     HyperbolicSystem,
     check_condition_B,
@@ -265,18 +265,12 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path: str | Path) -> "ExperimentConfig":
-        """Parse a config file, naming any unknown, missing or invalid key."""
-        return _parse_config(load_json(path, "config", ConfigurationError), Path(path).parent)
-
-
-def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
-    # Written by hand: a relative system path resolves against the config, and
-    # cutoff "auto" means None.
-    if raw.get("cutoff") == "auto":
-        raw = {**raw, "cutoff": None}
-    values = read_section(ExperimentConfig, raw, ConfigurationError, "config")
-    values["system"] = str(base_dir / values["system"])
-    return ExperimentConfig(**values)
+        """Parse a config file, naming any unknown, missing or invalid key.
+        ``system`` stays as written: it is relative to the config's directory."""
+        raw = load_json(path, "config", ConfigurationError)
+        if raw.get("cutoff") == "auto":
+            raw = {**raw, "cutoff": None}
+        return ExperimentConfig(**read_section(ExperimentConfig, raw, ConfigurationError, "config"))
 
 
 @dataclass(frozen=True)
@@ -377,18 +371,19 @@ def run_experiment(
     """Evolve, split, compare against parabolic profiles, and fit rates.
 
     ``out_dir`` receives the ``fields/`` snapshots of ``cfg.save_fields`` and
-    is needed only then.  ``system`` overrides loading ``cfg.system`` from
-    disk, for callers that already hold the object.  The report passes when
-    every requested exponent fit lands within tolerance of its prediction and
-    every remainder series fits an exponential with negative rate.
+    is needed only then.  ``system`` overrides loading ``cfg.system``, which
+    is opened as given (relative to the working directory, not the config's).
+    The report passes when every requested exponent fit lands within
+    tolerance of its prediction and every remainder series fits an
+    exponential with negative rate.
 
     Raises:
         ConditionViolatedError: if the kernel or dissipation check fails, or
             the first-order profile is requested alone without a symmetry.
         WrapAroundGuardError: if waves could cross the periodic boundary
             within the schedule.
-        ConfigurationError: if the config is inconsistent with the system, or
-            asks for snapshots without an ``out_dir``.
+        ConfigurationError: if the config is inconsistent with the system,
+            asks for snapshots without an ``out_dir``, or has zero-mass data.
     """
     if cfg.save_fields and out_dir is None:
         raise ConfigurationError("save_fields needs an output directory for its snapshots")
@@ -402,35 +397,21 @@ def run_experiment(
             f"got {len(amplitudes)}"
         )
 
-    conditions: dict[str, dict] = {}
-    report_b = check_condition_B(system)
-    conditions["B"] = {"passed": report_b.passed, "summary": report_b.summary}
-    if not report_b.passed:
-        raise ConditionBViolatedError(
-            f"relaxation spectrum check fails: {report_b.summary}", report_b
-        )
-    report_d = check_condition_D(system)
-    conditions["D"] = {"passed": report_d.passed, "summary": report_d.summary}
-    if not report_d.passed:
-        raise ConditionViolatedError(
-            f"uniform dissipation fails: {report_d.summary}", report_d
-        )
-
     profiles = {"phi": evolve_parabolic_phi, "psi": evolve_parabolic_psi}
     if cfg.profile != "both":
         profiles = {cfg.profile: profiles[cfg.profile]}
-    psi_skipped = None
+    checks = {"B": check_condition_B, "D": check_condition_D}
     if "psi" in profiles:
-        report_s = check_condition_S(system)
-        conditions["S"] = {"passed": report_s.passed, "summary": report_s.summary}
-        if not report_s.passed:
-            if cfg.profile == "psi":
-                raise ConditionViolatedError(
-                    f"first-order profile needs a symmetry: {report_s.summary}",
-                    report_s,
-                )
+        checks["S"] = check_condition_S
+    reports = {}
+    psi_skipped = None
+    for name, check in checks.items():
+        report = reports[name] = check(system)
+        if name == "S" and not report.passed and cfg.profile == "both":
             del profiles["psi"]
-            psi_skipped = report_s.summary
+            psi_skipped = report.summary
+        else:
+            require(report)
 
     times = cfg.times.times()
 
@@ -449,17 +430,21 @@ def run_experiment(
         )
 
     splitter = FrequencySplitter(system, grid, cfg.cutoff)
-    low = cfg.initial.band[0]
-    if cfg.initial.kind == "random-band" and low > 0:
-        # Noise without the k = 0 mode has zero mass (its integral is 0), so it
-        # decays faster than the rates for L^1 data predict; off |k| < inner
-        # the projected part u1 and both profiles are rounding noise.
-        raise ConfigurationError(
-            f"initial.band starts at {low:g} > 0, so the data has zero mass and "
-            f"the predicted rates do not apply; start the band at 0, for example "
-            f"[0, cutoff.inner] = [0, {splitter.cut.inner:.6g}]"
-        )
     initial = make_initial_data(grid, system.size, cfg.initial)
+    # Data whose mass P0 sum_x u0(x) vanishes up to rounding decays faster than
+    # the rates for L^1 data predict, and its u1 and profiles are rounding noise.
+    mass = np.abs(splitter.limit.projection @ initial.flat().sum(axis=1)).sum()
+    if mass <= 1e-12 * np.abs(initial.values).sum():
+        hint = "choose initial.amplitudes a with P0 a != 0"
+        if cfg.initial.kind == "random-band" and cfg.initial.band[0] > 0:
+            hint = (
+                f"noise without the k = 0 mode has none; start the band at 0, for "
+                f"example [0, cutoff.inner] = [0, {splitter.cut.inner:.6g}]"
+            )
+        raise ConfigurationError(
+            f"the initial data has zero mass (|P0 sum u0| = {mass:.1e}), so the "
+            f"predicted rates do not apply; {hint}"
+        )
 
     fields_dir = None
     if cfg.save_fields:
@@ -536,7 +521,7 @@ def run_experiment(
     # u2 lives on |k| >= inner/2, where condition D bounds the decay rate by
     # theta s^2 / (1 + s^2) at s = inner/2; recorded, not part of the verdict.
     s = 0.5 * splitter.cut.inner
-    bound = -report_d.data["theta"] * s**2 / (1.0 + s**2)
+    bound = -reports["D"].data["theta"] * s**2 / (1.0 + s**2)
     for name in sorted(series):
         if not name.startswith("u2_l2"):
             continue
@@ -562,7 +547,10 @@ def run_experiment(
         series={name: tuple(vals) for name, vals in series.items()},
         fits=fits,
         remainder=remainder,
-        conditions=conditions,
+        conditions={
+            name: {"passed": report.passed, "summary": report.summary}
+            for name, report in reports.items()
+        },
         psi_skipped=psi_skipped,
         passed=passed,
     )

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import cluster_tolerance, eigendecompose
+from .linalg import EigenCluster, EigenSystem, cluster_tolerance, eigendecompose
 
 __all__ = [
     "ModelError",
@@ -34,6 +34,7 @@ __all__ = [
     "advection_spectrum",
     "check_condition_A",
     "check_condition_R",
+    "relaxation_kernel",
     "check_condition_B",
     "check_condition_D",
     "check_condition_S",
@@ -392,41 +393,35 @@ def check_condition_R(system: HyperbolicSystem) -> ConditionReport:
     )
 
 
+def relaxation_kernel(system: HyperbolicSystem) -> tuple[EigenSystem, EigenCluster | None, float]:
+    """The eigen-system of ``B``, its cluster within ``tol`` of 0 (``None``
+    when ``B`` has no kernel) and ``tol = 10 cluster_tolerance(B)``."""
+    eigsys = eigendecompose(system.relaxation)
+    tol = 10.0 * cluster_tolerance(system.relaxation)
+    return eigsys, eigsys.cluster_near(0.0, tol), tol
+
+
 def check_condition_B(system: HyperbolicSystem) -> ConditionReport:
     """Check the relaxation spectrum: simple eigenvalue 0, rest in Re > 0."""
-    b = system.relaxation
-    eigsys = eigendecompose(b)
-    tol = cluster_tolerance(b)
-    zero_cluster = eigsys.cluster_near(0.0, 10.0 * tol)
+    eigsys, kernel, tol = relaxation_kernel(system)
     eigenvalues = [[float(v.real), float(v.imag)] for v in eigsys.values]
-    if zero_cluster is None:
+    summary = None
+    if kernel is None:
+        summary, witness = "relaxation matrix has no kernel", {"eigenvalues": eigenvalues}
+    elif kernel.multiplicity != 1:
+        summary = f"eigenvalue 0 has multiplicity {kernel.multiplicity}"
+        witness = {"multiplicity": kernel.multiplicity}
+    elif system.size == 1:
+        summary, witness = "relaxation matrix is 1x1 zero; no dissipative part", None
+    if summary is not None:
+        data = {"eigenvalues": eigenvalues}
         return ConditionReport(
-            condition="B",
-            passed=False,
-            summary="relaxation matrix has no kernel",
-            data={"eigenvalues": eigenvalues},
-            witness={"eigenvalues": eigenvalues},
+            condition="B", passed=False, summary=summary, data=data, witness=witness
         )
-    if zero_cluster.multiplicity != 1:
-        return ConditionReport(
-            condition="B",
-            passed=False,
-            summary=f"eigenvalue 0 has multiplicity {zero_cluster.multiplicity}",
-            data={"eigenvalues": eigenvalues},
-            witness={"multiplicity": zero_cluster.multiplicity},
-        )
-    others = np.delete(eigsys.values, list(zero_cluster.indices))
-    if others.size == 0:
-        return ConditionReport(
-            condition="B",
-            passed=False,
-            summary="relaxation matrix is 1x1 zero; no dissipative part",
-            data={"eigenvalues": eigenvalues},
-            witness=None,
-        )
+    others = np.delete(eigsys.values, list(kernel.indices))
     min_real = float(np.min(others.real))
     gap = float(np.min(np.abs(others)))
-    passed = min_real > 10.0 * tol
+    passed = min_real > tol
     witness = None
     if not passed:
         bad = others[int(np.argmin(others.real))]

@@ -48,7 +48,7 @@ from .chapman import (
     calibrate_separation_radius,
     compute_parabolic_limit,
     exact_group_projection,
-    separation_threshold,
+    zero_group,
 )
 from .linalg import matrix_exponential
 from .model import HyperbolicSystem, lift_axis_map
@@ -643,19 +643,9 @@ class FrequencySplitter:
         from the band's rows of the grid factorization."""
         band = self._band
         members = np.arange(band.size)
-        nearest = np.argmin(np.abs(values), axis=-1)
+        k = self._vectors[band]
+        nearest = zero_group(values, self.system.symbol(k), k)
         zero_values = values[members, nearest]
-        distance = np.abs(values - zero_values[:, None])
-        distance[members, nearest] = np.inf
-        gaps = np.min(distance, axis=-1, initial=np.inf)
-        thresholds = separation_threshold(self.system.symbol(self._vectors[band]))
-        crowded = np.flatnonzero(gaps <= thresholds)
-        if crowded.size:
-            member = crowded[0]
-            raise GroupNotSeparatedError(
-                f"0-group gap {gaps[member]:.3e} at |k| = "
-                f"{self._moduli[band[member]]:.6g} is below {thresholds[member]:.1e}"
-            )
         right = vectors[members, :, nearest]
         left = inverse[members, nearest, :]
         projections = right[:, :, None] * left[:, None, :]

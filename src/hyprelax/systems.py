@@ -15,6 +15,7 @@ __all__ = [
     "goldstein_kac_1d",
     "goldstein_kac_3d",
     "damped_euler_2d",
+    "damped_euler_3d",
 ]
 
 
@@ -110,4 +111,22 @@ def damped_euler_2d() -> HyperbolicSystem:
         diagonalizer=_euler_diagonalizer,
         symmetry=symmetry,
         name="damped-euler-2d",
+    )
+
+
+def damped_euler_3d() -> HyperbolicSystem:
+    """Linearized isothermal flow in space with momentum damping, the system
+    of ``configs/damped_euler_3d.json``.
+
+    Components are (density, m_1, m_2, m_3); ``A_j`` couples the density and
+    ``m_j``.  ``A(w)`` has the eigenvalues -1, 0, 0, 1 at every unit ``w``;
+    like the file, the system carries no diagonalizer.  Flipping the
+    momentum sign gives the symmetry.
+    """
+    e = np.eye(4)
+    return HyperbolicSystem(
+        advections=tuple(np.outer(e[0], e[j]) + np.outer(e[j], e[0]) for j in (1, 2, 3)),
+        relaxation=np.diag([0.0, 1.0, 1.0, 1.0]),
+        symmetry=np.diag([-1.0, 1.0, 1.0, 1.0]),
+        name="damped-euler-3d",
     )

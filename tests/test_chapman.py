@@ -18,9 +18,17 @@ from hyprelax.chapman import (
     exact_group_projection,
     high_frequency_expansion,
     low_frequency_expansion,
+    require,
+    zero_group,
 )
 from hyprelax.linalg import eigendecompose
-from hyprelax.model import HyperbolicSystem, check_condition_D, load_system, sphere_samples
+from hyprelax.model import (
+    HyperbolicSystem,
+    check_condition_B,
+    check_condition_D,
+    load_system,
+    sphere_samples,
+)
 from hyprelax.perturbation import PerturbationFamily, reduce_semisimple_group
 from hyprelax.systems import damped_euler_2d, goldstein_kac_1d, goldstein_kac_3d
 
@@ -120,6 +128,34 @@ class TestParabolicLimit:
             compute_parabolic_limit(system)
 
 
+class TestRequire:
+    def test_passed_report_is_returned(self):
+        report = check_condition_B(goldstein_kac_1d())
+        assert require(report) is report
+
+    def test_failed_b_raises_its_own_error(self):
+        report = check_condition_B(
+            HyperbolicSystem(advections=(np.eye(2),), relaxation=np.eye(2))
+        )
+        with pytest.raises(ConditionBViolatedError) as caught:
+            require(report)
+        assert str(caught.value) == "condition B fails: relaxation matrix has no kernel"
+        assert caught.value.report is report
+
+    def test_other_failed_condition_raises_the_base_error(self):
+        report = check_condition_D(
+            HyperbolicSystem(
+                advections=(np.eye(2),),
+                relaxation=0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
+            )
+        )
+        with pytest.raises(ConditionViolatedError) as caught:
+            require(report)
+        assert not isinstance(caught.value, ConditionBViolatedError)
+        assert str(caught.value) == f"condition D fails: {report.summary}"
+        assert caught.value.report is report
+
+
 class TestLowFrequencyExpansion:
     def test_groups_complement_kernel_projection(self):
         expansion = low_frequency_expansion(goldstein_kac_3d(0.5, 0.5, 0.5))
@@ -189,6 +225,26 @@ class TestExactGroupProjection:
         # The two symbol branches of the two-speed system meet at |k| = 1/2.
         with pytest.raises(GroupNotSeparatedError):
             exact_group_projection(goldstein_kac_1d(), np.array([0.5]))
+
+    def test_one_component_projection_is_the_identity(self):
+        system = HyperbolicSystem(advections=(np.eye(1),), relaxation=np.zeros((1, 1)))
+        assert_allclose(exact_group_projection(system, np.array([0.3])), [[1.0]], atol=1e-15)
+
+    def test_zero_group_on_a_stack(self):
+        system = goldstein_kac_1d()
+        k = np.array([[0.1], [0.2], [-0.3]])
+        symbols = system.symbol(k)
+        values = np.linalg.eigvals(symbols)
+        nearest = zero_group(values, symbols, k)
+        assert_allclose(nearest, np.argmin(np.abs(values), axis=1), atol=0)
+        # The branches of goldstein_kac_1d(r) meet at |k| = r; the first
+        # crowded row is the one named.
+        k = np.array([[0.1], [-1.0], [0.5]])
+        symbols = np.stack(
+            [goldstein_kac_1d(rate).symbol(row) for rate, row in zip((0.5, 1.0, 0.5), k)]
+        )
+        with pytest.raises(GroupNotSeparatedError, match=r"at \|k\| = 1 is below"):
+            zero_group(np.linalg.eigvals(symbols), symbols, k)
 
 
 class TestCalibration:

@@ -243,6 +243,28 @@ class TestRun:
         payload = json.loads((out / "report.json").read_text())
         assert payload["passed"] is True
 
+    def test_report_does_not_depend_on_how_the_config_is_named(self, tmp_path, monkeypatch):
+        # The report echoes config.system as the file writes it; the system
+        # file still resolves against the config's directory, for run and
+        # for limit --config alike.
+        spellings = {
+            "relative": (CONFIGS.parent, "configs/gk_decay.json"),
+            "absolute": (tmp_path, str(CONFIGS / "gk_decay.json")),
+            "inside": (CONFIGS, "gk_decay.json"),
+        }
+        outputs = {}
+        for label, (cwd, config) in spellings.items():
+            monkeypatch.chdir(cwd)
+            out = tmp_path / label
+            assert main(["run", "--config", config, "--out", str(out)]) == 0
+            assert main(["limit", "--config", config, "--out", str(out)]) == 0
+            outputs[label] = [
+                (out / name).read_bytes() for name in ("report.json", "report.csv", "limit.json")
+            ]
+        assert outputs["relative"] == outputs["absolute"] == outputs["inside"]
+        report = json.loads(outputs["relative"][0])
+        assert report["config"]["system"] == "goldstein_kac.json"
+
     def test_overrides_echoed(self, tmp_path, gk_path):
         config = write_run_config(tmp_path, gk_path)
         out = tmp_path / "out"
@@ -372,7 +394,7 @@ class TestConfigValidation:
         path = tmp_path / "documented.json"
         path.write_text(json.dumps(payload))
         cfg = ExperimentConfig.from_file(path)
-        assert cfg.system == str(gk_path)
+        assert cfg.system == gk_path.name
         assert cfg.times == TimeSchedule(5.0, 80.0, 16)
         assert cfg.initial == InitialSpec(
             kind="gaussian",
@@ -480,6 +502,9 @@ class TestConfigValidation:
             ("euler_decay", "initial", "amplitudes", [1.0, 0.3], "initial.amplitudes"),
             # The default band (0.5, 1.5) has no k = 0 mode, so the data has no mass.
             ("gk_decay", "initial", "kind", "random-band", "[0, 0.23]"),
+            # P0 projects onto (1, 1), so P0 sum u0 = 0 for both: zero mass.
+            ("gk_decay", "initial", "amplitudes", [0.0, 0.0], "has zero mass"),
+            ("gk_decay", "initial", "amplitudes", [1.0, -1.0], "has zero mass"),
         ],
     )
     def test_invalid_demo_copy_exits_3_before_propagating(

@@ -192,7 +192,7 @@ class TestExperimentConfig:
             )
         )
         cfg = ExperimentConfig.from_file(config_path)
-        assert cfg.system == str(tmp_path / "system.json")
+        assert cfg.system == "system.json"
         assert cfg.grid == GridSpec(points=512, half_width=48.0)
         assert cfg.times.count == 8
         assert cfg.initial.amplitudes == (1.0, -0.5)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from hyprelax.model import (
     HyperbolicSystem,
@@ -22,7 +22,7 @@ from hyprelax.model import (
     max_wave_speed,
     sphere_samples,
 )
-from hyprelax.systems import damped_euler_2d, goldstein_kac_1d, goldstein_kac_3d
+from hyprelax.systems import damped_euler_2d, damped_euler_3d, goldstein_kac_1d, goldstein_kac_3d
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -325,6 +325,21 @@ class TestConditionB:
         assert not report.passed
         assert report.witness is not None
 
+    def test_invertible_relaxation_has_no_kernel(self):
+        system = HyperbolicSystem(advections=(np.eye(2),), relaxation=np.eye(2))
+        report = check_condition_B(system)
+        assert not report.passed
+        assert report.summary == "relaxation matrix has no kernel"
+        assert report.witness == {"eigenvalues": [[1.0, 0.0], [1.0, 0.0]]}
+
+    def test_scalar_zero_relaxation_has_no_dissipative_part(self):
+        system = HyperbolicSystem(advections=(np.eye(1),), relaxation=np.zeros((1, 1)))
+        report = check_condition_B(system)
+        assert not report.passed
+        assert report.summary == "relaxation matrix is 1x1 zero; no dissipative part"
+        assert report.data == {"eigenvalues": [[0.0, 0.0]]}
+        assert report.witness is None
+
 
 class TestConditionD:
     def test_example_systems_theta(self):
@@ -426,6 +441,22 @@ class TestSystemFiles:
         assert_allclose(loaded.relaxation, original.relaxation)
         assert_allclose(loaded.symmetry, original.symmetry)
         assert loaded.diagonalizer is None
+
+    @pytest.mark.parametrize(
+        "name, builder",
+        [
+            ("goldstein_kac", goldstein_kac_1d),
+            ("damped_euler", damped_euler_2d),
+            ("damped_euler_3d", damped_euler_3d),
+        ],
+    )
+    def test_bundled_file_is_its_builder(self, name, builder):
+        loaded, built = load_system(CONFIGS / f"{name}.json"), builder()
+        assert len(loaded.advections) == len(built.advections)
+        for from_file, from_builder in zip(loaded.advections, built.advections):
+            assert_array_equal(from_file, from_builder)
+        assert_array_equal(loaded.relaxation, built.relaxation)
+        assert_array_equal(loaded.symmetry, built.symmetry)
 
     def test_sampled_diagonalizer_round_trip(self, tmp_path):
         directions = sphere_samples(2, 16)
