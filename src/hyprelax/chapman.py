@@ -8,11 +8,11 @@ frequencies: ``E(ik) / |k|`` is the pencil ``i A(w) + B / |k|``, and every
 eigenvalue approaches ``i |k| nu_j(w) + beta_jm`` with ``nu_j(w)`` an
 eigenvalue cluster of ``A(w)`` and ``beta_jm`` the eigenvalues of the
 relaxation matrix compressed by the cluster's eigenvectors (no diagonalizer
-is needed).  This
-module computes both expansions, calibrates the frequency radius on which
-the ``0``-group stays spectrally separated, and provides a tracked
-eigenvalue sweep for diagnostics.  The eigenvalue groups of the relaxation
-and of its compressions are :class:`~hyprelax.linalg.SpectralGroup` values.
+is needed).  This module computes both expansions, calibrates the frequency
+radius on which the ``0``-group stays spectrally separated, and provides a
+tracked eigenvalue sweep for diagnostics, each scan with one eigenvalue
+call.  The eigenvalue groups of the relaxation and of its compressions are
+:class:`~hyprelax.linalg.SpectralGroup` values.
 """
 
 from __future__ import annotations
@@ -23,9 +23,11 @@ import numpy as np
 
 from .linalg import (
     SpectralGroup,
+    cluster_labels,
     cluster_tolerance,
     eigendecompose,
     reduced_resolvent,
+    sorted_eigenvalues,
     spectral_group,
 )
 from .model import (
@@ -310,38 +312,34 @@ _CALIBRATION_LEVELS = 96
 def calibrate_separation_radius(system: HyperbolicSystem) -> float:
     """Largest frequency modulus with the 0-group still safely separated.
 
-    Scans a geometric grid of moduli upward from ``gap/64`` along sampled
-    directions, following the small eigenvalue by continuation, and stops a
-    direction at the first level where its gap to the rest of the spectrum
-    drops to half the relaxation gap.  The returned radius is the last level
-    passing in every direction; continuation (rather than re-picking the
-    smallest eigenvalue per level) keeps the scan from jumping past an
-    exceptional point.
+    Scans a geometric grid of moduli from ``gap/64`` up along sampled
+    directions (one eigenvalue call for all), following the small eigenvalue
+    by continuation, and stops a direction at the first level where its gap
+    to the rest of the spectrum drops to half the relaxation gap.  The
+    radius is the last level passing in every direction; continuation
+    (rather than re-picking the smallest eigenvalue per level) keeps the
+    scan from jumping past an exceptional point.
     """
     gap0 = require(check_condition_B(system)).data["gap"]
-    threshold = 0.5 * gap0
     directions = sphere_samples(system.dimension, _CALIBRATION_DIRECTIONS)
-    radius = np.inf
-    for w in directions:
-        epsilon = gap0 / 64.0
-        last_good = 0.0
-        branch = 0.0 + 0.0j
-        for _ in range(_CALIBRATION_LEVELS):
-            eigenvalues = np.linalg.eigvals(system.symbol(epsilon * w))
-            follow = int(np.argmin(np.abs(eigenvalues - branch)))
-            others = np.delete(eigenvalues, follow)
-            gap = float(np.min(np.abs(others - eigenvalues[follow])))
-            if gap <= threshold:
-                break
-            branch = eigenvalues[follow]
-            last_good = epsilon
-            epsilon *= _CALIBRATION_RATIO
-        radius = min(radius, last_good)
+    levels = np.cumprod([gap0 / 64.0] + [_CALIBRATION_RATIO] * (_CALIBRATION_LEVELS - 1))
+    spectra = sorted_eigenvalues(system.symbol(levels[:, None, None] * directions))
+    rows = np.arange(directions.shape[0])
+    branch, last_good = np.zeros(rows.size, dtype=complex), np.zeros(rows.size)
+    passing = np.ones(rows.size, dtype=bool)
+    for level, values in zip(levels, spectra):
+        follow = np.argmin(np.abs(values - branch[:, None]), axis=-1)
+        branch = values[rows, follow]
+        distance = np.abs(values - branch[:, None])
+        distance[rows, follow] = np.inf
+        passing &= distance.min(axis=-1) > 0.5 * gap0
+        last_good[passing] = level
+    radius = float(np.min(last_good))
     if not radius > 0.0:
         raise GroupNotSeparatedError(
             "0-group separation already fails at the smallest calibration level"
         )
-    return float(radius)
+    return radius
 
 
 def high_frequency_expansion(
@@ -442,23 +440,22 @@ def eigenvalue_sweep(
 ) -> list[SweepPoint]:
     """Spectrum of the symbol along a frequency path, with branch tracking.
 
-    The first point is sorted by (real, imaginary) part; subsequent points
-    are matched to their predecessor by minimal-distance assignment, so each
-    column of the result follows one continuous branch.  ``cluster_count``
-    records the number of eigenvalue clusters (a merge flags an exceptional
-    point).
+    One eigenvalue call covers the path.  The first point is sorted by (real,
+    imaginary) part; later points are matched to their predecessor by
+    minimal-distance assignment, so each column follows one continuous
+    branch.  ``cluster_count`` counts the eigenvalue clusters (a merge flags
+    an exceptional point).
     """
     frequencies = np.atleast_2d(np.asarray(frequencies, dtype=float))
+    symbols = system.symbol(frequencies)
+    spectra = sorted_eigenvalues(symbols)
+    starts = cluster_labels(spectra, cluster_tolerance(symbols)) == np.arange(system.size)
     points: list[SweepPoint] = []
     previous: np.ndarray | None = None
-    for k in frequencies:
-        eigsys = eigendecompose(system.symbol(k))
-        values = eigsys.values
+    for k, values, count in zip(frequencies, spectra, starts.sum(axis=-1)):
         if previous is not None:
             cost = np.abs(values[:, None] - previous[None, :])
             values = values[_min_cost_assignment(cost)]
-        points.append(
-            SweepPoint(k=k.copy(), eigenvalues=values, cluster_count=len(eigsys.clusters))
-        )
+        points.append(SweepPoint(k=k.copy(), eigenvalues=values, cluster_count=int(count)))
         previous = values
     return points

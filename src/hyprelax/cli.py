@@ -166,8 +166,7 @@ def _cmd_limit(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     system = load_system(_resolve_system_path(args))
     if args.direction is None:
-        direction = np.zeros(system.dimension)
-        direction[0] = 1.0
+        direction = np.eye(system.dimension)[0]
     else:
         try:
             direction = np.array([float(part) for part in args.direction.split(",")])
@@ -189,10 +188,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigurationError("moduli must satisfy 0 < kmin < kmax < inf")
     if args.count < 1:
         raise ConfigurationError(f"count must be at least 1, got {args.count}")
-    if args.linear:
-        moduli = np.linspace(args.kmin, args.kmax, args.count)
-    else:
-        moduli = np.geomspace(args.kmin, args.kmax, args.count)
+    moduli = (np.linspace if args.linear else np.geomspace)(args.kmin, args.kmax, args.count)
     points = eigenvalue_sweep(system, moduli[:, None] * direction[None, :])
     lines = ["modulus,branch,real,imag,cluster_count"]
     for modulus, point in zip(moduli, points):

@@ -384,6 +384,7 @@ def run_experiment(
             within the schedule.
         ConfigurationError: if the config is inconsistent with the system,
             asks for snapshots without an ``out_dir``, or has zero-mass data.
+        IoFailureError: if a snapshot or its directory cannot be written.
     """
     if cfg.save_fields and out_dir is None:
         raise ConfigurationError("save_fields needs an output directory for its snapshots")
@@ -469,7 +470,10 @@ def run_experiment(
             field = to_physical(spectrum)
             if save:
                 path = fields_dir / f"snapshot_{save_index:03d}_{label}.bin"
-                save_field(field, path, time=t)
+                try:
+                    save_field(field, path, time=t)
+                except OSError as error:
+                    raise IoFailureError(f"cannot write {path}: {error}") from error
             return field
 
         u = physical(full, "u")

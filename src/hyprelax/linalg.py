@@ -1,7 +1,7 @@
 """Dense linear-algebra kernels shared by the higher layers.
 
-Everything here works on plain numpy arrays: eigenvalues with multiplicity
-clustering, a batched matrix exponential, adaptive contour quadrature for
+Everything here works on plain numpy arrays: batched eigenvalues and the one
+clustering rule, a batched matrix exponential, adaptive contour quadrature for
 spectral projections and reduced resolvents, and :func:`spectral_group`, the
 one builder of an isolated eigenvalue group that every higher layer uses.
 All tolerances are explicit and conservative; the routines raise typed
@@ -25,6 +25,8 @@ __all__ = [
     "Contour",
     "SpectralGroup",
     "cluster_tolerance",
+    "cluster_labels",
+    "sorted_eigenvalues",
     "eigendecompose",
     "matrix_exponential",
     "cauchy_integral",
@@ -114,36 +116,35 @@ class Contour:
             raise ValueError(f"node count must be a power of two >= 16, got {self.nodes}")
 
 
-def _cluster_indices(values: np.ndarray, tol: float) -> tuple[EigenCluster, ...]:
-    n = values.shape[0]
-    parent = list(range(n))
+def cluster_labels(values: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
+    """Cluster labels of a stack of eigenvalues ``(..., n)``, one ``tol`` per
+    row: the smallest index each value reaches through a chain of pairs at
+    most ``tol`` apart.  A cluster starts where a label is its own index."""
+    values = np.asarray(values)
+    close = np.abs(values[..., :, None] - values[..., None, :]) <= np.asarray(tol)[..., None, None]
+    labels = np.broadcast_to(np.arange(values.shape[-1]), values.shape)
+    # Each pass moves a label one link down a chain; a chain has at most n - 1.
+    for _ in range(values.shape[-1] - 1):
+        labels = np.where(close, labels[..., None, :], labels[..., :, None]).min(axis=-1)
+    return labels
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= tol:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [
-        EigenCluster(value=complex(np.mean(values[idx])), indices=tuple(idx))
-        for idx in (sorted(g) for g in groups.values())
-    ]
-    clusters.sort(key=lambda c: (c.value.real, c.value.imag))
-    return tuple(clusters)
+def sorted_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a matrix or a stack ``(..., n, n)`` from one ``eigvals``
+    call, each row sorted by real and then imaginary part.  Raises
+    :class:`ConvergenceFailureError` if the QR iteration does not converge."""
+    try:
+        values = np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailureError(f"eigendecomposition failed: {exc}") from exc
+    return np.take_along_axis(values, np.lexsort((values.imag, values.real)), axis=-1)
 
 
 def eigendecompose(m: np.ndarray) -> EigenSystem:
     """Eigenvalues of a square matrix, with nearby eigenvalues clustered.
 
-    Eigenvalues closer than :func:`cluster_tolerance` (``1e-8 * (1 + |m|_F)``)
-    are merged transitively into one cluster.
+    Clusters are the :func:`cluster_labels` of the sorted eigenvalues at
+    :func:`cluster_tolerance` (``1e-8 * (1 + |m|_F)``).
 
     Raises:
         ConvergenceFailureError: if the QR iteration does not converge.
@@ -151,12 +152,15 @@ def eigendecompose(m: np.ndarray) -> EigenSystem:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    try:
-        values = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(f"eigendecomposition failed: {exc}") from exc
-    values = values[np.lexsort((values.imag, values.real))]
-    return EigenSystem(values=values, clusters=_cluster_indices(values, cluster_tolerance(m)))
+    values = sorted_eigenvalues(m)
+    labels = cluster_labels(values, cluster_tolerance(m))
+    starts = np.flatnonzero(labels == np.arange(values.size))
+    clusters = [
+        EigenCluster(value=complex(np.mean(values[idx])), indices=tuple(idx.tolist()))
+        for idx in (np.flatnonzero(labels == start) for start in starts)
+    ]
+    clusters.sort(key=lambda c: (c.value.real, c.value.imag))
+    return EigenSystem(values=values, clusters=tuple(clusters))
 
 
 # Degree-13 diagonal Pade coefficients and the matching 1-norm threshold for

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import EigenCluster, EigenSystem, cluster_tolerance, eigendecompose
+from .linalg import EigenCluster, EigenSystem, cluster_labels, cluster_tolerance, eigendecompose
 
 __all__ = [
     "ModelError",
@@ -197,20 +197,20 @@ def advection_spectrum(system: HyperbolicSystem, directions: np.ndarray) -> tupl
     """One batched ``eig`` of ``A(w)`` over a stack of directions ``(..., d)``.
 
     Returns the eigenvalues ``(..., n)`` sorted by real part, the matching
-    eigenvector columns ``(..., n, n)`` and the cluster starts ``(..., n)``: a
-    sorted value joins the cluster before it when it lies within
-    :func:`~hyprelax.linalg.cluster_tolerance` of its ``A(w)`` of its neighbour.
+    eigenvector columns ``(..., n, n)`` and the cluster starts ``(..., n)``:
+    the values that :func:`~hyprelax.linalg.cluster_labels`, at the
+    ``cluster_tolerance`` of their ``A(w)``, labels with their own index.
     """
     advections = system.advection(directions)
     values, vectors = np.linalg.eig(advections)
     order = np.argsort(values.real, axis=-1, kind="stable")
     values = np.take_along_axis(values, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
-    joins = np.abs(np.diff(values, axis=-1)) <= cluster_tolerance(advections)[..., None]
-    return values, vectors, np.insert(~joins, 0, True, axis=-1)
+    labels = cluster_labels(values, cluster_tolerance(advections))
+    return values, vectors, labels == np.arange(system.size)
 
 
-# Steps per great circle when following eigenvalue branches without a diagonalizer.
+# Steps per great circle when condition A follows the eigenvalue branches of A(w).
 _CIRCLE_STEPS = 1024
 
 

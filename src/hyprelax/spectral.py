@@ -43,7 +43,6 @@ from pathlib import Path
 import numpy as np
 
 from .chapman import (
-    GroupNotSeparatedError,
     ParabolicLimit,
     calibrate_separation_radius,
     compute_parabolic_limit,
@@ -57,7 +56,6 @@ __all__ = [
     "SpectralError",
     "WrongRepresentationError",
     "SupportTooWideError",
-    "GroupNotSeparatedError",
     "PeriodicGrid",
     "GridSpec",
     "GridField",

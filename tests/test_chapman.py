@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from hyprelax.chapman import (
     _min_cost_assignment,
@@ -21,7 +22,7 @@ from hyprelax.chapman import (
     require,
     zero_group,
 )
-from hyprelax.linalg import eigendecompose
+from hyprelax.linalg import cluster_tolerance, eigendecompose
 from hyprelax.model import (
     HyperbolicSystem,
     check_condition_B,
@@ -30,7 +31,7 @@ from hyprelax.model import (
     sphere_samples,
 )
 from hyprelax.perturbation import PerturbationFamily, reduce_semisimple_group
-from hyprelax.systems import damped_euler_2d, goldstein_kac_1d, goldstein_kac_3d
+from hyprelax.systems import damped_euler_2d, damped_euler_3d, goldstein_kac_1d, goldstein_kac_3d
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -247,7 +248,42 @@ class TestExactGroupProjection:
             zero_group(np.linalg.eigvals(symbols), symbols, k)
 
 
+# One system from each builder; the last has skew velocities (seed 0).
+_VELOCITIES = np.random.default_rng(0).normal(size=(3, 3))
+BUILT_SYSTEMS = {
+    "two_speed": goldstein_kac_1d(),
+    "two_speed_fast": goldstein_kac_1d(0.3, 2.0),
+    "euler_2d": damped_euler_2d(),
+    "euler_3d": damped_euler_3d(),
+    "three_velocity": goldstein_kac_3d(0.5, 1.0, 1.5),
+    "three_velocity_skew": goldstein_kac_3d(0.4, 1.1, 1.7, _VELOCITIES - _VELOCITIES.mean(axis=0)),
+}
+
+
+def per_level_separation_radius(system: HyperbolicSystem) -> float:
+    """The calibration scan one direction and one level at a time."""
+    gap0 = check_condition_B(system).data["gap"]
+    radius = np.inf
+    for w in sphere_samples(system.dimension, 32):
+        epsilon, last_good, branch = gap0 / 64.0, 0.0, 0.0 + 0.0j
+        for _ in range(96):
+            eigenvalues = np.linalg.eigvals(system.symbol(epsilon * w))
+            follow = int(np.argmin(np.abs(eigenvalues - branch)))
+            others = np.delete(eigenvalues, follow)
+            if float(np.min(np.abs(others - eigenvalues[follow]))) <= 0.5 * gap0:
+                break
+            branch, last_good = eigenvalues[follow], epsilon
+            epsilon *= 2.0 ** (1.0 / 8.0)
+        radius = min(radius, last_good)
+    return radius
+
+
 class TestCalibration:
+    @pytest.mark.parametrize("name", sorted(BUILT_SYSTEMS))
+    def test_equals_the_per_level_scan(self, name):
+        system = BUILT_SYSTEMS[name]
+        assert calibrate_separation_radius(system) == per_level_separation_radius(system)
+
     def test_frozen_value_two_speed(self):
         radius = calibrate_separation_radius(goldstein_kac_1d())
         assert radius == pytest.approx(EXAMPLE_SEPARATION_RADIUS, rel=1e-12)
@@ -414,7 +450,46 @@ class TestHighFrequencyExpansion:
         assert "w = [1.0]" in str(caught.value)
 
 
+def per_point_sweep(system: HyperbolicSystem, frequencies: np.ndarray):
+    """Sorted eigenvalues and cluster count at each frequency, one point at a
+    time, tracked by the exact assignment."""
+    rows, counts, previous = [], [], None
+    for k in frequencies:
+        symbol = system.symbol(k)
+        values = np.linalg.eigvals(symbol)
+        values = values[np.lexsort((values.imag, values.real))]
+        close = np.abs(values[:, None] - values[None, :]) <= cluster_tolerance(symbol)
+        counts.append(connected_components(close, directed=False)[0])
+        if previous is not None:
+            values = values[_min_cost_assignment(np.abs(values[:, None] - previous[None, :]))]
+        rows.append(values)
+        previous = values
+    return np.stack(rows), counts
+
+
 class TestEigenvalueSweep:
+    @pytest.mark.parametrize(
+        "name, direction",
+        [
+            ("two_speed", [1.0]),
+            ("two_speed", [-1.0]),
+            ("euler_2d", [0.6, 0.8]),
+            ("euler_3d", [1.0, 2.0, 2.0]),
+            ("three_velocity_skew", [1.0, -2.0, 2.0]),
+        ],
+    )
+    def test_bitwise_equal_to_the_per_point_sweep(self, name, direction):
+        system = BUILT_SYSTEMS[name]
+        w = np.array(direction) / np.linalg.norm(direction)
+        # The linear path steps onto the two-speed exceptional point |k| = 1/2.
+        for moduli in (np.geomspace(1e-2, 1e2, 200), np.linspace(0.3, 0.7, 41)):
+            frequencies = moduli[:, None] * w
+            points = eigenvalue_sweep(system, frequencies)
+            values, counts = per_point_sweep(system, frequencies)
+            assert np.stack([p.eigenvalues for p in points]).tobytes() == values.tobytes()
+            assert [p.cluster_count for p in points] == counts
+            assert np.stack([p.k for p in points]).tobytes() == frequencies.tobytes()
+
     def test_two_speed_exceptional_point(self):
         system = goldstein_kac_1d()
         path = np.linspace(0.3, 0.7, 41)[:, None]

@@ -546,6 +546,20 @@ class TestConfigValidation:
         assert "zero mass" in stderr
         assert "[0, 0.23]" in stderr
 
+    def test_unwritable_snapshot_exits_3(self, tmp_path, capsys):
+        raw = json.loads((CONFIGS / "gk_decay.json").read_text())
+        raw["system"] = str(CONFIGS / raw["system"])
+        raw["save_fields"] = True
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        (out / "fields" / "snapshot_000_u.bin").mkdir(parents=True)
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: cannot write ")
+        assert "snapshot_000_u.bin" in stderr
+        assert "Traceback" not in stderr
+
     def test_grid_is_checked_before_the_system_is_read(self, tmp_path, capsys):
         config = write_run_config(
             tmp_path, tmp_path / "missing.json", grid={"points": 100, "half_width": 48.0}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
+from scipy.sparse.csgraph import connected_components
 
 from hyprelax.chapman import exact_group_projection
 from hyprelax.linalg import (
@@ -9,6 +10,7 @@ from hyprelax.linalg import (
     ContourTouchesSpectrumError,
     QuadratureNotConvergedError,
     cauchy_integral,
+    cluster_labels,
     cluster_tolerance,
     contour_projection,
     eigendecompose,
@@ -57,6 +59,79 @@ class TestEigendecompose:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             eigendecompose(np.zeros((2, 3)))
+
+
+def component_labels(values: np.ndarray, tol: float) -> np.ndarray:
+    """Smallest index in each value's connected component of the graph whose
+    edges join values at most ``tol`` apart."""
+    close = np.abs(values[:, None] - values[None, :]) <= tol
+    _, components = connected_components(close, directed=False)
+    smallest = {c: np.flatnonzero(components == c)[0] for c in np.unique(components)}
+    return np.array([smallest[c] for c in components])
+
+
+def planted_rows(rng: np.random.Generator, rows: int, n: int, tol: np.ndarray) -> np.ndarray:
+    """Random complex rows, each with a planted equal pair, a pair one side or
+    the other of ``tol`` apart and, from n = 6 up, a chain a ~ b ~ c with
+    a and c more than ``tol`` apart, at random positions."""
+    values = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+    for row in range(rows):
+        slots = rng.permutation(n)
+        base = values[row, slots[0]]
+        if n >= 2:
+            values[row, slots[1]] = base
+        if n >= 4:
+            offset = tol[row] * np.exp(2j * np.pi * rng.random()) * rng.choice([0.999, 1.001])
+            values[row, slots[3]] = values[row, slots[2]] + offset
+        if n >= 6:
+            turn = np.exp(2j * np.pi * rng.random())
+            values[row, slots[4]] = base + 0.8 * tol[row] * turn
+            values[row, slots[5]] = base + 1.6 * tol[row] * turn
+    return values
+
+
+class TestClusterLabels:
+    def test_chain_is_one_cluster(self):
+        # 0 ~ 0.8 ~ 1.6 but |0 - 1.6| > 1: the chain joins all three.
+        assert cluster_labels(np.array([1.6, 5.0, 0.0, 0.8]), 1.0).tolist() == [0, 1, 0, 0]
+        assert cluster_labels(np.array([0.0, 1.6]), 1.0).tolist() == [0, 1]
+
+    def test_matches_connected_components(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            rows, n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            tol = 10.0 ** rng.uniform(-9.0, 0.0, size=rows)
+            values = planted_rows(rng, rows, n, tol)
+            labels = cluster_labels(values, tol)
+            assert labels.shape == (rows, n)
+            for row in range(rows):
+                assert_allclose(labels[row], component_labels(values[row], tol[row]), atol=0)
+            assert_allclose(cluster_labels(values[0], tol[0]), labels[0], atol=0)
+
+    def test_eigendecompose_clusters_match_connected_components(self):
+        # A unitary similarity keeps |m|_F, so the planted pairs sit at the
+        # cluster tolerance of m, far above the rounding of eigvals.
+        rng = np.random.default_rng(12)
+        sizes = []
+        for _ in range(200):
+            n = int(rng.integers(1, 8))
+            state = rng.bit_generator.state
+            tol = cluster_tolerance(np.diag(planted_rows(rng, 1, n, np.zeros(1))[0]))
+            rng.bit_generator.state = state
+            planted = planted_rows(rng, 1, n, np.array([tol]))[0]
+            unitary = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            m = unitary @ np.diag(planted) @ unitary.conj().T
+            system = eigendecompose(m)
+            sizes.extend(c.multiplicity for c in system.clusters)
+            labels = component_labels(system.values, cluster_tolerance(m))
+            members = [np.flatnonzero(labels == label) for label in np.unique(labels)]
+            expected = sorted(
+                ((complex(np.mean(system.values[idx])), idx.tolist()) for idx in members),
+                key=lambda item: (item[0].real, item[0].imag),
+            )
+            assert [(c.value, list(c.indices)) for c in system.clusters] == expected
+        # The chain and the equal pair share a base value: one cluster of four.
+        assert {1, 2, 4} <= set(sizes)
 
 
 class TestContour:
