@@ -5,7 +5,7 @@ diffusion of the parabolic limit), ``sweep`` (tracked eigenvalues of the
 symbol along a ray), ``run`` (decay experiment), ``report`` (re-serialize
 an existing report).  Exit codes: 0 success, 1 rate-check failure, 2
 condition failure, 3 usage, configuration or input error (including a failed
-spectral audit).
+spectral audit or a linear-algebra failure on the input).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .harness import (
     emit_report,
     run_experiment,
 )
+from .linalg import LinalgError
 from .model import SystemFileError, check_all_conditions, load_json, load_system
 from .spectral import SpectralError
 
@@ -269,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConditionViolatedError as error:
         print(f"condition violated: {error}", file=sys.stderr)
         return CONDITION_EXIT
-    except ChapmanError as error:
+    except (ChapmanError, LinalgError, np.linalg.LinAlgError) as error:
         print(f"error: {error}", file=sys.stderr)
         return CONFIG_EXIT
     except HarnessError as error:

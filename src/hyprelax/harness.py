@@ -15,6 +15,13 @@ The q = 1 series uses one fixed localized datum.  The q = 2 series probes
 the worst case over L^2 data with a scaling family of Gaussians widened as
 sqrt(t) and normalized in L^2, since any single fixed datum decays faster
 than the uniform rate.
+
+``u``, ``u2`` and the profile gaps ``u1 - Phi``, ``u1 - Psi`` are formed in
+frequency space, and their p = 2 norms are taken there: the transform is
+unitary, so by Parseval the norm of the spectrum is the Riemann-sum norm of
+the field.  Only a p = inf norm and the ``save_fields`` snapshots transform
+fields back.  The first measurement of a run also transforms ``u`` and
+checks that both norms agree (the Parseval audit).
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .spectral import (
     GridSpec,
     InitialSpec,
     PeriodicGrid,
+    SpectralError,
     evolve_parabolic_phi,
     evolve_parabolic_psi,
     lp_norm,
@@ -77,6 +85,9 @@ _VERIFIED_PAIRS = ((2.0, 1), (2.0, 2), (math.inf, 1))
 
 # Fewest samples a rate fit accepts.
 _MIN_FIT_POINTS = 6
+# Relative mismatch the Parseval audit accepts between the L^2 norm of a
+# spectrum and the Riemann sum of its inverse transform.
+_PARSEVAL_TOLERANCE = 1e-12
 
 
 class HarnessError(Exception):
@@ -333,6 +344,18 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
+def _parseval_audit(spectrum: GridField, field: GridField) -> None:
+    """Check that ``spectrum`` and its inverse transform ``field`` have one
+    L^2 norm, as the norms taken in frequency space assume."""
+    spectral, riemann = lp_norm(spectrum, 2), lp_norm(field, 2)
+    if not abs(spectral - riemann) <= _PARSEVAL_TOLERANCE * riemann:
+        raise SpectralError(
+            f"L^2 norm in frequency space {spectral:.17g} differs from the "
+            f"Riemann sum {riemann:.17g} of its inverse transform by more than "
+            f"{_PARSEVAL_TOLERANCE:g} relative"
+        )
+
+
 def _unit_l2_gaussian(grid: PeriodicGrid, components: int, spec: InitialSpec) -> GridField:
     data = make_initial_data(grid, components, spec)
     return GridField(grid, data.values / lp_norm(data, 2), data.representation)
@@ -385,6 +408,7 @@ def run_experiment(
         ConfigurationError: if the config is inconsistent with the system,
             asks for snapshots without an ``out_dir``, or has zero-mass data.
         IoFailureError: if a snapshot or its directory cannot be written.
+        SpectralError: if a propagation audit or the Parseval audit fails.
     """
     if cfg.save_fields and out_dir is None:
         raise ConfigurationError("save_fields needs an output directory for its snapshots")
@@ -460,11 +484,16 @@ def run_experiment(
     def record(name: str, value: float) -> None:
         series.setdefault(name, []).append(value)
 
+    audited = False
+
     def measure(datum: Datum, t: float, pairs, q_label: int, save_index=None):
-        # Gaps are formed in frequency.  Each field a norm needs is transformed
-        # once, measured and released before the next one is transformed.
+        # Fields are formed in frequency and p = 2 norms taken there.  A field
+        # is transformed only for a p = inf norm, a snapshot or the run's one
+        # Parseval audit, and released before the next one is transformed.
+        nonlocal audited
         full, low, high = splitter.decompose(datum, t)
         save = save_index is not None and fields_dir is not None
+        sup = any(math.isinf(p) for p, _ in pairs)
 
         def physical(spectrum: GridField, label: str) -> GridField:
             field = to_physical(spectrum)
@@ -476,21 +505,26 @@ def run_experiment(
                     raise IoFailureError(f"cannot write {path}: {error}") from error
             return field
 
-        u = physical(full, "u")
-        del full
-        for p, q in pairs:
-            record(f"u_{_pair_tag(p, q)}", lp_norm(u, p))
-        del u
-        record(f"u2_l2_q{q_label}", lp_norm(physical(high, "u2"), 2))
-        del high
+        def norms(prefix: str, spectrum: GridField, field: GridField | None) -> None:
+            for p, q in pairs:
+                value = lp_norm(spectrum if p == 2 else field, p)
+                record(f"{prefix}_{_pair_tag(p, q)}", value)
+
+        u = physical(full, "u") if sup or save or not audited else None
+        if not audited:
+            _parseval_audit(full, u)
+            audited = True
+        norms("u", full, u)
+        del full, u
+        record(f"u2_l2_q{q_label}", lp_norm(high, 2))
         if save:
+            physical(high, "u2")
             physical(low, "u1")
+        del high
         for name, evolve in profiles.items():
             gap = evolve(datum, t)
             np.subtract(low.values, gap.values, out=gap.values)
-            gap = to_physical(gap)
-            for p, q in pairs:
-                record(f"u1_minus_{name}_{_pair_tag(p, q)}", lp_norm(gap, p))
+            norms(f"u1_minus_{name}", gap, to_physical(gap) if sup else None)
             del gap
 
     fixed = splitter.prepare(initial) if fixed_pairs else None

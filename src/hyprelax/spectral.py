@@ -247,9 +247,11 @@ def lp_norm(field: GridField, p: float) -> float:
     """Riemann-sum L^p norm with Euclidean norm across components.
 
     ``p = inf`` returns the maximum pointwise component-norm; finite ``p``
-    weights each grid cell by its volume.
+    weights each grid cell by its volume.  At ``p = 2`` the field may be a
+    frequency field: the transform is unitary, so ``cell_volume sum |f^|^2``
+    equals ``cell_volume sum |f|^2`` (Parseval) for real and complex data.
+    Every other ``p`` needs a physical field.
     """
-    _require(field, PHYSICAL)
     if not p >= 1:
         raise ValueError(f"norm order must satisfy p >= 1, got {p}")
     if p == 2:
@@ -257,6 +259,7 @@ def lp_norm(field: GridField, p: float) -> float:
         # temporaries, and no BLAS call (which would start its threads).
         flat = np.ascontiguousarray(field.values).reshape(-1).view(float)
         return float(np.sqrt(np.einsum("i,i->", flat, flat) * field.grid.cell_volume))
+    _require(field, PHYSICAL)
     pointwise = np.sqrt(np.sum(np.abs(field.values) ** 2, axis=0))
     if np.isinf(p):
         return float(np.max(pointwise))

@@ -13,7 +13,7 @@ from hyprelax.chapman import ChapmanError
 from hyprelax.cli import main
 from hyprelax.harness import ExperimentConfig, FitWindow, TimeSchedule
 from hyprelax.model import HyperbolicSystem, dump_system
-from hyprelax.spectral import FrequencySplitter, InitialSpec
+from hyprelax.spectral import FrequencySplitter, GridField, InitialSpec
 from hyprelax.systems import damped_euler_2d, goldstein_kac_1d
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -361,6 +361,22 @@ class TestRun:
         assert "contour projection" in stderr
         assert "Traceback" not in stderr
 
+    def test_failed_parseval_audit_exits_3(self, tmp_path, gk_path, monkeypatch, capsys):
+        import hyprelax.harness as harness
+
+        inverse = harness.to_physical
+
+        def skewed(field):
+            out = inverse(field)
+            return GridField(out.grid, out.values * (1.0 + 1e-9), out.representation)
+
+        monkeypatch.setattr(harness, "to_physical", skewed)
+        config = write_run_config(tmp_path, gk_path)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 3
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: L^2 norm in frequency space")
+        assert stderr.count("\n") == 1
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kind", ["gaussian", "bump", "random-band"])
@@ -582,6 +598,24 @@ def test_out_naming_a_file_exits_3(tmp_path, gk_path, capsys, monkeypatch, comma
     assert stderr.startswith("error: cannot write ")
     assert str(taken) in stderr
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["check", "sweep"])
+def test_linear_algebra_failure_exits_3(tmp_path, capsys, command):
+    # Advection entries near the largest double overflow the symbols to inf,
+    # which the eigensolvers refuse.  The overflow warnings are the input's
+    # own; what is tested is the exit that follows them.
+    raw = json.loads((CONFIGS / "goldstein_kac.json").read_text())
+    raw["A"] = [[[1e307 * x for x in row] for row in a] for a in raw["A"]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    with np.errstate(over="ignore", invalid="ignore"):
+        status = main([command, str(path), "--out", str(tmp_path / "o")])
+    assert status == 3
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: ")
+    assert "infs or NaNs" in stderr
+    assert stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

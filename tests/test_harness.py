@@ -33,12 +33,13 @@ from hyprelax.spectral import (
     GridSpec,
     InitialSpec,
     PeriodicGrid,
+    SpectralError,
     evolve_parabolic_phi,
     lp_norm,
     make_initial_data,
     to_physical,
 )
-from hyprelax.systems import goldstein_kac_1d
+from hyprelax.systems import damped_euler_2d, goldstein_kac_1d
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -516,6 +517,58 @@ class TestRunExperiment:
         )
         run_experiment(cfg, system=goldstein_kac_1d())
         assert len(calls) == 1 + per_time * schedule.count
+
+
+def small_plane_config(**overrides) -> ExperimentConfig:
+    settings = dict(
+        system="in-memory",
+        grid=GridSpec(points=64, half_width=32.0),
+        times=TimeSchedule(t_min=2.0, t_max=8.0, count=6),
+        initial=InitialSpec(sigma=1.0, amplitudes=(1.0, 0.3, -0.2)),
+        tolerance=5.0,
+    )
+    settings.update(overrides)
+    return ExperimentConfig(**settings)
+
+
+class TestFrequencySpaceNorms:
+    """p = 2 norms are taken on the spectra; only p = inf norms, snapshots and
+    the one Parseval audit per run transform a field back."""
+
+    @pytest.mark.parametrize(
+        "pairs, transforms",
+        [(((2.0, 1),), 1), (((2.0, 1), (math.inf, 1)), 3 * 6)],
+    )
+    def test_inverse_transforms_per_run(self, monkeypatch, pairs, transforms):
+        # p = 2 alone: the audit's one transform.  With a sup-norm pair, u and
+        # the two gaps (Phi and Psi) at each of the 6 times, u2 never; the
+        # audit reuses the first u.
+        import hyprelax.harness as harness
+
+        calls = []
+        inverse = harness.to_physical
+
+        def counted(field):
+            calls.append(field.grid)
+            return inverse(field)
+
+        monkeypatch.setattr(harness, "to_physical", counted)
+        report = run_experiment(small_plane_config(pairs=pairs), system=damped_euler_2d())
+        assert len(report.fits) == 2 * len(pairs)
+        assert len(calls) == transforms
+
+    def test_failed_parseval_audit_raises(self, monkeypatch):
+        import hyprelax.harness as harness
+
+        inverse = harness.to_physical
+
+        def skewed(field):
+            out = inverse(field)
+            return GridField(out.grid, out.values * (1.0 + 1e-9), out.representation)
+
+        monkeypatch.setattr(harness, "to_physical", skewed)
+        with pytest.raises(SpectralError, match="Riemann sum"):
+            run_experiment(small_plane_config(), system=damped_euler_2d())
 
 
 class TestEmitReport:

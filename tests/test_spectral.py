@@ -127,8 +127,23 @@ class TestGridField:
             to_frequency(field)
         with pytest.raises(WrongRepresentationError):
             to_physical(GridField(grid, np.zeros((1, 8)), PHYSICAL))
-        with pytest.raises(WrongRepresentationError):
-            lp_norm(field, 2)
+        for p in (1, np.inf):
+            with pytest.raises(WrongRepresentationError):
+                lp_norm(field, p)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_l2_norm_of_a_spectrum_is_its_riemann_sum(self, dimension, kind):
+        grid = PeriodicGrid(dimension=dimension, points=32, half_width=8.0)
+        rng = np.random.default_rng(11)
+        shape = (3, *grid.shape)
+        values = rng.standard_normal(shape)
+        if kind == "complex":
+            values = values + 1j * rng.standard_normal(shape)
+        spectrum = to_frequency(GridField(grid, values, PHYSICAL))
+        assert lp_norm(spectrum, 2) == pytest.approx(
+            lp_norm(to_physical(spectrum), 2), rel=1e-12
+        )
 
     def test_parseval(self):
         grid = PeriodicGrid(dimension=1, points=64, half_width=8.0)
