@@ -7,6 +7,8 @@ reads, and a reversal symmetry ``S``.  The checkers sample the unit sphere
 (and a log-radial frequency grid) and return structured pass/fail reports
 with certificates or witness points; they never raise on a mere failure of
 the condition, only on inputs that make the check itself impossible.
+Condition A reads its affine branches in closed form from one eigen-system:
+the gradient and Hessian trace of each cluster mean at a base direction.
 """
 
 from __future__ import annotations
@@ -210,48 +212,25 @@ def advection_spectrum(system: HyperbolicSystem, directions: np.ndarray) -> tupl
     return values, vectors, labels == np.arange(system.size)
 
 
-# Steps per great circle when condition A follows the eigenvalue branches of A(w).
-_CIRCLE_STEPS = 1024
-
-
-def _great_circle_branches(
-    system: HyperbolicSystem, base: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue branches of ``A(w)`` followed around great circles through ``base``.
-
-    There is one circle per orthonormal tangent of ``base``.  Every circle
-    starts from the sorted eigenvalues at ``base``; at each later step the
-    sorted eigenvalues are handed out in the rank order of the prediction
-    ``2 lambda_{i-1} - lambda_{i-2}``, so branches that cross keep their
-    labels.  Returns the circle points ``(points, d)`` and the branch values
-    ``(points, n)``.
-    """
-    d, n = system.dimension, system.size
-    theta = 2.0 * np.pi * np.arange(_CIRCLE_STEPS) / _CIRCLE_STEPS
-    tangents = np.linalg.svd(base[None, :])[2][1:]
-    cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    points = (cos * base + sin * tangents[:, None, :]).reshape(-1, d)
-    values = np.sort(np.linalg.eigvals(system.advection(points)).real, axis=1)
-    values = values.reshape(d - 1, _CIRCLE_STEPS, n)
-    branches = values.copy()
-    for i in range(2, _CIRCLE_STEPS):
-        order = np.argsort(2.0 * branches[:, i - 1] - branches[:, i - 2], axis=1)
-        np.put_along_axis(branches[:, i], order, values[:, i], axis=1)
-    return points, branches.reshape(-1, n)
-
-
 def check_condition_A(system: HyperbolicSystem) -> ConditionReport:
     """Check uniform diagonalizability with eigenvalues affine in direction.
 
-    The branches are followed around the great circles through the sample
-    of :func:`advection_spectrum` with the most clusters, then the widest gap
-    between clusters (see :func:`_great_circle_branches`; in one dimension
-    the sorted eigenvalues are fitted), and fitted as ``nu_0 + nu . w``, a
-    cluster of constant multiplicity as that many equal branches.  The sorted
-    fitted values must match the sorted eigenvalues at every sample, which
-    needs no branch labels.  The certificate stores the ``(d + 1)``-vector of
-    fit coefficients per branch, and ``diagonalizer_condition`` the worst
-    condition number of the eigenvector matrices of ``A(w)``.
+    The base is the sample of :func:`advection_spectrum` with the most
+    clusters, then the widest gap between clusters.  ``A(x)`` is linear in
+    ``x``, so a branch ``nu_0 + nu . w`` on the sphere extends to
+    ``nu_0 |x| + nu . x``: at the base ``w0`` its gradient is ``nu_0 w0 + nu``
+    and its Hessian trace ``(d - 1) nu_0``.  Both are read in closed form
+    from the base's eigen-system: with ``V`` its eigenvector matrix and
+    ``C_j = V^-1 A_j V``, a cluster ``c`` of ``m_c`` values has the mean
+    gradient ``mean_{i in c} C_j[i, i]`` and the mean Hessian trace
+    ``(2 / m_c) sum_j sum_{i in c, k not in c} C_j[i, k] C_j[k, i] / (l_i - l_k)``,
+    and gives ``m_c`` equal branches.  A singular ``V`` is pseudo-inverted;
+    its condition number fails it.  In one dimension the sorted eigenvalues
+    at ``w = +-1`` are fitted.  The sorted branch values must match the
+    sorted eigenvalues at every sample, which needs no branch labels.  The
+    certificate stores the ``(d + 1)``-vector of coefficients per branch, and
+    ``diagonalizer_condition`` the worst condition number of the eigenvector
+    matrices of ``A(w)``.
     """
     directions = sphere_samples(system.dimension)
     m = directions.shape[0]
@@ -276,14 +255,20 @@ def check_condition_A(system: HyperbolicSystem) -> ConditionReport:
     values = raw_values.real
     gaps = np.where(starts[:, 1:], np.diff(values, axis=1), np.inf).min(axis=1, initial=np.inf)
     base = int(np.lexsort((-gaps, -starts.sum(axis=1)))[0])
-    if system.dimension == 1:
-        points, branches = directions, values
-    else:
-        points, branches = _great_circle_branches(system, directions[base])
-    coefficients, *_ = np.linalg.lstsq(
-        np.column_stack([np.ones(points.shape[0]), points]), branches, rcond=None
-    )
     design = np.column_stack([np.ones(m), directions])
+    if system.dimension == 1:
+        coefficients, *_ = np.linalg.lstsq(design, values, rcond=None)
+    else:
+        w0, vectors, labels = directions[base], raw_vectors[base], np.cumsum(starts[base])
+        same = labels[:, None] == labels[None, :]
+        mean = same / same.sum(axis=1, keepdims=True)
+        coupling = np.linalg.pinv(vectors) @ np.stack(system.advections) @ vectors
+        gradient = mean @ np.diagonal(coupling, axis1=1, axis2=2).real.T
+        # Pairs within a cluster have no term: an infinite gap drops them unwarned.
+        pair_gaps = np.where(same, np.inf, values[base][:, None] - values[base][None, :])
+        second = (coupling * coupling.transpose(0, 2, 1)).real.sum(axis=0) / pair_gaps
+        nu_0 = 2.0 * (mean @ second.sum(axis=1)) / (system.dimension - 1)
+        coefficients = np.vstack([nu_0, (gradient - nu_0[:, None] * w0).T])
     misfit = np.abs(np.sort(design @ coefficients, axis=1) - values)
     # Rows are ordered by coefficients rounded to the fit tolerance, so
     # rounding noise in an entry all branches share (nu_0 = 0 for the
@@ -758,7 +743,8 @@ def load_system(path: str | Path) -> HyperbolicSystem:
     (list of ``d`` row-major ``n x n`` arrays), ``B`` (row-major ``n x n``),
     and optional ``S`` (symmetry matrix) and ``R_samples`` (list of ``{"w":
     direction, "R": matrix}`` records used to build a sampled diagonalizer).
-    Unknown keys, non-numeric entries and ragged arrays are rejected with a
+    Unknown keys, non-numeric entries, ragged arrays and an ``A`` or ``B``
+    whose Frobenius norm reaches ``1e147`` or ``1e150`` are rejected with a
     message naming the key.
 
     Raises:
@@ -772,6 +758,16 @@ def load_system(path: str | Path) -> HyperbolicSystem:
             raise SystemFileError(f"invalid {key}: expected a positive integer, got {size}")
     advections = _array("A", spec.A, (d, n, n))
     relaxation = _array("B", spec.B, (n, n))
+    # cluster_tolerance sums the squared entries of A(w) and of E(ik) = B + i A(k)
+    # up to |k| = 1e3; these bounds keep those sums below 2e300, far from overflow.
+    for key, array, reach in (("A", advections, 1e3), ("B", relaxation, 1.0)):
+        norm = math.hypot(*array.ravel())
+        if not reach * norm < 1e150:
+            raise SystemFileError(
+                f"invalid {key}: Frobenius norm {norm:.3g} is not below {1e150 / reach:.0e}: "
+                "the squared entries of E(ik) = B + i A(k) up to |k| = 1e3 (condition D's "
+                "largest modulus), which cluster_tolerance sums, must stay finite"
+            )
     symmetry = None if spec.S is None else _array("S", spec.S, (n, n))
     diagonalizer = None
     if spec.R_samples is not None:

@@ -601,20 +601,35 @@ def test_out_naming_a_file_exits_3(tmp_path, gk_path, capsys, monkeypatch, comma
 
 
 @pytest.mark.parametrize("command", ["check", "sweep"])
-def test_linear_algebra_failure_exits_3(tmp_path, capsys, command):
-    # Advection entries near the largest double overflow the symbols to inf,
-    # which the eigensolvers refuse.  The overflow warnings are the input's
-    # own; what is tested is the exit that follows them.
-    raw = json.loads((CONFIGS / "goldstein_kac.json").read_text())
-    raw["A"] = [[[1e307 * x for x in row] for row in a] for a in raw["A"]]
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps(raw))
-    with np.errstate(over="ignore", invalid="ignore"):
-        status = main([command, str(path), "--out", str(tmp_path / "o")])
-    assert status == 3
+def test_linear_algebra_failure_exits_3(tmp_path, gk_path, capsys, monkeypatch, command):
+    # A system file large enough to overflow the symbols is refused when it
+    # is read (next test), so the eigensolvers are made to fail here.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    assert main([command, str(gk_path), "--out", str(tmp_path / "o")]) == 3
     stderr = capsys.readouterr().err
     assert stderr.startswith("error: ")
-    assert "infs or NaNs" in stderr
+    assert "did not converge" in stderr
+    assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "limit", "sweep"])
+@pytest.mark.parametrize("key, factor", [("A", 1e307), ("A", 1e160), ("B", 1e200)])
+def test_oversized_system_file_exits_3(tmp_path, capsys, command, key, factor):
+    # Finite entries whose squares would overflow the Frobenius norms that
+    # cluster_tolerance takes: 1e307 overflows the symbols themselves, 1e160
+    # made every eigenvalue one cluster, 1e200 in B a double kernel.
+    raw = json.loads((CONFIGS / "goldstein_kac.json").read_text())
+    raw[key] = (factor * np.asarray(raw[key])).tolist()
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, str(path), "--out", str(tmp_path / "o")]) == 3
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"error: invalid {key}: Frobenius norm ")
+    assert "cluster_tolerance" in stderr
     assert stderr.count("\n") == 1
 
 

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from hyprelax.cli import main
 from hyprelax.model import (
     HyperbolicSystem,
     MissingDiagonalizerError,
     SampledDiagonalizer,
     SystemFileError,
+    advection_spectrum,
     check_all_conditions,
     check_condition_A,
     check_condition_B,
@@ -43,6 +45,84 @@ def assert_branches(nu, slopes) -> None:
     assert nu.shape == expected.shape
     order = np.argsort(nu[:, 1])
     assert_allclose(nu[order], expected[np.argsort(expected[:, 1])], atol=1e-8)
+
+
+def great_circle_oracle(system: HyperbolicSystem) -> tuple[np.ndarray, bool]:
+    """Condition A's ``nu`` and verdict by the branch follower it once used in
+    two or more dimensions, the oracle of the closed form.
+
+    From the same base, one great circle of 1024 steps per orthonormal
+    tangent: each step hands out the sorted eigenvalues in the rank order of
+    the prediction ``2 lambda_{i-1} - lambda_{i-2}``, so crossing branches
+    keep their labels.  The branches are fitted by least squares and the
+    rows ordered as condition A orders them.
+    """
+    d, n = system.dimension, system.size
+    directions = sphere_samples(d)
+    raw_values, raw_vectors, starts = advection_spectrum(system, directions)
+    values = raw_values.real
+    gaps = np.where(starts[:, 1:], np.diff(values, axis=1), np.inf).min(axis=1, initial=np.inf)
+    base = directions[np.lexsort((-gaps, -starts.sum(axis=1)))[0]]
+    steps = 1024
+    theta = 2.0 * np.pi * np.arange(steps) / steps
+    tangents = np.linalg.svd(base[None, :])[2][1:]
+    points = np.cos(theta)[:, None] * base + np.sin(theta)[:, None] * tangents[:, None, :]
+    points = points.reshape(-1, d)
+    circle = np.sort(np.linalg.eigvals(system.advection(points)).real, axis=1)
+    circle = circle.reshape(d - 1, steps, n)
+    branches = circle.copy()
+    for i in range(2, steps):
+        order = np.argsort(2.0 * branches[:, i - 1] - branches[:, i - 2], axis=1)
+        np.put_along_axis(branches[:, i], order, circle[:, i], axis=1)
+    coefficients, *_ = np.linalg.lstsq(
+        np.column_stack([np.ones(points.shape[0]), points]), branches.reshape(-1, n), rcond=None
+    )
+    fit_tolerance = 1e-6 * (1.0 + np.max(np.abs(system.advection(directions))))
+    fitted = np.column_stack([np.ones(len(directions)), directions]) @ coefficients
+    affine = np.max(np.abs(np.sort(fitted, axis=1) - values)) <= fit_tolerance
+    conditioned = np.max(np.linalg.cond(raw_vectors)) < 1e6
+    keys = np.round(coefficients / fit_tolerance)
+    return coefficients[:, np.lexsort(keys[::-1])].T, bool(affine and conditioned)
+
+
+def drifting_acoustic(dimension: int, drift) -> HyperbolicSystem:
+    """Acoustics in ``dimension`` space dimensions advected by ``drift``:
+    ``A_j`` couples the pressure with velocity ``j``, plus ``drift_j I``.
+    The eigenvalues ``drift . w - 1``, ``drift . w`` (``dimension - 1``
+    times) and ``drift . w + 1`` have ``nu_0 = -1, 0, 1``."""
+    n = dimension + 1
+    advections = []
+    for j in range(dimension):
+        a = drift[j] * np.eye(n)
+        a[0, j + 1] = a[j + 1, 0] = 1.0
+        advections.append(a)
+    relaxation = np.diag([0.0] + [1.0] * dimension)
+    return HyperbolicSystem(advections=tuple(advections), relaxation=relaxation)
+
+
+def crossing_commuting_family(dimension: int, seed: int) -> tuple[HyperbolicSystem, np.ndarray]:
+    """``A(w) = P diag(b_j . w) P^-1`` and its slopes ``b_j``: in two or more
+    dimensions any two branches ``b_i . w`` and ``b_j . w`` cross on the sphere."""
+    rng = np.random.default_rng(seed)
+    n = 4
+    slopes = rng.normal(size=(n, dimension))
+    basis = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+    inverse = np.linalg.inv(basis)
+    system = HyperbolicSystem(
+        advections=tuple(basis @ np.diag(slopes[:, j]) @ inverse for j in range(dimension)),
+        relaxation=np.eye(n),
+    )
+    return system, slopes
+
+
+def three_velocity(seed: int) -> tuple[HyperbolicSystem, np.ndarray]:
+    """The three-velocity system the benchmark writes for ``seed``: rates
+    U(0.2, 2) and zero-mean N(0, 1) velocities, which it returns too."""
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(0.2, 2.0, size=3)
+    velocities = rng.normal(size=(3, 3))
+    velocities -= velocities.mean(axis=0)
+    return goldstein_kac_3d(*rates, velocities), velocities
 
 
 class TestHyperbolicSystem:
@@ -140,15 +220,11 @@ class TestConditionA:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_three_velocity_files_without_diagonalizer(self, seed, tmp_path):
-        # The system files the benchmark writes: rates U(0.2, 2), zero-mean
-        # N(0, 1) velocities; a written file carries no diagonalizer.  Every
-        # branch has nu_0 = 0, so the certificate rows follow the slopes.
-        rng = np.random.default_rng(seed)
-        rates = rng.uniform(0.2, 2.0, size=3)
-        velocities = rng.normal(size=(3, 3))
-        velocities -= velocities.mean(axis=0)
+        # A written file carries no diagonalizer.  Every branch has nu_0 = 0,
+        # so the certificate rows follow the slopes.
         path = tmp_path / "three_velocity.json"
-        dump_system(goldstein_kac_3d(*rates, velocities), path)
+        written, velocities = three_velocity(seed)
+        dump_system(written, path)
         system = load_system(path)
         assert system.diagonalizer is None
         report = check_condition_A(system)
@@ -157,25 +233,28 @@ class TestConditionA:
         expected = expected[np.lexsort(expected.T[::-1])]
         assert_allclose(report.data["nu"], expected, atol=1e-8)
 
-    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("dimension", [2, 3, 4])
     @pytest.mark.parametrize("seed", range(4))
     def test_crossing_commuting_families(self, dimension, seed):
-        # A(w) = P diag(b_j . w) P^-1: in two or more dimensions any two
-        # branches b_i . w and b_j . w cross on the sphere.
-        rng = np.random.default_rng(seed)
-        n = 4
-        slopes = rng.normal(size=(n, dimension))
-        basis = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
-        inverse = np.linalg.inv(basis)
-        system = HyperbolicSystem(
-            advections=tuple(
-                basis @ np.diag(slopes[:, j]) @ inverse for j in range(dimension)
-            ),
-            relaxation=np.eye(n),
-        )
+        system, slopes = crossing_commuting_family(dimension, seed)
         report = check_condition_A(system)
         assert report.passed, report.summary
         assert_branches(report.data["nu"], slopes)
+
+    @pytest.mark.parametrize(
+        "system",
+        [damped_euler_2d(), damped_euler_3d()]
+        + [three_velocity(seed)[0] for seed in range(30)]
+        + [crossing_commuting_family(d, seed)[0] for d in (2, 3, 4) for seed in range(4)]
+        + [drifting_acoustic(d, np.linspace(0.3, -0.7, d)) for d in (2, 3, 4, 5)],
+    )
+    def test_closed_form_matches_the_great_circle_oracle(self, system):
+        # The drifting acoustic systems in three or more dimensions have a
+        # multiple eigenvalue at every w, and nu_0 = -1, 0, 1.
+        report = check_condition_A(system)
+        nu, passed = great_circle_oracle(system)
+        assert report.passed == passed
+        assert_allclose(report.data["nu"], nu, rtol=0.0, atol=1e-12)
 
     def test_constant_multiplicity_counts_as_equal_branches(self):
         # A(w) = w I: one double eigenvalue at every direction, two equal
@@ -207,6 +286,23 @@ class TestConditionA:
         assert report.data["fit_residual"] == 0.0
         assert set(report.witness) == {"diagonalizer_condition"}
         assert report.witness["diagonalizer_condition"] >= 1e6
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_singular_base_fails_on_its_diagonalizer_condition(self, dimension, tmp_path):
+        # A(w) = (c . w) J with J the nilpotent 3x3 Jordan block: the
+        # eigenvector matrix is singular at every sample, the base's too.
+        jordan = np.diag([1.0, 1.0], 1)
+        system = HyperbolicSystem(
+            advections=tuple(c * jordan for c in (1.0, 2.0, 3.0)[:dimension]),
+            relaxation=np.eye(3),
+        )
+        report = check_condition_A(system)
+        assert not report.passed
+        assert set(report.witness) == {"diagonalizer_condition"}
+        assert report.witness["diagonalizer_condition"] >= 1e6
+        path = tmp_path / "jordan.json"
+        dump_system(system, path)
+        assert main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
 
     def test_complex_spectrum_fails(self):
         rotation = HyperbolicSystem(
