@@ -260,19 +260,23 @@ def low_frequency_expansion(system: HyperbolicSystem) -> LowFrequencyExpansion:
 
 def zero_group(values: np.ndarray, symbols: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Index of the eigenvalue nearest 0 in each row ``values[m]``, the
-    spectrum of ``symbols[m] = E(i k[m])``.  Its gap to the rest of the row
-    must exceed ``10 cluster_tolerance(E(ik))``, which scales with the
-    spectrum: rounding splits an exact collision by ``sqrt(eps)``.
+    spectrum of ``symbols[m] = E(i k[m])``.  Its modulus must sit below every
+    other modulus of the row by more than ``10 cluster_tolerance(E(ik))``,
+    which scales with the spectrum: rounding splits an exact collision by
+    ``sqrt(eps)``.  The modulus gap bounds the distance to the rest of the
+    row from below, and it also fails past an exceptional point, where the
+    0-branch has become one of a conjugate pair of equal modulus.
 
     Raises:
         GroupNotSeparatedError: at the first row where the 0-group is not
             separated (shrink ``|k|``).
     """
     rows = np.arange(values.shape[0])
-    nearest = np.argmin(np.abs(values), axis=-1)
-    distance = np.abs(values - values[rows, nearest][:, None])
-    distance[rows, nearest] = np.inf
-    gaps = np.min(distance, axis=-1, initial=np.inf)
+    moduli = np.abs(values)
+    nearest = np.argmin(moduli, axis=-1)
+    above = moduli - moduli[rows, nearest][:, None]
+    above[rows, nearest] = np.inf
+    gaps = np.min(above, axis=-1, initial=np.inf)
     thresholds = 10.0 * cluster_tolerance(symbols)
     crowded = np.flatnonzero(gaps <= thresholds)
     if crowded.size:

@@ -247,7 +247,11 @@ class ExperimentConfig:
                 f"profile must be phi, psi, or both, got {self.profile!r}"
             )
         pairs = tuple((float(p), int(q)) for p, q in self.pairs)
-        for pair in pairs:
+        if not pairs:
+            raise ConfigurationError("pairs must list at least one norm pair")
+        for index, pair in enumerate(pairs):
+            if pair in pairs[:index]:
+                raise ConfigurationError(f"norm pair {pair} is listed twice in pairs")
             if pair not in _VERIFIED_PAIRS:
                 raise ConfigurationError(
                     f"norm pair {pair} is outside the verified set "

@@ -465,29 +465,28 @@ def check_condition_D(
     )
 
 
-def _symmetry_residuals(system: HyperbolicSystem, s: np.ndarray) -> tuple[float, float]:
-    b = system.relaxation
-    commutator = float(np.max(np.abs(s @ b - b @ s)))
-    anticommutator = max(
-        float(np.max(np.abs(s @ a + a @ s))) for a in system.advections
-    )
-    return commutator, anticommutator
+def lift_axis_map(system: HyperbolicSystem, rotation: np.ndarray) -> np.ndarray | None:
+    """Lift of an orthogonal frequency map ``k -> R k`` to the state space.
 
-
-def _intertwiner(
-    pairs: list[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray | None, dict]:
-    """An invertible ``X`` with ``X M = N X`` for every ``(M, N)`` in ``pairs``.
-
-    The constraints are linear in ``X``: the SVD of their Kronecker form gives
-    the solution space, and random combinations of its basis (seed 0) are tried
-    until one has ``sigma_min / sigma_max >= 1e-6``; it is returned scaled to
-    Frobenius norm ``sqrt(n)``.  ``info`` records the dimension of the
-    solution space and, when no invertible element turns up, the best ratio.
+    Returns an invertible ``T`` with ``T B = B T`` and
+    ``T A^j = (sum_i R_ij A^i) T`` for every ``j``, so that
+    ``E(iRk) = T E(ik) T^-1`` at every frequency, or None.  The constraints
+    are linear in ``T``: the SVD of their Kronecker form gives the solution
+    space, and random combinations of its basis (seed 0) are tried until one
+    has ``sigma_min / sigma_max >= 1e-6``; it is scaled to Frobenius norm
+    ``sqrt(n)``, and its entries within ``1e-12 max|T|`` of an integer are
+    rounded to it, so a signed permutation comes out exact.  None when no
+    try is invertible or the lift misses the constraints by more than
+    ``1e-12`` relative to the largest coefficient.  Condition S is the lift
+    of ``R = -I``.
     """
-    n = pairs[0][0].shape[0]
+    b = system.relaxation
+    advections = np.stack(system.advections)
+    images = np.einsum("ij,ikl->jkl", np.asarray(rotation, dtype=float), advections)
+    n = system.size
     eye = np.eye(n)
-    # Row-major vec: vec(X M) = (I (x) M^T) vec(X), vec(N X) = (N (x) I) vec(X).
+    # Row-major vec: vec(T M) = (I (x) M^T) vec(T), vec(N T) = (N (x) I) vec(T).
+    pairs = zip([b, *advections], [b, *images])
     stacked = np.vstack([np.kron(eye, m.T) - np.kron(target, eye) for m, target in pairs])
     _, singular_values, vt = np.linalg.svd(stacked)
     top = singular_values[0] if singular_values.size else 0.0
@@ -495,39 +494,19 @@ def _intertwiner(
     null_mask[singular_values.shape[0] :] = True
     null_mask[: singular_values.shape[0]] = singular_values <= 1e-10 * max(top, 1.0)
     basis = vt[null_mask]
-    info = {"solution_space_dimension": int(basis.shape[0])}
     if basis.shape[0] == 0:
-        return None, info
-    rng = np.random.default_rng(0)
-    best_ratio = 0.0
-    for _ in range(100):
-        candidate = (rng.standard_normal(basis.shape[0]) @ basis).reshape(n, n)
-        singulars = np.linalg.svd(candidate, compute_uv=False)
-        ratio = float(singulars[-1] / singulars[0]) if singulars[0] > 0 else 0.0
-        best_ratio = max(best_ratio, ratio)
-        if ratio >= 1e-6:
-            candidate *= np.sqrt(n) / np.linalg.norm(candidate)
-            return candidate, info
-    info["best_invertibility_ratio"] = best_ratio
-    return None, info
-
-
-def lift_axis_map(system: HyperbolicSystem, rotation: np.ndarray) -> np.ndarray | None:
-    """Lift of an orthogonal frequency map ``k -> R k`` to the state space.
-
-    Returns an invertible ``T`` with ``T B = B T`` and
-    ``T A^j = (sum_i R_ij A^i) T`` for every ``j``, so that
-    ``E(iRk) = T E(ik) T^-1`` at every frequency, or None when the
-    constraints admit no invertible solution or the one found misses them by
-    more than 1e-12 relative to the largest coefficient.  The solution space
-    comes from the Kronecker null-space solver that condition S uses.
-    """
-    b = system.relaxation
-    advections = np.stack(system.advections)
-    images = np.einsum("ij,ikl->jkl", np.asarray(rotation, dtype=float), advections)
-    found, _ = _intertwiner([(b, b)] + list(zip(advections, images)))
-    if found is None:
         return None
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        found = (rng.standard_normal(basis.shape[0]) @ basis).reshape(n, n)
+        singulars = np.linalg.svd(found, compute_uv=False)
+        if singulars[0] > 0 and singulars[-1] / singulars[0] >= 1e-6:
+            break
+    else:
+        return None
+    found *= np.sqrt(n) / np.linalg.norm(found)
+    whole = np.round(found)
+    found = np.where(np.abs(found - whole) <= 1e-12 * np.max(np.abs(found)), whole, found)
     scale = max(float(np.max(np.abs(b))), float(np.max(np.abs(advections))), 1.0)
     residual = max(
         float(np.max(np.abs(found @ b - b @ found))),
@@ -539,56 +518,47 @@ def lift_axis_map(system: HyperbolicSystem, rotation: np.ndarray) -> np.ndarray 
 def check_condition_S(system: HyperbolicSystem) -> ConditionReport:
     """Check for an invertible symmetry commuting with B, anticommuting with A.
 
-    If the system carries a symmetry matrix it is verified; otherwise the
-    solution space of the (anti)commutation constraints is computed and
-    searched for an invertible element.  The certificate stores the matrix.
+    ``S B = B S`` and ``S A^j = -A^j S`` say ``E(-ik) = S E(ik) S^-1``: ``S``
+    lifts ``k -> -k``.  The system's symmetry matrix is verified when it
+    carries one; otherwise :func:`lift_axis_map` of ``-I`` is.  Either passes
+    when ``sigma_min >= 1e-10 sigma_max`` and the commutator and
+    anticommutator are at most ``1e-8`` relative to the coefficients.  The
+    certificate stores the matrix.
     """
-    scale = 1.0 + float(np.max(np.abs(system.relaxation))) + max(
+    s = system.symmetry
+    source = "provided"
+    if s is None:
+        s, source = lift_axis_map(system, -np.eye(system.dimension)), "found"
+        if s is None:
+            return ConditionReport(
+                condition="S",
+                passed=False,
+                summary="no invertible symmetry found in the constraint solution space",
+            )
+    b = system.relaxation
+    scale = 1.0 + float(np.max(np.abs(b))) + max(
         float(np.max(np.abs(a))) for a in system.advections
     )
-    if system.symmetry is not None:
-        s = system.symmetry
-        commutator, anticommutator = _symmetry_residuals(system, s)
-        singulars = np.linalg.svd(s, compute_uv=False)
-        invertible = singulars[-1] >= 1e-10 * singulars[0]
-        passed = invertible and commutator <= 1e-8 * scale and anticommutator <= 1e-8 * scale
-        return ConditionReport(
-            condition="S",
-            passed=bool(passed),
-            summary=(
-                f"provided symmetry: commutator {commutator:.2e}, "
-                f"anticommutator {anticommutator:.2e}"
-            ),
-            data={
-                "symmetry": s.tolist(),
-                "commutator_residual": commutator,
-                "anticommutator_residual": anticommutator,
-            },
-            witness=None
-            if passed
-            else {"commutator": commutator, "anticommutator": anticommutator},
-        )
-    b = system.relaxation
-    found, info = _intertwiner([(b, b)] + [(a, -a) for a in system.advections])
-    if found is None:
-        return ConditionReport(
-            condition="S",
-            passed=False,
-            summary="no invertible symmetry found in the constraint solution space",
-            data=info,
-            witness=info,
-        )
-    commutator, anticommutator = _symmetry_residuals(system, found)
+    commutator = float(np.max(np.abs(s @ b - b @ s)))
+    anticommutator = max(float(np.max(np.abs(s @ a + a @ s))) for a in system.advections)
+    singulars = np.linalg.svd(s, compute_uv=False)
+    invertible = singulars[-1] >= 1e-10 * singulars[0]
+    passed = invertible and commutator <= 1e-8 * scale and anticommutator <= 1e-8 * scale
     return ConditionReport(
         condition="S",
-        passed=True,
-        summary=f"found symmetry in a solution space of dimension {info['solution_space_dimension']}",
+        passed=bool(passed),
+        summary=(
+            f"{source} symmetry: commutator {commutator:.2e}, "
+            f"anticommutator {anticommutator:.2e}"
+        ),
         data={
-            "symmetry": found.tolist(),
+            "symmetry": s.tolist(),
             "commutator_residual": commutator,
             "anticommutator_residual": anticommutator,
-            **info,
         },
+        witness=None
+        if passed
+        else {"commutator": commutator, "anticommutator": anticommutator},
     )
 
 

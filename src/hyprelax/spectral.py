@@ -421,9 +421,9 @@ class _Orbits:
 
         An element whose ``M_g`` is the identity is only conjugated (when
         ``c_g``).  Otherwise one scaled row per nonzero entry, from a copy of
-        the element's block: the transforms are mostly signed permutations,
-        and a batched ``matmul`` would start BLAS threads that keep spinning
-        through the rest of the step.
+        the element's block: a lift of an axis map is exact, so a signed
+        permutation costs one row per row, and a batched ``matmul`` would
+        start BLAS threads that keep spinning through the rest of the step.
         """
         identity = np.eye(matrices.shape[-1])
         for g, matrix in enumerate(matrices):
@@ -687,9 +687,8 @@ class FrequencySplitter:
         ranked = ranked[trusted[ranked]]
         # The worst members of the grid, then the worst that each non-identity
         # element maps, so a wrong transform cannot escape the audit.
-        elements = range(1, orbits.transforms.shape[0])
-        mapped = [ranked[orbits.element[ranked] == g][:1] for g in elements]
-        audit = np.concatenate([ranked[:_AUDIT_MEMBERS], *mapped])
+        elements, first = np.unique(orbits.element[ranked], return_index=True)
+        audit = np.concatenate([ranked[:_AUDIT_MEMBERS], ranked[first[elements > 0]]])
         audit = np.array(list(dict.fromkeys(audit.tolist())), dtype=np.intp)
         fallback = np.flatnonzero(~trusted)
         band = self._band

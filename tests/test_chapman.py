@@ -247,6 +247,20 @@ class TestExactGroupProjection:
         with pytest.raises(GroupNotSeparatedError, match=r"at \|k\| = 1 is below"):
             zero_group(np.linalg.eigvals(symbols), symbols, k)
 
+    def test_conjugate_pair_past_the_exceptional_point_is_not_separated(self):
+        # Past |k| = 1/2 the two-speed branches are 0.5 +- 0.49i at |k| = 0.7:
+        # 0.98 apart but of equal modulus, so which one is nearest 0 is rounding.
+        system = goldstein_kac_1d()
+        k = np.array([[0.2], [0.7], [-0.7]])
+        symbols = system.symbol(k)
+        values = np.linalg.eigvals(symbols)
+        assert_allclose(np.abs(values[1:]), 0.7, rtol=1e-14)
+        assert abs(values[1, 0] - values[1, 1]) > 0.97
+        with pytest.raises(GroupNotSeparatedError, match=r"at \|k\| = 0.7 is below"):
+            zero_group(values, symbols, k)
+        with pytest.raises(GroupNotSeparatedError):
+            exact_group_projection(system, np.array([0.7]))
+
 
 # One system from each builder; the last has skew velocities (seed 0).
 _VELOCITIES = np.random.default_rng(0).normal(size=(3, 3))

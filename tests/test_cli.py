@@ -521,6 +521,10 @@ class TestConfigValidation:
             # P0 projects onto (1, 1), so P0 sum u0 = 0 for both: zero mass.
             ("gk_decay", "initial", "amplitudes", [0.0, 0.0], "has zero mass"),
             ("gk_decay", "initial", "amplitudes", [1.0, -1.0], "has zero mass"),
+            # Each pair is one series: none leaves no verdict, a repeat two
+            # measurements per time.
+            ("gk_decay", None, "pairs", [], "at least one norm pair"),
+            ("gk_decay", None, "pairs", [[2, 1], [2, 1]], "(2.0, 1) is listed twice"),
         ],
     )
     def test_invalid_demo_copy_exits_3_before_propagating(
@@ -530,7 +534,7 @@ class TestConfigValidation:
         # damped-Euler system has three components.
         raw = json.loads((CONFIGS / f"{demo}.json").read_text())
         raw["system"] = str(CONFIGS / raw["system"])
-        raw[section][key] = value
+        (raw if section is None else raw[section])[key] = value
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
 
@@ -543,6 +547,22 @@ class TestConfigValidation:
         assert stderr.startswith("error: ")
         assert named in stderr
         assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("demo", ["gk_decay", "euler_decay"])
+    def test_band_past_an_exceptional_point_exits_3(self, tmp_path, capsys, demo):
+        # Past |k| = 1/2 the 0-branch is one of a conjugate pair of equal
+        # modulus; a fit on it would be a fit on an arbitrary branch.
+        raw = json.loads((CONFIGS / f"{demo}.json").read_text())
+        raw["system"] = str(CONFIGS / raw["system"])
+        raw["cutoff"] = {"inner": 0.9}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: 0-group gap ")
+        assert stderr.count("\n") == 1
+        assert stderr.rstrip().endswith("shrink the cutoff (cutoff.inner)")
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_zero_mass_noise_exits_3_before_propagating(self, tmp_path, monkeypatch, capsys):
         # Noise on [0.2, 1.5] has no k = 0 mode, so its mass is 0 and its

@@ -234,6 +234,8 @@ class TestExperimentConfig:
                 {"times": {"t_min": 2.0, "t_max": 1.0, "count": 6}},
                 "invalid times: schedule needs t_max > t_min",
             ),
+            ({"pairs": []}, "pairs must list at least one norm pair"),
+            ({"pairs": [[2, 1], ["inf", 1], [2.0, 1]]}, "norm pair (2.0, 1) is listed twice"),
         ],
     )
     def test_from_file_errors_name_the_key(self, tmp_path, change, message):

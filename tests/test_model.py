@@ -463,31 +463,115 @@ class TestConditionD:
         assert fine.data["theta"] <= coarse.data["theta"] + 1e-14
 
 
+def bare(system: HyperbolicSystem) -> HyperbolicSystem:
+    """``system`` without its symmetry matrix, so condition S searches."""
+    return HyperbolicSystem(advections=system.advections, relaxation=system.relaxation)
+
+
+def rotated(system: HyperbolicSystem, seed: int) -> HyperbolicSystem:
+    """``system`` in a seeded orthogonal state basis, without a symmetry."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((system.size,) * 2))
+    return HyperbolicSystem(
+        advections=tuple(q @ a @ q.T for a in system.advections),
+        relaxation=q @ system.relaxation @ q.T,
+    )
+
+
+def intertwiner_oracle(system: HyperbolicSystem) -> bool:
+    """Whether the former search of condition S finds a symmetry: an
+    invertible element (``sigma_min / sigma_max >= 1e-6``, 100 seeded tries)
+    of the null space of the Kronecker form of ``S B = B S``, ``S A^j = -A^j S``."""
+    n = system.size
+    eye = np.eye(n)
+    b = system.relaxation
+    pairs = [(b, b)] + [(a, -a) for a in system.advections]
+    stacked = np.vstack([np.kron(eye, m.T) - np.kron(target, eye) for m, target in pairs])
+    _, singular_values, vt = np.linalg.svd(stacked)
+    top = singular_values[0] if singular_values.size else 0.0
+    null_mask = np.zeros(vt.shape[0], dtype=bool)
+    null_mask[singular_values.shape[0] :] = True
+    null_mask[: singular_values.shape[0]] = singular_values <= 1e-10 * max(top, 1.0)
+    basis = vt[null_mask]
+    if basis.shape[0] == 0:
+        return False
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        singulars = np.linalg.svd(
+            (rng.standard_normal(basis.shape[0]) @ basis).reshape(n, n), compute_uv=False
+        )
+        if singulars[0] > 0 and singulars[-1] / singulars[0] >= 1e-6:
+            return True
+    return False
+
+
 class TestConditionS:
     def test_provided_symmetries_verify(self):
         for system in (goldstein_kac_1d(), damped_euler_2d()):
             report = check_condition_S(system)
             assert report.passed
-            assert report.data["commutator_residual"] == 0.0
-            assert report.data["anticommutator_residual"] == 0.0
+            assert report.summary == (
+                "provided symmetry: commutator 0.00e+00, anticommutator 0.00e+00"
+            )
+            assert report.data == {
+                "symmetry": system.symmetry.tolist(),
+                "commutator_residual": 0.0,
+                "anticommutator_residual": 0.0,
+            }
+            assert report.witness is None
+
+    def test_wrong_provided_symmetry_fails(self):
+        system = goldstein_kac_1d()
+        wrong = HyperbolicSystem(
+            advections=system.advections, relaxation=system.relaxation, symmetry=np.eye(2)
+        )
+        report = check_condition_S(wrong)
+        assert not report.passed
+        assert report.summary.startswith("provided symmetry: commutator 0.00e+00")
+        assert set(report.witness) == {"commutator", "anticommutator"}
+        assert report.witness["anticommutator"] == report.data["anticommutator_residual"] > 0
 
     def test_search_finds_symmetry(self):
-        bare = HyperbolicSystem(
-            advections=goldstein_kac_1d().advections,
-            relaxation=goldstein_kac_1d().relaxation,
-        )
-        report = check_condition_S(bare)
+        system = bare(goldstein_kac_1d())
+        report = check_condition_S(system)
         assert report.passed
         found = np.asarray(report.data["symmetry"])
-        b = bare.relaxation
-        a = bare.advections[0]
+        b = system.relaxation
+        a = system.advections[0]
         assert np.max(np.abs(found @ b - b @ found)) < 1e-8
         assert np.max(np.abs(found @ a + a @ found)) < 1e-8
         assert np.linalg.cond(found) < 1e6
 
+    @pytest.mark.parametrize("build", [goldstein_kac_1d, damped_euler_2d, damped_euler_3d])
+    def test_searched_certificate_is_the_lift_of_negation(self, build):
+        system = bare(build())
+        report = check_condition_S(system)
+        lift = lift_axis_map(system, -np.eye(system.dimension))
+        assert report.passed
+        assert report.summary == "found symmetry: commutator 0.00e+00, anticommutator 0.00e+00"
+        assert report.data == {
+            "symmetry": lift.tolist(),
+            "commutator_residual": 0.0,
+            "anticommutator_residual": 0.0,
+        }
+
     def test_no_symmetry_exists(self):
         report = check_condition_S(marginally_dissipative())
         assert not report.passed
+        assert report.summary == "no invertible symmetry found in the constraint solution space"
+        assert report.data == {}
+
+    def test_verdicts_match_the_former_search(self):
+        systems = (
+            [three_velocity(seed)[0] for seed in range(30)]
+            + [bare(build()) for build in (goldstein_kac_1d, damped_euler_2d, damped_euler_3d)]
+            + [bare(goldstein_kac_3d(0.5, 1.0, 1.5)), rotated(damped_euler_2d(), 7)]
+            + [rotated(damped_euler_3d(), 3), marginally_dissipative()]
+        )
+        verdicts = [check_condition_S(system).passed for system in systems]
+        assert verdicts == [intertwiner_oracle(system) for system in systems]
+        # The two-speed and Euler systems have a symmetry, in any state basis;
+        # the three-velocity model and the marginal system have none.
+        assert verdicts == [False] * 30 + [True] * 3 + [False, True, True, False]
 
 
 class TestLiftAxisMap:

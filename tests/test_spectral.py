@@ -25,6 +25,7 @@ from hyprelax.spectral import (
     SpectralError,
     SupportTooWideError,
     WrongRepresentationError,
+    _AUDIT_MEMBERS,
     _grid_orbits,
     default_cutoff,
     evolve_parabolic_phi,
@@ -37,7 +38,7 @@ from hyprelax.spectral import (
     to_frequency,
     to_physical,
 )
-from hyprelax.systems import damped_euler_2d, goldstein_kac_1d
+from hyprelax.systems import damped_euler_2d, damped_euler_3d, goldstein_kac_1d
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -735,6 +736,44 @@ class TestEigenPropagator:
         with pytest.raises(GroupNotSeparatedError):
             splitter.decompose(splitter.prepare(white_spectrum(grid, system.size, seed=8)), 1.0)
 
+    @pytest.mark.parametrize(
+        "build, grid, first",
+        [
+            (goldstein_kac_1d, PeriodicGrid(1, 8192, 400.0), "0.502655"),
+            (damped_euler_2d, PeriodicGrid(2, 64, 16.0), "0.589049"),
+        ],
+    )
+    def test_band_past_an_exceptional_point_is_refused_at_first_use(self, build, grid, first):
+        # No grid frequency sits on |k| = 1/2; past it the 0-branch is one of a
+        # conjugate pair at distance 0.1 (line) and 0.48 (plane) from the other,
+        # but of equal modulus.
+        system = build()
+        splitter = FrequencySplitter(system, grid, CutoffSpec(inner=0.9))
+        datum = splitter.prepare(white_spectrum(grid, system.size, seed=8))
+        with pytest.raises(GroupNotSeparatedError, match=rf"at \|k\| = {first} is below"):
+            splitter.decompose(datum, 1.0)
+
+    @pytest.mark.parametrize(
+        "build, grid, inner",
+        [
+            (goldstein_kac_1d, PeriodicGrid(1, 8192, 400.0), 0.23),
+            (damped_euler_2d, PeriodicGrid(2, 512, 100.0), 0.35),
+            (damped_euler_3d, PeriodicGrid(3, 64, 32.0), 0.35),
+        ],
+    )
+    def test_audit_selection_matches_the_per_element_scan(self, build, grid, inner):
+        basis = FrequencySplitter(build(), grid, CutoffSpec(inner=inner))._eigenbasis
+        element = basis.orbits.element
+        trusted = basis.condition <= CONDITION_LIMIT
+        ranked = np.argsort(np.where(trusted, basis.condition, -np.inf), kind="stable")[::-1]
+        ranked = ranked[trusted[ranked]]
+        # The former selection: one scan of the ranked members per element.
+        elements = range(1, basis.orbits.transforms.shape[0])
+        mapped = [ranked[element[ranked] == g][:1] for g in elements]
+        audit = np.concatenate([ranked[:_AUDIT_MEMBERS], *mapped])
+        audit = np.array(list(dict.fromkeys(audit.tolist())), dtype=np.intp)
+        assert np.array_equal(basis.audit, audit)
+
 
 class TestPreparedDatum:
     """A datum owns its spectrum and serves only the splitter that prepared it."""
@@ -857,6 +896,15 @@ class TestOrbitMap:
             assert np.max(np.abs(transform @ b - b @ transform)) <= 1e-12
             assert np.max(np.abs(transform @ advections - images @ transform)) <= 1e-12
             assert np.max(np.abs(transform @ inverse - np.eye(system.size))) <= 1e-12
+
+    def test_three_dimensional_lifts_are_exact_signed_permutations(self):
+        orbits = _grid_orbits(damped_euler_3d(), PeriodicGrid(3, 8, 4.0))
+        assert orbits.transforms.shape[0] == 48
+        for matrices in (orbits.transforms, orbits.inverses):
+            nonzero = matrices != 0
+            assert np.all(nonzero.sum(axis=-1) == 1)
+            assert np.all(np.abs(matrices[nonzero]) == 1.0)
+        assert np.array_equal(orbits.inverses, orbits.transforms.transpose(0, 2, 1))
 
     def test_representative_counts(self):
         for case in ("line", "line-unlifted"):
