@@ -100,10 +100,6 @@ class ParabolicLimit:
     gap: float
     imaginary_residual: float
 
-    @property
-    def dimension(self) -> int:
-        return self.drift.shape[0]
-
     def drift_phase(self, k: np.ndarray) -> np.ndarray:
         """The scalar ``c . ik`` for a stack of frequency vectors."""
         return 1j * np.asarray(k) @ self.drift
@@ -268,8 +264,8 @@ def zero_group(values: np.ndarray, symbols: np.ndarray, k: np.ndarray) -> np.nda
     0-branch has become one of a conjugate pair of equal modulus.
 
     Raises:
-        GroupNotSeparatedError: at the first row where the 0-group is not
-            separated (shrink ``|k|``).
+        GroupNotSeparatedError: naming the smallest ``|k|`` whose 0-group is
+            not separated (shrink the cutoff below it).
     """
     rows = np.arange(values.shape[0])
     moduli = np.abs(values)
@@ -280,9 +276,10 @@ def zero_group(values: np.ndarray, symbols: np.ndarray, k: np.ndarray) -> np.nda
     thresholds = 10.0 * cluster_tolerance(symbols)
     crowded = np.flatnonzero(gaps <= thresholds)
     if crowded.size:
-        row = crowded[0]
+        frequencies = np.linalg.norm(k[crowded], axis=-1)
+        row = crowded[np.argmin(frequencies)]
         raise GroupNotSeparatedError(
-            f"0-group gap {gaps[row]:.3e} at |k| = {np.linalg.norm(k[row]):.6g} "
+            f"0-group gap {gaps[row]:.3e} at |k| = {frequencies.min():.6g} "
             f"is below {thresholds[row]:.1e}"
         )
     return nearest

@@ -2,10 +2,12 @@
 
 Subcommands: ``check`` (structural conditions), ``limit`` (drift and
 diffusion of the parabolic limit), ``sweep`` (tracked eigenvalues of the
-symbol along a ray), ``run`` (decay experiment), ``report`` (re-serialize
-an existing report).  Exit codes: 0 success, 1 rate-check failure, 2
-condition failure, 3 usage, configuration or input error (including a failed
-spectral audit or a linear-algebra failure on the input).
+symbol along a ray), each on a system file; ``run`` (decay experiment from
+``--config``, whose ``system`` resolves against the config's directory);
+``report`` (re-serialize an existing report).  Exit codes: 0 success, 1
+rate-check failure, 2 condition failure, 3 usage, configuration or input
+error (including a failed spectral audit or a linear-algebra failure on the
+input).
 """
 
 from __future__ import annotations
@@ -58,8 +60,6 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    config = argparse.ArgumentParser(add_help=False)
-    config.add_argument("--config", type=Path, help="experiment config file")
 
     parser = _Parser(
         prog="hyprelax",
@@ -69,19 +69,19 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     check = commands.add_parser(
-        "check", parents=[config, output], help="verify structural conditions of a system"
+        "check", parents=[output], help="verify structural conditions of a system"
     )
-    check.add_argument("system", nargs="?", type=Path, help="system file")
+    check.add_argument("system", type=Path, help="system file")
 
     limit = commands.add_parser(
-        "limit", parents=[config, output], help="compute the parabolic limit coefficients"
+        "limit", parents=[output], help="compute the parabolic limit coefficients"
     )
-    limit.add_argument("system", nargs="?", type=Path, help="system file")
+    limit.add_argument("system", type=Path, help="system file")
 
     sweep = commands.add_parser(
-        "sweep", parents=[config, output], help="sweep symbol eigenvalues along a ray"
+        "sweep", parents=[output], help="sweep symbol eigenvalues along a ray"
     )
-    sweep.add_argument("system", nargs="?", type=Path, help="system file")
+    sweep.add_argument("system", type=Path, help="system file")
     sweep.add_argument(
         "--direction", default=None, help="comma-separated ray direction (default first axis)"
     )
@@ -93,8 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     run = commands.add_parser(
-        "run", parents=[config, output], help="run a decay experiment from a config file"
+        "run", parents=[output], help="run a decay experiment from a config file"
     )
+    run.add_argument("--config", type=Path, required=True, help="experiment config file")
     run.add_argument("--seed", type=int, default=None, help="initial-data seed override")
 
     report = commands.add_parser(
@@ -102,16 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("report", type=Path, help="existing report.json")
     return parser
-
-
-def _resolve_system_path(args: argparse.Namespace, cfg: ExperimentConfig | None = None) -> Path:
-    """The system file given, or the one the ``--config`` file names, relative to its directory."""
-    if getattr(args, "system", None) is not None:
-        return args.system
-    if args.config is not None:
-        cfg = cfg or ExperimentConfig.from_file(args.config)
-        return args.config.parent / cfg.system
-    raise ConfigurationError("provide a system file or --config pointing to one")
 
 
 def _write_output(out: Path, name: str, text: str) -> Path:
@@ -131,7 +122,7 @@ def _complex_matrix(m: np.ndarray) -> dict:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    system = load_system(_resolve_system_path(args))
+    system = load_system(args.system)
     reports = check_all_conditions(system)
     payload = {}
     all_passed = True
@@ -146,7 +137,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_limit(args: argparse.Namespace) -> int:
-    system = load_system(_resolve_system_path(args))
+    system = load_system(args.system)
     limit = compute_parabolic_limit(system)
     print(f"drift c = {limit.drift.tolist()}")
     print(f"diffusion D = {limit.diffusion.tolist()}")
@@ -165,7 +156,7 @@ def _cmd_limit(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    system = load_system(_resolve_system_path(args))
+    system = load_system(args.system)
     if args.direction is None:
         direction = np.eye(system.dimension)[0]
     else:
@@ -204,8 +195,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.config is None:
-        raise ConfigurationError("run requires --config")
     cfg = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
         try:
@@ -219,7 +208,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise IoFailureError(f"cannot write report to {args.out}: {error}") from error
     if not os.access(args.out, os.W_OK):
         raise IoFailureError(f"cannot write report to {args.out}: directory is not writable")
-    report = run_experiment(cfg, args.out, system=load_system(_resolve_system_path(args, cfg)))
+    # The one place a config's system is resolved: against the config's directory.
+    report = run_experiment(cfg, load_system(args.config.parent / cfg.system), args.out)
     emit_report(report, args.out)
     for name, fit in sorted(report.fits.items()):
         verdict = "ok" if fit["saturated"] else "OFF"

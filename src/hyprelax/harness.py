@@ -6,7 +6,9 @@ and the remainder ``u2``, compares ``u1`` against the parabolic profiles,
 and fits log-log decay exponents of the error norms against the predicted
 values ``-d/2 (1/q - 1/p) - 1/2`` (zeroth-order profile) and
 ``-d/2 (1/q - 1/p) - 1`` (first-order profile); the remainder is fitted to
-an exponential.  Verified norm pairs are restricted to (p, q) in
+an exponential.  :func:`run_experiment` takes the system itself; a config's
+``system`` is echoed in the report, and ``hyprelax run`` resolves it against
+the config's directory.  Verified norm pairs are restricted to (p, q) in
 {(2, 1), (2, 2), (inf, 1)}: on a finite grid these span both degrees of
 freedom of the rate formula, while genuine L^inf -> L^inf experiments have
 no localized surrogate on a box.
@@ -41,7 +43,6 @@ from .model import (
     check_condition_S,
     json_number,
     load_json,
-    load_system,
     max_wave_speed,
     read_section,
 )
@@ -374,35 +375,27 @@ def _fit_series(
 ) -> dict:
     window = times >= t_min
     fit = fit_rate(times[window], values[window])
-    saturated = abs(fit.slope - predicted) <= tolerance
     return {
-        "slope": fit.slope,
-        "stderr": fit.stderr,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "npoints": fit.npoints,
+        **asdict(fit),
         "predicted": predicted,
         "tolerance": tolerance,
         "window_t_min": t_min,
-        "saturated": saturated,
+        "saturated": abs(fit.slope - predicted) <= tolerance,
         "bound_ok": fit.slope <= predicted + tolerance,
     }
 
 
 def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir: str | Path | None = None,
-    *,
-    system: HyperbolicSystem | None = None,
+    cfg: ExperimentConfig, system: HyperbolicSystem, out_dir: str | Path | None = None
 ) -> DecayReport:
-    """Evolve, split, compare against parabolic profiles, and fit rates.
+    """Evolve ``system`` under ``cfg``, split, compare against parabolic
+    profiles, and fit rates.
 
+    ``cfg.system`` is only echoed: the caller loads the system it names.
     ``out_dir`` receives the ``fields/`` snapshots of ``cfg.save_fields`` and
-    is needed only then.  ``system`` overrides loading ``cfg.system``, which
-    is opened as given (relative to the working directory, not the config's).
-    The report passes when every requested exponent fit lands within
-    tolerance of its prediction and every remainder series fits an
-    exponential with negative rate.
+    is needed only then.  The report passes when every requested exponent
+    fit lands within tolerance of its prediction and every remainder series
+    fits an exponential with negative rate.
 
     Raises:
         ConditionViolatedError: if the kernel or dissipation check fails, or
@@ -416,8 +409,6 @@ def run_experiment(
     """
     if cfg.save_fields and out_dir is None:
         raise ConfigurationError("save_fields needs an output directory for its snapshots")
-    if system is None:
-        system = load_system(cfg.system)
     grid = cfg.grid.on(system.dimension)
     amplitudes = cfg.initial.amplitudes
     if amplitudes is not None and len(amplitudes) != system.size:
@@ -568,19 +559,17 @@ def run_experiment(
         if not name.startswith("u2_l2"):
             continue
         window = times >= exp_t_min
-        fit = fit_exponential(times[window], np.asarray(series[name])[window])
+        fit = asdict(fit_exponential(times[window], np.asarray(series[name])[window]))
+        rate = fit.pop("slope")
         remainder[name] = {
-            "rate": fit.slope,
-            "stderr": fit.stderr,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "npoints": fit.npoints,
+            "rate": rate,
+            **fit,
             "window_t_min": exp_t_min,
-            "negative": fit.slope < 0,
+            "negative": rate < 0,
             "bound": bound,
-            "bound_ok": fit.slope <= bound,
+            "bound_ok": rate <= bound,
         }
-        passed = passed and fit.slope < 0
+        passed = passed and rate < 0
 
     return DecayReport(
         config=_config_echo(cfg),

@@ -99,21 +99,14 @@ class EigenSystem:
 
 @dataclass(frozen=True)
 class Contour:
-    """A positively oriented circle ``center + radius * exp(i theta)``.
-
-    ``nodes`` is the starting trapezoid node count; adaptive routines double
-    it as needed.
-    """
+    """A positively oriented circle ``center + radius * exp(i theta)``."""
 
     center: complex
     radius: float
-    nodes: int = 64
 
     def __post_init__(self) -> None:
         if not self.radius > 0.0:
             raise ValueError(f"contour radius must be positive, got {self.radius}")
-        if self.nodes < 16 or (self.nodes & (self.nodes - 1)) != 0:
-            raise ValueError(f"node count must be a power of two >= 16, got {self.nodes}")
 
 
 def cluster_labels(values: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
@@ -220,8 +213,10 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     return r
 
 
-# Contour quadrature stops when two node levels agree to this Frobenius
-# distance, and gives up beyond this many nodes.
+# Contour quadrature starts at this many trapezoid nodes and doubles them
+# until two levels agree to this Frobenius distance, giving up beyond this
+# many nodes.
+_QUADRATURE_NODES = 64
 _QUADRATURE_TOL = 1e-11
 _QUADRATURE_MAX_NODES = 4096
 
@@ -230,7 +225,7 @@ def cauchy_integral(integrand, contour: Contour) -> np.ndarray:
     """Evaluate ``(1 / 2 pi i) * contour integral of integrand(z) dz``.
 
     ``integrand`` must map an array of contour points ``(m,)`` to values of
-    shape ``(m, ...)``.  Trapezoid nodes start at ``contour.nodes`` and double
+    shape ``(m, ...)``.  Trapezoid nodes start at ``_QUADRATURE_NODES`` and double
     until two successive levels agree to ``_QUADRATURE_TOL`` in Frobenius norm.
 
     Raises:
@@ -246,7 +241,7 @@ def cauchy_integral(integrand, contour: Contour) -> np.ndarray:
         weights = (contour.radius * rot).reshape((count,) + (1,) * (values.ndim - 1))
         return (values * weights).mean(axis=0)
 
-    nodes = contour.nodes
+    nodes = _QUADRATURE_NODES
     previous = level(nodes)
     while nodes < _QUADRATURE_MAX_NODES:
         nodes *= 2

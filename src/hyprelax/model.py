@@ -420,18 +420,21 @@ def check_condition_B(system: HyperbolicSystem) -> ConditionReport:
     )
 
 
-def check_condition_D(
-    system: HyperbolicSystem, *, radial_count: int = 61, sphere_count: int = 512
-) -> ConditionReport:
+# Condition D samples this many log-spaced moduli times this many directions.
+_D_RADIAL_COUNT = 61
+_D_SPHERE_COUNT = 512
+
+
+def check_condition_D(system: HyperbolicSystem) -> ConditionReport:
     """Check uniform dissipation ``Re lambda(E(ik)) >= theta |k|^2 / (1 + |k|^2)``.
 
-    Samples ``radial_count`` log-spaced moduli from ``1e-3`` to ``1e3`` times
-    a sphere sample of directions and reports the infimum of
+    Samples ``_D_RADIAL_COUNT`` log-spaced moduli from ``1e-3`` to ``1e3``
+    times ``_D_SPHERE_COUNT`` sphere directions and reports the infimum of
     ``Re lambda * (1 + |k|^2) / |k|^2``.  The witness on failure is the
     frequency and eigenvalue attaining it.
     """
-    directions = sphere_samples(system.dimension, sphere_count)
-    radii = np.geomspace(1e-3, 1e3, radial_count)
+    directions = sphere_samples(system.dimension, _D_SPHERE_COUNT)
+    radii = np.geomspace(1e-3, 1e3, _D_RADIAL_COUNT)
     frequencies = radii[:, None, None] * directions[None, :, :]
     flat = frequencies.reshape(-1, system.dimension)
     symbols = system.symbol(flat)
@@ -458,7 +461,7 @@ def check_condition_D(
             "theta": theta,
             "k_min": float(radii[0]),
             "k_max": float(radii[-1]),
-            "radial_count": radial_count,
+            "radial_count": _D_RADIAL_COUNT,
             "sphere_count": directions.shape[0],
         },
         witness=witness,

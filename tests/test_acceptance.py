@@ -50,7 +50,7 @@ def gaussian_line_run():
         tolerance=0.15,
     )
     start = perf_counter()
-    report = run_experiment(cfg, system=goldstein_kac_1d())
+    report = run_experiment(cfg, goldstein_kac_1d())
     return report, perf_counter() - start
 
 
@@ -67,7 +67,7 @@ def gaussian_plane_run():
         tolerance=0.2,
     )
     start = perf_counter()
-    report = run_experiment(cfg, system=damped_euler_2d())
+    report = run_experiment(cfg, damped_euler_2d())
     return report, perf_counter() - start
 
 

@@ -238,13 +238,13 @@ class TestExactGroupProjection:
         values = np.linalg.eigvals(symbols)
         nearest = zero_group(values, symbols, k)
         assert_allclose(nearest, np.argmin(np.abs(values), axis=1), atol=0)
-        # The branches of goldstein_kac_1d(r) meet at |k| = r; the first
-        # crowded row is the one named.
+        # The branches of goldstein_kac_1d(r) meet at |k| = r; of the crowded
+        # rows the one of smallest |k| is named, whatever its place.
         k = np.array([[0.1], [-1.0], [0.5]])
         symbols = np.stack(
             [goldstein_kac_1d(rate).symbol(row) for rate, row in zip((0.5, 1.0, 0.5), k)]
         )
-        with pytest.raises(GroupNotSeparatedError, match=r"at \|k\| = 1 is below"):
+        with pytest.raises(GroupNotSeparatedError, match=r"at \|k\| = 0.5 is below"):
             zero_group(np.linalg.eigvals(symbols), symbols, k)
 
     def test_conjugate_pair_past_the_exceptional_point_is_not_separated(self):

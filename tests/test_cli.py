@@ -123,12 +123,6 @@ class TestLimit:
         assert set(payload["projection"]) == {"real", "imag"}
         assert len(payload["corrections"]) == 1
 
-    def test_system_from_config(self, tmp_path, gk_path):
-        config = write_run_config(tmp_path, gk_path)
-        out = tmp_path / "out"
-        assert main(["limit", "--config", config, "--out", str(out)]) == 0
-        assert (out / "limit.json").exists()
-
     def test_fast_system_file(self, tmp_path):
         # Speeds +-1e4: the diffusion 1e8 carries an imaginary trace residue
         # of 8e-9, rounding relative to it.
@@ -245,8 +239,7 @@ class TestRun:
 
     def test_report_does_not_depend_on_how_the_config_is_named(self, tmp_path, monkeypatch):
         # The report echoes config.system as the file writes it; the system
-        # file still resolves against the config's directory, for run and
-        # for limit --config alike.
+        # file still resolves against the config's directory.
         spellings = {
             "relative": (CONFIGS.parent, "configs/gk_decay.json"),
             "absolute": (tmp_path, str(CONFIGS / "gk_decay.json")),
@@ -257,10 +250,7 @@ class TestRun:
             monkeypatch.chdir(cwd)
             out = tmp_path / label
             assert main(["run", "--config", config, "--out", str(out)]) == 0
-            assert main(["limit", "--config", config, "--out", str(out)]) == 0
-            outputs[label] = [
-                (out / name).read_bytes() for name in ("report.json", "report.csv", "limit.json")
-            ]
+            outputs[label] = [(out / name).read_bytes() for name in ("report.json", "report.csv")]
         assert outputs["relative"] == outputs["absolute"] == outputs["inside"]
         report = json.loads(outputs["relative"][0])
         assert report["config"]["system"] == "goldstein_kac.json"
@@ -384,7 +374,7 @@ class TestConfigValidation:
         config = write_run_config(
             tmp_path, gk_path, initial={"kind": kind, "band": [0.1, 0.4]}
         )
-        assert main(["check", "--config", config, "--out", str(tmp_path / "o")]) == 0
+        assert ExperimentConfig.from_file(config).initial.kind == kind
 
     def test_every_documented_key_parses(self, tmp_path, gk_path):
         # The README example plus every optional key the README lists.
@@ -439,8 +429,7 @@ class TestConfigValidation:
     )
     def test_invalid_initial_exits_3(self, tmp_path, gk_path, initial, capsys):
         config = write_run_config(tmp_path, gk_path, initial=initial)
-        for command in (["check", "--config", config], ["run", "--config", config]):
-            assert main(command + ["--out", str(tmp_path / "o")]) == 3
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 3
         assert "initial" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -600,7 +589,7 @@ class TestConfigValidation:
         config = write_run_config(
             tmp_path, tmp_path / "missing.json", grid={"points": 100, "half_width": 48.0}
         )
-        assert main(["check", "--config", config, "--out", str(tmp_path / "o")]) == 3
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 3
         stderr = capsys.readouterr().err
         assert "invalid grid: points per axis must be a power of two" in stderr
 
@@ -610,10 +599,12 @@ def test_out_naming_a_file_exits_3(tmp_path, gk_path, capsys, monkeypatch, comma
     # ``run`` must find out before the experiment, not after it.
     calls = []
     monkeypatch.setattr(FrequencySplitter, "decompose", lambda *args: calls.append(args))
-    config = write_run_config(tmp_path, gk_path)
+    source = [str(gk_path)]
+    if command == "run":
+        source = ["--config", write_run_config(tmp_path, gk_path)]
     taken = tmp_path / "taken"
     taken.write_text("")
-    assert main([command, "--config", config, "--out", str(taken)]) == 3
+    assert main([command, *source, "--out", str(taken)]) == 3
     stderr = capsys.readouterr().err
     assert stderr.startswith("error: cannot write ")
     assert str(taken) in stderr
@@ -657,7 +648,7 @@ def test_oversized_system_file_exits_3(tmp_path, capsys, command, key, factor):
     "arguments, named",
     [
         (["sweep", "{system}", "--count", "x"], "invalid int value: 'x'"),
-        (["run", "--bogus"], "unrecognized arguments: --bogus"),
+        (["run", "--config", "{config}", "--bogus"], "unrecognized arguments: --bogus"),
         (["run", "--config", "{config}", "--seed", "1.5"], "invalid int value: '1.5'"),
         (["check", "{system}", "--seed", "1"], "unrecognized arguments: --seed"),
         (["limit", "{system}", "--seed", "1"], "unrecognized arguments: --seed"),
@@ -665,6 +656,13 @@ def test_oversized_system_file_exits_3(tmp_path, capsys, command, key, factor):
         (["report", "{report}", "--seed", "1"], "unrecognized arguments: --seed"),
         (["plot"], "invalid choice: 'plot'"),
         ([], "the following arguments are required: command"),
+        # A system file is the one input of check, limit and sweep; only run
+        # reads a config.
+        (["check", "--config", "{config}"], "unrecognized arguments: --config"),
+        (["limit", "--config", "{config}"], "unrecognized arguments: --config"),
+        (["sweep", "--config", "{config}"], "unrecognized arguments: --config"),
+        (["check"], "the following arguments are required: system"),
+        (["run"], "the following arguments are required: --config"),
     ],
 )
 def test_usage_errors_exit_3(tmp_path, gk_path, capsys, arguments, named):

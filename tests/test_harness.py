@@ -26,7 +26,7 @@ from hyprelax.harness import (
     predicted_exponent,
     run_experiment,
 )
-from hyprelax.model import HyperbolicSystem, check_condition_D, dump_system
+from hyprelax.model import HyperbolicSystem, check_condition_D, dump_system, load_system
 from hyprelax.spectral import (
     FrequencySplitter,
     GridField,
@@ -305,13 +305,13 @@ class TestExperimentConfig:
 
 @pytest.fixture(scope="module")
 def report():
-    return run_experiment(small_run_config(), system=goldstein_kac_1d())
+    return run_experiment(small_run_config(), goldstein_kac_1d())
 
 
 @pytest.fixture(scope="module")
 def short_report():
     cfg = small_run_config(times=TimeSchedule(t_min=2.0, t_max=8.0, count=6))
-    return run_experiment(cfg, system=goldstein_kac_1d())
+    return run_experiment(cfg, goldstein_kac_1d())
 
 
 class TestRunExperiment:
@@ -382,7 +382,7 @@ class TestRunExperiment:
             pairs=((2.0, 1), (2.0, 2)),
             times=TimeSchedule(t_min=2.0, t_max=12.0, count=6),
         )
-        report = run_experiment(cfg, system=goldstein_kac_1d())
+        report = run_experiment(cfg, goldstein_kac_1d())
         assert set(report.series) == {
             "u2_l2_q1",
             "u_p2_q1",
@@ -408,7 +408,7 @@ class TestRunExperiment:
     def test_wrap_guard(self):
         cfg = small_run_config(grid=GridSpec(points=128, half_width=20.0))
         with pytest.raises(WrapAroundGuardError):
-            run_experiment(cfg, system=goldstein_kac_1d())
+            run_experiment(cfg, goldstein_kac_1d())
 
     def test_missing_symmetry_skips_psi_profile(self):
         cfg = small_run_config(
@@ -416,7 +416,7 @@ class TestRunExperiment:
             times=TimeSchedule(t_min=2.0, t_max=8.0, count=6),
             initial=InitialSpec(sigma=1.0, amplitudes=(1.0, -0.5)),
         )
-        report = run_experiment(cfg, system=drifting_two_speed())
+        report = run_experiment(cfg, drifting_two_speed())
         assert report.psi_skipped is not None
         assert not report.conditions["S"]["passed"]
         assert "u1_minus_psi_p2_q1" not in report.series
@@ -430,7 +430,7 @@ class TestRunExperiment:
             profile="psi",
         )
         with pytest.raises(ConditionViolatedError):
-            run_experiment(cfg, system=drifting_two_speed())
+            run_experiment(cfg, drifting_two_speed())
 
     def test_phi_only_run_skips_symmetry_check(self):
         cfg = small_run_config(
@@ -439,7 +439,7 @@ class TestRunExperiment:
             initial=InitialSpec(sigma=1.0, amplitudes=(1.0, -0.5)),
             profile="phi",
         )
-        report = run_experiment(cfg, system=drifting_two_speed())
+        report = run_experiment(cfg, drifting_two_speed())
         assert report.psi_skipped is None
         assert "S" not in report.conditions
 
@@ -448,18 +448,18 @@ class TestRunExperiment:
             advections=(np.eye(2),), relaxation=GK_RELAXATION
         )
         with pytest.raises(ConditionViolatedError):
-            run_experiment(small_run_config(), system=undissipated)
+            run_experiment(small_run_config(), undissipated)
         gapless = HyperbolicSystem(
             advections=(np.diag([1.0, -1.0]),), relaxation=np.zeros((2, 2))
         )
         with pytest.raises(ConditionBViolatedError):
-            run_experiment(small_run_config(), system=gapless)
+            run_experiment(small_run_config(), gapless)
 
     def test_save_fields_snapshots(self, tmp_path):
         cfg = small_run_config(
             times=TimeSchedule(t_min=2.0, t_max=8.0, count=6), save_fields=True
         )
-        run_experiment(cfg, tmp_path, system=goldstein_kac_1d())
+        run_experiment(cfg, goldstein_kac_1d(), tmp_path)
         from hyprelax.spectral import load_field
 
         files = sorted((tmp_path / "fields").iterdir())
@@ -468,6 +468,12 @@ class TestRunExperiment:
         assert time == pytest.approx(2.0)
         assert field.components == 2
 
+    def test_system_is_a_required_argument(self):
+        # A config's system names a file relative to the config, which the
+        # library does not know; the caller loads it.
+        with pytest.raises(TypeError):
+            run_experiment(small_run_config())
+
     def test_save_fields_needs_an_output_directory(self, monkeypatch):
         def propagate(*args, **kwargs):
             raise AssertionError("the experiment started without a snapshot directory")
@@ -475,7 +481,7 @@ class TestRunExperiment:
         monkeypatch.setattr(FrequencySplitter, "decompose", propagate)
         cfg = small_run_config(save_fields=True)
         with pytest.raises(ConfigurationError, match="save_fields"):
-            run_experiment(cfg, system=goldstein_kac_1d())
+            run_experiment(cfg, goldstein_kac_1d())
 
     def test_measurement_step_holds_each_field_once(self, tmp_path):
         # The persistent state (datum spectrum, modal coefficients, profile
@@ -484,13 +490,13 @@ class TestRunExperiment:
         # above eleven.
         raw = json.loads((CONFIGS / "euler_decay.json").read_text())
         raw["grid"]["points"] = 256
-        raw["system"] = str(CONFIGS / raw["system"])
         path = tmp_path / "euler_256.json"
         path.write_text(json.dumps(raw))
         cfg = ExperimentConfig.from_file(path)
+        system = load_system(CONFIGS / cfg.system)
         tracemalloc.start()
         try:
-            run_experiment(cfg)
+            run_experiment(cfg, system)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -517,7 +523,7 @@ class TestRunExperiment:
         cfg = small_run_config(
             grid=GridSpec(points=512, half_width=64.0), pairs=pairs, times=schedule
         )
-        run_experiment(cfg, system=goldstein_kac_1d())
+        run_experiment(cfg, goldstein_kac_1d())
         assert len(calls) == 1 + per_time * schedule.count
 
 
@@ -555,7 +561,7 @@ class TestFrequencySpaceNorms:
             return inverse(field)
 
         monkeypatch.setattr(harness, "to_physical", counted)
-        report = run_experiment(small_plane_config(pairs=pairs), system=damped_euler_2d())
+        report = run_experiment(small_plane_config(pairs=pairs), damped_euler_2d())
         assert len(report.fits) == 2 * len(pairs)
         assert len(calls) == transforms
 
@@ -570,7 +576,7 @@ class TestFrequencySpaceNorms:
 
         monkeypatch.setattr(harness, "to_physical", skewed)
         with pytest.raises(SpectralError, match="Riemann sum"):
-            run_experiment(small_plane_config(), system=damped_euler_2d())
+            run_experiment(small_plane_config(), damped_euler_2d())
 
 
 class TestEmitReport:

@@ -135,13 +135,9 @@ class TestClusterLabels:
 
 
 class TestContour:
-    def test_validates_radius_and_nodes(self):
+    def test_validates_radius(self):
         with pytest.raises(ValueError):
             Contour(center=0.0, radius=0.0)
-        with pytest.raises(ValueError):
-            Contour(center=0.0, radius=1.0, nodes=48)
-        with pytest.raises(ValueError):
-            Contour(center=0.0, radius=1.0, nodes=8)
 
 
 class TestMatrixExponential:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import hyprelax.model as model
 from hyprelax.cli import main
 from hyprelax.model import (
     HyperbolicSystem,
@@ -438,11 +439,12 @@ class TestConditionB:
 
 
 class TestConditionD:
-    def test_example_systems_theta(self):
+    def test_example_systems_theta(self, monkeypatch):
         report = check_condition_D(goldstein_kac_1d())
         assert report.passed
         assert report.data["theta"] == pytest.approx(0.5, abs=0.05)
-        report = check_condition_D(damped_euler_2d(), sphere_count=64)
+        monkeypatch.setattr(model, "_D_SPHERE_COUNT", 64)
+        report = check_condition_D(damped_euler_2d())
         assert report.passed
         assert report.data["theta"] == pytest.approx(0.5, abs=0.05)
 
@@ -454,13 +456,23 @@ class TestConditionD:
         assert abs(real) < 1e-10
         assert abs(imag) > 0
 
-    def test_theta_non_increasing_under_refinement(self):
+    def test_theta_non_increasing_under_refinement(self, monkeypatch):
         system = damped_euler_2d()
-        coarse = check_condition_D(system, radial_count=31, sphere_count=256)
-        fine = check_condition_D(system, radial_count=61, sphere_count=512)
+        monkeypatch.setattr(model, "_D_RADIAL_COUNT", 31)
+        monkeypatch.setattr(model, "_D_SPHERE_COUNT", 256)
+        coarse = check_condition_D(system)
+        monkeypatch.undo()
+        fine = check_condition_D(system)
+        assert (fine.data["radial_count"], fine.data["sphere_count"]) == (61, 512)
         # The fine grids contain the coarse sample points, so the sampled
         # infimum cannot increase.
         assert fine.data["theta"] <= coarse.data["theta"] + 1e-14
+
+
+def singular_solutions() -> HyperbolicSystem:
+    """``T B = B T`` and ``T A = -A T`` leave ``T = diag(0, b)``: a nonempty
+    solution space without an invertible element."""
+    return HyperbolicSystem(advections=(np.diag([1.0, 0.0]),), relaxation=np.diag([0.0, 1.0]))
 
 
 def bare(system: HyperbolicSystem) -> HyperbolicSystem:
@@ -555,10 +567,11 @@ class TestConditionS:
         }
 
     def test_no_symmetry_exists(self):
-        report = check_condition_S(marginally_dissipative())
-        assert not report.passed
-        assert report.summary == "no invertible symmetry found in the constraint solution space"
-        assert report.data == {}
+        for system in (marginally_dissipative(), singular_solutions()):
+            report = check_condition_S(system)
+            assert not report.passed
+            assert report.summary == "no invertible symmetry found in the constraint solution space"
+            assert report.data == {}
 
     def test_verdicts_match_the_former_search(self):
         systems = (
@@ -591,6 +604,7 @@ class TestLiftAxisMap:
         # Lifting k -> -k is condition S: T B = B T and T A^j = -A^j T.
         assert lift_axis_map(goldstein_kac_1d(), -np.eye(1)) is not None
         assert lift_axis_map(marginally_dissipative(), -np.eye(1)) is None
+        assert lift_axis_map(singular_solutions(), -np.eye(1)) is None
 
     def test_generic_system_has_no_lift(self):
         rng = np.random.default_rng(4)
