@@ -3,7 +3,8 @@
 Low frequencies: the kernel of ``B`` spawns an eigenvalue branch
 ``lambda_0(ik) = c . ik + k . D k + O(|k|^3)`` whose drift ``c`` and
 diffusion ``D`` are the parabolic-limit coefficients; the attached
-eigenprojection expands as ``P_0(ik) = P0 + i k . P1 + O(|k|^2)``.  High
+eigenprojection expands as ``P_0(ik) = P0 + i k . P1 + O(|k|^2)``, all in
+closed form from the null vectors of ``B``.  High
 frequencies: ``E(ik) / |k|`` is the pencil ``i A(w) + B / |k|``, and every
 eigenvalue approaches ``i |k| nu_j(w) + beta_jm`` with ``nu_j(w)`` an
 eigenvalue cluster of ``A(w)`` and ``beta_jm`` the eigenvalues of the
@@ -26,7 +27,6 @@ from .linalg import (
     cluster_labels,
     cluster_tolerance,
     eigendecompose,
-    reduced_resolvent,
     sorted_eigenvalues,
     spectral_group,
 )
@@ -86,10 +86,11 @@ class ParabolicLimit:
     """Drift, diffusion, and projection data of the parabolic limit.
 
     ``projection`` and ``reduced`` are the eigenprojection and reduced
-    resolvent of the relaxation matrix at 0; ``corrections[h]`` is the
-    first-order projection coefficient attached to the ``h``-th frequency
-    component.  ``k . diffusion k`` equals the same form with the symmetric
-    part, so downstream code may use ``diffusion`` as stored.
+    resolvent of the relaxation matrix at its simple eigenvalue 0;
+    ``corrections[h]`` is the first-order projection coefficient attached to
+    the ``h``-th frequency component.  Every array is real.  ``k . diffusion k``
+    equals the same form with the symmetric part, so downstream code may use
+    ``diffusion`` as stored.
     """
 
     drift: np.ndarray
@@ -98,7 +99,6 @@ class ParabolicLimit:
     reduced: np.ndarray
     corrections: tuple[np.ndarray, ...]
     gap: float
-    imaginary_residual: float
 
     def drift_phase(self, k: np.ndarray) -> np.ndarray:
         """The scalar ``c . ik`` for a stack of frequency vectors."""
@@ -186,53 +186,39 @@ def require(report: ConditionReport) -> ConditionReport:
 def compute_parabolic_limit(system: HyperbolicSystem) -> ParabolicLimit:
     """Drift and diffusion coefficients of the parabolic limit.
 
-    With ``P0`` and ``Q0`` the eigenprojection and reduced resolvent of the
-    relaxation matrix at its simple kernel eigenvalue,
+    Condition B makes 0 a simple eigenvalue of the relaxation matrix, so its
+    right and left null vectors ``v`` and ``w`` (the singular vectors of its
+    smallest singular value) give Kato's rank-one eigenprojection
+    ``P0 = v w^T / (w . v)``, and ``B + P0`` is invertible, so the reduced
+    resolvent is ``Q0 = (B + P0)^-1 - P0`` (``Q0 B = I - P0``, ``Q0 P0 = 0``).
+    Then
 
     * ``c_h = trace(A_h P0)``,
     * ``D_hl = (trace(A_h P0 A_l Q0) + trace(A_h Q0 A_l P0)) / 2``,
-    * ``P1_h = -(P0 A_h Q0 + Q0 A_h P0)``.
+    * ``P1_h = -(P0 A_h Q0 + Q0 A_h P0)``,
 
-    The traces are real up to quadrature error for real input; the imaginary
-    magnitude discarded is recorded in ``imaginary_residual``.
+    all real for a real system.
 
     Raises:
         ConditionBViolatedError: if the relaxation spectrum fails the check.
-        ChapmanError: if that residue exceeds ``1e-10 (1 + max(|c|, |D|))``.
     """
     gap = require(check_condition_B(system)).data["gap"]
     b = system.relaxation
-    eigsys, kernel, _ = relaxation_kernel(system)
-    zero = spectral_group(b, eigsys, kernel)
-    p0 = zero.projection
-    q0 = reduced_resolvent(b, 0.0, zero.contour, eigenvalues=eigsys.values)
-    d = system.dimension
-    drift = np.empty(d, dtype=complex)
-    diffusion = np.empty((d, d), dtype=complex)
-    corrections = []
-    for h, a_h in enumerate(system.advections):
-        drift[h] = np.trace(a_h @ p0)
-        corrections.append(-(p0 @ a_h @ q0 + q0 @ a_h @ p0))
-        for l, a_l in enumerate(system.advections):
-            diffusion[h, l] = 0.5 * (
-                np.trace(a_h @ p0 @ a_l @ q0) + np.trace(a_h @ q0 @ a_l @ p0)
-            )
-    imaginary_residual = max(
-        float(np.max(np.abs(drift.imag))), float(np.max(np.abs(diffusion.imag)))
-    )
-    scale = max(float(np.max(np.abs(drift))), float(np.max(np.abs(diffusion))))
-    if imaginary_residual > 1e-10 * (1.0 + scale):
-        raise ChapmanError(
-            f"drift/diffusion traces have imaginary residue {imaginary_residual:.3e}"
-        )
+    left, _, right = np.linalg.svd(b)
+    v, w = right[-1], left[:, -1]
+    p0 = np.outer(v, w) / (w @ v)
+    q0 = np.linalg.inv(b + p0) - p0
+    advections = np.stack(system.advections)
+    ap, aq = advections @ p0, advections @ q0
+    # cross[h, l] = trace(A_h P0 A_l Q0), and its transpose trace(A_h Q0 A_l P0).
+    cross = np.einsum("hij,lji->hl", ap, aq)
     return ParabolicLimit(
-        drift=drift.real,
-        diffusion=diffusion.real,
+        drift=np.trace(ap, axis1=1, axis2=2),
+        diffusion=0.5 * (cross + cross.T),
         projection=p0,
         reduced=q0,
-        corrections=tuple(corrections),
+        corrections=tuple(-(p0 @ aq + q0 @ ap)),
         gap=gap,
-        imaginary_residual=imaginary_residual,
     )
 
 
@@ -254,6 +240,19 @@ def low_frequency_expansion(system: HyperbolicSystem) -> LowFrequencyExpansion:
     return LowFrequencyExpansion(limit=limit, groups=groups)
 
 
+def _zero_branch(values: np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The separation test of the 0-group on a stack of spectra ``(..., n)``
+    of the symbols ``(..., n, n)``: the index of the eigenvalue nearest 0, its
+    modulus gap to the rest of the spectrum and the gap it must exceed,
+    ``10 cluster_tolerance`` of the symbol."""
+    moduli = np.abs(values)
+    nearest = np.argmin(moduli, axis=-1)
+    above = moduli - np.take_along_axis(moduli, nearest[..., None], axis=-1)
+    np.put_along_axis(above, nearest[..., None], np.inf, axis=-1)
+    gaps = np.min(above, axis=-1, initial=np.inf)
+    return nearest, gaps, 10.0 * cluster_tolerance(symbols)
+
+
 def zero_group(values: np.ndarray, symbols: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Index of the eigenvalue nearest 0 in each row ``values[m]``, the
     spectrum of ``symbols[m] = E(i k[m])``.  Its modulus must sit below every
@@ -267,13 +266,7 @@ def zero_group(values: np.ndarray, symbols: np.ndarray, k: np.ndarray) -> np.nda
         GroupNotSeparatedError: naming the smallest ``|k|`` whose 0-group is
             not separated (shrink the cutoff below it).
     """
-    rows = np.arange(values.shape[0])
-    moduli = np.abs(values)
-    nearest = np.argmin(moduli, axis=-1)
-    above = moduli - moduli[rows, nearest][:, None]
-    above[rows, nearest] = np.inf
-    gaps = np.min(above, axis=-1, initial=np.inf)
-    thresholds = 10.0 * cluster_tolerance(symbols)
+    nearest, gaps, thresholds = _zero_branch(values, symbols)
     crowded = np.flatnonzero(gaps <= thresholds)
     if crowded.size:
         frequencies = np.linalg.norm(k[crowded], axis=-1)
@@ -316,29 +309,37 @@ def calibrate_separation_radius(system: HyperbolicSystem) -> float:
     Scans a geometric grid of moduli from ``gap/64`` up along sampled
     directions (one eigenvalue call for all), following the small eigenvalue
     by continuation, and stops a direction at the first level where its gap
-    to the rest of the spectrum drops to half the relaxation gap.  The
-    radius is the last level passing in every direction; continuation
-    (rather than re-picking the smallest eigenvalue per level) keeps the
-    scan from jumping past an exceptional point.
+    to the rest of the spectrum drops to half the relaxation gap, or where
+    the followed eigenvalue fails the engine's rule, :func:`zero_group`: it
+    must be the one nearest 0 and its modulus must be separated.  The radius
+    is the last level passing in every direction; continuation (rather than
+    re-picking the smallest eigenvalue per level) keeps the scan from jumping
+    past an exceptional point, and the modulus test stops it at one.
+
+    Raises:
+        GroupNotSeparatedError: if some direction fails at the first level.
     """
     gap0 = require(check_condition_B(system)).data["gap"]
     directions = sphere_samples(system.dimension, _CALIBRATION_DIRECTIONS)
     levels = np.cumprod([gap0 / 64.0] + [_CALIBRATION_RATIO] * (_CALIBRATION_LEVELS - 1))
-    spectra = sorted_eigenvalues(system.symbol(levels[:, None, None] * directions))
+    symbols = system.symbol(levels[:, None, None] * directions)
+    spectra = sorted_eigenvalues(symbols)
+    nearest, gaps, thresholds = _zero_branch(spectra, symbols)
     rows = np.arange(directions.shape[0])
     branch, last_good = np.zeros(rows.size, dtype=complex), np.zeros(rows.size)
     passing = np.ones(rows.size, dtype=bool)
-    for level, values in zip(levels, spectra):
+    for level, values, zero, separated in zip(levels, spectra, nearest, gaps > thresholds):
         follow = np.argmin(np.abs(values - branch[:, None]), axis=-1)
         branch = values[rows, follow]
         distance = np.abs(values - branch[:, None])
         distance[rows, follow] = np.inf
-        passing &= distance.min(axis=-1) > 0.5 * gap0
+        passing &= (distance.min(axis=-1) > 0.5 * gap0) & (follow == zero) & separated
         last_good[passing] = level
     radius = float(np.min(last_good))
     if not radius > 0.0:
         raise GroupNotSeparatedError(
-            "0-group separation already fails at the smallest calibration level"
+            "0-group separation already fails at the smallest calibration level, "
+            f"|k| = {levels[0]:.6g}"
         )
     return radius
 

@@ -16,13 +16,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .chapman import (
-    ChapmanError,
     ConditionViolatedError,
     GroupNotSeparatedError,
     compute_parabolic_limit,
@@ -96,7 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "run", parents=[output], help="run a decay experiment from a config file"
     )
     run.add_argument("--config", type=Path, required=True, help="experiment config file")
-    run.add_argument("--seed", type=int, default=None, help="initial-data seed override")
 
     report = commands.add_parser(
         "report", parents=[output], help="re-serialize an existing report"
@@ -196,11 +193,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_file(args.config)
-    if args.seed is not None:
-        try:
-            cfg = replace(cfg, initial=replace(cfg.initial, seed=args.seed))
-        except ValueError as error:
-            raise ConfigurationError(f"invalid --seed: {error}") from error
     # Fail before the experiment, not after it, when the report cannot be written.
     try:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -260,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConditionViolatedError as error:
         print(f"condition violated: {error}", file=sys.stderr)
         return CONDITION_EXIT
-    except (ChapmanError, LinalgError, np.linalg.LinAlgError) as error:
+    except (LinalgError, np.linalg.LinAlgError) as error:
         print(f"error: {error}", file=sys.stderr)
         return CONFIG_EXIT
     except HarnessError as error:

@@ -9,7 +9,6 @@ from scipy.sparse.csgraph import connected_components
 
 from hyprelax.chapman import (
     _min_cost_assignment,
-    ChapmanError,
     ConditionBViolatedError,
     ConditionViolatedError,
     GroupNotSeparatedError,
@@ -22,12 +21,13 @@ from hyprelax.chapman import (
     require,
     zero_group,
 )
-from hyprelax.linalg import cluster_tolerance, eigendecompose
+from hyprelax.linalg import cluster_tolerance, eigendecompose, reduced_resolvent, spectral_group
 from hyprelax.model import (
     HyperbolicSystem,
     check_condition_B,
     check_condition_D,
     load_system,
+    relaxation_kernel,
     sphere_samples,
 )
 from hyprelax.perturbation import PerturbationFamily, reduce_semisimple_group
@@ -56,6 +56,48 @@ def three_speed_diffusion(a: float, b: float, c: float, velocities: np.ndarray) 
     return total / (3.0 * (a * b + b * c + c * a))
 
 
+def assert_matches_contour_oracle(system: HyperbolicSystem) -> None:
+    """The closed-form limit against the same trace formulas on ``P0`` and
+    ``Q0`` from contour quadrature, within 1e-12 of each array's largest
+    entry; the drift, which vanishes for symmetric velocity sets, within
+    1e-12 of the largest advection entry when that is larger."""
+    b = system.relaxation
+    eigsys, kernel, _ = relaxation_kernel(system)
+    zero = spectral_group(b, eigsys, kernel)
+    p0 = zero.projection
+    q0 = reduced_resolvent(b, 0.0, zero.contour, eigenvalues=eigsys.values)
+    advections = system.advections
+    expected = {
+        "projection": p0,
+        "reduced": q0,
+        "drift": np.array([np.trace(a @ p0) for a in advections]),
+        "diffusion": np.array(
+            [
+                [0.5 * (np.trace(a @ p0 @ c @ q0) + np.trace(a @ q0 @ c @ p0)) for c in advections]
+                for a in advections
+            ]
+        ),
+        **{
+            f"corrections[{h}]": -(p0 @ a @ q0 + q0 @ a @ p0)
+            for h, a in enumerate(advections)
+        },
+    }
+    limit = compute_parabolic_limit(system)
+    actual = {
+        "projection": limit.projection,
+        "reduced": limit.reduced,
+        "drift": limit.drift,
+        "diffusion": limit.diffusion,
+        **{f"corrections[{h}]": p for h, p in enumerate(limit.corrections)},
+    }
+    for name, value in actual.items():
+        assert value.dtype == float, name
+        scale = np.max(np.abs(expected[name]))
+        if name == "drift":
+            scale = max(scale, np.max(np.abs(advections)))
+        assert_allclose(value, expected[name], rtol=0, atol=1e-12 * scale, err_msg=name)
+
+
 class TestParabolicLimit:
     def test_two_speed_closed_form(self):
         limit = compute_parabolic_limit(goldstein_kac_1d())
@@ -68,21 +110,19 @@ class TestParabolicLimit:
 
     @pytest.mark.parametrize("speed", [1.0, 1e4])
     def test_fast_two_speed_diffusion_within_rounding(self, speed):
-        # At speed 1e4 the traces carry an imaginary residue of 8e-9 on
-        # D = 1e8: rounding, relative to the coefficients it rides on.
         rate = 0.5
         limit = compute_parabolic_limit(goldstein_kac_1d(rate=rate, speed=speed))
         assert_allclose(limit.diffusion, [[speed**2 / (2.0 * rate)]], rtol=1e-12, atol=0)
 
     def test_three_dimensional_euler_identity_diffusion(self):
         limit = compute_parabolic_limit(load_system(CONFIGS / "damped_euler_3d.json"))
-        assert_allclose(limit.drift, np.zeros(3), rtol=0, atol=1e-12)
-        assert_allclose(limit.diffusion, np.eye(3), rtol=0, atol=1e-12)
+        assert np.array_equal(limit.drift, np.zeros(3))
+        assert np.array_equal(limit.diffusion, np.eye(3))
 
     def test_damped_euler_identity_diffusion(self):
         limit = compute_parabolic_limit(damped_euler_2d())
-        assert_allclose(limit.drift, [0.0, 0.0], atol=1e-10)
-        assert_allclose(limit.diffusion, np.eye(2), atol=1e-10)
+        assert np.array_equal(limit.drift, np.zeros(2))
+        assert np.array_equal(limit.diffusion, np.eye(2))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_three_speed_closed_form(self, seed):
@@ -100,14 +140,14 @@ class TestParabolicLimit:
         limit = compute_parabolic_limit(damped_euler_2d())
         p0 = limit.projection
         assert_allclose(p0 @ p0, p0, atol=1e-12)
-        assert np.trace(p0).real == pytest.approx(1.0, abs=1e-12)
-        assert limit.imaginary_residual <= 1e-10
+        assert np.trace(p0) == pytest.approx(1.0, abs=1e-12)
         assert limit.gap == pytest.approx(1.0, abs=1e-12)
         # The reduced resolvent inverts the relaxation off its kernel.
         b = damped_euler_2d().relaxation
         assert_allclose(
             limit.reduced @ b, np.eye(3) - p0, atol=1e-12
         )
+        assert_allclose(limit.reduced @ p0, np.zeros((3, 3)), atol=1e-12)
 
     def test_phase_and_form(self):
         limit = compute_parabolic_limit(damped_euler_2d())
@@ -120,6 +160,33 @@ class TestParabolicLimit:
         w = np.array([0.6, -0.8])
         expected = w[0] * limit.corrections[0] + w[1] * limit.corrections[1]
         assert_allclose(limit.first_order_projection(w), expected, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "name", ["goldstein_kac.json", "damped_euler.json", "damped_euler_3d.json"]
+    )
+    def test_bundled_files_match_the_contour_oracle(self, name):
+        assert_matches_contour_oracle(load_system(CONFIGS / name))
+
+    def test_three_velocity_systems_match_the_contour_oracle(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            a, b, c = rng.uniform(0.2, 2.0, size=3)
+            assert_matches_contour_oracle(goldstein_kac_3d(a, b, c, rng.normal(size=(3, 3))))
+
+    def test_non_normal_relaxations_match_the_contour_oracle(self):
+        # B = Q T Q^T with T upper triangular: a simple eigenvalue 0, the
+        # rest in (0.5, 2), and random entries above the diagonal.
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n, d = rng.integers(3, 6), rng.integers(1, 4)
+            q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            t = np.triu(rng.normal(size=(n, n)), 1) + np.diag(
+                np.r_[0.0, rng.uniform(0.5, 2.0, size=n - 1)]
+            )
+            advections = tuple(rng.normal(size=(d, n, n)))
+            assert_matches_contour_oracle(
+                HyperbolicSystem(advections=advections, relaxation=q @ t @ q.T)
+            )
 
     def test_rejects_relaxation_without_spectral_gap(self):
         system = HyperbolicSystem(
@@ -275,16 +342,25 @@ BUILT_SYSTEMS = {
 
 
 def per_level_separation_radius(system: HyperbolicSystem) -> float:
-    """The calibration scan one direction and one level at a time."""
+    """The calibration scan one direction and one level at a time.  A level
+    passes when the followed eigenvalue is at least half the relaxation gap
+    from the others and is the one the engine takes as the 0-group: nearest
+    0, with every other modulus larger by more than 10 cluster tolerances."""
     gap0 = check_condition_B(system).data["gap"]
     radius = np.inf
     for w in sphere_samples(system.dimension, 32):
         epsilon, last_good, branch = gap0 / 64.0, 0.0, 0.0 + 0.0j
         for _ in range(96):
-            eigenvalues = np.linalg.eigvals(system.symbol(epsilon * w))
+            symbol = system.symbol(epsilon * w)
+            eigenvalues = np.linalg.eigvals(symbol)
             follow = int(np.argmin(np.abs(eigenvalues - branch)))
             others = np.delete(eigenvalues, follow)
             if float(np.min(np.abs(others - eigenvalues[follow]))) <= 0.5 * gap0:
+                break
+            if follow != int(np.argmin(np.abs(eigenvalues))):
+                break
+            modulus_gap = float(np.min(np.abs(others))) - abs(eigenvalues[follow])
+            if modulus_gap <= 10.0 * cluster_tolerance(symbol):
                 break
             branch, last_good = eigenvalues[follow], epsilon
             epsilon *= 2.0 ** (1.0 / 8.0)
@@ -305,6 +381,15 @@ class TestCalibration:
     def test_frozen_value_damped_euler(self):
         radius = calibrate_separation_radius(damped_euler_2d())
         assert radius == pytest.approx(EXAMPLE_SEPARATION_RADIUS, rel=1e-12)
+
+    def test_refuses_a_scan_that_starts_past_an_exceptional_point(self):
+        # The branches of goldstein_kac_1d(0.5, 40) meet at |k| = 0.5/40, below
+        # the first level gap/64: from there on the followed eigenvalue is one
+        # of a conjugate pair of equal modulus, which zero_group refuses.
+        with pytest.raises(
+            GroupNotSeparatedError, match=r"smallest calibration level, \|k\| = 0.015625$"
+        ):
+            calibrate_separation_radius(goldstein_kac_1d(0.5, 40.0))
 
     def test_calibrated_radius_is_safe(self):
         system = goldstein_kac_1d()

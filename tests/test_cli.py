@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import hyprelax
-from hyprelax.chapman import ChapmanError
+from hyprelax import harness
 from hyprelax.cli import main
-from hyprelax.harness import ExperimentConfig, FitWindow, TimeSchedule
+from hyprelax.harness import DecayReport, ExperimentConfig, FitWindow, TimeSchedule
 from hyprelax.model import HyperbolicSystem, dump_system
 from hyprelax.spectral import FrequencySplitter, GridField, InitialSpec
 from hyprelax.systems import damped_euler_2d, goldstein_kac_1d
@@ -124,25 +124,17 @@ class TestLimit:
         assert len(payload["corrections"]) == 1
 
     def test_fast_system_file(self, tmp_path):
-        # Speeds +-1e4: the diffusion 1e8 carries an imaginary trace residue
-        # of 8e-9, rounding relative to it.
+        # Speeds +-1e4: c = 0 up to rounding relative to the speeds, D = 1e8,
+        # and the limit is real by construction.
         path = tmp_path / "fast.json"
         dump_system(goldstein_kac_1d(speed=1e4), path)
         out = tmp_path / "out"
         assert main(["limit", str(path), "--out", str(out)]) == 0
         payload = json.loads((out / "limit.json").read_text())
+        assert payload["drift"] == pytest.approx([0.0], abs=1e-12 * 1e4)
         assert payload["diffusion"][0] == pytest.approx([1e8], rel=1e-12)
-
-    def test_other_chapman_errors_exit_3(self, tmp_path, gk_path, monkeypatch, capsys):
-        import hyprelax.cli as cli
-
-        def failing(system):
-            raise ChapmanError("drift/diffusion traces have imaginary residue 1.000e+00")
-
-        monkeypatch.setattr(cli, "compute_parabolic_limit", failing)
-        assert main(["limit", str(gk_path), "--out", str(tmp_path / "out")]) == 3
-        stderr = capsys.readouterr().err
-        assert stderr.startswith("error: drift/diffusion")
+        for matrix in (payload["projection"], payload["reduced"], *payload["corrections"]):
+            assert not np.any(matrix["imag"])
 
 
 class TestSweep:
@@ -255,24 +247,6 @@ class TestRun:
         report = json.loads(outputs["relative"][0])
         assert report["config"]["system"] == "goldstein_kac.json"
 
-    def test_overrides_echoed(self, tmp_path, gk_path):
-        config = write_run_config(tmp_path, gk_path)
-        out = tmp_path / "out"
-        code = main(
-            [
-                "run",
-                "--config",
-                config,
-                "--out",
-                str(out),
-                "--seed",
-                "9",
-            ]
-        )
-        assert code == 0
-        payload = json.loads((out / "report.json").read_text())
-        assert payload["config"]["initial"]["seed"] == 9
-
     def test_report_does_not_depend_on_the_output_directory(self, tmp_path, gk_path):
         config = write_run_config(tmp_path, gk_path)
         first, second = tmp_path / "first", tmp_path / "second" / "nested"
@@ -286,17 +260,24 @@ class TestRun:
             raise AssertionError("a negative seed reached the propagator")
 
         monkeypatch.setattr(FrequencySplitter, "decompose", propagate)
-        config = write_run_config(tmp_path, gk_path)
+        initial = {"sigma": 0.5, "amplitudes": [1.0, -0.5], "seed": -1}
+        config = write_run_config(tmp_path, gk_path, initial=initial)
         out = tmp_path / "o"
-        assert main(["run", "--config", config, "--seed", "-1", "--out", str(out)]) == 3
+        assert main(["run", "--config", config, "--out", str(out)]) == 3
         stderr = capsys.readouterr().err
         assert stderr.startswith("error: ")
         assert "initial seed must be non-negative, got -1" in stderr
 
-    def test_unsaturated_fit_exits_1(self, tmp_path, gk_path):
+    def test_unsaturated_fit_exits_1(self, tmp_path, gk_path, monkeypatch, capsys):
         config = write_run_config(tmp_path, gk_path, tolerance=1e-6)
         out = tmp_path / "out"
         assert main(["run", "--config", config, "--out", str(out)]) == 1
+        # So does a fit that cannot be made, with one error line.
+        fit_rate = harness.fit_rate
+        monkeypatch.setattr(harness, "fit_rate", lambda times, values: fit_rate(times, 0.0 * values))
+        capsys.readouterr()
+        assert main(["run", "--config", config, "--out", str(tmp_path / "unfit")]) == 1
+        assert capsys.readouterr().err == "error: fitted values must be positive and finite\n"
 
     def test_condition_failure_exits_2(self, tmp_path, failing_path):
         config = write_run_config(tmp_path, failing_path)
@@ -578,6 +559,15 @@ class TestConfigValidation:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         out = tmp_path / "o"
+        # A regular file where the snapshot directory goes stops the run
+        # before the first snapshot.
+        out.mkdir()
+        (out / "fields").write_text("")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"error: cannot create {out / 'fields'}: ")
+        assert stderr.count("\n") == 1
+        (out / "fields").unlink()
         (out / "fields" / "snapshot_000_u.bin").mkdir(parents=True)
         assert main(["run", "--config", str(path), "--out", str(out)]) == 3
         stderr = capsys.readouterr().err
@@ -594,7 +584,7 @@ class TestConfigValidation:
         assert "invalid grid: points per axis must be a power of two" in stderr
 
 
-@pytest.mark.parametrize("command", ["check", "limit", "sweep", "run"])
+@pytest.mark.parametrize("command", ["check", "limit", "sweep", "run", "report"])
 def test_out_naming_a_file_exits_3(tmp_path, gk_path, capsys, monkeypatch, command):
     # ``run`` must find out before the experiment, not after it.
     calls = []
@@ -602,6 +592,20 @@ def test_out_naming_a_file_exits_3(tmp_path, gk_path, capsys, monkeypatch, comma
     source = [str(gk_path)]
     if command == "run":
         source = ["--config", write_run_config(tmp_path, gk_path)]
+    if command == "report":
+        report = DecayReport(
+            config={},
+            resolved_cutoff={},
+            times=(1.0,),
+            series={},
+            fits={},
+            remainder={},
+            conditions={},
+            psi_skipped=None,
+            passed=True,
+        )
+        (tmp_path / "report.json").write_text(json.dumps(report.to_dict()))
+        source = [str(tmp_path / "report.json")]
     taken = tmp_path / "taken"
     taken.write_text("")
     assert main([command, *source, "--out", str(taken)]) == 3
@@ -649,7 +653,7 @@ def test_oversized_system_file_exits_3(tmp_path, capsys, command, key, factor):
     [
         (["sweep", "{system}", "--count", "x"], "invalid int value: 'x'"),
         (["run", "--config", "{config}", "--bogus"], "unrecognized arguments: --bogus"),
-        (["run", "--config", "{config}", "--seed", "1.5"], "invalid int value: '1.5'"),
+        (["run", "--config", "{config}", "--seed", "1"], "unrecognized arguments: --seed"),
         (["check", "{system}", "--seed", "1"], "unrecognized arguments: --seed"),
         (["limit", "{system}", "--seed", "1"], "unrecognized arguments: --seed"),
         (["report", "{report}", "--config", "{config}"], "unrecognized arguments: --config"),

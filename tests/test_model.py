@@ -704,10 +704,16 @@ class TestSystemFiles:
 
     def test_bad_dimension_type(self, tmp_path):
         path = tmp_path / "bad.json"
-        payload = {"d": "one", "n": 2, "A": [], "B": []}
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SystemFileError, match="invalid d: "):
-            load_system(path)
+        cases = (
+            ("d", "one", "invalid d: "),
+            ("d", 0, "invalid d: expected a positive integer, got 0"),
+            ("n", 0, "invalid n: expected a positive integer, got 0"),
+        )
+        for key, value, message in cases:
+            payload = {"d": 1, "n": 2, "A": [], "B": [], key: value}
+            path.write_text(json.dumps(payload))
+            with pytest.raises(SystemFileError, match=message):
+                load_system(path)
 
     def test_bad_r_samples_record(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -720,6 +726,10 @@ class TestSystemFiles:
         }
         path.write_text(json.dumps(payload))
         with pytest.raises(SystemFileError, match="R_samples"):
+            load_system(path)
+        payload["R_samples"] = []
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SystemFileError, match="invalid R_samples: expected a non-empty list"):
             load_system(path)
 
     def test_unreadable_file(self, tmp_path):
