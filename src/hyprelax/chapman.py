@@ -7,13 +7,14 @@ eigenprojection expands as ``P_0(ik) = P0 + i k . P1 + O(|k|^2)``, all in
 closed form from the null vectors of ``B``.  High
 frequencies: ``E(ik) / |k|`` is the pencil ``i A(w) + B / |k|``, and every
 eigenvalue approaches ``i |k| nu_j(w) + beta_jm`` with ``nu_j(w)`` an
-eigenvalue cluster of ``A(w)`` and ``beta_jm`` the eigenvalues of the
-relaxation matrix compressed by the cluster's eigenvectors (no diagonalizer
-is needed).  This module computes both expansions, calibrates the frequency
-radius on which the ``0``-group stays spectrally separated, and provides a
-tracked eigenvalue sweep for diagnostics, each scan with one eigenvalue
-call.  The eigenvalue groups of the relaxation and of its compressions are
-:class:`~hyprelax.linalg.SpectralGroup` values.
+eigenvalue cluster of ``A(w)`` and ``beta_jm`` the eigenvalue clusters of
+the relaxation matrix compressed by the cluster's eigenvectors (no
+diagonalizer is needed).  This module computes both expansions from
+eigen-data, calibrates the frequency radius on which the ``0``-group stays
+spectrally separated, and provides a tracked eigenvalue sweep for
+diagnostics, each scan with one eigenvalue call.  Contour quadrature is used
+in one place only: :func:`exact_group_projection`, the spectral engine's
+fallback and audit projection.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    SpectralGroup,
+    EigenCluster,
     cluster_labels,
     cluster_tolerance,
     eigendecompose,
@@ -35,8 +36,6 @@ from .model import (
     HyperbolicSystem,
     advection_spectrum,
     check_condition_B,
-    check_condition_D,
-    relaxation_kernel,
     sphere_samples,
 )
 
@@ -46,13 +45,11 @@ __all__ = [
     "ConditionBViolatedError",
     "GroupNotSeparatedError",
     "ParabolicLimit",
-    "LowFrequencyExpansion",
     "HighFrequencyGroup",
     "HighFrequencyExpansion",
     "SweepPoint",
     "require",
     "compute_parabolic_limit",
-    "low_frequency_expansion",
     "zero_group",
     "exact_group_projection",
     "calibrate_separation_radius",
@@ -109,22 +106,6 @@ class ParabolicLimit:
         k = np.asarray(k)
         return np.einsum("...h,hl,...l->...", k, self.diffusion, k)
 
-    def first_order_projection(self, w: np.ndarray) -> np.ndarray:
-        """Directional coefficient ``sum_h w_h P1_h``."""
-        return sum(w_h * p for w_h, p in zip(np.asarray(w), self.corrections))
-
-
-@dataclass(frozen=True)
-class LowFrequencyExpansion:
-    """Parabolic-limit data plus the nonzero groups of the relaxation."""
-
-    limit: ParabolicLimit
-    groups: tuple[SpectralGroup, ...]
-
-    def lambda0_series(self, k: np.ndarray) -> np.ndarray:
-        """Second-order model ``c . ik + k . D k`` of the small branch."""
-        return self.limit.drift_phase(k) + self.limit.diffusion_form(k)
-
 
 @dataclass(frozen=True)
 class HighFrequencyGroup:
@@ -133,13 +114,14 @@ class HighFrequencyGroup:
     With ``R_j`` the cluster's eigenvector columns and ``L_j`` the matching
     rows of their inverse, ``projection`` is the eigenprojection ``R_j L_j``
     of ``A(w)`` onto the cluster, in the original frame.  ``parts[m]`` is the
-    ``m``-th eigenvalue group of the compression ``L_j B R_j``, in the
-    cluster's eigenvector coordinates; its ``value`` is the shift ``beta_jm``.
+    ``m``-th eigenvalue cluster of the compression ``L_j B R_j``; its
+    ``value`` (the cluster mean) is the shift ``beta_jm`` and its
+    ``multiplicity`` the number of branches that share it.
     """
 
     value: float
     projection: np.ndarray
-    parts: tuple[SpectralGroup, ...]
+    parts: tuple[EigenCluster, ...]
 
 
 @dataclass(frozen=True)
@@ -222,24 +204,6 @@ def compute_parabolic_limit(system: HyperbolicSystem) -> ParabolicLimit:
     )
 
 
-def low_frequency_expansion(system: HyperbolicSystem) -> LowFrequencyExpansion:
-    """Parabolic-limit data plus projections of the dissipative groups.
-
-    Raises:
-        ConditionBViolatedError: if the relaxation spectrum check fails.
-        ConditionViolatedError: if uniform dissipation fails.
-    """
-    require(check_condition_D(system))
-    limit = compute_parabolic_limit(system)
-    eigsys, kernel, _ = relaxation_kernel(system)
-    groups = tuple(
-        spectral_group(system.relaxation, eigsys, cluster)
-        for cluster in eigsys.clusters
-        if cluster is not kernel
-    )
-    return LowFrequencyExpansion(limit=limit, groups=groups)
-
-
 def _zero_branch(values: np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, ...]:
     """The separation test of the 0-group on a stack of spectra ``(..., n)``
     of the symbols ``(..., n, n)``: the index of the eigenvalue nearest 0, its
@@ -260,11 +224,13 @@ def zero_group(values: np.ndarray, symbols: np.ndarray, k: np.ndarray) -> np.nda
     which scales with the spectrum: rounding splits an exact collision by
     ``sqrt(eps)``.  The modulus gap bounds the distance to the rest of the
     row from below, and it also fails past an exceptional point, where the
-    0-branch has become one of a conjugate pair of equal modulus.
+    0-branch has become one of a conjugate pair of equal modulus.  The
+    spectral engine applies it to its cutoff band, so a refusal names the
+    remedy, a smaller ``cutoff.inner``.
 
     Raises:
         GroupNotSeparatedError: naming the smallest ``|k|`` whose 0-group is
-            not separated (shrink the cutoff below it).
+            not separated.
     """
     nearest, gaps, thresholds = _zero_branch(values, symbols)
     crowded = np.flatnonzero(gaps <= thresholds)
@@ -273,7 +239,7 @@ def zero_group(values: np.ndarray, symbols: np.ndarray, k: np.ndarray) -> np.nda
         row = crowded[np.argmin(frequencies)]
         raise GroupNotSeparatedError(
             f"0-group gap {gaps[row]:.3e} at |k| = {frequencies.min():.6g} "
-            f"is below {thresholds[row]:.1e}"
+            f"is below {thresholds[row]:.1e}; shrink the cutoff (cutoff.inner)"
         )
     return nearest
 
@@ -286,7 +252,7 @@ def exact_group_projection(system: HyperbolicSystem, k: np.ndarray) -> np.ndarra
 
     Raises:
         GroupNotSeparatedError: if :func:`zero_group` finds the 0-group not
-            separated at ``k`` (shrink ``|k|``).
+            separated at ``k``.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     symbol = system.symbol(k)
@@ -314,7 +280,9 @@ def calibrate_separation_radius(system: HyperbolicSystem) -> float:
     must be the one nearest 0 and its modulus must be separated.  The radius
     is the last level passing in every direction; continuation (rather than
     re-picking the smallest eigenvalue per level) keeps the scan from jumping
-    past an exceptional point, and the modulus test stops it at one.
+    past an exceptional point, and the modulus test stops it at one.  The
+    radius sets the ``"auto"`` cutoff, so a refusal names the remedy, an
+    explicit ``cutoff.inner``.
 
     Raises:
         GroupNotSeparatedError: if some direction fails at the first level.
@@ -339,7 +307,7 @@ def calibrate_separation_radius(system: HyperbolicSystem) -> float:
     if not radius > 0.0:
         raise GroupNotSeparatedError(
             "0-group separation already fails at the smallest calibration level, "
-            f"|k| = {levels[0]:.6g}"
+            f"|k| = {levels[0]:.6g}; give cutoff.inner explicitly, below this |k|"
         )
     return radius
 
@@ -352,7 +320,7 @@ def high_frequency_expansion(
     With ``z = 1/|k|`` the symbol is ``|k| (i A(w) + z B)``.  Each cluster
     ``nu_j`` of :func:`~hyprelax.model.advection_spectrum` at ``w`` is a
     group (branches of ``A`` that cross at ``w`` form one) whose parts, the
-    eigenvalue groups ``beta_jm`` of the compression ``L_j B R_j`` (see
+    eigenvalue clusters ``beta_jm`` of the compression ``L_j B R_j`` (see
     :class:`HighFrequencyGroup`), give the model
     ``i |k| nu_j(w) + beta_jm + O(1/|k|)``.  Only what the model needs at
     ``w`` is checked: real eigenvalues of ``A(w)`` and semisimple clusters.
@@ -388,15 +356,8 @@ def high_frequency_expansion(
                 f"A(w) is not diagonalizable at w = {w.tolist()}: group at "
                 f"{value} has nilpotent part of norm {nilpotent:.3e}"
             )
-        compressed = left @ system.relaxation @ right
-        eigsys = eigendecompose(compressed)
-        groups.append(
-            HighFrequencyGroup(
-                value=value,
-                projection=projection,
-                parts=tuple(spectral_group(compressed, eigsys, c) for c in eigsys.clusters),
-            )
-        )
+        parts = eigendecompose(left @ system.relaxation @ right).clusters
+        groups.append(HighFrequencyGroup(value=value, projection=projection, parts=parts))
     return HighFrequencyExpansion(direction=w, groups=tuple(groups))
 
 

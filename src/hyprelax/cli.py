@@ -6,8 +6,8 @@ symbol along a ray), each on a system file; ``run`` (decay experiment from
 ``--config``, whose ``system`` resolves against the config's directory);
 ``report`` (re-serialize an existing report).  Exit codes: 0 success, 1
 rate-check failure, 2 condition failure, 3 usage, configuration or input
-error (including a failed spectral audit or a linear-algebra failure on the
-input).
+error (including a refused cutoff, a failed spectral audit or a
+linear-algebra failure on the input).
 """
 
 from __future__ import annotations
@@ -113,11 +113,6 @@ def _write_output(out: Path, name: str, text: str) -> Path:
     return path
 
 
-def _complex_matrix(m: np.ndarray) -> dict:
-    m = np.asarray(m)
-    return {"real": m.real.tolist(), "imag": m.imag.tolist()}
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     system = load_system(args.system)
     reports = check_all_conditions(system)
@@ -143,9 +138,9 @@ def _cmd_limit(args: argparse.Namespace) -> int:
         "drift": limit.drift.tolist(),
         "diffusion": limit.diffusion.tolist(),
         "gap": limit.gap,
-        "projection": _complex_matrix(limit.projection),
-        "reduced": _complex_matrix(limit.reduced),
-        "corrections": [_complex_matrix(p) for p in limit.corrections],
+        "projection": limit.projection.tolist(),
+        "reduced": limit.reduced.tolist(),
+        "corrections": [p.tolist() for p in limit.corrections],
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _write_output(args.out, "limit.json", text)
@@ -243,11 +238,9 @@ def main(argv: list[str] | None = None) -> int:
         WrapAroundGuardError,
         IoFailureError,
         SpectralError,
+        GroupNotSeparatedError,
     ) as error:
         print(f"error: {error}", file=sys.stderr)
-        return CONFIG_EXIT
-    except GroupNotSeparatedError as error:
-        print(f"error: {error}; shrink the cutoff (cutoff.inner)", file=sys.stderr)
         return CONFIG_EXIT
     except ConditionViolatedError as error:
         print(f"condition violated: {error}", file=sys.stderr)

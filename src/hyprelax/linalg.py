@@ -3,9 +3,12 @@
 Everything here works on plain numpy arrays: batched eigenvalues and the one
 clustering rule, a batched matrix exponential, adaptive contour quadrature for
 spectral projections and reduced resolvents, and :func:`spectral_group`, the
-one builder of an isolated eigenvalue group that every higher layer uses.
-All tolerances are explicit and conservative; the routines raise typed
-errors instead of returning silently degraded results.
+one builder of an isolated eigenvalue group by contour quadrature.  Its
+callers are :func:`~hyprelax.chapman.exact_group_projection`, the spectral
+engine's fallback and audit projection, and :mod:`~hyprelax.perturbation`,
+the series oracle; every other expansion reads eigen-data directly.  All
+tolerances are explicit and conservative; the routines raise typed errors
+instead of returning silently degraded results.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import EigenCluster, EigenSystem, cluster_labels, cluster_tolerance, eigendecompose
+from .linalg import cluster_labels, cluster_tolerance, eigendecompose
 
 __all__ = [
     "ModelError",
@@ -36,7 +36,6 @@ __all__ = [
     "advection_spectrum",
     "check_condition_A",
     "check_condition_R",
-    "relaxation_kernel",
     "check_condition_B",
     "check_condition_D",
     "check_condition_S",
@@ -378,17 +377,16 @@ def check_condition_R(system: HyperbolicSystem) -> ConditionReport:
     )
 
 
-def relaxation_kernel(system: HyperbolicSystem) -> tuple[EigenSystem, EigenCluster | None, float]:
-    """The eigen-system of ``B``, its cluster within ``tol`` of 0 (``None``
-    when ``B`` has no kernel) and ``tol = 10 cluster_tolerance(B)``."""
+def check_condition_B(system: HyperbolicSystem) -> ConditionReport:
+    """Check the relaxation spectrum: simple eigenvalue 0, rest in Re > 0.
+
+    The kernel is the cluster of ``B``'s eigenvalues within
+    ``tol = 10 cluster_tolerance(B)`` of 0, and the rest must have real part
+    above ``tol``.
+    """
     eigsys = eigendecompose(system.relaxation)
     tol = 10.0 * cluster_tolerance(system.relaxation)
-    return eigsys, eigsys.cluster_near(0.0, tol), tol
-
-
-def check_condition_B(system: HyperbolicSystem) -> ConditionReport:
-    """Check the relaxation spectrum: simple eigenvalue 0, rest in Re > 0."""
-    eigsys, kernel, tol = relaxation_kernel(system)
+    kernel = eigsys.cluster_near(0.0, tol)
     eigenvalues = [[float(v.real), float(v.imag)] for v in eigsys.values]
     summary = None
     if kernel is None:

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
+from hyprelax import linalg
 from hyprelax.chapman import (
     _min_cost_assignment,
     ConditionBViolatedError,
@@ -17,7 +18,6 @@ from hyprelax.chapman import (
     eigenvalue_sweep,
     exact_group_projection,
     high_frequency_expansion,
-    low_frequency_expansion,
     require,
     zero_group,
 )
@@ -27,7 +27,6 @@ from hyprelax.model import (
     check_condition_B,
     check_condition_D,
     load_system,
-    relaxation_kernel,
     sphere_samples,
 )
 from hyprelax.perturbation import PerturbationFamily, reduce_semisimple_group
@@ -62,7 +61,8 @@ def assert_matches_contour_oracle(system: HyperbolicSystem) -> None:
     entry; the drift, which vanishes for symmetric velocity sets, within
     1e-12 of the largest advection entry when that is larger."""
     b = system.relaxation
-    eigsys, kernel, _ = relaxation_kernel(system)
+    eigsys = eigendecompose(b)
+    kernel = eigsys.cluster_near(0, 10 * cluster_tolerance(b))
     zero = spectral_group(b, eigsys, kernel)
     p0 = zero.projection
     q0 = reduced_resolvent(b, 0.0, zero.contour, eigenvalues=eigsys.values)
@@ -155,12 +155,6 @@ class TestParabolicLimit:
         assert_allclose(limit.drift_phase(ks), [0.0, 0.0], atol=1e-10)
         assert_allclose(limit.diffusion_form(ks), [0.25, 5.0], atol=1e-9)
 
-    def test_first_order_projection_is_directional_sum(self):
-        limit = compute_parabolic_limit(damped_euler_2d())
-        w = np.array([0.6, -0.8])
-        expected = w[0] * limit.corrections[0] + w[1] * limit.corrections[1]
-        assert_allclose(limit.first_order_projection(w), expected, atol=0.0)
-
     @pytest.mark.parametrize(
         "name", ["goldstein_kac.json", "damped_euler.json", "damped_euler_3d.json"]
     )
@@ -226,36 +220,37 @@ class TestRequire:
 
 class TestLowFrequencyExpansion:
     def test_groups_complement_kernel_projection(self):
-        expansion = low_frequency_expansion(goldstein_kac_3d(0.5, 0.5, 0.5))
-        assert len(expansion.groups) == 1
-        group = expansion.groups[0]
+        # The nonzero groups of B by contour quadrature complement the
+        # closed-form kernel projection.
+        system = goldstein_kac_3d(0.5, 0.5, 0.5)
+        b = system.relaxation
+        eigsys = eigendecompose(b)
+        groups = [
+            spectral_group(b, eigsys, cluster)
+            for cluster in eigsys.clusters
+            if abs(cluster.value) > 10 * cluster_tolerance(b)
+        ]
+        assert len(groups) == 1
+        (group,) = groups
         assert group.value == pytest.approx(1.5, abs=1e-12)
         assert group.multiplicity == 2
-        total = expansion.limit.projection + group.projection
+        total = compute_parabolic_limit(system).projection + group.projection
         assert_allclose(total, np.eye(3), atol=1e-10)
         assert_allclose(group.nilpotent, np.zeros((3, 3)), atol=1e-10)
 
     def test_lambda0_series_models_small_branch(self):
         system = goldstein_kac_1d()
-        expansion = low_frequency_expansion(system)
+        limit = compute_parabolic_limit(system)
         moduli = np.geomspace(1e-3, 1e-2, 7)
         residuals = []
-        for k in moduli:
-            eigenvalues = np.linalg.eigvals(system.symbol(np.array([k])))
+        for k in moduli[:, None]:
+            eigenvalues = np.linalg.eigvals(system.symbol(k))
             small = eigenvalues[np.argmin(np.abs(eigenvalues))]
-            residuals.append(abs(small - expansion.lambda0_series(np.array([k]))))
+            residuals.append(abs(small - (limit.drift_phase(k) + limit.diffusion_form(k))))
         slope = np.polyfit(np.log(moduli), np.log(residuals), 1)[0]
         # Odd orders vanish by the symmetry of the two-speed system, so the
         # residual after the quadratic model is quartic.
         assert slope > 3.7
-
-    def test_requires_uniform_dissipation(self):
-        marginal = HyperbolicSystem(
-            advections=(np.eye(2),),
-            relaxation=0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
-        )
-        with pytest.raises(ConditionViolatedError):
-            low_frequency_expansion(marginal)
 
 
 class TestExactGroupProjection:
@@ -387,7 +382,9 @@ class TestCalibration:
         # the first level gap/64: from there on the followed eigenvalue is one
         # of a conjugate pair of equal modulus, which zero_group refuses.
         with pytest.raises(
-            GroupNotSeparatedError, match=r"smallest calibration level, \|k\| = 0.015625$"
+            GroupNotSeparatedError,
+            match=r"smallest calibration level, \|k\| = 0.015625; "
+            r"give cutoff.inner explicitly, below this \|k\|$",
         ):
             calibrate_separation_radius(goldstein_kac_1d(0.5, 40.0))
 
@@ -395,6 +392,16 @@ class TestCalibration:
         system = goldstein_kac_1d()
         radius = calibrate_separation_radius(system)
         exact_group_projection(system, np.array([radius]))
+
+
+# Systems whose high-frequency model is checked against the contour oracle.
+KATO_SYSTEMS = [
+    goldstein_kac_1d(),
+    damped_euler_2d(),
+    goldstein_kac_3d(0.5, 0.5, 0.5),
+    load_system(CONFIGS / "damped_euler.json"),
+    load_system(CONFIGS / "damped_euler_3d.json"),
+]
 
 
 class TestHighFrequencyExpansion:
@@ -491,17 +498,7 @@ class TestHighFrequencyExpansion:
         assert real == pytest.approx(betas[0], abs=1e-10)
         assert imag == pytest.approx(group.value * frequency, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "system",
-        [
-            goldstein_kac_1d(),
-            damped_euler_2d(),
-            goldstein_kac_3d(0.5, 0.5, 0.5),
-            load_system(CONFIGS / "damped_euler.json"),
-            load_system(CONFIGS / "damped_euler_3d.json"),
-        ],
-        ids=lambda system: system.name,
-    )
+    @pytest.mark.parametrize("system", KATO_SYSTEMS, ids=lambda system: system.name)
     def test_matches_kato_reduction_in_the_original_frame(self, system):
         # The oracle reduces each eigenvalue group of i A(w) against B by
         # contour projections of the full n x n matrices.
@@ -523,6 +520,17 @@ class TestHighFrequencyExpansion:
                     rtol=0,
                     atol=1e-12,
                 )
+
+    @pytest.mark.parametrize("system", KATO_SYSTEMS, ids=lambda system: system.name)
+    def test_needs_no_contour_quadrature(self, system, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("contour quadrature called")
+
+        monkeypatch.setattr(linalg, "cauchy_integral", refuse)
+        for w in sphere_samples(system.dimension, 16):
+            expansion = high_frequency_expansion(system, w)
+            multiplicities = [part.multiplicity for g in expansion.groups for part in g.parts]
+            assert sum(multiplicities) == system.size
 
     @pytest.mark.parametrize(
         "advection, named",

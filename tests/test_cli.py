@@ -10,6 +10,7 @@ import pytest
 
 import hyprelax
 from hyprelax import harness
+from hyprelax.chapman import compute_parabolic_limit
 from hyprelax.cli import main
 from hyprelax.harness import DecayReport, ExperimentConfig, FitWindow, TimeSchedule
 from hyprelax.model import HyperbolicSystem, dump_system
@@ -120,8 +121,11 @@ class TestLimit:
         assert payload["drift"] == pytest.approx([0.0])
         assert payload["diffusion"][0] == pytest.approx([1.0])
         assert payload["gap"] == pytest.approx(1.0)
-        assert set(payload["projection"]) == {"real", "imag"}
-        assert len(payload["corrections"]) == 1
+        # The limit is real, so each matrix is written as its plain rows.
+        limit = compute_parabolic_limit(goldstein_kac_1d())
+        assert payload["projection"] == limit.projection.tolist()
+        assert payload["reduced"] == limit.reduced.tolist()
+        assert payload["corrections"] == [p.tolist() for p in limit.corrections]
 
     def test_fast_system_file(self, tmp_path):
         # Speeds +-1e4: c = 0 up to rounding relative to the speeds, D = 1e8,
@@ -134,7 +138,7 @@ class TestLimit:
         assert payload["drift"] == pytest.approx([0.0], abs=1e-12 * 1e4)
         assert payload["diffusion"][0] == pytest.approx([1e8], rel=1e-12)
         for matrix in (payload["projection"], payload["reduced"], *payload["corrections"]):
-            assert not np.any(matrix["imag"])
+            assert all(type(x) is float and math.isfinite(x) for row in matrix for x in row)
 
 
 class TestSweep:
@@ -532,6 +536,25 @@ class TestConfigValidation:
         assert stderr.startswith("error: 0-group gap ")
         assert stderr.count("\n") == 1
         assert stderr.rstrip().endswith("shrink the cutoff (cutoff.inner)")
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_auto_cutoff_refused_by_the_calibration_exits_3(self, tmp_path, capsys):
+        # At speeds +-40 the exceptional point |k| = 0.0125 lies below the
+        # calibration's first level, so "auto" has no radius to offer.
+        system = json.loads((CONFIGS / "goldstein_kac.json").read_text())
+        system["A"] = [[[40 * x for x in row] for row in a] for a in system["A"]]
+        (tmp_path / "fast40.json").write_text(json.dumps(system))
+        raw = json.loads((CONFIGS / "gk_decay.json").read_text())
+        raw.update(system=str(tmp_path / "fast40.json"), cutoff="auto", fit={})
+        # Short enough that waves at speed 40 stay inside the box.
+        raw["times"] = {"t_min": 1.0, "t_max": 4.0, "count": 6}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "error: 0-group separation already fails at the smallest calibration "
+            "level, |k| = 0.015625; give cutoff.inner explicitly, below this |k|\n"
+        )
         assert not (tmp_path / "o" / "report.json").exists()
 
     def test_zero_mass_noise_exits_3_before_propagating(self, tmp_path, monkeypatch, capsys):
