@@ -239,15 +239,14 @@ def main(argv: list[str] | None = None) -> int:
         IoFailureError,
         SpectralError,
         GroupNotSeparatedError,
+        LinalgError,
+        np.linalg.LinAlgError,
     ) as error:
         print(f"error: {error}", file=sys.stderr)
         return CONFIG_EXIT
     except ConditionViolatedError as error:
         print(f"condition violated: {error}", file=sys.stderr)
         return CONDITION_EXIT
-    except (LinalgError, np.linalg.LinAlgError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return CONFIG_EXIT
     except HarnessError as error:
         print(f"error: {error}", file=sys.stderr)
         return RATE_EXIT

@@ -40,6 +40,7 @@ __all__ = [
     "check_condition_D",
     "check_condition_S",
     "check_all_conditions",
+    "lift_residuals",
     "lift_axis_map",
     "load_json",
     "read_section",
@@ -466,6 +467,33 @@ def check_condition_D(system: HyperbolicSystem) -> ConditionReport:
     )
 
 
+def lift_residuals(
+    transform: np.ndarray, fixed: np.ndarray, matrices, images
+) -> tuple[float, float, float]:
+    """How far ``T`` is from lifting a map: ``T F = F T`` and ``T M_j = N_j T``.
+
+    ``T`` is scaled to Frobenius norm ``sqrt(n)`` first; a ``T`` of norm 0
+    is singular.  Returns the largest entry of ``T F - F T``, the largest
+    entry of any ``T M_j - N_j T``, both relative to
+    ``max(1, max|F|, max|M_j|)``, and ``sigma_min / sigma_max`` of ``T``
+    (0 when it is singular).  ``matrices`` and ``images`` are sequences of
+    ``M_j`` and ``N_j``.
+    """
+    peak = float(np.max(np.abs(transform)))
+    if peak == 0.0:
+        return 0.0, 0.0, 0.0
+    # Dividing by the peak first keeps the squares in the norm from
+    # underflowing or overflowing.
+    t = np.asarray(transform) / peak
+    t *= np.sqrt(t.shape[0]) / np.linalg.norm(t)
+    matrices, images = np.asarray(matrices), np.asarray(images)
+    scale = max(1.0, float(np.max(np.abs(fixed))), float(np.max(np.abs(matrices))))
+    commutator = float(np.max(np.abs(t @ fixed - fixed @ t))) / scale
+    advection = float(np.max(np.abs(t @ matrices - images @ t))) / scale
+    singulars = np.linalg.svd(t, compute_uv=False)
+    return commutator, advection, float(singulars[-1] / singulars[0])
+
+
 def lift_axis_map(system: HyperbolicSystem, rotation: np.ndarray) -> np.ndarray | None:
     """Lift of an orthogonal frequency map ``k -> R k`` to the state space.
 
@@ -477,9 +505,8 @@ def lift_axis_map(system: HyperbolicSystem, rotation: np.ndarray) -> np.ndarray 
     has ``sigma_min / sigma_max >= 1e-6``; it is scaled to Frobenius norm
     ``sqrt(n)``, and its entries within ``1e-12 max|T|`` of an integer are
     rounded to it, so a signed permutation comes out exact.  None when no
-    try is invertible or the lift misses the constraints by more than
-    ``1e-12`` relative to the largest coefficient.  Condition S is the lift
-    of ``R = -I``.
+    try is invertible or either residual of :func:`lift_residuals` exceeds
+    ``1e-12``.  Condition S is the lift of ``R = -I``.
     """
     b = system.relaxation
     advections = np.stack(system.advections)
@@ -499,21 +526,16 @@ def lift_axis_map(system: HyperbolicSystem, rotation: np.ndarray) -> np.ndarray 
         return None
     rng = np.random.default_rng(0)
     for _ in range(100):
+        # The basis rows are orthonormal, so a combination's norm is its
+        # coefficient vector's, which is not 0.
         found = (rng.standard_normal(basis.shape[0]) @ basis).reshape(n, n)
-        singulars = np.linalg.svd(found, compute_uv=False)
-        if singulars[0] > 0 and singulars[-1] / singulars[0] >= 1e-6:
-            break
-    else:
-        return None
-    found *= np.sqrt(n) / np.linalg.norm(found)
-    whole = np.round(found)
-    found = np.where(np.abs(found - whole) <= 1e-12 * np.max(np.abs(found)), whole, found)
-    scale = max(float(np.max(np.abs(b))), float(np.max(np.abs(advections))), 1.0)
-    residual = max(
-        float(np.max(np.abs(found @ b - b @ found))),
-        float(np.max(np.abs(found @ advections - images @ found))),
-    )
-    return found if residual <= 1e-12 * scale else None
+        found *= np.sqrt(n) / np.linalg.norm(found)
+        whole = np.round(found)
+        found = np.where(np.abs(found - whole) <= 1e-12 * np.max(np.abs(found)), whole, found)
+        commutator, advection, conditioning = lift_residuals(found, b, advections, images)
+        if conditioning >= 1e-6:
+            return found if max(commutator, advection) <= 1e-12 else None
+    return None
 
 
 def check_condition_S(system: HyperbolicSystem) -> ConditionReport:
@@ -521,10 +543,12 @@ def check_condition_S(system: HyperbolicSystem) -> ConditionReport:
 
     ``S B = B S`` and ``S A^j = -A^j S`` say ``E(-ik) = S E(ik) S^-1``: ``S``
     lifts ``k -> -k``.  The system's symmetry matrix is verified when it
-    carries one; otherwise :func:`lift_axis_map` of ``-I`` is.  Either passes
-    when ``sigma_min >= 1e-10 sigma_max`` and the commutator and
-    anticommutator are at most ``1e-8`` relative to the coefficients.  The
-    certificate stores the matrix.
+    carries one; otherwise :func:`lift_axis_map` of ``-I`` is.  Either is
+    measured by :func:`lift_residuals`, which scales it to Frobenius norm
+    ``sqrt(n)``, and passes when ``sigma_min >= 1e-10 sigma_max`` and the
+    commutator and anticommutator are at most ``1e-8`` relative to the
+    coefficients; a zero ``S`` is singular and fails.  The certificate
+    stores the matrix as given or found.
     """
     s = system.symmetry
     source = "provided"
@@ -536,22 +560,19 @@ def check_condition_S(system: HyperbolicSystem) -> ConditionReport:
                 passed=False,
                 summary="no invertible symmetry found in the constraint solution space",
             )
-    b = system.relaxation
-    scale = 1.0 + float(np.max(np.abs(b))) + max(
-        float(np.max(np.abs(a))) for a in system.advections
+    advections = np.stack(system.advections)
+    commutator, anticommutator, conditioning = lift_residuals(
+        s, system.relaxation, advections, -advections
     )
-    commutator = float(np.max(np.abs(s @ b - b @ s)))
-    anticommutator = max(float(np.max(np.abs(s @ a + a @ s))) for a in system.advections)
-    singulars = np.linalg.svd(s, compute_uv=False)
-    invertible = singulars[-1] >= 1e-10 * singulars[0]
-    passed = invertible and commutator <= 1e-8 * scale and anticommutator <= 1e-8 * scale
+    invertible = conditioning >= 1e-10
+    passed = invertible and commutator <= 1e-8 and anticommutator <= 1e-8
+    summary = f"{source} symmetry: commutator {commutator:.2e}, anticommutator {anticommutator:.2e}"
+    if not invertible:
+        summary += f", singular (sigma_min / sigma_max {conditioning:.2e})"
     return ConditionReport(
         condition="S",
         passed=bool(passed),
-        summary=(
-            f"{source} symmetry: commutator {commutator:.2e}, "
-            f"anticommutator {anticommutator:.2e}"
-        ),
+        summary=summary,
         data={
             "symmetry": s.tolist(),
             "commutator_residual": commutator,

@@ -10,8 +10,9 @@ computes their Taylor coefficients two independent ways:
   ``P0``, nilpotent ``N0`` and reduced resolvent ``Q0``
   (:func:`total_projection_series`);
 * arbitrary order by contour quadrature of resolvent products summed over
-  compositions of the order (:func:`simple_eigenvalue_series`,
-  :func:`weighted_mean_series`).
+  compositions of the order (:func:`projection_coefficients`), and from
+  those the weighted mean of the group's eigenvalues
+  (:func:`weighted_mean_series`), which for a simple group is its branch.
 
 The quadrature route needs no structure beyond isolation of the group, so it
 doubles as the oracle for the closed forms.  The unperturbed group, and each
@@ -19,6 +20,8 @@ part of it split off by :func:`reduce_semisimple_group` from its first-order
 restriction, is a :class:`~hyprelax.linalg.SpectralGroup` built by
 :func:`~hyprelax.linalg.spectral_group`.  :func:`partition_derivative`
 differentiates ``exp(polynomial)`` by summing over set partitions.
+:func:`symmetry_vanishing_check` measures its reversal symmetry with
+:func:`~hyprelax.model.lift_residuals`.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ from .linalg import (
     reduced_resolvent,
     spectral_group,
 )
+from .model import lift_residuals
 
 __all__ = [
     "PerturbationError",
     "NotAnEigenvalueError",
-    "NotSimpleError",
     "NotSemisimpleError",
     "PreconditionViolatedError",
     "OrderTooLargeError",
@@ -50,7 +53,6 @@ __all__ = [
     "SymmetryCheckResult",
     "total_projection_series",
     "projection_coefficients",
-    "simple_eigenvalue_series",
     "weighted_mean_series",
     "reduce_semisimple_group",
     "symmetry_vanishing_check",
@@ -59,6 +61,9 @@ __all__ = [
 
 MAX_SERIES_ORDER = 6
 
+# The largest odd coefficient that :func:`symmetry_vanishing_check` accepts.
+_ODD_BOUND = 1e-9
+
 
 class PerturbationError(Exception):
     """Base class for errors raised by this module."""
@@ -66,10 +71,6 @@ class PerturbationError(Exception):
 
 class NotAnEigenvalueError(PerturbationError):
     """The reference value is not within clustering tolerance of sigma(T0)."""
-
-
-class NotSimpleError(PerturbationError):
-    """The eigenvalue group has multiplicity greater than one."""
 
 
 class NotSemisimpleError(PerturbationError):
@@ -104,10 +105,6 @@ class PerturbationFamily:
     @property
     def degree(self) -> int:
         return len(self.terms) - 1
-
-    @property
-    def is_linear(self) -> bool:
-        return all(np.all(t == 0) for t in self.terms[2:])
 
     def term(self, j: int) -> np.ndarray:
         """Coefficient matrix of ``z^j`` (zero beyond the stored degree)."""
@@ -246,16 +243,19 @@ def projection_coefficients(
     closed second-order forms.
 
     Raises:
+        ValueError: if ``order`` is below 1.
         OrderTooLargeError: if ``order`` exceeds ``MAX_SERIES_ORDER``.
     """
-    if order > MAX_SERIES_ORDER:
-        raise OrderTooLargeError(f"order {order} exceeds the supported {MAX_SERIES_ORDER}")
     return _projection_series(family, _base_group(family, lam0), order)
 
 
 def _projection_series(
     family: PerturbationFamily, group: SpectralGroup, order: int
 ) -> list[np.ndarray]:
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if order > MAX_SERIES_ORDER:
+        raise OrderTooLargeError(f"order {order} exceeds the supported {MAX_SERIES_ORDER}")
     resolvents = _resolvent_factory(family.terms[0])
     coefficients = [group.projection]
     for j in range(1, order + 1):
@@ -279,57 +279,25 @@ def _projection_series(
     return coefficients
 
 
-def simple_eigenvalue_series(
-    family: PerturbationFamily, lam0: complex, order: int = 4
-) -> np.ndarray:
-    """Taylor coefficients of the eigenvalue branch through a simple ``lam0``.
-
-    Returns ``[lam0, lam1, ..., lam_order]`` with
-    ``lam_j = trace(T1 @ P_{j-1}) / j``, valid for linear pencils.
-
-    Raises:
-        NotSimpleError: if the group at ``lam0`` is degenerate.
-        PreconditionViolatedError: if the family has terms beyond ``T1``.
-        OrderTooLargeError: if ``order`` exceeds ``MAX_SERIES_ORDER``.
-    """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if order > MAX_SERIES_ORDER:
-        raise OrderTooLargeError(f"order {order} exceeds the supported {MAX_SERIES_ORDER}")
-    if not family.is_linear:
-        raise PreconditionViolatedError(
-            "the trace recursion for a simple branch requires a linear pencil"
-        )
-    group = _base_group(family, lam0)
-    if group.multiplicity != 1:
-        raise NotSimpleError(
-            f"eigenvalue {lam0} has multiplicity {group.multiplicity}"
-        )
-    projections = _projection_series(family, group, order - 1)
-    t1 = family.terms[1]
-    coeffs = np.empty(order + 1, dtype=complex)
-    coeffs[0] = group.value
-    for j in range(1, order + 1):
-        coeffs[j] = np.trace(t1 @ projections[j - 1]) / j
-    return coeffs
-
-
 def weighted_mean_series(
     family: PerturbationFamily, lam0: complex, order: int = 2
 ) -> np.ndarray:
-    """Coefficients of the weighted mean of a perturbed eigenvalue group.
+    """Coefficients ``[lam0, hat_lam_1, ..., hat_lam_order]`` of the weighted
+    mean of a perturbed eigenvalue group.
 
     The weighted mean ``(1/m) trace(T(z) P(z))`` over the group of
-    multiplicity ``m`` is analytic even when the group splits.  Coefficients
-    are assembled from the projection series via
+    multiplicity ``m`` is analytic even when the group splits; for a simple
+    group (``m = 1``) it is the eigenvalue branch itself (Kato, II §2).
+    Coefficients are assembled from the projection series via
     ``m * hat_lam_j = sum_{i+l=j} trace(T_i_shifted @ P_l)`` with
     ``T_0_shifted = T0 - lam0``; this handles families with higher terms and
     defective groups.
+
+    Raises:
+        NotAnEigenvalueError: if ``lam0`` is not in the spectrum of ``T0``.
+        ValueError: if ``order`` is below 1.
+        OrderTooLargeError: if ``order`` exceeds ``MAX_SERIES_ORDER``.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if order > MAX_SERIES_ORDER:
-        raise OrderTooLargeError(f"order {order} exceeds the supported {MAX_SERIES_ORDER}")
     group = _base_group(family, lam0)
     projections = _projection_series(family, group, order)
     shifted0 = family.terms[0] - group.value * np.eye(family.dim)
@@ -385,45 +353,41 @@ def symmetry_vanishing_check(
     lam0: complex = 0.0,
     *,
     order: int = 3,
-    threshold: float = 1e-9,
 ) -> SymmetryCheckResult:
     """Verify that a reversal symmetry kills the odd eigenvalue coefficients.
 
-    An invertible ``s`` with ``s T0 = T0 s`` and ``s T1 = -T1 s`` conjugates
-    ``T(z)`` to ``T(-z)``, so the branch through a simple ``lam0`` is even in
-    ``z``.  The check computes the series through ``order`` and tests the odd
-    coefficients against ``threshold``.
+    An invertible ``s`` with ``s T_j = (-1)^j T_j s`` for every term
+    conjugates ``T(z)`` to ``T(-z)``, so the weighted mean of the group at
+    ``lam0`` (:func:`weighted_mean_series`), which is the branch when the
+    group is simple, is even in ``z``.  The check computes it through
+    ``order`` and passes when every odd coefficient is at most ``1e-9``.
+    ``commutator_residual`` is that of ``T0`` and ``anticommutator_residual``
+    the largest of the other terms, both from
+    :func:`~hyprelax.model.lift_residuals`.
 
     Raises:
-        PreconditionViolatedError: if ``s`` is singular or the (anti)
-            commutation residuals are not at rounding level.
+        PreconditionViolatedError: if ``sigma_min / sigma_max`` of ``s`` is
+            below ``1e-12`` or a residual exceeds ``1e-8``.
     """
-    s = np.asarray(s)
-    t0, t1 = family.terms[0], family.terms[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_condition = float(np.linalg.cond(s))
-    if not s_condition < 1e12:
+    higher = family.terms[1:]
+    images = [(-1) ** j * term for j, term in enumerate(higher, start=1)]
+    commutator, anticommutator, conditioning = lift_residuals(s, family.terms[0], higher, images)
+    if conditioning < 1e-12:
         raise PreconditionViolatedError(
-            f"symmetry matrix is numerically singular (condition {s_condition:.3e})"
+            f"symmetry matrix is numerically singular (sigma_min / sigma_max {conditioning:.3e})"
         )
-    scale = 1.0 + float(np.linalg.norm(s)) * (
-        float(np.linalg.norm(t0)) + float(np.linalg.norm(t1))
-    )
-    commutator = float(np.linalg.norm(s @ t0 - t0 @ s))
-    anticommutator = float(np.linalg.norm(s @ t1 + t1 @ s))
-    if commutator > 1e-8 * scale:
+    if commutator > 1e-8:
         raise PreconditionViolatedError(
             f"symmetry does not commute with the base term (residual {commutator:.3e})"
         )
-    if anticommutator > 1e-8 * scale:
+    if anticommutator > 1e-8:
         raise PreconditionViolatedError(
-            f"symmetry does not anticommute with the first-order term (residual {anticommutator:.3e})"
+            f"symmetry does not map T(z) to T(-z) (residual {anticommutator:.3e})"
         )
-    coefficients = simple_eigenvalue_series(family, lam0, order)
-    odd = np.abs(coefficients[1::2])
-    odd_residual = float(odd.max()) if odd.size else 0.0
+    coefficients = weighted_mean_series(family, lam0, order)
+    odd_residual = float(np.max(np.abs(coefficients[1::2])))
     return SymmetryCheckResult(
-        passed=bool(odd_residual <= threshold),
+        passed=bool(odd_residual <= _ODD_BOUND),
         coefficients=coefficients,
         odd_residual=odd_residual,
         commutator_residual=commutator,

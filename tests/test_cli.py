@@ -45,6 +45,21 @@ def failing_path(tmp_path):
     return path
 
 
+@pytest.fixture()
+def zero_symmetry_path(tmp_path):
+    # A zero S meets S B = B S and S A = -A S, but it is no symmetry.
+    path = tmp_path / "zero_symmetry.json"
+    system = {
+        "d": 1,
+        "n": 2,
+        "A": [[[1, 0], [0, 2]]],
+        "B": [[0.5, -0.5], [-0.5, 0.5]],
+        "S": [[0, 0], [0, 0]],
+    }
+    path.write_text(json.dumps(system))
+    return path
+
+
 def write_run_config(tmp_path, system_path, **extra) -> str:
     payload = {
         "system": str(system_path),
@@ -81,6 +96,13 @@ class TestCheck:
         assert main(["check", str(failing_path), "--out", str(out)]) == 2
         payload = json.loads((out / "conditions.json").read_text())
         assert not payload["D"]["passed"]
+
+    def test_zero_symmetry_exits_2(self, tmp_path, zero_symmetry_path, capsys):
+        out = tmp_path / "out"
+        assert main(["check", str(zero_symmetry_path), "--out", str(out)]) == 2
+        assert "condition S: FAIL" in capsys.readouterr().out
+        payload = json.loads((out / "conditions.json").read_text())
+        assert not payload["S"]["passed"]
 
     def test_needs_a_system_source(self, tmp_path):
         assert main(["check", "--out", str(tmp_path)]) == 3
@@ -286,6 +308,14 @@ class TestRun:
     def test_condition_failure_exits_2(self, tmp_path, failing_path):
         config = write_run_config(tmp_path, failing_path)
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
+
+    def test_psi_without_a_symmetry_exits_2(self, tmp_path, zero_symmetry_path, capsys):
+        config = json.loads((CONFIGS / "gk_decay.json").read_text())
+        config.update(system=str(zero_symmetry_path), profile="psi")
+        path = tmp_path / "psi.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "condition S fails" in capsys.readouterr().err
 
     def test_wrap_guard_exits_3(self, tmp_path, gk_path):
         config = write_run_config(

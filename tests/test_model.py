@@ -542,6 +542,25 @@ class TestConditionS:
         assert set(report.witness) == {"commutator", "anticommutator"}
         assert report.witness["anticommutator"] == report.data["anticommutator_residual"] > 0
 
+    @pytest.mark.parametrize(
+        "symmetry, passed",
+        [
+            (np.zeros((2, 2)), False),
+            (1e-300 * np.eye(2), False),
+            (1e-300 * np.array([[0.0, 1.0], [1.0, 0.0]]), True),
+        ],
+    )
+    def test_scale_of_provided_symmetry_is_ignored(self, symmetry, passed):
+        # S is measured at Frobenius norm sqrt(n): a zero S is singular, and a
+        # tiny S is judged as the matrix it is a multiple of.
+        system = goldstein_kac_1d()
+        scaled = HyperbolicSystem(
+            advections=system.advections, relaxation=system.relaxation, symmetry=symmetry
+        )
+        report = check_condition_S(scaled)
+        assert report.passed is passed
+        assert ("singular" in report.summary) == (not symmetry.any())
+
     def test_search_finds_symmetry(self):
         system = bare(goldstein_kac_1d())
         report = check_condition_S(system)

@@ -6,18 +6,17 @@ from hyprelax.perturbation import (
     MAX_SERIES_ORDER,
     NotAnEigenvalueError,
     NotSemisimpleError,
-    NotSimpleError,
     OrderTooLargeError,
     PerturbationFamily,
     PreconditionViolatedError,
     partition_derivative,
     projection_coefficients,
     reduce_semisimple_group,
-    simple_eigenvalue_series,
     symmetry_vanishing_check,
     total_projection_series,
     weighted_mean_series,
 )
+from hyprelax.systems import damped_euler_2d
 
 # Two-speed exchange pencil: T(z) = T0 + z T1 with the branch through 0 equal
 # to (1 - sqrt(1 + 4 z^2)) / 2 = -z^2 + z^4 - 2 z^6 + ...
@@ -58,12 +57,11 @@ class TestPerturbationFamily:
         z = 0.37
         direct = sum(z**j * t for j, t in enumerate(terms))
         assert_allclose(family.evaluate(z), direct, atol=1e-14)
-        assert family.degree == 3 and not family.is_linear
+        assert family.degree == 3
 
     def test_term_beyond_degree_is_zero(self):
         family = exchange_family()
         assert np.all(family.term(5) == 0)
-        assert family.is_linear
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -73,20 +71,23 @@ class TestPerturbationFamily:
 
 
 class TestSimpleEigenvalueSeries:
+    """:func:`weighted_mean_series` on simple groups, where the weighted mean
+    is the eigenvalue branch itself."""
+
     def test_two_level_closed_form(self):
         # T0 = diag(0, 1), T1 = [[a, b], [c, d]]: lam1 = a, lam2 = -bc.
         family = PerturbationFamily(np.diag([0.0, 1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
-        coeffs = simple_eigenvalue_series(family, 0.0, order=2)
+        coeffs = weighted_mean_series(family, 0.0, order=2)
         assert_allclose(coeffs, [0.0, 1.0, -6.0], atol=1e-10)
 
     def test_exchange_branch_closed_form(self):
-        coeffs = simple_eigenvalue_series(exchange_family(), 0.0, order=MAX_SERIES_ORDER)
+        coeffs = weighted_mean_series(exchange_family(), 0.0, order=MAX_SERIES_ORDER)
         assert_allclose(coeffs, [0.0, 0.0, -1.0, 0.0, 1.0, 0.0, -2.0], atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_truncation_error_order(self, seed):
         family, lam0 = random_simple_pencil(seed)
-        coeffs = simple_eigenvalue_series(family, lam0, order=3)
+        coeffs = weighted_mean_series(family, lam0, order=3)
         z = np.geomspace(1e-3, 1e-2, 6)
         for order in (1, 2, 3):
             partial = np.array(
@@ -98,23 +99,13 @@ class TestSimpleEigenvalueSeries:
             slope = fitted_slope(z, np.abs(exact - partial))
             assert slope > order + 0.7
 
-    def test_degenerate_group_rejected(self):
-        family = PerturbationFamily(np.diag([0.0, 0.0, 1.0]), np.eye(3))
-        with pytest.raises(NotSimpleError):
-            simple_eigenvalue_series(family, 0.0)
-
-    def test_nonlinear_family_rejected(self):
-        family = PerturbationFamily(np.diag([0.0, 1.0]), np.eye(2), (np.eye(2),))
-        with pytest.raises(PreconditionViolatedError):
-            simple_eigenvalue_series(family, 0.0)
-
     def test_unknown_eigenvalue_rejected(self):
         with pytest.raises(NotAnEigenvalueError):
-            simple_eigenvalue_series(exchange_family(), 0.3)
+            weighted_mean_series(exchange_family(), 0.3)
 
     def test_order_cap(self):
         with pytest.raises(OrderTooLargeError):
-            simple_eigenvalue_series(exchange_family(), 0.0, order=MAX_SERIES_ORDER + 1)
+            weighted_mean_series(exchange_family(), 0.0, order=MAX_SERIES_ORDER + 1)
 
 
 class TestProjectionSeries:
@@ -203,12 +194,6 @@ class TestWeightedMeanSeries:
         model = np.array([coeffs[0] + coeffs[1] * zz + coeffs[2] * zz**2 for zz in z])
         assert fitted_slope(z, np.abs(exact - model)) > 2.7
 
-    def test_simple_group_agrees_with_simple_series(self):
-        family, lam0 = random_simple_pencil(17)
-        simple = simple_eigenvalue_series(family, lam0, order=2)
-        mean = weighted_mean_series(family, lam0, order=2)
-        assert_allclose(mean, simple, atol=1e-8)
-
     def test_quadratic_family_mean(self):
         rng = np.random.default_rng(29)
         family = PerturbationFamily(
@@ -286,6 +271,27 @@ class TestSymmetryVanishing:
     def test_singular_symmetry_rejected(self):
         with pytest.raises(PreconditionViolatedError):
             symmetry_vanishing_check(exchange_family(), np.zeros((2, 2)), 0.0)
+
+    def test_degenerate_group_passes(self):
+        # B + z A(w) of damped Euler has the double eigenvalue 1 at z = 0.
+        system = damped_euler_2d()
+        advection = 0.6 * system.advections[0] + 0.8 * system.advections[1]
+        family = PerturbationFamily(system.relaxation, advection)
+        result = symmetry_vanishing_check(family, system.symmetry, 1.0)
+        assert result.passed
+        assert result.odd_residual <= 1e-9
+        assert result.coefficients[0] == pytest.approx(1.0)
+
+    def test_quadratic_family(self):
+        # SWAP commutes with I, so it maps T0 + z T1 + z^2 I to T(-z); it
+        # anticommutes with T1, so it does not map T0 + z T1 + z^2 T1 to T(-z).
+        family = PerturbationFamily(EXCHANGE_T0, EXCHANGE_T1, (np.eye(2),))
+        result = symmetry_vanishing_check(family, SWAP, 0.0, order=5)
+        assert result.passed
+        assert result.coefficients[2] == pytest.approx(0.0, abs=1e-9)
+        family = PerturbationFamily(EXCHANGE_T0, EXCHANGE_T1, (EXCHANGE_T1,))
+        with pytest.raises(PreconditionViolatedError):
+            symmetry_vanishing_check(family, SWAP, 0.0)
 
 
 class TestPartitionDerivative:
