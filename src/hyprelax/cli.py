@@ -119,10 +119,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     payload = {}
     all_passed = True
     for name, report in sorted(reports.items()):
-        verdict = "pass" if report.passed else "FAIL"
+        verdict = {True: "pass", False: "FAIL", None: "not decided"}[report.passed]
         print(f"condition {name}: {verdict} ({report.summary})")
         payload[name] = {"passed": report.passed, "summary": report.summary}
-        all_passed = all_passed and report.passed
+        all_passed = all_passed and report.passed is not False
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _write_output(args.out, "conditions.json", text)
     return PASS_EXIT if all_passed else CONDITION_EXIT

@@ -1,14 +1,17 @@
 """System definitions and structural condition checks.
 
 A first-order system ``d_t u + sum_j A_j d_j u + B u = 0`` is described by
-its advection matrices, its relaxation matrix, and optionally a closed-form
-diagonalizer ``R(w)`` of ``A(w) = sum_j w_j A_j``, which only condition R
-reads, and a reversal symmetry ``S``.  The checkers sample the unit sphere
-(and a log-radial frequency grid) and return structured pass/fail reports
-with certificates or witness points; they never raise on a mere failure of
-the condition, only on inputs that make the check itself impossible.
-Condition A reads its affine branches in closed form from one eigen-system:
-the gradient and Hessian trace of each cluster mean at a base direction.
+its advection matrices, its relaxation matrix, and optionally a reversal
+symmetry ``S``.  The checkers sample the unit sphere (and a log-radial
+frequency grid) and return structured pass/fail reports (R may be not
+decided) with certificates or witness points; they never raise on a mere
+failure of the condition, only on inputs that make the check itself
+impossible.  One sphere table per system (:class:`SphereTable`) holds the
+eigen-analysis of ``A(w)`` on the sphere sample and condition A's affine
+branches, read in closed form from one eigen-system: the gradient and
+Hessian trace of each cluster mean at a base direction.  Conditions A and R
+(whose diagonalizer is found from the table's eigenvectors) and
+:func:`max_wave_speed` read that table.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import json
 import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -26,11 +29,10 @@ from .linalg import cluster_labels, cluster_tolerance, eigendecompose
 
 __all__ = [
     "ModelError",
-    "MissingDiagonalizerError",
     "SystemFileError",
     "HyperbolicSystem",
+    "SphereTable",
     "ConditionReport",
-    "SampledDiagonalizer",
     "sphere_samples",
     "max_wave_speed",
     "advection_spectrum",
@@ -54,10 +56,6 @@ class ModelError(Exception):
     """Base class for errors raised by this module."""
 
 
-class MissingDiagonalizerError(ModelError):
-    """A check that needs the closed-form diagonalizer was called without one."""
-
-
 class SystemFileError(ModelError):
     """A system definition file is malformed."""
 
@@ -67,15 +65,12 @@ class HyperbolicSystem:
     """Constant-coefficient system ``d_t u + sum_j A_j d_j u + B u = 0``.
 
     ``advections`` holds the ``A_j`` (one per space dimension), ``relaxation``
-    is ``B``.  ``diagonalizer``, when present, maps a unit direction ``w`` to
-    an invertible ``R(w)`` with ``R(w)^{-1} A(w) R(w)`` diagonal.
-    ``symmetry``, when present, commutes with ``B`` and anticommutes with
-    every ``A_j``.
+    is ``B``.  ``symmetry``, when present, commutes with ``B`` and
+    anticommutes with every ``A_j``.
     """
 
     advections: tuple[np.ndarray, ...]
     relaxation: np.ndarray
-    diagonalizer: Callable[[np.ndarray], np.ndarray] | None = None
     symmetry: np.ndarray | None = None
     name: str = ""
 
@@ -126,44 +121,28 @@ class HyperbolicSystem:
         out += self.relaxation
         return out
 
+    @cached_property
+    def sphere(self) -> SphereTable:
+        """The system's one sphere table, computed on first use."""
+        return _sphere_table(self)
+
 
 @dataclass(frozen=True)
 class ConditionReport:
     """Outcome of one structural condition check.
 
-    ``data`` carries the certificate (fitted branch coefficients, constant
-    relaxation matrix, dissipation constant, found symmetry, ...); on
-    failure ``witness`` localizes a violating sample.  All values are plain
-    Python scalars and lists so reports serialize directly.
+    ``passed`` is None when the check cannot decide; ``summary`` then says
+    why.  ``data`` carries the certificate (fitted branch coefficients,
+    constant relaxation matrix, dissipation constant, found symmetry, ...);
+    on failure ``witness`` localizes a violating sample.  All values are
+    plain Python scalars and lists so reports serialize directly.
     """
 
     condition: str
-    passed: bool
+    passed: bool | None
     summary: str
     data: dict = field(default_factory=dict)
     witness: dict | None = None
-
-
-class SampledDiagonalizer:
-    """Diagonalizer given by a finite table of (direction, matrix) samples."""
-
-    def __init__(self, directions: np.ndarray, matrices: np.ndarray):
-        self.directions = np.asarray(directions, dtype=float)
-        self.matrices = np.asarray(matrices, dtype=float)
-        if self.directions.ndim != 2 or self.matrices.ndim != 3:
-            raise ValueError("expected directions (m, d) and matrices (m, n, n)")
-        if self.directions.shape[0] != self.matrices.shape[0]:
-            raise ValueError("direction and matrix counts differ")
-
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        distances = np.linalg.norm(self.directions - w, axis=1)
-        nearest = int(np.argmin(distances))
-        if distances[nearest] > 1e-9:
-            raise MissingDiagonalizerError(
-                f"no stored diagonalizer sample at direction {w} (nearest is {distances[nearest]:.3e} away)"
-            )
-        return self.matrices[nearest]
 
 
 def sphere_samples(dimension: int, count: int = 512) -> np.ndarray:
@@ -189,12 +168,6 @@ def sphere_samples(dimension: int, count: int = 512) -> np.ndarray:
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def max_wave_speed(system: HyperbolicSystem) -> float:
-    """Largest modulus of an eigenvalue of ``A(w)`` over 128 sphere samples."""
-    advections = system.advection(sphere_samples(system.dimension, 128))
-    return float(np.max(np.abs(np.linalg.eigvals(advections))))
-
-
 def advection_spectrum(system: HyperbolicSystem, directions: np.ndarray) -> tuple:
     """One batched ``eig`` of ``A(w)`` over a stack of directions ``(..., d)``.
 
@@ -212,44 +185,37 @@ def advection_spectrum(system: HyperbolicSystem, directions: np.ndarray) -> tupl
     return values, vectors, labels == np.arange(system.size)
 
 
-def check_condition_A(system: HyperbolicSystem) -> ConditionReport:
-    """Check uniform diagonalizability with eigenvalues affine in direction.
+@dataclass(frozen=True)
+class SphereTable:
+    """Condition A's eigen-analysis of ``A(w)``, one per system: ``values`` and
+    ``vectors`` are :func:`advection_spectrum` at the 512 ``directions`` of
+    :func:`sphere_samples`, ``report`` is condition A's report, and ``nu``
+    holds A's branches ``(nu_0, nu)`` as rows (None when an eigenvalue is not
+    real), ordered by their coefficients rounded to the fit ``tolerance``, so
+    equal branches are adjacent."""
 
-    The base is the sample of :func:`advection_spectrum` with the most
-    clusters, then the widest gap between clusters.  ``A(x)`` is linear in
-    ``x``, so a branch ``nu_0 + nu . w`` on the sphere extends to
-    ``nu_0 |x| + nu . x``: at the base ``w0`` its gradient is ``nu_0 w0 + nu``
-    and its Hessian trace ``(d - 1) nu_0``.  Both are read in closed form
-    from the base's eigen-system: with ``V`` its eigenvector matrix and
-    ``C_j = V^-1 A_j V``, a cluster ``c`` of ``m_c`` values has the mean
-    gradient ``mean_{i in c} C_j[i, i]`` and the mean Hessian trace
-    ``(2 / m_c) sum_j sum_{i in c, k not in c} C_j[i, k] C_j[k, i] / (l_i - l_k)``,
-    and gives ``m_c`` equal branches.  A singular ``V`` is pseudo-inverted;
-    its condition number fails it.  In one dimension the sorted eigenvalues
-    at ``w = +-1`` are fitted.  The sorted branch values must match the
-    sorted eigenvalues at every sample, which needs no branch labels.  The
-    certificate stores the ``(d + 1)``-vector of coefficients per branch, and
-    ``diagonalizer_condition`` the worst condition number of the eigenvector
-    matrices of ``A(w)``.
-    """
+    directions: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+    tolerance: float
+    nu: np.ndarray | None
+    report: ConditionReport
+
+
+def _sphere_table(system: HyperbolicSystem) -> SphereTable:
+    """The sphere table of ``system``; :func:`check_condition_A` describes its fit."""
     directions = sphere_samples(system.dimension)
     m = directions.shape[0]
-    n = system.size
     scale = 1.0 + float(np.max(np.abs(system.advection(directions))))
     fit_tolerance = 1e-6 * scale
     raw_values, raw_vectors, starts = advection_spectrum(system, directions)
-    imag_peak = float(np.max(np.abs(raw_values.imag)))
-    if imag_peak > 1e-7 * scale:
-        worst = int(np.argmax(np.abs(raw_values.imag).max(axis=1)))
-        return ConditionReport(
-            condition="A",
-            passed=False,
-            summary="A(w) has non-real eigenvalues",
-            witness={
-                "direction": directions[worst].tolist(),
-                "imaginary_part": imag_peak,
-            },
-        )
+    imaginary = np.abs(raw_values.imag).max(axis=1)
+    if np.max(imaginary) > 1e-7 * scale:
+        worst = int(np.argmax(imaginary))
+        peak = float(imaginary[worst])
+        witness = {"direction": directions[worst].tolist(), "imaginary_part": peak}
+        report = ConditionReport("A", False, "A(w) has non-real eigenvalues", witness=witness)
+        return SphereTable(directions, raw_values, raw_vectors, fit_tolerance, None, report)
     with np.errstate(divide="ignore", invalid="ignore"):
         max_condition = float(np.max(np.linalg.cond(raw_vectors)))
     values = raw_values.real
@@ -274,105 +240,188 @@ def check_condition_A(system: HyperbolicSystem) -> ConditionReport:
     # rounding noise in an entry all branches share (nu_0 = 0 for the
     # three-velocity model) cannot decide the order.
     keys = np.round(coefficients / fit_tolerance)
-    coefficients = coefficients[:, np.lexsort(keys[::-1])]
-
+    nu = coefficients[:, np.lexsort(keys[::-1])].T
     residual = float(np.max(misfit))
     affine_ok = residual <= fit_tolerance
     condition_ok = max_condition < 1e6
-    nu = coefficients.T
     witness = None
     if not affine_ok:
         worst = int(np.argmax(misfit.max(axis=1)))
         witness = {"direction": directions[worst].tolist(), "fit_residual": residual}
     elif not condition_ok:
         witness = {"diagonalizer_condition": max_condition}
-    return ConditionReport(
+    report = ConditionReport(
         condition="A",
         passed=bool(affine_ok and condition_ok),
         summary=(
-            f"{n} affine branches, fit residual {residual:.2e}, "
+            f"{system.size} affine branches, fit residual {residual:.2e}, "
             f"diagonalizer condition {max_condition:.2e}"
         ),
-        data={
-            "nu": nu.tolist(),
-            "fit_residual": residual,
-            "diagonalizer_condition": max_condition,
-            "samples": m,
-        },
+        data={"nu": nu.tolist(), "fit_residual": residual, "samples": m,
+              "diagonalizer_condition": max_condition},
         witness=witness,
     )
+    return SphereTable(directions, raw_values, raw_vectors, fit_tolerance, nu, report)
+
+
+def max_wave_speed(system: HyperbolicSystem) -> float:
+    """Largest ``|lambda|`` of ``A(w)`` on the unit sphere: exactly
+    ``max_j |nu_0j| + |nu_j|`` over condition A's branches when A passes,
+    else the sphere table's largest ``|lambda|``."""
+    table = system.sphere
+    if table.report.passed:
+        return float(np.max(np.abs(table.nu[:, 0]) + np.linalg.norm(table.nu[:, 1:], axis=1)))
+    return float(np.max(np.abs(table.values)))
+
+
+def check_condition_A(system: HyperbolicSystem) -> ConditionReport:
+    """Check uniform diagonalizability with eigenvalues affine in direction.
+
+    The report is the sphere table's (:attr:`HyperbolicSystem.sphere`).  Its
+    base is the sample of :func:`advection_spectrum` with the most clusters,
+    then the widest gap between clusters.  ``A(x)`` is linear in ``x``, so a
+    branch ``nu_0 + nu . w`` on the sphere extends to ``nu_0 |x| + nu . x``:
+    at the base ``w0`` its gradient is ``nu_0 w0 + nu`` and its Hessian
+    trace ``(d - 1) nu_0``.  Both are read in closed form from the base's
+    eigen-system: with ``V`` its eigenvector matrix and
+    ``C_j = V^-1 A_j V``, a cluster ``c`` of ``m_c`` values has the mean
+    gradient ``mean_{i in c} C_j[i, i]`` and the mean Hessian trace
+    ``(2 / m_c) sum_j sum_{i in c, k not in c} C_j[i, k] C_j[k, i] / (l_i - l_k)``,
+    and gives ``m_c`` equal branches.  A singular ``V`` is pseudo-inverted;
+    its condition number fails it.  In one dimension the sorted eigenvalues
+    at ``w = +-1`` are fitted.  The sorted branch values must match the
+    sorted eigenvalues at every sample, which needs no branch labels.  The
+    certificate stores the ``(d + 1)``-vector of coefficients per branch, and
+    ``diagonalizer_condition`` the worst condition number of the eigenvector
+    matrices of ``A(w)``.
+    """
+    return system.sphere.report
 
 
 def check_condition_R(system: HyperbolicSystem) -> ConditionReport:
-    """Check that ``R(w)`` diagonalizes ``A(w)`` and ``R(w)^{-1} B R(w)`` is constant.
+    """Check for a diagonalizer ``R(w)`` of ``A(w)`` with ``R(w)^-1 B R(w)`` constant.
 
-    At every sampled direction (the stored ones of a
-    :class:`SampledDiagonalizer`) ``cond(R(w))`` must be below ``1e6`` (a
-    singular ``R(w)`` fails here, before anything is solved with it), the
-    off-diagonal part of ``R(w)^{-1} A(w) R(w)`` at most ``1e-7`` relative
-    to the advection scale, and ``R(w)^{-1} B R(w)`` within ``1e-7``
-    (relative) of its value at the first direction.
-
-    Raises:
-        MissingDiagonalizerError: if the system has no diagonalizer.
+    ``R`` is built from the sphere table as README describes and judged by
+    :func:`_frame_report`.  In one dimension ``A(w) = w A_1``, so the
+    eigenvectors of ``A_1`` serve at both directions; in more, columns take
+    condition A's branch of their rank, skipping directions where distinct
+    branches cross.  R is not decided (``passed`` None) when A fails, when a
+    compression of ``B`` onto equal branches is not diagonalizable, or when a
+    part of equal branches and equal compressions has more than one member
+    and ``B`` couples it to the other columns.
     """
-    if system.diagonalizer is None:
-        raise MissingDiagonalizerError(
-            "condition R needs the diagonalizer R(w); none is attached to the system"
+    table = system.sphere
+    if not table.report.passed:
+        return ConditionReport("R", None, "condition A fails, and R reads its branches")
+    if system.dimension == 1:
+        frames = np.broadcast_to(table.vectors[0], table.vectors.shape)
+        return _frame_report(system, table.directions, frames, 0)
+    nu, n = table.nu, system.size
+    keys = np.round(nu / table.tolerance)
+    group = np.cumsum(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+    branches = nu[:, 0] + table.directions @ nu[:, 1:].T
+    rank = np.argsort(branches, axis=1, kind="stable")
+    # Values within the fit tolerance of their branches keep the branches'
+    # ranks where distinct branches are more than twice that apart.
+    close = np.diff(np.take_along_axis(branches, rank, axis=1), axis=1) <= 2 * table.tolerance
+    keep = ~np.any(close & (np.diff(group[rank], axis=1) != 0), axis=1)
+    skipped = int(np.sum(~keep))
+    undecided = {"skipped_directions": skipped}
+    if not keep.any():
+        return ConditionReport("R", None, "distinct branches cross at every direction", undecided)
+    columns = np.argsort(rank[keep], axis=1)[:, None, :]
+    frames = np.take_along_axis(table.vectors[keep], columns, axis=2).astype(complex)
+    shared = np.zeros(frames.shape[:2], dtype=bool)  # the column's part has other members
+    for members in np.split(np.arange(n), np.flatnonzero(np.diff(group)) + 1):
+        if members.size > 1:
+            block = frames[:, :, members]
+            compression = np.linalg.solve(frames, system.relaxation @ block)[:, members]
+            values, vectors = np.linalg.eig(compression)
+            order = np.lexsort((values.imag, values.real))
+            vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if not np.max(np.linalg.cond(vectors)) < 1e6:
+                    reason = "B compressed onto equal branches is not diagonalizable"
+                    return ConditionReport("R", None, reason, undecided)
+            frames[:, :, members] = block @ vectors
+            values = np.take_along_axis(values, order, axis=1)
+            labels = cluster_labels(values, cluster_tolerance(compression))
+            shared[:, members] = (labels[:, :, None] == labels[:, None, :]).sum(axis=2) > 1
+    conjugated = np.linalg.solve(frames, system.relaxation @ frames)
+    bound = 1e-7 * (1.0 + float(np.max(np.abs(conjugated))))
+    # The refined clusters are diagonal blocks of C(w), so only entries off
+    # the diagonal can couple a part to other columns.
+    coupled = (shared[:, :, None] | shared[:, None, :]) & ~np.eye(n, dtype=bool)
+    coupling = np.max(np.abs(conjugated) * coupled)
+    if coupling > bound:
+        reason = (
+            "B couples modes with equal branches and equal compressions to the others "
+            f"(coupling {coupling:.2e}), so their frame is not unique"
         )
-    if isinstance(system.diagonalizer, SampledDiagonalizer):
-        directions = system.diagonalizer.directions
-    else:
-        directions = sphere_samples(system.dimension)
-    frames = np.stack([np.asarray(system.diagonalizer(w), dtype=float) for w in directions])
+        return ConditionReport("R", None, reason, undecided)
+    base, scales = conjugated[0], np.ones(frames.shape[:2], dtype=complex)
+    weight = np.maximum(np.abs(base), np.abs(base.T))
+    reached = np.zeros(n, dtype=bool)
+    while not reached.all():
+        edges = np.where(reached[:, None] & ~reached, weight, 0.0)
+        i, j = np.unravel_index(np.argmax(edges), edges.shape)
+        if edges[i, j] <= bound:
+            reached[np.argmin(reached)] = True  # the root of the next component
+            continue
+        p, q = (i, j) if abs(base[i, j]) >= abs(base[j, i]) else (j, i)
+        # Scaled, C_pq(w) s_q / s_p = C_pq(w0).  An entry that vanishes at w
+        # keeps the ratio 1, and the deviation of C(w) shows it.
+        entry = conjugated[:, p, q]
+        ratio = np.where(np.abs(entry) > bound, entry, base[p, q]) / base[p, q]
+        scales[:, j] = scales[:, i] * (ratio if p == j else 1.0 / ratio)
+        reached[j] = True
+    return _frame_report(system, table.directions[keep], frames * scales[:, None, :], skipped)
+
+
+def _frame_report(system: HyperbolicSystem, directions, frames, skipped: int) -> ConditionReport:
+    """Condition R's rule for the frames ``R(w)`` at ``directions``: ``cond(R(w))``
+    below ``1e6`` (a singular ``R(w)`` fails here, before anything is solved
+    with it), the off-diagonal part of ``R(w)^-1 A(w) R(w)`` at most ``1e-7``
+    relative to the advection scale, and ``R(w)^-1 B R(w)`` within ``1e-7``
+    (relative) of its value at the first direction.  ``conjugated_relaxation``
+    is complex only when the frames are."""
     with np.errstate(divide="ignore", invalid="ignore"):
         conditions = np.linalg.cond(frames)
     max_condition = float(np.max(conditions))
     if not max_condition < 1e6:
-        worst = int(np.argmax(conditions))  # a NaN (zero R) counts as the worst
-        return ConditionReport(
-            condition="R",
-            passed=False,
-            summary=f"diagonalizer condition {max_condition:.2e} is not below 1e6",
-            data={"diagonalizer_condition": max_condition},
-            witness={
-                "direction": directions[worst].tolist(),
-                "diagonalizer_condition": max_condition,
-            },
-        )
+        worst = directions[np.argmax(conditions)].tolist()  # a NaN (zero R) counts as the worst
+        summary = f"diagonalizer condition {max_condition:.2e} is not below 1e6"
+        data = {"diagonalizer_condition": max_condition, "skipped_directions": skipped}
+        witness = {"direction": worst, "diagonalizer_condition": max_condition}
+        return ConditionReport("R", False, summary, data, witness)
     stacks = system.advection(directions)
     diagonalized = np.linalg.solve(frames, stacks @ frames)
     off_diagonal = np.max(np.abs(diagonalized * (1.0 - np.eye(system.size))), axis=(1, 2))
     conjugated = np.linalg.solve(frames, system.relaxation @ frames)
     reference = conjugated[0]
     deviations = np.max(np.abs(conjugated - reference), axis=(1, 2))
-    worst_off = float(np.max(off_diagonal))
-    worst = float(np.max(deviations))
+    worst_off, worst = float(np.max(off_diagonal)), float(np.max(deviations))
     witness = None
     if worst_off > 1e-7 * (1.0 + float(np.max(np.abs(stacks)))):
-        witness = {
-            "direction": directions[int(np.argmax(off_diagonal))].tolist(),
-            "off_diagonal_residual": worst_off,
-        }
+        worst_direction = directions[np.argmax(off_diagonal)].tolist()
+        witness = {"direction": worst_direction, "off_diagonal_residual": worst_off}
     elif worst > 1e-7 * (1.0 + float(np.max(np.abs(reference)))):
-        witness = {
-            "direction": directions[int(np.argmax(deviations))].tolist(),
-            "deviation": worst,
-        }
+        witness = {"direction": directions[np.argmax(deviations)].tolist(), "deviation": worst}
     return ConditionReport(
         condition="R",
         passed=witness is None,
         summary=(
-            f"max deviation of R(w)^-1 B R(w) across {directions.shape[0]} directions: "
-            f"{worst:.2e}, off-diagonal residual of R(w)^-1 A(w) R(w) {worst_off:.2e}, "
-            f"diagonalizer condition {max_condition:.2e}"
+            f"max deviation of R(w)^-1 B R(w) across {directions.shape[0]} directions ({skipped} "
+            f"skipped where branches cross): {worst:.2e}, off-diagonal residual of R(w)^-1 A(w) "
+            f"R(w) {worst_off:.2e}, diagonalizer condition {max_condition:.2e}"
         ),
         data={
-            "conjugated_relaxation": reference.tolist(),
+            "conjugated_relaxation": np.real_if_close(reference).tolist(),
             "reference_direction": directions[0].tolist(),
             "max_deviation": worst,
             "off_diagonal_residual": worst_off,
             "diagonalizer_condition": max_condition,
+            "skipped_directions": skipped,
         },
         witness=witness,
     )
@@ -585,14 +634,14 @@ def check_condition_S(system: HyperbolicSystem) -> ConditionReport:
 
 
 def check_all_conditions(system: HyperbolicSystem) -> dict[str, ConditionReport]:
-    """Run every applicable condition check; skips R without a diagonalizer."""
+    """Run every condition check; R only when A passes, since it reads A's branches."""
     reports = {
         "A": check_condition_A(system),
         "B": check_condition_B(system),
         "D": check_condition_D(system),
         "S": check_condition_S(system),
     }
-    if system.diagonalizer is not None:
+    if reports["A"].passed:
         reports["R"] = check_condition_R(system)
     return reports
 
@@ -697,14 +746,6 @@ _Matrix = tuple[tuple[float, ...], ...]
 
 
 @dataclass(frozen=True)
-class _DiagonalizerSample:
-    """One ``R_samples`` record: the diagonalizer ``R`` at direction ``w``."""
-
-    w: tuple[float, ...]
-    R: _Matrix
-
-
-@dataclass(frozen=True)
 class _SystemFile:
     """The system-file schema: field names are the JSON keys.  An absent
     optional key reads as None; a JSON ``null`` is refused."""
@@ -714,7 +755,6 @@ class _SystemFile:
     A: tuple[_Matrix, ...]
     B: _Matrix
     S: _Matrix = None
-    R_samples: tuple[_DiagonalizerSample, ...] = None
 
 
 def _array(key: str, value, shape: tuple[int, ...]) -> np.ndarray:
@@ -733,8 +773,7 @@ def load_system(path: str | Path) -> HyperbolicSystem:
 
     The schema (:class:`_SystemFile`) has integer keys ``d`` and ``n``, ``A``
     (list of ``d`` row-major ``n x n`` arrays), ``B`` (row-major ``n x n``),
-    and optional ``S`` (symmetry matrix) and ``R_samples`` (list of ``{"w":
-    direction, "R": matrix}`` records used to build a sampled diagonalizer).
+    and optional ``S`` (symmetry matrix).
     Unknown keys, non-numeric entries, ragged arrays and an ``A`` or ``B``
     whose Frobenius norm reaches ``1e147`` or ``1e150`` are rejected with a
     message naming the key.
@@ -761,30 +800,16 @@ def load_system(path: str | Path) -> HyperbolicSystem:
                 "largest modulus), which cluster_tolerance sums, must stay finite"
             )
     symmetry = None if spec.S is None else _array("S", spec.S, (n, n))
-    diagonalizer = None
-    if spec.R_samples is not None:
-        count = len(spec.R_samples)
-        if not count:
-            raise SystemFileError("invalid R_samples: expected a non-empty list of records")
-        diagonalizer = SampledDiagonalizer(
-            _array("R_samples.w", [sample.w for sample in spec.R_samples], (count, d)),
-            _array("R_samples.R", [sample.R for sample in spec.R_samples], (count, n, n)),
-        )
     return HyperbolicSystem(
         advections=tuple(advections),
         relaxation=relaxation,
-        diagonalizer=diagonalizer,
         symmetry=symmetry,
         name=Path(path).stem,
     )
 
 
 def dump_system(system: HyperbolicSystem, path: str | Path) -> None:
-    """Write a system definition file readable by :func:`load_system`.
-
-    A callable diagonalizer cannot be serialized and is dropped unless it is
-    a :class:`SampledDiagonalizer`.
-    """
+    """Write a system definition file readable by :func:`load_system`."""
     payload: dict = {
         "d": system.dimension,
         "n": system.size,
@@ -793,9 +818,4 @@ def dump_system(system: HyperbolicSystem, path: str | Path) -> None:
     }
     if system.symmetry is not None:
         payload["S"] = system.symmetry.tolist()
-    if isinstance(system.diagonalizer, SampledDiagonalizer):
-        payload["R_samples"] = [
-            {"w": w.tolist(), "R": r.tolist()}
-            for w, r in zip(system.diagonalizer.directions, system.diagonalizer.matrices)
-        ]
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

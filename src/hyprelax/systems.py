@@ -1,8 +1,9 @@
 """Ready-made partially dissipative systems used throughout the tests.
 
 Each builder returns a fully wired :class:`hyprelax.model.HyperbolicSystem`
-including, where available in closed form, the advection diagonalizer
-``R(w)`` and the sign-flipping symmetry ``S``.
+including, where available in closed form, the sign-flipping symmetry
+``S``.  Condition R finds its diagonalizer from ``A(w)``'s eigenvectors, so
+no builder carries one.
 """
 
 from __future__ import annotations
@@ -24,19 +25,16 @@ def goldstein_kac_1d(rate: float = 0.5, speed: float = 1.0) -> HyperbolicSystem:
 
     Particles move at ``+-speed`` and flip direction at the given rate; the
     mass density satisfies a damped wave equation and diffuses in the large.
-    The advection matrix is already diagonal, so ``R`` is the identity, and
-    swapping the two speeds gives the sign symmetry.
+    Swapping the two speeds gives the sign symmetry.
     """
     if not rate > 0 or not speed > 0:
         raise ValueError("rate and speed must be positive")
     advection = np.diag([-speed, speed]).astype(float)
     relaxation = rate * np.array([[1.0, -1.0], [-1.0, 1.0]])
     symmetry = np.array([[0.0, 1.0], [1.0, 0.0]])
-    identity = np.eye(2)
     return HyperbolicSystem(
         advections=(advection,),
         relaxation=relaxation,
-        diagonalizer=lambda w: identity,
         symmetry=symmetry,
         name="goldstein-kac-1d",
     )
@@ -53,7 +51,6 @@ def goldstein_kac_3d(
     ``velocities`` is a ``(3, 3)`` array whose rows are the particle
     velocities (defaults to the coordinate directions); ``a``, ``b``, ``c``
     are the pairwise exchange rates between velocities (2,3), (1,3), (1,2).
-    The advections are diagonal, so ``R`` is the identity.
     """
     if min(a, b, c) <= 0:
         raise ValueError("exchange rates must be positive")
@@ -70,25 +67,10 @@ def goldstein_kac_3d(
             [-b, -a, a + b],
         ]
     )
-    identity = np.eye(3)
     return HyperbolicSystem(
         advections=advections,
         relaxation=relaxation,
-        diagonalizer=lambda w: identity,
         name="goldstein-kac-3d",
-    )
-
-
-def _euler_diagonalizer(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    w = w / np.linalg.norm(w)
-    root = np.sqrt(2.0)
-    return np.array(
-        [
-            [-1.0 / root, 0.0, 1.0 / root],
-            [w[0] / root, -w[1], w[0] / root],
-            [w[1] / root, w[0], w[1] / root],
-        ]
     )
 
 
@@ -97,9 +79,8 @@ def damped_euler_2d() -> HyperbolicSystem:
 
     Components are (density, velocity_1, velocity_2); the velocity relaxes
     at unit rate while the density is conserved, and the large-time density
-    obeys a pure heat equation.  ``R(w)`` diagonalizes the acoustic symbol
-    with wave speeds (-1, 0, 1); flipping the velocity sign gives the
-    symmetry.
+    obeys a pure heat equation.  The acoustic symbol has the wave speeds
+    (-1, 0, 1); flipping the velocity sign gives the symmetry.
     """
     a1 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     a2 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
@@ -108,7 +89,6 @@ def damped_euler_2d() -> HyperbolicSystem:
     return HyperbolicSystem(
         advections=(a1, a2),
         relaxation=relaxation,
-        diagonalizer=_euler_diagonalizer,
         symmetry=symmetry,
         name="damped-euler-2d",
     )
@@ -119,9 +99,8 @@ def damped_euler_3d() -> HyperbolicSystem:
     of ``configs/damped_euler_3d.json``.
 
     Components are (density, m_1, m_2, m_3); ``A_j`` couples the density and
-    ``m_j``.  ``A(w)`` has the eigenvalues -1, 0, 0, 1 at every unit ``w``;
-    like the file, the system carries no diagonalizer.  Flipping the
-    momentum sign gives the symmetry.
+    ``m_j``.  ``A(w)`` has the eigenvalues -1, 0, 0, 1 at every unit ``w``.
+    Flipping the momentum sign gives the symmetry.
     """
     e = np.eye(4)
     return HyperbolicSystem(

@@ -443,7 +443,7 @@ class TestHighFrequencyExpansion:
         [
             (goldstein_kac_1d(), np.array([1.0])),
             (damped_euler_2d(), np.array([1.0, 0.0])),
-            # System files carry no diagonalizer; the model needs none.
+            # Loaded system files give the model as the builders do.
             (load_system(CONFIGS / "goldstein_kac.json"), np.array([-1.0])),
             (load_system(CONFIGS / "damped_euler.json"), np.array([1.0, 1.0])),
         ],

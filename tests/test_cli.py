@@ -80,16 +80,36 @@ class TestCheck:
         assert main(["check", str(gk_path), "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert "condition A: pass" in stdout
+        assert "condition R: pass" in stdout
         payload = json.loads((out / "conditions.json").read_text())
-        assert set(payload) == {"A", "B", "D", "S"}
+        assert set(payload) == {"A", "B", "D", "R", "S"}
         assert all(entry["passed"] for entry in payload.values())
 
     def test_three_dimensional_euler_passes(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["check", str(CONFIGS / "damped_euler_3d.json"), "--out", str(out)]) == 0
         payload = json.loads((out / "conditions.json").read_text())
-        assert set(payload) == {"A", "B", "D", "S"}
+        assert set(payload) == {"A", "B", "D", "R", "S"}
         assert all(entry["passed"] for entry in payload.values())
+
+    def test_anisotropic_friction_fails_condition_r(self, tmp_path, capsys):
+        # configs/damped_euler.json with B = diag(0, 1, 2): only R fails.
+        raw = json.loads((CONFIGS / "damped_euler.json").read_text())
+        raw["B"] = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]
+        path = tmp_path / "anisotropic.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["check", str(path), "--out", str(out)]) == 2
+        assert "condition R: FAIL" in capsys.readouterr().out
+        payload = json.loads((out / "conditions.json").read_text())
+        assert [name for name, entry in payload.items() if not entry["passed"]] == ["R"]
+
+    def test_r_samples_key_exits_3(self, tmp_path, gk_path, capsys):
+        raw = json.loads(gk_path.read_text())
+        raw["R_samples"] = [{"w": [1.0], "R": [[1.0, 0.0], [0.0, 1.0]]}]
+        gk_path.write_text(json.dumps(raw))
+        assert main(["check", str(gk_path), "--out", str(tmp_path / "o")]) == 3
+        assert "unknown key 'R_samples'" in capsys.readouterr().err
 
     def test_failing_system_exits_2(self, tmp_path, failing_path, capsys):
         out = tmp_path / "out"

@@ -9,8 +9,6 @@ import hyprelax.model as model
 from hyprelax.cli import main
 from hyprelax.model import (
     HyperbolicSystem,
-    MissingDiagonalizerError,
-    SampledDiagonalizer,
     SystemFileError,
     advection_spectrum,
     check_all_conditions,
@@ -126,6 +124,54 @@ def three_velocity(seed: int) -> tuple[HyperbolicSystem, np.ndarray]:
     return goldstein_kac_3d(*rates, velocities), velocities
 
 
+def euler_diagonalizer(w) -> np.ndarray:
+    """Closed-form diagonalizer of damped Euler in any dimension, the oracle
+    of the found R: the acoustic modes ``(-+1, w) / sqrt 2`` around the
+    transverse modes ``(0, t)``, with ``t`` an orthonormal basis of the
+    complement of ``w`` (``(-w_2, w_1)`` in the plane)."""
+    w = np.asarray(w, dtype=float) / np.linalg.norm(w)
+    transverse = [[-w[1], w[0]]] if w.size == 2 else np.linalg.svd(w[None])[2][1:]
+    columns = [np.r_[-1.0, w], *(np.r_[0.0, t] * np.sqrt(2.0) for t in transverse), np.r_[1.0, w]]
+    return np.column_stack(columns) / np.sqrt(2.0)
+
+
+def oracle_r(system: HyperbolicSystem, diagonalizer=None):
+    """Condition R's rule applied to a closed-form diagonalizer, the identity
+    by default, at every sampled direction."""
+    directions = sphere_samples(system.dimension)
+    if diagonalizer is None:
+        frames = np.broadcast_to(np.eye(system.size), (len(directions), system.size, system.size))
+    else:
+        frames = np.stack([diagonalizer(w) for w in directions])
+    return model._frame_report(system, directions, frames, 0)
+
+
+def anisotropic_euler() -> HyperbolicSystem:
+    """``configs/damped_euler.json`` with friction ``B = diag(0, 1, 2)``: A, B,
+    D and S hold, but no ``R(w)`` conjugates ``B`` to a constant."""
+    plane = damped_euler_2d()
+    return HyperbolicSystem(
+        advections=plane.advections, relaxation=np.diag([0.0, 1.0, 2.0]), symmetry=plane.symmetry
+    )
+
+
+def rotating_euler(passive: bool) -> HyperbolicSystem:
+    """Damped Euler in the plane with a Coriolis term in its friction, and
+    with a damped scalar that nothing advects when ``passive``.  ``C(w)``
+    couples the transverse mode to both acoustic modes.  With the scalar,
+    the zero branch holds two modes and ``B`` compresses to the identity on
+    them, so the compression does not tell them apart."""
+    n = 4 if passive else 3
+    e = np.eye(n)
+    relaxation = np.eye(n)
+    relaxation[0, 0] = 0.0
+    relaxation[1, 2], relaxation[2, 1] = -0.5, 0.5
+    return HyperbolicSystem(
+        advections=tuple(np.outer(e[0], e[j]) + np.outer(e[j], e[0]) for j in (1, 2)),
+        relaxation=relaxation,
+    )
+
+
 class TestHyperbolicSystem:
     def test_shape_and_type_validation(self):
         with pytest.raises(ValueError):
@@ -181,6 +227,56 @@ class TestMaxWaveSpeed:
         assert max_wave_speed(goldstein_kac_1d(speed=2.0)) == pytest.approx(2.0)
         assert max_wave_speed(damped_euler_2d()) == pytest.approx(1.0, abs=1e-10)
 
+    def test_exact_on_three_velocity_systems(self):
+        # The largest |v_i . w| over the sphere is max |v_i|; 128 sampled
+        # directions used to read up to 1.4 % low here.
+        for seed in range(50):
+            system, velocities = three_velocity(seed)
+            speed = np.max(np.linalg.norm(velocities, axis=1))
+            assert abs(max_wave_speed(system) - speed) <= 1e-12
+
+    def test_damped_euler_speed_is_one(self):
+        # |nu_0| + |nu| of the acoustic branches; nu_0 comes from second-order
+        # terms, so it is 1 to rounding.
+        for system in (damped_euler_2d(), damped_euler_3d()):
+            assert max_wave_speed(system) == pytest.approx(1.0, abs=1e-15)
+
+    def test_reads_the_sphere_table_only(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("max_wave_speed solved an eigenproblem")
+
+        non_affine = HyperbolicSystem(
+            advections=(np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -2.0])),
+            relaxation=np.eye(2),
+        )
+        systems = (damped_euler_2d(), non_affine)
+        tables = [system.sphere for system in systems]
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        assert max_wave_speed(systems[0]) == pytest.approx(1.0, abs=1e-15)
+        # Condition A fails, so the table's largest |lambda| is the speed.
+        assert not tables[1].report.passed
+        assert max_wave_speed(systems[1]) == np.max(np.abs(tables[1].values))
+
+
+class TestSphereTable:
+    def test_computed_once_for_a_r_and_the_wave_speed(self, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+
+        def counting(matrices):
+            calls.append(np.shape(matrices))
+            return eig(matrices)
+
+        system = damped_euler_2d()
+        monkeypatch.setattr(np.linalg, "eig", counting)
+        assert check_condition_A(system).passed
+        assert check_condition_R(system).passed
+        assert max_wave_speed(system) == pytest.approx(1.0, abs=1e-15)
+        assert system.sphere is system.sphere
+        # Every branch of damped Euler is simple, so R refines no cluster.
+        assert calls == [(512, 3, 3)]
+
 
 class TestConditionA:
     def test_certificate_in_diagonal_position_order(self):
@@ -221,13 +317,11 @@ class TestConditionA:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_three_velocity_files_without_diagonalizer(self, seed, tmp_path):
-        # A written file carries no diagonalizer.  Every branch has nu_0 = 0,
-        # so the certificate rows follow the slopes.
+        # Every branch has nu_0 = 0, so the certificate rows follow the slopes.
         path = tmp_path / "three_velocity.json"
         written, velocities = three_velocity(seed)
         dump_system(written, path)
         system = load_system(path)
-        assert system.diagonalizer is None
         report = check_condition_A(system)
         assert report.passed, report.summary
         expected = np.column_stack([np.zeros(3), velocities])
@@ -342,7 +436,7 @@ class TestConditionR:
     def test_closed_form_euler_diagonalizer_passes(self):
         # R(w) holds the acoustic modes (-1, w/sqrt 2), (0, w_perp), (1, w/sqrt 2)
         # up to scaling; it conjugates B = diag(0, 1, 1) to a constant.
-        report = check_condition_R(damped_euler_2d())
+        report = oracle_r(damped_euler_2d(), euler_diagonalizer)
         assert report.passed, report.summary
         assert report.data["off_diagonal_residual"] <= 1e-12
         assert report.data["max_deviation"] <= 1e-12
@@ -352,6 +446,11 @@ class TestConditionR:
             [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]],
             atol=1e-12,
         )
+        # The found frames differ from the closed form by a column scaling.
+        found = check_condition_R(damped_euler_2d())
+        assert found.passed, found.summary
+        assert found.data["max_deviation"] <= 1e-12
+        assert_allclose(np.diag(found.data["conjugated_relaxation"]), [0.5, 1.0, 0.5], atol=1e-12)
 
     def test_direction_dependent_conjugation_fails(self):
         # Both R(w) diagonalize the diagonal advection, but they conjugate
@@ -359,22 +458,18 @@ class TestConditionR:
         system = HyperbolicSystem(
             advections=(np.diag([1.0, 2.0]),),
             relaxation=np.array([[1.0, 1.0], [0.0, 1.0]]),
-            diagonalizer=lambda w: np.eye(2) if w[0] > 0 else np.diag([1.0, 2.0]),
         )
-        report = check_condition_R(system)
+        report = oracle_r(system, lambda w: np.eye(2) if w[0] > 0 else np.diag([1.0, 2.0]))
         assert not report.passed
         assert report.witness is not None
+        # The found R is constant in one dimension.
+        assert check_condition_R(system).passed
 
     def test_constant_non_diagonalizing_frame_fails(self):
         # A rotation by pi/4 conjugates B to the same matrix at every
         # direction but does not diagonalize A(w) = diag(-w, w).
         rotation = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
-        system = HyperbolicSystem(
-            advections=goldstein_kac_1d().advections,
-            relaxation=goldstein_kac_1d().relaxation,
-            diagonalizer=lambda w: rotation,
-        )
-        report = check_condition_R(system)
+        report = oracle_r(goldstein_kac_1d(), lambda w: rotation)
         assert report.data["max_deviation"] == 0.0
         assert not report.passed
         assert report.witness["off_diagonal_residual"] == pytest.approx(1.0)
@@ -384,21 +479,131 @@ class TestConditionR:
     def test_ill_conditioned_diagonalizer_fails(self, small, condition):
         # diag(1, small) diagonalizes A(w) and conjugates B to a constant, but
         # it is ill-conditioned, or singular, so nothing is solved with it.
-        system = HyperbolicSystem(
-            advections=goldstein_kac_1d().advections,
-            relaxation=goldstein_kac_1d().relaxation,
-            diagonalizer=lambda w: np.diag([1.0, small]),
-        )
-        report = check_condition_R(system)
+        report = oracle_r(goldstein_kac_1d(), lambda w: np.diag([1.0, small]))
         assert not report.passed
         assert report.witness == {
             "direction": [1.0],
             "diagonalizer_condition": pytest.approx(condition),
         }
 
-    def test_missing_diagonalizer(self):
-        with pytest.raises(MissingDiagonalizerError):
-            check_condition_R(marginally_dissipative())
+    @pytest.mark.parametrize(
+        "system, diagonalizer",
+        [
+            (goldstein_kac_1d(), None),
+            (goldstein_kac_1d(0.3, 2.0), None),
+            (goldstein_kac_3d(0.5, 0.5, 0.5), None),
+            (damped_euler_2d(), euler_diagonalizer),
+            (damped_euler_3d(), euler_diagonalizer),
+            (load_system(CONFIGS / "goldstein_kac.json"), None),
+            (load_system(CONFIGS / "damped_euler.json"), euler_diagonalizer),
+            (load_system(CONFIGS / "damped_euler_3d.json"), euler_diagonalizer),
+            (anisotropic_euler(), euler_diagonalizer),
+            (
+                HyperbolicSystem(
+                    advections=(np.diag([-1.0, 1.0]),),
+                    relaxation=np.array([[1.0, -1.0], [-2.0, 2.0]]),
+                ),
+                None,
+            ),
+        ]
+        + [(three_velocity(seed)[0], None) for seed in range(100)],
+    )
+    def test_found_r_matches_the_closed_form_oracle(self, system, diagonalizer):
+        found, oracle = check_condition_R(system), oracle_r(system, diagonalizer)
+        assert found.passed == oracle.passed, (found.summary, oracle.summary)
+        if found.passed:
+            assert found.data["max_deviation"] <= 1e-12
+            assert found.data["skipped_directions"] <= 1
+
+    def test_one_dimension_labels_columns_by_the_eigenvectors_of_a1(self):
+        # A's sorted fit on {+1, -1} gives the constant branches -1 and 1, so
+        # labels by rank would swap the columns at w = -1 and read a
+        # deviation of 1.0.  A(w) = w A_1 shares the eigenvectors of A_1.
+        system = HyperbolicSystem(
+            advections=(np.diag([-1.0, 1.0]),),
+            relaxation=np.array([[1.0, -1.0], [-2.0, 2.0]]),
+        )
+        assert_allclose(check_condition_A(system).data["nu"], [[-1.0, 0.0], [1.0, 0.0]], atol=1e-15)
+        report = check_condition_R(system)
+        assert report.passed, report.summary
+        assert report.data["max_deviation"] == 0.0
+        assert_allclose(report.data["conjugated_relaxation"], system.relaxation, atol=0)
+
+    def test_anisotropic_friction_fails_with_a_witness(self):
+        report = check_condition_R(anisotropic_euler())
+        assert report.passed is False
+        assert set(report.witness) == {"direction", "deviation"}
+        assert report.witness["deviation"] > 0.5
+        assert np.linalg.norm(report.witness["direction"]) == pytest.approx(1.0)
+        for check in (check_condition_A, check_condition_B, check_condition_D, check_condition_S):
+            assert check(anisotropic_euler()).passed
+
+    def test_crossing_directions_are_skipped(self):
+        # A(w) = w_2 diag(1, -1): at w = (+-1, 0) both branches are 0, A(w) = 0,
+        # and ranks cannot tell its eigenvector columns apart.
+        system = HyperbolicSystem(
+            advections=(np.zeros((2, 2)), np.diag([1.0, -1.0])),
+            relaxation=np.array([[1.0, -1.0], [-2.0, 2.0]]),
+        )
+        report = check_condition_R(system)
+        assert report.passed, report.summary
+        assert report.data["skipped_directions"] == 2
+        assert oracle_r(system).passed
+
+    def test_three_dimensional_euler_passes(self):
+        # The double zero branch is the transverse modes, where B compresses
+        # to the identity and couples to nothing, so any frame of it serves.
+        report = check_condition_R(load_system(CONFIGS / "damped_euler_3d.json"))
+        assert report.passed, report.summary
+        assert report.data["skipped_directions"] == 0
+        assert report.data["max_deviation"] <= 1e-12
+
+    def test_coupling_cycle_is_scaled_along_a_spanning_tree(self):
+        # C(w) is full: the Coriolis term couples the transverse mode to both
+        # acoustic modes, and a rotation of the plane carries C(w) along.
+        report = check_condition_R(rotating_euler(passive=False))
+        assert report.passed, report.summary
+        conjugated = np.asarray(report.data["conjugated_relaxation"])
+        assert np.all(np.abs(conjugated) > 0.3)
+        assert report.data["max_deviation"] <= 1e-12
+
+    def test_coupled_part_of_equal_branches_is_not_decided(self, tmp_path, capsys):
+        # The zero branch holds the transverse mode and the passive scalar; B
+        # compresses to the identity on them, and the transverse mode is
+        # coupled to the acoustic ones, so no frame of the pair is preferred.
+        system = rotating_euler(passive=True)
+        report = check_condition_R(system)
+        assert report.passed is None
+        assert "coupling" in report.summary
+        path = tmp_path / "rotating.json"
+        dump_system(system, path)
+        out = tmp_path / "out"
+        assert main(["check", str(path), "--out", str(out)]) == 0
+        assert f"condition R: not decided ({report.summary})" in capsys.readouterr().out
+        payload = json.loads((out / "conditions.json").read_text())
+        assert payload["R"]["passed"] is None
+        assert all(payload[name]["passed"] for name in "ABDS")
+
+    def test_defective_compression_is_not_decided(self):
+        # A(w) = diag(a . w, a . w, b . w) and B compresses to a Jordan block on
+        # the double branch: its eigenvectors give no frame.  (R = I would
+        # pass; the refinement cannot find it.)
+        system = HyperbolicSystem(
+            advections=(np.diag([1.0, 1.0, -0.5]), np.diag([0.5, 0.5, 1.0])),
+            relaxation=np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+        )
+        assert oracle_r(system).passed
+        report = check_condition_R(system)
+        assert report.passed is None
+        assert "not diagonalizable" in report.summary
+
+    def test_not_decided_when_a_fails(self):
+        jordan = HyperbolicSystem(
+            advections=(np.array([[0.0, 1.0], [0.0, 0.0]]),), relaxation=np.eye(2)
+        )
+        report = check_condition_R(jordan)
+        assert report.passed is None
+        assert "condition A fails" in report.summary
 
 
 class TestConditionB:
@@ -636,10 +841,14 @@ class TestLiftAxisMap:
 
 
 class TestCheckAll:
-    def test_includes_r_only_with_diagonalizer(self):
+    def test_includes_r_only_when_a_passes(self):
         with_r = check_all_conditions(goldstein_kac_1d())
         assert set(with_r) == {"A", "B", "D", "S", "R"}
-        without = check_all_conditions(marginally_dissipative())
+        jordan = HyperbolicSystem(
+            advections=(np.array([[0.0, 1.0], [0.0, 0.0]]),), relaxation=np.eye(2)
+        )
+        without = check_all_conditions(jordan)
+        assert not without["A"].passed
         assert set(without) == {"A", "B", "D", "S"}
 
 
@@ -653,7 +862,6 @@ class TestSystemFiles:
         assert_allclose(loaded.advections[0], original.advections[0])
         assert_allclose(loaded.relaxation, original.relaxation)
         assert_allclose(loaded.symmetry, original.symmetry)
-        assert loaded.diagonalizer is None
 
     @pytest.mark.parametrize(
         "name, builder",
@@ -670,25 +878,6 @@ class TestSystemFiles:
             assert_array_equal(from_file, from_builder)
         assert_array_equal(loaded.relaxation, built.relaxation)
         assert_array_equal(loaded.symmetry, built.symmetry)
-
-    def test_sampled_diagonalizer_round_trip(self, tmp_path):
-        directions = sphere_samples(2, 16)
-        matrices = np.stack([np.eye(2) for _ in range(16)])
-        system = HyperbolicSystem(
-            advections=(np.diag([1.0, -1.0]), np.zeros((2, 2))),
-            relaxation=0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
-            diagonalizer=SampledDiagonalizer(directions, matrices),
-        )
-        path = tmp_path / "sampled.json"
-        dump_system(system, path)
-        loaded = load_system(path)
-        assert isinstance(loaded.diagonalizer, SampledDiagonalizer)
-        assert_allclose(loaded.diagonalizer(directions[3]), np.eye(2))
-        # Condition R runs on the stored directions only.
-        report = check_condition_R(loaded)
-        assert report.passed, report.summary
-        assert report.data["reference_direction"] == directions[0].tolist()
-        assert_allclose(report.data["conjugated_relaxation"], loaded.relaxation, atol=0)
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -734,33 +923,15 @@ class TestSystemFiles:
             with pytest.raises(SystemFileError, match=message):
                 load_system(path)
 
-    def test_bad_r_samples_record(self, tmp_path):
+    def test_r_samples_is_an_unknown_key(self, tmp_path):
+        # Condition R finds its diagonalizer, so a file cannot supply one.
         path = tmp_path / "bad.json"
-        payload = {
-            "d": 1,
-            "n": 2,
-            "A": [[[1, 0], [0, -1]]],
-            "B": [[0.5, -0.5], [-0.5, 0.5]],
-            "R_samples": [{"w": [1.0]}],
-        }
+        payload = json.loads((CONFIGS / "goldstein_kac.json").read_text())
+        payload["R_samples"] = [{"w": [1.0], "R": [[1.0, 0.0], [0.0, 1.0]]}]
         path.write_text(json.dumps(payload))
-        with pytest.raises(SystemFileError, match="R_samples"):
-            load_system(path)
-        payload["R_samples"] = []
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SystemFileError, match="invalid R_samples: expected a non-empty list"):
+        with pytest.raises(SystemFileError, match="unknown key 'R_samples' in system file"):
             load_system(path)
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(SystemFileError):
             load_system(tmp_path / "does_not_exist.json")
-
-
-class TestSampledDiagonalizer:
-    def test_lookup_and_miss(self):
-        directions = np.array([[1.0, 0.0], [0.0, 1.0]])
-        matrices = np.stack([np.eye(2), 2.0 * np.eye(2)])
-        table = SampledDiagonalizer(directions, matrices)
-        assert_allclose(table(np.array([0.0, 1.0])), 2.0 * np.eye(2))
-        with pytest.raises(MissingDiagonalizerError):
-            table(np.array([np.sqrt(0.5), np.sqrt(0.5)]))
