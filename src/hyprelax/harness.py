@@ -18,12 +18,14 @@ the worst case over L^2 data with a scaling family of Gaussians widened as
 sqrt(t) and normalized in L^2, since any single fixed datum decays faster
 than the uniform rate.
 
-``u``, ``u2`` and the profile gaps ``u1 - Phi``, ``u1 - Psi`` are formed in
-frequency space, and their p = 2 norms are taken there: the transform is
-unitary, so by Parseval the norm of the spectrum is the Riemann-sum norm of
-the field.  Only a p = inf norm and the ``save_fields`` snapshots transform
-fields back.  The first measurement of a run also transforms ``u`` and
-checks that both norms agree (the Parseval audit).
+The p = 2 norms of ``u``, ``u2`` and the profile gaps ``u1 - Phi``,
+``u1 - Psi`` come from :meth:`~hyprelax.spectral.FrequencySplitter.l2_norms`,
+a Hermitian form per datum in ``exp(-t lambda)`` that builds no grid field.
+Grid fields are formed only for a p = inf norm, the ``save_fields``
+snapshots and the first measurement of a run.  There the Riemann sum of
+``u`` (an inverse transform) and the norms of the spectra of ``u2`` and of
+each gap (equal to their Riemann sums by Parseval, as the transform is
+unitary) must match the form within 1e-12 relative (the form audit).
 """
 
 from __future__ import annotations
@@ -86,9 +88,9 @@ _VERIFIED_PAIRS = ((2.0, 1), (2.0, 2), (math.inf, 1))
 
 # Fewest samples a rate fit accepts.
 _MIN_FIT_POINTS = 6
-# Relative mismatch the Parseval audit accepts between the L^2 norm of a
-# spectrum and the Riemann sum of its inverse transform.
-_PARSEVAL_TOLERANCE = 1e-12
+# Relative mismatch the first step's audit accepts between an L^2 norm from
+# the per-datum form and the Riemann sum of the grid field.
+_FORM_TOLERANCE = 1e-12
 
 
 class HarnessError(Exception):
@@ -349,18 +351,6 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def _parseval_audit(spectrum: GridField, field: GridField) -> None:
-    """Check that ``spectrum`` and its inverse transform ``field`` have one
-    L^2 norm, as the norms taken in frequency space assume."""
-    spectral, riemann = lp_norm(spectrum, 2), lp_norm(field, 2)
-    if not abs(spectral - riemann) <= _PARSEVAL_TOLERANCE * riemann:
-        raise SpectralError(
-            f"L^2 norm in frequency space {spectral:.17g} differs from the "
-            f"Riemann sum {riemann:.17g} of its inverse transform by more than "
-            f"{_PARSEVAL_TOLERANCE:g} relative"
-        )
-
-
 def _unit_l2_gaussian(grid: PeriodicGrid, components: int, spec: InitialSpec) -> GridField:
     data = make_initial_data(grid, components, spec)
     return GridField(grid, data.values / lp_norm(data, 2), data.representation)
@@ -405,7 +395,7 @@ def run_experiment(
         ConfigurationError: if the config is inconsistent with the system,
             asks for snapshots without an ``out_dir``, or has zero-mass data.
         IoFailureError: if a snapshot or its directory cannot be written.
-        SpectralError: if a propagation audit or the Parseval audit fails.
+        SpectralError: if a propagation audit or the form audit fails.
     """
     if cfg.save_fields and out_dir is None:
         raise ConfigurationError("save_fields needs an output directory for its snapshots")
@@ -482,13 +472,17 @@ def run_experiment(
     audited = False
 
     def measure(datum: Datum, t: float, pairs, q_label: int, save_index=None):
-        # Fields are formed in frequency and p = 2 norms taken there.  A field
-        # is transformed only for a p = inf norm, a snapshot or the run's one
-        # Parseval audit, and released before the next one is transformed.
+        # p = 2 norms come from the datum's form (``splitter.l2_norms``), which
+        # builds no grid field.  Fields are formed only for a p = inf norm, a
+        # snapshot or the run's first step, whose grid-field norms audit the
+        # form.  Each is released before the next one is made, and all of
+        # them before the form is built.
         nonlocal audited
-        full, low, high = splitter.decompose(datum, t)
         save = save_index is not None and fields_dir is not None
         sup = any(math.isinf(p) for p, _ in pairs)
+        audit = not audited
+        observed: dict[str, float] = {}  # the first step's grid-field L^2 norms
+        sup_norms: dict[str, float] = {}
 
         def physical(spectrum: GridField, label: str) -> GridField:
             field = to_physical(spectrum)
@@ -500,27 +494,45 @@ def run_experiment(
                     raise IoFailureError(f"cannot write {path}: {error}") from error
             return field
 
-        def norms(prefix: str, spectrum: GridField, field: GridField | None) -> None:
+        if sup or save or audit:
+            full, low, high = splitter.decompose(datum, t)
+            u = physical(full, "u")
+            del full
+            if audit:
+                observed["u"], observed["u2"] = lp_norm(u, 2), lp_norm(high, 2)
+            if sup:
+                sup_norms["u"] = lp_norm(u, math.inf)
+            del u
+            if save:
+                physical(high, "u2")
+                physical(low, "u1")
+            del high
+            for name, evolve in profiles.items() if sup or audit else ():
+                gap = evolve(datum, t)
+                np.subtract(low.values, gap.values, out=gap.values)
+                if audit:
+                    observed[f"u1_minus_{name}"] = lp_norm(gap, 2)
+                if sup:
+                    sup_norms[f"u1_minus_{name}"] = lp_norm(to_physical(gap), math.inf)
+                del gap
+            del low
+        full_norm, high_norm, gaps = splitter.l2_norms(datum, t, tuple(profiles))
+        formed = {"u": full_norm, "u2": high_norm}
+        formed.update((f"u1_minus_{name}", value) for name, value in gaps.items())
+        for name, riemann in observed.items():
+            if not abs(formed[name] - riemann) <= _FORM_TOLERANCE * riemann:
+                raise SpectralError(
+                    f"L^2 norm of {name} at t = {t:g} from the per-datum form "
+                    f"{formed[name]:.17g} differs from the Riemann sum {riemann:.17g} "
+                    f"of its grid field by more than {_FORM_TOLERANCE:g} relative"
+                )
+        audited = True
+        for prefix, value in formed.items():
+            if prefix == "u2":
+                record(f"u2_l2_q{q_label}", value)
+                continue
             for p, q in pairs:
-                value = lp_norm(spectrum if p == 2 else field, p)
-                record(f"{prefix}_{_pair_tag(p, q)}", value)
-
-        u = physical(full, "u") if sup or save or not audited else None
-        if not audited:
-            _parseval_audit(full, u)
-            audited = True
-        norms("u", full, u)
-        del full, u
-        record(f"u2_l2_q{q_label}", lp_norm(high, 2))
-        if save:
-            physical(high, "u2")
-            physical(low, "u1")
-        del high
-        for name, evolve in profiles.items():
-            gap = evolve(datum, t)
-            np.subtract(low.values, gap.values, out=gap.values)
-            norms(f"u1_minus_{name}", gap, to_physical(gap) if sup else None)
-            del gap
+                record(f"{prefix}_{_pair_tag(p, q)}", value if p == 2 else sup_norms[prefix])
 
     fixed = splitter.prepare(initial) if fixed_pairs else None
     del initial

@@ -384,7 +384,8 @@ def _frame_report(system: HyperbolicSystem, directions, frames, skipped: int) ->
     with it), the off-diagonal part of ``R(w)^-1 A(w) R(w)`` at most ``1e-7``
     relative to the advection scale, and ``R(w)^-1 B R(w)`` within ``1e-7``
     (relative) of its value at the first direction.  ``conjugated_relaxation``
-    is complex only when the frames are."""
+    holds the real part of that value and ``conjugated_relaxation_imag`` its
+    imaginary part, which is nonzero only when the frames are complex."""
     with np.errstate(divide="ignore", invalid="ignore"):
         conditions = np.linalg.cond(frames)
     max_condition = float(np.max(conditions))
@@ -416,7 +417,8 @@ def _frame_report(system: HyperbolicSystem, directions, frames, skipped: int) ->
             f"R(w) {worst_off:.2e}, diagonalizer condition {max_condition:.2e}"
         ),
         data={
-            "conjugated_relaxation": np.real_if_close(reference).tolist(),
+            "conjugated_relaxation": reference.real.tolist(),
+            "conjugated_relaxation_imag": reference.imag.tolist(),
             "reference_direction": directions[0].tolist(),
             "max_deviation": worst,
             "off_diagonal_residual": worst_off,

@@ -24,8 +24,12 @@ projection moment.
 The splitter is the engine: it holds what depends on the system and grid
 only.  :meth:`FrequencySplitter.prepare` turns a field into a :class:`Datum`
 that owns a read-only spectrum and keeps what depends on the datum but not on
-the time (modal coefficients, band and profile moments).  Each piece is
-computed at its first use, and the evolutions return frequency fields.
+the time (modal coefficients, band and profile moments, and the Hermitian
+form of its ``L^2`` norms).  Each piece is computed at its first use, and the
+evolutions return frequency fields.  :meth:`FrequencySplitter.l2_norms`
+takes the ``L^2`` norms of ``u``, ``u2`` and the profile gaps from the form
+and the few members outside it, so a time that needs no other norm builds no
+grid field.
 
 The box is a whole-space surrogate: experiments must keep data supports and
 propagation cones away from the boundary (the decay harness enforces the
@@ -243,6 +247,13 @@ def to_physical(field: GridField) -> GridField:
     return GridField(field.grid, values, PHYSICAL)
 
 
+def _sum_of_squares(values: np.ndarray) -> float:
+    """``sum |v|^2`` of a complex array: one real dot over the interleaved real
+    and imaginary parts, with no BLAS call (which would start its threads)."""
+    flat = np.ascontiguousarray(values).reshape(-1).view(float)
+    return float(np.einsum("i,i->", flat, flat))
+
+
 def lp_norm(field: GridField, p: float) -> float:
     """Riemann-sum L^p norm with Euclidean norm across components.
 
@@ -255,10 +266,7 @@ def lp_norm(field: GridField, p: float) -> float:
     if not p >= 1:
         raise ValueError(f"norm order must satisfy p >= 1, got {p}")
     if p == 2:
-        # One real dot over the interleaved real and imaginary parts: no
-        # temporaries, and no BLAS call (which would start its threads).
-        flat = np.ascontiguousarray(field.values).reshape(-1).view(float)
-        return float(np.sqrt(np.einsum("i,i->", flat, flat) * field.grid.cell_volume))
+        return math.sqrt(_sum_of_squares(field.values) * field.grid.cell_volume)
     _require(field, PHYSICAL)
     pointwise = np.sqrt(np.sum(np.abs(field.values) ** 2, axis=0))
     if np.isinf(p):
@@ -576,15 +584,40 @@ class _Eigenbasis:
     band_projections: np.ndarray
 
 
+@dataclass(frozen=True)
+class _FormLayout:
+    """Which members the per-datum form (:attr:`Datum.form`) sums.
+
+    ``slots`` ``(element, orbit)`` marks the members in the form: off the band,
+    with a condition bound of at most ``sqrt(CONDITION_LIMIT)``, since the
+    form squares the condition.  ``grams[gram[g]]`` is ``V_r^H T_g^T T_g V_r``
+    indexed ``(row, column, orbit)``, one per distinct ``T_g^T T_g``.
+    ``direct`` lists the other members, the band first and in band order;
+    ``composed`` gives the positions in ``direct`` of its factored members,
+    whose composed factors ``lambda``, ``T V`` and ``V^-1 T^-1`` are
+    ``factors``, and ``fallback`` the positions of the fallback members, in
+    their order.
+    """
+
+    slots: np.ndarray
+    gram: np.ndarray
+    grams: np.ndarray
+    direct: np.ndarray
+    composed: np.ndarray
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
+    fallback: np.ndarray
+
+
 class FrequencySplitter:
     """The spectral engine of one system on one grid.
 
     It holds what no datum changes, each piece computed at its first use: the
     cutoff band ``chi1 > 0`` (at construction), the factorization (at the
-    first :meth:`decompose`), and the parabolic :attr:`limit` with its
-    :attr:`drift_phase` and :attr:`diffusion_form` (at the first profile).
-    :meth:`prepare` turns a field into the :class:`Datum` that
-    :meth:`decompose`, :func:`evolve_parabolic_phi` and
+    first :meth:`decompose` or :meth:`l2_norms`), the layout of the per-datum
+    forms (at the first :meth:`l2_norms`), and the parabolic :attr:`limit`
+    with its :attr:`drift_phase` and :attr:`diffusion_form` (at the first
+    profile).  :meth:`prepare` turns a field into the :class:`Datum` that
+    :meth:`decompose`, :meth:`l2_norms`, :func:`evolve_parabolic_phi` and
     :func:`evolve_parabolic_psi` take.
 
     The factorization splits the grid into orbits of the group generated by
@@ -595,21 +628,26 @@ class FrequencySplitter:
     includes conjugation).  Of the symbols it keeps only the rows the checks
     below reuse.  The 0-group projection at each band member is Kato's
     rank-one ``P0 = v w^T`` from the right and left eigenvectors of the
-    eigenvalue nearest zero.  A time ``t`` then costs ``exp(-t lambda)`` per
-    orbit, ``V (exp(-t lambda) * c)`` on the datum's modal coefficients
-    ``c = V^-1 T^-1 u`` in orbit order, one ``T`` product per element whose
-    ``T`` is not the identity, one gather back to the grid, and
-    ``exp(-t lambda0)`` on the band.
+    eigenvalue nearest zero.  A :meth:`decompose` at time ``t`` then costs
+    ``exp(-t lambda)`` per orbit, ``V (exp(-t lambda) * c)`` on the datum's
+    modal coefficients ``c = V^-1 T^-1 u`` in orbit order, one ``T`` product
+    per element whose ``T`` is not the identity, one gather back to the grid,
+    and ``exp(-t lambda0)`` on the band.  :meth:`l2_norms` costs
+    ``exp(-t lambda)`` per orbit, one Hermitian form per orbit, the band and
+    the few ill-conditioned members one by one, and ``exp(-2t k.Dk)`` for
+    the profiles off the band.
 
     A member whose condition bound ``cond_2(T) |V|_F |V^-1|_F`` exceeds
     :data:`CONDITION_LIMIT` is exponentiated by
     :func:`~hyprelax.linalg.matrix_exponential` (and, in the band, projected
     by :func:`~hyprelax.chapman.exact_group_projection`) instead; their
-    number is :attr:`fallback_count`.  Every propagation recomputes with the
-    Pade exponential the four worst-conditioned factored members and the
-    worst-conditioned member each non-identity element maps; the first one
-    also recomputes the worst-conditioned band projection by contour
-    quadrature.  A relative mismatch above 1e-10 raises :class:`SpectralError`.
+    number is :attr:`fallback_count`.  Every time recomputes with the Pade
+    exponential, in one call that also yields the fallback members, the four
+    worst-conditioned factored members and the worst-conditioned member each
+    non-identity element maps; every datum measured at that time reuses the
+    call.  The first propagation also recomputes the worst-conditioned band
+    projection by contour quadrature.  A relative mismatch above 1e-10 raises
+    :class:`SpectralError`.
 
     Raises:
         ValueError: if the grid and the system differ in dimension.
@@ -638,6 +676,7 @@ class FrequencySplitter:
         band = np.flatnonzero(weights > 0.0)
         self._band = band
         self._band_weights = weights[band]
+        self._last_step: tuple[float, np.ndarray] | None = None
 
     def _projection_table(self, values, vectors, inverse, condition):
         """Eigenvalue nearest zero and its eigenprojection at each band member,
@@ -713,6 +752,49 @@ class FrequencySplitter:
             band_projections=band_projections,
         )
 
+    @cached_property
+    def _form_layout(self) -> _FormLayout:
+        """The members of the per-datum form and the factors of the others."""
+        basis = self._eigenbasis
+        orbits = basis.orbits
+        size, total = self.system.size, self.grid.total_points
+        in_band = np.zeros(total, dtype=bool)
+        in_band[self._band] = True
+        summed = ~in_band & (basis.condition <= math.sqrt(CONDITION_LIMIT))
+        slots = np.zeros((orbits.transforms.shape[0], orbits.representatives.size), dtype=bool)
+        slots[orbits.element[summed], orbits.orbit[summed]] = True
+        products = np.einsum("gki,gkj->gij", orbits.transforms, orbits.transforms)
+        distinct, gram = np.unique(
+            products.reshape(products.shape[0], -1), axis=0, return_inverse=True
+        )
+        vectors = basis.vectors.transpose(1, 2, 0)
+        grams = np.stack(
+            [
+                np.einsum(
+                    "kir,kjr->ijr",
+                    vectors.conj(),
+                    np.einsum("kl,ljr->kjr", product.reshape(size, size), vectors),
+                )
+                for product in distinct
+            ]
+        )
+        direct = np.concatenate([self._band, np.flatnonzero(~in_band & ~summed)])
+        position = np.empty(total, dtype=np.intp)
+        position[direct] = np.arange(direct.size)
+        fallback = position[basis.fallback]
+        factored = np.ones(direct.size, dtype=bool)
+        factored[fallback] = False
+        composed = np.flatnonzero(factored)
+        return _FormLayout(
+            slots=slots,
+            gram=gram.reshape(-1),
+            grams=grams,
+            direct=direct,
+            composed=composed,
+            factors=orbits.compose(direct[composed], basis.values, basis.vectors, basis.inverse),
+            fallback=fallback,
+        )
+
     @property
     def fallback_count(self) -> int:
         """Number of grid symbols propagated by the Pade fallback."""
@@ -754,13 +836,17 @@ class FrequencySplitter:
         spectrum.flags.writeable = False
         return Datum(self, spectrum)
 
-    def _propagate(
-        self, t: float, coefficients: np.ndarray, fallback: np.ndarray
-    ) -> np.ndarray:
-        """``exp(-E(ik) t)`` applied to a datum given by its modal coefficients
-        and its fallback members' spectrum.  The audit compares
-        ``exp(-t (E - mu I))``, ``mu`` the smallest ``Re lambda`` of each member
-        (Higham, SIMAX 2005), so its Pade side does not underflow at late times."""
+    def _fallback_exponentials(self, t: float) -> np.ndarray:
+        """``exp(-t E)`` at the fallback members, from the time's one Pade
+        call, which also audits the factored propagator.
+
+        The audit compares ``exp(-t (E - mu I))``, ``mu`` the smallest
+        ``Re lambda`` of each member (Higham, SIMAX 2005), so its Pade side
+        does not underflow at late times.  Neither depends on the datum, so
+        the result for the last time is kept: every datum measured at that
+        time reuses it."""
+        if self._last_step is not None and self._last_step[0] == t:
+            return self._last_step[1]
         basis = self._eigenbasis
         audit = basis.audit
         values, vectors, inverse = basis.audit_factors
@@ -782,10 +868,8 @@ class FrequencySplitter:
                 f"t = {t:g} differs from the Pade exponential by "
                 f"{mismatch[worst]:.3e} relative"
             )
-        decayed = basis.vectors.transpose(1, 2, 0) * np.exp(-t * basis.values)
-        out = basis.orbits.to_grid(np.einsum("ijr,gjr->gir", decayed, coefficients))
-        out[:, basis.fallback] = np.einsum("fij,jf->if", exact[audit.size :], fallback)
-        return out
+        self._last_step = (t, exact[audit.size :])
+        return self._last_step[1]
 
     def decompose(self, datum: Datum, t: float) -> tuple[GridField, GridField, GridField]:
         """Evolve and split in one pass; returns the frequency fields ``(u, u1, u2)``.
@@ -801,8 +885,12 @@ class FrequencySplitter:
         if datum.splitter is not self:
             raise ValueError("the datum was prepared by another splitter")
         coefficients, fallback, moment = datum.modal
-        full = self._propagate(t, coefficients, fallback)
-        band = moment * np.exp(-t * self._eigenbasis.band_values)
+        basis = self._eigenbasis
+        exponentials = self._fallback_exponentials(t)
+        decayed = basis.vectors.transpose(1, 2, 0) * np.exp(-t * basis.values)
+        full = basis.orbits.to_grid(np.einsum("ijr,gjr->gir", decayed, coefficients))
+        full[:, basis.fallback] = np.einsum("fij,jf->if", exponentials, fallback)
+        band = moment * np.exp(-t * basis.band_values)
         # np.zeros leaves the pages off the band untouched, and u2 differs
         # from u only on the band.
         low = np.zeros(full.shape, dtype=complex)
@@ -811,6 +899,67 @@ class FrequencySplitter:
         high[:, self._band] -= band
         return tuple(_frequency_field(self.grid, flat) for flat in (full, low, high))
 
+    def l2_norms(
+        self, datum: Datum, t: float, profiles=("phi", "psi")
+    ) -> tuple[float, float, dict[str, float]]:
+        """``|u|_2``, ``|u2|_2`` and ``|u1 - P|_2`` for each named profile ``P``
+        (``"phi"``, ``"psi"``) at time ``t``, the norms of :meth:`decompose`'s
+        fields and of the gaps to :func:`evolve_parabolic_phi` and
+        :func:`evolve_parabolic_psi`, without building a grid field.
+
+        The members of the datum's form contribute ``sum_r E_r^H W_r E_r``
+        with ``E_r = exp(-t lambda_r)``; the other members (the band, the
+        fallback members and the rest above ``sqrt(CONDITION_LIMIT)``) are
+        propagated one by one, from composed factors or from the time's Pade
+        rows.  Off the band ``u1`` is 0, so a gap is the profile there:
+        ``sum |P moment|^2 exp(-2t k.Dk)``.  Every norm is a sum over disjoint
+        sets of members, and no squared norm is subtracted.
+
+        Raises:
+            ValueError: if ``t < 0``, another splitter prepared ``datum`` or a
+                profile name is unknown.
+        """
+        _check_time(t)
+        if datum.splitter is not self:
+            raise ValueError("the datum was prepared by another splitter")
+        unknown = set(profiles) - {"phi", "psi"}
+        if unknown:
+            raise ValueError(f"unknown profiles {sorted(unknown)}; expected phi or psi")
+        basis = self._eigenbasis
+        exponentials = self._fallback_exponentials(t)
+        layout = self._form_layout
+        _, fallback, moment = datum.modal
+        weights, coefficients = datum.form
+        decay = np.exp(-t * basis.values)
+        summed = np.einsum("ir,ir->", decay.conj(), np.einsum("ijr,jr->ir", weights, decay))
+        values, vectors, _ = layout.factors
+        direct = np.empty((self.system.size, layout.direct.size), dtype=complex)
+        direct[:, layout.composed] = np.einsum(
+            "mij,mj->im", vectors, np.exp(-t * values) * coefficients
+        )
+        direct[:, layout.fallback] = np.einsum("fij,jf->if", exponentials, fallback)
+        band = self._band
+        low = moment * np.exp(-t * basis.band_values)
+        others = summed.real + _sum_of_squares(direct[:, band.size :])
+        full = others + _sum_of_squares(direct[:, : band.size])
+        high = others + _sum_of_squares(direct[:, : band.size] - low)
+        gaps = {}
+        # |exp(-t c.ik)| = 1, so off the band every profile decays as exp(-2t k.Dk).
+        tail_decay = np.exp(-2.0 * t * self.diffusion_form) if profiles else None
+        for name in profiles:
+            exponent = self.diffusion_form[band]
+            if name == "phi":
+                exponent = self.drift_phase[band] + exponent
+            profile = getattr(datum, f"{name}_moment")[:, band] * np.exp(-t * exponent)
+            tail = np.einsum("i,i->", getattr(datum, f"{name}_tail"), tail_decay)
+            gaps[name] = _sum_of_squares(low - profile) + float(tail)
+        cell = self.grid.cell_volume
+        return (
+            math.sqrt(full * cell),
+            math.sqrt(high * cell),
+            {name: math.sqrt(value * cell) for name, value in gaps.items()},
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class Datum:
@@ -818,7 +967,8 @@ class Datum:
     its own read-only flat spectrum ``(components, N^d)``.
 
     What the evolutions need of it at every time is computed at first use, so
-    the factorization runs in the first :meth:`FrequencySplitter.decompose`.
+    the factorization runs in the first :meth:`FrequencySplitter.decompose`
+    or :meth:`FrequencySplitter.l2_norms`, whichever comes first.
     """
 
     splitter: FrequencySplitter
@@ -838,6 +988,28 @@ class Datum:
         return coefficients, self.spectrum[:, basis.fallback], moment
 
     @cached_property
+    def form(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Hermitian form ``W_r = sum_g (V_r^H T_g^T T_g V_r) o (conj(c_g) c_g^T)``,
+        ``c_g`` the modal coefficients of the slots in the form, indexed
+        ``(row, column, orbit)``, and ``V^-1 T^-1 u`` at the composed direct
+        members (see :class:`_FormLayout`), indexed ``(member, component)``.
+
+        Over the members in the form, ``|u(t)|^2 = sum_r E_r^H W_r E_r`` with
+        ``E_r = exp(-t lambda_r)``: a member's field is ``T_g V_r (E_r o c_g)``,
+        conjugated when ``g`` includes conjugation, and ``T_g`` is real.
+        """
+        layout = self.splitter._form_layout
+        coefficients = self.modal[0]
+        weights = np.zeros(layout.grams.shape[1:], dtype=complex)
+        for g, gram in enumerate(layout.gram):
+            if layout.slots[g].any():
+                c = np.where(layout.slots[g], coefficients[g], 0.0)
+                weights += layout.grams[gram] * (c.conj()[:, None, :] * c[None, :, :])
+        _, _, inverse = layout.factors
+        members = layout.direct[layout.composed]
+        return weights, np.einsum("mij,jm->mi", inverse, self.spectrum[:, members])
+
+    @cached_property
     def phi_moment(self) -> np.ndarray:
         """Zeroth-order moment ``P0 u``."""
         return self.splitter.limit.projection @ self.spectrum
@@ -851,6 +1023,21 @@ class Datum:
         for h, correction in enumerate(limit.corrections):
             moment = moment + 1j * vectors[:, h][None, :] * (correction @ self.spectrum)
         return moment
+
+    @cached_property
+    def phi_tail(self) -> np.ndarray:
+        """``|P0 u|^2`` off the band, 0 on it."""
+        return self._tail(self.phi_moment)
+
+    @cached_property
+    def psi_tail(self) -> np.ndarray:
+        """``|(P0 + sum_h i k_h P1_h) u|^2`` off the band, 0 on it."""
+        return self._tail(self.psi_moment)
+
+    def _tail(self, moment: np.ndarray) -> np.ndarray:
+        tail = np.sum(np.square(moment.real), axis=0) + np.sum(np.square(moment.imag), axis=0)
+        tail[self.splitter._band] = 0.0
+        return tail
 
 
 def evolve_parabolic_phi(datum: Datum, t: float) -> GridField:

@@ -399,7 +399,8 @@ class TestRun:
         config = write_run_config(tmp_path, gk_path)
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 3
         stderr = capsys.readouterr().err
-        assert stderr.startswith("error: L^2 norm in frequency space")
+        # The first step's audit compares u's Riemann sum with the datum's form.
+        assert stderr.startswith("error: L^2 norm of u at t = 2 from the per-datum form")
         assert stderr.count("\n") == 1
 
 

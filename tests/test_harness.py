@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,9 @@ from hyprelax.harness import (
     run_experiment,
 )
 from hyprelax.model import HyperbolicSystem, check_condition_D, dump_system, load_system
+from hyprelax.cli import main
 from hyprelax.spectral import (
+    Datum,
     FrequencySplitter,
     GridField,
     GridSpec,
@@ -539,9 +542,26 @@ def small_plane_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**settings)
 
 
+def skew_form(monkeypatch) -> None:
+    """Make every datum's form scale its largest diagonal entry by 1 + 1e-9."""
+    build = Datum.__dict__["form"].func
+
+    def skewed(datum):
+        weights, coefficients = build(datum)
+        diagonal = np.abs(np.einsum("iir->ir", weights))
+        i, r = np.unravel_index(np.argmax(diagonal), diagonal.shape)
+        weights[i, i, r] *= 1.0 + 1e-9
+        return weights, coefficients
+
+    form = cached_property(skewed)
+    form.__set_name__(Datum, "form")
+    monkeypatch.setattr(Datum, "form", form)
+
+
 class TestFrequencySpaceNorms:
-    """p = 2 norms are taken on the spectra; only p = inf norms, snapshots and
-    the one Parseval audit per run transform a field back."""
+    """p = 2 norms come from each datum's form; only p = inf norms, snapshots
+    and the run's first step, whose grid-field norms audit the form, build
+    grid fields."""
 
     @pytest.mark.parametrize(
         "pairs, transforms",
@@ -577,6 +597,69 @@ class TestFrequencySpaceNorms:
         monkeypatch.setattr(harness, "to_physical", skewed)
         with pytest.raises(SpectralError, match="Riemann sum"):
             run_experiment(small_plane_config(), damped_euler_2d())
+
+    def test_skewed_form_fails_the_first_step(self, monkeypatch, tmp_path, capsys):
+        skew_form(monkeypatch)
+        with pytest.raises(SpectralError, match="^L\\^2 norm of u at t = 2 from the per-datum form"):
+            run_experiment(small_plane_config(), damped_euler_2d())
+        system = tmp_path / "damped_euler.json"
+        dump_system(damped_euler_2d(), system)
+        config = tmp_path / "plane.json"
+        echo = _config_echo(small_plane_config(system=str(system)))
+        config.write_text(json.dumps(echo))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert "from the per-datum form" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pairs, decompositions, transforms",
+        [(((2.0, 1),), 1, 1), (((2.0, 1), (math.inf, 1)), 6, 3 * 6)],
+    )
+    def test_engine_calls_per_run(self, monkeypatch, pairs, decompositions, transforms):
+        """The factorization is first reached inside the first ``decompose``
+        (where a benchmark's setup ends), the form after it; every time makes
+        one Pade call, and only a p = inf pair decomposes after the first step."""
+        import hyprelax.harness as harness
+        import hyprelax.spectral as spectral
+
+        events = []
+
+        def traced(cls, name):
+            build = cls.__dict__[name].func
+
+            def wrapper(owner):
+                events.append(name)
+                return build(owner)
+
+            prop = cached_property(wrapper)
+            prop.__set_name__(cls, name)
+            monkeypatch.setattr(cls, name, prop)
+
+        def counted(module, name):
+            function = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                result = function(*args, **kwargs)
+                events.append(f"{name} returned")
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        traced(FrequencySplitter, "_eigenbasis")
+        traced(FrequencySplitter, "_form_layout")
+        traced(Datum, "form")
+        counted(FrequencySplitter, "decompose")
+        counted(harness, "to_physical")
+        counted(spectral, "matrix_exponential")
+        run_experiment(small_plane_config(pairs=pairs), damped_euler_2d())
+        assert events[:2] == ["decompose", "_eigenbasis"]
+        assert events.count("_eigenbasis") == events.count("_form_layout") == 1
+        assert events.count("form") == 1
+        assert events.index("form") > events.index("decompose returned")
+        assert events.index("_form_layout") > events.index("decompose returned")
+        assert events.count("decompose") == decompositions
+        assert events.count("to_physical") == transforms
+        assert events.count("matrix_exponential") == 6
 
 
 class TestEmitReport:

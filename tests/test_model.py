@@ -155,6 +155,16 @@ def anisotropic_euler() -> HyperbolicSystem:
     )
 
 
+def complex_compression() -> HyperbolicSystem:
+    """The last two modes share the zero branch of ``A(w)``, and ``B``
+    compresses onto them with eigenvalues ``1 +- i``, so R's frames are
+    complex."""
+    return HyperbolicSystem(
+        advections=(np.diag([1.0, 0.0, 0.0]), np.diag([0.5, 0.0, 0.0])),
+        relaxation=np.array([[0.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, 1.0, 1.0]]),
+    )
+
+
 def rotating_euler(passive: bool) -> HyperbolicSystem:
     """Damped Euler in the plane with a Coriolis term in its friction, and
     with a damped scalar that nothing advects when ``passive``.  ``C(w)``
@@ -850,6 +860,32 @@ class TestCheckAll:
         without = check_all_conditions(jordan)
         assert not without["A"].passed
         assert set(without) == {"A", "B", "D", "S"}
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: load_system(CONFIGS / "goldstein_kac.json"),
+            lambda: load_system(CONFIGS / "damped_euler.json"),
+            lambda: load_system(CONFIGS / "damped_euler_3d.json"),
+            anisotropic_euler,
+            complex_compression,
+        ],
+        ids=["goldstein_kac", "damped_euler", "damped_euler_3d", "anisotropic", "complex"],
+    )
+    def test_reports_serialize_directly(self, build):
+        for report in check_all_conditions(build()).values():
+            json.dumps(report.data, allow_nan=False)
+            json.dumps(report.witness, allow_nan=False)
+
+    def test_complex_compression_keeps_both_parts(self):
+        report = check_condition_R(complex_compression())
+        assert report.passed, report.summary
+        assert_allclose(np.diag(report.data["conjugated_relaxation"]), [1.0, 1.0, 0.0], atol=1e-12)
+        assert_allclose(
+            np.diag(report.data["conjugated_relaxation_imag"]), [1.0, -1.0, 0.0], atol=1e-12
+        )
+        real = check_condition_R(goldstein_kac_1d()).data
+        assert_array_equal(real["conjugated_relaxation_imag"], np.zeros((2, 2)))
 
 
 class TestSystemFiles:

@@ -925,6 +925,127 @@ class TestOrbitMap:
         assert orbits.representatives.size == grid.points**2 // 2 + grid.points
 
 
+def grid_norms(splitter: FrequencySplitter, datum, t: float):
+    """``|u|_2``, ``|u2|_2`` and ``|u1 - P|_2`` from the grid fields of
+    :meth:`~FrequencySplitter.decompose` and the profiles: the oracle of
+    :meth:`~FrequencySplitter.l2_norms`."""
+    full, low, high = splitter.decompose(datum, t)
+    gaps = {}
+    for name, evolve in (("phi", evolve_parabolic_phi), ("psi", evolve_parabolic_psi)):
+        gap = GridField(splitter.grid, low.values - evolve(datum, t).values, FREQUENCY)
+        gaps[name] = lp_norm(gap, 2)
+    return lp_norm(full, 2), lp_norm(high, 2), gaps
+
+
+class TestFormNorms:
+    """The per-datum form against the grid fields, at every time of a run."""
+
+    CASES = {
+        "line": (goldstein_kac_1d, PeriodicGrid(1, 256, 40.0), None),
+        "plane": (damped_euler_2d, PeriodicGrid(2, 64, 16.0), None),
+        "space": (
+            lambda: load_system(CONFIGS / "damped_euler_3d.json"),
+            PeriodicGrid(3, 16, 24.0),
+            None,
+        ),
+        "line-16pi": (goldstein_kac_1d, PeriodicGrid(1, 128, 16 * np.pi), None),
+        "plane-16pi": (damped_euler_2d, PeriodicGrid(2, 64, 16 * np.pi), None),
+        "no-lifts": (lambda: random_plane_system(3), PeriodicGrid(2, 32, 8.0), CutoffSpec(0.5)),
+    }
+
+    @staticmethod
+    def assert_form_matches_grid(splitter: FrequencySplitter, seed: int) -> None:
+        field = white_spectrum(splitter.grid, splitter.system.size, seed=seed)
+        datum = splitter.prepare(field)
+        for t in (0.0, 0.7, 5.0, 40.0):
+            full, high, gaps = grid_norms(splitter, datum, t)
+            formed = splitter.l2_norms(datum, t)
+            assert formed[0] == pytest.approx(full, rel=1e-12, abs=0)
+            assert formed[1] == pytest.approx(high, rel=1e-12, abs=0)
+            assert formed[2] == pytest.approx(gaps, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_form_matches_grid_norms(self, case):
+        build, grid, cut = self.CASES[case]
+        splitter = FrequencySplitter(build(), grid, cut)
+        self.assert_form_matches_grid(splitter, seed=21)
+        orbits = splitter._eigenbasis.orbits
+        expected_fallback = {"line-16pi": 2, "plane-16pi": 4}.get(case, 0)
+        assert splitter.fallback_count == expected_fallback
+        if case == "space":
+            assert orbits.rotations.shape[0] == 48
+        if case == "no-lifts":
+            assert orbits.conjugate.tolist() == [False, True]
+        # The form holds every member off the band below sqrt(CONDITION_LIMIT).
+        layout = splitter._form_layout
+        assert layout.direct.size == splitter._band.size + expected_fallback
+        assert layout.slots.sum() == grid.total_points - layout.direct.size
+
+    def test_high_condition_members_are_propagated_one_by_one(self, monkeypatch):
+        # On this line the bounds run from 2 to 6: with a limit of 5 the form
+        # takes the members up to sqrt(5), the rest up to 5 take composed
+        # factors and the two above 5 the Pade rows.
+        monkeypatch.setattr(spectral, "CONDITION_LIMIT", 5.0)
+        build, grid, _ = self.CASES["line"]
+        splitter = FrequencySplitter(build(), grid)
+        self.assert_form_matches_grid(splitter, seed=22)
+        layout = splitter._form_layout
+        assert splitter.fallback_count == layout.fallback.size == 2
+        assert layout.composed.size - splitter._band.size == 22
+        assert layout.slots.sum() > 200
+        assert layout.slots.sum() + layout.direct.size == grid.total_points
+
+    def test_every_member_takes_the_pade_rows_below_every_bound(self, monkeypatch):
+        monkeypatch.setattr(spectral, "CONDITION_LIMIT", 0.5)
+        build, grid, _ = self.CASES["plane"]
+        splitter = FrequencySplitter(build(), grid)
+        self.assert_form_matches_grid(splitter, seed=23)
+        assert splitter.fallback_count == grid.total_points
+        assert not splitter._form_layout.slots.any()
+
+    def test_one_pade_call_per_time(self, monkeypatch):
+        calls = []
+        exponential = spectral.matrix_exponential
+
+        def counted(matrices):
+            calls.append(matrices.shape[0])
+            return exponential(matrices)
+
+        monkeypatch.setattr(spectral, "matrix_exponential", counted)
+        build, grid, _ = self.CASES["plane-16pi"]
+        splitter = FrequencySplitter(build(), grid)
+        data = [splitter.prepare(white_spectrum(grid, 3, seed=seed)) for seed in (24, 25)]
+        for t in (0.5, 3.0):
+            for datum in data:
+                splitter.decompose(datum, t)
+                splitter.l2_norms(datum, t)
+        assert len(calls) == 2
+
+    def test_form_is_built_once_per_datum(self, monkeypatch):
+        build, grid, _ = self.CASES["plane"]
+        splitter = FrequencySplitter(build(), grid)
+        datum = splitter.prepare(white_spectrum(grid, 3, seed=26))
+        splitter.l2_norms(datum, 1.0, ("psi",))
+        weights, _ = datum.form
+        assert "phi_tail" not in vars(datum)
+        splitter.l2_norms(datum, 2.0)
+        assert datum.form[0] is weights
+        hermitian = np.conj(weights.transpose(1, 0, 2))
+        assert_allclose(weights, hermitian, rtol=0, atol=1e-15 * np.max(np.abs(weights)))
+
+    def test_validation(self):
+        build, grid, _ = self.CASES["line"]
+        splitter = FrequencySplitter(build(), grid)
+        datum = splitter.prepare(white_spectrum(grid, 2, seed=27))
+        with pytest.raises(ValueError, match="nonnegative"):
+            splitter.l2_norms(datum, -1.0)
+        with pytest.raises(ValueError, match="unknown profiles"):
+            splitter.l2_norms(datum, 1.0, ("chi",))
+        other = FrequencySplitter(build(), grid)
+        with pytest.raises(ValueError, match="another splitter"):
+            other.l2_norms(datum, 1.0)
+
+
 def drifting_two_speed() -> HyperbolicSystem:
     return HyperbolicSystem(
         advections=(np.diag([2.0, 0.0]),),
