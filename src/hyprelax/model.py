@@ -31,6 +31,7 @@ __all__ = [
     "ModelError",
     "SystemFileError",
     "HyperbolicSystem",
+    "RealForm",
     "SphereTable",
     "ConditionReport",
     "sphere_samples",
@@ -121,10 +122,72 @@ class HyperbolicSystem:
         out += self.relaxation
         return out
 
+    def real_symbol(self, k: np.ndarray) -> np.ndarray:
+        """``S^-1 E(ik) S`` of :attr:`real_form`, a real matrix similar to
+        :meth:`symbol`, for one frequency or a stack of shape ``(..., d)``.
+
+        Raises:
+            ValueError: if the system has no real form.
+        """
+        form = self.real_form
+        if form is None:
+            raise ValueError("the system has no real form: no lift of k -> -k squares to cI, c > 0")
+        out = np.einsum("...j,jab->...ab", np.asarray(k, dtype=float), form.advections)
+        out += form.relaxation
+        return out
+
+    @cached_property
+    def real_form(self) -> RealForm | None:
+        """The system's :class:`RealForm`, or None; computed on first use."""
+        return _real_form(self)
+
     @cached_property
     def sphere(self) -> SphereTable:
         """The system's one sphere table, computed on first use."""
         return _sphere_table(self)
+
+
+@dataclass(frozen=True)
+class RealForm:
+    """A basis ``S`` in which every symbol is real: ``S^-1 E(ik) S`` is
+    ``relaxation + sum_j k_j advections[j]`` with real ``relaxation``
+    (``S^-1 B S``) and ``advections`` (``S^-1 i A^j S``, stacked ``(d, n, n)``).
+
+    With ``P`` the lift of ``k -> -k`` (``P B = B P``, ``P A^j = -A^j P``)
+    scaled to an involution, ``E(ik) = P conj(E(ik)) P``, and
+    ``S = P+ + i P-`` (``P+- = (I +- P) / 2``, so ``S^-1 = P+ - i P-``)
+    gives ``conj(S^-1 E S) = S^-1 E S``.  ``transform`` is ``S`` and
+    ``inverse`` is ``S^-1``; both keep the component order.
+    """
+
+    transform: np.ndarray
+    inverse: np.ndarray
+    relaxation: np.ndarray
+    advections: np.ndarray
+
+
+def _real_form(system: HyperbolicSystem) -> RealForm | None:
+    """The real form of ``system`` from :func:`lift_axis_map` of ``-I``; None
+    when there is no lift, when ``P^2`` is not ``c I`` with ``c > 0`` (within
+    ``1e-12 c``), or when an imaginary part of the transformed coefficients
+    exceeds ``1e-14`` of the largest coefficient."""
+    lift = lift_axis_map(system, -np.eye(system.dimension))
+    if lift is None:
+        return None
+    eye = np.eye(system.size)
+    square = lift @ lift
+    scale = np.trace(square) / system.size
+    if not scale > 0 or np.max(np.abs(square - scale * eye)) > 1e-12 * scale:
+        return None
+    involution = lift / np.sqrt(scale)
+    transform = 0.5 * ((1 + 1j) * eye + (1 - 1j) * involution)
+    inverse = 0.5 * ((1 - 1j) * eye + (1 + 1j) * involution)
+    coefficients = np.stack([system.relaxation, *(1j * a for a in system.advections)])
+    conjugated = inverse @ coefficients @ transform
+    if np.max(np.abs(conjugated.imag)) > 1e-14 * np.max(np.abs(conjugated.real)):
+        return None
+    real = np.ascontiguousarray(conjugated.real)
+    return RealForm(transform, inverse, real[0], real[1:])
 
 
 @dataclass(frozen=True)
@@ -481,13 +544,15 @@ def check_condition_D(system: HyperbolicSystem) -> ConditionReport:
     Samples ``_D_RADIAL_COUNT`` log-spaced moduli from ``1e-3`` to ``1e3``
     times ``_D_SPHERE_COUNT`` sphere directions and reports the infimum of
     ``Re lambda * (1 + |k|^2) / |k|^2``.  The witness on failure is the
-    frequency and eigenvalue attaining it.
+    frequency and eigenvalue attaining it.  A system with a
+    :attr:`~HyperbolicSystem.real_form` takes the eigenvalues of its real
+    symbols, which are similar to ``E(ik)``.
     """
     directions = sphere_samples(system.dimension, _D_SPHERE_COUNT)
     radii = np.geomspace(1e-3, 1e3, _D_RADIAL_COUNT)
     frequencies = radii[:, None, None] * directions[None, :, :]
     flat = frequencies.reshape(-1, system.dimension)
-    symbols = system.symbol(flat)
+    symbols = system.symbol(flat) if system.real_form is None else system.real_symbol(flat)
     eigenvalues = np.linalg.eigvals(symbols)
     moduli = np.repeat(radii, directions.shape[0])
     weights = (1.0 + moduli**2) / moduli**2
@@ -553,7 +618,8 @@ def lift_axis_map(system: HyperbolicSystem, rotation: np.ndarray) -> np.ndarray 
     ``E(iRk) = T E(ik) T^-1`` at every frequency, or None.  The constraints
     are linear in ``T``: the SVD of their Kronecker form gives the solution
     space, and random combinations of its basis (seed 0) are tried until one
-    has ``sigma_min / sigma_max >= 1e-6``; it is scaled to Frobenius norm
+    has ``sigma_min / sigma_max >= 1e-6`` (a one-dimensional space has one
+    candidate, its basis vector); it is scaled to Frobenius norm
     ``sqrt(n)``, and its entries within ``1e-12 max|T|`` of an integer are
     rounded to it, so a signed permutation comes out exact.  None when no
     try is invertible or either residual of :func:`lift_residuals` exceeds
@@ -575,12 +641,17 @@ def lift_axis_map(system: HyperbolicSystem, rotation: np.ndarray) -> np.ndarray 
     basis = vt[null_mask]
     if basis.shape[0] == 0:
         return None
-    rng = np.random.default_rng(0)
-    for _ in range(100):
+    if basis.shape[0] == 1:
+        # Every candidate is a multiple of the one basis vector, so none is
+        # drawn (nor numpy.random imported, about 5 MB of resident memory).
+        candidates = basis
+    else:
+        rng = np.random.default_rng(0)
+        candidates = (rng.standard_normal(basis.shape[0]) @ basis for _ in range(100))
+    for candidate in candidates:
         # The basis rows are orthonormal, so a combination's norm is its
         # coefficient vector's, which is not 0.
-        found = (rng.standard_normal(basis.shape[0]) @ basis).reshape(n, n)
-        found *= np.sqrt(n) / np.linalg.norm(found)
+        found = candidate.reshape(n, n) * (np.sqrt(n) / np.linalg.norm(candidate))
         whole = np.round(found)
         found = np.where(np.abs(found - whole) <= 1e-12 * np.max(np.abs(found)), whole, found)
         commutator, advection, conditioning = lift_residuals(found, b, advections, images)

@@ -9,27 +9,32 @@ symbols once as ``E(ik) = V diag(lambda) V^-1`` and applies
 factors one symbol per orbit of the grid frequencies under the axis
 reflections and swaps that lift to the system (``E(iRk) = T E(ik) T^-1``)
 and conjugation (``E(-ik) = conj E(ik)``, as ``A`` and ``B`` are real); the
-other members of an orbit take ``T V`` and ``V^-1 T^-1``.  Symbols whose
-eigenvector basis is ill-conditioned go through the Pade-13
-:func:`~hyprelax.linalg.matrix_exponential` instead, and every propagation
-re-checks the weakest factored symbols against it.  The low-frequency part
-``u1`` applies the 0-group eigenprojection of the same factorization under a
-smooth cutoff (audited against the contour projection at the first
-propagation), and the remainder ``u2`` is defined by subtraction so the split
-is additively exact.  The tests keep the Pade path for every symbol as the
-independent reference.  The parabolic comparison profiles apply the
+other members of an orbit take ``T V`` and ``V^-1 T^-1``.  When the lift of
+``k -> -k`` squares to a positive multiple of ``I``, the system's real form
+(:attr:`~hyprelax.model.HyperbolicSystem.real_form`) gives ``S`` with
+``S^-1 E(ik) S`` real, and the representatives are factored in real
+arithmetic as ``V = S V_F``, ``V^-1 = V_F^-1 S^-1``; other systems factor the
+complex symbols.  Symbols whose eigenvector basis is ill-conditioned go
+through the Pade-13 :func:`~hyprelax.linalg.matrix_exponential` instead, and
+every propagation re-checks the weakest factored symbols against it.  The
+low-frequency part ``u1`` applies the 0-group eigenprojection of the same
+factorization under a smooth cutoff (audited against the contour projection
+at the first propagation), and the remainder ``u2`` is defined by
+subtraction so the split is additively exact.  The tests keep the Pade path
+for every symbol as the independent reference.  The parabolic comparison profiles apply the
 drift/diffusion multiplier with the zeroth-order (phi) or first-order (psi)
 projection moment.
 
 The splitter is the engine: it holds what depends on the system and grid
 only.  :meth:`FrequencySplitter.prepare` turns a field into a :class:`Datum`
 that owns a read-only spectrum and keeps what depends on the datum but not on
-the time (modal coefficients, band and profile moments, and the Hermitian
-form of its ``L^2`` norms).  Each piece is computed at its first use, and the
-evolutions return frequency fields.  :meth:`FrequencySplitter.l2_norms`
-takes the ``L^2`` norms of ``u``, ``u2`` and the profile gaps from the form
-and the few members outside it, so a time that needs no other norm builds no
-grid field.
+the time (modal coefficients, band and profile moments, the profile tails
+off the band summed per orbit, and the Hermitian form of its ``L^2``
+norms).  Each piece is computed at its first use, and the evolutions return
+frequency fields.  :meth:`FrequencySplitter.l2_norms` takes the ``L^2``
+norms of ``u``, ``u2`` and the profile gaps from the form, the few members
+outside it and the per-orbit tails, so a time that needs no other norm
+touches no full-grid array.
 
 The box is a whole-space surrogate: experiments must keep data supports and
 propagation cones away from the boundary (the decay harness enforces the
@@ -625,8 +630,11 @@ class FrequencySplitter:
     ``R`` that lift to the system (``E(iRk) = T E(ik) T^-1``), and factors one
     representative per orbit as ``V diag(lambda) V^-1``: the member ``Rk`` has
     ``lambda``, ``T V`` and ``V^-1 T^-1`` (conjugated first when the element
-    includes conjugation).  Of the symbols it keeps only the rows the checks
-    below reuse.  The 0-group projection at each band member is Kato's
+    includes conjugation).  A system with a real form factors the real
+    symbols ``S^-1 E(ik) S = V_F diag(lambda) V_F^-1`` in one real ``eig`` and
+    stores ``V = S V_F`` and ``V^-1 = V_F^-1 S^-1``; one without factors the
+    complex symbols in the same call.  Of the symbols it keeps only the rows
+    the checks below reuse.  The 0-group projection at each band member is Kato's
     rank-one ``P0 = v w^T`` from the right and left eigenvectors of the
     eigenvalue nearest zero.  A :meth:`decompose` at time ``t`` then costs
     ``exp(-t lambda)`` per orbit, ``V (exp(-t lambda) * c)`` on the datum's
@@ -634,8 +642,9 @@ class FrequencySplitter:
     per element whose ``T`` is not the identity, one gather back to the grid,
     and ``exp(-t lambda0)`` on the band.  :meth:`l2_norms` costs
     ``exp(-t lambda)`` per orbit, one Hermitian form per orbit, the band and
-    the few ill-conditioned members one by one, and ``exp(-2t k.Dk)`` for
-    the profiles off the band.
+    the few ill-conditioned members one by one, and ``exp(-2t k.Dk)`` per
+    orbit for the profiles off the band (``k.Dk`` is the same at every
+    member of an orbit).
 
     A member whose condition bound ``cond_2(T) |V|_F |V^-1|_F`` exceeds
     :data:`CONDITION_LIMIT` is exponentiated by
@@ -710,12 +719,24 @@ class FrequencySplitter:
     def _eigenbasis(self) -> _Eigenbasis:
         """One factorization per orbit, with the band table and the audit rows."""
         orbits = _grid_orbits(self.system, self.grid)
-        values, vectors = np.linalg.eig(
-            self.system.symbol(self._vectors[orbits.representatives])
-        )
+        k = self._vectors[orbits.representatives]
+        form = self.system.real_form
+        # With a real form E = S M S^-1 and M = V_F diag(lambda) V_F^-1 is
+        # factored in real arithmetic: V = S V_F and V^-1 = V_F^-1 S^-1.
+        # Without one, E itself is factored and S is I.
+        if form is None:
+            eye = np.eye(self.system.size)
+            symbols, left, right = self.system.symbol(k), eye, eye
+        else:
+            symbols, left, right = self.system.real_symbol(k), form.transform, form.inverse
+        values, vectors = np.linalg.eig(symbols)
+        # eig returns a real pair when every eigenvalue of the stack is real.
+        values, vectors = values.astype(complex, copy=False), vectors.astype(complex, copy=False)
         inverse = np.linalg.inv(vectors)
-        vectors = np.ascontiguousarray(vectors.transpose(1, 2, 0)).transpose(2, 0, 1)
-        inverse = np.ascontiguousarray(inverse.transpose(1, 2, 0)).transpose(2, 0, 1)
+        # Stored orbit-last in C order, so the per-time apply and the forms read
+        # them contiguously; einsum, as a batched matmul would start BLAS threads.
+        vectors = np.einsum("ij,rjk->ikr", left, vectors, order="C").transpose(2, 0, 1)
+        inverse = np.einsum("rij,jk->ikr", inverse, right, order="C").transpose(2, 0, 1)
         values = np.ascontiguousarray(values.T)
         condition = (
             np.linalg.cond(orbits.transforms)[orbits.element]
@@ -820,6 +841,12 @@ class FrequencySplitter:
         """``k.Dk`` at every grid frequency."""
         return self.limit.diffusion_form(self._vectors)
 
+    @cached_property
+    def _orbit_diffusion(self) -> np.ndarray:
+        """``k.Dk`` at each orbit's representative: every lifted element keeps
+        the 0-branch, so ``k.Dk`` is the same at every member of an orbit."""
+        return self.diffusion_form[self._eigenbasis.orbits.representatives]
+
     def prepare(self, field: GridField) -> Datum:
         """``field`` as a datum of this splitter.
 
@@ -912,8 +939,9 @@ class FrequencySplitter:
         fallback members and the rest above ``sqrt(CONDITION_LIMIT)``) are
         propagated one by one, from composed factors or from the time's Pade
         rows.  Off the band ``u1`` is 0, so a gap is the profile there:
-        ``sum |P moment|^2 exp(-2t k.Dk)``.  Every norm is a sum over disjoint
-        sets of members, and no squared norm is subtracted.
+        ``sum_r tail_r exp(-2t k_r.Dk_r)`` over the orbits, with the datum's
+        per-orbit tails and ``k_r`` the representative.  Every norm is a sum
+        over disjoint sets of members, and no squared norm is subtracted.
 
         Raises:
             ValueError: if ``t < 0``, another splitter prepared ``datum`` or a
@@ -944,8 +972,9 @@ class FrequencySplitter:
         full = others + _sum_of_squares(direct[:, : band.size])
         high = others + _sum_of_squares(direct[:, : band.size] - low)
         gaps = {}
-        # |exp(-t c.ik)| = 1, so off the band every profile decays as exp(-2t k.Dk).
-        tail_decay = np.exp(-2.0 * t * self.diffusion_form) if profiles else None
+        # |exp(-t c.ik)| = 1, so off the band every profile decays as
+        # exp(-2t k.Dk), the same at every member of an orbit.
+        tail_decay = np.exp(-2.0 * t * self._orbit_diffusion) if profiles else None
         for name in profiles:
             exponent = self.diffusion_form[band]
             if name == "phi":
@@ -1020,24 +1049,32 @@ class Datum:
         limit = self.splitter.limit
         vectors = self.splitter.grid.frequency_vectors
         moment = limit.projection @ self.spectrum
+        # In place: each term would otherwise leave three full-grid temporaries.
         for h, correction in enumerate(limit.corrections):
-            moment = moment + 1j * vectors[:, h][None, :] * (correction @ self.spectrum)
+            term = correction @ self.spectrum
+            term *= 1j * vectors[:, h]
+            moment += term
         return moment
 
     @cached_property
     def phi_tail(self) -> np.ndarray:
-        """``|P0 u|^2`` off the band, 0 on it."""
+        """``|P0 u|^2`` off the band, summed per orbit."""
         return self._tail(self.phi_moment)
 
     @cached_property
     def psi_tail(self) -> np.ndarray:
-        """``|(P0 + sum_h i k_h P1_h) u|^2`` off the band, 0 on it."""
+        """``|(P0 + sum_h i k_h P1_h) u|^2`` off the band, summed per orbit."""
         return self._tail(self.psi_moment)
 
     def _tail(self, moment: np.ndarray) -> np.ndarray:
+        """``|moment|^2`` summed over the members off the band of each orbit;
+        the band is a union of orbits, since ``|k|`` is the same at every
+        member."""
+        splitter = self.splitter
         tail = np.sum(np.square(moment.real), axis=0) + np.sum(np.square(moment.imag), axis=0)
-        tail[self.splitter._band] = 0.0
-        return tail
+        tail[splitter._band] = 0.0
+        orbits = splitter._eigenbasis.orbits
+        return np.bincount(orbits.orbit, weights=tail, minlength=orbits.representatives.size)
 
 
 def evolve_parabolic_phi(datum: Datum, t: float) -> GridField:

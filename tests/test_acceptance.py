@@ -5,6 +5,8 @@ to see them as they complete.  The two decay experiments are module-scoped
 fixtures shared by the rate and remainder checks.
 """
 
+import json
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -26,6 +28,9 @@ from hyprelax.perturbation import (
 )
 from hyprelax.spectral import CutoffSpec, GridSpec, InitialSpec
 from hyprelax.systems import damped_euler_2d, goldstein_kac_1d, goldstein_kac_3d
+
+
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
@@ -255,6 +260,24 @@ def test_criterion_08_remainder_decays_exponentially(
             f"{label} rate {remainder['rate']:+.3f}, R^2 {remainder['r_squared']:.4f}"
         )
     verdict(8, ok, "; ".join(details) + " (need R^2 >= 0.98, rate < 0)")
+
+
+@pytest.mark.parametrize(
+    "fixture, reference",
+    [("gaussian_line_run", "gk_line.json"), ("gaussian_plane_run", "euler_plane.json")],
+)
+def test_runs_match_the_benchmark_references(request, fixture, reference):
+    # The demo runs reproduce the series that the benchmark checks its run
+    # workloads against, on the series both record.
+    report, _ = request.getfixturevalue(fixture)
+    recorded = json.loads((BENCH_REFERENCE / reference).read_text())
+    np.testing.assert_allclose(report.times, recorded["times"], rtol=1e-12, atol=0)
+    shared = sorted(set(report.series) & set(recorded["series"]))
+    assert "u_p2_q1" in shared and "u2_l2_q1" in shared
+    for name in shared:
+        np.testing.assert_allclose(
+            report.series[name], recorded["series"][name], rtol=1e-12, atol=0, err_msg=name
+        )
 
 
 def test_criterion_09_dissipation_detector():

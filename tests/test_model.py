@@ -840,6 +840,24 @@ class TestLiftAxisMap:
         assert lift_axis_map(marginally_dissipative(), -np.eye(1)) is None
         assert lift_axis_map(singular_solutions(), -np.eye(1)) is None
 
+    def test_draws_only_in_a_larger_solution_space(self, monkeypatch):
+        # A one-dimensional solution space has one candidate up to scale.
+        draws = []
+        default_rng = np.random.default_rng
+
+        def recorded(seed):
+            draws.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recorded)
+        assert_array_equal(lift_axis_map(damped_euler_2d(), -np.eye(2)), np.diag([1.0, -1.0, -1.0]))
+        assert draws == []
+        # With B = I any off-diagonal T anticommutes with A = diag(1, -1).
+        free = HyperbolicSystem(advections=(np.diag([1.0, -1.0]),), relaxation=np.eye(2))
+        lift = lift_axis_map(free, -np.eye(1))
+        assert draws == [0]
+        assert lift[0, 0] == lift[1, 1] == 0.0 and lift[0, 1] * lift[1, 0] != 0.0
+
     def test_generic_system_has_no_lift(self):
         rng = np.random.default_rng(4)
         system = HyperbolicSystem(
@@ -848,6 +866,114 @@ class TestLiftAxisMap:
         )
         for rotation in ([[-1, 0], [0, 1]], [[0, 1], [1, 0]], [[-1, 0], [0, -1]]):
             assert lift_axis_map(system, np.array(rotation)) is None
+
+
+def three_speed_line() -> HyperbolicSystem:
+    """Speeds -1, 1/2 and 1 with uniform exchange: no lift of ``k -> -k``."""
+    return HyperbolicSystem(
+        advections=(np.diag([-1.0, 0.5, 1.0]),),
+        relaxation=0.5 * (np.eye(3) - np.ones((3, 3)) / 3.0),
+    )
+
+
+def quarter_turn_lift() -> HyperbolicSystem:
+    """The only lifts of ``k -> -k`` are multiples of a quarter turn, which
+    squares to ``-I``."""
+    return HyperbolicSystem(
+        advections=(np.diag([1.0, -1.0]),), relaxation=np.array([[1.0, -1.0], [1.0, 1.0]])
+    )
+
+
+def complex_oracle(system: HyperbolicSystem) -> HyperbolicSystem:
+    """A copy of ``system`` whose real form is None, so every consumer takes
+    the complex symbols: the oracle of the real form."""
+    copy = HyperbolicSystem(system.advections, system.relaxation, system.symmetry, system.name)
+    copy.__dict__["real_form"] = None
+    return copy
+
+
+class TestRealForm:
+    LIFTED = {
+        "damped_euler.json": lambda: load_system(CONFIGS / "damped_euler.json"),
+        "goldstein_kac.json": lambda: load_system(CONFIGS / "goldstein_kac.json"),
+        "damped_euler_3d.json": lambda: load_system(CONFIGS / "damped_euler_3d.json"),
+        "goldstein_kac_1d": goldstein_kac_1d,
+        "damped_euler_2d": damped_euler_2d,
+        "damped_euler_3d": damped_euler_3d,
+        "anisotropic": anisotropic_euler,
+        "rotated": lambda: rotated(damped_euler_2d(), 3),
+    }
+
+    @pytest.mark.parametrize("case", list(LIFTED))
+    def test_real_symbols_are_similar_to_the_symbols(self, case):
+        system = self.LIFTED[case]()
+        form = system.real_form
+        assert form is not None
+        assert system.real_form is form
+        for matrix in (form.relaxation, form.advections):
+            assert matrix.dtype == np.float64
+        n = system.size
+        assert_allclose(form.transform @ form.inverse, np.eye(n), rtol=0, atol=1e-15)
+        k = np.random.default_rng(5).standard_normal((40, system.dimension)) * 3.0
+        real = system.real_symbol(k)
+        assert real.dtype == np.float64 and real.shape == (40, n, n)
+        conjugated = form.inverse @ system.symbol(k) @ form.transform
+        assert np.max(np.abs(conjugated - real)) <= 1e-14 * np.max(np.abs(real))
+        assert_array_equal(system.real_symbol(k[0]), real[0])
+
+    def test_bundled_coefficients_are_exact(self):
+        # A signed-permutation lift gives S entries (1 +- i) / 2 and 0, and
+        # the transformed coefficients come out exactly real.
+        for name in ("damped_euler.json", "goldstein_kac.json", "damped_euler_3d.json"):
+            system = load_system(CONFIGS / name)
+            form = system.real_form
+            coefficients = np.stack([system.relaxation, *(1j * a for a in system.advections)])
+            conjugated = form.inverse @ coefficients @ form.transform
+            assert np.all(conjugated.imag == 0.0)
+            assert_array_equal(form.relaxation, conjugated[0].real)
+            assert_array_equal(form.advections, conjugated[1:].real)
+
+    def test_systems_without_an_involutive_lift_have_none(self):
+        assert lift_axis_map(three_speed_line(), -np.eye(1)) is None
+        assert three_speed_line().real_form is None
+        assert goldstein_kac_3d(0.5, 0.5, 0.5).real_form is None
+        turn = quarter_turn_lift()
+        lift = lift_axis_map(turn, -np.eye(1))
+        square = lift @ lift
+        assert square[0, 0] < 0
+        assert_allclose(square, square[0, 0] * np.eye(2), rtol=0, atol=1e-15)
+        assert turn.real_form is None
+        with pytest.raises(ValueError, match="no real form"):
+            turn.real_symbol(np.ones(1))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: load_system(CONFIGS / "damped_euler.json"),
+            lambda: load_system(CONFIGS / "damped_euler_3d.json"),
+            goldstein_kac_1d,
+            anisotropic_euler,
+        ],
+    )
+    def test_condition_d_matches_the_complex_symbols(self, build):
+        system = build()
+        real = check_condition_D(system)
+        complex_ = check_condition_D(complex_oracle(system))
+        assert real.passed == complex_.passed
+        assert real.data["theta"] == pytest.approx(complex_.data["theta"], rel=1e-12)
+
+    def test_condition_d_reads_the_real_symbols(self, monkeypatch):
+        dtypes = []
+        eigvals = np.linalg.eigvals
+
+        def recorded(matrices):
+            dtypes.append(matrices.dtype)
+            return eigvals(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recorded)
+        check_condition_D(damped_euler_2d())
+        check_condition_D(three_speed_line())
+        assert dtypes == [np.float64, np.complex128]
 
 
 class TestCheckAll:

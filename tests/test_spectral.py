@@ -559,7 +559,9 @@ class TestEigenPropagator:
             assert np.all(evolved.values[:, ~mask] == 0.0)
 
     def test_system_without_lifts_matches_pade(self):
+        # No lift of k -> -k either, so the complex symbols are factored.
         system = random_plane_system(3)
+        assert system.real_form is None
         grid = PeriodicGrid(dimension=2, points=32, half_width=8.0)
         splitter = FrequencySplitter(system, grid, CutoffSpec(inner=0.5))
         field = white_spectrum(grid, system.size, seed=10)
@@ -1044,6 +1046,157 @@ class TestFormNorms:
         other = FrequencySplitter(build(), grid)
         with pytest.raises(ValueError, match="another splitter"):
             other.l2_norms(datum, 1.0)
+
+
+def anisotropic_euler() -> HyperbolicSystem:
+    """``damped_euler_2d`` with friction ``B = diag(0, 1, 2)``: the axis
+    reflections lift, the swap does not."""
+    plane = damped_euler_2d()
+    return HyperbolicSystem(advections=plane.advections, relaxation=np.diag([0.0, 1.0, 2.0]))
+
+
+def three_speed_line() -> HyperbolicSystem:
+    """Speeds -1, 1/2 and 1 with uniform exchange: no lift of ``k -> -k``, so
+    no real form."""
+    return HyperbolicSystem(
+        advections=(np.diag([-1.0, 0.5, 1.0]),),
+        relaxation=0.5 * (np.eye(3) - np.ones((3, 3)) / 3.0),
+    )
+
+
+def complex_oracle(system: HyperbolicSystem) -> HyperbolicSystem:
+    """A copy of ``system`` whose real form is None, so the splitter factors
+    the complex symbols: the oracle of the real factorization."""
+    copy = HyperbolicSystem(system.advections, system.relaxation, system.symmetry, system.name)
+    copy.__dict__["real_form"] = None
+    return copy
+
+
+class TestRealFactorization:
+    """The factorization through the real form against the complex one."""
+
+    CASES = {
+        "line": (goldstein_kac_1d, PeriodicGrid(1, 256, 40.0), None),
+        "plane": (damped_euler_2d, PeriodicGrid(2, 64, 16.0), None),
+        "space": (damped_euler_3d, PeriodicGrid(3, 16, 24.0), None),
+        "line-16pi": (goldstein_kac_1d, PeriodicGrid(1, 128, 16 * np.pi), None),
+        "plane-16pi": (damped_euler_2d, PeriodicGrid(2, 64, 16 * np.pi), None),
+        "anisotropic": (anisotropic_euler, PeriodicGrid(2, 64, 16.0), CutoffSpec(0.35)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_the_complex_factorization(self, case):
+        build, grid, cut = self.CASES[case]
+        system = build()
+        assert system.real_form is not None
+        splitter = FrequencySplitter(system, grid, cut)
+        oracle = FrequencySplitter(complex_oracle(system), grid, cut)
+        field = white_spectrum(grid, system.size, seed=31)
+        datum, reference = splitter.prepare(field), oracle.prepare(field)
+        for t in (0.0, 0.7, 5.0, 40.0):
+            for got, expected in zip(splitter.decompose(datum, t), oracle.decompose(reference, t)):
+                assert relative_gap(got.values, expected.values) <= 1e-12
+            full, high, gaps = splitter.l2_norms(datum, t)
+            oracle_full, oracle_high, oracle_gaps = oracle.l2_norms(reference, t)
+            assert full == pytest.approx(oracle_full, rel=1e-12, abs=0)
+            assert high == pytest.approx(oracle_high, rel=1e-12, abs=0)
+            assert gaps == pytest.approx(oracle_gaps, rel=1e-12, abs=0)
+        assert splitter.fallback_count == oracle.fallback_count
+        assert splitter.fallback_count == {"line-16pi": 2, "plane-16pi": 4}.get(case, 0)
+        basis, oracle_basis = splitter._eigenbasis, oracle._eigenbasis
+        assert np.array_equal(basis.audit, oracle_basis.audit)
+        trusted = oracle_basis.condition <= CONDITION_LIMIT
+        assert np.array_equal(basis.condition <= CONDITION_LIMIT, trusted)
+        if case == "anisotropic":
+            assert basis.orbits.rotations.shape[0] == 4
+
+    def test_orbit_last_factors_are_c_ordered(self):
+        build, grid, cut = self.CASES["plane"]
+        basis = FrequencySplitter(build(), grid, cut)._eigenbasis
+        for factor in (basis.vectors, basis.inverse):
+            assert factor.transpose(1, 2, 0).flags.c_contiguous
+        assert basis.values.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "build, grid, cut, dtype",
+        [
+            (damped_euler_2d, PeriodicGrid(2, 64, 16.0), None, np.float64),
+            (three_speed_line, PeriodicGrid(1, 256, 40.0), CutoffSpec(0.23), np.complex128),
+        ],
+    )
+    def test_one_eig_per_splitter(self, monkeypatch, build, grid, cut, dtype):
+        stacks = []
+        eig = np.linalg.eig
+
+        def recorded(matrices):
+            if np.ndim(matrices) == 3:
+                stacks.append(matrices.dtype)
+            return eig(matrices)
+
+        monkeypatch.setattr(np.linalg, "eig", recorded)
+        system = build()
+        splitter = FrequencySplitter(system, grid, cut)
+        datum = splitter.prepare(white_spectrum(grid, system.size, seed=32))
+        for t in (0.5, 2.0):
+            splitter.decompose(datum, t)
+            splitter.l2_norms(datum, t)
+        assert stacks == [dtype]
+
+
+class TestOrbitTails:
+    """The profile tails summed per orbit against the full grid."""
+
+    CASES = {
+        "plane": (damped_euler_2d, PeriodicGrid(2, 64, 16.0), None, 8),
+        "space": (damped_euler_3d, PeriodicGrid(3, 16, 24.0), None, 48),
+        "anisotropic": (anisotropic_euler, PeriodicGrid(2, 64, 16.0), CutoffSpec(0.35), 4),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_diffusion_form_is_constant_on_orbits(self, case):
+        build, grid, cut, elements = self.CASES[case]
+        splitter = FrequencySplitter(build(), grid, cut)
+        orbits = splitter._eigenbasis.orbits
+        assert orbits.rotations.shape[0] == elements
+        kappa = splitter.diffusion_form
+        gap = np.max(np.abs(kappa - splitter._orbit_diffusion[orbits.orbit]))
+        assert gap <= 1e-14 * np.max(kappa)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_tails_and_gaps_match_the_full_grid(self, case):
+        build, grid, cut, _ = self.CASES[case]
+        splitter = FrequencySplitter(build(), grid, cut)
+        datum = splitter.prepare(white_spectrum(grid, splitter.system.size, seed=34))
+        orbits = splitter._eigenbasis.orbits
+        band = splitter._band
+        for name in ("phi", "psi"):
+            moment = getattr(datum, f"{name}_moment")
+            full = np.sum(np.abs(moment) ** 2, axis=0)
+            full[band] = 0.0
+            tail = getattr(datum, f"{name}_tail")
+            assert tail.shape == (orbits.representatives.size,)
+            assert tail.sum() == pytest.approx(full.sum(), rel=1e-14)
+            order = np.argsort(orbits.orbit, kind="stable")
+            starts = np.searchsorted(orbits.orbit[order], np.arange(tail.size))
+            assert_allclose(tail, np.add.reduceat(full[order], starts), rtol=1e-14, atol=0)
+        basis = splitter._eigenbasis
+        cell = grid.cell_volume
+        for t in (0.0, 0.7, 5.0, 40.0):
+            _, _, gaps = splitter.l2_norms(datum, t)
+            low = datum.modal[2] * np.exp(-t * basis.band_values)
+            for name, gap in gaps.items():
+                # The parent formula: the band one by one, the tail on the full grid.
+                exponent = splitter.diffusion_form[band]
+                if name == "phi":
+                    exponent = splitter.drift_phase[band] + exponent
+                moment = getattr(datum, f"{name}_moment")
+                profile = moment[:, band] * np.exp(-t * exponent)
+                full = np.sum(np.abs(moment) ** 2, axis=0)
+                full[band] = 0.0
+                expected = np.sum(np.abs(low - profile) ** 2) + np.sum(
+                    full * np.exp(-2.0 * t * splitter.diffusion_form)
+                )
+                assert gap == pytest.approx(np.sqrt(expected * cell), rel=1e-13, abs=0)
 
 
 def drifting_two_speed() -> HyperbolicSystem:
