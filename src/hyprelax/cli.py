@@ -196,7 +196,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not os.access(args.out, os.W_OK):
         raise IoFailureError(f"cannot write report to {args.out}: directory is not writable")
     # The one place a config's system is resolved: against the config's directory.
-    report = run_experiment(cfg, load_system(args.config.parent / cfg.system), args.out)
+    report = run_experiment(cfg, load_system(args.config.parent / cfg.system))
     emit_report(report, args.out)
     for name, fit in sorted(report.fits.items()):
         verdict = "ok" if fit["saturated"] else "OFF"

@@ -21,11 +21,11 @@ than the uniform rate.
 The p = 2 norms of ``u``, ``u2`` and the profile gaps ``u1 - Phi``,
 ``u1 - Psi`` come from :meth:`~hyprelax.spectral.FrequencySplitter.l2_norms`,
 a Hermitian form per datum in ``exp(-t lambda)`` that builds no grid field.
-Grid fields are formed only for a p = inf norm, the ``save_fields``
-snapshots and the first measurement of a run.  There the Riemann sum of
-``u`` (an inverse transform) and the norms of the spectra of ``u2`` and of
-each gap (equal to their Riemann sums by Parseval, as the transform is
-unitary) must match the form within 1e-12 relative (the form audit).
+Grid fields are formed only for a p = inf norm and the first measurement
+of a run.  There the Riemann sum of ``u`` (an inverse transform) and the
+norms of the spectra of ``u2`` and of each gap (equal to their Riemann sums
+by Parseval, as the transform is unitary) must match the form within 1e-12
+relative (the form audit).
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .spectral import (
     evolve_parabolic_psi,
     lp_norm,
     make_initial_data,
-    save_field,
     to_physical,
 )
 
@@ -110,7 +109,7 @@ class WrapAroundGuardError(HarnessError):
 
 
 class IoFailureError(HarnessError):
-    """Report or snapshot files could not be written."""
+    """Report files could not be written."""
 
 
 class ConfigurationError(HarnessError):
@@ -242,7 +241,6 @@ class ExperimentConfig:
     profile: str = "both"
     tolerance: float = 0.15
     fit: FitWindow = field(default_factory=FitWindow)
-    save_fields: bool = False
 
     def __post_init__(self) -> None:
         if self.profile not in ("phi", "psi", "both"):
@@ -375,30 +373,25 @@ def _fit_series(
     }
 
 
-def run_experiment(
-    cfg: ExperimentConfig, system: HyperbolicSystem, out_dir: str | Path | None = None
-) -> DecayReport:
+def run_experiment(cfg: ExperimentConfig, system: HyperbolicSystem) -> DecayReport:
     """Evolve ``system`` under ``cfg``, split, compare against parabolic
     profiles, and fit rates.
 
     ``cfg.system`` is only echoed: the caller loads the system it names.
-    ``out_dir`` receives the ``fields/`` snapshots of ``cfg.save_fields`` and
-    is needed only then.  The report passes when every requested exponent
-    fit lands within tolerance of its prediction and every remainder series
-    fits an exponential with negative rate.
+    Nothing is written; :func:`emit_report` writes the report.  The report
+    passes when every requested exponent fit lands within tolerance of its
+    prediction and every remainder series fits an exponential with negative
+    rate.
 
     Raises:
         ConditionViolatedError: if the kernel or dissipation check fails, or
             the first-order profile is requested alone without a symmetry.
         WrapAroundGuardError: if waves could cross the periodic boundary
             within the schedule.
-        ConfigurationError: if the config is inconsistent with the system,
-            asks for snapshots without an ``out_dir``, or has zero-mass data.
-        IoFailureError: if a snapshot or its directory cannot be written.
+        ConfigurationError: if the config is inconsistent with the system or
+            has zero-mass data.
         SpectralError: if a propagation audit or the form audit fails.
     """
-    if cfg.save_fields and out_dir is None:
-        raise ConfigurationError("save_fields needs an output directory for its snapshots")
     grid = cfg.grid.on(system.dimension)
     amplitudes = cfg.initial.amplitudes
     if amplitudes is not None and len(amplitudes) != system.size:
@@ -456,14 +449,6 @@ def run_experiment(
             f"predicted rates do not apply; {hint}"
         )
 
-    fields_dir = None
-    if cfg.save_fields:
-        fields_dir = Path(out_dir) / "fields"
-        try:
-            fields_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as error:
-            raise IoFailureError(f"cannot create {fields_dir}: {error}") from error
-
     series: dict[str, list[float]] = {}
 
     def record(name: str, value: float) -> None:
@@ -471,43 +456,27 @@ def run_experiment(
 
     audited = False
 
-    def measure(datum: Datum, t: float, pairs, q_label: int, save_index=None):
+    def measure(datum: Datum, t: float, pairs, q_label: int):
         # p = 2 norms come from the datum's form (``splitter.l2_norms``), which
-        # builds no grid field.  Fields are formed only for a p = inf norm, a
-        # snapshot or the run's first step, whose grid-field norms audit the
-        # form.  Each is released before the next one is made, and all of
-        # them before the form is built.
+        # builds no grid field.  Fields are formed only for a p = inf norm or
+        # the run's first step, whose grid-field norms audit the form.  Each is
+        # released before the next one is made, and all of them before the
+        # form is built.
         nonlocal audited
-        save = save_index is not None and fields_dir is not None
         sup = any(math.isinf(p) for p, _ in pairs)
         audit = not audited
         observed: dict[str, float] = {}  # the first step's grid-field L^2 norms
         sup_norms: dict[str, float] = {}
-
-        def physical(spectrum: GridField, label: str) -> GridField:
-            field = to_physical(spectrum)
-            if save:
-                path = fields_dir / f"snapshot_{save_index:03d}_{label}.bin"
-                try:
-                    save_field(field, path, time=t)
-                except OSError as error:
-                    raise IoFailureError(f"cannot write {path}: {error}") from error
-            return field
-
-        if sup or save or audit:
+        if sup or audit:
             full, low, high = splitter.decompose(datum, t)
-            u = physical(full, "u")
+            u = to_physical(full)
             del full
             if audit:
                 observed["u"], observed["u2"] = lp_norm(u, 2), lp_norm(high, 2)
             if sup:
                 sup_norms["u"] = lp_norm(u, math.inf)
-            del u
-            if save:
-                physical(high, "u2")
-                physical(low, "u1")
-            del high
-            for name, evolve in profiles.items() if sup or audit else ():
+            del u, high
+            for name, evolve in profiles.items():
                 gap = evolve(datum, t)
                 np.subtract(low.values, gap.values, out=gap.values)
                 if audit:
@@ -536,9 +505,9 @@ def run_experiment(
 
     fixed = splitter.prepare(initial) if fixed_pairs else None
     del initial
-    for index, t in enumerate(times):
+    for t in times:
         if fixed_pairs:
-            measure(fixed, float(t), fixed_pairs, 1, save_index=index)
+            measure(fixed, float(t), fixed_pairs, 1)
         for p, q in scaling_pairs:
             sigma_t = cfg.initial.sigma * math.sqrt(float(t) / float(times[0]))
             gaussian = _unit_l2_gaussian(

@@ -44,10 +44,8 @@ corresponding guard).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -81,14 +79,10 @@ __all__ = [
     "evolve_parabolic_phi",
     "evolve_parabolic_psi",
     "make_initial_data",
-    "save_field",
-    "load_field",
 ]
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
-
-_HEADER = struct.Struct("<iidiid")
 
 # Eigenvector-basis condition estimate ``|V|_F |V^-1|_F`` above which a symbol
 # is exponentiated and projected by the exact methods.  The demo grids stay
@@ -1147,43 +1141,3 @@ def make_initial_data(grid: PeriodicGrid, components: int, spec: InitialSpec) ->
         values = amplitude_array * shaped / scale
 
     return GridField(grid, values.astype(complex), PHYSICAL)
-
-
-def save_field(field: GridField, path: str | Path, *, time: float = 0.0) -> None:
-    """Write a field snapshot: fixed header plus little-endian complex values.
-
-    Header fields are (dimension, points, half_width, components, tag, time)
-    with tag 0 for physical and 1 for frequency; values follow row-major,
-    component-major, each complex number as a float64 pair.
-    """
-    tag = 0 if field.representation == PHYSICAL else 1
-    header = _HEADER.pack(
-        field.grid.dimension,
-        field.grid.points,
-        field.grid.half_width,
-        field.components,
-        tag,
-        time,
-    )
-    payload = np.ascontiguousarray(field.values.astype("<c16")).tobytes()
-    Path(path).write_bytes(header + payload)
-
-
-def load_field(path: str | Path) -> tuple[GridField, float]:
-    """Read a snapshot written by :func:`save_field`; returns (field, time)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"snapshot {path} is shorter than its header")
-    dimension, points, half_width, components, tag, time = _HEADER.unpack_from(raw)
-    if tag not in (0, 1):
-        raise ValueError(f"snapshot {path} has representation tag {tag}, expected 0 or 1")
-    grid = PeriodicGrid(dimension=dimension, points=points, half_width=half_width)
-    expected = components * grid.total_points * 16
-    body = raw[_HEADER.size :]
-    if len(body) != expected:
-        raise ValueError(
-            f"snapshot {path} carries {len(body)} payload bytes, expected {expected}"
-        )
-    values = np.frombuffer(body, dtype="<c16").reshape((components,) + grid.shape)
-    representation = PHYSICAL if tag == 0 else FREQUENCY
-    return GridField(grid, values.copy(), representation), time

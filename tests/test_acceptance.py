@@ -6,6 +6,7 @@ fixtures shared by the rate and remainder checks.
 """
 
 import json
+import math
 from pathlib import Path
 from time import perf_counter
 
@@ -44,6 +45,7 @@ def fitted_slope(z: np.ndarray, err: np.ndarray) -> float:
 
 @pytest.fixture(scope="module")
 def gaussian_line_run():
+    # configs/gk_decay.json with every verified pair: the benchmark's gk_line.
     cfg = ExperimentConfig(
         system="in-memory",
         grid=GridSpec(points=8192, half_width=400.0),
@@ -52,6 +54,7 @@ def gaussian_line_run():
         cutoff=CutoffSpec(inner=0.23),
         fit=FitWindow(exp_t_min=15.0),
         tolerance=0.15,
+        pairs=((2.0, 1), (2.0, 2), (math.inf, 1)),
     )
     start = perf_counter()
     report = run_experiment(cfg, goldstein_kac_1d())
@@ -267,14 +270,13 @@ def test_criterion_08_remainder_decays_exponentially(
     [("gaussian_line_run", "gk_line.json"), ("gaussian_plane_run", "euler_plane.json")],
 )
 def test_runs_match_the_benchmark_references(request, fixture, reference):
-    # The demo runs reproduce the series that the benchmark checks its run
-    # workloads against, on the series both record.
+    # The demo runs reproduce every series that the benchmark checks its run
+    # workloads against, the sup-norm and q = 2 series of the line included.
     report, _ = request.getfixturevalue(fixture)
     recorded = json.loads((BENCH_REFERENCE / reference).read_text())
     np.testing.assert_allclose(report.times, recorded["times"], rtol=1e-12, atol=0)
-    shared = sorted(set(report.series) & set(recorded["series"]))
-    assert "u_p2_q1" in shared and "u2_l2_q1" in shared
-    for name in shared:
+    assert sorted(report.series) == sorted(recorded["series"])
+    for name in recorded["series"]:
         np.testing.assert_allclose(
             report.series[name], recorded["series"][name], rtol=1e-12, atol=0, err_msg=name
         )

@@ -270,8 +270,7 @@ class TestRun:
         assert main(["run", "--config", config, "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert "u1_minus_phi_p2_q1" in stdout
-        assert (out / "report.json").exists()
-        assert (out / "report.csv").exists()
+        assert sorted(path.name for path in out.iterdir()) == ["report.csv", "report.json"]
         payload = json.loads((out / "report.json").read_text())
         assert payload["passed"] is True
 
@@ -386,7 +385,9 @@ class TestRun:
         assert "contour projection" in stderr
         assert "Traceback" not in stderr
 
-    def test_failed_parseval_audit_exits_3(self, tmp_path, gk_path, monkeypatch, capsys):
+    def test_skewed_grid_field_fails_the_form_audit_exits_3(
+        self, tmp_path, gk_path, monkeypatch, capsys
+    ):
         import hyprelax.harness as harness
 
         inverse = harness.to_physical
@@ -431,7 +432,6 @@ class TestConfigValidation:
             "tolerance": 0.15,
             "pairs": [[2, 1], [2, 2], ["inf", 1]],
             "profile": "phi",
-            "save_fields": True,
         }
         path = tmp_path / "documented.json"
         path.write_text(json.dumps(payload))
@@ -449,7 +449,7 @@ class TestConfigValidation:
         assert cfg.cutoff is None
         assert cfg.fit == FitWindow(t_min=6.0, exp_t_min=15.0)
         assert cfg.pairs == ((2.0, 1), (2.0, 2), (math.inf, 1))
-        assert (cfg.profile, cfg.save_fields) == ("phi", True)
+        assert cfg.profile == "phi"
         assert cfg.tolerance == 0.15
 
     @pytest.mark.parametrize(
@@ -471,12 +471,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "keys, value, named",
         [
-            (("save_fields",), "false", "save_fields"),
+            # An optional float field takes a number or null, not a string.
+            (("fit", "exp_t_min"), "15", "fit.exp_t_min"),
             (("times", "count"), 16.9, "times.count"),
             (("times", "count"), True, "times.count"),
             (("initial", "seed"), 2.0, "initial.seed"),
             (("grid", "points"), 8192.0, "grid.points"),
-            (("save_fields",), "no", "save_fields"),
+            (("times", "t_min"), True, "times.t_min"),
             # JSON has no NaN or Infinity; Python's reader accepts both.
             (("initial", "amplitudes"), [math.nan, 1.0], "initial.amplitudes"),
             (("grid", "half_width"), math.inf, "grid.half_width"),
@@ -492,8 +493,8 @@ class TestConfigValidation:
     def test_values_of_the_wrong_json_type_exit_3(
         self, tmp_path, monkeypatch, capsys, keys, value, named
     ):
-        # A bool field takes only true/false, an int field only a JSON
-        # integer, and a float field only a finite number.
+        # An int field takes only a JSON integer, and a float field only a
+        # finite number.
         raw = json.loads((CONFIGS / "gk_decay.json").read_text())
         raw["system"] = str(CONFIGS / raw["system"])
         section = raw
@@ -522,6 +523,7 @@ class TestConfigValidation:
                 {"t_min": 2.0, "t_max": 16.0, "count": 8, "log": False},
                 "unknown key 'log' in times",
             ),
+            ("save_fields", True, "unknown key 'save_fields' in config"),
         ],
     )
     def test_removed_keys_exit_3(self, tmp_path, gk_path, capsys, key, value, named):
@@ -625,29 +627,6 @@ class TestConfigValidation:
         stderr = capsys.readouterr().err
         assert "zero mass" in stderr
         assert "[0, 0.23]" in stderr
-
-    def test_unwritable_snapshot_exits_3(self, tmp_path, capsys):
-        raw = json.loads((CONFIGS / "gk_decay.json").read_text())
-        raw["system"] = str(CONFIGS / raw["system"])
-        raw["save_fields"] = True
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw))
-        out = tmp_path / "o"
-        # A regular file where the snapshot directory goes stops the run
-        # before the first snapshot.
-        out.mkdir()
-        (out / "fields").write_text("")
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
-        stderr = capsys.readouterr().err
-        assert stderr.startswith(f"error: cannot create {out / 'fields'}: ")
-        assert stderr.count("\n") == 1
-        (out / "fields").unlink()
-        (out / "fields" / "snapshot_000_u.bin").mkdir(parents=True)
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
-        stderr = capsys.readouterr().err
-        assert stderr.startswith("error: cannot write ")
-        assert "snapshot_000_u.bin" in stderr
-        assert "Traceback" not in stderr
 
     def test_grid_is_checked_before_the_system_is_read(self, tmp_path, capsys):
         config = write_run_config(

@@ -280,7 +280,6 @@ class TestExperimentConfig:
         cfg = small_run_config(
             pairs=((2.0, 1), (2.0, 2), (math.inf, 1)),
             fit=FitWindow(t_min=3.0, exp_t_min=3.5),
-            save_fields=True,
         )
         cfg = replace(cfg, system=str(tmp_path / "system.json"))
         path = tmp_path / "echo.json"
@@ -458,33 +457,11 @@ class TestRunExperiment:
         with pytest.raises(ConditionBViolatedError):
             run_experiment(small_run_config(), gapless)
 
-    def test_save_fields_snapshots(self, tmp_path):
-        cfg = small_run_config(
-            times=TimeSchedule(t_min=2.0, t_max=8.0, count=6), save_fields=True
-        )
-        run_experiment(cfg, goldstein_kac_1d(), tmp_path)
-        from hyprelax.spectral import load_field
-
-        files = sorted((tmp_path / "fields").iterdir())
-        assert len(files) == 18
-        field, time = load_field(tmp_path / "fields" / "snapshot_000_u.bin")
-        assert time == pytest.approx(2.0)
-        assert field.components == 2
-
     def test_system_is_a_required_argument(self):
         # A config's system names a file relative to the config, which the
         # library does not know; the caller loads it.
         with pytest.raises(TypeError):
             run_experiment(small_run_config())
-
-    def test_save_fields_needs_an_output_directory(self, monkeypatch):
-        def propagate(*args, **kwargs):
-            raise AssertionError("the experiment started without a snapshot directory")
-
-        monkeypatch.setattr(FrequencySplitter, "decompose", propagate)
-        cfg = small_run_config(save_fields=True)
-        with pytest.raises(ConfigurationError, match="save_fields"):
-            run_experiment(cfg, goldstein_kac_1d())
 
     def test_measurement_step_holds_each_field_once(self, tmp_path):
         # The persistent state (datum spectrum, modal coefficients, profile
@@ -559,9 +536,9 @@ def skew_form(monkeypatch) -> None:
 
 
 class TestFrequencySpaceNorms:
-    """p = 2 norms come from each datum's form; only p = inf norms, snapshots
-    and the run's first step, whose grid-field norms audit the form, build
-    grid fields."""
+    """p = 2 norms come from each datum's form; only p = inf norms and the
+    run's first step, whose grid-field norms audit the form, build grid
+    fields."""
 
     @pytest.mark.parametrize(
         "pairs, transforms",
@@ -585,7 +562,7 @@ class TestFrequencySpaceNorms:
         assert len(report.fits) == 2 * len(pairs)
         assert len(calls) == transforms
 
-    def test_failed_parseval_audit_raises(self, monkeypatch):
+    def test_skewed_grid_field_fails_the_form_audit(self, monkeypatch):
         import hyprelax.harness as harness
 
         inverse = harness.to_physical

@@ -1,4 +1,3 @@
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +29,8 @@ from hyprelax.spectral import (
     default_cutoff,
     evolve_parabolic_phi,
     evolve_parabolic_psi,
-    load_field,
     lp_norm,
     make_initial_data,
-    save_field,
     smooth_step,
     to_frequency,
     to_physical,
@@ -1408,45 +1405,3 @@ class TestInitialData:
         with pytest.raises(ValueError):
             make_initial_data(grid, 1, InitialSpec(kind="random-band", band=(1.5, 0.5)))
 
-
-class TestSnapshots:
-    @pytest.mark.parametrize("representation", [PHYSICAL, FREQUENCY])
-    def test_round_trip(self, tmp_path, representation):
-        grid = PeriodicGrid(dimension=2, points=16, half_width=3.0)
-        rng = np.random.default_rng(2)
-        values = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
-        field = GridField(grid, values, representation)
-        path = tmp_path / "snapshot.bin"
-        save_field(field, path, time=4.25)
-        loaded, time = load_field(path)
-        assert time == 4.25
-        assert loaded.representation == representation
-        assert loaded.grid == grid
-        assert np.array_equal(loaded.values, field.values)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        grid = PeriodicGrid(dimension=1, points=8, half_width=1.0)
-        field = GridField(grid, np.ones((1, 8)), PHYSICAL)
-        path = tmp_path / "snapshot.bin"
-        save_field(field, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-16])
-        with pytest.raises(ValueError):
-            load_field(path)
-
-    def test_unknown_representation_tag_rejected(self, tmp_path):
-        grid = PeriodicGrid(dimension=1, points=8, half_width=1.0)
-        path = tmp_path / "snapshot.bin"
-        save_field(GridField(grid, np.ones((1, 8)), FREQUENCY), path)
-        raw = bytearray(path.read_bytes())
-        # The tag is the int32 after dimension, points, half_width, components.
-        struct.pack_into("<i", raw, 20, 2)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="tag 2"):
-            load_field(path)
-
-    def test_header_too_short_rejected(self, tmp_path):
-        path = tmp_path / "snapshot.bin"
-        path.write_bytes(b"abc")
-        with pytest.raises(ValueError):
-            load_field(path)
