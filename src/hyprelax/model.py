@@ -35,6 +35,7 @@ __all__ = [
     "SphereTable",
     "ConditionReport",
     "sphere_samples",
+    "dissipation_directions",
     "max_wave_speed",
     "advection_spectrum",
     "check_condition_A",
@@ -538,23 +539,40 @@ _D_RADIAL_COUNT = 61
 _D_SPHERE_COUNT = 512
 
 
+def dissipation_directions(dimension: int) -> np.ndarray:
+    """Condition D's antipodal direction sample, of shape ``(m, dimension)``.
+
+    The first half of :func:`sphere_samples` for ``_D_SPHERE_COUNT`` followed
+    by its negation: the angles in ``[0, pi)`` and their antipodes in d = 2,
+    the Fibonacci upper hemisphere and its mirror image in d = 3, and
+    ``[[1], [-1]]`` in d = 1.
+    """
+    samples = sphere_samples(dimension, _D_SPHERE_COUNT)
+    half = samples[: samples.shape[0] // 2]
+    return np.concatenate([half, -half])
+
+
 def check_condition_D(system: HyperbolicSystem) -> ConditionReport:
     """Check uniform dissipation ``Re lambda(E(ik)) >= theta |k|^2 / (1 + |k|^2)``.
 
     Samples ``_D_RADIAL_COUNT`` log-spaced moduli from ``1e-3`` to ``1e3``
-    times ``_D_SPHERE_COUNT`` sphere directions and reports the infimum of
-    ``Re lambda * (1 + |k|^2) / |k|^2``.  The witness on failure is the
-    frequency and eigenvalue attaining it.  A system with a
+    times the :func:`dissipation_directions` and reports the infimum of
+    ``Re lambda * (1 + |k|^2) / |k|^2``.  ``A`` and ``B`` are real, so
+    ``E(-ik) = conj E(ik)``: a frequency and its antipode have the same
+    ``Re lambda``, and only the first half of the directions is solved, in
+    one ``eigvals`` call.  ``theta`` and the counts describe the whole
+    sample.  The witness on failure is the frequency and eigenvalue
+    attaining the infimum.  A system with a
     :attr:`~HyperbolicSystem.real_form` takes the eigenvalues of its real
     symbols, which are similar to ``E(ik)``.
     """
-    directions = sphere_samples(system.dimension, _D_SPHERE_COUNT)
+    directions = dissipation_directions(system.dimension)
+    half = directions[: directions.shape[0] // 2]
     radii = np.geomspace(1e-3, 1e3, _D_RADIAL_COUNT)
-    frequencies = radii[:, None, None] * directions[None, :, :]
-    flat = frequencies.reshape(-1, system.dimension)
+    flat = (radii[:, None, None] * half[None, :, :]).reshape(-1, system.dimension)
     symbols = system.symbol(flat) if system.real_form is None else system.real_symbol(flat)
     eigenvalues = np.linalg.eigvals(symbols)
-    moduli = np.repeat(radii, directions.shape[0])
+    moduli = np.repeat(radii, half.shape[0])
     weights = (1.0 + moduli**2) / moduli**2
     ratios = eigenvalues.real * weights[:, None]
     worst_flat = int(np.argmin(ratios))
@@ -568,10 +586,11 @@ def check_condition_D(system: HyperbolicSystem) -> ConditionReport:
             "frequency": flat[worst_sample].tolist(),
             "eigenvalue": [float(bad_eigenvalue.real), float(bad_eigenvalue.imag)],
         }
+    sample_count = radii.shape[0] * directions.shape[0]
     return ConditionReport(
         condition="D",
         passed=bool(passed),
-        summary=f"dissipation constant theta = {theta:.6g} over {flat.shape[0]} sampled frequencies",
+        summary=f"dissipation constant theta = {theta:.6g} over {sample_count} sampled frequencies",
         data={
             "theta": theta,
             "k_min": float(radii[0]),

@@ -760,6 +760,24 @@ def test_cli_import_leaves_out_scipy_stats():
         assert result.stdout.strip() == "False", package
 
 
+def test_check_leaves_out_numpy_random_and_numpy_ma(tmp_path):
+    # numpy.random costs about 5 MB of resident memory, and numpy.ma (which a
+    # plain np.unique imports) a few MB and about 14 ms.
+    source = str(Path(hyprelax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=source)
+    names = ("damped_euler", "goldstein_kac", "damped_euler_3d")
+    files = [str(CONFIGS / f"{name}.json") for name in names]
+    probe = (
+        "import sys; from hyprelax.cli import main; "
+        f"codes = [main(['check', path, '--out', {str(tmp_path)!r}]) for path in {files!r}]; "
+        "print(codes, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0] False False"
+
+
 class TestReport:
     def test_round_trip_is_byte_identical(self, tmp_path, gk_path):
         config = write_run_config(tmp_path, gk_path)

@@ -17,6 +17,7 @@ from hyprelax.model import (
     check_condition_D,
     check_condition_R,
     check_condition_S,
+    dissipation_directions,
     dump_system,
     lift_axis_map,
     load_system,
@@ -682,6 +683,109 @@ class TestConditionD:
         # The fine grids contain the coarse sample points, so the sampled
         # infimum cannot increase.
         assert fine.data["theta"] <= coarse.data["theta"] + 1e-14
+
+    @pytest.mark.parametrize(
+        "name, stack",
+        [
+            ("goldstein_kac.json", 61),
+            ("damped_euler.json", 61 * 256),
+            ("damped_euler_3d.json", 61 * 256),
+        ],
+    )
+    def test_one_eigvals_call_over_half_the_sample(self, monkeypatch, name, stack):
+        system = load_system(CONFIGS / name)
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def recorded(matrices):
+            shapes.append(matrices.shape)
+            return eigvals(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recorded)
+        report = check_condition_D(system)
+        assert shapes == [(stack, system.size, system.size)]
+        assert report.data["sphere_count"] == 2 * stack // 61
+        assert f"over {2 * stack} sampled frequencies" in report.summary
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+    def test_second_half_of_the_sample_negates_the_first(self, dimension):
+        directions = dissipation_directions(dimension)
+        half = directions.shape[0] // 2
+        assert directions.shape == ((2, 1) if dimension == 1 else (512, dimension))
+        assert_array_equal(directions[half:], -directions[:half])
+        assert_array_equal(directions[:half], sphere_samples(dimension, 512)[:half])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: load_system(CONFIGS / "goldstein_kac.json"),
+            lambda: load_system(CONFIGS / "damped_euler.json"),
+            lambda: load_system(CONFIGS / "damped_euler_3d.json"),
+            anisotropic_euler,
+            *(lambda seed=seed: seeded_three_velocity(seed) for seed in range(20)),
+        ],
+        ids=["goldstein_kac", "damped_euler", "damped_euler_3d", "anisotropic"]
+        + [f"three_velocity_{seed}" for seed in range(20)],
+    )
+    def test_theta_is_the_infimum_over_the_whole_sample(self, build):
+        system = build()
+        assert check_condition_D(system).data["theta"] == pytest.approx(
+            full_sample_theta(system), rel=1e-12
+        )
+
+    def test_witness_frequency_belongs_to_the_sample(self):
+        # Along w = (0, +-1), A(w) = I and the kernel branch is not damped.
+        system = HyperbolicSystem(
+            advections=(np.diag([1.0, -1.0]), np.eye(2)),
+            relaxation=0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
+        )
+        for case in (marginally_dissipative(), system):
+            report = check_condition_D(case)
+            assert not report.passed
+            radii = np.geomspace(1e-3, 1e3, 61)
+            sample = radii[:, None, None] * dissipation_directions(case.dimension)[None]
+            witness = np.array(report.witness["frequency"])
+            assert np.any(np.all(sample.reshape(-1, case.dimension) == witness, axis=1))
+        # The plane system's witness lies on w = (0, +-1).
+        assert abs(witness[0]) <= 1e-12 * np.linalg.norm(witness)
+
+
+def seeded_three_velocity(seed: int) -> HyperbolicSystem:
+    """A three-velocity system drawn as the analysis benchmark draws them."""
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(0.2, 2.0, size=3)
+    velocities = rng.normal(size=(3, 3))
+    velocities -= velocities.mean(axis=0)
+    return goldstein_kac_3d(*rates, velocities)
+
+
+def full_sample_theta(system: HyperbolicSystem) -> float:
+    """The infimum of ``Re lambda * (1 + |k|^2) / |k|^2`` over condition D's
+    whole antipodal sample, each ``E(ik) = B + i A(k)`` solved on its own:
+    61 log radii in ``[1e-3, 1e3]`` times ``[[1], [-1]]`` in d = 1, the
+    angles ``2 pi j / 512`` for ``j < 256`` in d = 2 and the Fibonacci upper
+    hemisphere of 512 points in d = 3, each with its negation."""
+    d = system.dimension
+    if d == 1:
+        half = np.array([[1.0]])
+    elif d == 2:
+        angles = 2.0 * np.pi * np.arange(256) / 512
+        half = np.column_stack([np.cos(angles), np.sin(angles)])
+    else:
+        j = np.arange(256)
+        z = 1.0 - (2.0 * j + 1.0) / 512
+        r = np.sqrt(1.0 - z * z)
+        phi = j * np.pi * (3.0 - np.sqrt(5.0))
+        half = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    directions = np.concatenate([half, -half])
+    radii = np.geomspace(1e-3, 1e3, 61)
+    frequencies = radii[:, None, None] * directions[None, :, :]
+    symbols = system.relaxation + 1j * np.einsum(
+        "rmj,jab->rmab", frequencies, np.stack(system.advections)
+    )
+    values = np.linalg.eigvals(symbols)
+    weights = (1.0 + radii**2) / radii**2
+    return float(np.min(values.real * weights[:, None, None]))
 
 
 def singular_solutions() -> HyperbolicSystem:
