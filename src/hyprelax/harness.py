@@ -460,8 +460,8 @@ def run_experiment(cfg: ExperimentConfig, system: HyperbolicSystem) -> DecayRepo
         # p = 2 norms come from the datum's form (``splitter.l2_norms``), which
         # builds no grid field.  Fields are formed only for a p = inf norm or
         # the run's first step, whose grid-field norms audit the form.  Each is
-        # released before the next one is made, and all of them before the
-        # form is built.
+        # released before the next one is made; the first decompose of a datum
+        # sums its form in the same pass as u.
         nonlocal audited
         sup = any(math.isinf(p) for p, _ in pairs)
         audit = not audited
@@ -472,19 +472,20 @@ def run_experiment(cfg: ExperimentConfig, system: HyperbolicSystem) -> DecayRepo
             u = to_physical(full)
             del full
             if audit:
-                observed["u"], observed["u2"] = lp_norm(u, 2), lp_norm(high, 2)
+                observed["u"], observed["u2"] = lp_norm(u, 2), high
             if sup:
                 sup_norms["u"] = lp_norm(u, math.inf)
-            del u, high
+            del u
             for name, evolve in profiles.items():
+                # P - u1 in the profile's own array: the gap u1 - P negated,
+                # with the same norms.
                 gap = evolve(datum, t)
-                np.subtract(low.values, gap.values, out=gap.values)
+                gap.flat()[:, splitter.band] -= low
                 if audit:
                     observed[f"u1_minus_{name}"] = lp_norm(gap, 2)
                 if sup:
                     sup_norms[f"u1_minus_{name}"] = lp_norm(to_physical(gap), math.inf)
                 del gap
-            del low
         full_norm, high_norm, gaps = splitter.l2_norms(datum, t, tuple(profiles))
         formed = {"u": full_norm, "u2": high_norm}
         formed.update((f"u1_minus_{name}", value) for name, value in gaps.items())

@@ -19,22 +19,24 @@ through the Pade-13 :func:`~hyprelax.linalg.matrix_exponential` instead, and
 every propagation re-checks the weakest factored symbols against it.  The
 low-frequency part ``u1`` applies the 0-group eigenprojection of the same
 factorization under a smooth cutoff (audited against the contour projection
-at the first propagation), and the remainder ``u2`` is defined by
-subtraction so the split is additively exact.  The tests keep the Pade path
+at the first propagation), and the remainder is ``u2 = u - u1``, which is
+``u`` off the band.  The tests keep the Pade path
 for every symbol as the independent reference.  The parabolic comparison profiles apply the
 drift/diffusion multiplier with the zeroth-order (phi) or first-order (psi)
 projection moment.
 
 The splitter is the engine: it holds what depends on the system and grid
 only.  :meth:`FrequencySplitter.prepare` turns a field into a :class:`Datum`
-that owns a read-only spectrum and keeps what depends on the datum but not on
-the time (modal coefficients, band and profile moments, the profile tails
-off the band summed per orbit, and the Hermitian form of its ``L^2``
-norms).  Each piece is computed at its first use, and the evolutions return
-frequency fields.  :meth:`FrequencySplitter.l2_norms` takes the ``L^2``
-norms of ``u``, ``u2`` and the profile gaps from the form, the few members
-outside it and the per-orbit tails, so a time that needs no other norm
-touches no full-grid array.
+that owns a read-only spectrum, its only grid field, and keeps the small
+tables that depend on the datum but not on the time: its band moment, the
+profile moments' band rows and their tails off the band summed per orbit,
+and the Hermitian form of its ``L^2`` norms.  Each piece is computed at its
+first use, and the evolutions return frequency fields.  The modal
+coefficients are not kept: each pass computes them from the spectrum one
+group element at a time.  :meth:`FrequencySplitter.l2_norms` takes the
+``L^2`` norms of ``u``, ``u2`` and the profile gaps from the form, the few
+members outside it and the per-orbit tails, so a time that needs no other
+norm touches no full-grid array.
 
 The box is a whole-space surrogate: experiments must keep data supports and
 propagation cones away from the boundary (the decay harness enforces the
@@ -44,7 +46,7 @@ corresponding guard).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -398,20 +400,29 @@ def _grid_symmetries(system: HyperbolicSystem, dimension: int) -> list[tuple]:
     return elements
 
 
+def _search(listed: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``values`` in the ascending ``listed``, and whether each is
+    there."""
+    if not listed.size:
+        return np.zeros(np.shape(values), dtype=np.intp), np.zeros(np.shape(values), dtype=bool)
+    position = np.minimum(np.searchsorted(listed, values), listed.size - 1)
+    return position, listed[position] == values
+
+
 @dataclass(frozen=True)
 class _Orbits:
     """Orbits of the grid frequencies under a group of symbol symmetries.
 
     Element ``g`` maps the frequency ``k`` to ``R_g k`` (a signed permutation
     of the axes) with ``E(i R_g k) = T_g E(ik)^(c_g) T_g^-1``, where ``E^(1)``
-    is the complex conjugate.  Member ``m`` of the grid is ``R_g`` applied to
-    the representative of its orbit: ``g = element[m]``, the representative
-    is ``representatives[orbit[m]]`` and maps to itself by the identity
-    (element 0).  A member on a Nyquist plane is its own representative,
-    since negating its Nyquist coordinate leaves the grid.  The orbit-order
-    layout of a multi-component array is ``(element, component, orbit)``;
-    ``slot`` gives the flat position of every ``(component, member)`` in it,
-    and the slots of no member stay zero.
+    is the complex conjugate.  Every grid member is ``R_g`` applied to the
+    representative of its orbit for exactly one ``g``: ``members[g]`` lists
+    those members in ascending flat order and ``columns[g]`` the positions of
+    their orbits in ``representatives``.  A representative maps to itself by
+    the identity (element 0), and a member on a Nyquist plane is its own
+    representative, since negating its Nyquist coordinate leaves the grid.
+    No table is indexed by grid member: each list holds about ``1/G`` of the
+    grid, as ``int32``.
     """
 
     rotations: np.ndarray
@@ -419,46 +430,49 @@ class _Orbits:
     inverses: np.ndarray
     conjugate: np.ndarray
     representatives: np.ndarray
-    orbit: np.ndarray
-    element: np.ndarray
-    slot: np.ndarray
+    members: tuple[np.ndarray, ...]
+    columns: tuple[np.ndarray, ...]
 
-    def _apply(self, matrices: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """``slots[g] = (M_g slots[g])^(c_g)`` in place, for real matrices ``M_g``.
+    def lift(self, g: int, block: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """``block = (M block)^(c_g)`` in place, ``M`` = ``T_g`` (or ``T_g^-1``
+        with ``inverse``), for a ``(components, ...)`` block.
 
-        An element whose ``M_g`` is the identity is only conjugated (when
+        An element whose ``M`` is the identity is only conjugated (when
         ``c_g``).  Otherwise one scaled row per nonzero entry, from a copy of
-        the element's block: a lift of an axis map is exact, so a signed
-        permutation costs one row per row, and a batched ``matmul`` would
-        start BLAS threads that keep spinning through the rest of the step.
+        the block: a lift of an axis map is exact, so a signed permutation
+        costs one row per row, and a ``matmul`` would start BLAS threads that
+        keep spinning through the rest of the step.
         """
-        identity = np.eye(matrices.shape[-1])
-        for g, matrix in enumerate(matrices):
-            if not np.array_equal(matrix, identity):
-                block = slots[g].copy()
-                for i, row in enumerate(matrix):
-                    first, *others = np.flatnonzero(row)
-                    np.multiply(block[first], row[first], out=slots[g, i])
-                    for j in others:
-                        slots[g, i] += row[j] * block[j]
-            if self.conjugate[g]:
-                np.conjugate(slots[g], out=slots[g])
-        return slots
+        matrix = (self.inverses if inverse else self.transforms)[g]
+        if not np.array_equal(matrix, np.eye(matrix.shape[0])):
+            source = block.copy()
+            for i, row in enumerate(matrix):
+                first, *others = np.flatnonzero(row)
+                np.multiply(source[first], row[first], out=block[i])
+                for j in others:
+                    block[i] += row[j] * source[j]
+        if self.conjugate[g]:
+            np.conjugate(block, out=block)
+        return block
 
-    def to_orbit_order(self, flat: np.ndarray) -> np.ndarray:
-        """``w[g, :, r] = (T_g^-1 u(R_g k_r))^(c_g)`` of a flat ``(components, N^d)``
-        array."""
-        layout = (self.transforms.shape[0], flat.shape[0], self.representatives.size)
-        slots = np.zeros(np.prod(layout), dtype=complex)
-        slots[self.slot] = flat
-        return self._apply(self.inverses, slots.reshape(layout))
+    def locate(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The element ``g`` and the orbit (position in ``representatives``)
+        of each of ``members``, by a binary search of each element's list."""
+        members = np.asarray(members)
+        element = np.empty(members.shape, dtype=np.intp)
+        orbit = np.empty(members.shape, dtype=np.intp)
+        for g, (listed, columns) in enumerate(zip(self.members, self.columns)):
+            position, found = _search(listed, members)
+            element[found] = g
+            orbit[found] = columns[position[found]]
+        return element, orbit
 
-    def to_grid(self, slots: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_orbit_order`: ``u(R_g k_r) = T_g w[g, :, r]^(c_g)``.
-
-        ``slots`` is overwritten: the caller hands over an array it owns.
-        """
-        return np.take(self._apply(self.transforms, slots).reshape(-1), self.slot)
+    def orbit_map(self) -> np.ndarray:
+        """The orbit of every grid member, in a new array."""
+        orbit = np.empty(sum(listed.size for listed in self.members), dtype=np.intp)
+        for listed, columns in zip(self.members, self.columns):
+            orbit[listed] = columns
+        return orbit
 
     def compose(self, members, values, vectors, inverse):
         """``lambda``, ``V`` and ``V^-1`` of grid members from the factors of
@@ -468,7 +482,7 @@ class _Orbits:
         are indexed ``(orbit, row, column)``.  Returns the members' values as
         ``(members, components)`` and their factors as ``(members, n, n)``.
         """
-        g, r = self.element[members], self.orbit[members]
+        g, r = self.locate(members)
         conjugate = self.conjugate[g][:, None]
         values = values[:, r].T
         vectors, inverse = vectors[r], inverse[r]
@@ -481,8 +495,17 @@ class _Orbits:
 def _grid_orbits(system: HyperbolicSystem, grid: PeriodicGrid) -> _Orbits:
     """The orbit map of ``grid`` under the symmetries of ``system``.
 
-    Each orbit's representative is its smallest flat index.
+    Each orbit's representative is its smallest flat index.  The member-wide
+    arrays built here are dropped once the per-element lists exist.
+
+    Raises:
+        SpectralError: if the grid has too many points for ``int32`` member
+            lists.
     """
+    if grid.total_points > np.iinfo(np.int32).max:
+        raise SpectralError(
+            f"a grid of {grid.total_points} points does not fit the engine's int32 member lists"
+        )
     elements = _grid_symmetries(system, grid.dimension)
     rotations = np.stack([rotation for rotation, _, _ in elements])
     transforms = np.stack([transform for _, transform, _ in elements])
@@ -497,9 +520,8 @@ def _grid_orbits(system: HyperbolicSystem, grid: PeriodicGrid) -> _Orbits:
     for axis in range(d):
         nyquist = nyquist | along(axis, signed == -(n // 2))
     nyquist = nyquist.reshape(-1)
-    members = np.arange(grid.total_points)
-    nearest = members.copy()
-    through = np.zeros(members.size, dtype=np.intp)
+    nearest = np.arange(grid.total_points)
+    through = np.zeros(nearest.size, dtype=np.min_scalar_type(len(elements)))
     for g, rotation in enumerate(rotations):
         # Axis i of the image is axis j of the member times R_ij = +-1; n is a
         # power of two, so ``& (n - 1)`` wraps negative indices.
@@ -517,24 +539,64 @@ def _grid_orbits(system: HyperbolicSystem, grid: PeriodicGrid) -> _Orbits:
         [
             next(h for h, other in enumerate(rotations) if np.array_equal(other, rotation.T))
             for rotation in rotations
-        ]
+        ],
+        dtype=through.dtype,
     )
-    is_representative = nearest == members
+    is_representative = nearest == np.arange(nearest.size)
     representatives = np.flatnonzero(is_representative)
-    orbit = (np.cumsum(is_representative) - 1)[nearest]
+    orbit = (np.cumsum(is_representative, dtype=np.int32) - 1)[nearest]
+    del nearest
     element = inverse_of[through]
-    count, components = representatives.size, system.size
-    base = element * (components * count) + orbit
+    # A stable sort of 8-bit keys is a radix sort: one pass, members ascending
+    # within each element.
+    order = np.argsort(element, kind="stable").astype(np.int32)
+    bounds = np.cumsum(np.bincount(element, minlength=len(elements)))[:-1]
+    members = tuple(part.copy() for part in np.split(order, bounds))
     return _Orbits(
         rotations=rotations,
         transforms=transforms,
         inverses=np.linalg.inv(transforms),
         conjugate=np.array([conjugate for _, _, conjugate in elements]),
         representatives=representatives,
-        orbit=orbit,
-        element=element,
-        slot=base[None, :] + count * np.arange(components)[:, None],
+        members=members,
+        columns=tuple(orbit[listed] for listed in members),
     )
+
+
+def _ranked_members(
+    orbits: _Orbits, orbit_condition: np.ndarray, lift_condition: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The audit members, the fallback members and the largest condition bound.
+
+    A member's bound is ``cond_2(T_g) |V|_F |V^-1|_F``.  The members above
+    :data:`CONDITION_LIMIT` fall back, in ascending flat order.  The audit
+    takes the ``_AUDIT_MEMBERS`` worst of the others, then the worst that each
+    non-identity element maps, without repeats: the members that one stable
+    descending sort of every member's bound (ties to the larger flat index)
+    would rank first.  Each element contributes its few worst members, so the
+    grid is never sorted.
+    """
+    worst, fallback, heads = [], [], []
+    for g, (members, columns) in enumerate(zip(orbits.members, orbits.columns)):
+        condition = lift_condition[g] * orbit_condition[columns]
+        if members.size:
+            worst.append(np.max(condition))
+        trusted = condition <= CONDITION_LIMIT
+        fallback.append(members[~trusted])
+        members, condition = members[trusted], condition[trusted]
+        if members.size > _AUDIT_MEMBERS:
+            keep = condition >= np.partition(condition, -_AUDIT_MEMBERS)[-_AUDIT_MEMBERS]
+            members, condition = members[keep], condition[keep]
+        order = np.lexsort((members, condition))[::-1][:_AUDIT_MEMBERS]
+        heads.append((members[order], condition[order]))
+    members = np.concatenate([members for members, _ in heads])
+    condition = np.concatenate([condition for _, condition in heads])
+    ranked = members[np.lexsort((members, condition))[::-1]]
+    # The worst members of the grid, then the worst that each non-identity
+    # element maps, so a wrong transform cannot escape the audit.
+    audit = np.concatenate([ranked[:_AUDIT_MEMBERS], *(members[:1] for members, _ in heads[1:])])
+    audit = np.array(list(dict.fromkeys(audit.tolist())), dtype=np.intp)
+    return audit, np.sort(np.concatenate(fallback)).astype(np.intp), float(np.max(worst))
 
 
 def _basis_condition(vectors: np.ndarray, inverse: np.ndarray) -> np.ndarray:
@@ -560,21 +622,26 @@ class _Eigenbasis:
     factors of each orbit's representative; ``vectors`` and ``inverse`` are
     indexed ``(orbit, row, column)`` but stored orbit-last, so the per-time
     apply reads them contiguously.  A member takes its factors through
-    ``orbits.compose``.  ``condition`` bounds each member's
-    estimate ``|T V|_F |V^-1 T^-1|_F`` by ``cond_2(T) |V|_F |V^-1|_F``.
-    ``fallback`` lists the members whose bound fails the condition guard,
-    ``audit`` the factored members checked at every propagation, and
-    ``exact_symbols`` the symbols of both, audit first: the only rows of the
-    symbol stack that are kept.  ``audit_factors`` holds the audit members'
-    ``lambda``, ``T V`` and ``V^-1 T^-1``, composed once.  ``band_values``
-    and ``band_projections`` are the band table of ``_projection_table``.
+    ``orbits.compose``.  Its condition bound is
+    ``lift_condition[g] * orbit_condition[r]``: ``cond_2(T_g)`` per element
+    times ``|V|_F |V^-1|_F`` per orbit, which bounds the estimate
+    ``|T V|_F |V^-1 T^-1|_F`` of its composed factors; ``worst_condition`` is
+    the largest over the grid.  ``fallback`` lists the members whose bound
+    fails the condition guard, ``audit`` the factored members checked at
+    every propagation, and ``exact_symbols`` the symbols of both, audit
+    first: the only rows of the symbol stack that are kept.  ``audit_factors``
+    holds the audit members' ``lambda``, ``T V`` and ``V^-1 T^-1``, composed
+    once.  ``band_values`` and ``band_projections`` are the band table of
+    ``_projection_table``.
     """
 
     orbits: _Orbits
     values: np.ndarray
     vectors: np.ndarray
     inverse: np.ndarray
-    condition: np.ndarray
+    orbit_condition: np.ndarray
+    lift_condition: np.ndarray
+    worst_condition: float
     fallback: np.ndarray
     audit: np.ndarray
     exact_symbols: np.ndarray
@@ -607,15 +674,22 @@ class _FormLayout:
     fallback: np.ndarray
 
 
+# Grid members per pass of the psi moment's first-order terms: each term is
+# formed for this many members at a time, not for the whole grid.
+_MOMENT_CHUNK = 1 << 12
+
+
 class FrequencySplitter:
     """The spectral engine of one system on one grid.
 
     It holds what no datum changes, each piece computed at its first use: the
-    cutoff band ``chi1 > 0`` (at construction), the factorization (at the
-    first :meth:`decompose` or :meth:`l2_norms`), the layout of the per-datum
-    forms (at the first :meth:`l2_norms`), and the parabolic :attr:`limit`
-    with its :attr:`drift_phase` and :attr:`diffusion_form` (at the first
-    profile).  :meth:`prepare` turns a field into the :class:`Datum` that
+    cutoff band ``chi1 > 0`` (at construction, as the flat indices
+    :attr:`band`), the factorization (at the first :meth:`decompose` or
+    :meth:`l2_norms`), the layout of the per-datum forms (with the first form),
+    and the parabolic :attr:`limit` (at the first profile).  Beside the
+    transient arrays of a call, it holds no array indexed by grid member:
+    its tables are per orbit, per element or per band member.
+    :meth:`prepare` turns a field into the :class:`Datum` that
     :meth:`decompose`, :meth:`l2_norms`, :func:`evolve_parabolic_phi` and
     :func:`evolve_parabolic_psi` take.
 
@@ -631,14 +705,15 @@ class FrequencySplitter:
     the checks below reuse.  The 0-group projection at each band member is Kato's
     rank-one ``P0 = v w^T`` from the right and left eigenvectors of the
     eigenvalue nearest zero.  A :meth:`decompose` at time ``t`` then costs
-    ``exp(-t lambda)`` per orbit, ``V (exp(-t lambda) * c)`` on the datum's
-    modal coefficients ``c = V^-1 T^-1 u`` in orbit order, one ``T`` product
-    per element whose ``T`` is not the identity, one gather back to the grid,
-    and ``exp(-t lambda0)`` on the band.  :meth:`l2_norms` costs
-    ``exp(-t lambda)`` per orbit, one Hermitian form per orbit, the band and
-    the few ill-conditioned members one by one, and ``exp(-2t k.Dk)`` per
-    orbit for the profiles off the band (``k.Dk`` is the same at every
-    member of an orbit).
+    ``exp(-t lambda)`` per orbit and one pass over the group elements: for each
+    element ``g`` the block ``c_g = V^-1 (T_g^-1 u)^(c_g)`` of the datum's
+    modal coefficients (components by orbits), ``V (exp(-t lambda) * c_g)``,
+    one ``T_g`` product when ``T_g`` is not the identity, and one scatter to
+    the members ``g`` maps; then ``exp(-t lambda0)`` on the band.
+    :meth:`l2_norms` costs ``exp(-t lambda)`` per orbit, one Hermitian form
+    per orbit, the band and the few ill-conditioned members one by one, and
+    ``exp(-2t k.Dk)`` per orbit for the profiles off the band (``k.Dk`` is the
+    same at every member of an orbit).
 
     A member whose condition bound ``cond_2(T) |V|_F |V^-1|_F`` exceeds
     :data:`CONDITION_LIMIT` is exponentiated by
@@ -673,20 +748,24 @@ class FrequencySplitter:
         self.system = system
         self.grid = grid
         self.cut = cut if cut is not None else default_cutoff(system)
-        self._vectors = grid.frequency_vectors
-        self._moduli = np.linalg.norm(self._vectors, axis=-1)
-        weights = self.cut.chi1(self._moduli)
+        weights = self.cut.chi1(self._moduli(slice(None)))
         band = np.flatnonzero(weights > 0.0)
-        self._band = band
+        band.flags.writeable = False
+        self.band = band
         self._band_weights = weights[band]
         self._last_step: tuple[float, np.ndarray] | None = None
+        self._grid_exponents: dict[str, np.ndarray | None] = {}
+
+    def _moduli(self, members) -> np.ndarray:
+        """``|k|`` at the grid members ``members``."""
+        return np.linalg.norm(self.grid.frequency_vectors[members], axis=-1)
 
     def _projection_table(self, values, vectors, inverse, condition):
         """Eigenvalue nearest zero and its eigenprojection at each band member,
         from the band's rows of the grid factorization."""
-        band = self._band
+        band = self.band
         members = np.arange(band.size)
-        k = self._vectors[band]
+        k = self.grid.frequency_vectors[band]
         nearest = zero_group(values, self.system.symbol(k), k)
         zero_values = values[members, nearest]
         right = vectors[members, :, nearest]
@@ -694,17 +773,15 @@ class FrequencySplitter:
         projections = right[:, :, None] * left[:, None, :]
         trusted = condition <= CONDITION_LIMIT
         for member in np.flatnonzero(~trusted):
-            projections[member] = exact_group_projection(
-                self.system, self._vectors[band[member]]
-            )
+            projections[member] = exact_group_projection(self.system, k[member])
         if np.any(trusted):
             worst = int(np.argmax(np.where(trusted, condition, -np.inf)))
-            exact = exact_group_projection(self.system, self._vectors[band[worst]])
+            exact = exact_group_projection(self.system, k[worst])
             mismatch = np.linalg.norm(projections[worst] - exact) / np.linalg.norm(exact)
             if not mismatch <= _AUDIT_TOLERANCE:
                 raise SpectralError(
                     f"rank-one 0-group projection at |k| = "
-                    f"{self._moduli[band[worst]]:.6g} differs from the contour "
+                    f"{self._moduli(band[worst]):.6g} differs from the contour "
                     f"projection by {mismatch:.3e} relative"
                 )
         return zero_values, projections
@@ -713,7 +790,7 @@ class FrequencySplitter:
     def _eigenbasis(self) -> _Eigenbasis:
         """One factorization per orbit, with the band table and the audit rows."""
         orbits = _grid_orbits(self.system, self.grid)
-        k = self._vectors[orbits.representatives]
+        k = self.grid.frequency_vectors[orbits.representatives]
         form = self.system.real_form
         # With a real form E = S M S^-1 and M = V_F diag(lambda) V_F^-1 is
         # factored in real arithmetic: V = S V_F and V^-1 = V_F^-1 S^-1.
@@ -732,25 +809,14 @@ class FrequencySplitter:
         vectors = np.einsum("ij,rjk->ikr", left, vectors, order="C").transpose(2, 0, 1)
         inverse = np.einsum("rij,jk->ikr", inverse, right, order="C").transpose(2, 0, 1)
         values = np.ascontiguousarray(values.T)
-        condition = (
-            np.linalg.cond(orbits.transforms)[orbits.element]
-            * _basis_condition(vectors, inverse)[orbits.orbit]
-        )
-        trusted = condition <= CONDITION_LIMIT
-        ranked = np.argsort(np.where(trusted, condition, -np.inf), kind="stable")[::-1]
-        ranked = ranked[trusted[ranked]]
-        # The worst members of the grid, then the worst that each non-identity
-        # element maps, so a wrong transform cannot escape the audit.
-        elements, first = np.unique(orbits.element[ranked], return_index=True)
-        audit = np.concatenate([ranked[:_AUDIT_MEMBERS], ranked[first[elements > 0]]])
-        audit = np.array(list(dict.fromkeys(audit.tolist())), dtype=np.intp)
-        fallback = np.flatnonzero(~trusted)
-        band = self._band
-        band_values, band_vectors, band_inverse = orbits.compose(
-            band, values, vectors, inverse
-        )
+        orbit_condition = _basis_condition(vectors, inverse)
+        lift_condition = np.linalg.cond(orbits.transforms)
+        audit, fallback, worst = _ranked_members(orbits, orbit_condition, lift_condition)
+        band = self.band
+        g, r = orbits.locate(band)
+        band_values, band_vectors, band_inverse = orbits.compose(band, values, vectors, inverse)
         band_values, band_projections = self._projection_table(
-            band_values, band_vectors, band_inverse, condition[band]
+            band_values, band_vectors, band_inverse, lift_condition[g] * orbit_condition[r]
         )
         exact_rows = np.concatenate([audit, fallback])
         return _Eigenbasis(
@@ -758,10 +824,12 @@ class FrequencySplitter:
             values=values,
             vectors=vectors,
             inverse=inverse,
-            condition=condition,
+            orbit_condition=orbit_condition,
+            lift_condition=lift_condition,
+            worst_condition=worst,
             fallback=fallback,
             audit=audit,
-            exact_symbols=self.system.symbol(self._vectors[exact_rows]),
+            exact_symbols=self.system.symbol(self.grid.frequency_vectors[exact_rows]),
             audit_factors=orbits.compose(audit, values, vectors, inverse),
             band_values=band_values,
             band_projections=band_projections,
@@ -772,12 +840,16 @@ class FrequencySplitter:
         """The members of the per-datum form and the factors of the others."""
         basis = self._eigenbasis
         orbits = basis.orbits
-        size, total = self.system.size, self.grid.total_points
-        in_band = np.zeros(total, dtype=bool)
-        in_band[self._band] = True
-        summed = ~in_band & (basis.condition <= math.sqrt(CONDITION_LIMIT))
+        size, band = self.system.size, self.band
         slots = np.zeros((orbits.transforms.shape[0], orbits.representatives.size), dtype=bool)
-        slots[orbits.element[summed], orbits.orbit[summed]] = True
+        others = []
+        for g, (members, columns) in enumerate(zip(orbits.members, orbits.columns)):
+            off_band = ~_search(band, members)[1]
+            condition = basis.lift_condition[g] * basis.orbit_condition[columns]
+            summed = off_band & (condition <= math.sqrt(CONDITION_LIMIT))
+            slots[g, columns[summed]] = True
+            others.append(members[off_band & ~summed])
+        others = np.sort(np.concatenate(others)).astype(np.intp)
         products = np.einsum("gki,gkj->gij", orbits.transforms, orbits.transforms)
         distinct, gram = np.unique(
             products.reshape(products.shape[0], -1), axis=0, return_inverse=True
@@ -793,10 +865,11 @@ class FrequencySplitter:
                 for product in distinct
             ]
         )
-        direct = np.concatenate([self._band, np.flatnonzero(~in_band & ~summed)])
-        position = np.empty(total, dtype=np.intp)
-        position[direct] = np.arange(direct.size)
-        fallback = position[basis.fallback]
+        direct = np.concatenate([band, others])
+        position, in_band = _search(band, basis.fallback)
+        fallback = np.where(
+            in_band, position, band.size + np.searchsorted(others, basis.fallback)
+        )
         factored = np.ones(direct.size, dtype=bool)
         factored[fallback] = False
         composed = np.flatnonzero(factored)
@@ -818,7 +891,7 @@ class FrequencySplitter:
     @property
     def worst_condition(self) -> float:
         """Largest eigenvector-basis condition estimate over the grid."""
-        return float(np.max(self._eigenbasis.condition))
+        return self._eigenbasis.worst_condition
 
     @cached_property
     def limit(self) -> ParabolicLimit:
@@ -826,20 +899,37 @@ class FrequencySplitter:
         return compute_parabolic_limit(self.system)
 
     @cached_property
-    def drift_phase(self) -> np.ndarray:
-        """``c.ik`` at every grid frequency."""
-        return self.limit.drift_phase(self._vectors)
+    def _band_drift(self) -> np.ndarray:
+        """``c.ik`` at the band members."""
+        return self.limit.drift_phase(self.grid.frequency_vectors[self.band])
 
     @cached_property
-    def diffusion_form(self) -> np.ndarray:
-        """``k.Dk`` at every grid frequency."""
-        return self.limit.diffusion_form(self._vectors)
+    def _band_diffusion(self) -> np.ndarray:
+        """``k.Dk`` at the band members."""
+        return self.limit.diffusion_form(self.grid.frequency_vectors[self.band])
+
+    def _profile_exponent(self, name: str) -> np.ndarray:
+        """``c.ik + k.Dk`` (``"phi"``) or ``k.Dk`` (``"psi"``) on the whole grid.
+
+        Formed at each call and dropped, except that a profile formed again
+        (a ``p = inf`` pair) keeps it from its second build on, as its datum
+        keeps the moment.
+        """
+        exponent = self._grid_exponents.get(name)
+        if exponent is None:
+            vectors = self.grid.frequency_vectors
+            exponent = self.limit.diffusion_form(vectors)
+            if name == "phi":
+                exponent = self.limit.drift_phase(vectors) + exponent
+            self._grid_exponents[name] = exponent if name in self._grid_exponents else None
+        return exponent
 
     @cached_property
     def _orbit_diffusion(self) -> np.ndarray:
         """``k.Dk`` at each orbit's representative: every lifted element keeps
         the 0-branch, so ``k.Dk`` is the same at every member of an orbit."""
-        return self.diffusion_form[self._eigenbasis.orbits.representatives]
+        representatives = self._eigenbasis.orbits.representatives
+        return self.limit.diffusion_form(self.grid.frequency_vectors[representatives])
 
     def prepare(self, field: GridField) -> Datum:
         """``field`` as a datum of this splitter.
@@ -885,19 +975,80 @@ class FrequencySplitter:
             # A NaN mismatch counts as the largest.
             worst = int(np.argmax(np.where(failed, mismatch, -np.inf)))
             raise SpectralError(
-                f"eigenvector propagator at |k| = {self._moduli[audit[worst]]:.6g}, "
+                f"eigenvector propagator at |k| = {self._moduli(audit[worst]):.6g}, "
                 f"t = {t:g} differs from the Pade exponential by "
                 f"{mismatch[worst]:.3e} relative"
             )
         self._last_step = (t, exact[audit.size :])
         return self._last_step[1]
 
-    def decompose(self, datum: Datum, t: float) -> tuple[GridField, GridField, GridField]:
-        """Evolve and split in one pass; returns the frequency fields ``(u, u1, u2)``.
+    def _stream(self, datum: Datum, t: float | None, form: bool):
+        """One pass over the group elements; returns ``(u, form)``.
+
+        Each element's block ``c_g = V^-1 (T_g^-1 u)^(c_g)`` of the modal
+        coefficients (components by orbits, 0 where ``g`` maps no member) is
+        computed from the spectrum, used and dropped, so the coefficients of
+        the whole grid are never held.  With a time ``t`` the block is
+        propagated into a new grid spectrum ``u(t)`` (else ``u`` is None); with
+        ``form`` it is summed into the datum's form (else ``form`` is None).
+        """
+        basis = self._eigenbasis
+        orbits = basis.orbits
+        spectrum = datum.spectrum
+        shape = (spectrum.shape[0], orbits.representatives.size)
+        inverse = basis.inverse.transpose(1, 2, 0)
+        full = weights = None
+        if t is not None:
+            exponentials = self._fallback_exponentials(t)
+            decayed = basis.vectors.transpose(1, 2, 0) * np.exp(-t * basis.values)
+            full = np.empty_like(spectrum)
+        if form:
+            layout = self._form_layout
+            weights = np.zeros(layout.grams.shape[1:], dtype=complex)
+        for g, (members, columns) in enumerate(zip(orbits.members, orbits.columns)):
+            summed = form and layout.slots[g].any()
+            if full is None and not summed:
+                continue
+            # Row by row with intp indices: numpy's 1-D take and scatter run
+            # several times faster than one 2-D fancy index.
+            members, columns = members.astype(np.intp), columns.astype(np.intp)
+            block = np.zeros(shape, dtype=complex)
+            for row, source in zip(block, spectrum):
+                row[columns] = source.take(members)
+            coefficients = np.einsum("ijr,jr->ir", inverse, orbits.lift(g, block, inverse=True))
+            # Each block is released before the next one is formed.
+            del block
+            if summed:
+                c = np.where(layout.slots[g], coefficients, 0.0)
+                weights += layout.grams[layout.gram[g]] * (c.conj()[:, None, :] * c[None, :, :])
+                del c
+            if full is not None:
+                propagated = orbits.lift(g, np.einsum("ijr,jr->ir", decayed, coefficients))
+                for row, source in zip(full, propagated):
+                    row[members] = source.take(columns)
+                del propagated
+            del coefficients
+        if full is not None:
+            full[:, basis.fallback] = np.einsum(
+                "fij,jf->if", exponentials, spectrum[:, basis.fallback]
+            )
+        if form:
+            _, _, inverse = layout.factors
+            members = layout.direct[layout.composed]
+            weights = (weights, np.einsum("mij,jm->mi", inverse, spectrum[:, members]))
+        return full, weights
+
+    def decompose(self, datum: Datum, t: float) -> tuple[GridField, np.ndarray, float]:
+        """Evolve and split in one pass; returns the frequency field ``u``, the
+        rows of ``u1`` at the band members :attr:`band` (``(components,
+        band size)``; ``u1`` is 0 off the band) and ``|u2|_2``.
 
         ``u1 = chi1 exp(-t lambda0) P0(ik) u`` propagates the cutoff-projected
-        band (``E P0 = lambda0 P0``); ``u2`` is the subtraction remainder, so
-        ``u1 + u2`` equals ``u`` exactly.
+        band (``E P0 = lambda0 P0``), and ``u2 = u - u1``, so ``u2`` is ``u``
+        off the band.  Its norm is summed on ``u``'s own array, with the band
+        rows replaced by ``u - u1`` and then restored, so no second grid field
+        is built.  The first decompose of a datum also sums the datum's form
+        (:attr:`Datum.form`) in the same pass over the group elements.
 
         Raises:
             ValueError: if ``t < 0`` or another splitter prepared ``datum``.
@@ -905,20 +1056,16 @@ class FrequencySplitter:
         _check_time(t)
         if datum.splitter is not self:
             raise ValueError("the datum was prepared by another splitter")
-        coefficients, fallback, moment = datum.modal
-        basis = self._eigenbasis
-        exponentials = self._fallback_exponentials(t)
-        decayed = basis.vectors.transpose(1, 2, 0) * np.exp(-t * basis.values)
-        full = basis.orbits.to_grid(np.einsum("ijr,gjr->gir", decayed, coefficients))
-        full[:, basis.fallback] = np.einsum("fij,jf->if", exponentials, fallback)
-        band = moment * np.exp(-t * basis.band_values)
-        # np.zeros leaves the pages off the band untouched, and u2 differs
-        # from u only on the band.
-        low = np.zeros(full.shape, dtype=complex)
-        low[:, self._band] = band
-        high = full.copy()
-        high[:, self._band] -= band
-        return tuple(_frequency_field(self.grid, flat) for flat in (full, low, high))
+        unformed = not {"form", "_streamed_form"} & vars(datum).keys()
+        full, form = self._stream(datum, t, unformed)
+        if unformed:
+            object.__setattr__(datum, "_streamed_form", form)
+        low = datum._band_moment * np.exp(-t * self._eigenbasis.band_values)
+        rows = full[:, self.band]
+        full[:, self.band] = rows - low
+        high = _sum_of_squares(full)
+        full[:, self.band] = rows
+        return _frequency_field(self.grid, full), low, math.sqrt(high * self.grid.cell_volume)
 
     def l2_norms(
         self, datum: Datum, t: float, profiles=("phi", "psi")
@@ -950,7 +1097,6 @@ class FrequencySplitter:
         basis = self._eigenbasis
         exponentials = self._fallback_exponentials(t)
         layout = self._form_layout
-        _, fallback, moment = datum.modal
         weights, coefficients = datum.form
         decay = np.exp(-t * basis.values)
         summed = np.einsum("ir,ir->", decay.conj(), np.einsum("ijr,jr->ir", weights, decay))
@@ -959,9 +1105,11 @@ class FrequencySplitter:
         direct[:, layout.composed] = np.einsum(
             "mij,mj->im", vectors, np.exp(-t * values) * coefficients
         )
-        direct[:, layout.fallback] = np.einsum("fij,jf->if", exponentials, fallback)
-        band = self._band
-        low = moment * np.exp(-t * basis.band_values)
+        direct[:, layout.fallback] = np.einsum(
+            "fij,jf->if", exponentials, datum.spectrum[:, basis.fallback]
+        )
+        band = self.band
+        low = datum._band_moment * np.exp(-t * basis.band_values)
         others = summed.real + _sum_of_squares(direct[:, band.size :])
         full = others + _sum_of_squares(direct[:, : band.size])
         high = others + _sum_of_squares(direct[:, : band.size] - low)
@@ -970,11 +1118,12 @@ class FrequencySplitter:
         # exp(-2t k.Dk), the same at every member of an orbit.
         tail_decay = np.exp(-2.0 * t * self._orbit_diffusion) if profiles else None
         for name in profiles:
-            exponent = self.diffusion_form[band]
+            rows, tail = datum._profile(name)
+            exponent = self._band_diffusion
             if name == "phi":
-                exponent = self.drift_phase[band] + exponent
-            profile = getattr(datum, f"{name}_moment")[:, band] * np.exp(-t * exponent)
-            tail = np.einsum("i,i->", getattr(datum, f"{name}_tail"), tail_decay)
+                exponent = self._band_drift + exponent
+            profile = rows * np.exp(-t * exponent)
+            tail = np.einsum("i,i->", tail, tail_decay)
             gaps[name] = _sum_of_squares(low - profile) + float(tail)
         cell = self.grid.cell_volume
         return (
@@ -987,28 +1136,32 @@ class FrequencySplitter:
 @dataclass(frozen=True, eq=False)
 class Datum:
     """A datum prepared by :meth:`FrequencySplitter.prepare`: its splitter and
-    its own read-only flat spectrum ``(components, N^d)``.
+    its own read-only flat spectrum ``(components, N^d)``, the only grid field
+    it holds.
 
     What the evolutions need of it at every time is computed at first use, so
     the factorization runs in the first :meth:`FrequencySplitter.decompose`
-    or :meth:`FrequencySplitter.l2_norms`, whichever comes first.
+    or :meth:`FrequencySplitter.l2_norms`, whichever comes first.  It keeps
+    no modal coefficients: the splitter computes them one group element at a
+    time from the spectrum whenever a pass needs them.  It keeps its band
+    moment, its form with the coefficients of the members outside it, and,
+    for each profile, the moment's band rows and its tail off the band summed
+    per orbit; a profile formed again keeps its moment (see :meth:`moment`).
     """
 
     splitter: FrequencySplitter
     spectrum: np.ndarray
+    _profiles: dict = field(default_factory=dict, init=False, repr=False)
+    _moments: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
-    def modal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Modal coefficients ``V^-1 T^-1 u`` in orbit order, the fallback
-        members' spectrum and the band moment ``chi1 P0 u``."""
+    def _band_moment(self) -> np.ndarray:
+        """The band moment ``chi1 P0 u`` at the band members."""
         splitter = self.splitter
-        basis = splitter._eigenbasis
-        slots = basis.orbits.to_orbit_order(self.spectrum)
-        coefficients = np.einsum("ijr,gjr->gir", basis.inverse.transpose(1, 2, 0), slots)
-        moment = splitter._band_weights * np.einsum(
-            "fij,jf->if", basis.band_projections, self.spectrum[:, splitter._band]
+        projections = splitter._eigenbasis.band_projections
+        return splitter._band_weights * np.einsum(
+            "fij,jf->if", projections, self.spectrum[:, splitter.band]
         )
-        return coefficients, self.spectrum[:, basis.fallback], moment
 
     @cached_property
     def form(self) -> tuple[np.ndarray, np.ndarray]:
@@ -1019,74 +1172,92 @@ class Datum:
 
         Over the members in the form, ``|u(t)|^2 = sum_r E_r^H W_r E_r`` with
         ``E_r = exp(-t lambda_r)``: a member's field is ``T_g V_r (E_r o c_g)``,
-        conjugated when ``g`` includes conjugation, and ``T_g`` is real.
+        conjugated when ``g`` includes conjugation, and ``T_g`` is real.  The
+        datum's first :meth:`FrequencySplitter.decompose` sums it in its own
+        pass over the elements; otherwise a pass of its own sums it here.
         """
-        layout = self.splitter._form_layout
-        coefficients = self.modal[0]
-        weights = np.zeros(layout.grams.shape[1:], dtype=complex)
-        for g, gram in enumerate(layout.gram):
-            if layout.slots[g].any():
-                c = np.where(layout.slots[g], coefficients[g], 0.0)
-                weights += layout.grams[gram] * (c.conj()[:, None, :] * c[None, :, :])
-        _, _, inverse = layout.factors
-        members = layout.direct[layout.composed]
-        return weights, np.einsum("mij,jm->mi", inverse, self.spectrum[:, members])
+        streamed = vars(self).pop("_streamed_form", None)
+        if streamed is not None:
+            return streamed
+        return self.splitter._stream(self, None, True)[1]
 
-    @cached_property
-    def phi_moment(self) -> np.ndarray:
-        """Zeroth-order moment ``P0 u``."""
-        return self.splitter.limit.projection @ self.spectrum
+    def moment(self, name: str) -> np.ndarray:
+        """The moment of profile ``name`` in a new flat array the caller owns:
+        ``P0 u`` (``"phi"``) or ``(P0 + sum_h i k_h P1_h) u`` (``"psi"``).
 
-    @cached_property
-    def psi_moment(self) -> np.ndarray:
-        """First-order moment ``(P0 + sum_h i k_h P1_h) u``."""
-        limit = self.splitter.limit
-        vectors = self.splitter.grid.frequency_vectors
+        It is built in its own array, the first-order terms a chunk of
+        members at a time.  Its first build also keeps its band rows and its
+        tail (see :meth:`_profile`), so these come from the same array.  A
+        second build keeps the moment itself, and later calls copy it: a
+        datum whose profile is formed at every time (a ``p = inf`` pair)
+        holds it, one measured in ``L^2`` alone never does.
+        """
+        if name not in ("phi", "psi"):
+            raise ValueError(f"unknown profile {name!r}; expected phi or psi")
+        if name in self._moments:
+            return self._moments[name].copy()
+        splitter = self.splitter
+        limit = splitter.limit
         moment = limit.projection @ self.spectrum
-        # In place: each term would otherwise leave three full-grid temporaries.
-        for h, correction in enumerate(limit.corrections):
-            term = correction @ self.spectrum
-            term *= 1j * vectors[:, h]
-            moment += term
+        if name == "psi":
+            vectors = splitter.grid.frequency_vectors
+            for start in range(0, moment.shape[1], _MOMENT_CHUNK):
+                part = slice(start, start + _MOMENT_CHUNK)
+                for h, correction in enumerate(limit.corrections):
+                    term = correction @ self.spectrum[:, part]
+                    term *= 1j * vectors[part, h]
+                    moment[:, part] += term
+        if name in self._profiles:
+            self._moments[name] = moment.copy()
+        else:
+            self._profiles[name] = (moment[:, splitter.band], self._tail(moment))
         return moment
 
-    @cached_property
-    def phi_tail(self) -> np.ndarray:
-        """``|P0 u|^2`` off the band, summed per orbit."""
-        return self._tail(self.phi_moment)
-
-    @cached_property
-    def psi_tail(self) -> np.ndarray:
-        """``|(P0 + sum_h i k_h P1_h) u|^2`` off the band, summed per orbit."""
-        return self._tail(self.psi_moment)
+    def _profile(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The band rows of profile ``name``'s moment and ``|moment|^2`` off the
+        band summed per orbit, from one build of the moment."""
+        if name not in self._profiles:
+            self.moment(name)
+        return self._profiles[name]
 
     def _tail(self, moment: np.ndarray) -> np.ndarray:
         """``|moment|^2`` summed over the members off the band of each orbit;
         the band is a union of orbits, since ``|k|`` is the same at every
         member."""
         splitter = self.splitter
-        tail = np.sum(np.square(moment.real), axis=0) + np.sum(np.square(moment.imag), axis=0)
-        tail[splitter._band] = 0.0
+        # One component row at a time, in the order in which the whole-array
+        # sum(re^2, axis=0) + sum(im^2, axis=0) adds, so it rounds the same.
+        tail, imaginary = np.square(moment[0].real), np.square(moment[0].imag)
+        for row in moment[1:]:
+            tail += np.square(row.real)
+            imaginary += np.square(row.imag)
+        tail += imaginary
+        del imaginary
+        tail[splitter.band] = 0.0
         orbits = splitter._eigenbasis.orbits
-        return np.bincount(orbits.orbit, weights=tail, minlength=orbits.representatives.size)
+        return np.bincount(
+            orbits.orbit_map(), weights=tail, minlength=orbits.representatives.size
+        )
 
 
 def evolve_parabolic_phi(datum: Datum, t: float) -> GridField:
     """Drift-diffusion profile ``exp(-c.ik t - k.Dk t) P0`` of ``datum``, as a
-    frequency field."""
+    frequency field, built in the array of the datum's moment."""
     _check_time(t)
     splitter = datum.splitter
-    multiplier = np.exp(-t * (splitter.drift_phase + splitter.diffusion_form))
-    return _frequency_field(splitter.grid, datum.phi_moment * multiplier[None, :])
+    profile = datum.moment("phi")
+    profile *= np.exp(-t * splitter._profile_exponent("phi"))
+    return _frequency_field(splitter.grid, profile)
 
 
 def evolve_parabolic_psi(datum: Datum, t: float) -> GridField:
     """Refined profile ``exp(-k.Dk t) (P0 + sum_h i k_h P1_h)`` of ``datum``, no
-    drift, as a frequency field."""
+    drift, as a frequency field, built in the array of the datum's moment."""
     _check_time(t)
     splitter = datum.splitter
-    multiplier = np.exp(-t * splitter.diffusion_form)
-    return _frequency_field(splitter.grid, datum.psi_moment * multiplier[None, :])
+    profile = datum.moment("psi")
+    profile *= np.exp(-t * splitter._profile_exponent("psi"))
+    return _frequency_field(splitter.grid, profile)
 
 
 def make_initial_data(grid: PeriodicGrid, components: int, spec: InitialSpec) -> GridField:

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -334,7 +335,7 @@ class TestFrequencySplitter:
         grid = PeriodicGrid(dimension=1, points=256, half_width=40.0)
         splitter = FrequencySplitter(system, grid)
         field = gaussian_field(grid, (1.0, -0.5))
-        u, u1, u2 = (to_physical(f) for f in splitter.decompose(splitter.prepare(field), 3.0))
+        u, u1, u2 = (to_physical(f) for f in split_fields(splitter, splitter.prepare(field), 3.0))
         assert_allclose(u1.values + u2.values, u.values, atol=1e-14)
         direct = evolve_hyperbolic(system, field, 3.0)
         assert_allclose(u.values, direct.values, atol=1e-12)
@@ -352,7 +353,7 @@ class TestFrequencySplitter:
             flat[:, index] = projection @ spectrum.flat()[:, index]
         projected = GridField(grid, flat.reshape(spectrum.values.shape), FREQUENCY)
         splitter = FrequencySplitter(system, grid)
-        _, u1, u2 = splitter.decompose(splitter.prepare(projected), 0.0)
+        _, u1, u2 = split_fields(splitter, splitter.prepare(projected), 0.0)
         scale = np.max(np.abs(projected.values))
         assert np.max(np.abs(u2.values)) <= 1e-10 * scale
         assert_allclose(u1.values, projected.values, atol=1e-10 * scale)
@@ -367,7 +368,7 @@ class TestFrequencySplitter:
         flat[:, cut.chi1(moduli) > 0.0] = 0.0
         high = GridField(grid, flat.reshape(spectrum.values.shape), FREQUENCY)
         splitter = FrequencySplitter(system, grid)
-        _, u1, _ = splitter.decompose(splitter.prepare(high), 1.0)
+        _, u1, _ = split_fields(splitter, splitter.prepare(high), 1.0)
         assert np.max(np.abs(u1.values)) == 0.0
 
     def test_low_part_is_zero_off_the_band(self):
@@ -376,7 +377,7 @@ class TestFrequencySplitter:
         grid = PeriodicGrid(dimension=2, points=64, half_width=16.0)
         splitter = FrequencySplitter(system, grid)
         datum = splitter.prepare(white_spectrum(grid, system.size, seed=2))
-        u, u1, u2 = (f.flat() for f in splitter.decompose(datum, 1.5))
+        u, u1, u2 = (f.flat() for f in split_fields(splitter, datum, 1.5))
         moduli = np.linalg.norm(grid.frequency_vectors, axis=-1)
         off = splitter.cut.chi1(moduli) == 0.0
         assert 0 < np.count_nonzero(~off) < off.size
@@ -394,6 +395,53 @@ def white_spectrum(grid: PeriodicGrid, components: int, seed: int) -> GridField:
 
 def relative_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def split_fields(splitter: FrequencySplitter, datum, t: float) -> list[GridField]:
+    """:meth:`~FrequencySplitter.decompose`'s ``u``, ``u1`` and ``u2`` as frequency
+    fields: ``u1``'s band rows on a zero grid and ``u2 = u - u1``.  The norm
+    ``decompose`` returns must be that ``u2``'s, summed the same way."""
+    u, rows, high = splitter.decompose(datum, t)
+    low = np.zeros_like(u.flat())
+    low[:, splitter.band] = rows
+    fields = [u] + [
+        GridField(splitter.grid, flat.reshape(u.values.shape), FREQUENCY)
+        for flat in (low, u.flat() - low)
+    ]
+    assert high == lp_norm(fields[2], 2)
+    return fields
+
+
+def member_condition(basis, members: np.ndarray) -> np.ndarray:
+    """The condition bound ``cond_2(T_g) |V|_F |V^-1|_F`` of each of ``members``."""
+    g, r = basis.orbits.locate(members)
+    return basis.lift_condition[g] * basis.orbit_condition[r]
+
+
+def orbit_of(orbits, member: int) -> int:
+    """The orbit of one grid member."""
+    return int(orbits.locate(np.array([member]))[1][0])
+
+
+def orbit_order(orbits, flat: np.ndarray) -> np.ndarray:
+    """``w[g, :, r] = (T_g^-1 u(R_g k_r))^(c_g)`` of a flat ``(components, N^d)``
+    array, 0 where ``g`` maps no member: the whole grid in the orbit-order
+    layout, by one scatter and dense ``T_g^-1`` products.  The oracle of the
+    engine's per-element blocks."""
+    element, orbit = orbits.locate(np.arange(flat.shape[1]))
+    layout = (orbits.transforms.shape[0], flat.shape[0], orbits.representatives.size)
+    slots = np.zeros(layout, dtype=complex)
+    slots[element, :, orbit] = flat.T
+    slots = np.einsum("gij,gjr->gir", orbits.inverses, slots)
+    return np.where(orbits.conjugate[:, None, None], slots.conj(), slots)
+
+
+def grid_order(orbits, slots: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`orbit_order`: ``u(R_g k_r) = T_g w[g, :, r]^(c_g)``."""
+    slots = np.where(orbits.conjugate[:, None, None], slots.conj(), slots)
+    slots = np.einsum("gij,gjr->gir", orbits.transforms, slots)
+    element, orbit = orbits.locate(np.arange(sum(m.size for m in orbits.members)))
+    return slots[element, :, orbit].T
 
 
 def rotated_euler() -> HyperbolicSystem:
@@ -465,7 +513,7 @@ class TestEigenPropagator:
         field = white_spectrum(grid, system.size, seed=1)
         datum = splitter.prepare(field)
         for t in (0.0, 0.7, 5.0):
-            u, u1, u2 = splitter.decompose(datum, t)
+            u, u1, u2 = split_fields(splitter, datum, t)
             pade = evolve_hyperbolic(system, field, t)
             assert relative_gap(u.values, pade.values) <= 1e-12
             assert_allclose(u1.values + u2.values, u.values, atol=1e-14)
@@ -480,8 +528,8 @@ class TestEigenPropagator:
         splitter.decompose(splitter.prepare(white_spectrum(grid, system.size, seed=5)), 1.0)
         projections = splitter._eigenbasis.band_projections
         vectors = grid.frequency_vectors
-        assert splitter._band.size > 1
-        for member, index in enumerate(splitter._band):
+        assert splitter.band.size > 1
+        for member, index in enumerate(splitter.band):
             exact = exact_group_projection(system, vectors[index])
             assert_allclose(projections[member], exact, rtol=0, atol=1e-13)
 
@@ -492,7 +540,7 @@ class TestEigenPropagator:
         weights = splitter.cut.chi1(np.linalg.norm(grid.frequency_vectors, axis=-1))
         assert np.any((weights > 0.0) & (weights < 1.0))
         t = 1.5
-        _, u1, _ = splitter.decompose(splitter.prepare(field), t)
+        _, u1, _ = split_fields(splitter, splitter.prepare(field), t)
         assert relative_gap(u1.flat(), contour_low_part(system, splitter, field, t)) <= 1e-12
 
     def test_fallback_band_members_use_contour_projections(self, monkeypatch):
@@ -504,7 +552,7 @@ class TestEigenPropagator:
         splitter = FrequencySplitter(system, grid)
         field = white_spectrum(grid, system.size, seed=9)
         t = 1.5
-        u, u1, _ = splitter.decompose(splitter.prepare(field), t)
+        u, u1, _ = split_fields(splitter, splitter.prepare(field), t)
         assert splitter.fallback_count == grid.total_points
         assert relative_gap(u1.flat(), contour_low_part(system, splitter, field, t)) <= 1e-12
         assert relative_gap(u.values, evolve_hyperbolic(system, field, t).values) <= 1e-12
@@ -516,11 +564,11 @@ class TestEigenPropagator:
         field = white_spectrum(grid, system.size, seed=3)
         datum = splitter.prepare(field)
         for t in (0.5, 3.0):
-            u, u1, u2 = splitter.decompose(datum, t)
+            u, u1, u2 = split_fields(splitter, datum, t)
             pade = evolve_hyperbolic(system, field, t)
             assert relative_gap(u.values, pade.values) <= 1e-12
             assert_allclose(u1.values + u2.values, u.values, atol=1e-14)
-        assert splitter._band.size > 1
+        assert splitter.band.size > 1
         assert splitter.fallback_count == 0
         # Every signed permutation of the three axes lifts.
         assert splitter._eigenbasis.orbits.rotations.shape[0] == 48
@@ -535,7 +583,7 @@ class TestEigenPropagator:
         field = white_spectrum(grid, system.size, seed=2)
         datum = splitter.prepare(field)
         for t in (0.5, 3.0):
-            u, _, _ = splitter.decompose(datum, t)
+            u, _, _ = split_fields(splitter, datum, t)
             pade = evolve_hyperbolic(system, field, t)
             assert relative_gap(u.values, pade.values) <= 1e-12
 
@@ -550,7 +598,7 @@ class TestEigenPropagator:
         nyquist = GridField(grid, field.values * mask[None], FREQUENCY)
         datum = splitter.prepare(nyquist)
         for t in (0.3, 2.0):
-            evolved, _, _ = splitter.decompose(datum, t)
+            evolved, _, _ = split_fields(splitter, datum, t)
             pade = evolve_hyperbolic(system, nyquist, t)
             assert relative_gap(evolved.values, pade.values) <= 1e-12
             assert np.all(evolved.values[:, ~mask] == 0.0)
@@ -564,7 +612,7 @@ class TestEigenPropagator:
         field = white_spectrum(grid, system.size, seed=10)
         datum = splitter.prepare(field)
         for t in (0.0, 0.7, 5.0):
-            u, u1, u2 = splitter.decompose(datum, t)
+            u, u1, u2 = split_fields(splitter, datum, t)
             pade = evolve_hyperbolic(system, field, t)
             assert relative_gap(u.values, pade.values) <= 1e-12
             assert_allclose(u1.values + u2.values, u.values, atol=1e-14)
@@ -580,7 +628,7 @@ class TestEigenPropagator:
         for build, grid in self.CASES.values():
             system = build()
             basis = FrequencySplitter(system, grid)._eigenbasis
-            representative = basis.orbits.orbit[basis.audit[-1]]
+            representative = orbit_of(basis.orbits, basis.audit[-1])
             with monkeypatch.context() as patch:
                 skew_factorization(patch, {representative: 1e-6})
                 splitter = FrequencySplitter(system, grid)
@@ -657,12 +705,12 @@ class TestEigenPropagator:
         )
         for t in (0.0, 0.7, 5.0):
             for field, datum, narrow_datum in (a, b, a):
-                u, u1, u2 = splitter.decompose(datum, t)
+                u, u1, u2 = split_fields(splitter, datum, t)
                 pade = evolve_hyperbolic(system, field, t)
                 assert relative_gap(u.values, pade.values) <= 1e-12
                 assert_allclose(u1.values + u2.values, u.values, atol=1e-14)
                 narrow_u1 = reference.decompose(reference.prepare(field), t)[1]
-                assert np.array_equal(other.decompose(narrow_datum, t)[1].values, narrow_u1.values)
+                assert np.array_equal(other.decompose(narrow_datum, t)[1], narrow_u1)
 
     def test_physical_datum_is_transformed_once(self, monkeypatch):
         import hyprelax.spectral as spectral
@@ -698,7 +746,7 @@ class TestEigenPropagator:
         unshifted = np.linalg.norm(matrix_exponential(-t * symbols), axis=(-2, -1))
         flushed = np.flatnonzero(unshifted == 0.0)
         assert flushed.size
-        u, _, _ = splitter.decompose(datum, t)
+        u, _, _ = split_fields(splitter, datum, t)
         identity = np.eye(system.size)
         for row in flushed:
             member = basis.audit[row]
@@ -707,7 +755,7 @@ class TestEigenPropagator:
             expected = np.exp(-t * shift) * shifted @ datum.spectrum[:, member]
             assert np.all(expected != 0.0)
             assert relative_gap(u.flat()[:, member], expected) <= 1e-10
-        representative = basis.orbits.orbit[basis.audit[flushed[0]]]
+        representative = orbit_of(basis.orbits, basis.audit[flushed[0]])
         skew_factorization(monkeypatch, {representative: 1e-6})
         skewed = FrequencySplitter(system, grid)
         with pytest.raises(SpectralError, match="Pade"):
@@ -720,12 +768,13 @@ class TestEigenPropagator:
         splitter = FrequencySplitter(system, grid)
         basis = splitter._eigenbasis
         first, later = basis.audit[0], basis.audit[-1]
-        assert splitter._moduli[first] != splitter._moduli[later]
-        orbit = basis.orbits.orbit
-        skew_factorization(monkeypatch, {orbit[first]: 1e-8, orbit[later]: 1e-4})
+        assert splitter._moduli(first) != splitter._moduli(later)
+        orbits = basis.orbits
+        skews = {orbit_of(orbits, first): 1e-8, orbit_of(orbits, later): 1e-4}
+        skew_factorization(monkeypatch, skews)
         splitter = FrequencySplitter(system, grid)
         datum = splitter.prepare(white_spectrum(grid, system.size, seed=17))
-        with pytest.raises(SpectralError, match=f"{splitter._moduli[later]:.6g},"):
+        with pytest.raises(SpectralError, match=f"{splitter._moduli(later):.6g},"):
             splitter.decompose(datum, 1.0)
 
     def test_band_through_an_exceptional_point_is_refused_at_first_use(self):
@@ -759,20 +808,32 @@ class TestEigenPropagator:
             (goldstein_kac_1d, PeriodicGrid(1, 8192, 400.0), 0.23),
             (damped_euler_2d, PeriodicGrid(2, 512, 100.0), 0.35),
             (damped_euler_3d, PeriodicGrid(3, 64, 32.0), 0.35),
+            (damped_euler_3d, PeriodicGrid(3, 16, 24.0), 0.35),
+            (goldstein_kac_1d, PeriodicGrid(1, 128, 16 * np.pi), 0.35),
+            (damped_euler_2d, PeriodicGrid(2, 64, 16 * np.pi), 0.35),
         ],
     )
     def test_audit_selection_matches_the_per_element_scan(self, build, grid, inner):
+        # The bundled systems (their builders) and two grids through the
+        # exceptional point |k| = 1/2, where members fall back.  The selection
+        # ranks each element's few worst members; the oracle sorts every
+        # member's bound (stable, so ties go to the larger index) and scans
+        # the ranking once per element.
         basis = FrequencySplitter(build(), grid, CutoffSpec(inner=inner))._eigenbasis
-        element = basis.orbits.element
-        trusted = basis.condition <= CONDITION_LIMIT
-        ranked = np.argsort(np.where(trusted, basis.condition, -np.inf), kind="stable")[::-1]
+        members = np.arange(grid.total_points)
+        condition = member_condition(basis, members)
+        element, _ = basis.orbits.locate(members)
+        trusted = condition <= CONDITION_LIMIT
+        ranked = np.argsort(np.where(trusted, condition, -np.inf), kind="stable")[::-1]
         ranked = ranked[trusted[ranked]]
-        # The former selection: one scan of the ranked members per element.
         elements = range(1, basis.orbits.transforms.shape[0])
         mapped = [ranked[element[ranked] == g][:1] for g in elements]
         audit = np.concatenate([ranked[:_AUDIT_MEMBERS], *mapped])
         audit = np.array(list(dict.fromkeys(audit.tolist())), dtype=np.intp)
         assert np.array_equal(basis.audit, audit)
+        assert np.array_equal(basis.fallback, np.flatnonzero(~trusted))
+        assert (basis.fallback.size > 0) == (grid.half_width == 16 * np.pi)
+        assert basis.worst_condition == np.max(condition)
 
 
 class TestPreparedDatum:
@@ -788,7 +849,7 @@ class TestPreparedDatum:
     @staticmethod
     def results(splitter: FrequencySplitter, datum) -> list[np.ndarray]:
         t = 1.5
-        fields = [*splitter.decompose(datum, t)]
+        fields = split_fields(splitter, datum, t)
         fields += [evolve_parabolic_phi(datum, t), evolve_parabolic_psi(datum, t)]
         return [field.values for field in fields]
 
@@ -856,14 +917,19 @@ class TestOrbitMap:
         orbits = _grid_orbits(system, grid)
         count = orbits.representatives.size
         assert np.array_equal(orbits.rotations[0], np.eye(grid.dimension))
-        assert np.array_equal(orbits.orbit[orbits.representatives], np.arange(count))
-        assert np.all(orbits.element[orbits.representatives] == 0)
-        pairs = orbits.element * count + orbits.orbit
-        assert np.unique(pairs).size == grid.total_points
-        assert orbits.slot.shape == (system.size, grid.total_points)
-        assert np.unique(orbits.slot).size == orbits.slot.size
+        assert np.array_equal(orbits.members[0], orbits.representatives)
+        assert np.array_equal(orbits.columns[0], np.arange(count))
+        listed = np.concatenate(orbits.members)
+        assert np.array_equal(np.sort(listed), np.arange(grid.total_points))
+        for members, columns in zip(orbits.members, orbits.columns):
+            assert members.dtype == columns.dtype == np.int32
+            assert np.all(np.diff(members) > 0)
+            assert np.unique(columns).size == columns.size
+        element, orbit = orbits.locate(np.arange(grid.total_points))
+        assert np.array_equal(orbit, orbits.orbit_map())
+        assert np.unique(element * count + orbit).size == grid.total_points
         flat = white_spectrum(grid, system.size, seed=15).flat()
-        back = orbits.to_grid(orbits.to_orbit_order(flat))
+        back = grid_order(orbits, orbit_order(orbits, flat))
         assert np.max(np.abs(back - flat)) <= 1e-15 * np.max(np.abs(flat))
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -873,10 +939,9 @@ class TestOrbitMap:
         build, grid = self.CASES[case]
         orbits = _grid_orbits(build(), grid)
         vectors = grid.frequency_vectors
-        representatives = orbits.representatives[orbits.orbit]
-        images = np.einsum(
-            "fij,fj->fi", orbits.rotations[orbits.element], vectors[representatives]
-        )
+        element, orbit = orbits.locate(np.arange(grid.total_points))
+        representatives = orbits.representatives[orbit]
+        images = np.einsum("fij,fj->fi", orbits.rotations[element], vectors[representatives])
         assert np.array_equal(images, vectors)
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -928,12 +993,34 @@ def grid_norms(splitter: FrequencySplitter, datum, t: float):
     """``|u|_2``, ``|u2|_2`` and ``|u1 - P|_2`` from the grid fields of
     :meth:`~FrequencySplitter.decompose` and the profiles: the oracle of
     :meth:`~FrequencySplitter.l2_norms`."""
-    full, low, high = splitter.decompose(datum, t)
+    full, low, high = split_fields(splitter, datum, t)
     gaps = {}
     for name, evolve in (("phi", evolve_parabolic_phi), ("psi", evolve_parabolic_psi)):
         gap = GridField(splitter.grid, low.values - evolve(datum, t).values, FREQUENCY)
         gaps[name] = lp_norm(gap, 2)
     return lp_norm(full, 2), lp_norm(high, 2), gaps
+
+
+def reachable_arrays(*owners) -> list[np.ndarray]:
+    """Every array the owners hold, through their attributes, dataclasses,
+    tuples, lists and dicts; the grid, the system, the cutoff and the datum's
+    splitter are not followed."""
+    arrays, seen, pending = [], set(), list(owners)
+    while pending:
+        item = pending.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        elif isinstance(item, (tuple, list)):
+            pending.extend(item)
+        elif isinstance(item, dict):
+            pending.extend(item.values())
+        elif isinstance(item, FrequencySplitter) or dataclasses.is_dataclass(item):
+            skipped = ("grid", "system", "cut", "splitter")
+            pending.extend(value for key, value in vars(item).items() if key not in skipped)
+    return arrays
 
 
 class TestFormNorms:
@@ -977,7 +1064,7 @@ class TestFormNorms:
             assert orbits.conjugate.tolist() == [False, True]
         # The form holds every member off the band below sqrt(CONDITION_LIMIT).
         layout = splitter._form_layout
-        assert layout.direct.size == splitter._band.size + expected_fallback
+        assert layout.direct.size == splitter.band.size + expected_fallback
         assert layout.slots.sum() == grid.total_points - layout.direct.size
 
     def test_high_condition_members_are_propagated_one_by_one(self, monkeypatch):
@@ -990,7 +1077,7 @@ class TestFormNorms:
         self.assert_form_matches_grid(splitter, seed=22)
         layout = splitter._form_layout
         assert splitter.fallback_count == layout.fallback.size == 2
-        assert layout.composed.size - splitter._band.size == 22
+        assert layout.composed.size - splitter.band.size == 22
         assert layout.slots.sum() > 200
         assert layout.slots.sum() + layout.direct.size == grid.total_points
 
@@ -1020,13 +1107,61 @@ class TestFormNorms:
                 splitter.l2_norms(datum, t)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_streamed_pass_matches_the_orbit_order_oracle(self, case):
+        # The former whole-grid path: every coefficient in orbit order, one
+        # batched propagation and one gather back to the grid.
+        build, grid, cut = self.CASES[case]
+        splitter = FrequencySplitter(build(), grid, cut)
+        field = white_spectrum(grid, splitter.system.size, seed=35)
+        streamed, alone = splitter.prepare(field), splitter.prepare(field)
+        t = 0.7
+        u, _, _ = splitter.decompose(streamed, t)  # sums the form in the same pass
+        splitter.l2_norms(alone, t)  # sums the form in a pass of its own
+        for got, expected in zip(streamed.form, alone.form):
+            assert np.array_equal(got, expected)
+        basis, layout = splitter._eigenbasis, splitter._form_layout
+        orbits = basis.orbits
+        coefficients = np.einsum(
+            "ijr,gjr->gir", basis.inverse.transpose(1, 2, 0), orbit_order(orbits, field.flat())
+        )
+        decayed = basis.vectors.transpose(1, 2, 0) * np.exp(-t * basis.values)
+        expected = grid_order(orbits, np.einsum("ijr,gjr->gir", decayed, coefficients))
+        factored = np.ones(grid.total_points, dtype=bool)
+        factored[basis.fallback] = False
+        assert relative_gap(u.flat()[:, factored], expected[:, factored]) <= 1e-14
+        weights = np.zeros_like(streamed.form[0])
+        for g, slots in enumerate(layout.slots):
+            c = np.where(slots, coefficients[g], 0.0)
+            weights += layout.grams[layout.gram[g]] * (c.conj()[:, None, :] * c[None, :, :])
+        assert_allclose(streamed.form[0], weights, rtol=0, atol=1e-14 * np.max(np.abs(weights)))
+
+    @pytest.mark.parametrize("case", ["plane", "space", "plane-16pi"])
+    def test_datum_holds_no_grid_array_after_its_first_norms(self, case):
+        # A p = 2 run's first step: the audit's fields, the profiles and the
+        # norms.  Afterwards the datum and its splitter hold no array indexed
+        # by grid member (an axis of N^d entries or more) but the spectrum;
+        # their tables are per orbit, per element or per band member.  The
+        # grid's own frequency vectors are shared by every splitter on it.
+        build, grid, cut = self.CASES[case]
+        splitter = FrequencySplitter(build(), grid, cut)
+        datum = splitter.prepare(white_spectrum(grid, splitter.system.size, seed=36))
+        fields = [splitter.decompose(datum, 1.0)[0]]
+        fields += [evolve(datum, 1.0) for evolve in (evolve_parabolic_phi, evolve_parabolic_psi)]
+        del fields
+        splitter.l2_norms(datum, 1.0)
+        held = reachable_arrays(splitter, datum)
+        held = [array for array in held if array is not datum.spectrum]
+        assert held
+        assert [array.shape for array in held if max(array.shape) >= grid.total_points] == []
+
     def test_form_is_built_once_per_datum(self, monkeypatch):
         build, grid, _ = self.CASES["plane"]
         splitter = FrequencySplitter(build(), grid)
         datum = splitter.prepare(white_spectrum(grid, 3, seed=26))
         splitter.l2_norms(datum, 1.0, ("psi",))
         weights, _ = datum.form
-        assert "phi_tail" not in vars(datum)
+        assert "phi" not in datum._profiles
         splitter.l2_norms(datum, 2.0)
         assert datum.form[0] is weights
         hermitian = np.conj(weights.transpose(1, 0, 2))
@@ -1091,7 +1226,8 @@ class TestRealFactorization:
         field = white_spectrum(grid, system.size, seed=31)
         datum, reference = splitter.prepare(field), oracle.prepare(field)
         for t in (0.0, 0.7, 5.0, 40.0):
-            for got, expected in zip(splitter.decompose(datum, t), oracle.decompose(reference, t)):
+            fields = zip(split_fields(splitter, datum, t), split_fields(oracle, reference, t))
+            for got, expected in fields:
                 assert relative_gap(got.values, expected.values) <= 1e-12
             full, high, gaps = splitter.l2_norms(datum, t)
             oracle_full, oracle_high, oracle_gaps = oracle.l2_norms(reference, t)
@@ -1102,8 +1238,9 @@ class TestRealFactorization:
         assert splitter.fallback_count == {"line-16pi": 2, "plane-16pi": 4}.get(case, 0)
         basis, oracle_basis = splitter._eigenbasis, oracle._eigenbasis
         assert np.array_equal(basis.audit, oracle_basis.audit)
-        trusted = oracle_basis.condition <= CONDITION_LIMIT
-        assert np.array_equal(basis.condition <= CONDITION_LIMIT, trusted)
+        members = np.arange(grid.total_points)
+        trusted = member_condition(oracle_basis, members) <= CONDITION_LIMIT
+        assert np.array_equal(member_condition(basis, members) <= CONDITION_LIMIT, trusted)
         if case == "anisotropic":
             assert basis.orbits.rotations.shape[0] == 4
 
@@ -1155,8 +1292,8 @@ class TestOrbitTails:
         splitter = FrequencySplitter(build(), grid, cut)
         orbits = splitter._eigenbasis.orbits
         assert orbits.rotations.shape[0] == elements
-        kappa = splitter.diffusion_form
-        gap = np.max(np.abs(kappa - splitter._orbit_diffusion[orbits.orbit]))
+        kappa = splitter.limit.diffusion_form(grid.frequency_vectors)
+        gap = np.max(np.abs(kappa - splitter._orbit_diffusion[orbits.orbit_map()]))
         assert gap <= 1e-14 * np.max(kappa)
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -1165,33 +1302,36 @@ class TestOrbitTails:
         splitter = FrequencySplitter(build(), grid, cut)
         datum = splitter.prepare(white_spectrum(grid, splitter.system.size, seed=34))
         orbits = splitter._eigenbasis.orbits
-        band = splitter._band
+        band = splitter.band
+        orbit = orbits.orbit_map()
         for name in ("phi", "psi"):
-            moment = getattr(datum, f"{name}_moment")
+            moment = datum.moment(name)
             full = np.sum(np.abs(moment) ** 2, axis=0)
             full[band] = 0.0
-            tail = getattr(datum, f"{name}_tail")
+            rows, tail = datum._profile(name)
+            assert np.array_equal(rows, moment[:, band])
             assert tail.shape == (orbits.representatives.size,)
             assert tail.sum() == pytest.approx(full.sum(), rel=1e-14)
-            order = np.argsort(orbits.orbit, kind="stable")
-            starts = np.searchsorted(orbits.orbit[order], np.arange(tail.size))
+            order = np.argsort(orbit, kind="stable")
+            starts = np.searchsorted(orbit[order], np.arange(tail.size))
             assert_allclose(tail, np.add.reduceat(full[order], starts), rtol=1e-14, atol=0)
         basis = splitter._eigenbasis
         cell = grid.cell_volume
         for t in (0.0, 0.7, 5.0, 40.0):
             _, _, gaps = splitter.l2_norms(datum, t)
-            low = datum.modal[2] * np.exp(-t * basis.band_values)
+            low = datum._band_moment * np.exp(-t * basis.band_values)
             for name, gap in gaps.items():
                 # The parent formula: the band one by one, the tail on the full grid.
-                exponent = splitter.diffusion_form[band]
+                exponent = splitter.limit.diffusion_form(grid.frequency_vectors)
                 if name == "phi":
-                    exponent = splitter.drift_phase[band] + exponent
-                moment = getattr(datum, f"{name}_moment")
+                    exponent = splitter.limit.drift_phase(grid.frequency_vectors) + exponent
+                exponent = exponent[band]
+                moment = datum.moment(name)
                 profile = moment[:, band] * np.exp(-t * exponent)
                 full = np.sum(np.abs(moment) ** 2, axis=0)
                 full[band] = 0.0
                 expected = np.sum(np.abs(low - profile) ** 2) + np.sum(
-                    full * np.exp(-2.0 * t * splitter.diffusion_form)
+                    full * np.exp(-2.0 * t * splitter.limit.diffusion_form(grid.frequency_vectors))
                 )
                 assert gap == pytest.approx(np.sqrt(expected * cell), rel=1e-13, abs=0)
 
