@@ -962,6 +962,11 @@ class TestOrbitMap:
             assert np.max(np.abs(transform @ advections - images @ transform)) <= 1e-12
             assert np.max(np.abs(transform @ inverse - np.eye(system.size))) <= 1e-12
 
+    def test_member_lists_must_fit_int32(self):
+        # 2048^3 points: refused before any member-wide array is allocated.
+        with pytest.raises(SpectralError, match="int32"):
+            _grid_orbits(damped_euler_3d(), PeriodicGrid(3, 2048, 100.0))
+
     def test_three_dimensional_lifts_are_exact_signed_permutations(self):
         orbits = _grid_orbits(damped_euler_3d(), PeriodicGrid(3, 8, 4.0))
         assert orbits.transforms.shape[0] == 48
