@@ -1271,7 +1271,10 @@ def make_initial_data(grid: PeriodicGrid, components: int, spec: InitialSpec) ->
     """
     if components < 1:
         raise ValueError("need at least one field component")
-    rng = np.random.default_rng(spec.seed)
+    # Only seeded amplitudes and band noise draw; other data never imports
+    # numpy.random.  One generator serves both, amplitudes first.
+    draws = spec.amplitudes is None or spec.kind == "random-band"
+    rng = np.random.default_rng(spec.seed) if draws else None
     if spec.amplitudes is None:
         signs = np.where(np.arange(components) % 2 == 0, 1.0, -1.0)
         amplitude_array = rng.uniform(0.5, 1.5, size=components) * signs

@@ -760,22 +760,52 @@ def test_cli_import_leaves_out_scipy_stats():
         assert result.stdout.strip() == "False", package
 
 
+def test_only_the_cli_freezes_its_import_heap():
+    source = str(Path(hyprelax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=source)
+    # The library modules leave the heap alone; the CLI freezes it once, and a
+    # cycle made after that import is still collected.
+    probe = """
+import gc, weakref
+import hyprelax, hyprelax.model, hyprelax.chapman, hyprelax.linalg
+import hyprelax.spectral, hyprelax.harness
+library = gc.get_freeze_count()
+import hyprelax.cli
+class Node:
+    pass
+node = Node()
+node.self = node
+alive = weakref.ref(node)
+del node
+gc.collect()
+print(library, gc.get_freeze_count() > 0, gc.isenabled(), alive() is None)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "0 True True True"
+
+
 def test_check_leaves_out_numpy_random_and_numpy_ma(tmp_path):
-    # numpy.random costs about 5 MB of resident memory, and numpy.ma (which a
-    # plain np.unique imports) a few MB and about 14 ms.
+    # numpy.random costs about 11 ms to import and 5 MB of resident memory,
+    # and numpy.ma (which a plain np.unique imports) a few MB and about 14 ms.
+    # The demo configs give their amplitudes, so their data draws nothing.
     source = str(Path(hyprelax.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=source)
     names = ("damped_euler", "goldstein_kac", "damped_euler_3d")
-    files = [str(CONFIGS / f"{name}.json") for name in names]
+    commands = [["check", str(CONFIGS / f"{name}.json")] for name in names] + [
+        ["run", "--config", str(CONFIGS / f"{name}.json")]
+        for name in ("gk_decay", "euler_decay")
+    ]
     probe = (
         "import sys; from hyprelax.cli import main; "
-        f"codes = [main(['check', path, '--out', {str(tmp_path)!r}]) for path in {files!r}]; "
+        f"codes = [main(command + ['--out', {str(tmp_path)!r}]) for command in {commands!r}]; "
         "print(codes, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.splitlines()[-1] == "[0, 0, 0] False False"
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False False"
 
 
 class TestReport:

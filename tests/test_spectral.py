@@ -1501,6 +1501,31 @@ class TestParabolicProfiles:
                 evolve(datum, -0.5)
 
 
+def drawn_data_oracle(grid: PeriodicGrid, components: int, spec: InitialSpec) -> np.ndarray:
+    """Seeded data as built with one generator made up front: amplitudes are
+    drawn first, then the band's noise."""
+    rng = np.random.default_rng(spec.seed)
+    if spec.amplitudes is None:
+        signs = np.where(np.arange(components) % 2 == 0, 1.0, -1.0)
+        amplitudes = rng.uniform(0.5, 1.5, size=components) * signs
+    else:
+        amplitudes = np.asarray(spec.amplitudes, dtype=float)
+    amplitudes = amplitudes.reshape((-1,) + (1,) * grid.dimension)
+    if spec.kind == "gaussian":
+        values = amplitudes * np.exp(-grid.radius_squared() / (2.0 * spec.sigma**2))
+    else:
+        noise = rng.standard_normal((components,) + grid.shape)
+        spectrum = to_frequency(GridField(grid, noise, PHYSICAL)).values
+        moduli = np.linalg.norm(grid.frequency_vectors, axis=-1).reshape(grid.shape)
+        spectrum *= ((moduli >= spec.band[0]) & (moduli <= spec.band[1]))[None]
+        shaped = to_physical(GridField(grid, spectrum, FREQUENCY)).values.real
+        axes = tuple(range(1, 1 + grid.dimension))
+        scale = np.max(np.abs(shaped), axis=axes, keepdims=True)
+        scale[scale == 0.0] = 1.0
+        values = amplitudes * shaped / scale
+    return values.astype(complex)
+
+
 class TestInitialData:
     def test_bump_support_and_peak(self):
         grid = PeriodicGrid(dimension=1, points=256, half_width=10.0)
@@ -1531,6 +1556,21 @@ class TestInitialData:
         c = make_initial_data(grid, 2, InitialSpec(kind="random-band", seed=6))
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
+
+    @pytest.mark.parametrize(
+        "dimension, spec",
+        [
+            (1, InitialSpec(seed=4, sigma=0.5)),
+            (2, InitialSpec(seed=7)),
+            (1, InitialSpec(kind="random-band", seed=3, band=(0.0, 1.0))),
+            (1, InitialSpec(kind="random-band", seed=3, amplitudes=(1.0, -0.5))),
+            (2, InitialSpec(kind="random-band", seed=9, band=(0.5, 1.5))),
+        ],
+    )
+    def test_drawn_data_matches_an_up_front_generator(self, dimension, spec):
+        grid = PeriodicGrid(dimension=dimension, points=64, half_width=8.0)
+        data = make_initial_data(grid, 2, spec)
+        assert np.array_equal(data.values, drawn_data_oracle(grid, 2, spec))
 
     def test_support_guards(self):
         grid = PeriodicGrid(dimension=1, points=64, half_width=5.0)
