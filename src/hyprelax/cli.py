@@ -19,6 +19,15 @@ import os
 import sys
 from pathlib import Path
 
+# One OpenBLAS thread, unless the caller chose a count.  OpenBLAS reads this
+# when numpy first loads it, so it is set before the first numpy import.  A
+# CLI process is short and its arrays are small stacks or einsum products, so
+# a second thread costs start-up (about half of numpy's import time) and saves
+# nothing.  Only this entry module sets it: a library import leaves its
+# caller's environment alone.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from .chapman import (

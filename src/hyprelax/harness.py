@@ -460,16 +460,18 @@ def run_experiment(cfg: ExperimentConfig, system: HyperbolicSystem) -> DecayRepo
         # p = 2 norms come from the datum's form (``splitter.l2_norms``), which
         # builds no grid field.  Fields are formed only for a p = inf norm or
         # the run's first step, whose grid-field norms audit the form.  Each is
-        # released before the next one is made; the first decompose of a datum
-        # sums its form in the same pass as u.
+        # released before the next one is made and transformed back in its own
+        # array; the first decompose of a datum sums its form in the same pass
+        # as u.
         nonlocal audited
         sup = any(math.isinf(p) for p, _ in pairs)
         audit = not audited
         observed: dict[str, float] = {}  # the first step's grid-field L^2 norms
         sup_norms: dict[str, float] = {}
         if sup or audit:
-            full, low, high = splitter.decompose(datum, t)
-            u = to_physical(full)
+            full, low = splitter.decompose(datum, t)
+            high = splitter.remainder_norm(full, low) if audit else None
+            u = to_physical(full, out=full.values)
             del full
             if audit:
                 observed["u"], observed["u2"] = lp_norm(u, 2), high
@@ -484,7 +486,8 @@ def run_experiment(cfg: ExperimentConfig, system: HyperbolicSystem) -> DecayRepo
                 if audit:
                     observed[f"u1_minus_{name}"] = lp_norm(gap, 2)
                 if sup:
-                    sup_norms[f"u1_minus_{name}"] = lp_norm(to_physical(gap), math.inf)
+                    gap = to_physical(gap, out=gap.values)
+                    sup_norms[f"u1_minus_{name}"] = lp_norm(gap, math.inf)
                 del gap
         full_norm, high_norm, gaps = splitter.l2_norms(datum, t, tuple(profiles))
         formed = {"u": full_norm, "u2": high_norm}

@@ -152,16 +152,26 @@ class PeriodicGrid:
         """Per-axis frequencies in transform layout (positive half first)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
 
-    @cached_property
-    def frequency_vectors(self) -> np.ndarray:
-        """All frequency vectors as a flat ``(N^d, d)`` array, C-ordered.
+    def axis_frequencies(self) -> list[np.ndarray]:
+        """The frequencies of each axis ``h``, shaped to broadcast along axis
+        ``h`` of the grid, so a whole-grid function of ``k`` is summed from
+        them without an ``(N^d, d)`` table of frequency vectors."""
+        axes = [self.frequency_axis()] * self.dimension
+        return list(np.meshgrid(*axes, indexing="ij", sparse=True))
 
-        Built once per grid and shared, so the array is read-only.
-        """
-        axes = np.meshgrid(*([self.frequency_axis()] * self.dimension), indexing="ij")
-        vectors = np.stack([axis.reshape(-1) for axis in axes], axis=-1)
-        vectors.flags.writeable = False
-        return vectors
+    def frequencies(self, members) -> np.ndarray:
+        """The frequency vectors ``(..., d)`` of the flat (C-ordered) grid
+        members ``members``."""
+        axis = self.frequency_axis()
+        return np.stack([axis[index] for index in np.unravel_index(members, self.shape)], axis=-1)
+
+    def moduli(self) -> np.ndarray:
+        """``|k|`` at every grid member, flat: ``k_h^2`` summed in axis order,
+        as ``np.linalg.norm`` sums a frequency vector's entries."""
+        total = np.zeros(self.shape)
+        for k in self.axis_frequencies():
+            total += k * k
+        return np.sqrt(total, out=total).reshape(-1)
 
     def radius_squared(self) -> np.ndarray:
         """Squared distance to the box center at each grid point."""
@@ -239,11 +249,14 @@ def to_frequency(field: GridField) -> GridField:
     return GridField(field.grid, values, FREQUENCY)
 
 
-def to_physical(field: GridField) -> GridField:
-    """Inverse of :func:`to_frequency`."""
+def to_physical(field: GridField, out: np.ndarray | None = None) -> GridField:
+    """Inverse of :func:`to_frequency`, written into ``out`` when given (numpy's
+    argument; ``out=field.values`` transforms in place, bit for bit as into a
+    new array, and leaves ``field`` holding physical values)."""
     _require(field, FREQUENCY)
     axes = tuple(range(1, 1 + field.grid.dimension))
-    out = np.empty_like(field.values)
+    if out is None:
+        out = np.empty_like(field.values)
     values = np.fft.ifftn(field.values, axes=axes, norm="ortho", out=out)
     return GridField(field.grid, values, PHYSICAL)
 
@@ -253,6 +266,13 @@ def _sum_of_squares(values: np.ndarray) -> float:
     and imaginary parts, with no BLAS call (which would start its threads)."""
     flat = np.ascontiguousarray(values).reshape(-1).view(float)
     return float(np.einsum("i,i->", flat, flat))
+
+
+def _real_product(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``matrix @ values`` for a real matrix and complex rows whose last axis
+    is contiguous: one real einsum over the interleaved real and imaginary
+    parts, with no BLAS call (which would start its threads)."""
+    return np.einsum("ij,jm->im", matrix, values.view(float)).view(complex)
 
 
 def lp_norm(field: GridField, p: float) -> float:
@@ -748,7 +768,7 @@ class FrequencySplitter:
         self.system = system
         self.grid = grid
         self.cut = cut if cut is not None else default_cutoff(system)
-        weights = self.cut.chi1(self._moduli(slice(None)))
+        weights = self.cut.chi1(grid.moduli())
         band = np.flatnonzero(weights > 0.0)
         band.flags.writeable = False
         self.band = band
@@ -758,14 +778,14 @@ class FrequencySplitter:
 
     def _moduli(self, members) -> np.ndarray:
         """``|k|`` at the grid members ``members``."""
-        return np.linalg.norm(self.grid.frequency_vectors[members], axis=-1)
+        return np.linalg.norm(self.grid.frequencies(members), axis=-1)
 
     def _projection_table(self, values, vectors, inverse, condition):
         """Eigenvalue nearest zero and its eigenprojection at each band member,
         from the band's rows of the grid factorization."""
         band = self.band
         members = np.arange(band.size)
-        k = self.grid.frequency_vectors[band]
+        k = self.grid.frequencies(band)
         nearest = zero_group(values, self.system.symbol(k), k)
         zero_values = values[members, nearest]
         right = vectors[members, :, nearest]
@@ -790,7 +810,7 @@ class FrequencySplitter:
     def _eigenbasis(self) -> _Eigenbasis:
         """One factorization per orbit, with the band table and the audit rows."""
         orbits = _grid_orbits(self.system, self.grid)
-        k = self.grid.frequency_vectors[orbits.representatives]
+        k = self.grid.frequencies(orbits.representatives)
         form = self.system.real_form
         # With a real form E = S M S^-1 and M = V_F diag(lambda) V_F^-1 is
         # factored in real arithmetic: V = S V_F and V^-1 = V_F^-1 S^-1.
@@ -829,7 +849,7 @@ class FrequencySplitter:
             worst_condition=worst,
             fallback=fallback,
             audit=audit,
-            exact_symbols=self.system.symbol(self.grid.frequency_vectors[exact_rows]),
+            exact_symbols=self.system.symbol(self.grid.frequencies(exact_rows)),
             audit_factors=orbits.compose(audit, values, vectors, inverse),
             band_values=band_values,
             band_projections=band_projections,
@@ -854,17 +874,14 @@ class FrequencySplitter:
         distinct, gram = np.unique(
             products.reshape(products.shape[0], -1), axis=0, return_inverse=True
         )
+        # Column by column, so no temporary is as large as a Gram stack.
         vectors = basis.vectors.transpose(1, 2, 0)
-        grams = np.stack(
-            [
-                np.einsum(
-                    "kir,kjr->ijr",
-                    vectors.conj(),
-                    np.einsum("kl,ljr->kjr", product.reshape(size, size), vectors),
-                )
-                for product in distinct
-            ]
-        )
+        grams = np.empty((distinct.shape[0],) + vectors.shape, dtype=complex)
+        for product, stack in zip(distinct, grams):
+            for j in range(size):
+                column = np.einsum("kl,lr->kr", product.reshape(size, size), vectors[:, j])
+                for i in range(size):
+                    np.einsum("kr,kr->r", vectors[:, i].conj(), column, out=stack[i, j])
         direct = np.concatenate([band, others])
         position, in_band = _search(band, basis.fallback)
         fallback = np.where(
@@ -901,12 +918,12 @@ class FrequencySplitter:
     @cached_property
     def _band_drift(self) -> np.ndarray:
         """``c.ik`` at the band members."""
-        return self.limit.drift_phase(self.grid.frequency_vectors[self.band])
+        return self.limit.drift_phase(self.grid.frequencies(self.band))
 
     @cached_property
     def _band_diffusion(self) -> np.ndarray:
         """``k.Dk`` at the band members."""
-        return self.limit.diffusion_form(self.grid.frequency_vectors[self.band])
+        return self.limit.diffusion_form(self.grid.frequencies(self.band))
 
     def _profile_exponent(self, name: str) -> np.ndarray:
         """``c.ik + k.Dk`` (``"phi"``) or ``k.Dk`` (``"psi"``) on the whole grid.
@@ -917,10 +934,19 @@ class FrequencySplitter:
         """
         exponent = self._grid_exponents.get(name)
         if exponent is None:
-            vectors = self.grid.frequency_vectors
-            exponent = self.limit.diffusion_form(vectors)
+            # The terms of ``diffusion_form`` and ``drift_phase`` in their order,
+            # each a product of the per-axis frequencies broadcast over the grid.
+            axes = self.grid.axis_frequencies()
+            diffusion, drift = self.limit.diffusion, self.limit.drift
+            exponent = np.zeros(self.grid.shape)
+            for h, l in np.ndindex(diffusion.shape):
+                exponent += (axes[h] * diffusion[h, l]) * axes[l]
+            exponent = exponent.reshape(-1)
             if name == "phi":
-                exponent = self.limit.drift_phase(vectors) + exponent
+                phase = np.zeros(self.grid.shape)
+                for k, c in zip(axes, drift):
+                    phase += k * c
+                exponent = 1j * phase.reshape(-1) + exponent
             self._grid_exponents[name] = exponent if name in self._grid_exponents else None
         return exponent
 
@@ -929,7 +955,7 @@ class FrequencySplitter:
         """``k.Dk`` at each orbit's representative: every lifted element keeps
         the 0-branch, so ``k.Dk`` is the same at every member of an orbit."""
         representatives = self._eigenbasis.orbits.representatives
-        return self.limit.diffusion_form(self.grid.frequency_vectors[representatives])
+        return self.limit.diffusion_form(self.grid.frequencies(representatives))
 
     def prepare(self, field: GridField) -> Datum:
         """``field`` as a datum of this splitter.
@@ -991,20 +1017,28 @@ class FrequencySplitter:
         the whole grid are never held.  With a time ``t`` the block is
         propagated into a new grid spectrum ``u(t)`` (else ``u`` is None); with
         ``form`` it is summed into the datum's form (else ``form`` is None).
+        Beside ``u`` and the form, nothing larger than one block is allocated:
+        ``V o exp(-t lambda)`` is formed one row at a time, and the form
+        gathers its terms one ``(row, column)`` pair at a time in one
+        orbit-sized scratch array.
         """
         basis = self._eigenbasis
         orbits = basis.orbits
         spectrum = datum.spectrum
-        shape = (spectrum.shape[0], orbits.representatives.size)
+        size = spectrum.shape[0]
+        shape = (size, orbits.representatives.size)
         inverse = basis.inverse.transpose(1, 2, 0)
         full = weights = None
         if t is not None:
             exponentials = self._fallback_exponentials(t)
-            decayed = basis.vectors.transpose(1, 2, 0) * np.exp(-t * basis.values)
+            vectors = basis.vectors.transpose(1, 2, 0)
+            decay = np.exp(-t * basis.values)
+            decayed = np.empty(shape, dtype=complex)
             full = np.empty_like(spectrum)
         if form:
             layout = self._form_layout
             weights = np.zeros(layout.grams.shape[1:], dtype=complex)
+            scratch = np.empty(shape[1], dtype=complex)
         for g, (members, columns) in enumerate(zip(orbits.members, orbits.columns)):
             summed = form and layout.slots[g].any()
             if full is None and not summed:
@@ -1018,15 +1052,29 @@ class FrequencySplitter:
             coefficients = np.einsum("ijr,jr->ir", inverse, orbits.lift(g, block, inverse=True))
             # Each block is released before the next one is formed.
             del block
-            if summed:
-                c = np.where(layout.slots[g], coefficients, 0.0)
-                weights += layout.grams[layout.gram[g]] * (c.conj()[:, None, :] * c[None, :, :])
-                del c
             if full is not None:
-                propagated = orbits.lift(g, np.einsum("ijr,jr->ir", decayed, coefficients))
+                # V (exp(-t lambda) o c), one row of V o exp(-t lambda) at a
+                # time: the sums of the whole table's einsum, bit for bit.
+                propagated = np.empty(shape, dtype=complex)
+                for row, vector_row in zip(propagated, vectors):
+                    np.multiply(vector_row, decay, out=decayed)
+                    np.einsum("jr,jr->r", decayed, coefficients, out=row)
+                orbits.lift(g, propagated)
                 for row, source in zip(full, propagated):
                     row[members] = source.take(columns)
                 del propagated
+            if summed:
+                # W_r += G_r o (conj(c) c^T) over the slots in the form, each
+                # product in the order of the whole-array one (a complex
+                # product with FMA is not symmetric).
+                coefficients[:, ~layout.slots[g]] = 0.0
+                conjugate = coefficients.conj()
+                gram = layout.grams[layout.gram[g]]
+                for i, j in np.ndindex(size, size):
+                    np.multiply(conjugate[i], coefficients[j], out=scratch)
+                    np.multiply(gram[i, j], scratch, out=scratch)
+                    weights[i, j] += scratch
+                del conjugate
             del coefficients
         if full is not None:
             full[:, basis.fallback] = np.einsum(
@@ -1038,17 +1086,16 @@ class FrequencySplitter:
             weights = (weights, np.einsum("mij,jm->mi", inverse, spectrum[:, members]))
         return full, weights
 
-    def decompose(self, datum: Datum, t: float) -> tuple[GridField, np.ndarray, float]:
-        """Evolve and split in one pass; returns the frequency field ``u``, the
-        rows of ``u1`` at the band members :attr:`band` (``(components,
-        band size)``; ``u1`` is 0 off the band) and ``|u2|_2``.
+    def decompose(self, datum: Datum, t: float) -> tuple[GridField, np.ndarray]:
+        """Evolve and split in one pass; returns the frequency field ``u`` and
+        the rows of ``u1`` at the band members :attr:`band` (``(components,
+        band size)``; ``u1`` is 0 off the band).
 
         ``u1 = chi1 exp(-t lambda0) P0(ik) u`` propagates the cutoff-projected
         band (``E P0 = lambda0 P0``), and ``u2 = u - u1``, so ``u2`` is ``u``
-        off the band.  Its norm is summed on ``u``'s own array, with the band
-        rows replaced by ``u - u1`` and then restored, so no second grid field
-        is built.  The first decompose of a datum also sums the datum's form
-        (:attr:`Datum.form`) in the same pass over the group elements.
+        off the band (:meth:`remainder_norm` sums its norm).  The first
+        decompose of a datum also sums the datum's form (:attr:`Datum.form`)
+        in the same pass over the group elements.
 
         Raises:
             ValueError: if ``t < 0`` or another splitter prepared ``datum``.
@@ -1061,11 +1108,21 @@ class FrequencySplitter:
         if unformed:
             object.__setattr__(datum, "_streamed_form", form)
         low = datum._band_moment * np.exp(-t * self._eigenbasis.band_values)
+        return _frequency_field(self.grid, full), low
+
+    def remainder_norm(self, u: GridField, low: np.ndarray) -> float:
+        """``|u2|_2`` of :meth:`decompose`'s ``u`` and ``u1`` band rows ``low``.
+
+        It is summed on ``u``'s own array, with the band rows replaced by
+        ``u - u1`` and then restored, so no second grid field is built.
+        """
+        _require(u, FREQUENCY)
+        full = u.flat()
         rows = full[:, self.band]
         full[:, self.band] = rows - low
         high = _sum_of_squares(full)
         full[:, self.band] = rows
-        return _frequency_field(self.grid, full), low, math.sqrt(high * self.grid.cell_volume)
+        return math.sqrt(high * self.grid.cell_volume)
 
     def l2_norms(
         self, datum: Datum, t: float, profiles=("phi", "psi")
@@ -1198,14 +1255,15 @@ class Datum:
             return self._moments[name].copy()
         splitter = self.splitter
         limit = splitter.limit
-        moment = limit.projection @ self.spectrum
+        moment = _real_product(limit.projection, self.spectrum)
         if name == "psi":
-            vectors = splitter.grid.frequency_vectors
-            for start in range(0, moment.shape[1], _MOMENT_CHUNK):
+            total = moment.shape[1]
+            for start in range(0, total, _MOMENT_CHUNK):
                 part = slice(start, start + _MOMENT_CHUNK)
+                k = splitter.grid.frequencies(np.arange(start, min(start + _MOMENT_CHUNK, total)))
                 for h, correction in enumerate(limit.corrections):
-                    term = correction @ self.spectrum[:, part]
-                    term *= 1j * vectors[part, h]
+                    term = _real_product(correction, self.spectrum[:, part])
+                    term *= 1j * k[:, h]
                     moment[:, part] += term
         if name in self._profiles:
             self._moments[name] = moment.copy()
@@ -1305,7 +1363,7 @@ def make_initial_data(grid: PeriodicGrid, components: int, spec: InitialSpec) ->
         low, high = spec.band
         noise = rng.standard_normal((components,) + grid.shape)
         spectrum = to_frequency(GridField(grid, noise, PHYSICAL)).values
-        moduli = np.linalg.norm(grid.frequency_vectors, axis=-1).reshape(grid.shape)
+        moduli = grid.moduli().reshape(grid.shape)
         mask = (moduli >= low) & (moduli <= high)
         spectrum *= mask[None]
         shaped = to_physical(GridField(grid, spectrum, FREQUENCY)).values.real

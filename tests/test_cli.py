@@ -392,8 +392,8 @@ class TestRun:
 
         inverse = harness.to_physical
 
-        def skewed(field):
-            out = inverse(field)
+        def skewed(field, **kwargs):
+            out = inverse(field, **kwargs)
             return GridField(out.grid, out.values * (1.0 + 1e-9), out.representation)
 
         monkeypatch.setattr(harness, "to_physical", skewed)
@@ -784,6 +784,65 @@ print(library, gc.get_freeze_count() > 0, gc.isenabled(), alive() is None)
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "0 True True True"
+
+
+# OpenBLAS's thread count, read from numpy's bundled library as the
+# benchmark's provenance reads it (bench/run.py, blas_threads); None when the
+# library cannot be found.
+BLAS_THREADS = """
+import ctypes, glob, os
+import numpy
+
+def blas_threads():
+    libs = os.path.join(os.path.dirname(numpy.__file__), "..", "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        library = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(library, name, None)
+            if getter is not None:
+                return int(getter())
+    return None
+"""
+
+
+def test_only_the_cli_sets_one_blas_thread():
+    source = str(Path(hyprelax.__file__).resolve().parents[1])
+    chosen = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {key: value for key, value in os.environ.items() if key not in chosen}
+    env["PYTHONPATH"] = source
+
+    def probe(code: str, **preset: str) -> str:
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**env, **preset},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return result.stdout.strip()
+
+    # The library modules leave the environment alone.
+    library = """
+import os
+before = dict(os.environ)
+import hyprelax, hyprelax.model, hyprelax.chapman, hyprelax.linalg
+import hyprelax.spectral, hyprelax.harness
+print(dict(os.environ) == before)
+"""
+    assert probe(library) == "True"
+    # The CLI sets one thread before numpy loads OpenBLAS, unless the caller
+    # chose a count; OpenBLAS caps a chosen count at the usable processors.
+    cli = "import hyprelax.cli\n" + BLAS_THREADS + (
+        "usable = len(os.sched_getaffinity(0)) if hasattr(os, 'sched_getaffinity') "
+        "else os.cpu_count()\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], blas_threads(), min(2, usable))"
+    )
+    setting, threads, capped = probe(cli).split()
+    if threads == "None":
+        pytest.skip("numpy's OpenBLAS library cannot be found")
+    assert (setting, threads) == ("1", "1")
+    setting, threads, capped = probe(cli, OPENBLAS_NUM_THREADS="2").split()
+    assert (setting, threads) == ("2", capped)
 
 
 def test_check_leaves_out_numpy_random_and_numpy_ma(tmp_path):

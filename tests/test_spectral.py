@@ -41,6 +41,17 @@ from hyprelax.systems import damped_euler_2d, damped_euler_3d, goldstein_kac_1d
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+def frequency_vectors(grid: PeriodicGrid) -> np.ndarray:
+    """Every frequency vector of ``grid`` as a flat ``(N^d, d)`` table, C-ordered.
+
+    The engine builds no such table: it takes ``k`` of listed members from
+    their flat indices and whole-grid functions of ``k`` from the per-axis
+    frequencies.  This is the oracle for both.
+    """
+    axes = np.meshgrid(*([grid.frequency_axis()] * grid.dimension), indexing="ij")
+    return np.stack([axis.reshape(-1) for axis in axes], axis=-1)
+
+
 def evolve_hyperbolic(system: HyperbolicSystem, field: GridField, t: float) -> GridField:
     """Pade-13 ``exp(-E(ik) t)`` at every frequency, in the field's representation.
 
@@ -50,7 +61,7 @@ def evolve_hyperbolic(system: HyperbolicSystem, field: GridField, t: float) -> G
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
     spectrum = field if field.representation == FREQUENCY else to_frequency(field)
-    symbols = system.symbol(field.grid.frequency_vectors)
+    symbols = system.symbol(frequency_vectors(field.grid))
     flat = np.einsum("fij,jf->if", matrix_exponential(-t * symbols), spectrum.flat())
     evolved = GridField(field.grid, flat.reshape(spectrum.values.shape), FREQUENCY)
     return evolved if field.representation == FREQUENCY else to_physical(evolved)
@@ -88,12 +99,27 @@ class TestPeriodicGrid:
 
     def test_frequency_vectors_are_c_ordered_meshgrid(self):
         grid = PeriodicGrid(dimension=2, points=8, half_width=2.0)
-        vectors = grid.frequency_vectors
+        vectors = frequency_vectors(grid)
         assert vectors.shape == (64, 2)
         axis = grid.frequency_axis()
         assert_allclose(vectors[:8, 0], axis[0])
         assert_allclose(vectors[:8, 1], axis)
         assert_allclose(vectors[8, 0], axis[1])
+        assert np.array_equal(grid.frequencies(np.arange(64)), vectors)
+        assert np.array_equal(grid.frequencies(9), vectors[9])
+
+    @pytest.mark.parametrize("dimension, points", [(1, 64), (2, 16), (3, 8)])
+    def test_per_axis_frequencies_match_the_vector_table(self, dimension, points):
+        # Bit for bit: |k|, and k of listed members, against the table.
+        grid = PeriodicGrid(dimension, points, half_width=3.0)
+        vectors = frequency_vectors(grid)
+        assert np.array_equal(grid.moduli(), np.linalg.norm(vectors, axis=-1))
+        members = np.random.default_rng(dimension).integers(0, grid.total_points, size=40)
+        assert np.array_equal(grid.frequencies(members), vectors[members])
+        axes = grid.axis_frequencies()
+        for h, axis in enumerate(axes):
+            along = np.broadcast_to(axis, grid.shape).reshape(-1)
+            assert np.array_equal(along, vectors[:, h])
 
     def test_radius_squared(self):
         grid = PeriodicGrid(dimension=2, points=8, half_width=2.0)
@@ -118,6 +144,19 @@ class TestGridField:
         field = gaussian_field(grid, (1.0, -0.5))
         back = to_physical(to_frequency(field))
         assert_allclose(back.values, field.values, atol=1e-12)
+
+    @pytest.mark.parametrize("dimension, points", [(1, 64), (2, 32), (3, 8)])
+    def test_inverse_transform_in_place_is_bitwise_the_allocating_one(self, dimension, points):
+        grid = PeriodicGrid(dimension=dimension, points=points, half_width=8.0)
+        rng = np.random.default_rng(dimension)
+        shape = (3, *grid.shape)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spectrum = GridField(grid, values, FREQUENCY)
+        expected = to_physical(spectrum)
+        inverse = to_physical(spectrum, out=spectrum.values)
+        assert inverse.representation == PHYSICAL
+        assert inverse.values is spectrum.values
+        assert np.array_equal(inverse.values, expected.values)
 
     def test_transform_requires_matching_representation(self):
         grid = PeriodicGrid(dimension=1, points=8, half_width=1.0)
@@ -284,7 +323,7 @@ class TestEvolveHyperbolic:
         initial = to_frequency(field)
         rng = np.random.default_rng(7)
         modes = rng.choice(grid.points, size=16, replace=False)
-        vectors = grid.frequency_vectors[modes]
+        vectors = frequency_vectors(grid)[modes]
         state = initial.values[:, modes].T.copy()
         symbols = system.symbol(vectors)
         steps = 8000
@@ -345,7 +384,7 @@ class TestFrequencySplitter:
         grid = PeriodicGrid(dimension=1, points=512, half_width=100.0)
         cut = default_cutoff(system)
         spectrum = to_frequency(gaussian_field(grid, (1.0, -0.5)))
-        vectors = grid.frequency_vectors
+        vectors = frequency_vectors(grid)
         moduli = np.linalg.norm(vectors, axis=-1)
         flat = np.zeros_like(spectrum.flat())
         for index in np.flatnonzero(cut.chi1(moduli) >= 1.0):
@@ -363,7 +402,7 @@ class TestFrequencySplitter:
         grid = PeriodicGrid(dimension=1, points=256, half_width=40.0)
         cut = default_cutoff(system)
         spectrum = to_frequency(gaussian_field(grid, (1.0, -0.5)))
-        moduli = np.linalg.norm(grid.frequency_vectors, axis=-1)
+        moduli = np.linalg.norm(frequency_vectors(grid), axis=-1)
         flat = spectrum.flat().copy()
         flat[:, cut.chi1(moduli) > 0.0] = 0.0
         high = GridField(grid, flat.reshape(spectrum.values.shape), FREQUENCY)
@@ -378,7 +417,7 @@ class TestFrequencySplitter:
         splitter = FrequencySplitter(system, grid)
         datum = splitter.prepare(white_spectrum(grid, system.size, seed=2))
         u, u1, u2 = (f.flat() for f in split_fields(splitter, datum, 1.5))
-        moduli = np.linalg.norm(grid.frequency_vectors, axis=-1)
+        moduli = np.linalg.norm(frequency_vectors(grid), axis=-1)
         off = splitter.cut.chi1(moduli) == 0.0
         assert 0 < np.count_nonzero(~off) < off.size
         assert np.all(u1[:, off] == 0.0)
@@ -400,8 +439,12 @@ def relative_gap(a: np.ndarray, b: np.ndarray) -> float:
 def split_fields(splitter: FrequencySplitter, datum, t: float) -> list[GridField]:
     """:meth:`~FrequencySplitter.decompose`'s ``u``, ``u1`` and ``u2`` as frequency
     fields: ``u1``'s band rows on a zero grid and ``u2 = u - u1``.  The norm
-    ``decompose`` returns must be that ``u2``'s, summed the same way."""
-    u, rows, high = splitter.decompose(datum, t)
+    :meth:`~FrequencySplitter.remainder_norm` gives must be that ``u2``'s,
+    summed the same way, and leave ``u`` as it was."""
+    u, rows = splitter.decompose(datum, t)
+    before = u.values.copy()
+    high = splitter.remainder_norm(u, rows)
+    assert np.array_equal(u.values, before)
     low = np.zeros_like(u.flat())
     low[:, splitter.band] = rows
     fields = [u] + [
@@ -460,7 +503,7 @@ def rotated_euler() -> HyperbolicSystem:
 def contour_low_part(system, splitter, field: GridField, t: float) -> np.ndarray:
     """``chi1(|k|) exp(-t lambda0) P0(ik) u(k)`` with the contour projection
     ``P0``: the independent oracle for the splitter's low part."""
-    vectors = field.grid.frequency_vectors
+    vectors = frequency_vectors(field.grid)
     weights = splitter.cut.chi1(np.linalg.norm(vectors, axis=-1))
     expected = np.zeros_like(field.flat())
     for index in np.flatnonzero(weights > 0.0):
@@ -527,7 +570,7 @@ class TestEigenPropagator:
         splitter = FrequencySplitter(system, grid)
         splitter.decompose(splitter.prepare(white_spectrum(grid, system.size, seed=5)), 1.0)
         projections = splitter._eigenbasis.band_projections
-        vectors = grid.frequency_vectors
+        vectors = frequency_vectors(grid)
         assert splitter.band.size > 1
         for member, index in enumerate(splitter.band):
             exact = exact_group_projection(system, vectors[index])
@@ -537,7 +580,7 @@ class TestEigenPropagator:
         system, grid = goldstein_kac_1d(), self.CASES["line"][1]
         splitter = FrequencySplitter(system, grid)
         field = white_spectrum(grid, system.size, seed=9)
-        weights = splitter.cut.chi1(np.linalg.norm(grid.frequency_vectors, axis=-1))
+        weights = splitter.cut.chi1(np.linalg.norm(frequency_vectors(grid), axis=-1))
         assert np.any((weights > 0.0) & (weights < 1.0))
         t = 1.5
         _, u1, _ = split_fields(splitter, splitter.prepare(field), t)
@@ -938,7 +981,7 @@ class TestOrbitMap:
         # of the representative is a grid frequency.
         build, grid = self.CASES[case]
         orbits = _grid_orbits(build(), grid)
-        vectors = grid.frequency_vectors
+        vectors = frequency_vectors(grid)
         element, orbit = orbits.locate(np.arange(grid.total_points))
         representatives = orbits.representatives[orbit]
         images = np.einsum("fij,fj->fi", orbits.rotations[element], vectors[representatives])
@@ -1121,7 +1164,7 @@ class TestFormNorms:
         field = white_spectrum(grid, splitter.system.size, seed=35)
         streamed, alone = splitter.prepare(field), splitter.prepare(field)
         t = 0.7
-        u, _, _ = splitter.decompose(streamed, t)  # sums the form in the same pass
+        u, _ = splitter.decompose(streamed, t)  # sums the form in the same pass
         splitter.l2_norms(alone, t)  # sums the form in a pass of its own
         for got, expected in zip(streamed.form, alone.form):
             assert np.array_equal(got, expected)
@@ -1297,7 +1340,7 @@ class TestOrbitTails:
         splitter = FrequencySplitter(build(), grid, cut)
         orbits = splitter._eigenbasis.orbits
         assert orbits.rotations.shape[0] == elements
-        kappa = splitter.limit.diffusion_form(grid.frequency_vectors)
+        kappa = splitter.limit.diffusion_form(frequency_vectors(grid))
         gap = np.max(np.abs(kappa - splitter._orbit_diffusion[orbits.orbit_map()]))
         assert gap <= 1e-14 * np.max(kappa)
 
@@ -1327,16 +1370,16 @@ class TestOrbitTails:
             low = datum._band_moment * np.exp(-t * basis.band_values)
             for name, gap in gaps.items():
                 # The parent formula: the band one by one, the tail on the full grid.
-                exponent = splitter.limit.diffusion_form(grid.frequency_vectors)
+                exponent = splitter.limit.diffusion_form(frequency_vectors(grid))
                 if name == "phi":
-                    exponent = splitter.limit.drift_phase(grid.frequency_vectors) + exponent
+                    exponent = splitter.limit.drift_phase(frequency_vectors(grid)) + exponent
                 exponent = exponent[band]
                 moment = datum.moment(name)
                 profile = moment[:, band] * np.exp(-t * exponent)
                 full = np.sum(np.abs(moment) ** 2, axis=0)
                 full[band] = 0.0
                 expected = np.sum(np.abs(low - profile) ** 2) + np.sum(
-                    full * np.exp(-2.0 * t * splitter.limit.diffusion_form(grid.frequency_vectors))
+                    full * np.exp(-2.0 * t * splitter.limit.diffusion_form(frequency_vectors(grid)))
                 )
                 assert gap == pytest.approx(np.sqrt(expected * cell), rel=1e-13, abs=0)
 
@@ -1468,26 +1511,36 @@ class TestParabolicProfiles:
                     assert out.representation == FREQUENCY
                     assert relative_gap(out.flat(), expected) <= 1e-14
 
-    def test_frequency_vectors_are_built_once_per_grid(self, monkeypatch):
+    def test_no_frequency_table_is_built(self, monkeypatch):
+        # Whole-grid functions of k come from sparse per-axis frequencies, and
+        # k itself only for listed members: at most the orbit representatives
+        # (about half the grid on a line) or one chunk of the psi moment.
         system = damped_euler_2d()
-        built = []
-        meshgrid = np.meshgrid
+        dense, listed = [], []
+        meshgrid, frequencies = np.meshgrid, PeriodicGrid.frequencies
 
-        def counted(*axes, **options):
-            built.append(len(axes))
+        def counted_meshgrid(*axes, **options):
+            if not options.get("sparse", False):
+                dense.append(len(axes))
             return meshgrid(*axes, **options)
 
-        monkeypatch.setattr(np, "meshgrid", counted)
-        grid = PeriodicGrid(dimension=2, points=32, half_width=8.0)
+        def counted_frequencies(grid, members):
+            listed.append(np.size(members))
+            return frequencies(grid, members)
+
+        monkeypatch.setattr(np, "meshgrid", counted_meshgrid)
+        monkeypatch.setattr(PeriodicGrid, "frequencies", counted_frequencies)
+        grid = PeriodicGrid(dimension=2, points=128, half_width=32.0)
         splitter = FrequencySplitter(system, grid, CutoffSpec(inner=0.35))
         datum = splitter.prepare(white_spectrum(grid, system.size, seed=14))
         for t in (0.5, 2.0):
             splitter.decompose(datum, t)
+            splitter.l2_norms(datum, t)
             evolve_parabolic_phi(datum, t)
             evolve_parabolic_psi(datum, t)
-        assert built == [2]
-        assert grid.frequency_vectors is grid.frequency_vectors
-        assert not grid.frequency_vectors.flags.writeable
+        assert dense == []
+        assert listed and max(listed) <= grid.total_points // 2
+        assert not hasattr(grid, "frequency_vectors")
 
     def test_dimension_mismatch_and_negative_time(self):
         splitter = profile_splitter(goldstein_kac_1d(), PeriodicGrid(1, 8, 1.0))
@@ -1516,7 +1569,7 @@ def drawn_data_oracle(grid: PeriodicGrid, components: int, spec: InitialSpec) ->
     else:
         noise = rng.standard_normal((components,) + grid.shape)
         spectrum = to_frequency(GridField(grid, noise, PHYSICAL)).values
-        moduli = np.linalg.norm(grid.frequency_vectors, axis=-1).reshape(grid.shape)
+        moduli = np.linalg.norm(frequency_vectors(grid), axis=-1).reshape(grid.shape)
         spectrum *= ((moduli >= spec.band[0]) & (moduli <= spec.band[1]))[None]
         shaped = to_physical(GridField(grid, spectrum, FREQUENCY)).values.real
         axes = tuple(range(1, 1 + grid.dimension))
@@ -1543,7 +1596,7 @@ class TestInitialData:
             grid, 2, InitialSpec(kind="random-band", seed=3, band=(0.5, 1.5))
         )
         spectrum = to_frequency(data)
-        moduli = np.linalg.norm(grid.frequency_vectors, axis=-1)
+        moduli = np.linalg.norm(frequency_vectors(grid), axis=-1)
         outside = (moduli < 0.5) | (moduli > 1.5)
         flat = spectrum.flat()
         scale = np.max(np.abs(flat))
