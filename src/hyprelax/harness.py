@@ -461,8 +461,8 @@ def run_experiment(cfg: ExperimentConfig, system: HyperbolicSystem) -> DecayRepo
         # builds no grid field.  Fields are formed only for a p = inf norm or
         # the run's first step, whose grid-field norms audit the form.  Each is
         # released before the next one is made and transformed back in its own
-        # array; the first decompose of a datum sums its form in the same pass
-        # as u.
+        # array.  The datum's form is summed at its first l2_norms, in a pass
+        # of its own after those fields are released.
         nonlocal audited
         sup = any(math.isinf(p) for p, _ in pairs)
         audit = not audited

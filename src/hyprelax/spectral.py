@@ -694,8 +694,9 @@ class _FormLayout:
     fallback: np.ndarray
 
 
-# Grid members per pass of the psi moment's first-order terms: each term is
-# formed for this many members at a time, not for the whole grid.
+# Grid members per pass of the psi moment's first-order terms and of a
+# profile's factor: each is formed for this many members at a time, not for
+# the whole grid.
 _MOMENT_CHUNK = 1 << 12
 
 
@@ -733,7 +734,9 @@ class FrequencySplitter:
     :meth:`l2_norms` costs ``exp(-t lambda)`` per orbit, one Hermitian form
     per orbit, the band and the few ill-conditioned members one by one, and
     ``exp(-2t k.Dk)`` per orbit for the profiles off the band (``k.Dk`` is the
-    same at every member of an orbit).
+    same at every member of an orbit).  A datum's first :meth:`l2_norms` also
+    sums its form, in a pass of its own over the elements that map a member
+    in it; each pass does one thing, so no pass holds ``u`` beside the form.
 
     A member whose condition bound ``cond_2(T) |V|_F |V^-1|_F`` exceeds
     :data:`CONDITION_LIMIT` is exponentiated by
@@ -774,7 +777,6 @@ class FrequencySplitter:
         self.band = band
         self._band_weights = weights[band]
         self._last_step: tuple[float, np.ndarray] | None = None
-        self._grid_exponents: dict[str, np.ndarray | None] = {}
 
     def _moduli(self, members) -> np.ndarray:
         """``|k|`` at the grid members ``members``."""
@@ -925,30 +927,22 @@ class FrequencySplitter:
         """``k.Dk`` at the band members."""
         return self.limit.diffusion_form(self.grid.frequencies(self.band))
 
-    def _profile_exponent(self, name: str) -> np.ndarray:
-        """``c.ik + k.Dk`` (``"phi"``) or ``k.Dk`` (``"psi"``) on the whole grid.
-
-        Formed at each call and dropped, except that a profile formed again
-        (a ``p = inf`` pair) keeps it from its second build on, as its datum
-        keeps the moment.
-        """
-        exponent = self._grid_exponents.get(name)
-        if exponent is None:
-            # The terms of ``diffusion_form`` and ``drift_phase`` in their order,
-            # each a product of the per-axis frequencies broadcast over the grid.
-            axes = self.grid.axis_frequencies()
-            diffusion, drift = self.limit.diffusion, self.limit.drift
-            exponent = np.zeros(self.grid.shape)
-            for h, l in np.ndindex(diffusion.shape):
-                exponent += (axes[h] * diffusion[h, l]) * axes[l]
-            exponent = exponent.reshape(-1)
-            if name == "phi":
-                phase = np.zeros(self.grid.shape)
-                for k, c in zip(axes, drift):
-                    phase += k * c
-                exponent = 1j * phase.reshape(-1) + exponent
-            self._grid_exponents[name] = exponent if name in self._grid_exponents else None
-        return exponent
+    def _profile_factor(self, name: str, t: float, members: np.ndarray) -> np.ndarray:
+        """``exp(-t (c.ik + k.Dk))`` (``"phi"``) or ``exp(-t k.Dk)``
+        (``"psi"``) at the grid members ``members``, in a new array."""
+        # The terms of ``diffusion_form`` and ``drift_phase`` in their order,
+        # each a product of the members' frequencies.
+        k = self.grid.frequencies(members)
+        diffusion, drift = self.limit.diffusion, self.limit.drift
+        exponent = np.zeros(members.size)
+        for h, l in np.ndindex(diffusion.shape):
+            exponent += (k[:, h] * diffusion[h, l]) * k[:, l]
+        if name == "phi":
+            phase = np.zeros(members.size)
+            for h, c in enumerate(drift):
+                phase += k[:, h] * c
+            exponent = 1j * phase + exponent
+        return np.exp(-t * exponent)
 
     @cached_property
     def _orbit_diffusion(self) -> np.ndarray:
@@ -1008,83 +1002,87 @@ class FrequencySplitter:
         self._last_step = (t, exact[audit.size :])
         return self._last_step[1]
 
-    def _stream(self, datum: Datum, t: float | None, form: bool):
-        """One pass over the group elements; returns ``(u, form)``.
+    def _coefficients(self, datum: Datum, g: int):
+        """Element ``g``'s members and their orbits (``intp``) and its block
+        ``c_g = V^-1 (T_g^-1 u)^(c_g)`` of the datum's modal coefficients
+        (components by orbits, 0 where ``g`` maps no member), computed from
+        the spectrum in a new array.
 
-        Each element's block ``c_g = V^-1 (T_g^-1 u)^(c_g)`` of the modal
-        coefficients (components by orbits, 0 where ``g`` maps no member) is
-        computed from the spectrum, used and dropped, so the coefficients of
-        the whole grid are never held.  With a time ``t`` the block is
-        propagated into a new grid spectrum ``u(t)`` (else ``u`` is None); with
-        ``form`` it is summed into the datum's form (else ``form`` is None).
-        Beside ``u`` and the form, nothing larger than one block is allocated:
-        ``V o exp(-t lambda)`` is formed one row at a time, and the form
-        gathers its terms one ``(row, column)`` pair at a time in one
-        orbit-sized scratch array.
+        A pass over the group elements takes one block at a time and drops it
+        before the next, so the coefficients of the whole grid are never held.
         """
         basis = self._eigenbasis
         orbits = basis.orbits
         spectrum = datum.spectrum
-        size = spectrum.shape[0]
-        shape = (size, orbits.representatives.size)
+        # Row by row with intp indices: numpy's 1-D take and scatter run
+        # several times faster than one 2-D fancy index.
+        members, columns = orbits.members[g].astype(np.intp), orbits.columns[g].astype(np.intp)
+        block = np.zeros((spectrum.shape[0], orbits.representatives.size), dtype=complex)
+        for row, source in zip(block, spectrum):
+            row[columns] = source.take(members)
         inverse = basis.inverse.transpose(1, 2, 0)
-        full = weights = None
-        if t is not None:
-            exponentials = self._fallback_exponentials(t)
-            vectors = basis.vectors.transpose(1, 2, 0)
-            decay = np.exp(-t * basis.values)
-            decayed = np.empty(shape, dtype=complex)
-            full = np.empty_like(spectrum)
-        if form:
-            layout = self._form_layout
-            weights = np.zeros(layout.grams.shape[1:], dtype=complex)
-            scratch = np.empty(shape[1], dtype=complex)
-        for g, (members, columns) in enumerate(zip(orbits.members, orbits.columns)):
-            summed = form and layout.slots[g].any()
-            if full is None and not summed:
-                continue
-            # Row by row with intp indices: numpy's 1-D take and scatter run
-            # several times faster than one 2-D fancy index.
-            members, columns = members.astype(np.intp), columns.astype(np.intp)
-            block = np.zeros(shape, dtype=complex)
-            for row, source in zip(block, spectrum):
-                row[columns] = source.take(members)
-            coefficients = np.einsum("ijr,jr->ir", inverse, orbits.lift(g, block, inverse=True))
-            # Each block is released before the next one is formed.
-            del block
-            if full is not None:
-                # V (exp(-t lambda) o c), one row of V o exp(-t lambda) at a
-                # time: the sums of the whole table's einsum, bit for bit.
-                propagated = np.empty(shape, dtype=complex)
-                for row, vector_row in zip(propagated, vectors):
-                    np.multiply(vector_row, decay, out=decayed)
-                    np.einsum("jr,jr->r", decayed, coefficients, out=row)
-                orbits.lift(g, propagated)
-                for row, source in zip(full, propagated):
-                    row[members] = source.take(columns)
-                del propagated
-            if summed:
-                # W_r += G_r o (conj(c) c^T) over the slots in the form, each
-                # product in the order of the whole-array one (a complex
-                # product with FMA is not symmetric).
-                coefficients[:, ~layout.slots[g]] = 0.0
-                conjugate = coefficients.conj()
-                gram = layout.grams[layout.gram[g]]
-                for i, j in np.ndindex(size, size):
-                    np.multiply(conjugate[i], coefficients[j], out=scratch)
-                    np.multiply(gram[i, j], scratch, out=scratch)
-                    weights[i, j] += scratch
-                del conjugate
+        coefficients = np.einsum("ijr,jr->ir", inverse, orbits.lift(g, block, inverse=True))
+        return members, columns, coefficients
+
+    def _propagate(self, datum: Datum, t: float) -> np.ndarray:
+        """``u(t)`` as a new flat spectrum, from one pass over the group
+        elements: each block ``c_g`` goes through ``V (exp(-t lambda) o c_g)``
+        and ``T_g`` and is scattered to the members ``g`` maps; the fallback
+        members take the time's Pade rows.  Beside ``u``, nothing larger than
+        one block is allocated: ``V o exp(-t lambda)`` is formed one row at a
+        time."""
+        basis = self._eigenbasis
+        orbits = basis.orbits
+        spectrum = datum.spectrum
+        exponentials = self._fallback_exponentials(t)
+        vectors = basis.vectors.transpose(1, 2, 0)
+        decay = np.exp(-t * basis.values)
+        decayed = np.empty_like(decay)
+        full = np.empty_like(spectrum)
+        for g in range(len(orbits.members)):
+            members, columns, coefficients = self._coefficients(datum, g)
+            # V (exp(-t lambda) o c), one row of V o exp(-t lambda) at a time:
+            # the sums of the whole table's einsum, bit for bit.
+            propagated = np.empty_like(coefficients)
+            for row, vector_row in zip(propagated, vectors):
+                np.multiply(vector_row, decay, out=decayed)
+                np.einsum("jr,jr->r", decayed, coefficients, out=row)
             del coefficients
-        if full is not None:
-            full[:, basis.fallback] = np.einsum(
-                "fij,jf->if", exponentials, spectrum[:, basis.fallback]
-            )
-        if form:
-            _, _, inverse = layout.factors
-            members = layout.direct[layout.composed]
-            weights = (weights, np.einsum("mij,jm->mi", inverse, spectrum[:, members]))
-        return full, weights
+            orbits.lift(g, propagated)
+            for row, source in zip(full, propagated):
+                row[members] = source.take(columns)
+            del propagated
+        full[:, basis.fallback] = np.einsum("fij,jf->if", exponentials, spectrum[:, basis.fallback])
+        return full
+
+    def _sum_form(self, datum: Datum) -> tuple[np.ndarray, np.ndarray]:
+        """The datum's form (see :attr:`Datum.form`), from one pass over the
+        group elements that map a member in it.  Beside the form, nothing
+        larger than one block is allocated: its terms are gathered one
+        ``(row, column)`` pair at a time in one orbit-sized scratch array."""
+        layout = self._form_layout
+        spectrum = datum.spectrum
+        size = spectrum.shape[0]
+        weights = np.zeros(layout.grams.shape[1:], dtype=complex)
+        scratch = np.empty(weights.shape[-1], dtype=complex)
+        for g, slots in enumerate(layout.slots):
+            if not slots.any():
+                continue
+            _, _, coefficients = self._coefficients(datum, g)
+            # W_r += G_r o (conj(c) c^T) over the slots in the form, each
+            # product in the order of the whole-array one (a complex product
+            # with FMA is not symmetric).
+            coefficients[:, ~slots] = 0.0
+            conjugate = coefficients.conj()
+            gram = layout.grams[layout.gram[g]]
+            for i, j in np.ndindex(size, size):
+                np.multiply(conjugate[i], coefficients[j], out=scratch)
+                np.multiply(gram[i, j], scratch, out=scratch)
+                weights[i, j] += scratch
+            del conjugate, coefficients
+        _, _, inverse = layout.factors
+        members = layout.direct[layout.composed]
+        return weights, np.einsum("mij,jm->mi", inverse, spectrum[:, members])
 
     def decompose(self, datum: Datum, t: float) -> tuple[GridField, np.ndarray]:
         """Evolve and split in one pass; returns the frequency field ``u`` and
@@ -1093,9 +1091,9 @@ class FrequencySplitter:
 
         ``u1 = chi1 exp(-t lambda0) P0(ik) u`` propagates the cutoff-projected
         band (``E P0 = lambda0 P0``), and ``u2 = u - u1``, so ``u2`` is ``u``
-        off the band (:meth:`remainder_norm` sums its norm).  The first
-        decompose of a datum also sums the datum's form (:attr:`Datum.form`)
-        in the same pass over the group elements.
+        off the band (:meth:`remainder_norm` sums its norm).  It sums no form:
+        the datum's form is summed in a pass of its own, at its first
+        :meth:`l2_norms`, so no step holds ``u`` beside the form.
 
         Raises:
             ValueError: if ``t < 0`` or another splitter prepared ``datum``.
@@ -1103,10 +1101,7 @@ class FrequencySplitter:
         _check_time(t)
         if datum.splitter is not self:
             raise ValueError("the datum was prepared by another splitter")
-        unformed = not {"form", "_streamed_form"} & vars(datum).keys()
-        full, form = self._stream(datum, t, unformed)
-        if unformed:
-            object.__setattr__(datum, "_streamed_form", form)
+        full = self._propagate(datum, t)
         low = datum._band_moment * np.exp(-t * self._eigenbasis.band_values)
         return _frequency_field(self.grid, full), low
 
@@ -1198,10 +1193,11 @@ class Datum:
 
     What the evolutions need of it at every time is computed at first use, so
     the factorization runs in the first :meth:`FrequencySplitter.decompose`
-    or :meth:`FrequencySplitter.l2_norms`, whichever comes first.  It keeps
-    no modal coefficients: the splitter computes them one group element at a
-    time from the spectrum whenever a pass needs them.  It keeps its band
-    moment, its form with the coefficients of the members outside it, and,
+    or :meth:`FrequencySplitter.l2_norms`, whichever comes first, and the form
+    in its first :meth:`FrequencySplitter.l2_norms`.  It keeps no modal
+    coefficients: the splitter computes them one group element at a time
+    from the spectrum whenever a pass needs them.  It keeps its band moment,
+    its form with the coefficients of the members outside it, and,
     for each profile, the moment's band rows and its tail off the band summed
     per orbit; a profile formed again keeps its moment (see :meth:`moment`).
     """
@@ -1229,14 +1225,12 @@ class Datum:
 
         Over the members in the form, ``|u(t)|^2 = sum_r E_r^H W_r E_r`` with
         ``E_r = exp(-t lambda_r)``: a member's field is ``T_g V_r (E_r o c_g)``,
-        conjugated when ``g`` includes conjugation, and ``T_g`` is real.  The
-        datum's first :meth:`FrequencySplitter.decompose` sums it in its own
-        pass over the elements; otherwise a pass of its own sums it here.
+        conjugated when ``g`` includes conjugation, and ``T_g`` is real.  It
+        is summed here, at the datum's first
+        :meth:`FrequencySplitter.l2_norms`, in a pass of its own over the
+        elements.
         """
-        streamed = vars(self).pop("_streamed_form", None)
-        if streamed is not None:
-            return streamed
-        return self.splitter._stream(self, None, True)[1]
+        return self.splitter._sum_form(self)
 
     def moment(self, name: str) -> np.ndarray:
         """The moment of profile ``name`` in a new flat array the caller owns:
@@ -1298,24 +1292,30 @@ class Datum:
         )
 
 
+def _evolve_profile(datum: Datum, name: str, t: float) -> GridField:
+    """Profile ``name`` of ``datum`` at time ``t`` in the array of its moment,
+    which is multiplied by its factor ``exp(-t ...)`` a chunk of members at a
+    time, so no whole-grid exponent is formed."""
+    _check_time(t)
+    splitter = datum.splitter
+    profile = datum.moment(name)
+    total = profile.shape[1]
+    for start in range(0, total, _MOMENT_CHUNK):
+        members = np.arange(start, min(start + _MOMENT_CHUNK, total))
+        profile[:, start : start + _MOMENT_CHUNK] *= splitter._profile_factor(name, t, members)
+    return _frequency_field(splitter.grid, profile)
+
+
 def evolve_parabolic_phi(datum: Datum, t: float) -> GridField:
     """Drift-diffusion profile ``exp(-c.ik t - k.Dk t) P0`` of ``datum``, as a
     frequency field, built in the array of the datum's moment."""
-    _check_time(t)
-    splitter = datum.splitter
-    profile = datum.moment("phi")
-    profile *= np.exp(-t * splitter._profile_exponent("phi"))
-    return _frequency_field(splitter.grid, profile)
+    return _evolve_profile(datum, "phi", t)
 
 
 def evolve_parabolic_psi(datum: Datum, t: float) -> GridField:
     """Refined profile ``exp(-k.Dk t) (P0 + sum_h i k_h P1_h)`` of ``datum``, no
     drift, as a frequency field, built in the array of the datum's moment."""
-    _check_time(t)
-    splitter = datum.splitter
-    profile = datum.moment("psi")
-    profile *= np.exp(-t * splitter._profile_exponent("psi"))
-    return _frequency_field(splitter.grid, profile)
+    return _evolve_profile(datum, "psi", t)
 
 
 def make_initial_data(grid: PeriodicGrid, components: int, spec: InitialSpec) -> GridField:

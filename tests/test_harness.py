@@ -69,6 +69,16 @@ def small_run_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**settings)
 
 
+def traced_peak(cfg: ExperimentConfig, system: HyperbolicSystem) -> int:
+    """The ``tracemalloc`` peak, in bytes, of ``run_experiment(cfg, system)``."""
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, system)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestRateFits:
     def test_exact_power_law(self):
         times = np.geomspace(1.0, 100.0, 20)
@@ -477,39 +487,53 @@ class TestRunExperiment:
         path.write_text(json.dumps(raw))
         cfg = ExperimentConfig.from_file(path)
         system = load_system(CONFIGS / cfg.system)
-        tracemalloc.start()
-        try:
-            run_experiment(cfg, system)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(cfg, system)
         field_bytes = 3 * 256**2 * np.dtype(complex).itemsize
         assert peak < 11 * field_bytes
 
     def test_first_step_peak_is_a_few_fields(self, tmp_path):
         # A p = 2 run on the 128^2 plane.  Its first step holds the spectrum
         # and u, transformed back in its own array, or the profile's one
-        # array, beside orbit-sized tables and one element's blocks: 5.6
-        # fields.  With a table of V o exp(-t lambda), the form's terms
-        # formed as (n, n, orbits) products, the Gram stacks built through
-        # full-size einsum temporaries and a new array for the inverse
-        # transform it peaked at 6.6 fields; with orbit-order coefficients,
-        # full-grid u1 and u2 and a psi moment built through full-grid
-        # temporaries, at 10.4.
+        # array, beside orbit-sized tables and one element's blocks; the form
+        # and its Gram stacks are built after u is released: 4.5 fields.
+        # With the form summed in the first decompose's pass, beside u, it
+        # peaked at 5.6 fields; with a table of V o exp(-t lambda), the
+        # form's terms formed as (n, n, orbits) products, the Gram stacks
+        # built through full-size einsum temporaries and a new array for the
+        # inverse transform, at 6.6; with orbit-order coefficients, full-grid
+        # u1 and u2 and a psi moment built through full-grid temporaries, at
+        # 10.4.
         raw = json.loads((CONFIGS / "euler_decay.json").read_text())
         raw["grid"]["points"] = 128
         path = tmp_path / "euler_128.json"
         path.write_text(json.dumps(raw))
         cfg = ExperimentConfig.from_file(path)
         system = load_system(CONFIGS / cfg.system)
-        tracemalloc.start()
-        try:
-            run_experiment(cfg, system)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(cfg, system)
         field_bytes = 3 * 128**2 * np.dtype(complex).itemsize
-        assert peak <= 6 * field_bytes
+        assert peak <= 5 * field_bytes
+
+    def test_first_step_peak_in_space_is_a_few_fields(self, tmp_path):
+        # A p = 2 run of both profiles on a 32^3 grid of the four-component
+        # damped Euler system (48 group elements): 3.9 four-component fields,
+        # with the form summed in a pass of its own after u is released and
+        # each profile's factor formed a chunk of members at a time.  With
+        # the form summed in the first decompose's pass, beside u, and a
+        # whole-grid complex exponent beside each profile, it peaked at 5.0.
+        raw = {
+            "system": str(CONFIGS / "damped_euler_3d.json"),
+            "grid": {"points": 32, "half_width": 32.0},
+            "times": {"t_min": 1.0, "t_max": 8.0, "count": 8},
+            "initial": {"sigma": 1.0, "amplitudes": [1.0, 0.3, -0.2, 0.1]},
+            "cutoff": {"inner": 0.35},
+            "profile": "both",
+        }
+        path = tmp_path / "euler_3d_32.json"
+        path.write_text(json.dumps(raw))
+        cfg = ExperimentConfig.from_file(path)
+        peak = traced_peak(cfg, load_system(CONFIGS / "damped_euler_3d.json"))
+        field_bytes = 4 * 32**3 * np.dtype(complex).itemsize
+        assert peak <= 4.5 * field_bytes
 
     @pytest.mark.parametrize(
         "pairs, per_time",
@@ -621,8 +645,10 @@ class TestFrequencySpaceNorms:
     )
     def test_engine_calls_per_run(self, monkeypatch, pairs, decompositions, transforms):
         """The factorization is first reached inside the first ``decompose``
-        (where a benchmark's setup ends), the form after it; every time makes
-        one Pade call, and only a p = inf pair decomposes after the first step."""
+        (where a benchmark's setup ends), the form's layout and the form inside
+        the first ``l2_norms``, after ``decompose`` has returned; every time
+        makes one Pade call, and only a p = inf pair decomposes after the first
+        step."""
         import hyprelax.harness as harness
         import hyprelax.spectral as spectral
 
@@ -654,16 +680,18 @@ class TestFrequencySpaceNorms:
         traced(FrequencySplitter, "_form_layout")
         traced(Datum, "form")
         counted(FrequencySplitter, "decompose")
+        counted(FrequencySplitter, "l2_norms")
         counted(harness, "to_physical")
         counted(spectral, "matrix_exponential")
         run_experiment(small_plane_config(pairs=pairs), damped_euler_2d())
         assert events[:2] == ["decompose", "_eigenbasis"]
         assert events.count("_eigenbasis") == events.count("_form_layout") == 1
         assert events.count("form") == 1
-        assert events.index("form") > events.index("decompose returned")
-        # The first decompose sums the form in its own pass over the elements.
-        layout = events.index("_form_layout")
-        assert events.index("decompose") < layout < events.index("decompose returned")
+        # The first l2_norms sums the form in a pass of its own, so no step
+        # holds u beside the form or its layout.
+        layout, form = events.index("_form_layout"), events.index("form")
+        assert events.index("decompose returned") < events.index("l2_norms")
+        assert events.index("l2_norms") < layout < form < events.index("l2_norms returned")
         assert events.count("decompose") == decompositions
         assert events.count("to_physical") == transforms
         assert events.count("matrix_exponential") == 6

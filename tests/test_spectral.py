@@ -1162,12 +1162,9 @@ class TestFormNorms:
         build, grid, cut = self.CASES[case]
         splitter = FrequencySplitter(build(), grid, cut)
         field = white_spectrum(grid, splitter.system.size, seed=35)
-        streamed, alone = splitter.prepare(field), splitter.prepare(field)
+        streamed = splitter.prepare(field)
         t = 0.7
-        u, _ = splitter.decompose(streamed, t)  # sums the form in the same pass
-        splitter.l2_norms(alone, t)  # sums the form in a pass of its own
-        for got, expected in zip(streamed.form, alone.form):
-            assert np.array_equal(got, expected)
+        u, _ = splitter.decompose(streamed, t)
         basis, layout = splitter._eigenbasis, splitter._form_layout
         orbits = basis.orbits
         coefficients = np.einsum(
@@ -1202,6 +1199,18 @@ class TestFormNorms:
         held = [array for array in held if array is not datum.spectrum]
         assert held
         assert [array.shape for array in held if max(array.shape) >= grid.total_points] == []
+
+    def test_decompose_sums_no_form(self):
+        # The form is summed in a pass of its own at the first l2_norms, so a
+        # decompose builds neither the form nor its layout.
+        build, grid, _ = self.CASES["plane"]
+        splitter = FrequencySplitter(build(), grid)
+        datum = splitter.prepare(white_spectrum(grid, 3, seed=27))
+        splitter.decompose(datum, 1.0)
+        assert not {"form", "_streamed_form"} & vars(datum).keys()
+        assert "_form_layout" not in vars(splitter)
+        splitter.l2_norms(datum, 1.0)
+        assert "form" in vars(datum)
 
     def test_form_is_built_once_per_datum(self, monkeypatch):
         build, grid, _ = self.CASES["plane"]
@@ -1510,6 +1519,33 @@ class TestParabolicProfiles:
                     out = profile(datum, t)
                     assert out.representation == FREQUENCY
                     assert relative_gap(out.flat(), expected) <= 1e-14
+
+    @pytest.mark.parametrize("case", ["line", "plane", "space"])
+    def test_chunked_factor_is_bitwise_the_whole_grid_one(self, case):
+        # The former path: the exponent summed over the whole grid from the
+        # per-axis frequencies, then one exp and one product with the moment.
+        system, grid = {
+            "line": (drifting_two_speed(), PeriodicGrid(1, 8192, 400.0)),
+            "plane": (damped_euler_2d(), PeriodicGrid(2, 128, 32.0)),
+            "space": (damped_euler_3d(), PeriodicGrid(3, 32, 16.0)),
+        }[case]
+        splitter = profile_splitter(system, grid)
+        limit = splitter.limit
+        datum = splitter.prepare(white_spectrum(grid, system.size, seed=37))
+        axes = grid.axis_frequencies()
+        diffusion = np.zeros(grid.shape)
+        for h, l in np.ndindex(limit.diffusion.shape):
+            diffusion += (axes[h] * limit.diffusion[h, l]) * axes[l]
+        phase = np.zeros(grid.shape)
+        for k, c in zip(axes, limit.drift):
+            phase += k * c
+        diffusion = diffusion.reshape(-1)
+        exponents = {"phi": 1j * phase.reshape(-1) + diffusion, "psi": diffusion}
+        assert grid.total_points > spectral._MOMENT_CHUNK
+        for t in (0.5, 3.0):
+            for name, evolve in (("phi", evolve_parabolic_phi), ("psi", evolve_parabolic_psi)):
+                expected = datum.moment(name) * np.exp(-t * exponents[name])
+                assert np.array_equal(evolve(datum, t).flat(), expected)
 
     def test_no_frequency_table_is_built(self, monkeypatch):
         # Whole-grid functions of k come from sparse per-axis frequencies, and
