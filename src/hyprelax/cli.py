@@ -36,19 +36,15 @@ from .chapman import (
     compute_parabolic_limit,
     eigenvalue_sweep,
 )
-from .harness import (
+from .errors import (
     ConfigurationError,
-    DecayReport,
-    ExperimentConfig,
     HarnessError,
     IoFailureError,
+    SpectralError,
     WrapAroundGuardError,
-    emit_report,
-    run_experiment,
 )
 from .linalg import LinalgError
 from .model import SystemFileError, check_all_conditions, load_json, load_system
-from .spectral import SpectralError
 
 # Everything imported so far lives until the process exits.  Moved to the
 # permanent generation, it is neither traversed by later collections nor
@@ -63,6 +59,22 @@ PASS_EXIT = 0
 RATE_EXIT = 1
 CONDITION_EXIT = 2
 CONFIG_EXIT = 3
+
+# The exit code of each error a command may raise.  The first type an error
+# is an instance of decides, so the harness's own errors come before
+# HarnessError.
+_EXITS = {
+    ConfigurationError: CONFIG_EXIT,
+    SystemFileError: CONFIG_EXIT,
+    WrapAroundGuardError: CONFIG_EXIT,
+    IoFailureError: CONFIG_EXIT,
+    SpectralError: CONFIG_EXIT,
+    GroupNotSeparatedError: CONFIG_EXIT,
+    LinalgError: CONFIG_EXIT,
+    np.linalg.LinAlgError: CONFIG_EXIT,
+    ConditionViolatedError: CONDITION_EXIT,
+    HarnessError: RATE_EXIT,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,6 +216,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # Only run and report need the harness and the spectral engine; the
+    # analysis commands start without importing them.
+    from .harness import ExperimentConfig, emit_report, run_experiment
+
     cfg = ExperimentConfig.from_file(args.config)
     # Fail before the experiment, not after it, when the report cannot be written.
     try:
@@ -232,6 +248,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .harness import DecayReport, emit_report
+
     report = DecayReport.from_dict(load_json(args.report, "report", ConfigurationError))
     paths = emit_report(report, args.out)
     print(f"re-serialized report to {', '.join(str(p) for p in paths)}")
@@ -249,24 +267,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
-    except (
-        ConfigurationError,
-        SystemFileError,
-        WrapAroundGuardError,
-        IoFailureError,
-        SpectralError,
-        GroupNotSeparatedError,
-        LinalgError,
-        np.linalg.LinAlgError,
-    ) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return CONFIG_EXIT
-    except ConditionViolatedError as error:
-        print(f"condition violated: {error}", file=sys.stderr)
-        return CONDITION_EXIT
-    except HarnessError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return RATE_EXIT
+    except tuple(_EXITS) as error:
+        code = next(code for kind, code in _EXITS.items() if isinstance(error, kind))
+        prefix = "condition violated" if code == CONDITION_EXIT else "error"
+        print(f"{prefix}: {error}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

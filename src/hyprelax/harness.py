@@ -23,9 +23,9 @@ The p = 2 norms of ``u``, ``u2`` and the profile gaps ``u1 - Phi``,
 a Hermitian form per datum in ``exp(-t lambda)`` that builds no grid field.
 Grid fields are formed only for a p = inf norm and the first measurement
 of a run.  There the Riemann sum of ``u`` (an inverse transform) and the
-norms of the spectra of ``u2`` and of each gap (equal to their Riemann sums
-by Parseval, as the transform is unitary) must match the form within 1e-12
-relative (the form audit).
+norms of the half spectra of ``u2`` and of each gap (equal to their Riemann
+sums by Parseval, as the transform is unitary) must match the form within
+1e-12 relative (the form audit).
 """
 
 from __future__ import annotations
@@ -38,6 +38,13 @@ from pathlib import Path
 import numpy as np
 
 from .chapman import require
+from .errors import (
+    ConfigurationError,
+    HarnessError,
+    IoFailureError,
+    SpectralError,
+    WrapAroundGuardError,
+)
 from .model import (
     HyperbolicSystem,
     check_condition_B,
@@ -56,7 +63,6 @@ from .spectral import (
     GridSpec,
     InitialSpec,
     PeriodicGrid,
-    SpectralError,
     evolve_parabolic_phi,
     evolve_parabolic_psi,
     lp_norm,
@@ -92,28 +98,12 @@ _MIN_FIT_POINTS = 6
 _FORM_TOLERANCE = 1e-12
 
 
-class HarnessError(Exception):
-    """Base class for errors raised by this module."""
-
-
 class NonPositiveValueError(HarnessError):
     """A fit received zero, negative, or non-finite values."""
 
 
 class TooFewPointsError(HarnessError):
     """A fit received fewer than the minimum number of samples."""
-
-
-class WrapAroundGuardError(HarnessError):
-    """The schedule would let the solution wrap around the periodic box."""
-
-
-class IoFailureError(HarnessError):
-    """Report files could not be written."""
-
-
-class ConfigurationError(HarnessError):
-    """An experiment configuration is malformed."""
 
 
 @dataclass(frozen=True)
@@ -482,7 +472,7 @@ def run_experiment(cfg: ExperimentConfig, system: HyperbolicSystem) -> DecayRepo
                 # P - u1 in the profile's own array: the gap u1 - P negated,
                 # with the same norms.
                 gap = evolve(datum, t)
-                gap.flat()[:, splitter.band] -= low
+                gap.flat()[:, splitter.half_band] -= low
                 if audit:
                     observed[f"u1_minus_{name}"] = lp_norm(gap, 2)
                 if sup:

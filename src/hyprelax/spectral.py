@@ -25,13 +25,25 @@ for every symbol as the independent reference.  The parabolic comparison profile
 drift/diffusion multiplier with the zeroth-order (phi) or first-order (psi)
 projection moment.
 
+Every field is real data.  A physical field holds real values and a
+frequency field the half spectrum that :func:`numpy.fft.rfftn` returns: the
+last axis keeps the columns ``0 .. N/2``, since the spectrum at ``-k`` is the
+conjugate of the one at ``k``.  The orbits, the factorization and the forms
+stay on the full grid.  Each member is read from the half spectrum through
+one index map (:meth:`PeriodicGrid.half_positions`): its own entry, or the
+conjugate of the entry of ``-k``; ``u`` and the profiles are written only at
+the members the half spectrum stores.  On a Nyquist plane the grid cannot
+tell a frequency from the one with that coordinate negated, and the symbols
+at the two differ, so no real field evolves there: a datum drops its Nyquist
+planes.
+
 The splitter is the engine: it holds what depends on the system and grid
 only.  :meth:`FrequencySplitter.prepare` turns a field into a :class:`Datum`
-that owns a read-only spectrum, its only grid field, and keeps the small
-tables that depend on the datum but not on the time: its band moment, the
-profile moments' band rows and their tails off the band summed per orbit,
-and the Hermitian form of its ``L^2`` norms.  Each piece is computed at its
-first use, and the evolutions return frequency fields.  The modal
+that owns a read-only half spectrum, its only grid field, and keeps the
+small tables that depend on the datum but not on the time: its band moment,
+the profile moments' band rows and their tails off the band summed per
+orbit, and the Hermitian form of its ``L^2`` norms.  Each piece is computed
+at its first use, and the evolutions return frequency fields.  The modal
 coefficients are not kept: each pass computes them from the spectrum one
 group element at a time.  :meth:`FrequencySplitter.l2_norms` takes the
 ``L^2`` norms of ``u``, ``u2`` and the profile gaps from the form, the few
@@ -58,6 +70,7 @@ from .chapman import (
     exact_group_projection,
     zero_group,
 )
+from .errors import SpectralError
 from .linalg import matrix_exponential
 from .model import HyperbolicSystem, lift_axis_map
 
@@ -94,10 +107,6 @@ CONDITION_LIMIT = 1e6
 # relative Frobenius mismatch the check accepts.
 _AUDIT_MEMBERS = 4
 _AUDIT_TOLERANCE = 1e-10
-
-
-class SpectralError(Exception):
-    """Base class for errors raised by this module."""
 
 
 class WrongRepresentationError(SpectralError):
@@ -138,6 +147,11 @@ class PeriodicGrid:
         return (self.points,) * self.dimension
 
     @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of a half spectrum: the last axis keeps the columns ``0 .. N/2``."""
+        return self.shape[:-1] + (self.points // 2 + 1,)
+
+    @property
     def total_points(self) -> int:
         return self.points**self.dimension
 
@@ -159,11 +173,33 @@ class PeriodicGrid:
         axes = [self.frequency_axis()] * self.dimension
         return list(np.meshgrid(*axes, indexing="ij", sparse=True))
 
-    def frequencies(self, members) -> np.ndarray:
+    def frequencies(self, members, half: bool = False) -> np.ndarray:
         """The frequency vectors ``(..., d)`` of the flat (C-ordered) grid
-        members ``members``."""
+        members ``members``, or with ``half`` of the flat positions
+        ``members`` of a half spectrum."""
         axis = self.frequency_axis()
-        return np.stack([axis[index] for index in np.unravel_index(members, self.shape)], axis=-1)
+        shape = self.half_shape if half else self.shape
+        return np.stack([axis[index] for index in np.unravel_index(members, shape)], axis=-1)
+
+    def half_positions(self, members) -> tuple[np.ndarray, np.ndarray]:
+        """Where a half spectrum keeps each of the flat grid members
+        ``members``: the flat position of its entry, and whether that entry is
+        the one of ``-k``, whose conjugate is the member's value.  A member in
+        the columns ``0 .. N/2`` of the last axis is kept as itself."""
+        n, shift = self.points, self.points.bit_length() - 1
+        members = np.asarray(members, dtype=np.intp)
+        last, leading = members & (n - 1), members >> shift
+        mirrored = last > n // 2
+        # The leading index of -k negates each leading coordinate modulo n, a
+        # power of two, so ``& (n - 1)`` wraps it.
+        negated = np.zeros_like(leading)
+        rest, scale = leading, 1
+        for _ in range(self.dimension - 1):
+            negated += ((-rest) & (n - 1)) * scale
+            rest, scale = rest >> shift, scale * n
+        width = n // 2 + 1
+        position = np.where(mirrored, negated * width + (n - last), leading * width + last)
+        return position, mirrored
 
     def moduli(self) -> np.ndarray:
         """``|k|`` at every grid member, flat: ``k_h^2`` summed in axis order,
@@ -200,11 +236,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridField:
-    """Complex multi-component field sampled on a periodic grid.
+    """Real multi-component field sampled on a periodic grid.
 
-    ``values`` is indexed ``(component, *grid axes)``; imaginary parts of
-    physically real data are kept (and should stay at rounding level) rather
-    than being dropped.
+    A physical field's ``values`` are real, indexed ``(component, *grid
+    axes)``; complex values are refused, never cast to real.  A frequency
+    field's are the complex half spectrum of :func:`to_frequency`, indexed
+    ``(component, *grid.half_shape)``.
     """
 
     grid: PeriodicGrid
@@ -212,14 +249,19 @@ class GridField:
     representation: str
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim != 1 + self.grid.dimension or values.shape[1:] != self.grid.shape:
-            raise ValueError(
-                f"field values of shape {values.shape} do not match one or more "
-                f"components on a grid of shape {self.grid.shape}"
-            )
-        if self.representation not in (PHYSICAL, FREQUENCY):
+        if self.representation == PHYSICAL:
+            if np.iscomplexobj(self.values):
+                raise ValueError("a physical field must be real, got complex values")
+            values, shape = np.asarray(self.values, dtype=float), self.grid.shape
+        elif self.representation == FREQUENCY:
+            values, shape = np.asarray(self.values, dtype=complex), self.grid.half_shape
+        else:
             raise ValueError(f"unknown representation tag {self.representation!r}")
+        if values.ndim != 1 + self.grid.dimension or values.shape[1:] != shape:
+            raise ValueError(
+                f"{self.representation} field values of shape {values.shape} do not "
+                f"match one or more components of shape {shape}"
+            )
         object.__setattr__(self, "values", values)
 
     @property
@@ -227,8 +269,9 @@ class GridField:
         return self.values.shape[0]
 
     def flat(self) -> np.ndarray:
-        """Values reshaped to ``(components, total points)``."""
-        return self.values.reshape(self.components, self.grid.total_points)
+        """Values reshaped to ``(components, points)``, the points of the grid or
+        of the half spectrum."""
+        return self.values.reshape(self.components, -1)
 
 
 def _require(field: GridField, representation: str) -> None:
@@ -239,33 +282,73 @@ def _require(field: GridField, representation: str) -> None:
 
 
 def to_frequency(field: GridField) -> GridField:
-    """Unitary discrete Fourier transform over the spatial axes."""
+    """Unitary real discrete Fourier transform over the spatial axes: the half
+    spectrum of :func:`numpy.fft.rfftn`."""
     _require(field, PHYSICAL)
-    axes = tuple(range(1, 1 + field.grid.dimension))
+    grid = field.grid
+    axes = tuple(range(1, 1 + grid.dimension))
     # Every axis pass writes into ``out``; without it numpy allocates a new
     # array per axis.
-    out = np.empty_like(field.values)
-    values = np.fft.fftn(field.values, axes=axes, norm="ortho", out=out)
-    return GridField(field.grid, values, FREQUENCY)
+    out = np.empty((field.components,) + grid.half_shape, dtype=complex)
+    values = np.fft.rfftn(field.values, axes=axes, norm="ortho", out=out)
+    return GridField(grid, values, FREQUENCY)
+
+
+# Half-spectrum entries per call of the last axis's inverse transform in place:
+# numpy copies each call's input, as it overlaps the output.
+_LANE_CHUNK = 1 << 16
 
 
 def to_physical(field: GridField, out: np.ndarray | None = None) -> GridField:
-    """Inverse of :func:`to_frequency`, written into ``out`` when given (numpy's
-    argument; ``out=field.values`` transforms in place, bit for bit as into a
-    new array, and leaves ``field`` holding physical values)."""
+    """Inverse of :func:`to_frequency` (:func:`numpy.fft.irfftn` on the grid's
+    shape), written into the real array ``out`` when given.
+
+    ``out=field.values`` transforms in place, bit for bit as into a new
+    array: the result is a real view of the (C-contiguous) half spectrum's
+    own array, which no longer holds the spectrum.  The other axes are
+    transformed in place, then the last one a chunk of lanes at a time, so
+    nothing larger than one chunk is allocated.
+    """
     _require(field, FREQUENCY)
-    axes = tuple(range(1, 1 + field.grid.dimension))
-    if out is None:
-        out = np.empty_like(field.values)
-    values = np.fft.ifftn(field.values, axes=axes, norm="ortho", out=out)
-    return GridField(field.grid, values, PHYSICAL)
+    grid = field.grid
+    axes = tuple(range(1, 1 + grid.dimension))
+    if out is not field.values:
+        values = np.fft.irfftn(field.values, s=grid.shape, axes=axes, norm="ortho", out=out)
+        return GridField(grid, values, PHYSICAL)
+    values = field.values
+    if not values.flags.c_contiguous:
+        raise ValueError("an inverse transform in place needs a C-contiguous spectrum")
+    # numpy's irfftn takes the axes in this order, then the last one.
+    for axis in axes[:-1]:
+        np.fft.ifft(values, axis=axis, norm="ortho", out=values)
+    lanes = values.reshape(-1, values.shape[-1])
+    # Lane i of the real result takes the first N of the N + 2 floats that
+    # lane i of the spectrum held, so no call writes another call's input.
+    real = lanes.view(float)[:, : grid.points]
+    step = max(1, _LANE_CHUNK // lanes.shape[1])
+    for start in range(0, lanes.shape[0], step):
+        part = slice(start, start + step)
+        np.fft.irfft(lanes[part], n=grid.points, axis=-1, norm="ortho", out=real[part])
+    return GridField(grid, real.reshape((field.components,) + grid.shape), PHYSICAL)
 
 
 def _sum_of_squares(values: np.ndarray) -> float:
-    """``sum |v|^2`` of a complex array: one real dot over the interleaved real
-    and imaginary parts, with no BLAS call (which would start its threads)."""
-    flat = np.ascontiguousarray(values).reshape(-1).view(float)
-    return float(np.einsum("i,i->", flat, flat))
+    """``sum |v|^2`` of a real or complex array: one real dot, over the
+    interleaved real and imaginary parts of complex values, with no BLAS call
+    (which would start its threads) and no copy of a real array."""
+    if np.iscomplexobj(values):
+        values = np.ascontiguousarray(values).view(float)
+    axes = list(range(values.ndim))
+    return float(np.einsum(values, axes, values, axes, []))
+
+
+def _spectrum_sum_of_squares(values: np.ndarray) -> float:
+    """``sum |v|^2`` over the full grid of a half spectrum ``values``: the
+    columns ``0 < i < N/2`` stand for ``k`` and ``-k`` and count twice
+    (Parseval), the columns ``0`` and ``N/2`` once."""
+    floats = np.ascontiguousarray(values).view(float)
+    edges = _sum_of_squares(floats[..., :2]) + _sum_of_squares(floats[..., -2:])
+    return edges + 2.0 * _sum_of_squares(floats[..., 2:-2])
 
 
 def _real_product(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -281,15 +364,20 @@ def lp_norm(field: GridField, p: float) -> float:
     ``p = inf`` returns the maximum pointwise component-norm; finite ``p``
     weights each grid cell by its volume.  At ``p = 2`` the field may be a
     frequency field: the transform is unitary, so ``cell_volume sum |f^|^2``
-    equals ``cell_volume sum |f|^2`` (Parseval) for real and complex data.
-    Every other ``p`` needs a physical field.
+    over the full grid equals ``cell_volume sum |f|^2`` (Parseval), and a half
+    spectrum's columns ``0 < i < N/2``, which stand for ``k`` and ``-k``, count
+    twice.  Every other ``p`` needs a physical field.
     """
     if not p >= 1:
         raise ValueError(f"norm order must satisfy p >= 1, got {p}")
     if p == 2:
-        return math.sqrt(_sum_of_squares(field.values) * field.grid.cell_volume)
+        if field.representation == FREQUENCY:
+            total = _spectrum_sum_of_squares(field.values)
+        else:
+            total = _sum_of_squares(field.values)
+        return math.sqrt(total * field.grid.cell_volume)
     _require(field, PHYSICAL)
-    pointwise = np.sqrt(np.sum(np.abs(field.values) ** 2, axis=0))
+    pointwise = np.sqrt(np.sum(np.square(field.values), axis=0))
     if np.isinf(p):
         return float(np.max(pointwise))
     total = np.sum(pointwise**p) * field.grid.cell_volume
@@ -487,13 +575,6 @@ class _Orbits:
             orbit[found] = columns[position[found]]
         return element, orbit
 
-    def orbit_map(self) -> np.ndarray:
-        """The orbit of every grid member, in a new array."""
-        orbit = np.empty(sum(listed.size for listed in self.members), dtype=np.intp)
-        for listed, columns in zip(self.members, self.columns):
-            orbit[listed] = columns
-        return orbit
-
     def compose(self, members, values, vectors, inverse):
         """``lambda``, ``V`` and ``V^-1`` of grid members from the factors of
         their representatives: ``lambda^(c)``, ``T V^(c)`` and ``V^-1^(c) T^-1``.
@@ -625,8 +706,21 @@ def _basis_condition(vectors: np.ndarray, inverse: np.ndarray) -> np.ndarray:
 
 
 def _frequency_field(grid: PeriodicGrid, flat: np.ndarray) -> GridField:
-    """A flat ``(components, N^d)`` spectrum as a frequency field."""
-    return GridField(grid, flat.reshape((flat.shape[0],) + grid.shape), FREQUENCY)
+    """A flat half spectrum as a frequency field."""
+    return GridField(grid, flat.reshape((flat.shape[0],) + grid.half_shape), FREQUENCY)
+
+
+def _gather(spectrum: np.ndarray, position: np.ndarray, mirrored: np.ndarray) -> np.ndarray:
+    """The values of a flat half spectrum at the grid members kept at
+    ``position`` (see :meth:`PeriodicGrid.half_positions`), conjugated where
+    ``mirrored``, as ``(components, members)`` in a new array."""
+    values = np.empty((spectrum.shape[0], position.size), dtype=complex)
+    # Row by row: numpy's 1-D take runs several times faster than one 2-D
+    # fancy index.
+    for row, source in zip(values, spectrum):
+        source.take(position, out=row)
+    np.negative(values.imag, out=values.imag, where=mirrored)
+    return values
 
 
 def _check_time(t: float) -> None:
@@ -704,9 +798,10 @@ class FrequencySplitter:
     """The spectral engine of one system on one grid.
 
     It holds what no datum changes, each piece computed at its first use: the
-    cutoff band ``chi1 > 0`` (at construction, as the flat indices
-    :attr:`band`), the factorization (at the first :meth:`decompose` or
-    :meth:`l2_norms`), the layout of the per-datum forms (with the first form),
+    cutoff band ``chi1 > 0`` (at construction, as the flat grid indices
+    :attr:`band`, and as :attr:`half_band`, the positions in a flat half
+    spectrum of the band members it keeps), the factorization (at the first
+    :meth:`decompose` or :meth:`l2_norms`), the layout of the per-datum forms (with the first form),
     and the parabolic :attr:`limit` (at the first profile).  Beside the
     transient arrays of a call, it holds no array indexed by grid member:
     its tables are per orbit, per element or per band member.
@@ -730,7 +825,8 @@ class FrequencySplitter:
     element ``g`` the block ``c_g = V^-1 (T_g^-1 u)^(c_g)`` of the datum's
     modal coefficients (components by orbits), ``V (exp(-t lambda) * c_g)``,
     one ``T_g`` product when ``T_g`` is not the identity, and one scatter to
-    the members ``g`` maps; then ``exp(-t lambda0)`` on the band.
+    the members ``g`` maps that the half spectrum keeps; then
+    ``exp(-t lambda0)`` on the band.
     :meth:`l2_norms` costs ``exp(-t lambda)`` per orbit, one Hermitian form
     per orbit, the band and the few ill-conditioned members one by one, and
     ``exp(-2t k.Dk)`` per orbit for the profiles off the band (``k.Dk`` is the
@@ -773,8 +869,12 @@ class FrequencySplitter:
         self.cut = cut if cut is not None else default_cutoff(system)
         weights = self.cut.chi1(grid.moduli())
         band = np.flatnonzero(weights > 0.0)
-        band.flags.writeable = False
-        self.band = band
+        position, mirrored = grid.half_positions(band)
+        self._band_half = (position, mirrored)
+        half_band = position[~mirrored]
+        for table in (band, half_band):
+            table.flags.writeable = False
+        self.band, self.half_band = band, half_band
         self._band_weights = weights[band]
         self._last_step: tuple[float, np.ndarray] | None = None
 
@@ -927,18 +1027,19 @@ class FrequencySplitter:
         """``k.Dk`` at the band members."""
         return self.limit.diffusion_form(self.grid.frequencies(self.band))
 
-    def _profile_factor(self, name: str, t: float, members: np.ndarray) -> np.ndarray:
+    def _profile_factor(self, name: str, t: float, positions: np.ndarray) -> np.ndarray:
         """``exp(-t (c.ik + k.Dk))`` (``"phi"``) or ``exp(-t k.Dk)``
-        (``"psi"``) at the grid members ``members``, in a new array."""
+        (``"psi"``) at the flat positions ``positions`` of a half spectrum, in
+        a new array."""
         # The terms of ``diffusion_form`` and ``drift_phase`` in their order,
         # each a product of the members' frequencies.
-        k = self.grid.frequencies(members)
+        k = self.grid.frequencies(positions, half=True)
         diffusion, drift = self.limit.diffusion, self.limit.drift
-        exponent = np.zeros(members.size)
+        exponent = np.zeros(positions.size)
         for h, l in np.ndindex(diffusion.shape):
             exponent += (k[:, h] * diffusion[h, l]) * k[:, l]
         if name == "phi":
-            phase = np.zeros(members.size)
+            phase = np.zeros(positions.size)
             for h, c in enumerate(drift):
                 phase += k[:, h] * c
             exponent = 1j * phase + exponent
@@ -952,18 +1053,26 @@ class FrequencySplitter:
         return self.limit.diffusion_form(self.grid.frequencies(representatives))
 
     def prepare(self, field: GridField) -> Datum:
-        """``field`` as a datum of this splitter.
+        """``field`` as a datum of this splitter, without its Nyquist planes.
 
         A physical field is transformed once; a frequency field is copied.
-        Either way the datum owns its spectrum, so the caller's array stays
-        writeable and later edits of it change no result.
+        Either way the datum owns its half spectrum, so the caller's array
+        stays writeable and later edits of it change no result.  Its entries
+        on the Nyquist planes (an index ``N/2`` on some axis) are set to 0:
+        there the symbols at ``k`` and at ``k`` with that coordinate negated,
+        the same grid member, differ, so the part of a real field there has no
+        real evolution.
         """
         if field.grid != self.grid:
             raise ValueError(f"datum on {field.grid} does not lie on the splitter's {self.grid}")
         if field.representation == PHYSICAL:
-            spectrum = to_frequency(field).flat()
+            spectrum = to_frequency(field).values
         else:
-            spectrum = field.flat().copy()
+            spectrum = field.values.copy()
+        nyquist = self.grid.points // 2
+        for axis in range(1, spectrum.ndim):
+            spectrum[(slice(None),) * axis + (nyquist,)] = 0.0
+        spectrum = spectrum.reshape(spectrum.shape[0], -1)
         spectrum.flags.writeable = False
         return Datum(self, spectrum)
 
@@ -1003,44 +1112,46 @@ class FrequencySplitter:
         return self._last_step[1]
 
     def _coefficients(self, datum: Datum, g: int):
-        """Element ``g``'s members and their orbits (``intp``) and its block
-        ``c_g = V^-1 (T_g^-1 u)^(c_g)`` of the datum's modal coefficients
-        (components by orbits, 0 where ``g`` maps no member), computed from
-        the spectrum in a new array.
+        """Where the half spectrum keeps element ``g``'s members (see
+        :meth:`PeriodicGrid.half_positions`), their orbits (``intp``) and
+        ``g``'s block ``c_g = V^-1 (T_g^-1 u)^(c_g)`` of the datum's modal
+        coefficients (components by orbits, 0 where ``g`` maps no member),
+        computed from the spectrum in a new array.
 
         A pass over the group elements takes one block at a time and drops it
         before the next, so the coefficients of the whole grid are never held.
         """
         basis = self._eigenbasis
         orbits = basis.orbits
-        spectrum = datum.spectrum
-        # Row by row with intp indices: numpy's 1-D take and scatter run
-        # several times faster than one 2-D fancy index.
-        members, columns = orbits.members[g].astype(np.intp), orbits.columns[g].astype(np.intp)
-        block = np.zeros((spectrum.shape[0], orbits.representatives.size), dtype=complex)
-        for row, source in zip(block, spectrum):
-            row[columns] = source.take(members)
+        position, mirrored = self.grid.half_positions(orbits.members[g])
+        columns = orbits.columns[g].astype(np.intp)
+        values = _gather(datum.spectrum, position, mirrored)
+        block = np.zeros((values.shape[0], orbits.representatives.size), dtype=complex)
+        # Row by row: numpy's 1-D scatter runs several times faster than one
+        # 2-D fancy index.
+        for row, source in zip(block, values):
+            row[columns] = source
+        del values
         inverse = basis.inverse.transpose(1, 2, 0)
         coefficients = np.einsum("ijr,jr->ir", inverse, orbits.lift(g, block, inverse=True))
-        return members, columns, coefficients
+        return position, mirrored, columns, coefficients
 
     def _propagate(self, datum: Datum, t: float) -> np.ndarray:
-        """``u(t)`` as a new flat spectrum, from one pass over the group
+        """``u(t)`` as a new flat half spectrum, from one pass over the group
         elements: each block ``c_g`` goes through ``V (exp(-t lambda) o c_g)``
-        and ``T_g`` and is scattered to the members ``g`` maps; the fallback
-        members take the time's Pade rows.  Beside ``u``, nothing larger than
-        one block is allocated: ``V o exp(-t lambda)`` is formed one row at a
-        time."""
+        and ``T_g`` and is scattered to the members ``g`` maps that the half
+        spectrum keeps; the fallback members take the time's Pade rows.
+        Beside ``u``, nothing larger than one block is allocated:
+        ``V o exp(-t lambda)`` is formed one row at a time."""
         basis = self._eigenbasis
         orbits = basis.orbits
-        spectrum = datum.spectrum
         exponentials = self._fallback_exponentials(t)
         vectors = basis.vectors.transpose(1, 2, 0)
         decay = np.exp(-t * basis.values)
         decayed = np.empty_like(decay)
-        full = np.empty_like(spectrum)
+        full = np.empty_like(datum.spectrum)
         for g in range(len(orbits.members)):
-            members, columns, coefficients = self._coefficients(datum, g)
+            position, mirrored, columns, coefficients = self._coefficients(datum, g)
             # V (exp(-t lambda) o c), one row of V o exp(-t lambda) at a time:
             # the sums of the whole table's einsum, bit for bit.
             propagated = np.empty_like(coefficients)
@@ -1049,10 +1160,14 @@ class FrequencySplitter:
                 np.einsum("jr,jr->r", decayed, coefficients, out=row)
             del coefficients
             orbits.lift(g, propagated)
+            kept = ~mirrored
+            position, columns = position[kept], columns[kept]
             for row, source in zip(full, propagated):
-                row[members] = source.take(columns)
+                row[position] = source.take(columns)
             del propagated
-        full[:, basis.fallback] = np.einsum("fij,jf->if", exponentials, spectrum[:, basis.fallback])
+        position, mirrored = self.grid.half_positions(basis.fallback)
+        rows = np.einsum("fij,jf->if", exponentials, _gather(datum.spectrum, position, mirrored))
+        full[:, position[~mirrored]] = rows[:, ~mirrored]
         return full
 
     def _sum_form(self, datum: Datum) -> tuple[np.ndarray, np.ndarray]:
@@ -1061,14 +1176,13 @@ class FrequencySplitter:
         larger than one block is allocated: its terms are gathered one
         ``(row, column)`` pair at a time in one orbit-sized scratch array."""
         layout = self._form_layout
-        spectrum = datum.spectrum
-        size = spectrum.shape[0]
+        size = datum.spectrum.shape[0]
         weights = np.zeros(layout.grams.shape[1:], dtype=complex)
         scratch = np.empty(weights.shape[-1], dtype=complex)
         for g, slots in enumerate(layout.slots):
             if not slots.any():
                 continue
-            _, _, coefficients = self._coefficients(datum, g)
+            *_, coefficients = self._coefficients(datum, g)
             # W_r += G_r o (conj(c) c^T) over the slots in the form, each
             # product in the order of the whole-array one (a complex product
             # with FMA is not symmetric).
@@ -1082,12 +1196,12 @@ class FrequencySplitter:
             del conjugate, coefficients
         _, _, inverse = layout.factors
         members = layout.direct[layout.composed]
-        return weights, np.einsum("mij,jm->mi", inverse, spectrum[:, members])
+        return weights, np.einsum("mij,jm->mi", inverse, datum.at(members))
 
     def decompose(self, datum: Datum, t: float) -> tuple[GridField, np.ndarray]:
         """Evolve and split in one pass; returns the frequency field ``u`` and
-        the rows of ``u1`` at the band members :attr:`band` (``(components,
-        band size)``; ``u1`` is 0 off the band).
+        the rows of ``u1`` at the positions :attr:`half_band` of its half
+        spectrum (``(components, half_band.size)``; ``u1`` is 0 off the band).
 
         ``u1 = chi1 exp(-t lambda0) P0(ik) u`` propagates the cutoff-projected
         band (``E P0 = lambda0 P0``), and ``u2 = u - u1``, so ``u2`` is ``u``
@@ -1102,7 +1216,8 @@ class FrequencySplitter:
         if datum.splitter is not self:
             raise ValueError("the datum was prepared by another splitter")
         full = self._propagate(datum, t)
-        low = datum._band_moment * np.exp(-t * self._eigenbasis.band_values)
+        kept = ~self._band_half[1]
+        low = datum._band_moment[:, kept] * np.exp(-t * self._eigenbasis.band_values[kept])
         return _frequency_field(self.grid, full), low
 
     def remainder_norm(self, u: GridField, low: np.ndarray) -> float:
@@ -1112,11 +1227,11 @@ class FrequencySplitter:
         ``u - u1`` and then restored, so no second grid field is built.
         """
         _require(u, FREQUENCY)
-        full = u.flat()
-        rows = full[:, self.band]
-        full[:, self.band] = rows - low
-        high = _sum_of_squares(full)
-        full[:, self.band] = rows
+        full, band = u.flat(), self.half_band
+        rows = full[:, band]
+        full[:, band] = rows - low
+        high = _spectrum_sum_of_squares(u.values)
+        full[:, band] = rows
         return math.sqrt(high * self.grid.cell_volume)
 
     def l2_norms(
@@ -1158,7 +1273,7 @@ class FrequencySplitter:
             "mij,mj->im", vectors, np.exp(-t * values) * coefficients
         )
         direct[:, layout.fallback] = np.einsum(
-            "fij,jf->if", exponentials, datum.spectrum[:, basis.fallback]
+            "fij,jf->if", exponentials, datum.at(basis.fallback)
         )
         band = self.band
         low = datum._band_moment * np.exp(-t * basis.band_values)
@@ -1188,8 +1303,8 @@ class FrequencySplitter:
 @dataclass(frozen=True, eq=False)
 class Datum:
     """A datum prepared by :meth:`FrequencySplitter.prepare`: its splitter and
-    its own read-only flat spectrum ``(components, N^d)``, the only grid field
-    it holds.
+    its own read-only flat half spectrum ``(components, N^(d-1) (N/2 + 1))``,
+    the only grid field it holds.
 
     What the evolutions need of it at every time is computed at first use, so
     the factorization runs in the first :meth:`FrequencySplitter.decompose`
@@ -1207,13 +1322,19 @@ class Datum:
     _profiles: dict = field(default_factory=dict, init=False, repr=False)
     _moments: dict = field(default_factory=dict, init=False, repr=False)
 
+    def at(self, members) -> np.ndarray:
+        """The spectrum at the flat grid members ``members``, as
+        ``(components, members)`` in a new array: each member's entry of the
+        half spectrum, or the conjugate of the entry of ``-k``."""
+        return _gather(self.spectrum, *self.splitter.grid.half_positions(members))
+
     @cached_property
     def _band_moment(self) -> np.ndarray:
         """The band moment ``chi1 P0 u`` at the band members."""
         splitter = self.splitter
         projections = splitter._eigenbasis.band_projections
         return splitter._band_weights * np.einsum(
-            "fij,jf->if", projections, self.spectrum[:, splitter.band]
+            "fij,jf->if", projections, _gather(self.spectrum, *splitter._band_half)
         )
 
     @cached_property
@@ -1233,8 +1354,9 @@ class Datum:
         return self.splitter._sum_form(self)
 
     def moment(self, name: str) -> np.ndarray:
-        """The moment of profile ``name`` in a new flat array the caller owns:
-        ``P0 u`` (``"phi"``) or ``(P0 + sum_h i k_h P1_h) u`` (``"psi"``).
+        """The moment of profile ``name`` as a flat half spectrum in a new array
+        the caller owns: ``P0 u`` (``"phi"``) or ``(P0 + sum_h i k_h P1_h) u``
+        (``"psi"``).
 
         It is built in its own array, the first-order terms a chunk of
         members at a time.  Its first build also keeps its band rows and its
@@ -1254,7 +1376,8 @@ class Datum:
             total = moment.shape[1]
             for start in range(0, total, _MOMENT_CHUNK):
                 part = slice(start, start + _MOMENT_CHUNK)
-                k = splitter.grid.frequencies(np.arange(start, min(start + _MOMENT_CHUNK, total)))
+                positions = np.arange(start, min(start + _MOMENT_CHUNK, total))
+                k = splitter.grid.frequencies(positions, half=True)
                 for h, correction in enumerate(limit.corrections):
                     term = _real_product(correction, self.spectrum[:, part])
                     term *= 1j * k[:, h]
@@ -1262,7 +1385,7 @@ class Datum:
         if name in self._profiles:
             self._moments[name] = moment.copy()
         else:
-            self._profiles[name] = (moment[:, splitter.band], self._tail(moment))
+            self._profiles[name] = (_gather(moment, *splitter._band_half), self._tail(moment))
         return moment
 
     def _profile(self, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -1273,36 +1396,35 @@ class Datum:
         return self._profiles[name]
 
     def _tail(self, moment: np.ndarray) -> np.ndarray:
-        """``|moment|^2`` summed over the members off the band of each orbit;
-        the band is a union of orbits, since ``|k|`` is the same at every
-        member."""
+        """``|moment|^2`` summed over the members off the band of each orbit,
+        a flat half ``moment`` read one element's members at a time, as the
+        orbits list them.  An element maps each orbit to at most one member."""
         splitter = self.splitter
-        # One component row at a time, in the order in which the whole-array
-        # sum(re^2, axis=0) + sum(im^2, axis=0) adds, so it rounds the same.
-        tail, imaginary = np.square(moment[0].real), np.square(moment[0].imag)
-        for row in moment[1:]:
-            tail += np.square(row.real)
-            imaginary += np.square(row.imag)
-        tail += imaginary
-        del imaginary
-        tail[splitter.band] = 0.0
         orbits = splitter._eigenbasis.orbits
-        return np.bincount(
-            orbits.orbit_map(), weights=tail, minlength=orbits.representatives.size
-        )
+        tail = np.zeros(orbits.representatives.size)
+        for members, columns in zip(orbits.members, orbits.columns):
+            off_band = ~_search(splitter.band, members)[1]
+            # |conj(z)| = |z|, so the entry kept for each member serves.
+            position, _ = splitter.grid.half_positions(members[off_band])
+            squares = np.zeros(position.size)
+            for row in moment:
+                values = row.take(position)
+                squares += np.square(values.real) + np.square(values.imag)
+            tail[columns[off_band]] += squares
+        return tail
 
 
 def _evolve_profile(datum: Datum, name: str, t: float) -> GridField:
     """Profile ``name`` of ``datum`` at time ``t`` in the array of its moment,
-    which is multiplied by its factor ``exp(-t ...)`` a chunk of members at a
-    time, so no whole-grid exponent is formed."""
+    which is multiplied by its factor ``exp(-t ...)`` a chunk of half-spectrum
+    entries at a time, so no whole-grid exponent is formed."""
     _check_time(t)
     splitter = datum.splitter
     profile = datum.moment(name)
     total = profile.shape[1]
     for start in range(0, total, _MOMENT_CHUNK):
-        members = np.arange(start, min(start + _MOMENT_CHUNK, total))
-        profile[:, start : start + _MOMENT_CHUNK] *= splitter._profile_factor(name, t, members)
+        positions = np.arange(start, min(start + _MOMENT_CHUNK, total))
+        profile[:, start : start + _MOMENT_CHUNK] *= splitter._profile_factor(name, t, positions)
     return _frequency_field(splitter.grid, profile)
 
 
@@ -1363,13 +1485,13 @@ def make_initial_data(grid: PeriodicGrid, components: int, spec: InitialSpec) ->
         low, high = spec.band
         noise = rng.standard_normal((components,) + grid.shape)
         spectrum = to_frequency(GridField(grid, noise, PHYSICAL)).values
-        moduli = grid.moduli().reshape(grid.shape)
+        moduli = grid.moduli().reshape(grid.shape)[..., : grid.half_shape[-1]]
         mask = (moduli >= low) & (moduli <= high)
         spectrum *= mask[None]
-        shaped = to_physical(GridField(grid, spectrum, FREQUENCY)).values.real
+        shaped = to_physical(GridField(grid, spectrum, FREQUENCY)).values
         axes = tuple(range(1, 1 + grid.dimension))
         scale = np.max(np.abs(shaped), axis=axes, keepdims=True)
         scale[scale == 0.0] = 1.0
         values = amplitude_array * shaped / scale
 
-    return GridField(grid, values.astype(complex), PHYSICAL)
+    return GridField(grid, values, PHYSICAL)

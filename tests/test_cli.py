@@ -760,6 +760,39 @@ def test_cli_import_leaves_out_scipy_stats():
         assert result.stdout.strip() == "False", package
 
 
+def test_analysis_commands_import_neither_harness_nor_spectral(tmp_path):
+    # check, limit and sweep map the harness's and the engine's errors from
+    # hyprelax.errors; run imports both.
+    source = str(Path(hyprelax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=source)
+    system = str(CONFIGS / "damped_euler.json")
+    commands = [[name, system, "--out", str(tmp_path)] for name in ("check", "limit", "sweep")]
+    commands.append(["run", "--config", str(CONFIGS / "gk_decay.json"), "--out", str(tmp_path)])
+    probe = (
+        "import sys; from hyprelax.cli import main\n"
+        f"for command in {commands!r}:\n"
+        "    code = main(command)\n"
+        "    print(code, 'hyprelax.harness' in sys.modules, 'hyprelax.spectral' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    lines = [line for line in result.stdout.splitlines() if line[:1].isdigit()]
+    assert lines == ["0 False False"] * 3 + ["0 True True"]
+
+
+def test_error_types_keep_their_names():
+    import hyprelax.errors as errors
+    import hyprelax.harness as harness
+    import hyprelax.spectral as spectral
+
+    for name in ("HarnessError", "WrapAroundGuardError", "IoFailureError", "ConfigurationError"):
+        assert getattr(harness, name) is getattr(errors, name)
+    assert spectral.SpectralError is harness.SpectralError is errors.SpectralError
+    assert issubclass(spectral.WrongRepresentationError, errors.SpectralError)
+    assert issubclass(harness.TooFewPointsError, errors.HarnessError)
+
+
 def test_only_the_cli_freezes_its_import_heap():
     source = str(Path(hyprelax.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=source)

@@ -377,7 +377,7 @@ class TestRunExperiment:
         t = report.times[3]
         full, rows = splitter.decompose(datum, t)
         low = np.zeros_like(full.values)
-        low.reshape(2, -1)[:, splitter.band] = rows
+        low.reshape(2, -1)[:, splitter.half_band] = rows
         phi = evolve_parabolic_phi(datum, t)
         assert report.series["u_p2_q1"][3] == pytest.approx(
             lp_norm(to_physical(full), 2), rel=1e-12
@@ -492,11 +492,13 @@ class TestRunExperiment:
         assert peak < 11 * field_bytes
 
     def test_first_step_peak_is_a_few_fields(self, tmp_path):
-        # A p = 2 run on the 128^2 plane.  Its first step holds the spectrum
-        # and u, transformed back in its own array, or the profile's one
-        # array, beside orbit-sized tables and one element's blocks; the form
-        # and its Gram stacks are built after u is released: 4.5 fields.
-        # With the form summed in the first decompose's pass, beside u, it
+        # A p = 2 run on the 128^2 plane, in full-grid complex fields.  Its
+        # first step holds the half spectra of the datum and u, transformed
+        # back in its own array, or the profile's one array, beside orbit-sized
+        # tables and one element's blocks; the form and its Gram stacks are
+        # built after u is released: 3.6 fields.  With full complex spectra it
+        # peaked at 4.3; with the form summed in the first decompose's pass,
+        # beside u, it
         # peaked at 5.6 fields; with a table of V o exp(-t lambda), the
         # form's terms formed as (n, n, orbits) products, the Gram stacks
         # built through full-size einsum temporaries and a new array for the
@@ -511,15 +513,16 @@ class TestRunExperiment:
         system = load_system(CONFIGS / cfg.system)
         peak = traced_peak(cfg, system)
         field_bytes = 3 * 128**2 * np.dtype(complex).itemsize
-        assert peak <= 5 * field_bytes
+        assert peak <= 4 * field_bytes
 
     def test_first_step_peak_in_space_is_a_few_fields(self, tmp_path):
         # A p = 2 run of both profiles on a 32^3 grid of the four-component
-        # damped Euler system (48 group elements): 3.9 four-component fields,
-        # with the form summed in a pass of its own after u is released and
-        # each profile's factor formed a chunk of members at a time.  With
-        # the form summed in the first decompose's pass, beside u, and a
-        # whole-grid complex exponent beside each profile, it peaked at 5.0.
+        # damped Euler system (48 group elements): 3.4 full-grid complex
+        # fields of four components, with half spectra, the form summed in a
+        # pass of its own after u is released and each profile's factor formed
+        # a chunk of members at a time.  With full complex spectra it peaked at
+        # 3.9; with the form summed in the first decompose's pass, beside u,
+        # and a whole-grid complex exponent beside each profile, at 5.0.
         raw = {
             "system": str(CONFIGS / "damped_euler_3d.json"),
             "grid": {"points": 32, "half_width": 32.0},
@@ -533,7 +536,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig.from_file(path)
         peak = traced_peak(cfg, load_system(CONFIGS / "damped_euler_3d.json"))
         field_bytes = 4 * 32**3 * np.dtype(complex).itemsize
-        assert peak <= 4.5 * field_bytes
+        assert peak <= 4 * field_bytes
 
     @pytest.mark.parametrize(
         "pairs, per_time",

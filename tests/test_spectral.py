@@ -52,8 +52,53 @@ def frequency_vectors(grid: PeriodicGrid) -> np.ndarray:
     return np.stack([axis.reshape(-1) for axis in axes], axis=-1)
 
 
+def half_frequency_vectors(grid: PeriodicGrid) -> np.ndarray:
+    """The frequency vectors of the entries of a flat half spectrum: those of
+    the grid members in the columns ``0 .. N/2`` of the last axis."""
+    vectors = frequency_vectors(grid).reshape(grid.shape + (grid.dimension,))
+    return vectors[..., : grid.points // 2 + 1, :].reshape(-1, grid.dimension)
+
+
+def full_spectrum(field: GridField) -> np.ndarray:
+    """The flat ``(components, N^d)`` spectrum over the full grid of the half
+    spectrum ``field``: the columns ``N/2 + 1 .. N - 1`` are the conjugates of
+    the entries at ``-k``, every coordinate negated modulo ``N``."""
+    grid, n = field.grid, field.grid.points
+    full = np.empty((field.components,) + grid.shape, dtype=complex)
+    full[..., : n // 2 + 1] = field.values
+    negated = field.values[..., 1 : n // 2]
+    for axis in range(1, grid.dimension):
+        negated = np.roll(np.flip(negated, axis), 1, axis)
+    full[..., n // 2 + 1 :] = np.conj(np.flip(negated, -1))
+    return full.reshape(field.components, -1)
+
+
+def half_field(grid: PeriodicGrid, full: np.ndarray) -> GridField:
+    """The half spectrum of a flat ``(components, N^d)`` spectrum."""
+    values = full.reshape((full.shape[0],) + grid.shape)[..., : grid.points // 2 + 1]
+    return GridField(grid, values, FREQUENCY)
+
+
+def nyquist_free(field: GridField) -> GridField:
+    """The half spectrum ``field`` with its Nyquist planes (an index ``N/2``
+    on some axis) set to 0, as a prepared datum holds it."""
+    values = field.values.copy()
+    for axis in range(1, values.ndim):
+        values[(slice(None),) * axis + (field.grid.points // 2,)] = 0.0
+    return GridField(field.grid, values, FREQUENCY)
+
+
+def orbit_map(orbits) -> np.ndarray:
+    """The orbit of every grid member, scattered from the per-element lists."""
+    orbit = np.empty(sum(listed.size for listed in orbits.members), dtype=np.intp)
+    for listed, columns in zip(orbits.members, orbits.columns):
+        orbit[listed] = columns
+    return orbit
+
+
 def evolve_hyperbolic(system: HyperbolicSystem, field: GridField, t: float) -> GridField:
-    """Pade-13 ``exp(-E(ik) t)`` at every frequency, in the field's representation.
+    """Pade-13 ``exp(-E(ik) t)`` at every frequency of the half spectrum, in the
+    field's representation.
 
     The independent reference for :class:`FrequencySplitter`, which factors
     each symbol once and exponentiates its eigenvalues instead.
@@ -61,7 +106,7 @@ def evolve_hyperbolic(system: HyperbolicSystem, field: GridField, t: float) -> G
     if t < 0:
         raise ValueError(f"evolution time must be nonnegative, got {t}")
     spectrum = field if field.representation == FREQUENCY else to_frequency(field)
-    symbols = system.symbol(frequency_vectors(field.grid))
+    symbols = system.symbol(half_frequency_vectors(field.grid))
     flat = np.einsum("fij,jf->if", matrix_exponential(-t * symbols), spectrum.flat())
     evolved = GridField(field.grid, flat.reshape(spectrum.values.shape), FREQUENCY)
     return evolved if field.representation == FREQUENCY else to_physical(evolved)
@@ -121,6 +166,25 @@ class TestPeriodicGrid:
             along = np.broadcast_to(axis, grid.shape).reshape(-1)
             assert np.array_equal(along, vectors[:, h])
 
+    @pytest.mark.parametrize("dimension, points", [(1, 64), (2, 16), (3, 8)])
+    def test_half_positions_read_the_full_spectrum(self, dimension, points):
+        # Every member, the Nyquist planes and the columns 0 and N/2 included,
+        # reads the full transform of real data from the half one.
+        grid = PeriodicGrid(dimension, points, half_width=3.0)
+        values = np.random.default_rng(dimension).standard_normal((2,) + grid.shape)
+        axes = tuple(range(1, 1 + dimension))
+        full = np.fft.fftn(values, axes=axes, norm="ortho").reshape(2, -1)
+        half = to_frequency(GridField(grid, values, PHYSICAL)).flat()
+        position, mirrored = grid.half_positions(np.arange(grid.total_points))
+        last = np.arange(grid.total_points) % points
+        assert np.array_equal(mirrored, last > points // 2)
+        kept = np.flatnonzero(~mirrored)
+        assert np.array_equal(position[kept], np.arange(half.shape[1]))
+        read = np.where(mirrored, half[:, position].conj(), half[:, position])
+        assert relative_gap(read, full) <= 1e-14
+        assert np.array_equal(full_spectrum(GridField(grid, half.reshape((2,) + grid.half_shape), FREQUENCY)), read)
+        assert np.array_equal(grid.frequencies(np.arange(half.shape[1]), half=True), half_frequency_vectors(grid))
+
     def test_radius_squared(self):
         grid = PeriodicGrid(dimension=2, points=8, half_width=2.0)
         r2 = grid.radius_squared()
@@ -138,6 +202,11 @@ class TestGridField:
             GridField(grid, np.zeros((2, 9)), PHYSICAL)
         with pytest.raises(ValueError):
             GridField(grid, np.zeros((2, 8)), "fourier")
+        # A frequency field is the half spectrum: 8 / 2 + 1 columns.
+        with pytest.raises(ValueError):
+            GridField(grid, np.zeros((2, 8)), FREQUENCY)
+        assert GridField(grid, np.zeros((2, 5)), FREQUENCY).values.dtype == complex
+        assert GridField(grid, np.zeros((2, 8), dtype=int), PHYSICAL).values.dtype == float
 
     def test_transform_round_trip(self):
         grid = PeriodicGrid(dimension=2, points=32, half_width=8.0)
@@ -147,20 +216,24 @@ class TestGridField:
 
     @pytest.mark.parametrize("dimension, points", [(1, 64), (2, 32), (3, 8)])
     def test_inverse_transform_in_place_is_bitwise_the_allocating_one(self, dimension, points):
+        # In place: a real view of the spectrum's own array; into a real
+        # ``out``: that array.
         grid = PeriodicGrid(dimension=dimension, points=points, half_width=8.0)
         rng = np.random.default_rng(dimension)
-        shape = (3, *grid.shape)
-        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        spectrum = GridField(grid, values, FREQUENCY)
+        spectrum = to_frequency(GridField(grid, rng.standard_normal((3, *grid.shape)), PHYSICAL))
         expected = to_physical(spectrum)
+        assert expected.values.dtype == float and expected.values.shape == (3, *grid.shape)
+        out = np.empty((3, *grid.shape))
+        assert to_physical(spectrum, out=out).values is out
+        assert np.array_equal(out, expected.values)
         inverse = to_physical(spectrum, out=spectrum.values)
         assert inverse.representation == PHYSICAL
-        assert inverse.values is spectrum.values
+        assert np.shares_memory(inverse.values, spectrum.values)
         assert np.array_equal(inverse.values, expected.values)
 
     def test_transform_requires_matching_representation(self):
         grid = PeriodicGrid(dimension=1, points=8, half_width=1.0)
-        field = GridField(grid, np.zeros((1, 8)), FREQUENCY)
+        field = GridField(grid, np.zeros((1, 5)), FREQUENCY)
         with pytest.raises(WrongRepresentationError):
             to_frequency(field)
         with pytest.raises(WrongRepresentationError):
@@ -172,13 +245,17 @@ class TestGridField:
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_l2_norm_of_a_spectrum_is_its_riemann_sum(self, dimension, kind):
+        # "real": the spectrum of drawn real values; "complex": a half spectrum
+        # drawn as complex values, made the spectrum of real data by a round
+        # trip (its columns 0 and N/2 must be Hermitian along the other axes).
         grid = PeriodicGrid(dimension=dimension, points=32, half_width=8.0)
         rng = np.random.default_rng(11)
-        shape = (3, *grid.shape)
-        values = rng.standard_normal(shape)
-        if kind == "complex":
-            values = values + 1j * rng.standard_normal(shape)
-        spectrum = to_frequency(GridField(grid, values, PHYSICAL))
+        if kind == "real":
+            spectrum = to_frequency(GridField(grid, rng.standard_normal((3, *grid.shape)), PHYSICAL))
+        else:
+            shape = (3, *grid.half_shape)
+            drawn = GridField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), FREQUENCY)
+            spectrum = to_frequency(to_physical(drawn))
         assert lp_norm(spectrum, 2) == pytest.approx(
             lp_norm(to_physical(spectrum), 2), rel=1e-12
         )
@@ -188,8 +265,20 @@ class TestGridField:
         field = gaussian_field(grid, (1.0, 0.3))
         spectrum = to_frequency(field)
         physical_sq = lp_norm(field, 2) ** 2
-        frequency_sq = grid.cell_volume * np.sum(np.abs(spectrum.values) ** 2)
+        frequency_sq = grid.cell_volume * np.sum(np.abs(full_spectrum(spectrum)) ** 2)
         assert physical_sq == pytest.approx(frequency_sq, rel=1e-12)
+        assert lp_norm(spectrum, 2) ** 2 == pytest.approx(frequency_sq, rel=1e-12)
+
+    @pytest.mark.parametrize("dimension, points", [(1, 64), (2, 16), (3, 8)])
+    def test_parseval_weights_of_a_half_spectrum(self, dimension, points):
+        # One unit entry per column: the columns 0 and N/2 stand for one member
+        # each, the columns in between for k and -k.
+        grid = PeriodicGrid(dimension, points, half_width=2.0)
+        for column, weight in ((0, 1.0), (1, 2.0), (points // 2 - 1, 2.0), (points // 2, 1.0)):
+            values = np.zeros((2,) + grid.half_shape, dtype=complex)
+            values[(1,) + (points - 1,) * (dimension - 1) + (column,)] = 3.0 - 4.0j
+            norm = lp_norm(GridField(grid, values, FREQUENCY), 2)
+            assert norm**2 == pytest.approx(25.0 * weight * grid.cell_volume, rel=1e-15)
 
     def test_shifted_gaussian_spectrum_modulus(self):
         grid = PeriodicGrid(dimension=1, points=256, half_width=20.0)
@@ -205,7 +294,7 @@ class TestGridField:
             * np.exp(-(sigma**2) * k**2 / 2.0)
             / (np.sqrt(grid.points) * grid.spacing)
         )
-        assert_allclose(np.abs(spectrum.values[0]), expected, atol=1e-8)
+        assert_allclose(np.abs(spectrum.values[0]), expected[: grid.points // 2 + 1], atol=1e-8)
 
 
 class TestLpNorm:
@@ -225,10 +314,14 @@ class TestLpNorm:
 
     @pytest.mark.parametrize("imaginary", [0.0, 1.0])
     def test_l2_equals_the_riemann_sum(self, imaginary):
+        # Complex physical values are refused, with or without an imaginary
+        # part, never cast to real; the real part's norm is its Riemann sum.
         grid = PeriodicGrid(dimension=2, points=32, half_width=5.0)
         rng = np.random.default_rng(3)
         shape = (3,) + grid.shape
-        values = rng.standard_normal(shape) + imaginary * 1j * rng.standard_normal(shape)
+        values = rng.standard_normal(shape)
+        with pytest.raises(ValueError, match="must be real"):
+            GridField(grid, values + imaginary * 1j * rng.standard_normal(shape), PHYSICAL)
         pointwise = np.sqrt(np.sum(np.abs(values) ** 2, axis=0))
         riemann = np.sum(pointwise**2) * grid.cell_volume
         field = GridField(grid, values, PHYSICAL)
@@ -322,8 +415,8 @@ class TestEvolveHyperbolic:
         evolved = to_frequency(evolve_hyperbolic(system, field, t))
         initial = to_frequency(field)
         rng = np.random.default_rng(7)
-        modes = rng.choice(grid.points, size=16, replace=False)
-        vectors = frequency_vectors(grid)[modes]
+        modes = rng.choice(grid.points // 2 + 1, size=16, replace=False)
+        vectors = half_frequency_vectors(grid)[modes]
         state = initial.values[:, modes].T.copy()
         symbols = system.symbol(vectors)
         steps = 8000
@@ -384,7 +477,7 @@ class TestFrequencySplitter:
         grid = PeriodicGrid(dimension=1, points=512, half_width=100.0)
         cut = default_cutoff(system)
         spectrum = to_frequency(gaussian_field(grid, (1.0, -0.5)))
-        vectors = frequency_vectors(grid)
+        vectors = half_frequency_vectors(grid)
         moduli = np.linalg.norm(vectors, axis=-1)
         flat = np.zeros_like(spectrum.flat())
         for index in np.flatnonzero(cut.chi1(moduli) >= 1.0):
@@ -402,7 +495,7 @@ class TestFrequencySplitter:
         grid = PeriodicGrid(dimension=1, points=256, half_width=40.0)
         cut = default_cutoff(system)
         spectrum = to_frequency(gaussian_field(grid, (1.0, -0.5)))
-        moduli = np.linalg.norm(frequency_vectors(grid), axis=-1)
+        moduli = np.linalg.norm(half_frequency_vectors(grid), axis=-1)
         flat = spectrum.flat().copy()
         flat[:, cut.chi1(moduli) > 0.0] = 0.0
         high = GridField(grid, flat.reshape(spectrum.values.shape), FREQUENCY)
@@ -417,7 +510,7 @@ class TestFrequencySplitter:
         splitter = FrequencySplitter(system, grid)
         datum = splitter.prepare(white_spectrum(grid, system.size, seed=2))
         u, u1, u2 = (f.flat() for f in split_fields(splitter, datum, 1.5))
-        moduli = np.linalg.norm(frequency_vectors(grid), axis=-1)
+        moduli = np.linalg.norm(half_frequency_vectors(grid), axis=-1)
         off = splitter.cut.chi1(moduli) == 0.0
         assert 0 < np.count_nonzero(~off) < off.size
         assert np.all(u1[:, off] == 0.0)
@@ -426,10 +519,11 @@ class TestFrequencySplitter:
 
 
 def white_spectrum(grid: PeriodicGrid, components: int, seed: int) -> GridField:
+    """The half spectrum of seeded real white noise, without its Nyquist
+    planes, which a datum drops."""
     rng = np.random.default_rng(seed)
-    shape = (components,) + grid.shape
-    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return GridField(grid, values, FREQUENCY)
+    noise = rng.standard_normal((components,) + grid.shape)
+    return nyquist_free(to_frequency(GridField(grid, noise, PHYSICAL)))
 
 
 def relative_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -446,7 +540,7 @@ def split_fields(splitter: FrequencySplitter, datum, t: float) -> list[GridField
     high = splitter.remainder_norm(u, rows)
     assert np.array_equal(u.values, before)
     low = np.zeros_like(u.flat())
-    low[:, splitter.band] = rows
+    low[:, splitter.half_band] = rows
     fields = [u] + [
         GridField(splitter.grid, flat.reshape(u.values.shape), FREQUENCY)
         for flat in (low, u.flat() - low)
@@ -502,8 +596,9 @@ def rotated_euler() -> HyperbolicSystem:
 
 def contour_low_part(system, splitter, field: GridField, t: float) -> np.ndarray:
     """``chi1(|k|) exp(-t lambda0) P0(ik) u(k)`` with the contour projection
-    ``P0``: the independent oracle for the splitter's low part."""
-    vectors = frequency_vectors(field.grid)
+    ``P0`` on the half spectrum: the independent oracle for the splitter's
+    low part."""
+    vectors = half_frequency_vectors(field.grid)
     weights = splitter.cut.chi1(np.linalg.norm(vectors, axis=-1))
     expected = np.zeros_like(field.flat())
     for index in np.flatnonzero(weights > 0.0):
@@ -580,7 +675,7 @@ class TestEigenPropagator:
         system, grid = goldstein_kac_1d(), self.CASES["line"][1]
         splitter = FrequencySplitter(system, grid)
         field = white_spectrum(grid, system.size, seed=9)
-        weights = splitter.cut.chi1(np.linalg.norm(frequency_vectors(grid), axis=-1))
+        weights = splitter.cut.chi1(np.linalg.norm(half_frequency_vectors(grid), axis=-1))
         assert np.any((weights > 0.0) & (weights < 1.0))
         t = 1.5
         _, u1, _ = split_fields(splitter, splitter.prepare(field), t)
@@ -631,20 +726,31 @@ class TestEigenPropagator:
             assert relative_gap(u.values, pade.values) <= 1e-12
 
     def test_nyquist_plane_matches_pade(self):
+        # A datum drops its Nyquist planes: the symbols at k and at k with its
+        # Nyquist coordinate negated, the same member, differ, so no real
+        # field evolves there.  The rest evolves as the Pade reference.
         system = damped_euler_2d()
         grid = PeriodicGrid(dimension=2, points=32, half_width=8.0)
         splitter = FrequencySplitter(system, grid)
-        field = white_spectrum(grid, system.size, seed=3)
-        mask = np.zeros(grid.shape, dtype=bool)
+        noise = np.random.default_rng(3).standard_normal((system.size,) + grid.shape)
+        field = to_frequency(GridField(grid, noise, PHYSICAL))
+        mask = np.zeros(grid.half_shape, dtype=bool)
         mask[grid.points // 2, :] = True
         mask[:, grid.points // 2] = True
+        assert np.all(np.abs(field.values[:, mask]) > 0.0)
         nyquist = GridField(grid, field.values * mask[None], FREQUENCY)
         datum = splitter.prepare(nyquist)
+        assert not np.any(datum.spectrum)
         for t in (0.3, 2.0):
             evolved, _, _ = split_fields(splitter, datum, t)
-            pade = evolve_hyperbolic(system, nyquist, t)
+            assert not np.any(evolved.values)
+            assert splitter.l2_norms(datum, t) == (0.0, 0.0, {"phi": 0.0, "psi": 0.0})
+        datum = splitter.prepare(field)
+        for t in (0.3, 2.0):
+            evolved, _, _ = split_fields(splitter, datum, t)
+            pade = evolve_hyperbolic(system, nyquist_free(field), t)
             assert relative_gap(evolved.values, pade.values) <= 1e-12
-            assert np.all(evolved.values[:, ~mask] == 0.0)
+            assert np.all(evolved.values[:, mask] == 0.0)
 
     def test_system_without_lifts_matches_pade(self):
         # No lift of k -> -k either, so the complex symbols are factored.
@@ -791,13 +897,14 @@ class TestEigenPropagator:
         assert flushed.size
         u, _, _ = split_fields(splitter, datum, t)
         identity = np.eye(system.size)
+        full = full_spectrum(u)
         for row in flushed:
             member = basis.audit[row]
             shift = np.min(np.linalg.eigvals(symbols[row]).real)
             shifted = matrix_exponential(-t * (symbols[row] - shift * identity))
-            expected = np.exp(-t * shift) * shifted @ datum.spectrum[:, member]
+            expected = np.exp(-t * shift) * shifted @ datum.at([member])[:, 0]
             assert np.all(expected != 0.0)
-            assert relative_gap(u.flat()[:, member], expected) <= 1e-10
+            assert relative_gap(full[:, member], expected) <= 1e-10
         representative = orbit_of(basis.orbits, basis.audit[flushed[0]])
         skew_factorization(monkeypatch, {representative: 1e-6})
         skewed = FrequencySplitter(system, grid)
@@ -884,10 +991,13 @@ class TestPreparedDatum:
 
     GRID = PeriodicGrid(dimension=1, points=64, half_width=10.0)
 
-    @staticmethod
-    def caller_values(seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+    @classmethod
+    def caller_values(cls, seed: int, representation: str) -> np.ndarray:
+        """Real values, or the half spectrum of real values, in a new array."""
+        values = np.random.default_rng(seed).standard_normal((2, 64))
+        if representation == FREQUENCY:
+            values = to_frequency(GridField(cls.GRID, values, PHYSICAL)).values
+        return values
 
     @staticmethod
     def results(splitter: FrequencySplitter, datum) -> list[np.ndarray]:
@@ -898,7 +1008,7 @@ class TestPreparedDatum:
 
     @pytest.mark.parametrize("representation", [PHYSICAL, FREQUENCY])
     def test_caller_array_stays_writeable(self, representation):
-        values = self.caller_values(19)
+        values = self.caller_values(19, representation)
         field = GridField(self.GRID, values, representation)
         assert field.values is values
         splitter = FrequencySplitter(goldstein_kac_1d(), self.GRID)
@@ -909,7 +1019,7 @@ class TestPreparedDatum:
 
     @pytest.mark.parametrize("representation", [PHYSICAL, FREQUENCY])
     def test_editing_the_caller_array_changes_no_result(self, representation):
-        values = self.caller_values(20)
+        values = self.caller_values(20, representation)
         splitter = FrequencySplitter(goldstein_kac_1d(), self.GRID)
         datum = splitter.prepare(GridField(self.GRID, values, representation))
         untouched = splitter.prepare(GridField(self.GRID, values.copy(), representation))
@@ -969,9 +1079,9 @@ class TestOrbitMap:
             assert np.all(np.diff(members) > 0)
             assert np.unique(columns).size == columns.size
         element, orbit = orbits.locate(np.arange(grid.total_points))
-        assert np.array_equal(orbit, orbits.orbit_map())
+        assert np.array_equal(orbit, orbit_map(orbits))
         assert np.unique(element * count + orbit).size == grid.total_points
-        flat = white_spectrum(grid, system.size, seed=15).flat()
+        flat = full_spectrum(white_spectrum(grid, system.size, seed=15))
         back = grid_order(orbits, orbit_order(orbits, flat))
         assert np.max(np.abs(back - flat)) <= 1e-15 * np.max(np.abs(flat))
 
@@ -1168,13 +1278,13 @@ class TestFormNorms:
         basis, layout = splitter._eigenbasis, splitter._form_layout
         orbits = basis.orbits
         coefficients = np.einsum(
-            "ijr,gjr->gir", basis.inverse.transpose(1, 2, 0), orbit_order(orbits, field.flat())
+            "ijr,gjr->gir", basis.inverse.transpose(1, 2, 0), orbit_order(orbits, full_spectrum(field))
         )
         decayed = basis.vectors.transpose(1, 2, 0) * np.exp(-t * basis.values)
         expected = grid_order(orbits, np.einsum("ijr,gjr->gir", decayed, coefficients))
         factored = np.ones(grid.total_points, dtype=bool)
         factored[basis.fallback] = False
-        assert relative_gap(u.flat()[:, factored], expected[:, factored]) <= 1e-14
+        assert relative_gap(full_spectrum(u)[:, factored], expected[:, factored]) <= 1e-14
         weights = np.zeros_like(streamed.form[0])
         for g, slots in enumerate(layout.slots):
             c = np.where(slots, coefficients[g], 0.0)
@@ -1334,6 +1444,95 @@ class TestRealFactorization:
         assert stacks == [dtype]
 
 
+class TestHalfSpectrumOracle:
+    """The half-spectrum engine against the full complex path: every field
+    over every grid member, from the ``fftn`` spectrum of the same real data
+    (without its Nyquist planes, which a datum drops), through the same
+    factorization, with ``u1`` and the profiles formed member by member."""
+
+    CASES = {
+        "line": ("goldstein_kac.json", PeriodicGrid(1, 64, 20.0), 0.23),
+        "plane": ("damped_euler.json", PeriodicGrid(2, 16, 16.0), 0.35),
+        "cube": ("damped_euler_3d.json", PeriodicGrid(3, 8, 12.0), 0.35),
+        "three-speed": (None, PeriodicGrid(1, 64, 20.0), 0.23),
+    }
+
+    @staticmethod
+    def full_path(splitter: FrequencySplitter, values: np.ndarray, t: float):
+        """``u``, ``u1`` and the two profiles over the full grid, flat."""
+        grid = splitter.grid
+        axes = tuple(range(1, 1 + grid.dimension))
+        spectrum = np.fft.fftn(values.astype(complex), axes=axes, norm="ortho")
+        for axis in axes:
+            spectrum[(slice(None),) * axis + (grid.points // 2,)] = 0.0
+        spectrum = spectrum.reshape(values.shape[0], -1)
+        basis = splitter._eigenbasis
+        orbits = basis.orbits
+        coefficients = np.einsum(
+            "ijr,gjr->gir", basis.inverse.transpose(1, 2, 0), orbit_order(orbits, spectrum)
+        )
+        decayed = basis.vectors.transpose(1, 2, 0) * np.exp(-t * basis.values)
+        u = grid_order(orbits, np.einsum("ijr,gjr->gir", decayed, coefficients))
+        exponentials = splitter._fallback_exponentials(t)
+        u[:, basis.fallback] = np.einsum("fij,jf->if", exponentials, spectrum[:, basis.fallback])
+        band = splitter.band
+        low = np.zeros_like(u)
+        low[:, band] = (splitter._band_weights * np.exp(-t * basis.band_values)) * np.einsum(
+            "fij,jf->if", basis.band_projections, spectrum[:, band]
+        )
+        limit, vectors = splitter.limit, frequency_vectors(grid)
+        diffusion = limit.diffusion_form(vectors)
+        moment = limit.projection @ spectrum
+        phi = moment * np.exp(-t * (limit.drift_phase(vectors) + diffusion))
+        for h, correction in enumerate(limit.corrections):
+            moment = moment + 1j * vectors[:, h] * (correction @ spectrum)
+        psi = moment * np.exp(-t * diffusion)
+        return u, low, {"phi": phi, "psi": psi}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_engine_matches_the_full_complex_path(self, case):
+        name, grid, inner = self.CASES[case]
+        system = three_speed_line() if name is None else load_system(CONFIGS / name)
+        assert (system.real_form is None) == (name is None)
+        splitter = FrequencySplitter(system, grid, CutoffSpec(inner))
+        assert splitter.band.size > 1
+        values = np.random.default_rng(40).standard_normal((system.size,) + grid.shape)
+        datum = splitter.prepare(GridField(grid, values, PHYSICAL))
+        n = grid.points
+        kept = ~grid.half_positions(splitter.band)[1]
+        nyquist = np.zeros(grid.half_shape, dtype=bool)
+        for axis in range(grid.dimension):
+            nyquist[(slice(None),) * axis + (n // 2,)] = True
+        for t in (0.0, 0.7, 5.0):
+            u, low, profiles = self.full_path(splitter, values, t)
+            got, rows = splitter.decompose(datum, t)
+            # The half spectrum, Nyquist planes and the columns 0 and N/2
+            # included, and the band rows it keeps.
+            expected = half_field(grid, u)
+            assert relative_gap(got.values, expected.values) <= 1e-13
+            assert relative_gap(got.values[..., 0], expected.values[..., 0]) <= 1e-13
+            # The column N/2 lies on a Nyquist plane.
+            assert not np.any(got.values[:, nyquist]) and not np.any(expected.values[:, nyquist])
+            assert relative_gap(rows, low[:, splitter.band[kept]]) <= 1e-13
+            gaps = {}
+            for profile, evolve in (("phi", evolve_parabolic_phi), ("psi", evolve_parabolic_psi)):
+                field = evolve(datum, t)
+                assert relative_gap(field.values, half_field(grid, profiles[profile]).values) <= 1e-13
+                gaps[profile] = np.sum(np.abs(low - profiles[profile]) ** 2)
+            cell = grid.cell_volume
+            full, high, gap_norms = splitter.l2_norms(datum, t)
+            assert full == pytest.approx(np.sqrt(cell * np.sum(np.abs(u) ** 2)), rel=1e-13, abs=0)
+            assert high == pytest.approx(np.sqrt(cell * np.sum(np.abs(u - low) ** 2)), rel=1e-13, abs=0)
+            for profile, value in gaps.items():
+                assert gap_norms[profile] == pytest.approx(np.sqrt(cell * value), rel=1e-13, abs=0)
+            # Physical u: the real part of the full path's inverse transform.
+            axes = tuple(range(1, 1 + grid.dimension))
+            oracle = np.fft.ifftn(u.reshape((system.size,) + grid.shape), axes=axes, norm="ortho")
+            physical = to_physical(got, out=got.values)
+            assert relative_gap(physical.values, oracle.real) <= 1e-13
+            assert np.max(np.abs(oracle.imag)) <= 1e-14 * np.max(np.abs(oracle.real))
+
+
 class TestOrbitTails:
     """The profile tails summed per orbit against the full grid."""
 
@@ -1350,7 +1549,7 @@ class TestOrbitTails:
         orbits = splitter._eigenbasis.orbits
         assert orbits.rotations.shape[0] == elements
         kappa = splitter.limit.diffusion_form(frequency_vectors(grid))
-        gap = np.max(np.abs(kappa - splitter._orbit_diffusion[orbits.orbit_map()]))
+        gap = np.max(np.abs(kappa - splitter._orbit_diffusion[orbit_map(orbits)]))
         assert gap <= 1e-14 * np.max(kappa)
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -1360,9 +1559,13 @@ class TestOrbitTails:
         datum = splitter.prepare(white_spectrum(grid, splitter.system.size, seed=34))
         orbits = splitter._eigenbasis.orbits
         band = splitter.band
-        orbit = orbits.orbit_map()
+        orbit = orbit_map(orbits)
+
+        def full_moment(name):
+            return full_spectrum(spectral._frequency_field(grid, datum.moment(name)))
+
         for name in ("phi", "psi"):
-            moment = datum.moment(name)
+            moment = full_moment(name)
             full = np.sum(np.abs(moment) ** 2, axis=0)
             full[band] = 0.0
             rows, tail = datum._profile(name)
@@ -1383,7 +1586,7 @@ class TestOrbitTails:
                 if name == "phi":
                     exponent = splitter.limit.drift_phase(frequency_vectors(grid)) + exponent
                 exponent = exponent[band]
-                moment = datum.moment(name)
+                moment = full_moment(name)
                 profile = moment[:, band] * np.exp(-t * exponent)
                 full = np.sum(np.abs(moment) ** 2, axis=0)
                 full[band] = 0.0
@@ -1401,10 +1604,9 @@ def drifting_two_speed() -> HyperbolicSystem:
 
 
 def direct_profiles(limit, spectrum: GridField, t: float):
-    """Both profile spectra from scratch: the oracle for the cached moments."""
-    grid = spectrum.grid
-    axes = np.meshgrid(*([grid.frequency_axis()] * grid.dimension), indexing="ij")
-    vectors = np.stack([axis.reshape(-1) for axis in axes], axis=-1)
+    """Both profile half spectra from scratch: the oracle for the cached
+    moments."""
+    vectors = half_frequency_vectors(spectrum.grid)
     flat = spectrum.flat()
     form = limit.diffusion_form(vectors)
     phi = (limit.projection @ flat) * np.exp(-t * (limit.drift_phase(vectors) + form))
@@ -1507,7 +1709,7 @@ class TestParabolicProfiles:
         limit = compute_parabolic_limit(system)
         splitter = profile_splitter(system, grid)
         physical = gaussian_field(grid, tuple(np.linspace(1.0, -0.5, system.size)))
-        spectrum = to_frequency(physical)
+        spectrum = nyquist_free(to_frequency(physical))
         data = (splitter.prepare(spectrum), splitter.prepare(physical))
         for t in (0.0, 0.5, 2.0, 7.0):
             phi, psi = direct_profiles(limit, spectrum, t)
@@ -1539,8 +1741,9 @@ class TestParabolicProfiles:
         phase = np.zeros(grid.shape)
         for k, c in zip(axes, limit.drift):
             phase += k * c
-        diffusion = diffusion.reshape(-1)
-        exponents = {"phi": 1j * phase.reshape(-1) + diffusion, "psi": diffusion}
+        half = (..., slice(0, grid.points // 2 + 1))
+        diffusion = diffusion[half].reshape(-1)
+        exponents = {"phi": 1j * phase[half].reshape(-1) + diffusion, "psi": diffusion}
         assert grid.total_points > spectral._MOMENT_CHUNK
         for t in (0.5, 3.0):
             for name, evolve in (("phi", evolve_parabolic_phi), ("psi", evolve_parabolic_psi)):
@@ -1560,9 +1763,9 @@ class TestParabolicProfiles:
                 dense.append(len(axes))
             return meshgrid(*axes, **options)
 
-        def counted_frequencies(grid, members):
+        def counted_frequencies(grid, members, half=False):
             listed.append(np.size(members))
-            return frequencies(grid, members)
+            return frequencies(grid, members, half)
 
         monkeypatch.setattr(np, "meshgrid", counted_meshgrid)
         monkeypatch.setattr(PeriodicGrid, "frequencies", counted_frequencies)
@@ -1605,14 +1808,14 @@ def drawn_data_oracle(grid: PeriodicGrid, components: int, spec: InitialSpec) ->
     else:
         noise = rng.standard_normal((components,) + grid.shape)
         spectrum = to_frequency(GridField(grid, noise, PHYSICAL)).values
-        moduli = np.linalg.norm(frequency_vectors(grid), axis=-1).reshape(grid.shape)
+        moduli = np.linalg.norm(half_frequency_vectors(grid), axis=-1).reshape(grid.half_shape)
         spectrum *= ((moduli >= spec.band[0]) & (moduli <= spec.band[1]))[None]
-        shaped = to_physical(GridField(grid, spectrum, FREQUENCY)).values.real
+        shaped = to_physical(GridField(grid, spectrum, FREQUENCY)).values
         axes = tuple(range(1, 1 + grid.dimension))
         scale = np.max(np.abs(shaped), axis=axes, keepdims=True)
         scale[scale == 0.0] = 1.0
         values = amplitudes * shaped / scale
-    return values.astype(complex)
+    return values
 
 
 class TestInitialData:
@@ -1632,7 +1835,7 @@ class TestInitialData:
             grid, 2, InitialSpec(kind="random-band", seed=3, band=(0.5, 1.5))
         )
         spectrum = to_frequency(data)
-        moduli = np.linalg.norm(frequency_vectors(grid), axis=-1)
+        moduli = np.linalg.norm(half_frequency_vectors(grid), axis=-1)
         outside = (moduli < 0.5) | (moduli > 1.5)
         flat = spectrum.flat()
         scale = np.max(np.abs(flat))
