@@ -174,7 +174,8 @@ class TestPeriodicGrid:
         values = np.random.default_rng(dimension).standard_normal((2,) + grid.shape)
         axes = tuple(range(1, 1 + dimension))
         full = np.fft.fftn(values, axes=axes, norm="ortho").reshape(2, -1)
-        half = to_frequency(GridField(grid, values, PHYSICAL)).flat()
+        spectrum = to_frequency(GridField(grid, values, PHYSICAL))
+        half = spectrum.flat()
         position, mirrored = grid.half_positions(np.arange(grid.total_points))
         last = np.arange(grid.total_points) % points
         assert np.array_equal(mirrored, last > points // 2)
@@ -182,8 +183,9 @@ class TestPeriodicGrid:
         assert np.array_equal(position[kept], np.arange(half.shape[1]))
         read = np.where(mirrored, half[:, position].conj(), half[:, position])
         assert relative_gap(read, full) <= 1e-14
-        assert np.array_equal(full_spectrum(GridField(grid, half.reshape((2,) + grid.half_shape), FREQUENCY)), read)
-        assert np.array_equal(grid.frequencies(np.arange(half.shape[1]), half=True), half_frequency_vectors(grid))
+        assert np.array_equal(full_spectrum(spectrum), read)
+        vectors = grid.frequencies(np.arange(half.shape[1]), half=True)
+        assert np.array_equal(vectors, half_frequency_vectors(grid))
 
     def test_radius_squared(self):
         grid = PeriodicGrid(dimension=2, points=8, half_width=2.0)
@@ -251,10 +253,12 @@ class TestGridField:
         grid = PeriodicGrid(dimension=dimension, points=32, half_width=8.0)
         rng = np.random.default_rng(11)
         if kind == "real":
-            spectrum = to_frequency(GridField(grid, rng.standard_normal((3, *grid.shape)), PHYSICAL))
+            values = rng.standard_normal((3, *grid.shape))
+            spectrum = to_frequency(GridField(grid, values, PHYSICAL))
         else:
             shape = (3, *grid.half_shape)
-            drawn = GridField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), FREQUENCY)
+            values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            drawn = GridField(grid, values, FREQUENCY)
             spectrum = to_frequency(to_physical(drawn))
         assert lp_norm(spectrum, 2) == pytest.approx(
             lp_norm(to_physical(spectrum), 2), rel=1e-12
@@ -1278,7 +1282,9 @@ class TestFormNorms:
         basis, layout = splitter._eigenbasis, splitter._form_layout
         orbits = basis.orbits
         coefficients = np.einsum(
-            "ijr,gjr->gir", basis.inverse.transpose(1, 2, 0), orbit_order(orbits, full_spectrum(field))
+            "ijr,gjr->gir",
+            basis.inverse.transpose(1, 2, 0),
+            orbit_order(orbits, full_spectrum(field)),
         )
         decayed = basis.vectors.transpose(1, 2, 0) * np.exp(-t * basis.values)
         expected = grid_order(orbits, np.einsum("ijr,gjr->gir", decayed, coefficients))
@@ -1517,12 +1523,15 @@ class TestHalfSpectrumOracle:
             gaps = {}
             for profile, evolve in (("phi", evolve_parabolic_phi), ("psi", evolve_parabolic_psi)):
                 field = evolve(datum, t)
-                assert relative_gap(field.values, half_field(grid, profiles[profile]).values) <= 1e-13
+                expected = half_field(grid, profiles[profile])
+                assert relative_gap(field.values, expected.values) <= 1e-13
                 gaps[profile] = np.sum(np.abs(low - profiles[profile]) ** 2)
             cell = grid.cell_volume
             full, high, gap_norms = splitter.l2_norms(datum, t)
-            assert full == pytest.approx(np.sqrt(cell * np.sum(np.abs(u) ** 2)), rel=1e-13, abs=0)
-            assert high == pytest.approx(np.sqrt(cell * np.sum(np.abs(u - low) ** 2)), rel=1e-13, abs=0)
+            oracle_full = np.sqrt(cell * np.sum(np.abs(u) ** 2))
+            oracle_high = np.sqrt(cell * np.sum(np.abs(u - low) ** 2))
+            assert full == pytest.approx(oracle_full, rel=1e-13, abs=0)
+            assert high == pytest.approx(oracle_high, rel=1e-13, abs=0)
             for profile, value in gaps.items():
                 assert gap_norms[profile] == pytest.approx(np.sqrt(cell * value), rel=1e-13, abs=0)
             # Physical u: the real part of the full path's inverse transform.
