@@ -218,7 +218,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     # Only run and report need the harness and the spectral engine; the
     # analysis commands start without importing them.
-    from .harness import ExperimentConfig, emit_report, run_experiment
+    from .harness import ExperimentConfig, emit_report, nyquist_warning, run_experiment
 
     cfg = ExperimentConfig.from_file(args.config)
     # Fail before the experiment, not after it, when the report cannot be written.
@@ -231,6 +231,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # The one place a config's system is resolved: against the config's directory.
     report = run_experiment(cfg, load_system(args.config.parent / cfg.system))
     emit_report(report, args.out)
+    warning = nyquist_warning(report)
+    if warning is not None:
+        print(warning, file=sys.stderr)
     for name, fit in sorted(report.fits.items()):
         verdict = "ok" if fit["saturated"] else "OFF"
         print(

@@ -26,6 +26,12 @@ of a run.  There the Riemann sum of ``u`` (an inverse transform) and the
 norms of the half spectra of ``u2`` and of each gap (equal to their Riemann
 sums by Parseval, as the transform is unitary) must match the form within
 1e-12 relative (the form audit).
+
+A datum drops its Nyquist planes, where no real field evolves (see
+:meth:`~hyprelax.spectral.FrequencySplitter.prepare`): the series are those
+of the data without them.  The report records the largest share of a
+datum's ``L^2`` energy that they held, and :func:`nyquist_warning` words it
+for a grid that does not resolve the data.
 """
 
 from __future__ import annotations
@@ -59,10 +65,8 @@ from .spectral import (
     CutoffSpec,
     Datum,
     FrequencySplitter,
-    GridField,
     GridSpec,
     InitialSpec,
-    PeriodicGrid,
     evolve_parabolic_phi,
     evolve_parabolic_psi,
     lp_norm,
@@ -86,6 +90,7 @@ __all__ = [
     "fit_exponential",
     "predicted_exponent",
     "run_experiment",
+    "nyquist_warning",
     "emit_report",
 ]
 
@@ -281,7 +286,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class DecayReport:
-    """All measured series, fits, and verdicts of one experiment."""
+    """All measured series, fits, and verdicts of one experiment.
+
+    ``nyquist_share`` is the largest share of a datum's ``L^2`` energy that
+    the grid's Nyquist planes held and the run dropped.
+    """
 
     config: dict
     resolved_cutoff: dict
@@ -292,6 +301,7 @@ class DecayReport:
     conditions: dict[str, dict]
     psi_skipped: str | None
     passed: bool
+    nyquist_share: float = 0.0
 
     def to_dict(self) -> dict:
         # The round trip gives the lists a parsed report.json holds, not tuples.
@@ -339,9 +349,24 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def _unit_l2_gaussian(grid: PeriodicGrid, components: int, spec: InitialSpec) -> GridField:
-    data = make_initial_data(grid, components, spec)
-    return GridField(grid, data.values / lp_norm(data, 2), data.representation)
+# A Nyquist share above this is reported on stderr: the part dropped is then
+# above 1e-12 of the datum's L^2 norm.  Data that the grid resolves holds
+# rounding there, many orders of magnitude less.
+NYQUIST_WARNING_SHARE = 1e-24
+
+
+def nyquist_warning(report: DecayReport) -> str | None:
+    """The warning for a run whose grid dropped more than rounding of a datum
+    on its Nyquist planes, or None."""
+    share = report.nyquist_share
+    if not share > NYQUIST_WARNING_SHARE:
+        return None
+    return (
+        f"warning: the grid's Nyquist planes held {share:.3g} of a datum's L^2 "
+        f"energy, which the run drops (no real field evolves there), so the "
+        f"series are those of the data without it; refine the grid or widen "
+        f"the data to a few grid spacings"
+    )
 
 
 def _fit_series(
@@ -499,16 +524,17 @@ def run_experiment(cfg: ExperimentConfig, system: HyperbolicSystem) -> DecayRepo
 
     fixed = splitter.prepare(initial) if fixed_pairs else None
     del initial
+    nyquist_share = fixed.nyquist_share if fixed_pairs else 0.0
     for t in times:
         if fixed_pairs:
             measure(fixed, float(t), fixed_pairs, 1)
         for p, q in scaling_pairs:
             sigma_t = cfg.initial.sigma * math.sqrt(float(t) / float(times[0]))
-            gaussian = _unit_l2_gaussian(
-                grid, system.size, replace(cfg.initial, sigma=sigma_t)
-            )
-            datum = splitter.prepare(gaussian)
+            gaussian = make_initial_data(grid, system.size, replace(cfg.initial, sigma=sigma_t))
+            # Unit L^2 norm after the Nyquist planes are dropped.
+            datum = splitter.prepare(gaussian, unit=True)
             del gaussian
+            nyquist_share = max(nyquist_share, datum.nyquist_share)
             measure(datum, float(t), [(p, q)], q)
             del datum
 
@@ -558,6 +584,7 @@ def run_experiment(cfg: ExperimentConfig, system: HyperbolicSystem) -> DecayRepo
             for name, report in reports.items()
         },
         psi_skipped=psi_skipped,
+        nyquist_share=nyquist_share,
         passed=passed,
     )
 

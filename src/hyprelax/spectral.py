@@ -32,10 +32,12 @@ conjugate of the one at ``k``.  The orbits, the factorization and the forms
 stay on the full grid.  Each member is read from the half spectrum through
 one index map (:meth:`PeriodicGrid.half_positions`): its own entry, or the
 conjugate of the entry of ``-k``; ``u`` and the profiles are written only at
-the members the half spectrum stores.  On a Nyquist plane the grid cannot
-tell a frequency from the one with that coordinate negated, and the symbols
-at the two differ, so no real field evolves there: a datum drops its Nyquist
-planes.
+the members the half spectrum stores.  On a Nyquist plane (an index ``N/2``
+on some axis) the grid cannot tell a frequency from the one with that
+coordinate negated, and the symbols at the two differ, so no real field
+evolves there: a datum drops its Nyquist planes and records the share of its
+``L^2`` energy they held (:attr:`Datum.nyquist_share`), and those members
+join no orbit.
 
 The splitter is the engine: it holds what depends on the system and grid
 only.  :meth:`FrequencySplitter.prepare` turns a field into a :class:`Datum`
@@ -181,6 +183,15 @@ class PeriodicGrid:
         shape = self.half_shape if half else self.shape
         return np.stack([axis[index] for index in np.unravel_index(members, shape)], axis=-1)
 
+    def nyquist_members(self) -> np.ndarray:
+        """Whether each grid member, flat, lies on a Nyquist plane: an index
+        ``N/2`` on some axis, where ``k`` and ``k`` with that coordinate
+        negated are the same member."""
+        on = np.zeros(self.shape, dtype=bool)
+        for axis in range(self.dimension):
+            on[(slice(None),) * axis + (self.points // 2,)] = True
+        return on.reshape(-1)
+
     def half_positions(self, members) -> tuple[np.ndarray, np.ndarray]:
         """Where a half spectrum keeps each of the flat grid members
         ``members``: the flat position of its entry, and whether that entry is
@@ -295,7 +306,11 @@ def to_frequency(field: GridField) -> GridField:
 
 
 # Half-spectrum entries per call of the last axis's inverse transform in place:
-# numpy copies each call's input, as it overlaps the output.
+# numpy copies each call's input, as it overlaps the output.  The harness's
+# transforms of u and the gaps run in place: into new arrays, with the spectrum
+# released after, the euler_decay.json run peaked at 84.0 MB RSS against
+# 76.2 MB in place (two runs each), as irfftn holds its own complex copy of
+# the spectrum beside the result.
 _LANE_CHUNK = 1 << 16
 
 
@@ -527,8 +542,8 @@ class _Orbits:
     representative of its orbit for exactly one ``g``: ``members[g]`` lists
     those members in ascending flat order and ``columns[g]`` the positions of
     their orbits in ``representatives``.  A representative maps to itself by
-    the identity (element 0), and a member on a Nyquist plane is its own
-    representative, since negating its Nyquist coordinate leaves the grid.
+    the identity (element 0).  A member on a Nyquist plane is in no orbit: a
+    datum is 0 there (see :meth:`FrequencySplitter.prepare`).
     No table is indexed by grid member: each list holds about ``1/G`` of the
     grid, as ``int32``.
     """
@@ -617,10 +632,6 @@ def _grid_orbits(system: HyperbolicSystem, grid: PeriodicGrid) -> _Orbits:
     def along(axis: int, values: np.ndarray) -> np.ndarray:
         return values.reshape([n if a == axis else 1 for a in range(d)])
 
-    nyquist = np.zeros(grid.shape, dtype=bool)
-    for axis in range(d):
-        nyquist = nyquist | along(axis, signed == -(n // 2))
-    nyquist = nyquist.reshape(-1)
     nearest = np.arange(grid.total_points)
     through = np.zeros(nearest.size, dtype=np.min_scalar_type(len(elements)))
     for g, rotation in enumerate(rotations):
@@ -631,7 +642,7 @@ def _grid_orbits(system: HyperbolicSystem, grid: PeriodicGrid) -> _Orbits:
             j = int(np.flatnonzero(row)[0])
             image = image + along(j, ((row[j] * signed) & (n - 1)) * strides[i])
         image = image.reshape(-1)
-        closer = (image < nearest) & ~nyquist
+        closer = image < nearest
         nearest[closer] = image[closer]
         through[closer] = g
     # ``through`` carries each member to its representative; its inverse
@@ -643,16 +654,21 @@ def _grid_orbits(system: HyperbolicSystem, grid: PeriodicGrid) -> _Orbits:
         ],
         dtype=through.dtype,
     )
-    is_representative = nearest == np.arange(nearest.size)
+    # An axis map keeps the Nyquist planes, so no other member reaches one.
+    nyquist = grid.nyquist_members()
+    is_representative = (nearest == np.arange(nearest.size)) & ~nyquist
     representatives = np.flatnonzero(is_representative)
     orbit = (np.cumsum(is_representative, dtype=np.int32) - 1)[nearest]
     del nearest
     element = inverse_of[through]
+    # The Nyquist members take the key past the last element and are dropped.
+    element[nyquist] = len(elements)
+    del nyquist
     # A stable sort of 8-bit keys is a radix sort: one pass, members ascending
     # within each element.
     order = np.argsort(element, kind="stable").astype(np.int32)
-    bounds = np.cumsum(np.bincount(element, minlength=len(elements)))[:-1]
-    members = tuple(part.copy() for part in np.split(order, bounds))
+    bounds = np.cumsum(np.bincount(element, minlength=len(elements) + 1))[:-1]
+    members = tuple(part.copy() for part in np.split(order, bounds)[:-1])
     return _Orbits(
         rotations=rotations,
         transforms=transforms,
@@ -798,10 +814,11 @@ class FrequencySplitter:
     """The spectral engine of one system on one grid.
 
     It holds what no datum changes, each piece computed at its first use: the
-    cutoff band ``chi1 > 0`` (at construction, as the flat grid indices
-    :attr:`band`, and as :attr:`half_band`, the positions in a flat half
-    spectrum of the band members it keeps), the factorization (at the first
-    :meth:`decompose` or :meth:`l2_norms`), the layout of the per-datum forms (with the first form),
+    cutoff band ``chi1 > 0`` off the Nyquist planes (at construction, as the
+    flat grid indices :attr:`band`, and as :attr:`half_band`, the positions in
+    a flat half spectrum of the band members it keeps), the factorization (at
+    the first :meth:`decompose` or :meth:`l2_norms`), the layout of the
+    per-datum forms (with the first form),
     and the parabolic :attr:`limit` (at the first profile).  Beside the
     transient arrays of a call, it holds no array indexed by grid member:
     its tables are per orbit, per element or per band member.
@@ -809,7 +826,8 @@ class FrequencySplitter:
     :meth:`decompose`, :meth:`l2_norms`, :func:`evolve_parabolic_phi` and
     :func:`evolve_parabolic_psi` take.
 
-    The factorization splits the grid into orbits of the group generated by
+    The factorization splits the grid off the Nyquist planes, where every
+    datum is 0, into orbits of the group generated by
     conjugation ``E(-ik) = conj(E(ik))`` and the axis reflections and swaps
     ``R`` that lift to the system (``E(iRk) = T E(ik) T^-1``), and factors one
     representative per orbit as ``V diag(lambda) V^-1``: the member ``Rk`` has
@@ -868,7 +886,8 @@ class FrequencySplitter:
         self.grid = grid
         self.cut = cut if cut is not None else default_cutoff(system)
         weights = self.cut.chi1(grid.moduli())
-        band = np.flatnonzero(weights > 0.0)
+        # A datum is 0 on the Nyquist planes, so the band leaves them out.
+        band = np.flatnonzero((weights > 0.0) & ~grid.nyquist_members())
         position, mirrored = grid.half_positions(band)
         self._band_half = (position, mirrored)
         half_band = position[~mirrored]
@@ -1052,8 +1071,9 @@ class FrequencySplitter:
         representatives = self._eigenbasis.orbits.representatives
         return self.limit.diffusion_form(self.grid.frequencies(representatives))
 
-    def prepare(self, field: GridField) -> Datum:
-        """``field`` as a datum of this splitter, without its Nyquist planes.
+    def prepare(self, field: GridField, unit: bool = False) -> Datum:
+        """``field`` as a datum of this splitter, without its Nyquist planes,
+        and with ``unit`` scaled to ``L^2`` norm 1 after they are dropped.
 
         A physical field is transformed once; a frequency field is copied.
         Either way the datum owns its half spectrum, so the caller's array
@@ -1061,7 +1081,12 @@ class FrequencySplitter:
         on the Nyquist planes (an index ``N/2`` on some axis) are set to 0:
         there the symbols at ``k`` and at ``k`` with that coordinate negated,
         the same grid member, differ, so the part of a real field there has no
-        real evolution.
+        real evolution.  The share of the field's ``L^2`` energy that they
+        held is the datum's :attr:`~Datum.nyquist_share`, 0 to rounding on a
+        grid that resolves the field.
+
+        Raises:
+            ValueError: if ``unit`` and nothing is left after the drop.
         """
         if field.grid != self.grid:
             raise ValueError(f"datum on {field.grid} does not lie on the splitter's {self.grid}")
@@ -1069,12 +1094,23 @@ class FrequencySplitter:
             spectrum = to_frequency(field).values
         else:
             spectrum = field.values.copy()
-        nyquist = self.grid.points // 2
+        dropped, last = 0.0, spectrum.ndim - 1
         for axis in range(1, spectrum.ndim):
-            spectrum[(slice(None),) * axis + (nyquist,)] = 0.0
+            plane = spectrum[(slice(None),) * axis + (self.grid.points // 2,)]
+            # A plane across a leading axis is a half spectrum itself; the
+            # last axis's is the column N/2, whose entries count once.  Each is
+            # zeroed once summed, so no entry counts twice.
+            dropped += _spectrum_sum_of_squares(plane) if axis < last else _sum_of_squares(plane)
+            plane[...] = 0.0
+        kept = _spectrum_sum_of_squares(spectrum)
+        share = dropped / (dropped + kept) if dropped > 0.0 else 0.0
+        if unit:
+            if not kept > 0.0:
+                raise ValueError("a datum with no energy off the Nyquist planes has no unit multiple")
+            spectrum /= math.sqrt(kept * self.grid.cell_volume)
         spectrum = spectrum.reshape(spectrum.shape[0], -1)
         spectrum.flags.writeable = False
-        return Datum(self, spectrum)
+        return Datum(self, spectrum, share)
 
     def _fallback_exponentials(self, t: float) -> np.ndarray:
         """``exp(-t E)`` at the fallback members, from the time's one Pade
@@ -1140,16 +1176,17 @@ class FrequencySplitter:
         """``u(t)`` as a new flat half spectrum, from one pass over the group
         elements: each block ``c_g`` goes through ``V (exp(-t lambda) o c_g)``
         and ``T_g`` and is scattered to the members ``g`` maps that the half
-        spectrum keeps; the fallback members take the time's Pade rows.
-        Beside ``u``, nothing larger than one block is allocated:
-        ``V o exp(-t lambda)`` is formed one row at a time."""
+        spectrum keeps; the fallback members take the time's Pade rows, and
+        the Nyquist planes, in no orbit, stay 0.  Beside ``u``, nothing larger
+        than one block is allocated: ``V o exp(-t lambda)`` is formed one row
+        at a time."""
         basis = self._eigenbasis
         orbits = basis.orbits
         exponentials = self._fallback_exponentials(t)
         vectors = basis.vectors.transpose(1, 2, 0)
         decay = np.exp(-t * basis.values)
         decayed = np.empty_like(decay)
-        full = np.empty_like(datum.spectrum)
+        full = np.zeros(datum.spectrum.shape, dtype=complex)
         for g in range(len(orbits.members)):
             position, mirrored, columns, coefficients = self._coefficients(datum, g)
             # V (exp(-t lambda) o c), one row of V o exp(-t lambda) at a time:
@@ -1302,9 +1339,10 @@ class FrequencySplitter:
 
 @dataclass(frozen=True, eq=False)
 class Datum:
-    """A datum prepared by :meth:`FrequencySplitter.prepare`: its splitter and
+    """A datum prepared by :meth:`FrequencySplitter.prepare`: its splitter,
     its own read-only flat half spectrum ``(components, N^(d-1) (N/2 + 1))``,
-    the only grid field it holds.
+    the only grid field it holds, and the share of the field's ``L^2`` energy
+    that its Nyquist planes held, which the spectrum leaves out.
 
     What the evolutions need of it at every time is computed at first use, so
     the factorization runs in the first :meth:`FrequencySplitter.decompose`
@@ -1319,6 +1357,7 @@ class Datum:
 
     splitter: FrequencySplitter
     spectrum: np.ndarray
+    nyquist_share: float
     _profiles: dict = field(default_factory=dict, init=False, repr=False)
     _moments: dict = field(default_factory=dict, init=False, repr=False)
 

@@ -273,6 +273,20 @@ class TestRun:
         assert sorted(path.name for path in out.iterdir()) == ["report.csv", "report.json"]
         payload = json.loads((out / "report.json").read_text())
         assert payload["passed"] is True
+        assert payload["nyquist_share"] < 1e-24
+        assert capsys.readouterr().err == ""
+
+    def test_unresolved_data_is_reported_on_stderr(self, tmp_path, gk_path, capsys):
+        # A Gaussian about half a grid spacing wide: the run drops the share
+        # of its energy on the Nyquist member, records it and says so.
+        initial = {"sigma": 0.1, "amplitudes": [1.0, -0.5]}
+        config = write_run_config(tmp_path, gk_path, initial=initial)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) in (0, 1)
+        share = json.loads((out / "report.json").read_text())["nyquist_share"]
+        assert share > 1e-6
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"warning: the grid's Nyquist planes held {share:.3g} ")
 
     def test_report_does_not_depend_on_how_the_config_is_named(self, tmp_path, monkeypatch):
         # The report echoes config.system as the file writes it; the system
