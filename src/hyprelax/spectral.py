@@ -47,10 +47,11 @@ the profile moments' band rows and their tails off the band summed per
 orbit, and the Hermitian form of its ``L^2`` norms.  Each piece is computed
 at its first use, and the evolutions return frequency fields.  The modal
 coefficients are not kept: each pass computes them from the spectrum one
-group element at a time.  :meth:`FrequencySplitter.l2_norms` takes the
-``L^2`` norms of ``u``, ``u2`` and the profile gaps from the form, the few
-members outside it and the per-orbit tails, so a time that needs no other
-norm touches no full-grid array.
+range of orbits and, inside it, one group element at a time.
+:meth:`FrequencySplitter.l2_norms` takes the ``L^2`` norms of ``u``, ``u2``
+and the profile gaps from the form, the few members outside it and the
+per-orbit tails, so a time that needs no other norm touches no full-grid
+array.
 
 The box is a whole-space surrogate: experiments must keep data supports and
 propagation cones away from the boundary (the decay harness enforces the
@@ -109,6 +110,12 @@ CONDITION_LIMIT = 1e6
 # relative Frobenius mismatch the check accepts.
 _AUDIT_MEMBERS = 4
 _AUDIT_TOLERANCE = 1e-10
+# The size of every chunk the engine forms instead of a whole-grid table: half
+# spectrum entries per pass of the psi moment's first-order terms and of a
+# profile's factor, and orbits per range of the factorization and of every
+# orbit pass (u, the form, the profiles' tails), which takes every group
+# element inside one range before the next.
+_MOMENT_CHUNK = 1 << 12
 
 
 class WrongRepresentationError(SpectralError):
@@ -540,14 +547,17 @@ class _Orbits:
     of the axes) with ``E(i R_g k) = T_g E(ik)^(c_g) T_g^-1``, where ``E^(1)``
     is the complex conjugate.  Every grid member is ``R_g`` applied to the
     representative of its orbit for exactly one ``g``: ``members[g]`` lists
-    those members in ascending flat order and ``columns[g]`` the positions of
-    their orbits in ``representatives``.  A representative maps to itself by
-    the identity (element 0).  A member on a Nyquist plane is in no orbit: a
-    datum is 0 there (see :meth:`FrequencySplitter.prepare`).
-    No table is indexed by grid member: each list holds about ``1/G`` of the
-    grid, as ``int32``.
+    those members and ``columns[g]`` the positions of their orbits in
+    ``representatives``, in orbit order.  An element maps an orbit to at most
+    one member, so each ``columns[g]`` is strictly increasing and the members
+    of a range of orbits are one slice of each list (:attr:`ranges`).  A
+    representative maps to itself by the identity (element 0).  A member on a
+    Nyquist plane is in no orbit: a datum is 0 there (see
+    :meth:`FrequencySplitter.prepare`).  No table is indexed by grid member:
+    each list holds about ``1/G`` of the grid, as ``int32``.
     """
 
+    points: int
     rotations: np.ndarray
     transforms: np.ndarray
     inverses: np.ndarray
@@ -578,17 +588,48 @@ class _Orbits:
             np.conjugate(block, out=block)
         return block
 
-    def locate(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def ranges(self) -> list[tuple[slice, list[slice]]]:
+        """The orbit ranges of a pass: for each run of ``_MOMENT_CHUNK``
+        orbits, the slice ``part`` of the orbits and, per element ``g``, the
+        slice of ``members[g]`` and ``columns[g]`` that maps into it (empty
+        where ``g`` maps no member of the range)."""
+        count = self.representatives.size
+        edges = np.append(np.arange(0, count, _MOMENT_CHUNK), count).astype(np.int32)
+        bounds = [columns.searchsorted(edges).tolist() for columns in self.columns]
+        edges = edges.tolist()
+        return [
+            (slice(start, stop), [slice(b[index], b[index + 1]) for b in bounds])
+            for index, (start, stop) in enumerate(zip(edges, edges[1:]))
+        ]
+
+    def locate(self, members) -> tuple[np.ndarray, np.ndarray]:
         """The element ``g`` and the orbit (position in ``representatives``)
-        of each of ``members``, by a binary search of each element's list."""
-        members = np.asarray(members)
-        element = np.empty(members.shape, dtype=np.intp)
-        orbit = np.empty(members.shape, dtype=np.intp)
-        for g, (listed, columns) in enumerate(zip(self.members, self.columns)):
-            position, found = _search(listed, members)
-            element[found] = g
-            orbit[found] = columns[position[found]]
-        return element, orbit
+        of each of ``members``, from the member's own images: its
+        representative is the smallest, reached first by the element that
+        :func:`_grid_orbits` records, and ``g`` is that element's inverse.
+
+        Raises:
+            ValueError: if a member lies in no orbit (on a Nyquist plane).
+        """
+        members = np.asarray(members, dtype=np.intp)
+        index = np.unravel_index(members, (self.points,) * self.rotations.shape[1])
+        nearest = members.copy()
+        through = np.zeros(members.shape, dtype=np.intp)
+        for g, rotation in enumerate(self.rotations):
+            image = _image(rotation, index, self.points)
+            closer = image < nearest
+            nearest[closer] = image[closer]
+            through[closer] = g
+        orbit = np.minimum(
+            np.searchsorted(self.representatives, nearest), self.representatives.size - 1
+        )
+        outside = self.representatives[orbit] != nearest
+        if np.any(outside):
+            raise ValueError(
+                f"grid member {int(members[outside][0])} lies on a Nyquist plane, in no orbit"
+            )
+        return _inverse_elements(self.rotations)[through], orbit
 
     def compose(self, members, values, vectors, inverse):
         """``lambda``, ``V`` and ``V^-1`` of grid members from the factors of
@@ -606,6 +647,31 @@ class _Orbits:
         vectors = np.where(conjugate[..., None], vectors.conj(), vectors)
         inverse = np.where(conjugate[..., None], inverse.conj(), inverse)
         return values, self.transforms[g] @ vectors, inverse @ self.inverses[g]
+
+
+def _image(rotation: np.ndarray, index, points: int) -> np.ndarray:
+    """The flat index of ``R k`` for the members with per-axis indices
+    ``index`` (arrays that broadcast against each other): axis ``i`` of the
+    image is axis ``j`` of the member times ``R_ij = +-1``.  ``points`` is a
+    power of two, so ``& (points - 1)`` wraps negated indices."""
+    dimension = len(index)
+    image = 0
+    for i, row in enumerate(rotation):
+        j = int(np.flatnonzero(row)[0])
+        image = image + ((row[j] * index[j]) & (points - 1)) * points ** (dimension - 1 - i)
+    return image
+
+
+def _inverse_elements(rotations: np.ndarray) -> np.ndarray:
+    """The position of each element's inverse: the transpose of a signed
+    permutation."""
+    return np.array(
+        [
+            next(h for h, other in enumerate(rotations) if np.array_equal(other, rotation.T))
+            for rotation in rotations
+        ],
+        dtype=np.intp,
+    )
 
 
 def _grid_orbits(system: HyperbolicSystem, grid: PeriodicGrid) -> _Orbits:
@@ -626,34 +692,18 @@ def _grid_orbits(system: HyperbolicSystem, grid: PeriodicGrid) -> _Orbits:
     rotations = np.stack([rotation for rotation, _, _ in elements])
     transforms = np.stack([transform for _, transform, _ in elements])
     n, d = grid.points, grid.dimension
-    signed = np.fft.ifftshift(np.arange(-(n // 2), n // 2))
-    strides = n ** np.arange(d - 1, -1, -1)
-
-    def along(axis: int, values: np.ndarray) -> np.ndarray:
-        return values.reshape([n if a == axis else 1 for a in range(d)])
-
+    # Each axis's indices, shaped to broadcast along that axis of the grid.
+    index = [np.arange(n).reshape([n if a == axis else 1 for a in range(d)]) for axis in range(d)]
     nearest = np.arange(grid.total_points)
     through = np.zeros(nearest.size, dtype=np.min_scalar_type(len(elements)))
     for g, rotation in enumerate(rotations):
-        # Axis i of the image is axis j of the member times R_ij = +-1; n is a
-        # power of two, so ``& (n - 1)`` wraps negative indices.
-        image = np.zeros(grid.shape, dtype=np.intp)
-        for i, row in enumerate(rotation):
-            j = int(np.flatnonzero(row)[0])
-            image = image + along(j, ((row[j] * signed) & (n - 1)) * strides[i])
-        image = image.reshape(-1)
+        image = _image(rotation, index, n).reshape(-1)
         closer = image < nearest
         nearest[closer] = image[closer]
         through[closer] = g
     # ``through`` carries each member to its representative; its inverse
-    # (the transpose of a signed permutation) carries the representative back.
-    inverse_of = np.array(
-        [
-            next(h for h, other in enumerate(rotations) if np.array_equal(other, rotation.T))
-            for rotation in rotations
-        ],
-        dtype=through.dtype,
-    )
+    # carries the representative back.
+    inverse_of = _inverse_elements(rotations).astype(through.dtype)
     # An axis map keeps the Nyquist planes, so no other member reaches one.
     nyquist = grid.nyquist_members()
     is_representative = (nearest == np.arange(nearest.size)) & ~nyquist
@@ -664,19 +714,25 @@ def _grid_orbits(system: HyperbolicSystem, grid: PeriodicGrid) -> _Orbits:
     # The Nyquist members take the key past the last element and are dropped.
     element[nyquist] = len(elements)
     del nyquist
-    # A stable sort of 8-bit keys is a radix sort: one pass, members ascending
-    # within each element.
+    # A stable sort of 8-bit keys is a radix sort: one pass.  Each element's
+    # members are then put in orbit order, where no two share an orbit.
     order = np.argsort(element, kind="stable").astype(np.int32)
     bounds = np.cumsum(np.bincount(element, minlength=len(elements) + 1))[:-1]
-    members = tuple(part.copy() for part in np.split(order, bounds)[:-1])
+    members, columns = [], []
+    for part in np.split(order, bounds)[:-1]:
+        part_orbits = orbit[part]
+        by_orbit = np.argsort(part_orbits)
+        members.append(part[by_orbit])
+        columns.append(part_orbits[by_orbit])
     return _Orbits(
+        points=n,
         rotations=rotations,
         transforms=transforms,
         inverses=np.linalg.inv(transforms),
         conjugate=np.array([conjugate for _, _, conjugate in elements]),
         representatives=representatives,
-        members=members,
-        columns=tuple(orbit[listed] for listed in members),
+        members=tuple(members),
+        columns=tuple(columns),
     )
 
 
@@ -786,8 +842,10 @@ class _FormLayout:
 
     ``slots`` ``(element, orbit)`` marks the members in the form: off the band,
     with a condition bound of at most ``sqrt(CONDITION_LIMIT)``, since the
-    form squares the condition.  ``grams[gram[g]]`` is ``V_r^H T_g^T T_g V_r``
-    indexed ``(row, column, orbit)``, one per distinct ``T_g^T T_g``.
+    form squares the condition.  ``products`` holds the distinct ``T_g^T T_g``
+    and ``gram[g]`` the position of element ``g``'s: a form pass builds the
+    Grams ``V_r^H T_g^T T_g V_r`` of one orbit range at a time from them
+    (:meth:`FrequencySplitter._grams`), so no Gram stack is held.
     ``direct`` lists the other members, the band first and in band order;
     ``composed`` gives the positions in ``direct`` of its factored members,
     whose composed factors ``lambda``, ``T V`` and ``V^-1 T^-1`` are
@@ -797,17 +855,11 @@ class _FormLayout:
 
     slots: np.ndarray
     gram: np.ndarray
-    grams: np.ndarray
+    products: np.ndarray
     direct: np.ndarray
     composed: np.ndarray
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
     fallback: np.ndarray
-
-
-# Grid members per pass of the psi moment's first-order terms and of a
-# profile's factor: each is formed for this many members at a time, not for
-# the whole grid.
-_MOMENT_CHUNK = 1 << 12
 
 
 class FrequencySplitter:
@@ -833,24 +885,29 @@ class FrequencySplitter:
     representative per orbit as ``V diag(lambda) V^-1``: the member ``Rk`` has
     ``lambda``, ``T V`` and ``V^-1 T^-1`` (conjugated first when the element
     includes conjugation).  A system with a real form factors the real
-    symbols ``S^-1 E(ik) S = V_F diag(lambda) V_F^-1`` in one real ``eig`` and
-    stores ``V = S V_F`` and ``V^-1 = V_F^-1 S^-1``; one without factors the
-    complex symbols in the same call.  Of the symbols it keeps only the rows
-    the checks below reuse.  The 0-group projection at each band member is Kato's
-    rank-one ``P0 = v w^T`` from the right and left eigenvectors of the
-    eigenvalue nearest zero.  A :meth:`decompose` at time ``t`` then costs
-    ``exp(-t lambda)`` per orbit and one pass over the group elements: for each
-    element ``g`` the block ``c_g = V^-1 (T_g^-1 u)^(c_g)`` of the datum's
-    modal coefficients (components by orbits), ``V (exp(-t lambda) * c_g)``,
-    one ``T_g`` product when ``T_g`` is not the identity, and one scatter to
-    the members ``g`` maps that the half spectrum keeps; then
-    ``exp(-t lambda0)`` on the band.
+    symbols ``S^-1 E(ik) S = V_F diag(lambda) V_F^-1`` in real ``eig`` calls
+    and stores ``V = S V_F`` and ``V^-1 = V_F^-1 S^-1``; one without factors
+    the complex symbols.  Either way the representatives are factored one
+    orbit range (``_MOMENT_CHUNK`` orbits) at a time.  Of the symbols it
+    keeps only the rows the checks below reuse.  The 0-group projection at
+    each band member is Kato's rank-one ``P0 = v w^T`` from the right and
+    left eigenvectors of the eigenvalue nearest zero.
+
+    Every orbit pass takes one orbit range at a time, every group element
+    inside it, so it forms nothing orbit-sized.  A :meth:`decompose` at time
+    ``t`` then costs one pass: per range ``exp(-t lambda)`` and, for each
+    element ``g``, the block ``c_g = V^-1 (T_g^-1 u)^(c_g)`` of the datum's
+    modal coefficients (components by the range's orbits),
+    ``V (exp(-t lambda) * c_g)``, one ``T_g`` product when ``T_g`` is not the
+    identity, and one scatter to the members ``g`` maps that the half
+    spectrum keeps; then ``exp(-t lambda0)`` on the band.
     :meth:`l2_norms` costs ``exp(-t lambda)`` per orbit, one Hermitian form
     per orbit, the band and the few ill-conditioned members one by one, and
     ``exp(-2t k.Dk)`` per orbit for the profiles off the band (``k.Dk`` is the
     same at every member of an orbit).  A datum's first :meth:`l2_norms` also
-    sums its form, in a pass of its own over the elements that map a member
-    in it; each pass does one thing, so no pass holds ``u`` beside the form.
+    sums its form, in a pass of its own over the ranges that hold a member
+    in it, each range's Grams ``V^H T^T T V`` built once; each pass does one
+    thing, so no pass holds ``u`` beside the form.
 
     A member whose condition bound ``cond_2(T) |V|_F |V^-1|_F`` exceeds
     :data:`CONDITION_LIMIT` is exponentiated by
@@ -896,22 +953,32 @@ class FrequencySplitter:
         self.band, self.half_band = band, half_band
         self._band_weights = weights[band]
         self._last_step: tuple[float, np.ndarray] | None = None
+        self._last_grams: tuple[slice, np.ndarray] | None = None
 
     def _moduli(self, members) -> np.ndarray:
         """``|k|`` at the grid members ``members``."""
         return np.linalg.norm(self.grid.frequencies(members), axis=-1)
 
-    def _projection_table(self, values, vectors, inverse, condition):
+    def _projection_table(self, orbits: _Orbits, values, vectors, inverse, condition):
         """Eigenvalue nearest zero and its eigenprojection at each band member,
-        from the band's rows of the grid factorization."""
+        from the band's rows of the grid factorization (``values``,
+        ``vectors`` and ``inverse`` per orbit), with ``condition`` the band
+        members' condition bounds."""
         band = self.band
+        size = vectors.shape[-1]
+        # The table outlives the band's composed factors, so it is allocated
+        # before them: allocated after, it kept their freed pages below it
+        # resident, and a 128^3 damped_euler_3d run peaked at 279-293 MB RSS,
+        # depending on the length of its output path, against 251 MB.
+        projections = np.empty((band.size, size, size), dtype=complex)
+        values, vectors, inverse = orbits.compose(band, values, vectors, inverse)
         members = np.arange(band.size)
         k = self.grid.frequencies(band)
         nearest = zero_group(values, self.system.symbol(k), k)
         zero_values = values[members, nearest]
         right = vectors[members, :, nearest]
         left = inverse[members, nearest, :]
-        projections = right[:, :, None] * left[:, None, :]
+        np.multiply(right[:, :, None], left[:, None, :], out=projections)
         trusted = condition <= CONDITION_LIMIT
         for member in np.flatnonzero(~trusted):
             projections[member] = exact_group_projection(self.system, k[member])
@@ -931,33 +998,48 @@ class FrequencySplitter:
     def _eigenbasis(self) -> _Eigenbasis:
         """One factorization per orbit, with the band table and the audit rows."""
         orbits = _grid_orbits(self.system, self.grid)
-        k = self.grid.frequencies(orbits.representatives)
+        size, count = self.system.size, orbits.representatives.size
         form = self.system.real_form
         # With a real form E = S M S^-1 and M = V_F diag(lambda) V_F^-1 is
         # factored in real arithmetic: V = S V_F and V^-1 = V_F^-1 S^-1.
         # Without one, E itself is factored and S is I.
         if form is None:
-            eye = np.eye(self.system.size)
-            symbols, left, right = self.system.symbol(k), eye, eye
+            eye = np.eye(size)
+            symbol, left, right = self.system.symbol, eye, eye
         else:
-            symbols, left, right = self.system.real_symbol(k), form.transform, form.inverse
-        values, vectors = np.linalg.eig(symbols)
-        # eig returns a real pair when every eigenvalue of the stack is real.
-        values, vectors = values.astype(complex, copy=False), vectors.astype(complex, copy=False)
-        inverse = np.linalg.inv(vectors)
+            symbol, left, right = self.system.real_symbol, form.transform, form.inverse
         # Stored orbit-last in C order, so the per-time apply and the forms read
-        # them contiguously; einsum, as a batched matmul would start BLAS threads.
-        vectors = np.einsum("ij,rjk->ikr", left, vectors, order="C").transpose(2, 0, 1)
-        inverse = np.einsum("rij,jk->ikr", inverse, right, order="C").transpose(2, 0, 1)
-        values = np.ascontiguousarray(values.T)
-        orbit_condition = _basis_condition(vectors, inverse)
+        # them contiguously.  The representatives are factored one range at a
+        # time into these arrays: eig and inv work matrix by matrix, so each
+        # factor is the one a whole-stack call gives.
+        values = np.empty((size, count), dtype=complex)
+        vectors = np.empty((size, size, count), dtype=complex)
+        inverse = np.empty((size, size, count), dtype=complex)
+        orbit_condition = np.empty(count)
+        for start in range(0, count, _MOMENT_CHUNK):
+            part = slice(start, start + _MOMENT_CHUNK)
+            part_values, part_vectors = np.linalg.eig(
+                symbol(self.grid.frequencies(orbits.representatives[part]))
+            )
+            # eig returns a real pair when every eigenvalue of the stack is
+            # real; the inverse is taken in complex arithmetic either way.
+            part_vectors = part_vectors.astype(complex, copy=False)
+            part_inverse = np.linalg.inv(part_vectors)
+            values[:, part] = part_values.T
+            # einsum, as a batched matmul would start BLAS threads.
+            np.einsum("ij,rjk->ikr", left, part_vectors, out=vectors[..., part])
+            np.einsum("rij,jk->ikr", part_inverse, right, out=inverse[..., part])
+            del part_vectors, part_inverse
+            orbit_condition[part] = _basis_condition(
+                vectors[..., part].transpose(2, 0, 1), inverse[..., part].transpose(2, 0, 1)
+            )
+        vectors, inverse = vectors.transpose(2, 0, 1), inverse.transpose(2, 0, 1)
         lift_condition = np.linalg.cond(orbits.transforms)
         audit, fallback, worst = _ranked_members(orbits, orbit_condition, lift_condition)
         band = self.band
         g, r = orbits.locate(band)
-        band_values, band_vectors, band_inverse = orbits.compose(band, values, vectors, inverse)
         band_values, band_projections = self._projection_table(
-            band_values, band_vectors, band_inverse, lift_condition[g] * orbit_condition[r]
+            orbits, values, vectors, inverse, lift_condition[g] * orbit_condition[r]
         )
         exact_rows = np.concatenate([audit, fallback])
         return _Eigenbasis(
@@ -995,14 +1077,6 @@ class FrequencySplitter:
         distinct, gram = np.unique(
             products.reshape(products.shape[0], -1), axis=0, return_inverse=True
         )
-        # Column by column, so no temporary is as large as a Gram stack.
-        vectors = basis.vectors.transpose(1, 2, 0)
-        grams = np.empty((distinct.shape[0],) + vectors.shape, dtype=complex)
-        for product, stack in zip(distinct, grams):
-            for j in range(size):
-                column = np.einsum("kl,lr->kr", product.reshape(size, size), vectors[:, j])
-                for i in range(size):
-                    np.einsum("kr,kr->r", vectors[:, i].conj(), column, out=stack[i, j])
         direct = np.concatenate([band, others])
         position, in_band = _search(band, basis.fallback)
         fallback = np.where(
@@ -1014,7 +1088,8 @@ class FrequencySplitter:
         return _FormLayout(
             slots=slots,
             gram=gram.reshape(-1),
-            grams=grams,
+            # Complex, as einsum would cast them at every use.
+            products=distinct.reshape(-1, size, size).astype(complex),
             direct=direct,
             composed=composed,
             factors=orbits.compose(direct[composed], basis.values, basis.vectors, basis.inverse),
@@ -1147,90 +1222,131 @@ class FrequencySplitter:
         self._last_step = (t, exact[audit.size :])
         return self._last_step[1]
 
-    def _coefficients(self, datum: Datum, g: int):
-        """Where the half spectrum keeps element ``g``'s members (see
-        :meth:`PeriodicGrid.half_positions`), their orbits (``intp``) and
-        ``g``'s block ``c_g = V^-1 (T_g^-1 u)^(c_g)`` of the datum's modal
-        coefficients (components by orbits, 0 where ``g`` maps no member),
-        computed from the spectrum in a new array.
+    def _coefficients(self, datum: Datum, g: int, part: slice, span: slice):
+        """Where the half spectrum keeps the members ``span`` of element
+        ``g``'s lists, which map into the orbit range ``part`` (see
+        :meth:`PeriodicGrid.half_positions`), their orbits within the range
+        (``intp``) and ``g``'s block ``c_g = V^-1 (T_g^-1 u)^(c_g)`` of the
+        datum's modal coefficients over the range (components by orbits, 0
+        where ``g`` maps no member), computed from the spectrum in a new array.
 
-        A pass over the group elements takes one block at a time and drops it
-        before the next, so the coefficients of the whole grid are never held.
+        A pass takes one range at a time, every element inside it, and drops
+        each block before the next, so nothing orbit-sized is formed.
         """
         basis = self._eigenbasis
         orbits = basis.orbits
-        position, mirrored = self.grid.half_positions(orbits.members[g])
-        columns = orbits.columns[g].astype(np.intp)
+        position, mirrored = self.grid.half_positions(orbits.members[g][span])
+        columns = orbits.columns[g][span].astype(np.intp) - part.start
         values = _gather(datum.spectrum, position, mirrored)
-        block = np.zeros((values.shape[0], orbits.representatives.size), dtype=complex)
+        block = np.zeros((values.shape[0], part.stop - part.start), dtype=complex)
         # Row by row: numpy's 1-D scatter runs several times faster than one
         # 2-D fancy index.
         for row, source in zip(block, values):
             row[columns] = source
         del values
-        inverse = basis.inverse.transpose(1, 2, 0)
+        inverse = basis.inverse.transpose(1, 2, 0)[..., part]
         coefficients = np.einsum("ijr,jr->ir", inverse, orbits.lift(g, block, inverse=True))
         return position, mirrored, columns, coefficients
 
     def _propagate(self, datum: Datum, t: float) -> np.ndarray:
-        """``u(t)`` as a new flat half spectrum, from one pass over the group
-        elements: each block ``c_g`` goes through ``V (exp(-t lambda) o c_g)``
-        and ``T_g`` and is scattered to the members ``g`` maps that the half
-        spectrum keeps; the fallback members take the time's Pade rows, and
-        the Nyquist planes, in no orbit, stay 0.  Beside ``u``, nothing larger
-        than one block is allocated: ``V o exp(-t lambda)`` is formed one row
-        at a time."""
+        """``u(t)`` as a new flat half spectrum, from one pass over the orbit
+        ranges and, inside each, the group elements: each block ``c_g`` goes
+        through ``V (exp(-t lambda) o c_g)`` and ``T_g`` and is scattered to
+        the members ``g`` maps that the half spectrum keeps; the fallback
+        members take the time's Pade rows, and the Nyquist planes, in no
+        orbit, stay 0.  Beside ``u``, nothing larger than one block is
+        allocated: ``exp(-t lambda)`` is formed once per range and
+        ``V o exp(-t lambda)`` one row at a time."""
         basis = self._eigenbasis
         orbits = basis.orbits
         exponentials = self._fallback_exponentials(t)
         vectors = basis.vectors.transpose(1, 2, 0)
-        decay = np.exp(-t * basis.values)
-        decayed = np.empty_like(decay)
         full = np.zeros(datum.spectrum.shape, dtype=complex)
-        for g in range(len(orbits.members)):
-            position, mirrored, columns, coefficients = self._coefficients(datum, g)
-            # V (exp(-t lambda) o c), one row of V o exp(-t lambda) at a time:
-            # the sums of the whole table's einsum, bit for bit.
-            propagated = np.empty_like(coefficients)
-            for row, vector_row in zip(propagated, vectors):
-                np.multiply(vector_row, decay, out=decayed)
-                np.einsum("jr,jr->r", decayed, coefficients, out=row)
-            del coefficients
-            orbits.lift(g, propagated)
-            kept = ~mirrored
-            position, columns = position[kept], columns[kept]
-            for row, source in zip(full, propagated):
-                row[position] = source.take(columns)
-            del propagated
+        for part, spans in orbits.ranges:
+            decay = np.exp(-t * basis.values[:, part])
+            decayed = np.empty_like(decay)
+            for g, span in enumerate(spans):
+                if span.start == span.stop:
+                    continue
+                position, mirrored, columns, coefficients = self._coefficients(
+                    datum, g, part, span
+                )
+                # V (exp(-t lambda) o c), one row of V o exp(-t lambda) at a
+                # time: the sums of the whole table's einsum, bit for bit.
+                propagated = np.empty_like(coefficients)
+                for row, vector_row in zip(propagated, vectors[..., part]):
+                    np.multiply(vector_row, decay, out=decayed)
+                    np.einsum("jr,jr->r", decayed, coefficients, out=row)
+                del coefficients
+                orbits.lift(g, propagated)
+                kept = ~mirrored
+                position, columns = position[kept], columns[kept]
+                for row, source in zip(full, propagated):
+                    row[position] = source.take(columns)
+                del propagated
         position, mirrored = self.grid.half_positions(basis.fallback)
         rows = np.einsum("fij,jf->if", exponentials, _gather(datum.spectrum, position, mirrored))
         full[:, position[~mirrored]] = rows[:, ~mirrored]
         return full
 
+    def _grams(self, part: slice) -> np.ndarray:
+        """The Grams ``V_r^H P V_r`` of the orbit range ``part`` for each of
+        the form layout's distinct products ``P = T_g^T T_g``, indexed
+        ``(product, row, column, orbit)``: each column of ``P V`` is formed
+        once and dotted with the conjugate of each column of ``V``.
+
+        The last range's Grams are kept, one range of orbits at most, so a
+        grid of one range (a line of up to 8192 points) builds them once,
+        not once per datum: the two-speed line run with a ``q = 2`` pair
+        sums 17 forms, and building them per form cost it 12.7 % of its
+        ``bench/run.py`` throughput (``gk_line``, 10 alternating pairs)."""
+        if self._last_grams is not None and self._last_grams[0] == part:
+            return self._last_grams[1]
+        self._last_grams = None  # released before the next range's are built
+        products = self._form_layout.products
+        size = products.shape[-1]
+        vectors = self._eigenbasis.vectors.transpose(1, 2, 0)[..., part]
+        conjugate = vectors.conj()
+        grams = np.empty((products.shape[0],) + vectors.shape, dtype=complex)
+        for product, stack in zip(products, grams):
+            for j in range(size):
+                column = np.einsum("kl,lr->kr", product, vectors[:, j])
+                for i in range(size):
+                    np.einsum("kr,kr->r", conjugate[:, i], column, out=stack[i, j])
+        self._last_grams = (part, grams)
+        return grams
+
     def _sum_form(self, datum: Datum) -> tuple[np.ndarray, np.ndarray]:
         """The datum's form (see :attr:`Datum.form`), from one pass over the
-        group elements that map a member in it.  Beside the form, nothing
-        larger than one block is allocated: its terms are gathered one
-        ``(row, column)`` pair at a time in one orbit-sized scratch array."""
+        orbit ranges and, inside each, the group elements that map a member
+        in it.  Beside the form, nothing larger than one range's Grams is
+        allocated: they are built once per range, and the terms are gathered
+        one ``(row, column)`` pair at a time in one range-sized scratch
+        array."""
         layout = self._form_layout
         size = datum.spectrum.shape[0]
-        weights = np.zeros(layout.grams.shape[1:], dtype=complex)
-        scratch = np.empty(weights.shape[-1], dtype=complex)
-        for g, slots in enumerate(layout.slots):
-            if not slots.any():
+        weights = np.zeros((size, size, layout.slots.shape[1]), dtype=complex)
+        for part, spans in self._eigenbasis.orbits.ranges:
+            in_form = layout.slots[:, part]
+            if not in_form.any():
                 continue
-            *_, coefficients = self._coefficients(datum, g)
-            # W_r += G_r o (conj(c) c^T) over the slots in the form, each
-            # product in the order of the whole-array one (a complex product
-            # with FMA is not symmetric).
-            coefficients[:, ~slots] = 0.0
-            conjugate = coefficients.conj()
-            gram = layout.grams[layout.gram[g]]
-            for i, j in np.ndindex(size, size):
-                np.multiply(conjugate[i], coefficients[j], out=scratch)
-                np.multiply(gram[i, j], scratch, out=scratch)
-                weights[i, j] += scratch
-            del conjugate, coefficients
+            grams = self._grams(part)
+            scratch = np.empty(part.stop - part.start, dtype=complex)
+            for g, slots in enumerate(in_form):
+                if not slots.any():
+                    continue
+                *_, coefficients = self._coefficients(datum, g, part, spans[g])
+                # W_r += G_r o (conj(c) c^T) over the slots in the form, each
+                # product in the order of the whole-array one (a complex
+                # product with FMA is not symmetric).
+                coefficients[:, ~slots] = 0.0
+                conjugate = coefficients.conj()
+                gram = grams[layout.gram[g]]
+                for i, j in np.ndindex(size, size):
+                    np.multiply(conjugate[i], coefficients[j], out=scratch)
+                    np.multiply(gram[i, j], scratch, out=scratch)
+                    weights[i, j, part] += scratch
+                del conjugate, coefficients
         _, _, inverse = layout.factors
         members = layout.direct[layout.composed]
         return weights, np.einsum("mij,jm->mi", inverse, datum.at(members))
@@ -1302,8 +1418,13 @@ class FrequencySplitter:
         exponentials = self._fallback_exponentials(t)
         layout = self._form_layout
         weights, coefficients = datum.form
-        decay = np.exp(-t * basis.values)
-        summed = np.einsum("ir,ir->", decay.conj(), np.einsum("ijr,jr->ir", weights, decay))
+        decay = -t * basis.values
+        np.exp(decay, out=decay)
+        inner = np.einsum("ijr,jr->ir", weights, decay)
+        # conj(E) in place: beside what it holds, the sum allocates E and the
+        # inner products only.
+        summed = np.einsum("ir,ir->", np.conjugate(decay, out=decay), inner)
+        del decay, inner
         values, vectors, _ = layout.factors
         direct = np.empty((self.system.size, layout.direct.size), dtype=complex)
         direct[:, layout.composed] = np.einsum(
@@ -1348,8 +1469,8 @@ class Datum:
     the factorization runs in the first :meth:`FrequencySplitter.decompose`
     or :meth:`FrequencySplitter.l2_norms`, whichever comes first, and the form
     in its first :meth:`FrequencySplitter.l2_norms`.  It keeps no modal
-    coefficients: the splitter computes them one group element at a time
-    from the spectrum whenever a pass needs them.  It keeps its band moment,
+    coefficients: the splitter computes them one orbit range and group
+    element at a time from the spectrum whenever a pass needs them.  It keeps its band moment,
     its form with the coefficients of the members outside it, and,
     for each profile, the moment's band rows and its tail off the band summed
     per orbit; a profile formed again keeps its moment (see :meth:`moment`).
@@ -1436,20 +1557,23 @@ class Datum:
 
     def _tail(self, moment: np.ndarray) -> np.ndarray:
         """``|moment|^2`` summed over the members off the band of each orbit,
-        a flat half ``moment`` read one element's members at a time, as the
-        orbits list them.  An element maps each orbit to at most one member."""
+        a flat half ``moment`` read one orbit range at a time and, inside
+        it, one element's members at a time, as the orbits list them.  An
+        element maps each orbit to at most one member."""
         splitter = self.splitter
         orbits = splitter._eigenbasis.orbits
         tail = np.zeros(orbits.representatives.size)
-        for members, columns in zip(orbits.members, orbits.columns):
-            off_band = ~_search(splitter.band, members)[1]
-            # |conj(z)| = |z|, so the entry kept for each member serves.
-            position, _ = splitter.grid.half_positions(members[off_band])
-            squares = np.zeros(position.size)
-            for row in moment:
-                values = row.take(position)
-                squares += np.square(values.real) + np.square(values.imag)
-            tail[columns[off_band]] += squares
+        for _, spans in orbits.ranges:
+            for members, columns, span in zip(orbits.members, orbits.columns, spans):
+                members, columns = members[span], columns[span]
+                off_band = ~_search(splitter.band, members)[1]
+                # |conj(z)| = |z|, so the entry kept for each member serves.
+                position, _ = splitter.grid.half_positions(members[off_band])
+                squares = np.zeros(position.size)
+                for row in moment:
+                    values = row.take(position)
+                    squares += np.square(values.real) + np.square(values.imag)
+                tail[columns[off_band]] += squares
         return tail
 
 

@@ -1132,9 +1132,10 @@ class TestOrbitMap:
         assert np.array_equal(np.sort(listed), resolved)
         assert np.array_equal(np.flatnonzero(~grid.nyquist_members()), resolved)
         for members, columns in zip(orbits.members, orbits.columns):
+            # Orbit order: an element maps an orbit to at most one member.
             assert members.dtype == columns.dtype == np.int32
-            assert np.all(np.diff(members) > 0)
-            assert np.unique(columns).size == columns.size
+            assert np.all(np.diff(columns) > 0)
+            assert np.unique(members).size == members.size
         element, orbit = orbits.locate(resolved)
         assert np.array_equal(orbit, orbit_map(orbits, grid)[resolved])
         assert np.unique(element * count + orbit).size == resolved.size
@@ -1172,6 +1173,45 @@ class TestOrbitMap:
             assert np.max(np.abs(transform @ b - b @ transform)) <= 1e-12
             assert np.max(np.abs(transform @ advections - images @ transform)) <= 1e-12
             assert np.max(np.abs(transform @ inverse - np.eye(system.size))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "build, grid",
+        [(damped_euler_2d, PeriodicGrid(2, 16, 4.0)), (damped_euler_3d, PeriodicGrid(3, 8, 4.0))],
+        ids=["plane", "cube"],
+    )
+    def test_locate_matches_a_search_of_ascending_lists(self, build, grid):
+        # Every member off the Nyquist planes, the axes and diagonals among
+        # them: there several elements carry the representative to the
+        # member, and locate must name the one the lists record.
+        orbits = _grid_orbits(build(), grid)
+        members = resolved_members(grid)
+        vectors = frequency_vectors(grid)[members]
+        fixed = np.einsum("gij,fj->gfi", orbits.rotations, vectors) == vectors
+        stabilizers = np.all(fixed, axis=-1).sum(axis=0)
+        assert np.count_nonzero(stabilizers > 1) > members.size // 4
+        element = np.full(members.size, -1)
+        orbit = np.full(members.size, -1)
+        for g, (listed, columns) in enumerate(zip(orbits.members, orbits.columns)):
+            if not listed.size:
+                continue
+            order = np.argsort(listed)
+            ascending = listed[order]
+            position = np.minimum(np.searchsorted(ascending, members), ascending.size - 1)
+            found = ascending[position] == members
+            assert np.all(element[found] == -1)
+            element[found], orbit[found] = g, columns[order][position[found]]
+        assert np.all(element >= 0)
+        got_element, got_orbit = orbits.locate(members)
+        assert np.array_equal(got_element, element)
+        assert np.array_equal(got_orbit, orbit)
+
+    def test_locate_refuses_a_nyquist_member(self):
+        grid = PeriodicGrid(2, 16, 4.0)
+        orbits = _grid_orbits(damped_euler_2d(), grid)
+        member = 3 * grid.points + grid.points // 2
+        assert grid.nyquist_members()[member]
+        with pytest.raises(ValueError, match=f"grid member {member} lies on a Nyquist plane"):
+            orbits.locate(np.array([1, member, 2]))
 
     def test_member_lists_must_fit_int32(self):
         # 2048^3 points: refused before any member-wide array is allocated.
@@ -1348,10 +1388,15 @@ class TestFormNorms:
         factored = np.ones(grid.total_points, dtype=bool)
         factored[basis.fallback] = False
         assert relative_gap(full_spectrum(u)[:, factored], expected[:, factored]) <= 1e-14
+        # The Gram V_r^H T_g^T T_g V_r of every element and orbit, from the
+        # factors and the lifts alone.
+        vectors = basis.vectors.transpose(1, 2, 0)
+        products = np.einsum("gki,gkj->gij", orbits.transforms, orbits.transforms)
+        grams = np.einsum("kir,gkl,ljr->gijr", vectors.conj(), products, vectors)
         weights = np.zeros_like(streamed.form[0])
         for g, slots in enumerate(layout.slots):
             c = np.where(slots, coefficients[g], 0.0)
-            weights += layout.grams[layout.gram[g]] * (c.conj()[:, None, :] * c[None, :, :])
+            weights += grams[g] * (c.conj()[:, None, :] * c[None, :, :])
         assert_allclose(streamed.form[0], weights, rtol=0, atol=1e-14 * np.max(np.abs(weights)))
 
     @pytest.mark.parametrize("case", ["plane", "space", "plane-16pi"])
@@ -1396,6 +1441,21 @@ class TestFormNorms:
         assert datum.form[0] is weights
         hermitian = np.conj(weights.transpose(1, 0, 2))
         assert_allclose(weights, hermitian, rtol=0, atol=1e-15 * np.max(np.abs(weights)))
+
+    def test_one_range_grid_builds_its_grams_once(self):
+        # Each form's pass builds the Grams of each orbit range it visits; the
+        # last range's are kept, so on a grid of one range every datum's form
+        # after the first reuses them.
+        build, grid, _ = self.CASES["line"]
+        splitter = FrequencySplitter(build(), grid)
+        assert len(splitter._eigenbasis.orbits.ranges) == 1
+        first, second = (splitter.prepare(white_spectrum(grid, 2, seed=s)) for s in (28, 29))
+        first.form
+        part, grams = splitter._last_grams
+        second.form
+        assert splitter._last_grams[1] is grams
+        expected = whole_orbit_grams(splitter)[..., part]
+        assert np.array_equal(grams[splitter._form_layout.gram], expected)
 
     def test_validation(self):
         build, grid, _ = self.CASES["line"]
@@ -1664,6 +1724,144 @@ class TestOrbitTails:
                     full * np.exp(-2.0 * t * splitter.limit.diffusion_form(frequency_vectors(grid)))
                 )
                 assert gap == pytest.approx(np.sqrt(expected * cell), rel=1e-13, abs=0)
+
+
+def whole_orbit_coefficients(splitter: FrequencySplitter, datum, g: int):
+    """Where the half spectrum keeps element ``g``'s members, their orbits and
+    ``g``'s block of modal coefficients over every orbit at once: the
+    whole-orbit path that the orbit-range passes replace, kept as their
+    oracle."""
+    basis = splitter._eigenbasis
+    orbits = basis.orbits
+    position, mirrored = splitter.grid.half_positions(orbits.members[g])
+    columns = orbits.columns[g].astype(np.intp)
+    values = spectral._gather(datum.spectrum, position, mirrored)
+    block = np.zeros((values.shape[0], orbits.representatives.size), dtype=complex)
+    for row, source in zip(block, values):
+        row[columns] = source
+    inverse = basis.inverse.transpose(1, 2, 0)
+    coefficients = np.einsum("ijr,jr->ir", inverse, orbits.lift(g, block, inverse=True))
+    return position, mirrored, columns, coefficients
+
+
+def whole_orbit_u(splitter: FrequencySplitter, datum, t: float) -> np.ndarray:
+    """``u(t)`` as a flat half spectrum from whole-orbit blocks, each product
+    in the order the engine forms it."""
+    basis = splitter._eigenbasis
+    orbits = basis.orbits
+    vectors = basis.vectors.transpose(1, 2, 0)
+    decay = np.exp(-t * basis.values)
+    decayed = np.empty_like(decay)
+    full = np.zeros(datum.spectrum.shape, dtype=complex)
+    for g in range(len(orbits.members)):
+        position, mirrored, columns, coefficients = whole_orbit_coefficients(splitter, datum, g)
+        propagated = np.empty_like(coefficients)
+        for row, vector_row in zip(propagated, vectors):
+            np.multiply(vector_row, decay, out=decayed)
+            np.einsum("jr,jr->r", decayed, coefficients, out=row)
+        orbits.lift(g, propagated)
+        kept = ~mirrored
+        for row, source in zip(full, propagated):
+            row[position[kept]] = source.take(columns[kept])
+    exponentials = splitter._fallback_exponentials(t)
+    position, mirrored = splitter.grid.half_positions(basis.fallback)
+    rows = np.einsum("fij,jf->if", exponentials, datum.at(basis.fallback))
+    full[:, position[~mirrored]] = rows[:, ~mirrored]
+    return full
+
+
+def whole_orbit_grams(splitter: FrequencySplitter) -> np.ndarray:
+    """Each element's Gram stack ``V^H T^T T V`` over every orbit, indexed
+    ``(element, row, column, orbit)``, built column by column from the
+    factors and the lift, each product in the order the engine forms it."""
+    orbits = splitter._eigenbasis.orbits
+    vectors = splitter._eigenbasis.vectors.transpose(1, 2, 0)
+    size = vectors.shape[0]
+    grams = np.empty((orbits.transforms.shape[0],) + vectors.shape, dtype=complex)
+    for transform, gram in zip(orbits.transforms, grams):
+        product = np.einsum("ki,kj->ij", transform, transform)
+        for j in range(size):
+            column = np.einsum("kl,lr->kr", product, vectors[:, j])
+            for i in range(size):
+                np.einsum("kr,kr->r", vectors[:, i].conj(), column, out=gram[i, j])
+    return grams
+
+
+def whole_orbit_form(splitter: FrequencySplitter, datum) -> np.ndarray:
+    """The form ``W`` from whole-orbit blocks and the whole Gram stacks, each
+    product in the order the engine forms it."""
+    layout = splitter._form_layout
+    grams = whole_orbit_grams(splitter)
+    size = grams.shape[1]
+    weights = np.zeros(grams.shape[1:], dtype=complex)
+    scratch = np.empty(grams.shape[-1], dtype=complex)
+    for g, slots in enumerate(layout.slots):
+        if not slots.any():
+            continue
+        gram = grams[g]
+        *_, coefficients = whole_orbit_coefficients(splitter, datum, g)
+        coefficients[:, ~slots] = 0.0
+        conjugate = coefficients.conj()
+        for i, j in np.ndindex(size, size):
+            np.multiply(conjugate[i], coefficients[j], out=scratch)
+            np.multiply(gram[i, j], scratch, out=scratch)
+            weights[i, j] += scratch
+    return weights
+
+
+def whole_list_tail(splitter: FrequencySplitter, moment: np.ndarray) -> np.ndarray:
+    """``|moment|^2`` off the band summed per orbit, one element's whole list
+    at a time."""
+    orbits = splitter._eigenbasis.orbits
+    tail = np.zeros(orbits.representatives.size)
+    for members, columns in zip(orbits.members, orbits.columns):
+        off_band = ~np.isin(members, splitter.band)
+        position, _ = splitter.grid.half_positions(members[off_band])
+        squares = np.zeros(position.size)
+        for row in moment:
+            values = row.take(position)
+            squares += np.square(values.real) + np.square(values.imag)
+        tail[columns[off_band]] += squares
+    return tail
+
+
+class TestOrbitRanges:
+    """The passes one orbit range at a time against the whole-orbit path, bit
+    for bit: a splitter whose ranges hold a few orbits each against one whose
+    single range holds every orbit."""
+
+    CASES = TestHalfSpectrumOracle.CASES
+    # Odd and small, so that ranges split every grid here and some range
+    # holds no member of some element (an orbit on an axis or a diagonal is
+    # reached by fewer elements than the group has).
+    CHUNK = 5
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_passes_match_the_whole_orbit_oracle(self, case, monkeypatch):
+        name, grid, inner = self.CASES[case]
+        system = three_speed_line() if name is None else load_system(CONFIGS / name)
+        assert (system.real_form is None) == (name is None)
+        field = white_spectrum(grid, system.size, seed=42)
+        whole = FrequencySplitter(system, grid, CutoffSpec(inner))
+        basis = whole._eigenbasis
+        assert basis.orbits.representatives.size <= spectral._MOMENT_CHUNK
+        monkeypatch.setattr(spectral, "_MOMENT_CHUNK", self.CHUNK)
+        splitter = FrequencySplitter(system, grid, CutoffSpec(inner))
+        ranged = splitter._eigenbasis
+        assert ranged.orbits.representatives.size > 2 * self.CHUNK
+        empty = [
+            span.start == span.stop for _, spans in ranged.orbits.ranges for span in spans
+        ]
+        assert any(empty) == (grid.dimension > 1)
+        for key in ("values", "vectors", "inverse", "orbit_condition"):
+            assert np.array_equal(getattr(ranged, key), getattr(basis, key))
+        datum, reference = splitter.prepare(field), whole.prepare(field)
+        for t in (0.0, 0.7, 5.0):
+            u, _ = splitter.decompose(datum, t)
+            assert np.array_equal(u.flat(), whole_orbit_u(whole, reference, t))
+        assert np.array_equal(datum.form[0], whole_orbit_form(whole, reference))
+        _, tail = datum._profile("phi")
+        assert np.array_equal(tail, whole_list_tail(whole, reference.moment("phi")))
 
 
 def drifting_two_speed() -> HyperbolicSystem:
